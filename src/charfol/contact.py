@@ -58,25 +58,25 @@ class ContactScene:
                       None if v[1] is None else float(v[1]))
         self.domain = dom
 
-    def in_domain(self, point, margin: float = 0.0) -> bool:
+    def in_domain(self, point) -> bool:
         for name, (lo, hi) in self.domain.items():
             v = fval(point[self.chart.index(name)])
-            if lo is not None and v < lo - margin:
+            if lo is not None and v < lo:
                 return False
-            if hi is not None and v > hi + margin:
+            if hi is not None and v > hi:
                 return False
         return True
 
-    def sample_points(self, rng, count: int, fallback=(-1.0, 1.0)) -> np.ndarray:
-        """Random points: declared bounds, else fallback box; angular on a period."""
+    def sample_points(self, rng, count: int) -> np.ndarray:
+        """Random points: declared bounds, else [-1, 1]; angular on a period."""
         cols = []
         for name in self.chart.names:
             if name in self.chart.angular:
                 cols.append(rng.uniform(0.0, self.chart.periods[name], count))
                 continue
-            lo, hi = self.domain.get(name, fallback)
-            lo = fallback[0] if lo is None else lo
-            hi = fallback[1] if hi is None else hi
+            lo, hi = self.domain.get(name, (None, None))
+            lo = -1.0 if lo is None else lo
+            hi = 1.0 if hi is None else hi
             cols.append(rng.uniform(lo, hi, count))
         return np.column_stack(cols)
 
@@ -251,8 +251,8 @@ class FoliationField:
     def vector(self, point) -> np.ndarray:
         return np.array([fval(c) for c in self.char_data(point).X], dtype=float)
 
-    def vector_and_jacobian(self, point):
-        """Value and ambient Jacobian in one pass, via a jet level."""
+    def _jet_pass(self, point):
+        """X, its ambient Jacobian, and the CharData of one jet level."""
         data = self.char_data(seed([float(fval(c)) for c in point]))
         X = np.empty(self._d)
         J = np.empty((self._d, self._d))
@@ -263,20 +263,16 @@ class FoliationField:
             else:
                 X[i] = c
                 J[i, :] = 0.0
+        return X, J, data
+
+    def vector_and_jacobian(self, point):
+        """Value and ambient Jacobian in one pass, via a jet level."""
+        X, J, _ = self._jet_pass(point)
         return X, J
 
     def flow_data(self, point):
         """Value, ambient Jacobian, and divergence from a single jet pass."""
-        data = self.char_data(seed([float(fval(c)) for c in point]))
-        X = np.empty(self._d)
-        J = np.empty((self._d, self._d))
-        for i, c in enumerate(data.X):
-            if isinstance(c, Jet):
-                X[i] = c.f
-                J[i, :] = c.g
-            else:
-                X[i] = c
-                J[i, :] = 0.0
+        X, J, data = self._jet_pass(point)
         return X, J, float(fval(data.divergence))
 
     def divergence(self, point) -> float:
@@ -322,22 +318,11 @@ def alpha_data_at(scene: ContactScene, point):
 
 # Reeb and Hamiltonian solves -----------------------------------------
 
-def _stacked_system(scene: ContactScene, point):
-    ad = _alpha_data(scene, point)
-    d = scene.chart.dim
-    M = np.zeros((d, d))
-    for (i, j), c in ad.dalpha.comps.items():
-        M[i, j] = fval(c)
-        M[j, i] = -fval(c)
-    a_row = np.array([fval(v) for v in ad.values])
-    A = np.vstack([M.T, a_row])
-    return A, a_row, M
-
-
 def reeb_at(scene: ContactScene, point,
             tols: policy.Tolerances = policy.DEFAULT) -> np.ndarray:
     """The unique vector with alpha(R) = 1 annihilating d alpha."""
-    A, _, _ = _stacked_system(scene, point)
+    a_row, M = alpha_data_at(scene, point)
+    A = np.vstack([M.T, a_row])
     b = np.zeros(scene.chart.dim + 1)
     b[-1] = 1.0
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
@@ -351,7 +336,8 @@ def reeb_at(scene: ContactScene, point,
 def hamiltonian_field_at(scene: ContactScene, H: ScalarField, point,
                          tols: policy.Tolerances = policy.DEFAULT) -> np.ndarray:
     """Solve alpha(Y) = H, i_Y d alpha = dH(R) alpha - dH at one point."""
-    A, a_row, _ = _stacked_system(scene, point)
+    a_row, M = alpha_data_at(scene, point)
+    A = np.vstack([M.T, a_row])
     hval, hg = H.value_and_grad(point)
     hgrad = np.array([fval(g) for g in hg])
     R = reeb_at(scene, point, tols)
@@ -371,7 +357,7 @@ def hamiltonian_residuals(scene: ContactScene, H: ScalarField, points,
     worst_pair = 0.0
     worst_contact = 0.0
     for p in points:
-        A, a_row, M = _stacked_system(scene, p)
+        a_row, M = alpha_data_at(scene, p)
         Y = hamiltonian_field_at(scene, H, p, tols)
         hval, hg = H.value_and_grad(p)
         hgrad = np.array([fval(g) for g in hg])

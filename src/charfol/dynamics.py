@@ -167,18 +167,16 @@ class Flow:
     """Trajectories of the characteristic direction field on one surface."""
 
     def __init__(self, field: FoliationField, tols: policy.Tolerances = policy.DEFAULT,
-                 sense: int = +1, project: bool = True, check_domain: bool = True):
+                 sense: int = +1):
         self.field = field
         self.tols = tols
         self.sense = float(sense)
-        self.project = project
-        self.check_domain = check_domain
 
     def _rhs(self, y):
         return self.sense * self.field.vector(y)
 
     def _post(self, y):
-        return self.field.surface.project(y, self.tols) if self.project else y
+        return self.field.surface.project(y, self.tols)
 
     def _domain_ok(self, y):
         return self.field.scene.in_domain(y)
@@ -186,8 +184,7 @@ class Flow:
     def integrate(self, y0, tmax, events: Sequence[EventSpec] = (),
                   record: bool = False):
         return _integrate_core(self._rhs, y0, tmax, self.tols, post=self._post,
-                               events=events,
-                               domain_ok=self._domain_ok if self.check_domain else None,
+                               events=events, domain_ok=self._domain_ok,
                                record=record)
 
     def integrate_variational(self, y0, tmax):
@@ -202,16 +199,13 @@ class Flow:
             return np.concatenate([s * X, (s * (J @ M)).ravel(), [s * div]])
 
         def post(z):
-            if not self.project:
-                return z
             out = z.copy()
             out[:d] = self.field.surface.project(z[:d], self.tols)
             return out
 
         z0 = np.concatenate([np.asarray(y0, float), np.eye(d).ravel(), [0.0]])
         res = _integrate_core(rhs, z0, tmax, self.tols, post=post,
-                              domain_ok=(lambda z: self.field.scene.in_domain(z[:d]))
-                              if self.check_domain else None)
+                              domain_ok=lambda z: self.field.scene.in_domain(z[:d]))
         y = res.y[:d]
         M = res.y[d:d + d * d].reshape(d, d)
         w = float(res.y[-1])

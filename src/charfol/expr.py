@@ -4,8 +4,8 @@ A small language shared by scene files and the programmatic
 constructors: numbers, coordinate names, + - * / ^ (or **), function
 calls, and d(f, x) for a partial derivative. Trees compile once into a
 plain Python function; the generated code calls only ring-generic
-operations, so a single compiled object evaluates over floats, jets,
-and nested jets without recompilation.
+operations, so a single compiled object evaluates over floats, numpy
+arrays of points, jets, and nested jets without recompilation.
 
 Partial derivatives are not expanded symbolically. A d() node compiles
 to a helper that lifts every argument into a one-slot jet and reads the

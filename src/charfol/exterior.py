@@ -5,7 +5,8 @@ increasing index tuples to coefficient fields. The exterior derivative
 produces derivative nodes evaluated through jets, so the usual
 identities hold to machine precision rather than to a finite-difference
 error. AltArray is the purely numeric counterpart used inside hot
-loops: same combinatorics, scalar entries from an arbitrary ring.
+loops: same combinatorics, scalar entries from an arbitrary ring
+(floats, numpy arrays of points, jets over either, nested jets).
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from typing import Iterable, Sequence
 
 from . import expr
 from .errors import ChartMismatchError, DegenerateVolumeError
-from .expr import Bin, Const, Neg, Node, compile_node, parse_expression
+from .expr import (Bin, Call, Const, Deriv, Neg, Node, Var, compile_node,
+                   parse_expression)
 from .jets import Jet, fval, seed
 
 
@@ -174,26 +176,27 @@ class ScalarField:
         return f"<field {expr.to_text(self.node, self.chart.names)}>"
 
 
-class VectorField:
-    """Components in the coordinate frame of a chart."""
+def _fn(name: str, f: ScalarField) -> ScalarField:
+    """Apply the named ring function (see expr.FUNCTIONS) to a field."""
+    return ScalarField(f.chart, Call(name, [f.node]))
 
-    __slots__ = ("chart", "comps")
 
-    def __init__(self, chart: Chart, comps):
-        self.chart = chart
-        cs = []
-        for c in comps:
-            cs.append(c if isinstance(c, ScalarField) else ScalarField(chart, c))
-            _check_chart(chart, cs[-1].chart)
-        if len(cs) != chart.dim:
-            raise ValueError("component count does not match chart dimension")
-        self.comps = tuple(cs)
-
-    def at(self, point):
-        return [c(point) for c in self.comps]
-
-    def __getitem__(self, i):
-        return self.comps[i]
+def _rebase(node, old: Chart, new: Chart):
+    """Transplant an expression tree onto a chart that shares its names."""
+    if isinstance(node, Var):
+        return Var(new.index(node.name), node.name)
+    if isinstance(node, Const):
+        return node
+    if isinstance(node, Bin):
+        return Bin(node.op, _rebase(node.a, old, new), _rebase(node.b, old, new))
+    if isinstance(node, Neg):
+        return Neg(_rebase(node.a, old, new))
+    if isinstance(node, Call):
+        return Call(node.fn, [_rebase(a, old, new) for a in node.args])
+    if isinstance(node, Deriv):
+        return Deriv(_rebase(node.a, old, new),
+                     new.index(old.names[node.index]))
+    raise TypeError(f"cannot rebase node of type {type(node).__name__}")
 
 
 # index combinatorics -------------------------------------------------
@@ -311,9 +314,6 @@ class AltArray:
 
     def scale(self, c):
         return AltArray(self.dim, self.deg, {I: c * a for I, a in self.comps.items()})
-
-    def fmap(self, f):
-        return AltArray(self.dim, self.deg, {I: f(a) for I, a in self.comps.items()})
 
     def max_abs(self):
         return max((abs(fval(a)) for a in self.comps.values()), default=0.0)

@@ -2,18 +2,27 @@
 
 A Jet carries a value and a fixed-width tuple of partial derivatives.
 The arithmetic never inspects the scalar type of its parts, so a Jet
-whose parts are themselves Jets propagates exact second derivatives.
-All differentiation in the library goes through this module; there is
-no symbolic differentiation and no finite differencing on hot paths.
+whose parts are themselves Jets propagates exact second derivatives,
+and a Jet whose parts are numpy arrays carries a whole batch of points.
+The rings are therefore floats, numpy float arrays, jets over either,
+and nested jets. All differentiation in the library goes through this
+module; there is no symbolic differentiation and no finite differencing
+on hot paths.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 class Jet:
     __slots__ = ("f", "g")
+
+    # numpy must hand `ndarray op Jet` to the reflected Jet operator
+    # instead of building an object array around the Jet.
+    __array_ufunc__ = None
 
     def __init__(self, f, g):
         self.f = f
@@ -88,26 +97,34 @@ def fval(x):
     return x
 
 
+_KEPT = (Jet, np.ndarray)
+
+
 def seed(values):
     """Lift a point to jets carrying identity gradients.
 
-    Plain scalars are coerced to float; Jet entries are kept as-is so
-    seeding twice produces the nesting used for second derivatives.
+    Plain scalars are coerced to float; Jet and array entries are kept
+    as-is, so seeding twice produces the nesting used for second
+    derivatives and seeding coordinate arrays evaluates a batch.
     """
-    vals = [v if isinstance(v, Jet) else float(v) for v in values]
+    vals = [v if isinstance(v, _KEPT) else float(v) for v in values]
     n = len(vals)
     return [Jet(v, tuple(1.0 if j == i else 0.0 for j in range(n)))
             for i, v in enumerate(vals)]
 
 
 # ring functions ----------------------------------------------------
-# Each dispatches on Jet and otherwise defers to math, so compiled
-# expressions evaluate identically over floats, jets, and nested jets.
+# Each dispatches on Jet, then on ndarray (numpy), and otherwise defers
+# to math, so compiled expressions evaluate over floats, arrays, jets,
+# and nested jets. The ndarray test must come before math: math.sin of
+# a one-element array silently returns a float.
 
 def sin(x):
     if isinstance(x, Jet):
         c = cos(x.f)
         return Jet(sin(x.f), tuple(c * a for a in x.g))
+    if isinstance(x, np.ndarray):
+        return np.sin(x)
     return math.sin(x)
 
 
@@ -115,6 +132,8 @@ def cos(x):
     if isinstance(x, Jet):
         s = sin(x.f)
         return Jet(cos(x.f), tuple(-s * a for a in x.g))
+    if isinstance(x, np.ndarray):
+        return np.cos(x)
     return math.cos(x)
 
 
@@ -123,6 +142,8 @@ def tan(x):
         t = tan(x.f)
         d = 1.0 + t * t
         return Jet(t, tuple(d * a for a in x.g))
+    if isinstance(x, np.ndarray):
+        return np.tan(x)
     return math.tan(x)
 
 
@@ -130,12 +151,16 @@ def exp(x):
     if isinstance(x, Jet):
         v = exp(x.f)
         return Jet(v, tuple(v * a for a in x.g))
+    if isinstance(x, np.ndarray):
+        return np.exp(x)
     return math.exp(x)
 
 
 def log(x):
     if isinstance(x, Jet):
         return Jet(log(x.f), tuple(a / x.f for a in x.g))
+    if isinstance(x, np.ndarray):
+        return np.log(x)
     return math.log(x)
 
 
@@ -143,6 +168,8 @@ def sqrt(x):
     if isinstance(x, Jet):
         v = sqrt(x.f)
         return Jet(v, tuple(a / (2.0 * v) for a in x.g))
+    if isinstance(x, np.ndarray):
+        return np.sqrt(x)
     return math.sqrt(x)
 
 
@@ -151,6 +178,8 @@ def tanh(x):
         t = tanh(x.f)
         d = 1.0 - t * t
         return Jet(t, tuple(d * a for a in x.g))
+    if isinstance(x, np.ndarray):
+        return np.tanh(x)
     return math.tanh(x)
 
 
@@ -158,4 +187,6 @@ def atan(x):
     if isinstance(x, Jet):
         d = 1.0 / (1.0 + x.f * x.f)
         return Jet(atan(x.f), tuple(d * a for a in x.g))
+    if isinstance(x, np.ndarray):
+        return np.arctan(x)
     return math.atan(x)

@@ -35,13 +35,9 @@ from .contact import (ContactScene, FoliationField, Hypersurface,
 from .dynamics import (EventSpec, Flow, OrbitInfo, RefinedOrbit,
                        _integrate_core, classify_orbit, classify_zero,
                        find_orbit, find_zeros, wrap_diff)
-from .errors import ConstructiveFailure, NoOrbitError, PolarDomainError
-from .expr import Call
-from .exterior import Chart, KForm, ScalarField
-
-
-def _fn(name: str, f: ScalarField) -> ScalarField:
-    return ScalarField(f.chart, Call(name, [f.node]))
+from .errors import (CharfolError, ConstructiveFailure, NoOrbitError,
+                     PolarDomainError)
+from .exterior import Chart, KForm, ScalarField, _fn
 
 
 # scene construction ----------------------------------------------------
@@ -632,7 +628,7 @@ def census(scene: MoriScene, tols: policy.Tolerances = policy.DEFAULT,
     for q in sweep:
         try:
             seeds.append(scene.surface_cartesian.project(q, tols))
-        except Exception:
+        except CharfolError:
             continue
     pts = find_zeros(field, seeds, tols)
     zeros = [classify_zero(field, p, tols) for p in pts]
@@ -747,8 +743,8 @@ class PerturbationSpec:
             raise ValueError("box must contain the transverse window edge")
 
 
-def column_bump(spec: PerturbationSpec):
-    """The periodic s-profile as a plain vectorized function.
+def _column_bump_tree(spec: PerturbationSpec, s: ScalarField) -> ScalarField:
+    """The periodic s-profile chi as a tree in the coordinate s.
 
     exp(-mu exp(-D(s)^2 / c^2)) with D a smooth periodic distance to the
     seam s = 0. The double exponential keeps the slope bound independent
@@ -756,42 +752,22 @@ def column_bump(spec: PerturbationSpec):
     the integrator never needs to reduce s mod the circumference.
     """
     L, c, mu = spec.circumference, spec.bump_scale, spec.bump_depth
-    k = 2.0 * math.pi / L
-    amp = 0.5 * (L / math.pi) ** 2
-
-    def chi(s):
-        d2 = amp * (1.0 - np.cos(k * np.asarray(s, dtype=float)))
-        return np.exp(-mu * np.exp(-d2 / c ** 2))
-
-    return chi
+    d2 = (1.0 - _fn("cos", s * (2.0 * math.pi / L))) \
+        * (0.5 * (L / math.pi) ** 2)
+    return _fn("exp", -(_fn("exp", -(d2 * (1.0 / c ** 2))) * mu))
 
 
-def _column_bump_slope(spec: PerturbationSpec):
-    L, c, mu = spec.circumference, spec.bump_scale, spec.bump_depth
-    k = 2.0 * math.pi / L
-
-    def slope(s):
-        s = np.asarray(s, dtype=float)
-        d2 = 0.5 * (L / math.pi) ** 2 * (1.0 - np.cos(k * s))
-        inner = np.exp(-d2 / c ** 2)
-        return (np.exp(-mu * inner) * mu * inner
-                * (L / math.pi) * np.sin(k * s) / c ** 2)
-
-    return slope
+def _column_window_tree(spec: PerturbationSpec, a: ScalarField,
+                        b: ScalarField) -> ScalarField:
+    """The transverse window g(a^2 + b^2), flat near the center line."""
+    cg, e2 = spec.window_scale, spec.window_edge ** 2
+    return _fn("exp", -(_fn("exp", (a * a + b * b - e2) * (1.0 / cg))
+                        * spec.bump_depth))
 
 
-def _transverse_window(spec: PerturbationSpec):
-    e2, cg, mu = spec.window_edge ** 2, spec.window_scale, spec.bump_depth
-
-    def g(r2):
-        return np.exp(-mu * np.exp((np.asarray(r2, dtype=float) - e2) / cg))
-
-    def gslope(rho):
-        rho = np.asarray(rho, dtype=float)
-        inner = np.exp((rho * rho - e2) / cg)
-        return np.exp(-mu * inner) * mu * inner * 2.0 * rho / cg
-
-    return g, gslope
+def column_bump(spec: PerturbationSpec):
+    """The s-profile chi as a function of s alone (floats or arrays)."""
+    return _column_bump_tree(spec, Chart(("s",)).var("s")).fn
 
 
 def _column_profile_data(spec: PerturbationSpec) -> dict:
@@ -802,29 +778,32 @@ def _column_profile_data(spec: PerturbationSpec) -> dict:
     parameters are; nothing here assumes the defaults.
     """
     L = spec.circumference
-    chi, chip = column_bump(spec), _column_bump_slope(spec)
-    g, gp = _transverse_window(spec)
+    chi = _column_bump_tree(spec, Chart(("s",)).var("s"))
+    wch = Chart(("a", "b"))
+    g = _column_window_tree(spec, wch.var("a"), wch.var("b"))
     sgrid = np.concatenate([np.linspace(0.0, L, 24001),
                             np.linspace(-8.0 * spec.bump_scale,
                                         8.0 * spec.bump_scale, 8001)])
     rgrid = np.linspace(0.0, spec.box_radius, 24001)
-    sup_chi = float(np.max(chi(sgrid)))
-    sup_chip = float(np.max(np.abs(chip(sgrid))))
-    sup_g = float(np.max(g(rgrid * rgrid)))
-    sup_gp = float(np.max(np.abs(gp(rgrid))))
+    chi_s, (chip_s,) = chi.value_and_grad([sgrid])
+    g_r, (gp_r, _) = g.value_and_grad([rgrid, 0.0])
+    sup_chi = float(np.max(chi_s))
+    sup_chip = float(np.max(np.abs(chip_s)))
+    sup_g = float(np.max(g_r))
+    sup_gp = float(np.max(np.abs(gp_r)))
     M = max(1.0, sup_chip * sup_g, sup_chi * sup_gp)
     A = 0.98 * spec.delta / M
     inside = np.linspace(spec.column[0], spec.column[1], 24001)
-    I = float(np.trapezoid(chi(inside), inside))
+    I = float(np.trapezoid(chi([inside]), inside))
     lo, hi = spec.column
     outside = np.concatenate([np.linspace(hi - L, lo, 2001)])
-    out_sup = float(np.max(chi(outside))) * sup_g * A
+    out_sup = float(np.max(chi([outside]))) * sup_g * A
     return {"amplitude": A,
             "sup_H": A * sup_chi * sup_g,
             "sup_dH": A * max(sup_chip * sup_g, sup_chi * sup_gp,
                               sup_chi * sup_g),
             "outside_sup": out_sup,
-            "center_window": float(g(0.0)),
+            "center_window": float(g([0.0, 0.0])),
             "bump_integral": I,
             "sup_bump_slope": sup_chip,
             "sup_window_slope": sup_gp}
@@ -842,18 +821,13 @@ def column_scene(spec: PerturbationSpec,
     """
     prof = _column_profile_data(spec)
     A = prof["amplitude"]
-    L, c, mu = spec.circumference, spec.bump_scale, spec.bump_depth
-    cg, e2 = spec.window_scale, spec.window_edge ** 2
     box = spec.box_radius
 
     ch = Chart(("t", "s", "a", "b", "psi"),
-               angular={"s": L, "psi": 2.0 * math.pi})
+               angular={"s": spec.circumference, "psi": 2.0 * math.pi})
     t_, s_, a_, b_, psi_ = (ch.var(k) for k in ch.names)
-    d2 = (1.0 - _fn("cos", s_ * (2.0 * math.pi / L))) \
-        * (0.5 * (L / math.pi) ** 2)
-    chi_f = _fn("exp", -(_fn("exp", -(d2 * (1.0 / c ** 2))) * mu))
-    g_f = _fn("exp", -(_fn("exp", (a_ * a_ + b_ * b_ - e2) * (1.0 / cg)) * mu))
-    H = chi_f * g_f * _fn("sin", psi_) * A
+    H = _column_bump_tree(spec, s_) * _column_window_tree(spec, a_, b_) \
+        * _fn("sin", psi_) * A
 
     alpha = KForm(ch, 1, {(1,): t_, (4,): ch.constant(1.0),
                           (3,): a_, (2,): -b_})
@@ -991,11 +965,8 @@ def perturb_analysis(spec: PerturbationSpec,
                                       pts)
 
     bch = base.chart
-    ab, bb = bch.var("a"), bch.var("b")
-    mid = float(column_bump(spec)(0.5 * spec.circumference))
-    gb = _fn("exp", -(_fn("exp",
-                          (ab * ab + bb * bb - spec.window_edge ** 2)
-                          * (1.0 / spec.window_scale)) * spec.bump_depth))
+    mid = column_bump(spec)(0.5 * spec.circumference)
+    gb = _column_window_tree(spec, bch.var("a"), bch.var("b"))
     Hb = gb * _fn("sin", bch.var("psi")) * (prof["amplitude"] * mid)
     bpts = [np.array([rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5),
                       rng.uniform(0.0, 2.0 * math.pi)]) for _ in range(100)]

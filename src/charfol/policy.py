@@ -16,11 +16,6 @@ class Tolerances:
     linear_residual: float = 1e-10    # accept a linear solve only below this
     degenerate_volume: float = 1e-12  # |volume coefficient| below this is degenerate
 
-    # pointwise structure checks
-    identity_tol: float = 1e-9        # differential identities sampled at points
-    algebraic_tol: float = 1e-12      # purely algebraic identities
-    fd_tol: float = 1e-6              # finite-difference cross checks
-
     # integration
     ode_rtol: float = 1e-9
     ode_atol: float = 1e-10
@@ -36,8 +31,6 @@ class Tolerances:
 
     # classification of linearizations and return maps
     hyperbolic_band: float = 1e-6     # distance of |multiplier| from 1 that still counts as 1
-    multiplier_pair_tol: float = 1e-6
-    det_power_rel_tol: float = 1e-6
 
     # certification by flowing to limits
     capture_radius: float = 2e-2      # declared converged once inside and contracting

@@ -17,6 +17,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
+from .certify import profile_arrays
 
 
 def format_float(x: float) -> str:
@@ -165,13 +166,5 @@ def write_csv(path: str, header, rows) -> None:
 
 def profile_rows(profile, grid) -> list:
     """(s, u, h1, residual) rows of a convexity profile."""
-    from .jets import fval
-    rows = []
-    n = profile.n
-    for s in grid:
-        uv, ug = profile.u.value_and_grad([float(s)])
-        hv, hg = profile.h1.value_and_grad([float(s)])
-        uv, up = fval(uv), fval(ug[0])
-        hv, hp = fval(hv), fval(hg[0])
-        rows.append((float(s), uv, hv, uv ** n * hp - up * hv ** n))
-    return rows
+    u, _, h, _, res = profile_arrays(profile.u, profile.h1, profile.n, grid)
+    return list(zip(grid.tolist(), u.tolist(), h.tolist(), res.tolist()))

@@ -298,6 +298,39 @@ def test_degenerate_u_is_flagged():
     assert rep["min_volume"] <= 0
 
 
+def test_seed_projection_bugs_propagate():
+    # only charfol's own failures mean "this seed does not project"; any
+    # other exception is a bug and must not quietly shrink the sample
+    fld = s2_setup()
+    real = fld.surface.project
+    calls = []
+
+    def project(point, tols=policy.DEFAULT):
+        calls.append(point)
+        if len(calls) == 1:
+            raise RuntimeError("bug in projection")
+        return real(point, tols)
+
+    fld.surface.project = project
+    with pytest.raises(RuntimeError, match="bug in projection"):
+        check_morse_smale(fld, samples=3)
+
+
+def test_gamma_form_with_partial_derivative():
+    # (2 + d(sin phi, phi)) dphi is (2 + cos phi) dphi written with d();
+    # rebasing onto the band chart must carry the derivative node along
+    ch = Chart(("phi",), angular=("phi",))
+    prof = build_profile((1.0, 0.6), (1.0, -0.6), 1)
+    reps = []
+    for text in ("2 + d(sin(phi), phi)", "2 + cos(phi)"):
+        sc = ContactScene(ch, KForm(ch, 1, {(0,): ch.parse(text)}),
+                          name="weighted circle")
+        reps.append(verify_convex_form(prof, sc, 1, samples=120,
+                                       rng=np.random.default_rng(9)))
+    assert reps[0]["positive"] is True and reps[0]["matched"] is True
+    assert reps[0] == reps[1]
+
+
 def test_nonconstant_circle_form():
     # lambda = (2 + cos phi) dphi is still a contact form on the circle
     ch = Chart(("phi",), angular=("phi",))

@@ -272,6 +272,23 @@ def test_slope_tuning_is_no_op(scene):
     assert scene.constants == before
 
 
+def test_census_lets_projection_bugs_propagate():
+    scene = mori.mori_scene(2, 0.1)
+    surf = scene.surface_cartesian
+    real = surf.project
+    calls = []
+
+    def project(point, tols=policy.DEFAULT):
+        calls.append(point)
+        if len(calls) == 1:
+            raise RuntimeError("bug in projection")
+        return real(point, tols)
+
+    surf.project = project
+    with pytest.raises(RuntimeError, match="bug in projection"):
+        mori.census(scene)
+
+
 # column model ----------------------------------------------------------
 
 
