@@ -14,7 +14,11 @@ divergences and multipliers are mutually consistent everywhere.
 Everything is evaluated pointwise over a generic scalar ring. Feeding
 jet coordinates through the same code path yields Jacobians, so there
 is one implementation to trust rather than a value path and a separate
-derivative path.
+derivative path. The per-point entry points used along trajectories
+(`vector`, `flow_data`, `vector_and_jacobian`, `project`) run that
+code once on recording scalars and then call the traced straight-line
+kernels (see `kernel`); `char_data` and `ScalarField.value_and_grad`
+remain the reference.
 """
 
 from __future__ import annotations
@@ -32,6 +36,15 @@ from .exterior import (AltArray, Chart, KForm, ScalarField, ring_det,
                        solve_top_contraction)
 from .expr import uses_var
 from .jets import Jet, fval, seed
+from .kernel import Traced
+
+
+def _coords(point) -> list:
+    """A point as Python floats, the way `seed` coerces plain scalars;
+    jet entries give their values."""
+    if isinstance(point, np.ndarray):
+        return point.astype(float, copy=False).tolist()
+    return [float(fval(c)) for c in point]
 
 
 class ContactScene:
@@ -143,6 +156,7 @@ class Hypersurface:
         self.F = field
         self.chart = field.chart
         self.label = label
+        self._value_and_grad = Traced(self._flat_value_and_grad)
 
     @classmethod
     def graph(cls, chart: Chart, coord: str, h: ScalarField, label: str = "graph"):
@@ -159,11 +173,15 @@ class Hypersurface:
         _, g = self.F.value_and_grad(point)
         return g
 
+    def _flat_value_and_grad(self, x):
+        v, g = self.F.value_and_grad(x)
+        return (v, *g)
+
     def project(self, point, tols: policy.Tolerances = policy.DEFAULT):
         """Newton steps along grad F back onto the surface."""
-        x = [float(fval(c)) for c in point]
+        x = _coords(point)
         for _ in range(tols.project_max_iter):
-            v, g = self.F.value_and_grad(x)
+            v, *g = self._value_and_grad(x)
             if abs(v) < tols.project_tol:
                 return np.asarray(x, dtype=float)
             gg = sum(gi * gi for gi in g)
@@ -204,6 +222,8 @@ class FoliationField:
         self.surface = surface
         self.tols = tols
         self._d = scene.chart.dim
+        self._vector = Traced(lambda p: self.char_data(p).X)
+        self._jet = Traced(self._jet_outputs)
 
     # core ------------------------------------------------------------
 
@@ -249,21 +269,28 @@ class FoliationField:
                         normal=N, beta=beta, dbeta=dbeta, divergence=div)
 
     def vector(self, point) -> np.ndarray:
-        return np.array([fval(c) for c in self.char_data(point).X], dtype=float)
+        return np.array(self._vector(_coords(point)), dtype=float)
+
+    def _jet_outputs(self, point):
+        """X, the rows of its ambient Jacobian and the divergence, flat,
+        from char_data on one jet level."""
+        data = self.char_data(seed(point))
+        X, J = [], []
+        for c in data.X:
+            if isinstance(c, Jet):
+                X.append(c.f)
+                J.extend(c.g)
+            else:
+                X.append(c)
+                J.extend((0.0,) * self._d)
+        return X + J + [fval(data.divergence)]
 
     def _jet_pass(self, point):
-        """X, its ambient Jacobian, and the CharData of one jet level."""
-        data = self.char_data(seed([float(fval(c)) for c in point]))
-        X = np.empty(self._d)
-        J = np.empty((self._d, self._d))
-        for i, c in enumerate(data.X):
-            if isinstance(c, Jet):
-                X[i] = c.f
-                J[i, :] = c.g
-            else:
-                X[i] = c
-                J[i, :] = 0.0
-        return X, J, data
+        out = self._jet(_coords(point))
+        d = self._d
+        X = np.array(out[:d], dtype=float)
+        J = np.array(out[d:-1], dtype=float).reshape(d, d)
+        return X, J, float(out[-1])
 
     def vector_and_jacobian(self, point):
         """Value and ambient Jacobian in one pass, via a jet level."""
@@ -272,8 +299,7 @@ class FoliationField:
 
     def flow_data(self, point):
         """Value, ambient Jacobian, and divergence from a single jet pass."""
-        X, J, data = self._jet_pass(point)
-        return X, J, float(fval(data.divergence))
+        return self._jet_pass(point)
 
     def divergence(self, point) -> float:
         """Divergence of X against the induced surface volume.

@@ -5,7 +5,8 @@ constructors: numbers, coordinate names, + - * / ^ (or **), function
 calls, and d(f, x) for a partial derivative. Trees compile once into a
 plain Python function; the generated code calls only ring-generic
 operations, so a single compiled object evaluates over floats, numpy
-arrays of points, jets, and nested jets without recompilation.
+arrays of points, the recording scalars of `kernel`, jets, and nested
+jets without recompilation.
 
 Partial derivatives are not expanded symbolically. A d() node compiles
 to a helper that lifts every argument into a one-slot jet and reads the

@@ -4,10 +4,11 @@ A Jet carries a value and a fixed-width tuple of partial derivatives.
 The arithmetic never inspects the scalar type of its parts, so a Jet
 whose parts are themselves Jets propagates exact second derivatives,
 and a Jet whose parts are numpy arrays carries a whole batch of points.
-The rings are therefore floats, numpy float arrays, jets over either,
-and nested jets. All differentiation in the library goes through this
-module; there is no symbolic differentiation and no finite differencing
-on hot paths.
+The rings are therefore floats, numpy float arrays, the recording
+scalars of `kernel` (which turn one evaluation into a straight-line
+kernel), jets over any of these, and nested jets. All differentiation
+in the library goes through this module; there is no symbolic
+differentiation and no finite differencing on hot paths.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .kernel import Rec
 
 
 class Jet:
@@ -97,15 +100,16 @@ def fval(x):
     return x
 
 
-_KEPT = (Jet, np.ndarray)
+_KEPT = (Jet, np.ndarray, Rec)
 
 
 def seed(values):
     """Lift a point to jets carrying identity gradients.
 
-    Plain scalars are coerced to float; Jet and array entries are kept
-    as-is, so seeding twice produces the nesting used for second
-    derivatives and seeding coordinate arrays evaluates a batch.
+    Plain scalars are coerced to float; Jet, array and recording
+    entries are kept as-is, so seeding twice produces the nesting used
+    for second derivatives, seeding coordinate arrays evaluates a batch
+    and seeding recording scalars traces a kernel.
     """
     vals = [v if isinstance(v, _KEPT) else float(v) for v in values]
     n = len(vals)
@@ -114,10 +118,11 @@ def seed(values):
 
 
 # ring functions ----------------------------------------------------
-# Each dispatches on Jet, then on ndarray (numpy), and otherwise defers
-# to math, so compiled expressions evaluate over floats, arrays, jets,
-# and nested jets. The ndarray test must come before math: math.sin of
-# a one-element array silently returns a float.
+# Each dispatches on Jet, then on ndarray (numpy), then on the recording
+# scalar, and otherwise defers to math, so compiled expressions evaluate
+# over floats, arrays, recording scalars, jets, and nested jets. The
+# ndarray test must come before math: math.sin of a one-element array
+# silently returns a float.
 
 def sin(x):
     if isinstance(x, Jet):
@@ -125,6 +130,8 @@ def sin(x):
         return Jet(sin(x.f), tuple(c * a for a in x.g))
     if isinstance(x, np.ndarray):
         return np.sin(x)
+    if isinstance(x, Rec):
+        return x.apply("sin")
     return math.sin(x)
 
 
@@ -134,6 +141,8 @@ def cos(x):
         return Jet(cos(x.f), tuple(-s * a for a in x.g))
     if isinstance(x, np.ndarray):
         return np.cos(x)
+    if isinstance(x, Rec):
+        return x.apply("cos")
     return math.cos(x)
 
 
@@ -144,6 +153,8 @@ def tan(x):
         return Jet(t, tuple(d * a for a in x.g))
     if isinstance(x, np.ndarray):
         return np.tan(x)
+    if isinstance(x, Rec):
+        return x.apply("tan")
     return math.tan(x)
 
 
@@ -153,6 +164,8 @@ def exp(x):
         return Jet(v, tuple(v * a for a in x.g))
     if isinstance(x, np.ndarray):
         return np.exp(x)
+    if isinstance(x, Rec):
+        return x.apply("exp")
     return math.exp(x)
 
 
@@ -161,6 +174,8 @@ def log(x):
         return Jet(log(x.f), tuple(a / x.f for a in x.g))
     if isinstance(x, np.ndarray):
         return np.log(x)
+    if isinstance(x, Rec):
+        return x.apply("log")
     return math.log(x)
 
 
@@ -170,6 +185,8 @@ def sqrt(x):
         return Jet(v, tuple(a / (2.0 * v) for a in x.g))
     if isinstance(x, np.ndarray):
         return np.sqrt(x)
+    if isinstance(x, Rec):
+        return x.apply("sqrt")
     return math.sqrt(x)
 
 
@@ -180,6 +197,8 @@ def tanh(x):
         return Jet(t, tuple(d * a for a in x.g))
     if isinstance(x, np.ndarray):
         return np.tanh(x)
+    if isinstance(x, Rec):
+        return x.apply("tanh")
     return math.tanh(x)
 
 
@@ -189,4 +208,6 @@ def atan(x):
         return Jet(atan(x.f), tuple(d * a for a in x.g))
     if isinstance(x, np.ndarray):
         return np.arctan(x)
+    if isinstance(x, Rec):
+        return x.apply("atan")
     return math.atan(x)
