@@ -24,7 +24,6 @@ from . import policy, report
 from .contact import FoliationField
 from .dynamics import classify_zero, find_zeros
 from .errors import CharfolError, IntegrationError, SceneParseError
-from .parallel import parallel_map, thread_count
 from .scenefile import SceneDocument, load_scene
 
 
@@ -113,13 +112,13 @@ def cmd_foliation(args) -> int:
     if not pts:
         raise IntegrationError("no grid point projected onto the surface")
 
-    vecs = parallel_map(field.vector, pts)
+    vecs = [field.vector(p) for p in pts]
     norms = [float(np.linalg.norm(v)) for v in vecs]
     header = list(names) + [f"X_{n}" for n in names]
     rows = [tuple(map(float, p)) + tuple(map(float, v))
             for p, v in zip(pts, vecs)]
     csvs["foliation.csv"] = (header, rows)
-    rep.update({"points": len(pts), "threads": thread_count(),
+    rep.update({"points": len(pts),
                 "norm_min": min(norms), "norm_max": max(norms)})
     if not args.csv_dir:
         rep["note"] = "pass --csv-dir to write the grid samples"

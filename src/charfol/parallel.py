@@ -1,15 +1,13 @@
-"""Deterministic parallel map over immutable inputs.
+"""The worker count a thread pool would use.
 
-Scans are embarrassingly parallel and every worker writes only its own
-slot, so results are identical to the serial run in value and order.
-CHARFOL_THREADS caps the pool; 1 short-circuits to a plain loop, which
-is also the safest default for debugging.
+charfol evaluates every command serially; only the benchmark harness
+(`perfbench/run.py`) still imports `thread_count`, to record it with a
+run. CHARFOL_THREADS caps the count; unset, it is min(8, CPU count).
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 
 def thread_count() -> int:
@@ -21,12 +19,3 @@ def thread_count() -> int:
     if k < 1:
         k = min(8, os.cpu_count() or 1)
     return k
-
-
-def parallel_map(fn, items) -> list:
-    items = list(items)
-    k = min(thread_count(), len(items)) or 1
-    if k == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        return list(pool.map(fn, items))
