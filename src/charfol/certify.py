@@ -142,7 +142,13 @@ def _angular_recurrence(field, q, sense, tols):
     def g(y):
         return math.sin(2.0 * math.pi * (y[best] - q[best]) / per)
 
-    ev = EventSpec(fn=g, direction=direction, terminal=True)
+    def grad(y):
+        out = np.zeros(len(y))
+        out[best] = (2.0 * math.pi / per) * math.cos(
+            2.0 * math.pi * (y[best] - q[best]) / per)
+        return out
+
+    ev = EventSpec(fn=g, grad=grad, direction=direction, terminal=True)
     flow = Flow(field, tols, sense=sense)
     budget = 4.0 * tols.flow_budget
     tube = tols.recurrence_tube * scale

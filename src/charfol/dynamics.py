@@ -41,12 +41,13 @@ _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
 
 @dataclass
 class EventSpec:
-    """Scalar crossing detector g(y) = 0 along a trajectory."""
+    """Scalar crossing detector g(y) = 0 along a trajectory, with the
+    exact gradient of g used to land on the crossing."""
 
     fn: Callable
+    grad: Callable
     direction: int = 0          # +1 upward crossings, -1 downward, 0 both
     terminal: bool = True
-    grad: Callable | None = None
 
 
 def wrap_diff(chart, a, b) -> np.ndarray:
@@ -151,12 +152,7 @@ def _locate_event(rhs, z0, f0, z1, f1, h, ev: EventSpec,
         res = _integrate_core(rhs, z0, dt, tols, post=post)
         y = res.y
         g = ev.fn(y)
-        if ev.grad is not None:
-            gd = float(np.dot(ev.grad(y), rhs(y)))
-        else:
-            f = rhs(y)
-            eps = 1e-7 * (1.0 + _rms(y))
-            gd = (ev.fn(y + eps * f) - ev.fn(y - eps * f)) / (2.0 * eps)
+        gd = float(np.dot(ev.grad(y), rhs(y)))
         if gd == 0.0 or abs(g) < 1e-13 * (1.0 + abs(gd)):
             break
         dt = min(max(dt - g / gd, 0.0), h)

@@ -654,8 +654,10 @@ def verify_orbit_closure(scene: MoriScene, orbits,
         p = np.asarray(o.info.point, dtype=float)
         T = o.info.period
         direction = 1 if sense * o.omega > 0.0 else -1
-        ev = EventSpec(fn=lambda y: float(y[1]), direction=direction,
-                       terminal=True)
+        e1 = np.zeros(len(p))
+        e1[1] = 1.0
+        ev = EventSpec(fn=lambda y: float(y[1]), grad=lambda y: e1,
+                       direction=direction, terminal=True)
         res = flow.integrate(p, 1.4 * T, events=[ev])
         if res.status != "event":
             raise ConstructiveFailure("orbit loop produced no section return")
