@@ -221,7 +221,11 @@ def check_morse_smale(field, zeros=(), orbits=(),
     elements = {"zeros": list(zeros), "orbits": list(orbits)}
 
     for z in zeros:
-        if not z.hyperbolic:
+        if z.liouville_sign == 0:
+            reasons.append(
+                f"zero at {np.round(z.point, 6)} has divergence 0, so no "
+                "Liouville sign")
+        elif not z.hyperbolic:
             reasons.append(
                 f"zero at {np.round(z.point, 6)} has a neutral eigenvalue")
     for o in orbits:
@@ -229,6 +233,10 @@ def check_morse_smale(field, zeros=(), orbits=(),
             reasons.append(
                 f"orbit through {np.round(o.info.point, 6)} has a multiplier "
                 "of unit modulus")
+        if o.info.liouville_sign == 0:
+            reasons.append(
+                f"orbit through {np.round(o.info.point, 6)} has conformal "
+                "factor C = 1, so no Liouville sign")
     if reasons:
         return MorseSmaleCertificate(
             verdict="fail", reasons=reasons, elements=elements,

@@ -60,6 +60,11 @@ def wrap_diff(chart, a, b) -> np.ndarray:
     return out
 
 
+def sign_of(x: float, neutral: float = 0.0) -> int:
+    """+1 above `neutral`, -1 below it, and 0 at it (or for NaN)."""
+    return int(x > neutral) - int(x < neutral)
+
+
 def _rms(v):
     return float(np.sqrt(np.mean(np.square(v))))
 
@@ -304,16 +309,20 @@ def linearize_zero(field: FoliationField, point):
 
 def classify_zero(field: FoliationField, point,
                   tols: policy.Tolerances = policy.DEFAULT) -> ZeroInfo:
+    """Linearization and Liouville sign at a zero. A zero of divergence
+    exactly 0 has no sign (0) and does not count as hyperbolic."""
     A, _ = linearize_zero(field, point)
     eigs = np.linalg.eigvals(A)
     div = field.divergence(point)
+    sign = sign_of(div)
     band = tols.hyperbolic_band * max(1.0, float(np.max(np.abs(eigs))))
     return ZeroInfo(point=np.asarray(point, dtype=float),
                     eigenvalues=eigs,
                     divergence=div,
-                    liouville_sign=(1 if div > 0 else -1),
+                    liouville_sign=sign,
                     stable_dim=int(np.sum(eigs.real < 0.0)),
-                    hyperbolic=bool(np.all(np.abs(eigs.real) > band)))
+                    hyperbolic=bool(sign != 0
+                                    and np.all(np.abs(eigs.real) > band)))
 
 
 # closed orbits ---------------------------------------------------------
@@ -447,6 +456,6 @@ def classify_orbit(field: FoliationField, orbit: RefinedOrbit,
     return OrbitInfo(point=p, period=orbit.period, multipliers=eigs, C=C,
                      det_residual=det_res, pairing_residual=pair_res,
                      div_residual=div_res, positive=bool(C > 1.0),
-                     liouville_sign=(1 if C > 1.0 else -1),
+                     liouville_sign=sign_of(C, 1.0),
                      stable_index=int(np.sum(moduli < 1.0 - band)) + 1,
                      hyperbolic=bool(np.all(np.abs(moduli - 1.0) > band)))

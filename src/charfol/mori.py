@@ -34,7 +34,7 @@ from .contact import (ContactScene, FoliationField, Hypersurface,
                       hamiltonian_residuals)
 from .dynamics import (EventSpec, Flow, OrbitInfo, RefinedOrbit,
                        _integrate_core, classify_orbit, classify_zero,
-                       find_orbit, find_zeros, wrap_diff)
+                       find_orbit, find_zeros, sign_of, wrap_diff)
 from .errors import (CharfolError, ConstructiveFailure, NoOrbitError,
                      PolarDomainError)
 from .exterior import Chart, KForm, ScalarField, _fn
@@ -592,7 +592,7 @@ def _edge_orbit(scene: MoriScene, sign: float,
                          pairing_residual=raw.pairing_residual,
                          div_residual=raw.div_residual,
                          positive=bool(C > 1.0),
-                         liouville_sign=(1 if C > 1.0 else -1),
+                         liouville_sign=sign_of(C, 1.0),
                          stable_index=int(np.sum(moduli < 1.0 - band)) + 1,
                          hyperbolic=bool(np.all(np.abs(moduli - 1.0) > band)))
     th = np.linspace(0.0, 2.0 * math.pi, 97)[:-1]

@@ -341,3 +341,31 @@ def test_nonconstant_circle_form():
                              rng=np.random.default_rng(9))
     assert rep["positive"] is True
     assert rep["max_rel_dev"] < 1e-8
+
+
+def test_neutral_zero_sign_fails_the_gate(s2):
+    fld, zeros = s2
+    doctored = [replace(zeros[0], liouville_sign=0, hyperbolic=False),
+                zeros[1]]
+    cert = check_morse_smale(fld, zeros=doctored)
+    assert cert.verdict == "fail"
+    assert any("no Liouville sign" in r for r in cert.reasons)
+    assert not any("neutral eigenvalue" in r for r in cert.reasons)
+    assert cert.seeds_used == 0
+
+
+def test_neutral_orbit_sign_fails_the_gate(s2):
+    fld, zeros = s2
+    th = np.linspace(0, 2 * np.pi, 24, endpoint=False)
+    loop = np.column_stack([np.cos(th), np.sin(th), 0 * th])
+    # doctored so that only the sign gate can fire
+    info = OrbitInfo(point=loop[0], period=6.28,
+                     multipliers=np.array([1.0 + 0j]), C=1.0,
+                     det_residual=0.0, pairing_residual=0.0, div_residual=0.0,
+                     positive=False, liouville_sign=0, stable_index=1,
+                     hyperbolic=True)
+    cert = check_morse_smale(fld, zeros=zeros,
+                             orbits=[SimpleNamespace(info=info, loop=loop)])
+    assert cert.verdict == "fail"
+    assert any("C = 1, so no Liouville sign" in r for r in cert.reasons)
+    assert cert.seeds_used == 0

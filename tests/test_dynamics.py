@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from charfol.contact import ContactScene, FoliationField, Hypersurface
-from charfol.dynamics import (EventSpec, Flow, classify_orbit, classify_zero,
-                              find_orbit, find_zeros, linearize_zero,
-                              refine_zero, wrap_diff)
+from charfol.dynamics import (EventSpec, Flow, RefinedOrbit, classify_orbit,
+                              classify_zero, find_orbit, find_zeros,
+                              linearize_zero, refine_zero, wrap_diff)
 from charfol.errors import EscapeError, NoOrbitError
 from charfol.exterior import Chart, KForm
 
@@ -127,3 +127,40 @@ def test_wrap_diff_reduces_angular():
     d = wrap_diff(ch, [1.0, 6.2], [0.5, 0.1])
     assert d[0] == pytest.approx(0.5)
     assert d[1] == pytest.approx(6.1 - 2 * math.pi)
+
+
+class ZeroDivergenceField:
+    """The linear field with its divergence forced to exactly 0."""
+
+    def __init__(self, base):
+        self.base = base
+        self.scene = base.scene
+        self.surface = base.surface
+
+    def vector_and_jacobian(self, p):
+        return self.base.vector_and_jacobian(p)
+
+    def char_data(self, p):
+        return self.base.char_data(p)
+
+    def divergence(self, p):
+        return 0.0
+
+
+def test_zero_divergence_gives_neutral_sign():
+    info = classify_zero(ZeroDivergenceField(linear_setup()), [0.0, 0.0, 0.0])
+    # the eigenvalues (-1, 2) are off the axis; the sign alone is neutral
+    assert sorted(info.eigenvalues.real) == pytest.approx([-1.0, 2.0])
+    assert info.liouville_sign == 0
+    assert not info.hyperbolic
+
+
+def test_unit_conformal_factor_gives_neutral_sign():
+    # an identity monodromy at a regular point: the return map is the
+    # identity and its conformal factor is exactly 1
+    fld = linear_setup()
+    orbit = RefinedOrbit(point=np.array([1.0, 0.0, 0.0]), period=1.0,
+                         residual=0.0, monodromy=np.eye(3), div_integral=0.0)
+    info = classify_orbit(fld, orbit)
+    assert info.C == 1.0
+    assert info.liouville_sign == 0
