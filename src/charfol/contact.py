@@ -344,37 +344,47 @@ def alpha_data_at(scene: ContactScene, point):
 
 # Reeb and Hamiltonian solves -----------------------------------------
 
-def reeb_at(scene: ContactScene, point,
-            tols: policy.Tolerances = policy.DEFAULT) -> np.ndarray:
-    """The unique vector with alpha(R) = 1 annihilating d alpha."""
-    a_row, M = alpha_data_at(scene, point)
-    A = np.vstack([M.T, a_row])
-    b = np.zeros(scene.chart.dim + 1)
-    b[-1] = 1.0
+def _solve(A, b, what: str, tols: policy.Tolerances) -> np.ndarray:
+    """Least-squares solve of A x = b, refused above the residual tolerance."""
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
     res = np.max(np.abs(A @ sol - b))
     if res > tols.linear_residual:
         raise ContactConditionError(
-            f"Reeb solve residual {res:.3e} exceeds {tols.linear_residual:g}")
+            f"{what} solve residual {res:.3e} exceeds {tols.linear_residual:g}")
     return sol
+
+
+def _reeb(A, tols: policy.Tolerances) -> np.ndarray:
+    b = np.zeros(A.shape[0])
+    b[-1] = 1.0
+    return _solve(A, b, "Reeb", tols)
+
+
+def reeb_at(scene: ContactScene, point,
+            tols: policy.Tolerances = policy.DEFAULT) -> np.ndarray:
+    """The unique vector with alpha(R) = 1 annihilating d alpha."""
+    a_row, M = alpha_data_at(scene, point)
+    return _reeb(np.vstack([M.T, a_row]), tols)
+
+
+def _hamiltonian(scene: ContactScene, H: ScalarField, point,
+                 tols: policy.Tolerances):
+    """(a, M, H, dH(R) a - dH, Y) at one point, each computed once."""
+    a_row, M = alpha_data_at(scene, point)
+    A = np.vstack([M.T, a_row])
+    hval, hg = H.value_and_grad(point)
+    hval = float(fval(hval))
+    hgrad = np.array([fval(g) for g in hg])
+    R = _reeb(A, tols)
+    rhs_form = float(hgrad @ R) * a_row - hgrad
+    Y = _solve(A, np.append(rhs_form, hval), "Hamiltonian", tols)
+    return a_row, M, hval, rhs_form, Y
 
 
 def hamiltonian_field_at(scene: ContactScene, H: ScalarField, point,
                          tols: policy.Tolerances = policy.DEFAULT) -> np.ndarray:
     """Solve alpha(Y) = H, i_Y d alpha = dH(R) alpha - dH at one point."""
-    a_row, M = alpha_data_at(scene, point)
-    A = np.vstack([M.T, a_row])
-    hval, hg = H.value_and_grad(point)
-    hgrad = np.array([fval(g) for g in hg])
-    R = reeb_at(scene, point, tols)
-    rhs_form = float(hgrad @ R) * a_row - hgrad
-    b = np.append(rhs_form, float(fval(hval)))
-    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    res = np.max(np.abs(A @ sol - b))
-    if res > tols.linear_residual:
-        raise ContactConditionError(
-            f"Hamiltonian solve residual {res:.3e} exceeds {tols.linear_residual:g}")
-    return sol
+    return _hamiltonian(scene, H, point, tols)[-1]
 
 
 def hamiltonian_residuals(scene: ContactScene, H: ScalarField, points,
@@ -383,15 +393,9 @@ def hamiltonian_residuals(scene: ContactScene, H: ScalarField, points,
     worst_pair = 0.0
     worst_contact = 0.0
     for p in points:
-        a_row, M = alpha_data_at(scene, p)
-        Y = hamiltonian_field_at(scene, H, p, tols)
-        hval, hg = H.value_and_grad(p)
-        hgrad = np.array([fval(g) for g in hg])
-        R = reeb_at(scene, p, tols)
-        worst_contact = max(worst_contact, abs(float(a_row @ Y) - float(fval(hval))))
-        lhs = M.T @ Y
-        rhs = float(hgrad @ R) * a_row - hgrad
-        worst_pair = max(worst_pair, float(np.max(np.abs(lhs - rhs))))
+        a_row, M, hval, rhs, Y = _hamiltonian(scene, H, p, tols)
+        worst_contact = max(worst_contact, abs(float(a_row @ Y) - hval))
+        worst_pair = max(worst_pair, float(np.max(np.abs(M.T @ Y - rhs))))
     return {"alpha_residual": worst_contact, "pairing_residual": worst_pair}
 
 
