@@ -36,7 +36,7 @@ from .exterior import (AltArray, Chart, KForm, ScalarField, ring_det,
                        solve_top_contraction)
 from .expr import uses_var
 from .jets import Jet, fval, seed
-from .kernel import Traced
+from .kernel import Traced, argmax
 
 
 def _coords(point) -> list:
@@ -232,7 +232,7 @@ class FoliationField:
         d, n = self._d, self.scene.n
         _, Ng = self.surface.F.value_and_grad(point)
         N = list(Ng)
-        pivot = max(range(d), key=lambda i: abs(fval(N[i])))
+        pivot = argmax([abs(fval(c)) for c in N])
         Np = N[pivot]
         if abs(fval(Np)) < self.tols.degenerate_volume:
             raise DegenerateVolumeError(
@@ -286,6 +286,7 @@ class FoliationField:
         return X + J + [fval(data.divergence)]
 
     def _jet_pass(self, point):
+        """X, its ambient Jacobian and div from the first-order kernel."""
         out = self._jet(_coords(point))
         d = self._d
         X = np.array(out[:d], dtype=float)

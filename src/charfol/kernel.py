@@ -18,12 +18,14 @@ with the generic run except possibly in the sign of a zero.
 
 A Rec refuses `bool`, `float` and `index`, so a branch on a value
 that is not a recorded comparison cannot be baked into a kernel.
+`argmax` records a choice among several values as one guard.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 
 _RING = ("sin", "cos", "tan", "exp", "log", "sqrt", "tanh", "atan")
 
@@ -36,9 +38,10 @@ _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
 _NUMBER = (int, float)
 
 
-def _text(x) -> str:
+def _slot(x) -> str:
+    """A Rec's place in a line template, or the text of a number."""
     if isinstance(x, Rec):
-        return x.name
+        return "{}"
     r = repr(float(x))
     return f"({r})" if r[0] == "-" else r
 
@@ -47,54 +50,91 @@ def _value(x):
     return x.v if isinstance(x, Rec) else x
 
 
+# An expression is nested at most this deep into the line that uses it.
+_NEST = 16
+
+
 class Tape:
     """The lines recorded by one trace, in execution order."""
 
     def __init__(self):
-        self.lines = []   # (target name or None for a guard, text, operand names)
+        # (target name, or None for a guard; template; operand names)
+        self.lines = []
 
-    def emit(self, text, value, operands) -> "Rec":
+    def emit(self, template, value, operands) -> "Rec":
         name = f"t{len(self.lines)}"
-        deps = [a.name for a in operands if isinstance(a, Rec)]
-        self.lines.append((name, text, deps))
+        self.lines.append((name, template, _names(operands)))
         return Rec(value, name, self)
 
     def binary(self, a, op, b) -> "Rec":
-        return self.emit(f"{_text(a)} {op} {_text(b)}",
+        return self.emit(f"{_slot(a)} {op} {_slot(b)}",
                          _BINARY[op](_value(a), _value(b)), (a, b))
 
     def guard(self, a, op, b) -> bool:
         outcome = bool(_COMPARE[op](_value(a), _value(b)))
-        test = f"{_text(a)} {op} {_text(b)}"
-        self.lines.append((None, test if not outcome else f"not ({test})",
-                           [x.name for x in (a, b) if isinstance(x, Rec)]))
+        test = f"{_slot(a)} {op} {_slot(b)}"
+        self.fail_if(test if not outcome else f"not ({test})", (a, b))
         return outcome
+
+    def fail_if(self, test: str, operands) -> None:
+        """A guard: the kernel returns None where `test` holds."""
+        self.lines.append((None, test, _names(operands)))
 
     def compile(self, nargs: int, outputs):
         """The kernel returning `outputs` (Recs or numbers) as a tuple.
 
-        Lines that feed neither an output nor a guard are dropped; the
-        rest keep their order, so each guard runs before anything that
-        the generic code only computed after taking that branch.
+        Lines that feed neither an output nor a guard are dropped. A
+        value used once is written into the expression that uses it
+        instead of being stored, which shrinks the source to parse;
+        compiling the largest kernels is otherwise the largest transient
+        allocation of a run. Values are only ever computed later than on
+        the tape, never earlier, so every guard still runs before
+        anything that the generic code computed only after its branch.
         """
-        live = {o.name for o in outputs if isinstance(o, Rec)}
+        results = _names(outputs)
+        live = set(results)
+        kept = []
+        for line in reversed(self.lines):
+            if line[0] is None or line[0] in live:
+                kept.append(line)
+                live.update(line[2])
+        kept.reverse()
+        uses = Counter(results)
+        for _, _, names in kept:
+            uses.update(names)
+        pending = {}      # name -> (expression, nesting) awaiting its one use
+
+        def fill(template, names):
+            parts, depth = [], 0
+            for n in names:
+                if n in pending:
+                    text, k = pending.pop(n)
+                    parts.append(f"({text})")
+                    depth = max(depth, k)
+                else:
+                    parts.append(n)
+            return template.format(*parts), depth
+
         body = []
-        for name, text, deps in reversed(self.lines):
+        for name, template, names in kept:
+            text, depth = fill(template, names)
             if name is None:
                 body.append(f"    if {text}: return None")
-            elif name in live:
-                body.append(f"    {name} = {text}")
+            elif uses[name] == 1 and depth < _NEST:
+                pending[name] = (text, depth + 1)
             else:
-                continue
-            live.update(deps)
-        body.reverse()
+                body.append(f"    {name} = {text}")
+        ret, _ = fill("".join(_slot(o) + ", " for o in outputs), results)
         args = ", ".join(f"x{i}" for i in range(nargs))
-        ret = "".join(f"{_text(o)}, " for o in outputs)
         src = "\n".join([f"def _k({args}):", *body, f"    return ({ret})\n"])
         ns = {"_" + f: getattr(math, f) for f in _RING}
-        ns.update(inf=math.inf, nan=math.nan)
+        ns.update(inf=math.inf, nan=math.nan, _argmax=_argmax)
         exec(compile(src, "<charfol kernel>", "exec"), ns)
         return ns["_k"]
+
+
+def _names(operands) -> list:
+    return [x.name for x in operands if isinstance(x, Rec)]
 
 
 class Rec:
@@ -177,15 +217,15 @@ class Rec:
         return self.tape.binary(other, "**", self)
 
     def __neg__(self):
-        return self.tape.emit(f"-{self.name}", -self.v, (self,))
+        return self.tape.emit("-{}", -self.v, (self,))
 
     def __abs__(self):
-        return self.tape.emit(f"abs({self.name})", abs(self.v), (self,))
+        return self.tape.emit("abs({})", abs(self.v), (self,))
 
     def apply(self, fn: str) -> "Rec":
         """The math function `fn` (one of the jets ring functions)."""
-        return self.tape.emit(f"_{fn}({self.name})",
-                              getattr(math, fn)(self.v), (self,))
+        return self.tape.emit(f"_{fn}({{}})", getattr(math, fn)(self.v),
+                              (self,))
 
     # comparisons become guards --------------------------------------
 
@@ -214,6 +254,26 @@ class Rec:
                         "branch only through comparisons")
 
     __bool__ = __float__ = __index__ = __int__ = _hidden_branch
+
+
+def _argmax(*values) -> int:
+    return max(range(len(values)), key=values.__getitem__)
+
+
+def argmax(keys) -> int:
+    """The index max() picks from `keys`: the first of the largest.
+
+    On recording scalars the whole choice is one guard. max() itself
+    would record its pairwise comparisons, whose outcomes differ between
+    points with the same answer (up to 2^(len - 1) patterns), and every
+    pattern would cost a kernel of its own.
+    """
+    best = _argmax(*(_value(k) for k in keys))
+    recs = [k for k in keys if isinstance(k, Rec)]
+    if recs:
+        recs[0].tape.fail_if(
+            f"_argmax({', '.join(_slot(k) for k in keys)}) != {best}", recs)
+    return best
 
 
 def trace(fn, args):

@@ -21,7 +21,7 @@ from charfol.contact import ContactScene, FoliationField, Hypersurface
 from charfol.errors import DegenerateVolumeError, ProjectionError
 from charfol.exterior import Chart, KForm
 from charfol.jets import Jet, fval, seed
-from charfol.kernel import Rec, Tape, Traced
+from charfol.kernel import Rec, Tape, Traced, argmax
 from charfol.scenefile import load_scene
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
@@ -219,3 +219,17 @@ def test_branches_become_guards():
     assert k([-2.0]) == (2.0,)
     assert k([5.0]) == (15.0,) and k([-0.5]) == (0.5,)
     assert len(calls) == 2          # one trace per branch
+
+
+def test_argmax_is_one_guard_per_answer():
+    # max() picks the first of the largest values, ties included
+    for values in ([1.0, 3.0, 3.0], [2.0, -5.0, 0.5], [0.0, 0.0]):
+        assert argmax(values) == max(range(len(values)),
+                                     key=values.__getitem__)
+    k = Traced(lambda xs: [xs[argmax([abs(x) for x in xs])]])
+    # different pairwise comparison outcomes, same answer: one kernel
+    assert k([1.0, 2.0, 3.0]) == (3.0,)
+    assert k([2.0, 1.0, -3.0]) == (-3.0,)
+    assert len(k.kernels) == 1
+    assert k([4.0, 1.0, 3.0]) == (4.0,)
+    assert len(k.kernels) == 2
