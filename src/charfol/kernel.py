@@ -3,12 +3,12 @@
 `Rec` is one more scalar ring. A Rec carries its value at the trace
 point; every operation on it computes that value and appends one line
 to the tape of its trace, and every comparison appends a guard that
-re-checks the trace-point outcome. `trace` runs a function once on
+re-checks the trace-point outcome. `Traced` runs a function once on
 Recs and compiles the tape, as `expr.compile_node` compiles a tree,
 into one plain Python function of floats. That kernel does the float
-operations of the generic run in the same order, and returns None at
-the first guard that fails, that is wherever the generic code would
-have taken another branch.
+operations of the generic run on the same operands, so it computes the
+same values, and returns None at the first guard that fails, that is
+wherever the generic code would have taken another branch.
 
 Operations with a Python number are folded away when they are exact
 identities or structural zeros: x * 1, x * 0, x + 0, x - 0, 0 - x
@@ -276,22 +276,14 @@ def argmax(keys) -> int:
     return best
 
 
-def trace(fn, args):
-    """Run fn once on recording scalars valued at `args` (floats) and
-    compile what it did into a kernel of len(args) floats."""
-    tape = Tape()
-    outputs = fn([Rec(v, f"x{i}", tape) for i, v in enumerate(args)])
-    return tape.compile(len(args), list(outputs))
-
-
 class Traced:
     """The kernels of one function, traced lazily: one per outcome of
     the comparisons it makes (for `char_data`, one per pivot).
 
     Calling it with a list of floats returns the first kernel's result
-    whose guards hold there, tracing a new kernel at that point when
-    none does. A point where the function raises raises the same error
-    from the trace.
+    whose guards hold there. When none does, fn runs on recording
+    scalars valued at that point and the tape becomes a new kernel; a
+    point where fn raises raises the same error from that run.
     """
 
     def __init__(self, fn):
@@ -305,6 +297,8 @@ class Traced:
                 if i:
                     self.kernels.insert(0, self.kernels.pop(i))
                 return out
-        k = trace(self.fn, args)
+        tape = Tape()
+        outputs = self.fn([Rec(v, f"x{i}", tape) for i, v in enumerate(args)])
+        k = tape.compile(len(args), list(outputs))
         self.kernels.insert(0, k)
         return k(*args)
