@@ -36,7 +36,7 @@ from .exterior import (AltArray, Chart, KForm, ScalarField, ring_det,
                        solve_top_contraction)
 from .expr import uses_var
 from .jets import Jet, fval, seed
-from .kernel import Traced, argmax
+from .kernel import argmax, run
 
 
 def _coords(point) -> list:
@@ -156,7 +156,7 @@ class Hypersurface:
         self.F = field
         self.chart = field.chart
         self.label = label
-        self._value_and_grad = Traced(self._flat_value_and_grad)
+        self._kernels = []      # traced kernels of _value_and_grad
 
     @classmethod
     def graph(cls, chart: Chart, coord: str, h: ScalarField, label: str = "graph"):
@@ -173,7 +173,7 @@ class Hypersurface:
         _, g = self.F.value_and_grad(point)
         return g
 
-    def _flat_value_and_grad(self, x):
+    def _value_and_grad(self, x):
         v, g = self.F.value_and_grad(x)
         return (v, *g)
 
@@ -181,7 +181,7 @@ class Hypersurface:
         """Newton steps along grad F back onto the surface."""
         x = _coords(point)
         for _ in range(tols.project_max_iter):
-            v, *g = self._value_and_grad(x)
+            v, *g = run(self._kernels, self._value_and_grad, x)
             if abs(v) < tols.project_tol:
                 return np.asarray(x, dtype=float)
             gg = sum(gi * gi for gi in g)
@@ -222,8 +222,8 @@ class FoliationField:
         self.surface = surface
         self.tols = tols
         self._d = scene.chart.dim
-        self._vector = Traced(lambda p: self.char_data(p).X)
-        self._jet = Traced(self._jet_outputs)
+        # traced kernels of _value_outputs and of _jet_outputs
+        self._kernels = ([], [])
 
     # core ------------------------------------------------------------
 
@@ -269,7 +269,11 @@ class FoliationField:
                         normal=N, beta=beta, dbeta=dbeta, divergence=div)
 
     def vector(self, point) -> np.ndarray:
-        return np.array(self._vector(_coords(point)), dtype=float)
+        return np.array(run(self._kernels[0], self._value_outputs,
+                            _coords(point)), dtype=float)
+
+    def _value_outputs(self, point):
+        return self.char_data(point).X
 
     def _jet_outputs(self, point):
         """X, the rows of its ambient Jacobian and the divergence, flat,
@@ -287,7 +291,7 @@ class FoliationField:
 
     def _jet_pass(self, point):
         """X, its ambient Jacobian and div from the first-order kernel."""
-        out = self._jet(_coords(point))
+        out = run(self._kernels[1], self._jet_outputs, _coords(point))
         d = self._d
         X = np.array(out[:d], dtype=float)
         J = np.array(out[d:-1], dtype=float).reshape(d, d)

@@ -3,7 +3,7 @@
 `Rec` is one more scalar ring. A Rec carries its value at the trace
 point; every operation on it computes that value and appends one line
 to the tape of its trace, and every comparison appends a guard that
-re-checks the trace-point outcome. `Traced` runs a function once on
+re-checks the trace-point outcome. `run` runs a function once on
 Recs and compiles the tape, as `expr.compile_node` compiles a tree,
 into one plain Python function of floats. That kernel does the float
 operations of the generic run on the same operands, so it computes the
@@ -276,29 +276,25 @@ def argmax(keys) -> int:
     return best
 
 
-class Traced:
-    """The kernels of one function, traced lazily: one per outcome of
-    the comparisons it makes (for `char_data`, one per pivot).
+def run(kernels: list, fn, args):
+    """fn(args) for a list of floats, through the first of `kernels`
+    whose guards hold at args.
 
-    Calling it with a list of floats returns the first kernel's result
-    whose guards hold there. When none does, fn runs on recording
-    scalars valued at that point and the tape becomes a new kernel; a
-    point where fn raises raises the same error from that run.
+    When none does, fn runs once on recording scalars valued at args
+    and the tape becomes a new kernel at the front of the list; a point
+    where fn raises raises the same error from that run. The list ends
+    up with one kernel per outcome of fn's comparisons (for `char_data`,
+    one per pivot). Its owner keeps it, and nothing in it refers back to
+    the owner, so the kernels go when the owner does.
     """
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.kernels = []
-
-    def __call__(self, args):
-        for i, k in enumerate(self.kernels):
-            out = k(*args)
-            if out is not None:
-                if i:
-                    self.kernels.insert(0, self.kernels.pop(i))
-                return out
-        tape = Tape()
-        outputs = self.fn([Rec(v, f"x{i}", tape) for i, v in enumerate(args)])
-        k = tape.compile(len(args), list(outputs))
-        self.kernels.insert(0, k)
-        return k(*args)
+    for i, k in enumerate(kernels):
+        out = k(*args)
+        if out is not None:
+            if i:
+                kernels.insert(0, kernels.pop(i))
+            return out
+    tape = Tape()
+    outputs = fn([Rec(v, f"x{i}", tape) for i, v in enumerate(args)])
+    k = tape.compile(len(args), list(outputs))
+    kernels.insert(0, k)
+    return k(*args)
