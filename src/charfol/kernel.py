@@ -58,17 +58,19 @@ class Tape:
     """The lines recorded by one trace, in execution order."""
 
     def __init__(self):
-        # (target name, or None for a guard; template; operand names)
+        # (target name, or None for a guard; template; operand names;
+        #  whether the line runs even when nothing uses its value)
         self.lines = []
 
-    def emit(self, template, value, operands) -> "Rec":
+    def emit(self, template, value, operands, may_raise=False) -> "Rec":
         name = f"t{len(self.lines)}"
-        self.lines.append((name, template, _names(operands)))
+        self.lines.append((name, template, _names(operands), may_raise))
         return Rec(value, name, self)
 
     def binary(self, a, op, b) -> "Rec":
         return self.emit(f"{_slot(a)} {op} {_slot(b)}",
-                         _BINARY[op](_value(a), _value(b)), (a, b))
+                         _BINARY[op](_value(a), _value(b)), (a, b),
+                         may_raise=op in ("/", "**"))
 
     def guard(self, a, op, b) -> bool:
         outcome = bool(_COMPARE[op](_value(a), _value(b)))
@@ -78,29 +80,31 @@ class Tape:
 
     def fail_if(self, test: str, operands) -> None:
         """A guard: the kernel returns None where `test` holds."""
-        self.lines.append((None, test, _names(operands)))
+        self.lines.append((None, test, _names(operands), True))
 
     def compile(self, nargs: int, outputs):
         """The kernel returning `outputs` (Recs or numbers) as a tuple.
 
-        Lines that feed neither an output nor a guard are dropped. A
-        value used once is written into the expression that uses it
-        instead of being stored, which shrinks the source to parse;
-        compiling the largest kernels is otherwise the largest transient
-        allocation of a run. Values are only ever computed later than on
-        the tape, never earlier, so every guard still runs before
-        anything that the generic code computed only after its branch.
+        Lines that feed neither an output nor a guard are dropped, unless
+        they can raise (a division, a power, a math function): where the
+        generic code fails, the kernel fails too. A value used once is
+        written into the expression that uses it instead of being
+        stored, which shrinks the source to parse; compiling the largest
+        kernels is otherwise the largest transient allocation of a run.
+        Values are only ever computed later than on the tape, never
+        earlier, so every guard still runs before anything that the
+        generic code computed only after its branch.
         """
         results = _names(outputs)
         live = set(results)
         kept = []
         for line in reversed(self.lines):
-            if line[0] is None or line[0] in live:
+            if line[3] or line[0] in live:
                 kept.append(line)
                 live.update(line[2])
         kept.reverse()
         uses = Counter(results)
-        for _, _, names in kept:
+        for _, _, names, _ in kept:
             uses.update(names)
         pending = {}      # name -> (expression, nesting) awaiting its one use
 
@@ -116,7 +120,7 @@ class Tape:
             return template.format(*parts), depth
 
         body = []
-        for name, template, names in kept:
+        for name, template, names, _ in kept:
             text, depth = fill(template, names)
             if name is None:
                 body.append(f"    if {text}: return None")
@@ -225,7 +229,7 @@ class Rec:
     def apply(self, fn: str) -> "Rec":
         """The math function `fn` (one of the jets ring functions)."""
         return self.tape.emit(f"_{fn}({{}})", getattr(math, fn)(self.v),
-                              (self,))
+                              (self,), may_raise=True)
 
     # comparisons become guards --------------------------------------
 

@@ -9,17 +9,20 @@ and where the generic code raises, the kernels raise the same error.
 """
 
 import math
+import operator
 from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from charfol import mori
 from charfol.contact import ContactScene, FoliationField, Hypersurface
-from charfol.errors import DegenerateVolumeError, ProjectionError
-from charfol.exterior import Chart, KForm
+from charfol.errors import (CharfolError, DegenerateVolumeError,
+                            ProjectionError)
+from charfol.expr import Bin, Const
+from charfol.exterior import Chart, KForm, ScalarField, _fn
 from charfol.jets import Jet, fval, seed
 from charfol.kernel import Rec, Tape, argmax, run
 from charfol.scenefile import load_scene
@@ -201,8 +204,8 @@ def test_trace_of_a_field_records_its_operations():
     p = [Rec(v, f"x{i}", tape) for i, v in enumerate([0.6, 0.0, 0.8])]
     assert seed(p)[0].f is p[0]
     field.char_data(p)
-    assert sum(1 for name, _, _ in tape.lines if name is not None) > 10
-    assert any(name is None for name, _, _ in tape.lines)      # the guards
+    assert sum(1 for line in tape.lines if line[0] is not None) > 10
+    assert any(line[0] is None for line in tape.lines)      # the guards
 
 
 def test_branches_become_guards():
@@ -236,3 +239,68 @@ def test_argmax_is_one_guard_per_answer():
     assert len(kernels) == 1
     assert run(kernels, fn, [4.0, 1.0, 3.0]) == (4.0,)
     assert len(kernels) == 2
+
+
+# random surfaces F = tree + z in the chart of s2-height ------------------
+
+CH = Chart(("x", "y", "z"))
+SCENE = ContactScene(CH, KForm.one_form(CH, [-CH.var("y"), CH.var("x"),
+                                             CH.constant(1.0)]))
+
+
+def _power(a, b):
+    # a positive base keeps real powers real; a variable exponent makes
+    # the jets take their exp(p log x) branch
+    return ScalarField(CH, Bin("**", _fn("exp", a).node, b.node))
+
+
+leaves = st.one_of(st.sampled_from(CH.vars()),
+                   st.floats(-2.0, 2.0, allow_nan=False).map(CH.constant))
+trees = st.recursive(leaves, lambda kids: st.one_of(
+    st.builds(lambda op, a, b: op(a, b),
+              st.sampled_from([operator.add, operator.sub, operator.mul,
+                               operator.truediv]), kids, kids),
+    st.builds(_power, kids, kids),
+    st.builds(lambda c, a: ScalarField(CH, Bin("**", Const(c), a.node)),
+              st.sampled_from([0.5, 2.0]), kids),
+    st.builds(lambda e, a: a ** e, st.sampled_from([2.0, 3.0, -1.0]), kids),
+    st.builds(_fn, st.sampled_from(["sin", "cos", "exp", "tanh", "atan",
+                                    "log", "sqrt", "tan"]), kids),
+    st.builds(lambda a, v: a.d(v), kids, st.sampled_from(CH.names)),
+    kids.map(operator.neg)), max_leaves=6)
+points = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+FAILURES = (ArithmeticError, ValueError, CharfolError)
+
+
+def _same(a, b):
+    return np.array_equal(np.asarray(a, dtype=float),
+                          np.asarray(b, dtype=float), equal_nan=True)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(trees, points, points)
+# X never reads the value of F, yet the generic code fails where log(x) does
+@example(_fn("log", CH.var("x")), [0.5, 0.2, 0.1], [-0.5, 0.2, 0.1])
+def test_random_surfaces_match_generic(tree, p, q):
+    """A kernel traced at p, then reused at q, gives the generic numbers,
+    and fails wherever the generic code fails."""
+    field = FoliationField(SCENE, Hypersurface(tree + CH.var("z")))
+    for pt in (p, q):
+        try:
+            X = [fval(c) for c in field.char_data(pt).X]
+        except FAILURES:
+            with pytest.raises(FAILURES):
+                field.vector(pt)
+        else:
+            assert _same(field.vector(pt), X)
+        try:
+            data = field.char_data(seed(pt))
+        except FAILURES:
+            with pytest.raises(FAILURES):
+                field.flow_data(pt)
+        else:
+            Xk, Jk, divk = field.flow_data(pt)
+            assert _same(Xk, [fval(c) for c in data.X])
+            assert _same(Jk, [list(c.g) if isinstance(c, Jet) else [0.0] * 3
+                              for c in data.X])
+            assert _same(divk, fval(data.divergence))
