@@ -22,8 +22,7 @@ import numpy as np
 from . import policy
 from .contact import ContactScene
 from .dynamics import EventSpec, Flow, linearize_zero, wrap_diff
-from .errors import (CharfolError, ConstructiveFailure, EscapeError,
-                     IntegrationError)
+from .errors import ConstructiveFailure, EscapeError, IntegrationError
 from .exterior import Chart, KForm, ScalarField, _fn, _rebase
 from .jets import fval
 
@@ -309,12 +308,8 @@ def check_morse_smale(field, zeros=(), orbits=(),
                        "positive element (connection violation)")
 
     if seed_points is None:
-        seeds = []
-        for q in field.scene.sample_points(rng, samples):
-            try:
-                seeds.append(field.surface.project(q, tols))
-            except CharfolError:
-                continue
+        seeds = field.surface.project_samples(
+            field.scene.sample_points(rng, samples), tols)
     else:
         seeds = [np.asarray(q, dtype=float) for q in seed_points]
 

@@ -97,15 +97,10 @@ def cmd_foliation(args) -> int:
         names = scene.cartesian.chart.names
     elif doc.kind == "field":
         _, field = _field_scene(doc, tols)
-        raw = _grid_points(doc, args.grid)
-        pts, names = [], doc.scene.chart.names
-        for q in raw:
-            try:
-                p = doc.surface.project(np.asarray(q, dtype=float), tols)
-            except CharfolError:
-                continue
-            if doc.scene.in_domain(p):
-                pts.append(p)
+        names = doc.scene.chart.names
+        pts = [p for p in doc.surface.project_samples(
+                   _grid_points(doc, args.grid), tols)
+               if doc.scene.in_domain(p)]
     else:
         raise SceneParseError(
             f"scene {doc.name!r} has nothing to evaluate a foliation on")
@@ -129,11 +124,8 @@ def cmd_foliation(args) -> int:
 def _field_census(doc: SceneDocument, tols, rng):
     _, field = _field_scene(doc, tols)
     seeds = list(doc.analysis.get("zero_seeds", []))
-    for q in doc.scene.sample_points(rng, doc.analysis.get("samples", 8)):
-        try:
-            seeds.append(doc.surface.project(q, tols))
-        except CharfolError:
-            continue
+    seeds += doc.surface.project_samples(
+        doc.scene.sample_points(rng, doc.analysis.get("samples", 8)), tols)
     pts = find_zeros(field, seeds, tols)
     zeros = [classify_zero(field, p, tols) for p in pts]
     zeros.sort(key=lambda z: tuple(np.round(z.point, 9)))
@@ -251,7 +243,7 @@ def cmd_mori_reproduce(args) -> int:
     charts = mori_mod.chart_agreement(scene, count=100, rng=rng)
     cen = mori_mod.census(scene, tols, rng)
     closure = mori_mod.verify_orbit_closure(scene, cen["orbits"], tols)
-    probe = mori_mod.torus_probe(scene, samples=100, rng=rng, tols=tols)
+    probe = mori_mod.torus_probe(scene, samples=100, rng=rng)
     cand = mori_mod.torus_recurrence_candidate(scene)
     cert = certify_mod.check_morse_smale(
         scene.field_cartesian, zeros=cen["zeros"], orbits=cen["orbits"],

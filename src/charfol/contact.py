@@ -30,8 +30,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import policy
-from .errors import (ContactConditionError, DegenerateVolumeError,
-                     ProjectionError)
+from .errors import (CharfolError, ContactConditionError,
+                     DegenerateVolumeError, ProjectionError)
 from .exterior import (AltArray, Chart, KForm, ScalarField, ring_det,
                        solve_top_contraction)
 from .expr import uses_var
@@ -166,13 +166,6 @@ class Hypersurface:
             raise ValueError(f"graph function may not depend on {coord!r}")
         return cls(chart.var(coord) - h, label)
 
-    def value(self, point):
-        return self.F(point)
-
-    def grad(self, point):
-        _, g = self.F.value_and_grad(point)
-        return g
-
     def _value_and_grad(self, x):
         v, g = self.F.value_and_grad(x)
         return (v, *g)
@@ -192,6 +185,18 @@ class Hypersurface:
         raise ProjectionError(
             f"projection did not reach |F| < {tols.project_tol:g} "
             f"in {tols.project_max_iter} steps (|F| = {abs(v):.3e})")
+
+    def project_samples(self, points,
+                        tols: policy.Tolerances = policy.DEFAULT) -> list:
+        """`project` each point, leaving out the points where it fails
+        with a CharfolError; any other error propagates."""
+        out = []
+        for q in points:
+            try:
+                out.append(self.project(q, tols))
+            except CharfolError:
+                continue
+        return out
 
 
 @dataclass

@@ -451,11 +451,21 @@ def classify_orbit(field: FoliationField, orbit: RefinedOrbit,
         rest.pop(j)
     div_res = abs(orbit.div_integral - math.log(abs(detP))) / max(
         1.0, abs(math.log(abs(detP))))
+    return orbit_info(orbit, eigs, C, det_res, pair_res, div_res, tols)
+
+
+def orbit_info(orbit: RefinedOrbit, multipliers, C: float,
+               det_residual: float, pairing_residual: float,
+               div_residual: float, tols: policy.Tolerances) -> OrbitInfo:
+    """Classify an orbit from its return-map multipliers and conformal
+    factor C; the residuals are carried into the record as given."""
     band = tols.hyperbolic_band
-    moduli = np.abs(eigs)
-    return OrbitInfo(point=p, period=orbit.period, multipliers=eigs, C=C,
-                     det_residual=det_res, pairing_residual=pair_res,
-                     div_residual=div_res, positive=bool(C > 1.0),
+    moduli = np.abs(multipliers)
+    return OrbitInfo(point=orbit.point, period=orbit.period,
+                     multipliers=multipliers, C=C,
+                     det_residual=det_residual,
+                     pairing_residual=pairing_residual,
+                     div_residual=div_residual, positive=bool(C > 1.0),
                      liouville_sign=sign_of(C, 1.0),
                      stable_index=int(np.sum(moduli < 1.0 - band)) + 1,
                      hyperbolic=bool(np.all(np.abs(moduli - 1.0) > band)))

@@ -28,16 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from . import certify, policy
+from . import certify, jets, policy
 from .contact import (ContactScene, FoliationField, Hypersurface,
                       alpha_data_at, graph_foliation_check,
                       hamiltonian_residuals)
-from .dynamics import (EventSpec, Flow, OrbitInfo, RefinedOrbit,
-                       _integrate_core, classify_orbit, classify_zero,
-                       find_orbit, find_zeros, sign_of, wrap_diff)
-from .errors import (CharfolError, ConstructiveFailure, NoOrbitError,
-                     PolarDomainError)
+from .dynamics import (EventSpec, Flow, RefinedOrbit, _integrate_core,
+                       classify_orbit, classify_zero, find_orbit, find_zeros,
+                       orbit_info, wrap_diff)
+from .errors import ConstructiveFailure, NoOrbitError, PolarDomainError
 from .exterior import Chart, KForm, ScalarField, _fn
+from .jets import Jet, seed
 
 
 # scene construction ----------------------------------------------------
@@ -67,7 +67,6 @@ class MoriScene:
                           "and the model core; expect poor conditioning")
         self.n = int(n)
         self.eps = float(eps)
-        self.tols = tols
 
         x = (1.0 + eps) - math.sqrt(eps * (1.0 + eps))   # ring radius squared
         self.constants = MoriConstants(
@@ -163,31 +162,16 @@ class MoriScene:
             p[4 + 2 * i] = phi[i]
         return p
 
-    def cartesian_point(self, polar_pt) -> np.ndarray:
+    def cartesian_point(self, polar_pt) -> list:
+        """The cartesian coordinates of a polar point, as a list over the
+        ring of its entries; seeded jets carry d(cartesian)/d(polar)."""
         z, r, th = polar_pt[0], polar_pt[1], polar_pt[2]
-        q = np.empty(self.cartesian.chart.dim)
-        q[0], q[1] = r * math.cos(th), r * math.sin(th)
+        q = [r * jets.cos(th), r * jets.sin(th)]
         for i in range(self.n - 1):
             rho, ph = polar_pt[3 + 2 * i], polar_pt[4 + 2 * i]
-            q[2 + 2 * i] = rho * math.cos(ph)
-            q[3 + 2 * i] = rho * math.sin(ph)
-        q[-1] = z
+            q += [rho * jets.cos(ph), rho * jets.sin(ph)]
+        q.append(z)
         return q
-
-    def _transition_jacobian(self, polar_pt) -> np.ndarray:
-        """d(cartesian)/d(polar) at a polar point."""
-        dc, dp = self.cartesian.chart.dim, self.polar.chart.dim
-        r, th = polar_pt[1], polar_pt[2]
-        J = np.zeros((dc, dp))
-        J[0, 1], J[0, 2] = math.cos(th), -r * math.sin(th)
-        J[1, 1], J[1, 2] = math.sin(th), r * math.cos(th)
-        for i in range(self.n - 1):
-            rho, ph = polar_pt[3 + 2 * i], polar_pt[4 + 2 * i]
-            iu, ir = 2 + 2 * i, 3 + 2 * i
-            J[iu, ir], J[iu, ir + 1] = math.cos(ph), -rho * math.sin(ph)
-            J[iu + 1, ir], J[iu + 1, ir + 1] = math.sin(ph), rho * math.cos(ph)
-        J[-1, 0] = 1.0
-        return J
 
 
 def mori_scene(n: int = 2, eps: float = 0.1,
@@ -197,21 +181,16 @@ def mori_scene(n: int = 2, eps: float = 0.1,
 
 
 def cartesian_lift(scene: MoriScene, zrr, theta: float = 0.0,
-                   phi: float = 0.0) -> np.ndarray:
+                   phi: float = 0.0) -> list:
     """Lift a reduced point (z, r, rho) to the cartesian chart.
 
     The transverse mass rho is split evenly over the n-1 planes, all at
     phase phi; for n = 2 this is just (u, v) = rho (cos phi, sin phi).
+    Any ring works, as for `MoriScene.cartesian_point`.
     """
     z, r, rho = zrr
-    q = np.empty(scene.cartesian.chart.dim)
-    q[0], q[1] = r * math.cos(theta), r * math.sin(theta)
-    each = rho / math.sqrt(scene.n - 1)
-    for i in range(scene.n - 1):
-        q[2 + 2 * i] = each * math.cos(phi)
-        q[3 + 2 * i] = each * math.sin(phi)
-    q[-1] = z
-    return q
+    return scene.cartesian_point(
+        [z, r, theta] + [rho / math.sqrt(scene.n - 1), phi] * (scene.n - 1))
 
 
 # the reference field ----------------------------------------------------
@@ -303,8 +282,9 @@ def chart_agreement(scene: MoriScene, count: int = 100, rng=None) -> dict:
     worst_a = worst_f = worst_x = 0.0
     fmin = math.inf
     for p in sample_surface_polar(scene, rng, count):
-        q = scene.cartesian_point(p)
-        J = scene._transition_jacobian(p)
+        qj = scene.cartesian_point(seed(p))
+        q = [c.f for c in qj]
+        J = np.array([c.g for c in qj])     # d(cartesian)/d(polar)
         a_p, _ = alpha_data_at(scene.polar, p)
         a_c, _ = alpha_data_at(scene.cartesian, q)
         pb = J.T @ a_c
@@ -336,50 +316,45 @@ def pushforward_field(scene: MoriScene, zrr) -> np.ndarray:
     ])
 
 
-def reduced_constraint(scene: MoriScene, zrr) -> float:
-    z, r, rho = (float(v) for v in zrr)
+def reduced_constraint(scene: MoriScene, zrr):
+    """The shell constraint on a reduced point, over the ring of its entries."""
+    z, r, rho = zrr
     return r * r + (z * z + rho * rho) / scene.eps ** 2 - (1.0 + scene.eps)
 
 
 def _reduced_rates(scene: MoriScene, z: float, rho: float):
-    """Engine (zdot, rhodot) on the shell slice theta = phi = 0."""
-    rr = 1.0 + scene.eps - (z * z + rho * rho) / scene.eps ** 2
-    if rr <= 0.0:
+    """Engine (zdot, rhodot) on the shell slice theta = phi = 0.
+
+    Returns them as jets over (z, rho), plus the ambient field X. The
+    lift runs on jets, and the field's tangents are its ambient Jacobian
+    times the tangents of the lift.
+    """
+    zj, rj = seed([z, rho])
+    rr = 1.0 + scene.eps - (zj * zj + rj * rj) / scene.eps ** 2
+    if rr.f <= 0.0:
         raise ConstructiveFailure("reduced point left the shell")
-    p = cartesian_lift(scene, (z, math.sqrt(rr), rho))
-    X = scene.field_cartesian.vector(p)
-    each = rho / math.sqrt(scene.n - 1)
-    rdot = sum(p[2 + 2 * i] * X[2 + 2 * i] + p[3 + 2 * i] * X[3 + 2 * i]
+    p = cartesian_lift(scene, (zj, jets.sqrt(rr), rj))
+    X, J = scene.field_cartesian.vector_and_jacobian([c.f for c in p])
+    dX = J @ np.array([c.g for c in p])
+    Xj = [Jet(x, row) for x, row in zip(X.tolist(), dX.tolist())]
+    rdot = sum(p[2 + 2 * i] * Xj[2 + 2 * i] + p[3 + 2 * i] * Xj[3 + 2 * i]
                for i in range(scene.n - 1))
-    return float(X[-1]), float(rdot / rho), p, X
+    return Xj[-1], rdot / rj, X
 
 
-def torus_base_point(scene: MoriScene,
-                     tols: policy.Tolerances = policy.DEFAULT) -> tuple:
+def torus_base_point(scene: MoriScene) -> tuple:
     """Newton on the engine's reduced rates for the saddle ring.
 
     Returns (z, r, rho). Independent of the closed forms in
     MoriConstants apart from the initial guess scale.
     """
     w = np.array([0.0, 0.9 * scene.constants.ring_rho])
-
-    def res(wv):
-        zd, rd, _, X = _reduced_rates(scene, wv[0], wv[1])
-        return np.array([zd, rd]), float(np.max(np.abs(X)))
-
     for _ in range(40):
-        r0, scale = res(w)
-        if float(np.max(np.abs(r0))) < 1e-13 * scale:
+        zd, rd, X = _reduced_rates(scene, w[0], w[1])
+        r0 = np.array([zd.f, rd.f])
+        if float(np.max(np.abs(r0))) < 1e-13 * float(np.max(np.abs(X))):
             break
-        J = np.empty((2, 2))
-        for j in range(2):
-            h = 1e-7 * (1.0 + abs(w[j]))
-            wp = w.copy()
-            wp[j] += h
-            rp, _ = res(wp)
-            J[:, j] = (rp - r0) / h
-        step = np.linalg.solve(J, -r0)
-        w = w + step
+        w = w + np.linalg.solve(np.array([zd.g, rd.g]), -r0)
     else:
         raise ConstructiveFailure("saddle ring search did not converge")
     z, rho = float(w[0]), float(w[1])
@@ -396,8 +371,7 @@ def torus_loop_time(scene: MoriScene) -> float:
     return 2.0 * math.pi / abs(float(thdot))
 
 
-def torus_probe(scene: MoriScene, samples: int = 100, rng=None,
-                tols: policy.Tolerances = policy.DEFAULT) -> dict:
+def torus_probe(scene: MoriScene, samples: int = 100, rng=None) -> dict:
     """Invariance and return-map evidence for the torus over the ring.
 
     All checks are pointwise algebra. A trajectory-based probe is out of
@@ -409,7 +383,7 @@ def torus_probe(scene: MoriScene, samples: int = 100, rng=None,
     rate ratio matches the closed form.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    z0, r0, rho0 = torus_base_point(scene, tols)
+    z0, r0, rho0 = torus_base_point(scene)
     field = scene.field_cartesian
     each = rho0 / math.sqrt(scene.n - 1)
     worst_inv = 0.0
@@ -440,18 +414,8 @@ def torus_probe(scene: MoriScene, samples: int = 100, rng=None,
                * scene.constants.torus_slope) / abs(mean[1])
 
     # transverse linearization of the reduced engine flow at the ring
-    def red(wv):
-        zd, rd, _, _ = _reduced_rates(scene, wv[0], wv[1])
-        return np.array([zd, rd])
-
-    w0 = np.array([z0, rho0])
-    base = red(w0)
-    A = np.empty((2, 2))
-    for j in range(2):
-        h = 1e-6 * (1.0 + abs(w0[j]))
-        wp = w0.copy()
-        wp[j] += h
-        A[:, j] = (red(wp) - base) / h
+    zd, rd, _ = _reduced_rates(scene, z0, rho0)
+    A = np.array([zd.g, rd.g])
     lam = float(np.max(np.real(np.linalg.eigvals(A))))
     loop = 2.0 * math.pi / abs(float(mean[0]))
     note = ("the rate ratio varies continuously with eps, and nothing "
@@ -492,8 +456,7 @@ def torus_recurrence_candidate(scene: MoriScene):
     point = cartesian_lift(scene, (z0, r0, rho0), theta=0.0, phi=0.0)
 
     def verify(field, tols):
-        rep = torus_probe(scene, samples=40, rng=np.random.default_rng(202),
-                          tols=tols)
+        rep = torus_probe(scene, samples=40, rng=np.random.default_rng(202))
         if rep["invariance_residual"] > 1e-6:
             return None
         return {"kind": "invariant torus",
@@ -583,18 +546,9 @@ def _edge_orbit(scene: MoriScene, sign: float,
     if expanding:
         info = raw
     else:
-        mult = 1.0 / raw.multipliers
-        moduli = np.abs(mult)
-        band = tols.hyperbolic_band
-        C = 1.0 / raw.C
-        info = OrbitInfo(point=p, period=T, multipliers=mult, C=C,
-                         det_residual=raw.det_residual,
-                         pairing_residual=raw.pairing_residual,
-                         div_residual=raw.div_residual,
-                         positive=bool(C > 1.0),
-                         liouville_sign=sign_of(C, 1.0),
-                         stable_index=int(np.sum(moduli < 1.0 - band)) + 1,
-                         hyperbolic=bool(np.all(np.abs(moduli - 1.0) > band)))
+        info = orbit_info(orbit, 1.0 / raw.multipliers, 1.0 / raw.C,
+                          raw.det_residual, raw.pairing_residual,
+                          raw.div_residual, tols)
     th = np.linspace(0.0, 2.0 * math.pi, 97)[:-1]
     loop = np.zeros((96, d))
     loop[:, 0] = p[0] * np.cos(th)
@@ -624,12 +578,8 @@ def census(scene: MoriScene, tols: policy.Tolerances = policy.DEFAULT,
         q = np.zeros(d)
         q[-1] = s * az
         seeds.append(q)
-    sweep = scene.cartesian.sample_points(rng, 12)
-    for q in sweep:
-        try:
-            seeds.append(scene.surface_cartesian.project(q, tols))
-        except CharfolError:
-            continue
+    seeds += scene.surface_cartesian.project_samples(
+        scene.cartesian.sample_points(rng, 12), tols)
     pts = find_zeros(field, seeds, tols)
     zeros = [classify_zero(field, p, tols) for p in pts]
     zeros.sort(key=lambda zi: zi.point[-1])
@@ -680,12 +630,11 @@ def phase_portrait_data(scene: MoriScene, trajectories: int = 6,
     def proj(y):
         out = y.copy()
         for _ in range(10):
-            c = reduced_constraint(scene, out)
-            if abs(c) < 1e-13:
+            c = reduced_constraint(scene, seed(out))
+            if abs(c.f) < 1e-13:
                 return out
-            g = np.array([2.0 * out[0] / eps ** 2, 2.0 * out[1],
-                          2.0 * out[2] / eps ** 2])
-            out = out - (c / float(g @ g)) * g
+            g = np.array(c.g)
+            out = out - (c.f / float(g @ g)) * g
         return out
 
     ptols = policy.replace(tols, ode_max_step=0.05)
@@ -811,8 +760,7 @@ def _column_profile_data(spec: PerturbationSpec) -> dict:
             "sup_window_slope": sup_gp}
 
 
-def column_scene(spec: PerturbationSpec,
-                 tols: policy.Tolerances = policy.DEFAULT):
+def column_scene(spec: PerturbationSpec):
     """The long-column model carrying the perturbation.
 
     Ambient chart (t, s, a, b, psi) with the product contact form
@@ -936,7 +884,7 @@ def perturb_analysis(spec: PerturbationSpec,
     if spec.delta > 0.1:
         raise ValueError("perturbation strengths above 0.1 are out of scope")
     rng = np.random.default_rng(0) if rng is None else rng
-    scene, surface, info = column_scene(spec, tols)
+    scene, surface, info = column_scene(spec)
     field = FoliationField(scene, surface, tols)
     H = info["H"]
     prof = info["profile"]

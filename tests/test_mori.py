@@ -172,6 +172,18 @@ def test_torus_probe(scene, probe):
     assert "no-op" in probe["slope_note"]
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_torus_exponent_matches_closed_form(n):
+    # the linearization comes from the field's jets, so the exponent per
+    # loop agrees with the closed form of test_torus_probe to roundoff
+    sc = mori.mori_scene(n=n, eps=EPS)
+    probe = mori.torus_probe(sc, samples=20, rng=np.random.default_rng(7))
+    lam = math.sqrt(4.0 / EPS * (1.0 + EPS) * (2.0 * ring_radius_sq(EPS) - 1.0))
+    lam_loop = lam * 2.0 * math.pi / (1.0 + 2.0 * EPS)
+    got = probe["transverse_exponent_per_loop"]
+    assert abs(got - lam_loop) < 1e-12 * lam_loop
+
+
 def test_census_zeros(scene, census):
     zeros = census["zeros"]
     assert len(zeros) == 2
