@@ -18,7 +18,9 @@ derivative path. The per-point entry points used along trajectories
 (`vector`, `flow_data`, `vector_and_jacobian`, `project`) run that
 code once on recording scalars and then call the traced straight-line
 kernels (see `kernel`); `char_data` and `ScalarField.value_and_grad`
-remain the reference.
+remain the reference. `vector_values`, `flow_values` and
+`project_values` return the kernels' floats as they are, for the
+integrator; the others wrap them in arrays.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def _coords(point) -> list:
     jet entries give their values."""
     if isinstance(point, np.ndarray):
         return point.astype(float, copy=False).tolist()
-    return [float(fval(c)) for c in point]
+    return [c if type(c) is float else float(fval(c)) for c in point]
 
 
 class ContactScene:
@@ -64,16 +66,18 @@ class ContactScene:
         self.name = name
         self.n = (chart.dim - 1) // 2
         self.params = dict(params or {})
-        dom = {}
+        dom, bounds = {}, []
         for k, v in (domain or {}).items():
-            chart.index(k)
+            i = chart.index(k)
             dom[k] = (None if v[0] is None else float(v[0]),
                       None if v[1] is None else float(v[1]))
+            bounds.append((i, *dom[k]))
         self.domain = dom
+        self._bounds = bounds       # (coordinate index, lo, hi)
 
     def in_domain(self, point) -> bool:
-        for name, (lo, hi) in self.domain.items():
-            v = fval(point[self.chart.index(name)])
+        for i, lo, hi in self._bounds:
+            v = fval(point[i])
             if lo is not None and v < lo:
                 return False
             if hi is not None and v > hi:
@@ -172,11 +176,16 @@ class Hypersurface:
 
     def project(self, point, tols: policy.Tolerances = policy.DEFAULT):
         """Newton steps along grad F back onto the surface."""
+        return np.array(self.project_values(point, tols), dtype=float)
+
+    def project_values(self, point,
+                       tols: policy.Tolerances = policy.DEFAULT) -> list:
+        """`project` on Python floats: the projected point as a list."""
         x = _coords(point)
         for _ in range(tols.project_max_iter):
             v, *g = run(self._kernels, self._value_and_grad, x)
             if abs(v) < tols.project_tol:
-                return np.asarray(x, dtype=float)
+                return x
             gg = sum(gi * gi for gi in g)
             if gg == 0.0:
                 raise ProjectionError("gradient vanished during projection")
@@ -274,8 +283,11 @@ class FoliationField:
                         normal=N, beta=beta, dbeta=dbeta, divergence=div)
 
     def vector(self, point) -> np.ndarray:
-        return np.array(run(self._kernels[0], self._value_outputs,
-                            _coords(point)), dtype=float)
+        return np.array(self.vector_values(point), dtype=float)
+
+    def vector_values(self, point) -> tuple:
+        """X at a point, as a tuple of floats from the value kernel."""
+        return run(self._kernels[0], self._value_outputs, _coords(point))
 
     def _value_outputs(self, point):
         return self.char_data(point).X
@@ -294,9 +306,14 @@ class FoliationField:
                 J.extend((0.0,) * self._d)
         return X + J + [fval(data.divergence)]
 
+    def flow_values(self, point) -> tuple:
+        """X, the rows of its ambient Jacobian and div, flat, as a tuple
+        of floats from the first-order kernel."""
+        return run(self._kernels[1], self._jet_outputs, _coords(point))
+
     def _jet_pass(self, point):
         """X, its ambient Jacobian and div from the first-order kernel."""
-        out = run(self._kernels[1], self._jet_outputs, _coords(point))
+        out = self.flow_values(point)
         d = self._d
         X = np.array(out[:d], dtype=float)
         J = np.array(out[d:-1], dtype=float).reshape(d, d)

@@ -6,6 +6,8 @@ direction field is tangent to every level of the defining function, so
 projection removes roundoff drift rather than fighting the dynamics.
 Variational runs carry the ambient monodromy matrix and the divergence
 integral alongside the state, all sourced from one jet pass per stage.
+The loop runs on lists of Python floats, with stage sums generated as
+straight-line code per state length.
 
 Angular coordinates integrate unwrapped; closure of orbits and
 deduplication of elements are tested modulo the period.
@@ -25,7 +27,8 @@ from .contact import FoliationField, alpha_data_at
 from .errors import (ConstructiveFailure, ContactConditionError, EscapeError,
                      IntegrationError, NoOrbitError)
 
-# Dormand-Prince 5(4) coefficients
+# Dormand-Prince 5(4) coefficients; _A[6] is the 5th-order weight b, so
+# the last stage input is the 5th-order solution
 _A = (
     (),
     (1 / 5,),
@@ -35,8 +38,52 @@ _A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-               -17253 / 339200, 22 / 525, -1 / 40])
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920,
+      -17253 / 339200, 22 / 525, -1 / 40)
+
+# state length -> (the six stage functions, the error function)
+_ROWS = {}
+
+
+def _weighted(coeffs, j: int) -> str:
+    """Source of sum(c * k[j] for c, k in zip(coeffs, ks)), term by term
+    in the same order and from the same start 0, so the float result has
+    the bits of that sum; 0.0 weights stay (they carry NaN and inf)."""
+    terms = "".join(f" + {c!r} * k{i}[{j}]" for i, c in enumerate(coeffs))
+    return f"(0.0{terms})"
+
+
+def _compile_rows(n: int):
+    """Straight-line DOPRI5 stage inputs and scaled error for states of
+    length n, on lists of floats.
+
+    Stage i returns z + h * sum(_A[i][j] * k_j); the error function
+    returns (h * sum(_E[j] * k_j)) / (atol + rtol * max(|z|, |z5|)),
+    where max is numpy's (a NaN on either side wins).
+    """
+    src = []
+    for i in range(1, 7):
+        ks = ", ".join(f"k{j}" for j in range(i))
+        rows = ", ".join(f"z[{j}] + h * {_weighted(_A[i], j)}"
+                         for j in range(n))
+        src += [f"def stage{i}(z, h, {ks}):", f"    return [{rows}]"]
+    ks = ", ".join(f"k{j}" for j in range(7))
+    src.append(f"def error(z, z5, h, atol, rtol, {ks}):")
+    for j in range(n):
+        src += [f"    a = abs(z[{j}]); b = abs(z5[{j}])",
+                f"    e{j} = h * {_weighted(_E, j)} / "
+                f"(atol + rtol * (a if a >= b or a != a else b))"]
+    src.append(f"    return [{', '.join(f'e{j}' for j in range(n))}]")
+    ns = {}
+    exec(compile("\n".join(src) + "\n", "<charfol dopri5>", "exec"), ns)
+    return [ns[f"stage{i}"] for i in range(1, 7)], ns["error"]
+
+
+def _rows(n: int):
+    rows = _ROWS.get(n)
+    if rows is None:
+        rows = _ROWS[n] = _compile_rows(n)
+    return rows
 
 
 @dataclass
@@ -66,54 +113,68 @@ def sign_of(x: float, neutral: float = 0.0) -> int:
 
 
 def _rms(v):
-    return float(np.sqrt(np.mean(np.square(v))))
+    return math.sqrt(float(np.square(v).sum()) / len(v))
 
 
 def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
                     events: Sequence[EventSpec] = (), domain_ok=None,
                     record=False):
     """Shared adaptive loop. post() cleans an accepted state (projection);
-    domain_ok() raising or returning False stops with an escape."""
-    z = np.asarray(z0, dtype=float)
+    domain_ok() raising or returning False stops with an escape.
+
+    Inside the loop, states and slopes are sequences of floats read
+    entry by entry: post gets lists, rhs and domain_ok get lists or what
+    post returned, and rhs and post may return any sequence (`Flow`'s
+    return lists and tuples). Event functions, the returned state, the
+    recorded path and the states in errors are ndarrays.
+    """
+    z = np.asarray(z0, dtype=float).tolist()
     if post is not None:
         z = post(z)
+    stages, error = _rows(len(z))
+    atol, rtol = tols.ode_atol, tols.ode_rtol
     t = 0.0
     f = rhs(z)
-    sc = tols.ode_atol + tols.ode_rtol * np.abs(z)
-    d0, d1 = _rms(z / sc), _rms(f / sc)
+    za = np.array(z)
+    sc = atol + rtol * np.abs(za)
+    d0, d1 = _rms(za / sc), _rms(np.asarray(f, dtype=float) / sc)
     h = min(tols.ode_max_step, 0.01 * d0 / d1 if d1 > 1e-12 else tols.ode_max_step)
     h = max(h, 1e-10)
-    gvals = [ev.fn(z) for ev in events]
-    path = [(0.0, z.copy())] if record else None
+    gvals = [ev.fn(za) for ev in events]
+    path = [(0.0, za)] if record else None
     steps = 0
     while t < tmax * (1.0 - 1e-15) :
         steps += 1
         if steps > tols.ode_max_steps:
-            raise IntegrationError("step budget exhausted", t=t, state=z)
+            raise IntegrationError("step budget exhausted", t=t,
+                                   state=np.array(z))
         h = min(h, tmax - t)
         k = [f]
-        for i in range(1, 7):
-            zi = z + h * sum(c * kj for c, kj in zip(_A[i], k))
+        for stage in stages:
+            zi = stage(z, h, *k)
             k.append(rhs(zi))
-        z5 = z + h * sum(c * kj for c, kj in zip(_A[6], k))
-        err = h * sum(c * kj for c, kj in zip(_E, k))
-        scale = tols.ode_atol + tols.ode_rtol * np.maximum(np.abs(z), np.abs(z5))
-        enorm = _rms(err / scale)
+        z5 = zi                 # the last stage input
+        enorm = _rms(error(z, z5, h, atol, rtol, *k))
         if enorm > 1.0:
             h = max(h * max(0.2, 0.9 * enorm ** -0.25), 1e-14 * (1.0 + abs(t)))
             if h <= 1e-13 * (1.0 + abs(t)):
-                raise IntegrationError("step size underflow", t=t, state=z)
+                raise IntegrationError("step size underflow", t=t,
+                                       state=np.array(z))
             continue
         znew = post(z5) if post is not None else z5
         tnew = t + h
         hit = None
+        if events:
+            ynew = np.array(znew)
         for idx, ev in enumerate(events):
-            g0, g1 = gvals[idx], ev.fn(znew)
+            g0, g1 = gvals[idx], ev.fn(ynew)
             crossed = (g0 < 0.0 <= g1) if ev.direction > 0 else \
                       (g0 > 0.0 >= g1) if ev.direction < 0 else \
                       (g0 * g1 < 0.0 or (g0 != 0.0 and g1 == 0.0))
             if crossed:
-                t_ev, z_ev = _locate_event(rhs, z, k[0], z5, k[6], h, ev, tols, post)
+                t_ev, z_ev = _locate_event(
+                    rhs, np.array(z), np.array(k[0]), np.array(z5),
+                    np.array(k[6]), h, ev, tols, post)
                 hit = (idx, t + t_ev, z_ev)
                 if ev.terminal:
                     return SimpleNamespace(status="event", t=t + t_ev, y=z_ev,
@@ -121,14 +182,14 @@ def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
             gvals[idx] = g1
         if hit is None and domain_ok is not None and not domain_ok(znew):
             raise EscapeError("trajectory left the declared domain",
-                              t=tnew, state=znew)
+                              t=tnew, state=np.array(znew))
         t, z, f = tnew, znew, rhs(znew)
         if record:
-            path.append((t, z.copy()))
+            path.append((t, np.array(z)))
         grow = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
         h = min(tols.ode_max_step, h * grow)
-    return SimpleNamespace(status="time", t=t, y=z, steps=steps, event=None,
-                           path=path)
+    return SimpleNamespace(status="time", t=t, y=np.array(z), steps=steps,
+                           event=None, path=path)
 
 
 def _locate_event(rhs, z0, f0, z1, f1, h, ev: EventSpec,
@@ -174,10 +235,11 @@ class Flow:
         self.sense = float(sense)
 
     def _rhs(self, y):
-        return self.sense * self.field.vector(y)
+        X = self.field.vector_values(y)
+        return [-c for c in X] if self.sense < 0 else X
 
     def _post(self, y):
-        return self.field.surface.project(y, self.tols)
+        return self.field.surface.project_values(y, self.tols)
 
     def _domain_ok(self, y):
         return self.field.scene.in_domain(y)
@@ -193,16 +255,18 @@ class Flow:
         d = len(y0)
         s = self.sense
 
+        # J @ M stays in numpy: BLAS rounds it differently from a
+        # Python sum, and the reports keep BLAS's bits
         def rhs(z):
-            y = z[:d]
-            M = z[d:d + d * d].reshape(d, d)
-            X, J, div = self.field.flow_data(y)
-            return np.concatenate([s * X, (s * (J @ M)).ravel(), [s * div]])
+            out = self.field.flow_values(z[:d])
+            JM = (np.array(out[d:-1]).reshape(d, d)
+                  @ np.array(z[d:-1]).reshape(d, d))
+            f = [*out[:d], *JM.ravel().tolist(), out[-1]]
+            return [-c for c in f] if s < 0 else f
 
         def post(z):
-            out = z.copy()
-            out[:d] = self.field.surface.project(z[:d], self.tols)
-            return out
+            return [*self.field.surface.project_values(z[:d], self.tols),
+                    *z[d:]]
 
         z0 = np.concatenate([np.asarray(y0, float), np.eye(d).ravel(), [0.0]])
         res = _integrate_core(rhs, z0, tmax, self.tols, post=post,

@@ -261,7 +261,9 @@ class Rec:
 
 
 def _argmax(*values) -> int:
-    return max(range(len(values)), key=values.__getitem__)
+    # the first of the largest, as max picks it; index finds the NaN that
+    # max returns through its identity test
+    return values.index(max(values))
 
 
 def argmax(keys) -> int:

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charfol.contact import ContactScene, FoliationField, Hypersurface
-from charfol.dynamics import (EventSpec, Flow, RefinedOrbit, classify_orbit,
-                              classify_zero, find_orbit, find_zeros,
-                              linearize_zero, refine_zero, wrap_diff)
+from charfol.dynamics import (_A, _E, EventSpec, Flow, RefinedOrbit, _rms,
+                              _rows, classify_orbit, classify_zero, find_orbit,
+                              find_zeros, linearize_zero, refine_zero,
+                              wrap_diff)
 from charfol.errors import EscapeError, NoOrbitError
 from charfol.exterior import Chart, KForm
 
@@ -164,3 +167,68 @@ def test_unit_conformal_factor_gives_neutral_sign():
     info = classify_orbit(fld, orbit)
     assert info.C == 1.0
     assert info.liouville_sign == 0
+
+
+def test_float_entry_points_and_array_results():
+    fld, _ = graph_setup()
+    p = fld.surface.project([0.1, 0.3, 0.2])
+    assert fld.vector(p).tolist() == list(fld.vector_values(p))
+    X, J, div = fld.flow_data(p)
+    assert [*X.tolist(), *J.ravel().tolist(), div] == list(fld.flow_values(p))
+    q = [0.4, 0.3, 0.2]
+    assert fld.surface.project(q).tolist() == fld.surface.project_values(q)
+    res = Flow(fld, sense=-1).integrate(p, 2.0, record=True)
+    assert res.status == "time" and len(res.path) == res.steps + 1
+    for t, y in [(res.t, res.y), *res.path]:
+        assert type(t) is float
+        assert isinstance(y, np.ndarray)
+        assert y.dtype == np.float64 and y.shape == (3,)
+
+
+# the integrator's generated stage sums -----------------------------------
+
+def _check_rows(z, z5, k, h, atol=1e-9, rtol=1e-7):
+    """Generated stage and error rows against the numpy sums they
+    replace: equal, NaN in the same places, zeros of the same sign."""
+    stages, error = _rows(len(z))
+    lists = [kj.tolist() for kj in k]
+    with np.errstate(all="ignore"):
+        wants = [z + h * sum(c * kj for c, kj in zip(_A[i], k))
+                 for i in range(1, 7)]
+        wants.append(h * sum(c * kj for c, kj in zip(_E, k))
+                     / (atol + rtol * np.maximum(np.abs(z), np.abs(z5))))
+    gots = [stage(z.tolist(), h, *lists[:i])
+            for i, stage in enumerate(stages, start=1)]
+    gots.append(error(z.tolist(), z5.tolist(), h, atol, rtol, *lists))
+    for got, want in zip(gots, wants):
+        got = np.array(got, dtype=float)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan], want[~nan])
+        assert np.array_equal(np.signbit(got[~nan]), np.signbit(want[~nan]))
+    # the error norm sums in numpy's order, as np.mean does
+    if not np.isnan(wants[-1]).any():
+        assert _rms(gots[-1]) == float(np.sqrt(np.mean(np.square(wants[-1]))))
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 31])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_stage_rows_equal_numpy_sums(n, data):
+    # z, z5, k0..k6 finite, with a few entries replaced by specials
+    vecs = [np.array(data.draw(st.lists(st.floats(-1e3, 1e3),
+                                        min_size=n, max_size=n)))
+            for _ in range(9)]
+    for a, j, v in data.draw(st.lists(st.tuples(
+            st.integers(0, 8), st.integers(0, n - 1), SPECIAL), max_size=3)):
+        vecs[a][j] = v
+    _check_rows(vecs[0], vecs[1], vecs[2:], data.draw(st.floats(1e-6, 1.0)))
+
+
+def test_stage_rows_start_from_zero_like_sum():
+    # sum() starts from 0, so an all-negative-zero row gives +0.0
+    z = np.array([-0.0, -0.0])
+    _check_rows(z, z, [np.array([-0.0, 0.0])] * 7, 0.5)

@@ -24,7 +24,7 @@ from charfol.errors import (CharfolError, DegenerateVolumeError,
 from charfol.expr import Bin, Const
 from charfol.exterior import Chart, KForm, ScalarField, _fn
 from charfol.jets import Jet, fval, seed
-from charfol.kernel import Rec, Tape, argmax, run
+from charfol.kernel import Rec, Tape, _argmax, argmax, run
 from charfol.scenefile import load_scene
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
@@ -239,6 +239,17 @@ def test_argmax_is_one_guard_per_answer():
     assert len(kernels) == 1
     assert run(kernels, fn, [4.0, 1.0, 3.0]) == (4.0,)
     assert len(kernels) == 2
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.floats(), st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0])), min_size=1, max_size=8))
+def test_argmax_picks_what_max_over_indices_picks(values):
+    # ties, signed zeros, infinities and NaN (at any place, and as the
+    # same object more than once) give the index max() itself would
+    want = max(range(len(values)), key=values.__getitem__)
+    assert _argmax(*values) == want
+    assert argmax(values) == want
 
 
 # random surfaces F = tree + z in the chart of s2-height ------------------
