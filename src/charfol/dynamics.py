@@ -61,21 +61,24 @@ def _compile_rows(n: int):
     returns (h * sum(_E[j] * k_j)) / (atol + rtol * max(|z|, |z5|)),
     where max is numpy's (a NaN on either side wins).
     """
-    src = []
+    funcs = []
     for i in range(1, 7):
         ks = ", ".join(f"k{j}" for j in range(i))
         rows = ", ".join(f"z[{j}] + h * {_weighted(_A[i], j)}"
                          for j in range(n))
-        src += [f"def stage{i}(z, h, {ks}):", f"    return [{rows}]"]
+        funcs.append([f"def stage{i}(z, h, {ks}):", f"    return [{rows}]"])
     ks = ", ".join(f"k{j}" for j in range(7))
-    src.append(f"def error(z, z5, h, atol, rtol, {ks}):")
+    src = [f"def error(z, z5, h, atol, rtol, {ks}):"]
     for j in range(n):
         src += [f"    a = abs(z[{j}]); b = abs(z5[{j}])",
                 f"    e{j} = h * {_weighted(_E, j)} / "
                 f"(atol + rtol * (a if a >= b or a != a else b))"]
     src.append(f"    return [{', '.join(f'e{j}' for j in range(n))}]")
+    funcs.append(src)
+    # one function per compile keeps the parser's transient memory small
     ns = {}
-    exec(compile("\n".join(src) + "\n", "<charfol dopri5>", "exec"), ns)
+    for src in funcs:
+        exec(compile("\n".join(src) + "\n", "<charfol dopri5>", "exec"), ns)
     return [ns[f"stage{i}"] for i in range(1, 7)], ns["error"]
 
 
