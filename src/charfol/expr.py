@@ -18,20 +18,8 @@ from __future__ import annotations
 import re
 from typing import Mapping, Sequence
 
-from . import jets
 from .errors import SceneParseError
-from .jets import Jet
-
-FUNCTIONS = {
-    "sin": jets.sin,
-    "cos": jets.cos,
-    "tan": jets.tan,
-    "exp": jets.exp,
-    "log": jets.log,
-    "sqrt": jets.sqrt,
-    "tanh": jets.tanh,
-    "atan": jets.atan,
-}
+from .jets import FUNCTIONS, Jet
 
 CONSTANTS = {"pi": 3.141592653589793}
 

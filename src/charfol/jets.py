@@ -118,96 +118,49 @@ def seed(values):
 
 
 # ring functions ----------------------------------------------------
-# Each dispatches on Jet, then on ndarray (numpy), then on the recording
-# scalar, and otherwise defers to math, so compiled expressions evaluate
-# over floats, arrays, recording scalars, jets, and nested jets. The
-# ndarray test must come before math: math.sin of a one-element array
-# silently returns a float.
+# One row per function: its numpy ufunc and its jet rule. The rule
+# gives the derivative factor d from the argument f and the value v;
+# the tangents are multiplied by d, or divided by it where the last
+# entry says so.
 
-def sin(x):
-    if isinstance(x, Jet):
-        c = cos(x.f)
-        return Jet(sin(x.f), tuple(c * a for a in x.g))
-    if isinstance(x, np.ndarray):
-        return np.sin(x)
-    if isinstance(x, Rec):
-        return x.apply("sin")
-    return math.sin(x)
-
-
-def cos(x):
-    if isinstance(x, Jet):
-        s = sin(x.f)
-        return Jet(cos(x.f), tuple(-s * a for a in x.g))
-    if isinstance(x, np.ndarray):
-        return np.cos(x)
-    if isinstance(x, Rec):
-        return x.apply("cos")
-    return math.cos(x)
+_RULES = (
+    ("sin", np.sin, lambda f, v: cos(f), False),
+    ("cos", np.cos, lambda f, v: -sin(f), False),
+    ("tan", np.tan, lambda f, v: 1.0 + v * v, False),
+    ("exp", np.exp, lambda f, v: v, False),
+    ("log", np.log, lambda f, v: f, True),
+    ("sqrt", np.sqrt, lambda f, v: 2.0 * v, True),
+    ("tanh", np.tanh, lambda f, v: 1.0 - v * v, False),
+    ("atan", np.arctan, lambda f, v: 1.0 / (1.0 + f * f), False),
+)
 
 
-def tan(x):
-    if isinstance(x, Jet):
-        t = tan(x.f)
-        d = 1.0 + t * t
-        return Jet(t, tuple(d * a for a in x.g))
-    if isinstance(x, np.ndarray):
-        return np.tan(x)
-    if isinstance(x, Rec):
-        return x.apply("tan")
-    return math.tan(x)
+def _ring_function(name, ufunc, rule, divides):
+    """The function `name` over every ring: a Jet goes through the rule,
+    an ndarray to numpy, a recording scalar onto its tape, anything else
+    to math. The ndarray test must come before math: math.sin of a
+    one-element array silently returns a float."""
+    mathfn = getattr(math, name)
+
+    def fn(x):
+        if isinstance(x, Jet):
+            f = x.f
+            v = fn(f)
+            d = rule(f, v)
+            if divides:
+                return Jet(v, tuple(a / d for a in x.g))
+            return Jet(v, tuple(d * a for a in x.g))
+        if isinstance(x, np.ndarray):
+            return ufunc(x)
+        if isinstance(x, Rec):
+            return x.apply(name)
+        return mathfn(x)
+
+    fn.__name__ = fn.__qualname__ = name
+    return fn
 
 
-def exp(x):
-    if isinstance(x, Jet):
-        v = exp(x.f)
-        return Jet(v, tuple(v * a for a in x.g))
-    if isinstance(x, np.ndarray):
-        return np.exp(x)
-    if isinstance(x, Rec):
-        return x.apply("exp")
-    return math.exp(x)
+FUNCTIONS = {row[0]: _ring_function(*row) for row in _RULES}
 
-
-def log(x):
-    if isinstance(x, Jet):
-        return Jet(log(x.f), tuple(a / x.f for a in x.g))
-    if isinstance(x, np.ndarray):
-        return np.log(x)
-    if isinstance(x, Rec):
-        return x.apply("log")
-    return math.log(x)
-
-
-def sqrt(x):
-    if isinstance(x, Jet):
-        v = sqrt(x.f)
-        return Jet(v, tuple(a / (2.0 * v) for a in x.g))
-    if isinstance(x, np.ndarray):
-        return np.sqrt(x)
-    if isinstance(x, Rec):
-        return x.apply("sqrt")
-    return math.sqrt(x)
-
-
-def tanh(x):
-    if isinstance(x, Jet):
-        t = tanh(x.f)
-        d = 1.0 - t * t
-        return Jet(t, tuple(d * a for a in x.g))
-    if isinstance(x, np.ndarray):
-        return np.tanh(x)
-    if isinstance(x, Rec):
-        return x.apply("tanh")
-    return math.tanh(x)
-
-
-def atan(x):
-    if isinstance(x, Jet):
-        d = 1.0 / (1.0 + x.f * x.f)
-        return Jet(atan(x.f), tuple(d * a for a in x.g))
-    if isinstance(x, np.ndarray):
-        return np.arctan(x)
-    if isinstance(x, Rec):
-        return x.apply("atan")
-    return math.atan(x)
+# jets.sin, jets.cos, ... are the table's functions.
+globals().update(FUNCTIONS)

@@ -27,8 +27,6 @@ import math
 import operator
 from collections import Counter
 
-_RING = ("sin", "cos", "tan", "exp", "log", "sqrt", "tanh", "atan")
-
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": operator.truediv, "**": operator.pow}
 
@@ -61,6 +59,8 @@ class Tape:
         # (target name, or None for a guard; template; operand names;
         #  whether the line runs even when nothing uses its value)
         self.lines = []
+        # the math functions the lines call, by their name in the kernel
+        self.functions = {}
 
     def emit(self, template, value, operands, may_raise=False) -> "Rec":
         name = f"t{len(self.lines)}"
@@ -131,8 +131,7 @@ class Tape:
         ret, _ = fill("".join(_slot(o) + ", " for o in outputs), results)
         args = ", ".join(f"x{i}" for i in range(nargs))
         src = "\n".join([f"def _k({args}):", *body, f"    return ({ret})\n"])
-        ns = {"_" + f: getattr(math, f) for f in _RING}
-        ns.update(inf=math.inf, nan=math.nan, _argmax=_argmax)
+        ns = dict(self.functions, inf=math.inf, nan=math.nan, _argmax=_argmax)
         exec(compile(src, "<charfol kernel>", "exec"), ns)
         return ns["_k"]
 
@@ -227,9 +226,10 @@ class Rec:
         return self.tape.emit("abs({})", abs(self.v), (self,))
 
     def apply(self, fn: str) -> "Rec":
-        """The math function `fn` (one of the jets ring functions)."""
-        return self.tape.emit(f"_{fn}({{}})", getattr(math, fn)(self.v),
-                              (self,), may_raise=True)
+        """The math function `fn` (a row of the jets ring table)."""
+        f = self.tape.functions["_" + fn] = getattr(math, fn)
+        return self.tape.emit(f"_{fn}({{}})", f(self.v), (self,),
+                              may_raise=True)
 
     # comparisons become guards --------------------------------------
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charfol import jets, mori
+from charfol import jets, kernel, mori
 from charfol.exterior import Chart, _fn
 from charfol.expr import FUNCTIONS
 from charfol.jets import Jet
@@ -158,12 +158,41 @@ def test_constant_trees_broadcast():
         assert (av == 2.5).all() and (ag == 0.0).all()
 
 
+# Each function's jet rule as the float operations it must perform: the
+# tangent a of the argument f with value v = fn(f) becomes rule(f, v, a).
+JET_RULES = {
+    "sin": lambda f, v, a: math.cos(f) * a,
+    "cos": lambda f, v, a: -math.sin(f) * a,
+    "tan": lambda f, v, a: (1.0 + v * v) * a,
+    "exp": lambda f, v, a: v * a,
+    "log": lambda f, v, a: a / f,
+    "sqrt": lambda f, v, a: a / (2.0 * v),
+    "tanh": lambda f, v, a: (1.0 - v * v) * a,
+    "atan": lambda f, v, a: (1.0 / (1.0 + f * f)) * a,
+}
+
+
 @pytest.mark.parametrize("name", sorted(FUNCTIONS))
 def test_ring_functions_return_arrays_for_arrays(name):
+    """Every ring, bit for bit: numpy for arrays, the jet rule for jets,
+    math in kernels, traced from plain and from jet arguments."""
     x = np.array([0.5])
     out = FUNCTIONS[name](x)
     assert isinstance(out, np.ndarray) and out.shape == (1,)
     assert out[0] == getattr(np, "arctan" if name == "atan" else name)(0.5)
+
+    # at this point and these tangents, a / d and a * (1 / d) differ
+    fn, rule, x, g = FUNCTIONS[name], JET_RULES[name], 1.3, (0.3, -1.7, 2.9)
+    v = getattr(math, name)(x)
+    want = (v, *(rule(x, v, a) for a in g))
+    j = fn(Jet(x, g))
+    assert (j.f, *j.g) == want
+    assert kernel.run([], lambda xs: (fn(xs[0]),), [x]) == (v,)
+
+    def traced(xs):
+        out = fn(Jet(xs[0], g))
+        return (out.f, *out.g)
+    assert kernel.run([], traced, [x]) == want
 
 
 @pytest.mark.parametrize("left", [np.float64(1.5), np.array([1.5, 0.5])],
