@@ -1,12 +1,14 @@
 """Charts, scalar fields, and exterior algebra.
 
-Differential forms are kept as sparse dictionaries mapping strictly
-increasing index tuples to coefficient fields. The exterior derivative
-produces derivative nodes evaluated through jets, so the usual
-identities hold to machine precision rather than to a finite-difference
-error. AltArray is the purely numeric counterpart used inside hot
-loops: same combinatorics, scalar entries from an arbitrary ring
-(floats, numpy arrays of points, jets over either, nested jets).
+An AltArray is an alternating array kept as a sparse dictionary from
+strictly increasing index tuples to entries of any ring (floats, numpy
+arrays of points, recording scalars, jets over these, nested jets); it
+holds the wedge, interior product and sum. A KForm is an AltArray whose
+entries are ScalarFields of one chart, and adds the exterior
+derivative, which produces derivative nodes evaluated through jets, so
+the usual identities hold to machine precision rather than to a
+finite-difference error. Hot loops run the straight-line kernels of
+`kernel`, which AltArray code traces once per pivot.
 """
 
 from __future__ import annotations
@@ -177,7 +179,8 @@ class ScalarField:
 
 
 def _fn(name: str, f: ScalarField) -> ScalarField:
-    """Apply the named ring function (see expr.FUNCTIONS) to a field."""
+    """Apply the named ring function (a row of the table behind
+    expr.FUNCTIONS, jets._RULES) to a field."""
     return ScalarField(f.chart, Call(name, [f.node]))
 
 
@@ -266,12 +269,19 @@ class AltArray:
         self.deg = deg
         self.comps = dict(comps or {})
 
+    def _like(self, deg, comps):
+        """An array of the same kind and space with the given entries."""
+        return AltArray(self.dim, deg, comps)
+
+    def _check(self, other):
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch")
+
     def get(self, I):
         return self.comps.get(tuple(I), 0.0)
 
     def wedge(self, other):
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
+        self._check(other)
         comps = {}
         for I, a in self.comps.items():
             for J, b in other.comps.items():
@@ -280,7 +290,7 @@ class AltArray:
                     continue
                 term = a * b if s > 0 else -(a * b)
                 comps[K] = comps[K] + term if K in comps else term
-        return AltArray(self.dim, self.deg + other.deg, comps)
+        return self._like(self.deg + other.deg, comps)
 
     def iprod(self, vec):
         comps = {}
@@ -289,7 +299,7 @@ class AltArray:
                 J = I[:p] + I[p + 1:]
                 term = a * vec[i] if p % 2 == 0 else -(a * vec[i])
                 comps[J] = comps[J] + term if J in comps else term
-        return AltArray(self.dim, self.deg - 1, comps)
+        return self._like(self.deg - 1, comps)
 
     def on_frame(self, vectors):
         """Pull back along the linear map sending basis vector a to vectors[a]."""
@@ -307,10 +317,19 @@ class AltArray:
         return AltArray(m, self.deg, out)
 
     def __add__(self, other):
+        self._check(other)
+        if self.deg != other.deg:
+            raise ValueError("degree mismatch")
         comps = dict(self.comps)
         for I, b in other.comps.items():
             comps[I] = comps[I] + b if I in comps else b
-        return AltArray(self.dim, self.deg, comps)
+        return self._like(self.deg, comps)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like(self.deg, {I: -a for I, a in self.comps.items()})
 
     def scale(self, c):
         return AltArray(self.dim, self.deg, {I: c * a for I, a in self.comps.items()})
@@ -345,14 +364,13 @@ def solve_top_contraction(vol_coeff, eta: AltArray):
 
 # symbolic forms -------------------------------------------------------
 
-class KForm:
-    """Differential form with ScalarField coefficients over one chart."""
+class KForm(AltArray):
+    """Differential form: an AltArray whose entries are ScalarFields of
+    one chart."""
 
-    __slots__ = ("chart", "deg", "comps")
+    __slots__ = ("chart",)
 
     def __init__(self, chart: Chart, deg: int, comps: Mapping):
-        self.chart = chart
-        self.deg = deg
         clean = {}
         for I, f in comps.items():
             I = tuple(I)
@@ -364,7 +382,14 @@ class KForm:
             _check_chart(chart, fld.chart)
             if not expr.is_zero(fld.node):
                 clean[I] = fld
-        self.comps = clean
+        super().__init__(chart.dim, deg, clean)
+        self.chart = chart
+
+    def _like(self, deg, comps):
+        return KForm(self.chart, deg, comps)
+
+    def _check(self, other):
+        _check_chart(self.chart, other.chart)
 
     @classmethod
     def one_form(cls, chart: Chart, coeffs) -> "KForm":
@@ -374,18 +399,6 @@ class KForm:
     def volume(cls, chart: Chart) -> "KForm":
         """The ordered coordinate top form with unit coefficient."""
         return cls(chart, chart.dim, {tuple(range(chart.dim)): Const(1.0)})
-
-    def wedge(self, other: "KForm") -> "KForm":
-        _check_chart(self.chart, other.chart)
-        comps = {}
-        for I, f in self.comps.items():
-            for J, g in other.comps.items():
-                s, K = merge_ordered(I, J)
-                if s == 0:
-                    continue
-                term = f * g if s > 0 else -(f * g)
-                comps[K] = comps[K] + term if K in comps else term
-        return KForm(self.chart, self.deg + other.deg, comps)
 
     def d(self) -> "KForm":
         comps = {}
@@ -399,36 +412,12 @@ class KForm:
                 comps[K] = comps[K] + term if K in comps else term
         return KForm(self.chart, self.deg + 1, comps)
 
-    def iprod(self, V) -> "KForm":
-        comps = {}
-        for I, f in self.comps.items():
-            for p, i in enumerate(I):
-                J = I[:p] + I[p + 1:]
-                term = f * V[i] if p % 2 == 0 else -(f * V[i])
-                comps[J] = comps[J] + term if J in comps else term
-        return KForm(self.chart, self.deg - 1, comps)
-
     def at(self, point) -> AltArray:
         return AltArray(self.chart.dim, self.deg,
                         {I: f(point) for I, f in self.comps.items()})
 
     def component(self, I) -> ScalarField:
         return self.comps.get(tuple(I), self.chart.constant(0.0))
-
-    def __add__(self, other):
-        _check_chart(self.chart, other.chart)
-        if self.deg != other.deg:
-            raise ValueError("degree mismatch")
-        comps = {I: f for I, f in self.comps.items()}
-        for I, g in other.comps.items():
-            comps[I] = comps[I] + g if I in comps else g
-        return KForm(self.chart, self.deg, comps)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return KForm(self.chart, self.deg, {I: -f for I, f in self.comps.items()})
 
     def __mul__(self, c):
         return KForm(self.chart, self.deg,
