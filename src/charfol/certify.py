@@ -68,13 +68,20 @@ def _loop_distance(chart, p, loop) -> float:
     return best
 
 
+def _capture_entry(chart, kind, el):
+    """(kind, element, distance from a point to it) for a zero or an orbit."""
+    if kind == "zero":
+        return kind, el, lambda p: float(
+            np.max(np.abs(wrap_diff(chart, p, el.point))))
+    return kind, el, lambda p: _loop_distance(chart, p, el.loop)
+
+
 def _capture_sets(chart, zeros, orbits, sense, dim_surface):
     """(forward, backward) capture predicates under the given time sense."""
     fw, bw = [], []
     for z in zeros:
         sdim = z.stable_dim if sense > 0 else dim_surface - z.stable_dim
-        entry = ("zero", z, lambda p, c=z.point:
-                 float(np.max(np.abs(wrap_diff(chart, p, c)))))
+        entry = _capture_entry(chart, "zero", z)
         if sdim == dim_surface:
             fw.append(entry)
         if sdim == 0:
@@ -82,8 +89,7 @@ def _capture_sets(chart, zeros, orbits, sense, dim_surface):
     for o in orbits:
         sidx = o.info.stable_index if sense > 0 \
             else dim_surface + 1 - o.info.stable_index
-        entry = ("orbit", o, lambda p, lp=o.loop:
-                 _loop_distance(chart, p, lp))
+        entry = _capture_entry(chart, "orbit", o)
         if sidx == dim_surface:
             fw.append(entry)
         if sidx == 1:
@@ -264,11 +270,9 @@ def check_morse_smale(field, zeros=(), orbits=(),
     # swaps the two sets. Only zeros are launched; unstable Floquet
     # bundles of orbits would need a different parametrization and are
     # left to the sampling pass.
-    positive = [("zero", z, lambda p, c=z.point:
-                 float(np.max(np.abs(wrap_diff(chart, p, c)))))
+    positive = [_capture_entry(chart, "zero", z)
                 for z in zeros if z.liouville_sign * sense > 0]
-    positive += [("orbit", o, lambda p, lp=o.loop:
-                  _loop_distance(chart, p, lp))
+    positive += [_capture_entry(chart, "orbit", o)
                  for o in orbits if o.info.liouville_sign * sense > 0]
     approach = 1e-3
     for z in zeros:

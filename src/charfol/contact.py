@@ -394,17 +394,24 @@ def reeb_at(scene: ContactScene, point,
     return _reeb(np.vstack([M.T, a_row]), tols)
 
 
+def _hamiltonian_solve(a_row, M, hval: float, hgrad,
+                       tols: policy.Tolerances):
+    """(dH(R) a - dH, Y) from alpha's data and H's value and gradient."""
+    A = np.vstack([M.T, a_row])
+    R = _reeb(A, tols)
+    rhs_form = float(hgrad @ R) * a_row - hgrad
+    Y = _solve(A, np.append(rhs_form, hval), "Hamiltonian", tols)
+    return rhs_form, Y
+
+
 def _hamiltonian(scene: ContactScene, H: ScalarField, point,
                  tols: policy.Tolerances):
     """(a, M, H, dH(R) a - dH, Y) at one point, each computed once."""
     a_row, M = alpha_data_at(scene, point)
-    A = np.vstack([M.T, a_row])
     hval, hg = H.value_and_grad(point)
     hval = float(fval(hval))
-    hgrad = np.array([fval(g) for g in hg])
-    R = _reeb(A, tols)
-    rhs_form = float(hgrad @ R) * a_row - hgrad
-    Y = _solve(A, np.append(rhs_form, hval), "Hamiltonian", tols)
+    rhs_form, Y = _hamiltonian_solve(
+        a_row, M, hval, np.array([fval(g) for g in hg]), tols)
     return a_row, M, hval, rhs_form, Y
 
 

@@ -26,12 +26,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import certify, jets, policy
 from .contact import (ContactScene, FoliationField, Hypersurface,
-                      alpha_data_at, graph_foliation_check,
-                      hamiltonian_residuals)
+                      _hamiltonian_solve, alpha_data_at,
+                      graph_foliation_check, hamiltonian_residuals)
 from .dynamics import (EventSpec, Flow, RefinedOrbit, _integrate_core,
                        classify_orbit, classify_zero, find_orbit, find_zeros,
                        orbit_info, wrap_diff)
@@ -433,19 +432,6 @@ def torus_probe(scene: MoriScene, samples: int = 100, rng=None) -> dict:
             "slope_note": note}
 
 
-def tune_torus_slope(scene: MoriScene, target=None) -> str:
-    """Historically one adjusts eps until the torus slope is irrational.
-
-    Nothing in this package consumes the rationality of the slope, so
-    there is nothing to adjust; this is a documented no-op that leaves
-    the scene untouched and says so.
-    """
-    return (f"torus slope at eps = {scene.eps:g} is "
-            f"{scene.constants.torus_slope:.12g}; adjustment is a no-op "
-            "because no computed quantity depends on its rationality"
-            + (f" (requested target: {target})" if target is not None else ""))
-
-
 def torus_recurrence_candidate(scene: MoriScene):
     """A recurrence candidate for the certificate machinery.
 
@@ -539,6 +525,7 @@ def _edge_orbit(scene: MoriScene, sign: float,
     # data comes back by inverting.
     expanding = div > 0.0
     tsign = 1.0 if expanding else -1.0
+    from scipy.linalg import expm   # the one scipy use; keeps it off start-up
     M = expm(tsign * T * A)
     orbit = RefinedOrbit(point=p, period=T, residual=transverse,
                          monodromy=M, div_integral=tsign * T * div)
@@ -799,7 +786,8 @@ def _base_scene(spec: PerturbationSpec):
                                 "b": (-spec.box_radius, spec.box_radius)})
 
 
-def _predicted_lift(scene: ContactScene, base: ContactScene, H: ScalarField):
+def _predicted_lift(scene: ContactScene, base: ContactScene, H: ScalarField,
+                    tols: policy.Tolerances):
     """Predicted direction: the s-translation minus the Hamiltonian field,
     lifted to the graph (the t component is forced by tangency)."""
     ch = scene.chart
@@ -808,17 +796,10 @@ def _predicted_lift(scene: ContactScene, base: ContactScene, H: ScalarField):
 
     def predicted(p):
         p = np.asarray(p, dtype=float)
-        q = p[sel]
-        avec, Mm = alpha_data_at(base, q)
-        Asys = np.vstack([Mm.T, avec])
-        rhs = np.zeros(len(q) + 1)
-        rhs[-1] = 1.0
-        R, *_ = np.linalg.lstsq(Asys, rhs, rcond=None)
+        avec, Mm = alpha_data_at(base, p[sel])
         hval, hg = H.value_and_grad(list(p))
         hg = np.asarray(hg, dtype=float)
-        hq = hg[sel]
-        b = np.append(float(hq @ R) * avec - hq, float(hval))
-        Y, *_ = np.linalg.lstsq(Asys, b, rcond=None)
+        _, Y = _hamiltonian_solve(avec, Mm, float(hval), hg[sel], tols)
         out = np.zeros(ch.dim)
         out[is_] = 1.0
         out[sel] = -Y
@@ -911,8 +892,8 @@ def perturb_analysis(spec: PerturbationSpec,
         q[ch.index("psi")] = rng.uniform(0.0, 2.0 * math.pi)
         q[ch.index("t")] = float(H(list(q)))
         pts.append(q)
-    direction = graph_foliation_check(field, _predicted_lift(scene, base, H),
-                                      pts)
+    direction = graph_foliation_check(
+        field, _predicted_lift(scene, base, H, tols), pts)
 
     bch = base.chart
     mid = column_bump(spec)(0.5 * spec.circumference)

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import charfol
 from charfol import report
 from charfol.cli import main
 from charfol.errors import SceneParseError
@@ -289,3 +293,14 @@ def test_thread_env_does_not_change_results(tmp_path, monkeypatch):
                      "--json", str(tmp_path / f"r{k}.json")]) == 0
         outs.append((d / "foliation.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy serves one matrix exponential of the Mori shell census, and
+    every command pays for what `import charfol.cli` loads."""
+    src = os.path.dirname(os.path.dirname(charfol.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, charfol.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -277,13 +277,6 @@ def test_phase_portrait(scene):
         assert abs(res) < 1e-8
 
 
-def test_slope_tuning_is_no_op(scene):
-    before = scene.constants
-    note = mori.tune_torus_slope(scene, target="rational")
-    assert "no-op" in note
-    assert scene.constants == before
-
-
 def test_census_lets_projection_bugs_propagate():
     scene = mori.mori_scene(2, 0.1)
     surf = scene.surface_cartesian
