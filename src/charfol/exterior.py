@@ -332,7 +332,7 @@ class AltArray:
         return self._like(self.deg, {I: -a for I, a in self.comps.items()})
 
     def scale(self, c):
-        return AltArray(self.dim, self.deg, {I: c * a for I, a in self.comps.items()})
+        return self._like(self.deg, {I: c * a for I, a in self.comps.items()})
 
     def max_abs(self):
         return max((abs(fval(a)) for a in self.comps.values()), default=0.0)
