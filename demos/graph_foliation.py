@@ -9,7 +9,7 @@ against it is a strong end-to-end check of the linear algebra.
 import numpy as np
 
 from charfol import (ContactScene, FoliationField, Hypersurface,
-                     graph_foliation_check, policy)
+                     graph_foliation_check)
 from charfol.exterior import Chart, KForm
 
 ch = Chart(("t", "x", "y"))
@@ -22,8 +22,7 @@ scene = ContactScene(ch, alpha, name="paraboloid-graph",
 f = (ch.var("x") ** 2 + ch.var("y") ** 2) * 0.5
 surf = Hypersurface(ch.var("t") - f, label="graph")
 
-tols = policy.DEFAULT
-field = FoliationField(scene, surf, tols)
+field = FoliationField(scene, surf)
 
 
 def predicted(p):

@@ -21,11 +21,11 @@ scene = ContactScene(ch, alpha, name="sphere",
 surf = Hypersurface(x * x + y * y + ch.var("z") * ch.var("z") - 1.0)
 
 tols = policy.DEFAULT
-field = FoliationField(scene, surf, tols)
+field = FoliationField(scene, surf)
 
 # two seeds near the poles; Newton refinement lands on them exactly
 pts = find_zeros(field, [[0.05, -0.03, 0.99], [-0.04, 0.02, -0.99]], tols)
-zeros = [classify_zero(field, p, tols) for p in pts]
+zeros = [classify_zero(field, p) for p in pts]
 for z in zeros:
     print(f"zero at {np.round(z.point, 6)}  sign {z.liouville_sign:+d}  "
           f"stable dim {z.stable_dim}  div {z.divergence:+.4f}")

@@ -103,7 +103,7 @@ def _chase(field, q, sets, sense, tols):
     Returns (label or None, endpoint, note or None).
     """
     flow = Flow(field, tols, sense=sense)
-    radius = tols.capture_radius
+    radius = policy.CAPTURE_RADIUS
     chunk = max(4.0 * tols.ode_max_step, tols.flow_budget / 24.0)
     spent, p = 0.0, np.asarray(q, dtype=float)
     while spent < tols.flow_budget:
@@ -142,26 +142,18 @@ def _angular_recurrence(field, q, sense, tols):
     if best is None or rate < 1e-10:
         return None
     per = chart.periods[chart.names[best]]
-    direction = 1 if field.vector(q)[best] * sense > 0 else -1
-
-    def g(y):
-        return math.sin(2.0 * math.pi * (y[best] - q[best]) / per)
-
-    def grad(y):
-        out = np.zeros(len(y))
-        out[best] = (2.0 * math.pi / per) * math.cos(
-            2.0 * math.pi * (y[best] - q[best]) / per)
-        return out
-
-    ev = EventSpec(fn=g, grad=grad, direction=direction, terminal=True)
+    direction = 1 if X[best] * sense > 0 else -1
     flow = Flow(field, tols, sense=sense)
     budget = 4.0 * tols.flow_budget
-    tube = tols.recurrence_tube * scale
+    tube = policy.RECURRENCE_TUBE * scale
     spent, p = 0.0, q.copy()
     returns, drift, gaps = 0, 0.0, []
     while spent < budget and returns < tols.recurrence_returns:
+        # each leg counts one turn from its own start: a landing a hair
+        # short of the crossing would otherwise fire again at once
+        ev = _turn_event(best, per, p[best], direction)
         try:
-            res = flow.integrate(p, budget - spent)
+            res = flow.integrate(p, budget - spent, event=ev)
         except (EscapeError, IntegrationError):
             break
         if res.status != "event":
@@ -179,6 +171,19 @@ def _angular_recurrence(field, q, sense, tols):
                 "max_drift": drift, "coordinate": chart.names[best],
                 "mean_return_time": float(np.mean(gaps))}
     return None
+
+
+def _turn_event(i: int, per: float, start: float, direction: int):
+    """Event: coordinate i has turned a full period from start."""
+    w = 2.0 * math.pi / per
+
+    def grad(y):
+        out = np.zeros(len(y))
+        out[i] = w * math.cos(w * (y[i] - start))
+        return out
+
+    return EventSpec(fn=lambda y: math.sin(w * (y[i] - start)), grad=grad,
+                     direction=direction)
 
 
 def _unstable_directions(field, point, sense):
@@ -279,7 +284,7 @@ def check_morse_smale(field, zeros=(), orbits=(),
         if z.liouville_sign * sense >= 0:
             continue
         for v in _unstable_directions(field, z.point, sense):
-            start = field.surface.project(z.point + 1e-4 * v, tols)
+            start = field.surface.project(z.point + 1e-4 * v)
             label, endpoint, note = _chase(field, start, positive, sense,
                                            tols)
             if note:
@@ -313,7 +318,7 @@ def check_morse_smale(field, zeros=(), orbits=(),
 
     if seed_points is None:
         seeds = field.surface.project_samples(
-            field.scene.sample_points(rng, samples), tols)
+            field.scene.sample_points(rng, samples))
     else:
         seeds = [np.asarray(q, dtype=float) for q in seed_points]
 

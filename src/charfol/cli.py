@@ -58,11 +58,11 @@ def _base(args, command: str, digest: str) -> dict:
                               policy.profile(args.tolerance_profile))
 
 
-def _field_scene(doc: SceneDocument, tols):
+def _field_scene(doc: SceneDocument):
     if doc.kind == "family":
-        scene = mori_mod.mori_scene(doc.family["n"], doc.family["eps"], tols)
+        scene = mori_mod.mori_scene(doc.family["n"], doc.family["eps"])
         return scene, scene.field_cartesian
-    field = FoliationField(doc.scene, doc.surface, tols)
+    field = FoliationField(doc.scene, doc.surface)
     return doc, field
 
 
@@ -85,21 +85,20 @@ def _grid_points(doc: SceneDocument, k: int):
 
 def cmd_foliation(args) -> int:
     doc = _resolve_scene(args.scene)
-    tols = policy.profile(args.tolerance_profile)
     rep = _base(args, "foliation", report.scene_digest(doc.text))
     rep["scene"] = doc.name
     csvs = {}
     if doc.kind == "family":
-        scene, field = _field_scene(doc, tols)
+        scene, field = _field_scene(doc)
         rng = np.random.default_rng(args.seed)
         pts = mori_mod.sample_surface_polar(scene, rng, args.grid ** 2)
         pts = [scene.cartesian_point(p) for p in pts]
         names = scene.cartesian.chart.names
     elif doc.kind == "field":
-        _, field = _field_scene(doc, tols)
+        _, field = _field_scene(doc)
         names = doc.scene.chart.names
         pts = [p for p in doc.surface.project_samples(
-                   _grid_points(doc, args.grid), tols)
+                   _grid_points(doc, args.grid))
                if doc.scene.in_domain(p)]
     else:
         raise SceneParseError(
@@ -122,12 +121,12 @@ def cmd_foliation(args) -> int:
 
 
 def _field_census(doc: SceneDocument, tols, rng):
-    _, field = _field_scene(doc, tols)
+    _, field = _field_scene(doc)
     seeds = list(doc.analysis.get("zero_seeds", []))
     seeds += doc.surface.project_samples(
-        doc.scene.sample_points(rng, doc.analysis.get("samples", 8)), tols)
+        doc.scene.sample_points(rng, doc.analysis.get("samples", 8)))
     pts = find_zeros(field, seeds, tols)
-    zeros = [classify_zero(field, p, tols) for p in pts]
+    zeros = [classify_zero(field, p) for p in pts]
     zeros.sort(key=lambda z: tuple(np.round(z.point, 9)))
     return field, zeros
 
@@ -139,7 +138,7 @@ def cmd_classify(args) -> int:
     rep = _base(args, "classify", report.scene_digest(doc.text))
     rep["scene"] = doc.name
     if doc.kind == "family":
-        scene, _ = _field_scene(doc, tols)
+        scene, _ = _field_scene(doc)
         cen = mori_mod.census(scene, tols, rng)
         closure = mori_mod.verify_orbit_closure(scene, cen["orbits"], tols)
         rep["elements"] = ([report.zero_row(z) for z in cen["zeros"]]
@@ -169,10 +168,10 @@ def cmd_certify(args) -> int:
         dossier = mori_mod.perturb_analysis(spec, tols, rng)
         cert = dossier["certificate"]
         rep["certificate"] = report.certificate_dict(cert)
-        rep["persistence"] = report.plain(dossier["persistence"])
+        rep["persistence"] = dossier["persistence"]
         rep["verdict"] = cert.verdict
     elif doc.kind == "family":
-        scene, field = _field_scene(doc, tols)
+        scene, field = _field_scene(doc)
         cen = mori_mod.census(scene, tols, rng)
         cand = mori_mod.torus_recurrence_candidate(scene)
         cert = certify_mod.check_morse_smale(
@@ -215,11 +214,11 @@ def cmd_convexify(args) -> int:
                                            samples=500, rng=rng)
     grid = certify_mod.verification_grid()
     rows = report.profile_rows(profile, grid)
-    rep["profile"] = {"n": n, "boundary": report.plain(profile.boundary),
-                      "params": report.plain(profile.params),
+    rep["profile"] = {"n": n, "boundary": profile.boundary,
+                      "params": profile.params,
                       "grid_residuals": profile.grid_residuals}
     rep["gamma"] = gamma.name
-    rep["verification"] = {k: report.plain(v) for k, v in check.items()}
+    rep["verification"] = check
     ok = (profile.grid_residuals > 0.0 and check["positive"]
           and check["matched"])
     rep["verdict"] = "pass" if ok else "fail"
@@ -230,7 +229,7 @@ def cmd_convexify(args) -> int:
 def cmd_mori_reproduce(args) -> int:
     tols = policy.profile(args.tolerance_profile)
     rng = np.random.default_rng(args.seed)
-    scene = mori_mod.mori_scene(args.n, args.eps, tols)
+    scene = mori_mod.mori_scene(args.n, args.eps)
     digest = report.scene_digest(f"mori n={args.n} eps={args.eps!r}")
     rep = _base(args, "mori reproduce", digest)
     rep["family"] = {"n": args.n, "eps": args.eps}
@@ -249,12 +248,12 @@ def cmd_mori_reproduce(args) -> int:
         scene.field_cartesian, zeros=cen["zeros"], orbits=cen["orbits"],
         tols=tols, rng=rng, recurrence_candidates=[cand])
 
-    rep["direction_match"] = report.plain(direction)
-    rep["chart_agreement"] = report.plain(charts)
+    rep["direction_match"] = direction
+    rep["chart_agreement"] = charts
     rep["elements"] = ([report.zero_row(z) for z in cen["zeros"]]
                        + [report.orbit_row(o.info) for o in cen["orbits"]])
-    rep["orbit_closure"] = report.plain(closure)
-    rep["torus_probe"] = report.plain(probe)
+    rep["orbit_closure"] = closure
+    rep["torus_probe"] = probe
     rep["certificate"] = report.certificate_dict(cert)
 
     zs = sorted(float(z.point[-1]) for z in cen["zeros"])
@@ -293,16 +292,15 @@ def cmd_mori_perturb(args) -> int:
     cert = dossier["certificate"]
 
     rep["delta"] = args.delta
-    rep["hamiltonian"] = report.plain(dossier["hamiltonian"])
-    rep["direction_check"] = report.plain(dossier["direction_check"])
-    rep["hamiltonian_residuals"] = report.plain(
-        dossier["hamiltonian_residuals"])
+    rep["hamiltonian"] = dossier["hamiltonian"]
+    rep["direction_check"] = dossier["direction_check"]
+    rep["hamiltonian_residuals"] = dossier["hamiltonian_residuals"]
     rep["orbits"] = [report.orbit_row(o.info) for o in dossier["orbits"]]
     for row, o in zip(rep["orbits"], dossier["orbits"]):
         row["psi"] = o.psi
         row["transverse_shift"] = o.transverse_shift
     rep["degenerate"] = dossier["degenerate"]
-    rep["persistence"] = report.plain(dossier["persistence"])
+    rep["persistence"] = dossier["persistence"]
     rep["certificate"] = report.certificate_dict(cert)
 
     gates = {
@@ -334,8 +332,6 @@ def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="random seed (default 0)")
-    common.add_argument("--grid", type=int, default=12,
-                        help="grid resolution / sample scale (default 12)")
     common.add_argument("--json", metavar="PATH",
                         help="write the JSON report here instead of stdout")
     common.add_argument("--csv-dir", metavar="DIR",
@@ -348,6 +344,8 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("foliation", parents=[common],
                        help="evaluate the foliation field on a grid")
     p.add_argument("scene")
+    p.add_argument("--grid", type=int, default=12,
+                   help="grid resolution (default 12)")
     p.set_defaults(run=cmd_foliation)
 
     p = sub.add_parser("classify", parents=[common],

@@ -105,11 +105,11 @@ class ContactScene:
             top = top.wedge(arrs.dalpha)
         return top.get(tuple(range(self.chart.dim)))
 
-    def verify_contact(self, points, tols: policy.Tolerances = policy.DEFAULT):
+    def verify_contact(self, points):
         """Check non-degeneracy and constant sign at the given points."""
         vals = [fval(self.contact_volume_at(p)) for p in points]
         floor = min(abs(v) for v in vals)
-        if floor <= tols.degenerate_volume:
+        if floor <= policy.DEGENERATE_VOLUME:
             raise ContactConditionError(
                 f"contact volume falls to {floor:.3e} on the sample")
         if min(vals) < 0.0 < max(vals):
@@ -174,17 +174,16 @@ class Hypersurface:
         v, g = self.F.value_and_grad(x)
         return (v, *g)
 
-    def project(self, point, tols: policy.Tolerances = policy.DEFAULT):
+    def project(self, point):
         """Newton steps along grad F back onto the surface."""
-        return np.array(self.project_values(point, tols), dtype=float)
+        return np.array(self.project_values(point), dtype=float)
 
-    def project_values(self, point,
-                       tols: policy.Tolerances = policy.DEFAULT) -> list:
+    def project_values(self, point) -> list:
         """`project` on Python floats: the projected point as a list."""
         x = _coords(point)
-        for _ in range(tols.project_max_iter):
+        for _ in range(policy.PROJECT_MAX_ITER):
             v, *g = run(self._kernels, self._value_and_grad, x)
-            if abs(v) < tols.project_tol:
+            if abs(v) < policy.PROJECT_TOL:
                 return x
             gg = sum(gi * gi for gi in g)
             if gg == 0.0:
@@ -192,17 +191,16 @@ class Hypersurface:
             step = v / gg
             x = [xi - step * gi for xi, gi in zip(x, g)]
         raise ProjectionError(
-            f"projection did not reach |F| < {tols.project_tol:g} "
-            f"in {tols.project_max_iter} steps (|F| = {abs(v):.3e})")
+            f"projection did not reach |F| < {policy.PROJECT_TOL:g} "
+            f"in {policy.PROJECT_MAX_ITER} steps (|F| = {abs(v):.3e})")
 
-    def project_samples(self, points,
-                        tols: policy.Tolerances = policy.DEFAULT) -> list:
+    def project_samples(self, points) -> list:
         """`project` each point, leaving out the points where it fails
         with a CharfolError; any other error propagates."""
         out = []
         for q in points:
             try:
-                out.append(self.project(q, tols))
+                out.append(self.project(q))
             except CharfolError:
                 continue
         return out
@@ -228,13 +226,11 @@ class CharData:
 class FoliationField:
     """The characteristic direction field of one hypersurface in one scene."""
 
-    def __init__(self, scene: ContactScene, surface: Hypersurface,
-                 tols: policy.Tolerances = policy.DEFAULT):
+    def __init__(self, scene: ContactScene, surface: Hypersurface):
         if surface.chart != scene.chart:
             raise ValueError("surface lives on a different chart")
         self.scene = scene
         self.surface = surface
-        self.tols = tols
         self._d = scene.chart.dim
         # traced kernels of _value_outputs and of _jet_outputs
         self._kernels = ([], [])
@@ -248,7 +244,7 @@ class FoliationField:
         N = list(Ng)
         pivot = argmax([abs(fval(c)) for c in N])
         Np = N[pivot]
-        if abs(fval(Np)) < self.tols.degenerate_volume:
+        if abs(fval(Np)) < policy.DEGENERATE_VOLUME:
             raise DegenerateVolumeError(
                 "surface gradient vanishes; the point is not regular")
         frame_coords = [i for i in range(d) if i != pivot]
@@ -264,7 +260,7 @@ class FoliationField:
         for _ in range(n - 1):
             eta = eta.wedge(dbeta)
         omega0 = ring_det([N] + frame)
-        if abs(fval(omega0)) < self.tols.degenerate_volume:
+        if abs(fval(omega0)) < policy.DEGENERATE_VOLUME:
             raise DegenerateVolumeError("degenerate induced volume")
         Xf = solve_top_contraction(omega0, eta)
         X = [0.0] * d
@@ -371,63 +367,60 @@ def alpha_data_at(scene: ContactScene, point):
 
 # Reeb and Hamiltonian solves -----------------------------------------
 
-def _solve(A, b, what: str, tols: policy.Tolerances) -> np.ndarray:
+def _solve(A, b, what: str) -> np.ndarray:
     """Least-squares solve of A x = b, refused above the residual tolerance."""
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
     res = np.max(np.abs(A @ sol - b))
-    if res > tols.linear_residual:
+    if res > policy.LINEAR_RESIDUAL:
         raise ContactConditionError(
-            f"{what} solve residual {res:.3e} exceeds {tols.linear_residual:g}")
+            f"{what} solve residual {res:.3e} exceeds {policy.LINEAR_RESIDUAL:g}")
     return sol
 
 
-def _reeb(A, tols: policy.Tolerances) -> np.ndarray:
+def _reeb(A) -> np.ndarray:
     b = np.zeros(A.shape[0])
     b[-1] = 1.0
-    return _solve(A, b, "Reeb", tols)
+    return _solve(A, b, "Reeb")
 
 
-def reeb_at(scene: ContactScene, point,
-            tols: policy.Tolerances = policy.DEFAULT) -> np.ndarray:
+def reeb_at(scene: ContactScene, point) -> np.ndarray:
     """The unique vector with alpha(R) = 1 annihilating d alpha."""
     a_row, M = alpha_data_at(scene, point)
-    return _reeb(np.vstack([M.T, a_row]), tols)
+    return _reeb(np.vstack([M.T, a_row]))
 
 
-def _hamiltonian_solve(a_row, M, hval: float, hgrad,
-                       tols: policy.Tolerances):
+def _hamiltonian_solve(a_row, M, hval: float, hgrad):
     """(dH(R) a - dH, Y) from alpha's data and H's value and gradient."""
     A = np.vstack([M.T, a_row])
-    R = _reeb(A, tols)
+    R = _reeb(A)
     rhs_form = float(hgrad @ R) * a_row - hgrad
-    Y = _solve(A, np.append(rhs_form, hval), "Hamiltonian", tols)
+    Y = _solve(A, np.append(rhs_form, hval), "Hamiltonian")
     return rhs_form, Y
 
 
-def _hamiltonian(scene: ContactScene, H: ScalarField, point,
-                 tols: policy.Tolerances):
+def _hamiltonian(scene: ContactScene, H: ScalarField, point):
     """(a, M, H, dH(R) a - dH, Y) at one point, each computed once."""
     a_row, M = alpha_data_at(scene, point)
     hval, hg = H.value_and_grad(point)
     hval = float(fval(hval))
     rhs_form, Y = _hamiltonian_solve(
-        a_row, M, hval, np.array([fval(g) for g in hg]), tols)
+        a_row, M, hval, np.array([fval(g) for g in hg]))
     return a_row, M, hval, rhs_form, Y
 
 
-def hamiltonian_field_at(scene: ContactScene, H: ScalarField, point,
-                         tols: policy.Tolerances = policy.DEFAULT) -> np.ndarray:
+def hamiltonian_field_at(scene: ContactScene, H: ScalarField,
+                         point) -> np.ndarray:
     """Solve alpha(Y) = H, i_Y d alpha = dH(R) alpha - dH at one point."""
-    return _hamiltonian(scene, H, point, tols)[-1]
+    return _hamiltonian(scene, H, point)[-1]
 
 
-def hamiltonian_residuals(scene: ContactScene, H: ScalarField, points,
-                          tols: policy.Tolerances = policy.DEFAULT) -> dict:
+def hamiltonian_residuals(scene: ContactScene, H: ScalarField,
+                          points) -> dict:
     """Sup norms of the two defining conditions over a point sample."""
     worst_pair = 0.0
     worst_contact = 0.0
     for p in points:
-        a_row, M, hval, rhs, Y = _hamiltonian(scene, H, p, tols)
+        a_row, M, hval, rhs, Y = _hamiltonian(scene, H, p)
         worst_contact = max(worst_contact, abs(float(a_row @ Y) - hval))
         worst_pair = max(worst_pair, float(np.max(np.abs(M.T @ Y - rhs))))
     return {"alpha_residual": worst_contact, "pairing_residual": worst_pair}

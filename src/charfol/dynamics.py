@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -92,12 +92,12 @@ def _rows(n: int):
 @dataclass
 class EventSpec:
     """Scalar crossing detector g(y) = 0 along a trajectory, with the
-    exact gradient of g used to land on the crossing."""
+    exact gradient of g used to land on the crossing. The first crossing
+    in the given direction ends the integration."""
 
     fn: Callable
     grad: Callable
-    direction: int = 0          # +1 upward crossings, -1 downward, 0 both
-    terminal: bool = True
+    direction: int              # +1 upward crossings, -1 downward
 
 
 def wrap_diff(chart, a, b) -> np.ndarray:
@@ -120,7 +120,7 @@ def _rms(v):
 
 
 def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
-                    events: Sequence[EventSpec] = (), domain_ok=None,
+                    event: EventSpec | None = None, domain_ok=None,
                     record=False):
     """Shared adaptive loop. post() cleans an accepted state (projection);
     domain_ok() raising or returning False stops with an escape.
@@ -129,7 +129,8 @@ def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
     entry by entry: post gets lists, rhs and domain_ok get lists or what
     post returned, and rhs and post may return any sequence (`Flow`'s
     return lists and tuples). Event functions, the returned state, the
-    recorded path and the states in errors are ndarrays.
+    recorded path and the states in errors are ndarrays. A crossing of
+    the event stops the run with status "event".
     """
     z = np.asarray(z0, dtype=float).tolist()
     if post is not None:
@@ -143,7 +144,7 @@ def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
     d0, d1 = _rms(za / sc), _rms(np.asarray(f, dtype=float) / sc)
     h = min(tols.ode_max_step, 0.01 * d0 / d1 if d1 > 1e-12 else tols.ode_max_step)
     h = max(h, 1e-10)
-    gvals = [ev.fn(za) for ev in events]
+    g0 = None if event is None else event.fn(za)
     path = [(0.0, za)] if record else None
     steps = 0
     while t < tmax * (1.0 - 1e-15) :
@@ -166,24 +167,16 @@ def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
             continue
         znew = post(z5) if post is not None else z5
         tnew = t + h
-        hit = None
-        if events:
-            ynew = np.array(znew)
-        for idx, ev in enumerate(events):
-            g0, g1 = gvals[idx], ev.fn(ynew)
-            crossed = (g0 < 0.0 <= g1) if ev.direction > 0 else \
-                      (g0 > 0.0 >= g1) if ev.direction < 0 else \
-                      (g0 * g1 < 0.0 or (g0 != 0.0 and g1 == 0.0))
-            if crossed:
+        if event is not None:
+            g1 = event.fn(np.array(znew))
+            if (g0 < 0.0 <= g1) if event.direction > 0 else (g0 > 0.0 >= g1):
                 t_ev, z_ev = _locate_event(
                     rhs, np.array(z), np.array(k[0]), np.array(z5),
-                    np.array(k[6]), h, ev, tols, post)
-                hit = (idx, t + t_ev, z_ev)
-                if ev.terminal:
-                    return SimpleNamespace(status="event", t=t + t_ev, y=z_ev,
-                                           steps=steps, event=hit, path=path)
-            gvals[idx] = g1
-        if hit is None and domain_ok is not None and not domain_ok(znew):
+                    np.array(k[6]), h, event, tols, post)
+                return SimpleNamespace(status="event", t=t + t_ev, y=z_ev,
+                                       steps=steps, path=path)
+            g0 = g1
+        if domain_ok is not None and not domain_ok(znew):
             raise EscapeError("trajectory left the declared domain",
                               t=tnew, state=np.array(znew))
         t, z, f = tnew, znew, rhs(znew)
@@ -192,7 +185,7 @@ def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
         grow = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
         h = min(tols.ode_max_step, h * grow)
     return SimpleNamespace(status="time", t=t, y=np.array(z), steps=steps,
-                           event=None, path=path)
+                           path=path)
 
 
 def _locate_event(rhs, z0, f0, z1, f1, h, ev: EventSpec,
@@ -242,15 +235,15 @@ class Flow:
         return [-c for c in X] if self.sense < 0 else X
 
     def _post(self, y):
-        return self.field.surface.project_values(y, self.tols)
+        return self.field.surface.project_values(y)
 
     def _domain_ok(self, y):
         return self.field.scene.in_domain(y)
 
-    def integrate(self, y0, tmax, events: Sequence[EventSpec] = (),
+    def integrate(self, y0, tmax, event: EventSpec | None = None,
                   record: bool = False):
         return _integrate_core(self._rhs, y0, tmax, self.tols, post=self._post,
-                               events=events, domain_ok=self._domain_ok,
+                               event=event, domain_ok=self._domain_ok,
                                record=record)
 
     def integrate_variational(self, y0, tmax):
@@ -268,8 +261,7 @@ class Flow:
             return [-c for c in f] if s < 0 else f
 
         def post(z):
-            return [*self.field.surface.project_values(z[:d], self.tols),
-                    *z[d:]]
+            return [*self.field.surface.project_values(z[:d]), *z[d:]]
 
         z0 = np.concatenate([np.asarray(y0, float), np.eye(d).ravel(), [0.0]])
         res = _integrate_core(rhs, z0, tmax, self.tols, post=post,
@@ -318,7 +310,7 @@ class ZeroInfo:
 def refine_zero(field: FoliationField, seed,
                 tols: policy.Tolerances = policy.DEFAULT) -> np.ndarray:
     """Newton on (X, F) jointly; converges to a zero on the surface."""
-    x = field.surface.project(seed, tols)
+    x = field.surface.project(seed)
     scale = 1.0 + float(np.max(np.abs(x)))
     best = None
     for _ in range(tols.newton_max_iter):
@@ -349,7 +341,7 @@ def find_zeros(field: FoliationField, seeds,
             z = refine_zero(field, np.asarray(s, dtype=float), tols)
         except ConstructiveFailure:
             continue
-        if any(np.max(np.abs(wrap_diff(chart, z, q))) < tols.dedup_radius
+        if any(np.max(np.abs(wrap_diff(chart, z, q))) < policy.DEDUP_RADIUS
                for q in out):
             continue
         out.append(z)
@@ -374,15 +366,14 @@ def linearize_zero(field: FoliationField, point):
     return A, data
 
 
-def classify_zero(field: FoliationField, point,
-                  tols: policy.Tolerances = policy.DEFAULT) -> ZeroInfo:
+def classify_zero(field: FoliationField, point) -> ZeroInfo:
     """Linearization and Liouville sign at a zero. A zero of divergence
     exactly 0 has no sign (0) and does not count as hyperbolic."""
     A, _ = linearize_zero(field, point)
     eigs = np.linalg.eigvals(A)
     div = field.divergence(point)
     sign = sign_of(div)
-    band = tols.hyperbolic_band * max(1.0, float(np.max(np.abs(eigs))))
+    band = policy.HYPERBOLIC_BAND * max(1.0, float(np.max(np.abs(eigs))))
     return ZeroInfo(point=np.asarray(point, dtype=float),
                     eigenvalues=eigs,
                     divergence=div,
@@ -422,7 +413,7 @@ def find_orbit(field: FoliationField, seed_point, period_guess: float,
                tols: policy.Tolerances = policy.DEFAULT) -> RefinedOrbit:
     """Newton shooting for a closed orbit from one seed and a period guess."""
     chart = field.scene.chart
-    p0 = field.surface.project(seed_point, tols)
+    p0 = field.surface.project(seed_point)
     scale0 = 1.0 + float(np.max(np.abs(p0)))
     speed_floor = math.sqrt(tols.newton_tol) * scale0
     if float(np.linalg.norm(field.vector(p0))) < speed_floor:
@@ -439,7 +430,7 @@ def find_orbit(field: FoliationField, seed_point, period_guess: float,
     scale = 1.0 + float(np.max(np.abs(p0)))
     last = None
     for _ in range(tols.newton_max_iter):
-        q = field.surface.project(p0 + S @ u, tols)
+        q = field.surface.project(p0 + S @ u)
         try:
             yT, M, w = flow.integrate_variational(q, T)
         except (IntegrationError, EscapeError) as e:
@@ -467,7 +458,7 @@ def find_orbit(field: FoliationField, seed_point, period_guess: float,
             if T_try <= 0.05 * period_guess or T_try > 20.0 * period_guess:
                 lam *= 0.5
                 continue
-            q_try = field.surface.project(p0 + S @ u_try, tols)
+            q_try = field.surface.project(p0 + S @ u_try)
             try:
                 res = flow.integrate(q_try, T_try)
             except (IntegrationError, EscapeError):
@@ -483,8 +474,7 @@ def find_orbit(field: FoliationField, seed_point, period_guess: float,
     raise NoOrbitError(f"no closed orbit from this seed (residual {last})")
 
 
-def classify_orbit(field: FoliationField, orbit: RefinedOrbit,
-                   tols: policy.Tolerances = policy.DEFAULT) -> OrbitInfo:
+def classify_orbit(field: FoliationField, orbit: RefinedOrbit) -> OrbitInfo:
     """Return map data on the section normal to the flow at the base point."""
     p = orbit.point
     n = field.scene.n
@@ -499,7 +489,7 @@ def classify_orbit(field: FoliationField, orbit: RefinedOrbit,
     b[-1] = 1.0
     c, *_ = np.linalg.lstsq(A, b, rcond=None)
     res = float(np.max(np.abs(A @ c - b)))
-    if res > 1e3 * tols.linear_residual * max(1.0, float(np.max(np.abs(Msec)))):
+    if res > 1e3 * policy.LINEAR_RESIDUAL * max(1.0, float(np.max(np.abs(Msec)))):
         raise ContactConditionError(
             f"section form is not contact at the orbit (residual {res:.3e})")
     C = float(lam_row @ (dP @ c))
@@ -518,15 +508,15 @@ def classify_orbit(field: FoliationField, orbit: RefinedOrbit,
         rest.pop(j)
     div_res = abs(orbit.div_integral - math.log(abs(detP))) / max(
         1.0, abs(math.log(abs(detP))))
-    return orbit_info(orbit, eigs, C, det_res, pair_res, div_res, tols)
+    return orbit_info(orbit, eigs, C, det_res, pair_res, div_res)
 
 
 def orbit_info(orbit: RefinedOrbit, multipliers, C: float,
                det_residual: float, pairing_residual: float,
-               div_residual: float, tols: policy.Tolerances) -> OrbitInfo:
+               div_residual: float) -> OrbitInfo:
     """Classify an orbit from its return-map multipliers and conformal
     factor C; the residuals are carried into the record as given."""
-    band = tols.hyperbolic_band
+    band = policy.HYPERBOLIC_BAND
     moduli = np.abs(multipliers)
     return OrbitInfo(point=orbit.point, period=orbit.period,
                      multipliers=multipliers, C=C,

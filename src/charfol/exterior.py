@@ -130,14 +130,6 @@ class ScalarField:
         j = which if isinstance(which, int) else self.chart.index(which)
         return ScalarField(self.chart, expr.deriv(self.node, j))
 
-    def diff(self) -> "KForm":
-        """Exterior derivative, as a one-form."""
-        comps = {}
-        for j in range(self.chart.dim):
-            if expr.uses_var(self.node, j):
-                comps[(j,)] = ScalarField(self.chart, expr.deriv(self.node, j))
-        return KForm(self.chart, 1, comps)
-
     # arithmetic ------------------------------------------------------
 
     def _bin(self, op, other, flip=False):

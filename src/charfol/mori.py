@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -55,8 +56,7 @@ class MoriConstants:
 class MoriScene:
     """Both charts of one member of the family, with their foliations."""
 
-    def __init__(self, n: int, eps: float,
-                 tols: policy.Tolerances = policy.DEFAULT):
+    def __init__(self, n: int, eps: float):
         if int(n) != n or n < 2:
             raise ValueError("n must be an integer >= 2")
         if not 0.0 < eps <= 0.3:
@@ -131,9 +131,9 @@ class MoriScene:
         self.surface_cartesian = Hypersurface(ScalarField(cch, Fc.node),
                                               label="shell")
 
-        self.field_polar = FoliationField(self.polar, self.surface_polar, tols)
+        self.field_polar = FoliationField(self.polar, self.surface_polar)
         self.field_cartesian = FoliationField(self.cartesian,
-                                              self.surface_cartesian, tols)
+                                              self.surface_cartesian)
 
     # point helpers -----------------------------------------------------
 
@@ -173,10 +173,9 @@ class MoriScene:
         return q
 
 
-def mori_scene(n: int = 2, eps: float = 0.1,
-               tols: policy.Tolerances = policy.DEFAULT) -> MoriScene:
+def mori_scene(n: int = 2, eps: float = 0.1) -> MoriScene:
     """Build one member of the family in both charts."""
-    return MoriScene(n, eps, tols)
+    return MoriScene(n, eps)
 
 
 def cartesian_lift(scene: MoriScene, zrr, theta: float = 0.0,
@@ -470,8 +469,7 @@ class CensusOrbit:
     evidence: dict
 
 
-def _edge_orbit(scene: MoriScene, sign: float,
-                tols: policy.Tolerances) -> CensusOrbit:
+def _edge_orbit(scene: MoriScene, sign: float) -> CensusOrbit:
     field = scene.field_cartesian
     eps = scene.eps
     d = scene.cartesian.chart.dim
@@ -529,13 +527,13 @@ def _edge_orbit(scene: MoriScene, sign: float,
     M = expm(tsign * T * A)
     orbit = RefinedOrbit(point=p, period=T, residual=transverse,
                          monodromy=M, div_integral=tsign * T * div)
-    raw = classify_orbit(field, orbit, tols)
+    raw = classify_orbit(field, orbit)
     if expanding:
         info = raw
     else:
         info = orbit_info(orbit, 1.0 / raw.multipliers, 1.0 / raw.C,
                           raw.det_residual, raw.pairing_residual,
-                          raw.div_residual, tols)
+                          raw.div_residual)
     th = np.linspace(0.0, 2.0 * math.pi, 97)[:-1]
     loop = np.zeros((96, d))
     loop[:, 0] = p[0] * np.cos(th)
@@ -566,11 +564,11 @@ def census(scene: MoriScene, tols: policy.Tolerances = policy.DEFAULT,
         q[-1] = s * az
         seeds.append(q)
     seeds += scene.surface_cartesian.project_samples(
-        scene.cartesian.sample_points(rng, 12), tols)
+        scene.cartesian.sample_points(rng, 12))
     pts = find_zeros(field, seeds, tols)
-    zeros = [classify_zero(field, p, tols) for p in pts]
+    zeros = [classify_zero(field, p) for p in pts]
     zeros.sort(key=lambda zi: zi.point[-1])
-    orbits = [_edge_orbit(scene, -1.0, tols), _edge_orbit(scene, +1.0, tols)]
+    orbits = [_edge_orbit(scene, -1.0), _edge_orbit(scene, +1.0)]
     return {"zeros": zeros, "orbits": orbits}
 
 
@@ -594,8 +592,8 @@ def verify_orbit_closure(scene: MoriScene, orbits,
         e1 = np.zeros(len(p))
         e1[1] = 1.0
         ev = EventSpec(fn=lambda y: float(y[1]), grad=lambda y: e1,
-                       direction=direction, terminal=True)
-        res = flow.integrate(p, 1.4 * T, events=[ev])
+                       direction=direction)
+        res = flow.integrate(p, 1.4 * T, event=ev)
         if res.status != "event":
             raise ConstructiveFailure("orbit loop produced no section return")
         gap = float(np.max(np.abs(res.y - p)))
@@ -648,12 +646,12 @@ def phase_portrait_data(scene: MoriScene, trajectories: int = 6,
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """Shape parameters of the compactly supported contact Hamiltonian.
+    """Strength and shape of the compactly supported contact Hamiltonian.
 
-    The profile lives on a circle of the given circumference; delta
-    bounds the sup norm of the Hamiltonian and of its first derivatives,
-    and everything else fixes where the bump lives and how fast it dies.
-    The defaults keep every slope bound proportional to delta alone: a
+    delta bounds the sup norm of the Hamiltonian and of its first
+    derivatives; it is the one setting. The class constants fix the
+    circle the profile lives on, where the bump lives and how fast it
+    dies. They keep every slope bound proportional to delta alone: a
     short circle cannot host a bump that is simultaneously C1-small,
     numerically supported inside the column, and large enough in
     integral to give usable multiplier margins, which is why the
@@ -661,24 +659,17 @@ class PerturbationSpec:
     """
 
     delta: float = 0.05
-    circumference: float = 60.0
-    column: tuple = (0.5, 59.5)
-    bump_scale: float = 1.35
-    bump_depth: float = 28.0
-    window_edge: float = 18.0
-    window_scale: float = 13.5
-    box_radius: float = 19.0
-    plateau_radius: float = 0.5
+    circumference: ClassVar[float] = 60.0
+    column: ClassVar[tuple] = (0.5, 59.5)
+    bump_scale: ClassVar[float] = 1.35
+    bump_depth: ClassVar[float] = 28.0
+    window_edge: ClassVar[float] = 18.0
+    window_scale: ClassVar[float] = 13.5
+    box_radius: ClassVar[float] = 19.0
 
     def __post_init__(self):
         if not self.delta > 0.0:
             raise ValueError("delta must be positive")
-        if not 0.0 < self.column[0] < self.column[1] < self.circumference:
-            raise ValueError("column interval must sit inside the circle")
-        if min(self.bump_scale, self.bump_depth, self.window_scale) <= 0.0:
-            raise ValueError("profile scales must be positive")
-        if self.window_edge >= self.box_radius:
-            raise ValueError("box must contain the transverse window edge")
 
 
 def _column_bump_tree(spec: PerturbationSpec, s: ScalarField) -> ScalarField:
@@ -713,7 +704,7 @@ def _column_profile_data(spec: PerturbationSpec) -> dict:
 
     The amplitude is chosen from the measured slopes so that the sup
     norms of H and dH land just under delta whatever the shape
-    parameters are; nothing here assumes the defaults.
+    constants are; nothing here assumes their values.
     """
     L = spec.circumference
     chi = _column_bump_tree(spec, Chart(("s",)).var("s"))
@@ -786,8 +777,7 @@ def _base_scene(spec: PerturbationSpec):
                                 "b": (-spec.box_radius, spec.box_radius)})
 
 
-def _predicted_lift(scene: ContactScene, base: ContactScene, H: ScalarField,
-                    tols: policy.Tolerances):
+def _predicted_lift(scene: ContactScene, base: ContactScene, H: ScalarField):
     """Predicted direction: the s-translation minus the Hamiltonian field,
     lifted to the graph (the t component is forced by tangency)."""
     ch = scene.chart
@@ -799,7 +789,7 @@ def _predicted_lift(scene: ContactScene, base: ContactScene, H: ScalarField,
         avec, Mm = alpha_data_at(base, p[sel])
         hval, hg = H.value_and_grad(list(p))
         hg = np.asarray(hg, dtype=float)
-        _, Y = _hamiltonian_solve(avec, Mm, float(hval), hg[sel], tols)
+        _, Y = _hamiltonian_solve(avec, Mm, float(hval), hg[sel])
         out = np.zeros(ch.dim)
         out[is_] = 1.0
         out[sel] = -Y
@@ -832,7 +822,7 @@ def _column_orbit(field: FoliationField, H: ScalarField, psi0: float,
     sdot = float(field.vector(seed)[ch.index("s")])
     guess = spec.circumference / abs(sdot)
     orb = find_orbit(field, seed, guess, tols)
-    info = classify_orbit(field, orb, tols)
+    info = classify_orbit(field, orb)
     p = orb.point
     psi = float(p[ch.index("psi")])
     psi = (psi + math.pi) % (2.0 * math.pi) - math.pi
@@ -866,7 +856,7 @@ def perturb_analysis(spec: PerturbationSpec,
         raise ValueError("perturbation strengths above 0.1 are out of scope")
     rng = np.random.default_rng(0) if rng is None else rng
     scene, surface, info = column_scene(spec)
-    field = FoliationField(scene, surface, tols)
+    field = FoliationField(scene, surface)
     H = info["H"]
     prof = info["profile"]
     ch = scene.chart
@@ -893,7 +883,7 @@ def perturb_analysis(spec: PerturbationSpec,
         q[ch.index("t")] = float(H(list(q)))
         pts.append(q)
     direction = graph_foliation_check(
-        field, _predicted_lift(scene, base, H, tols), pts)
+        field, _predicted_lift(scene, base, H), pts)
 
     bch = base.chart
     mid = column_bump(spec)(0.5 * spec.circumference)

@@ -1,41 +1,49 @@
 """Numerical policy: every tolerance and budget in one place.
 
-Library code never hard-codes a threshold. Each entry point accepts a
-Tolerances instance (defaulting to DEFAULT) so the command line can swap
-profiles uniformly without touching call sites.
+Library code never hard-codes a threshold. The thresholds that no
+profile changes are module constants. The ones a profile or a caller
+varies are the fields of Tolerances; each entry point that reads one
+accepts a Tolerances instance (defaulting to DEFAULT), so the command
+line can swap profiles uniformly without touching call sites.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+# linear algebra
+LINEAR_RESIDUAL = 1e-10     # accept a linear solve only below this
+DEGENERATE_VOLUME = 1e-12   # |volume coefficient| below this is degenerate
+
+# Newton projection onto the surface
+PROJECT_TOL = 1e-12
+PROJECT_MAX_ITER = 20
+
+# zeros closer than this (angular coordinates wrapped) are one zero
+DEDUP_RADIUS = 1e-6
+
+# distance of |multiplier| from 1 that still counts as 1
+HYPERBOLIC_BAND = 1e-6
+
+# certification by flowing to limits
+CAPTURE_RADIUS = 2e-2       # declared converged once inside and contracting
+RECURRENCE_TUBE = 1e-2
+
 
 @dataclass(frozen=True)
 class Tolerances:
-    # linear algebra
-    linear_residual: float = 1e-10    # accept a linear solve only below this
-    degenerate_volume: float = 1e-12  # |volume coefficient| below this is degenerate
-
     # integration
     ode_rtol: float = 1e-9
     ode_atol: float = 1e-10
     ode_max_step: float = 0.25
     ode_max_steps: int = 200_000
-    project_tol: float = 1e-12
-    project_max_iter: int = 20
 
     # root finding (field zeros, periodic orbits)
     newton_tol: float = 1e-11
     newton_max_iter: int = 40
-    dedup_radius: float = 1e-6
-
-    # classification of linearizations and return maps
-    hyperbolic_band: float = 1e-6     # distance of |multiplier| from 1 that still counts as 1
 
     # certification by flowing to limits
-    capture_radius: float = 2e-2      # declared converged once inside and contracting
     flow_budget: float = 400.0        # max flow time per limit-tracking run
-    recurrence_tube: float = 1e-2
     recurrence_returns: int = 50
 
 

@@ -116,25 +116,10 @@ def certificate_dict(cert) -> dict:
                 {"from": np.asarray(v["from"], dtype=float),
                  "to": np.asarray(v["to"], dtype=float),
                  "kind": v["kind"]} for v in cert.connection_violations],
-            "recurrence": [plain(r) for r in cert.recurrence],
+            "recurrence": list(cert.recurrence),
             "seeds_used": int(cert.seeds_used),
             "transversality": cert.transversality,
             "notes": list(cert.notes)}
-
-
-def plain(obj):
-    """Recursive conversion of mixed evidence dicts to writable values."""
-    if isinstance(obj, dict):
-        return {str(k): plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
 
 
 def base_report(command: str, digest: str, seed: int, profile: str,

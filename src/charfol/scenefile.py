@@ -8,8 +8,9 @@ the listed functions); see docs/scene-format.md for the full schema.
 
 Four shapes of scene exist and the present blocks decide which:
 chart+alpha+hypersurface give a "field" scene, a family block gives a
-built-in family instance, a perturbation block the column model, and a
-convexity block a profile-construction job. Unknown blocks and unknown
+built-in family instance, a perturbation block (with no field, family
+or convexity block beside it) the column model, and a convexity block
+a profile-construction job. Unknown blocks and unknown
 keys inside a block are rejected with their position; so are duplicate
 keys, since silently taking the later one has burned enough people.
 """
@@ -35,7 +36,7 @@ _BLOCK_KEYS = {
     "convexity": {"n", "h_minus", "h_plus", "rho_range", "rho_count",
                   "stiffness", "gamma"},
     "family": {"kind", "n", "eps"},
-    "perturbation": {"delta", "circumference"},
+    "perturbation": {"delta"},
 }
 
 
@@ -81,7 +82,6 @@ def _collect_blocks(text: str):
     """First pass: raw block table, no interpretation of values yet."""
     name = None
     blocks: dict[str, dict[str, _Entry]] = {}
-    order: list[tuple[str, int]] = []
     current = None
     for lineno, content, col in _split_lines(text):
         if "=" not in content:
@@ -106,7 +106,6 @@ def _collect_blocks(text: str):
                 raise SceneParseError(f"duplicate block {head!r}",
                                       lineno, col)
             blocks[head] = {}
-            order.append((head, lineno))
             current = head
             continue
         if current is None:
@@ -376,16 +375,13 @@ def parse_scene(text: str, path: str | None = None) -> SceneDocument:
         doc.kind = "family"
 
     if "perturbation" in blocks:
+        if doc.kind != "":
+            raise SceneParseError("a perturbation scene takes no field, "
+                                  "family or convexity block")
         p = blocks["perturbation"]
-        pert = {}
-        if "delta" in p:
-            pert["delta"] = _float(p["delta"], "delta")
-        if "circumference" in p:
-            pert["circumference"] = _float(p["circumference"],
-                                           "circumference")
-        doc.perturbation = pert
-        if doc.kind in ("", "family"):
-            doc.kind = "perturbation" if doc.kind == "" else doc.kind
+        doc.perturbation = ({"delta": _float(p["delta"], "delta")}
+                            if "delta" in p else {})
+        doc.kind = "perturbation"
 
     if doc.kind == "":
         raise SceneParseError(

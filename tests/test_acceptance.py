@@ -307,7 +307,7 @@ def test_criterion_9_invariance_suite(scene2):
 
     # conformal rescaling: 100 points across n = 1 and n = 2 scenes
     ch, scene, surf = _sphere()
-    field = FoliationField(scene, surf, tols)
+    field = FoliationField(scene, surf)
     pts = surface_samples(scene, surf, rng, 60)
     g = 1.5 + 0.3 * ch.var("x") - 0.2 * ch.var("y") * ch.var("z")
     dev1, _ = conformal_deviation(scene, surf, g, 1, pts)
@@ -323,7 +323,7 @@ def test_criterion_9_invariance_suite(scene2):
     # volume rescaling: 50 scalings x 2 zeros = 100 element checks
     zpts = find_zeros(field, [[0.05, -0.03, 0.99], [-0.04, 0.02, -0.99]],
                       tols)
-    base = [classify_zero(field, p, tols) for p in zpts]
+    base = [classify_zero(field, p) for p in zpts]
     volume_ok, n_vol = True, 0
     for _ in range(50):
         a = rng.uniform(-0.6, 0.6, size=3)
@@ -337,7 +337,7 @@ def test_criterion_9_invariance_suite(scene2):
 
         wrapped = RescaledField(field, h, gh)
         for z in base:
-            w = classify_zero(wrapped, z.point, tols)
+            w = classify_zero(wrapped, z.point)
             volume_ok = volume_ok and (
                 w.liouville_sign == z.liouville_sign
                 and int(np.sign(w.divergence)) == int(np.sign(z.divergence))
@@ -365,7 +365,7 @@ def test_criterion_9_invariance_suite(scene2):
     rev = RescaledField(field, lambda p: -1.0)
     swap_ok = True
     for z in base:
-        w = classify_zero(rev, z.point, tols)
+        w = classify_zero(rev, z.point)
         swap_ok = swap_ok and (w.liouville_sign == -z.liouville_sign
                                and w.stable_dim == 2 - z.stable_dim)
     seeds = [p / np.linalg.norm(p) for p in rng.normal(size=(100, 3))]

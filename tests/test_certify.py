@@ -152,6 +152,25 @@ def test_more_budget_never_flips_pass_to_fail(s2, sphere_seeds):
     assert cert_small.limit_check <= cert_big.limit_check + 1e-12
 
 
+def test_recurrent_sampled_trajectory_fails():
+    # alpha = dz + x dy on R x T^2: on the torus x = 1 every leaf is a
+    # closed loop of period 2 pi, with no element to be captured by
+    ch = Chart(["x", "y", "z"], angular=("y", "z"))
+    x_, _, _ = ch.vars()
+    scene = ContactScene(ch, KForm(ch, 1, {(1,): x_, (2,): ch.constant(1.0)}),
+                         name="torus")
+    fld = FoliationField(scene, Hypersurface(x_ - 1.0, label="torus"))
+    cert = check_morse_smale(fld, seed_points=[[1.0, 0.3, 0.5]],
+                             tols=policy.replace(policy.DEFAULT,
+                                                 flow_budget=100.0))
+    assert cert.verdict == "fail"
+    assert any("recurrent" in r for r in cert.reasons)
+    assert len(cert.recurrence) == 2        # forward and backward
+    for rec in cert.recurrence:
+        assert rec["returns"] == 50
+        assert abs(rec["mean_return_time"] - 2.0 * math.pi) < 1e-9
+
+
 # convexity profiles ----------------------------------------------------
 
 S_GRID = verification_grid()
@@ -305,11 +324,11 @@ def test_seed_projection_bugs_propagate():
     real = fld.surface.project
     calls = []
 
-    def project(point, tols=policy.DEFAULT):
+    def project(point):
         calls.append(point)
         if len(calls) == 1:
             raise RuntimeError("bug in projection")
-        return real(point, tols)
+        return real(point)
 
     fld.surface.project = project
     with pytest.raises(RuntimeError, match="bug in projection"):

@@ -138,6 +138,17 @@ convexity
     assert doc.convexity["rho_count"] == 9
 
 
+@pytest.mark.parametrize("other", [
+    FIELD_SCENE.replace("scene demo\n", ""),
+    "family\n  kind = mori\n",
+    "convexity\n  n = 1\n  h_minus = 1.0 0.6\n  h_plus = 1.0 -0.6\n",
+], ids=["field", "family", "convexity"])
+def test_perturbation_takes_no_other_kind(other):
+    text = f"scene mixed\nperturbation\n  delta = 0.05\n{other}"
+    with pytest.raises(SceneParseError, match="perturbation scene"):
+        parse_scene(text)
+
+
 def test_bundled_scenes_parse():
     from importlib import resources
     base = resources.files("charfol") / "scenes"

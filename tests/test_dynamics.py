@@ -49,7 +49,7 @@ def test_event_location_is_precise():
     flow = Flow(fld)
     ev = EventSpec(fn=lambda y: y[0] - 2.0, direction=+1,
                    grad=lambda y: np.array([1.0, 0.0, 0.0]))
-    res = flow.integrate([0.5, 0.1, 0.0], 5.0, events=[ev])
+    res = flow.integrate([0.5, 0.1, 0.0], 5.0, event=ev)
     assert res.status == "event"
     t_true = 0.5 * math.log(4.0)
     assert abs(res.t - t_true) < 1e-9

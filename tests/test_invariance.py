@@ -65,12 +65,12 @@ def sphere_setup():
     return ch, scene, surf
 
 
-def surface_samples(scene, surf, rng, count, tols=policy.DEFAULT):
+def surface_samples(scene, surf, rng, count):
     pts = []
     while len(pts) < count:
         for q in scene.sample_points(rng, count):
             try:
-                p = surf.project(q, tols)
+                p = surf.project(q)
             except Exception:
                 continue
             if scene.in_domain(p):
@@ -82,12 +82,12 @@ def surface_samples(scene, surf, rng, count, tols=policy.DEFAULT):
 
 # conformal invariance ----------------------------------------------------
 
-def conformal_deviation(scene, surf, g, n, points, tols=policy.DEFAULT):
+def conformal_deviation(scene, surf, g, n, points):
     """Worst direction deviation and factor error for alpha -> g alpha."""
     scaled = ContactScene(scene.chart, scene.alpha * g, name="scaled",
                           domain=dict(scene.domain))
-    f1 = FoliationField(scene, surf, tols)
-    f2 = FoliationField(scaled, surf, tols)
+    f1 = FoliationField(scene, surf)
+    f2 = FoliationField(scaled, surf)
     worst_dir = worst_fac = 0.0
     for p in points:
         X1, X2 = f1.vector(p), f2.vector(p)
@@ -127,10 +127,10 @@ def test_conformal_invariance_on_shell_n2():
 def test_divergence_sign_survives_volume_rescaling():
     ch, scene, surf = sphere_setup()
     tols = policy.DEFAULT
-    field = FoliationField(scene, surf, tols)
+    field = FoliationField(scene, surf)
     pts = find_zeros(field, [[0.05, -0.03, 0.99], [-0.04, 0.02, -0.99]],
                      tols)
-    base = [classify_zero(field, p, tols) for p in pts]
+    base = [classify_zero(field, p) for p in pts]
     rng = np.random.default_rng(7)
     checked = 0
     for _ in range(25):
@@ -145,7 +145,7 @@ def test_divergence_sign_survives_volume_rescaling():
 
         wrapped = RescaledField(field, h, grad_h)
         for z in base:
-            w = classify_zero(wrapped, z.point, tols)
+            w = classify_zero(wrapped, z.point)
             assert w.liouville_sign == z.liouville_sign
             assert int(np.sign(w.divergence)) == int(np.sign(z.divergence))
             assert w.stable_dim == z.stable_dim
@@ -186,13 +186,13 @@ def test_angular_shift_invariance_on_shell():
 def test_time_reversal_swaps_census_signs():
     ch, scene, surf = sphere_setup()
     tols = policy.DEFAULT
-    field = FoliationField(scene, surf, tols)
+    field = FoliationField(scene, surf)
     pts = find_zeros(field, [[0.05, -0.03, 0.99], [-0.04, 0.02, -0.99]],
                      tols)
-    fw = [classify_zero(field, p, tols) for p in pts]
+    fw = [classify_zero(field, p) for p in pts]
     rev = RescaledField(field, lambda p: -1.0)
     for z in fw:
-        w = classify_zero(rev, z.point, tols)
+        w = classify_zero(rev, z.point)
         assert w.liouville_sign == -z.liouville_sign
         assert w.divergence == pytest.approx(-z.divergence)
         assert w.stable_dim == 2 - z.stable_dim
@@ -212,10 +212,10 @@ def test_time_reversal_swaps_shell_census():
 def test_time_reversed_certificate_passes_on_sphere():
     ch, scene, surf = sphere_setup()
     tols = policy.DEFAULT
-    field = FoliationField(scene, surf, tols)
+    field = FoliationField(scene, surf)
     pts = find_zeros(field, [[0.05, -0.03, 0.99], [-0.04, 0.02, -0.99]],
                      tols)
-    zeros = [classify_zero(field, p, tols) for p in pts]
+    zeros = [classify_zero(field, p) for p in pts]
     rng = np.random.default_rng(19)
     seeds = [p / np.linalg.norm(p)
              for p in rng.normal(size=(8, 3))]

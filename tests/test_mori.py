@@ -283,11 +283,11 @@ def test_census_lets_projection_bugs_propagate():
     real = surf.project
     calls = []
 
-    def project(point, tols=policy.DEFAULT):
+    def project(point):
         calls.append(point)
         if len(calls) == 1:
             raise RuntimeError("bug in projection")
-        return real(point, tols)
+        return real(point)
 
     surf.project = project
     with pytest.raises(RuntimeError, match="bug in projection"):
