@@ -54,18 +54,21 @@ class MorseSmaleCertificate:
     notes: list = dc_field(default_factory=list)
 
 
-def _loop_distance(chart, p, loop) -> float:
-    """Distance from a point to a closed polyline, angular coords wrapped."""
-    best = math.inf
-    k = len(loop)
-    for i in range(k):
-        a, b = loop[i], loop[(i + 1) % k]
+def _loop_distance(chart, loop):
+    """Distance from a point to a closed polyline, angular coords wrapped,
+    as a function of the point; the wrapped edges are computed once."""
+    a = np.asarray(loop, dtype=float)
+    seg = wrap_diff(chart, np.roll(a, -1, axis=0), a)
+    ss = np.einsum("ij,ij->i", seg, seg)
+
+    def dist(p):
         d0 = wrap_diff(chart, p, a)
-        seg = wrap_diff(chart, b, a)
-        ss = float(seg @ seg)
-        t = 0.0 if ss == 0.0 else min(max(float(d0 @ seg) / ss, 0.0), 1.0)
-        best = min(best, float(np.linalg.norm(d0 - t * seg)))
-    return best
+        t = np.divide(np.einsum("ij,ij->i", d0, seg), ss,
+                      out=np.zeros_like(ss), where=ss != 0.0)
+        r = d0 - np.clip(t, 0.0, 1.0)[:, None] * seg
+        return math.sqrt(float(np.min(np.einsum("ij,ij->i", r, r))))
+
+    return dist
 
 
 def _capture_entry(chart, kind, el):
@@ -73,7 +76,7 @@ def _capture_entry(chart, kind, el):
     if kind == "zero":
         return kind, el, lambda p: float(
             np.max(np.abs(wrap_diff(chart, p, el.point))))
-    return kind, el, lambda p: _loop_distance(chart, p, el.loop)
+    return kind, el, _loop_distance(chart, el.loop)
 
 
 def _capture_sets(chart, zeros, orbits, sense, dim_surface):
@@ -230,6 +233,12 @@ def check_morse_smale(field, zeros=(), orbits=(),
     violations = []
     elements = {"zeros": list(zeros), "orbits": list(orbits)}
 
+    def skipped(note):
+        return MorseSmaleCertificate(
+            verdict="fail", reasons=reasons, elements=elements,
+            limit_check=0.0, connection_violations=[], recurrence=recurrence,
+            seeds_used=0, notes=[f"{note}; sampling skipped"])
+
     for z in zeros:
         if z.liouville_sign == 0:
             reasons.append(
@@ -248,11 +257,7 @@ def check_morse_smale(field, zeros=(), orbits=(),
                 f"orbit through {np.round(o.info.point, 6)} has conformal "
                 "factor C = 1, so no Liouville sign")
     if reasons:
-        return MorseSmaleCertificate(
-            verdict="fail", reasons=reasons, elements=elements,
-            limit_check=0.0, connection_violations=[], recurrence=[],
-            seeds_used=0,
-            notes=["hyperbolicity gate failed; sampling skipped"])
+        return skipped("hyperbolicity gate failed")
 
     for cand in recurrence_candidates:
         evidence = cand.verify(field, tols)
@@ -262,11 +267,7 @@ def check_morse_smale(field, zeros=(), orbits=(),
                                **evidence})
             reasons.append(f"verified recurrence: {cand.description}")
     if reasons:
-        return MorseSmaleCertificate(
-            verdict="fail", reasons=reasons, elements=elements,
-            limit_check=0.0, connection_violations=[], recurrence=recurrence,
-            seeds_used=0,
-            notes=["a recurrence candidate verified; sampling skipped"])
+        return skipped("a recurrence candidate verified")
 
     fw, bw = _capture_sets(chart, zeros, orbits, sense, dim_surface)
 

@@ -7,7 +7,9 @@ projection removes roundoff drift rather than fighting the dynamics.
 Variational runs carry the ambient monodromy matrix and the divergence
 integral alongside the state, all sourced from one jet pass per stage.
 The loop runs on lists of Python floats, with stage sums generated as
-straight-line code per state length.
+straight-line code per state length. Shooting for closed orbits scores
+its line-search trials with variational runs too, so an accepted trial
+is already the next Newton shot.
 
 Angular coordinates integrate unwrapped; closure of orbits and
 deduplication of elements are tested modulo the period.
@@ -101,12 +103,12 @@ class EventSpec:
 
 
 def wrap_diff(chart, a, b) -> np.ndarray:
-    """Componentwise a - b, angular entries reduced to (-period/2, period/2]."""
+    """a - b, angular entries (last axis) wrapped to (-period/2, period/2]."""
     out = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
     for name in chart.angular:
         i = chart.index(name)
         per = chart.periods[name]
-        out[i] = (out[i] + 0.5 * per) % per - 0.5 * per
+        out[..., i] = (out[..., i] + 0.5 * per) % per - 0.5 * per
     return out
 
 
@@ -274,16 +276,12 @@ class Flow:
 
 # tangent machinery ----------------------------------------------------
 
-def tangent_orthobasis(field: FoliationField, point) -> np.ndarray:
-    """Orthonormal columns spanning the surface tangent space (d x 2n)."""
+def flow_split_basis(field: FoliationField, point):
+    """(Q, S): orthonormal columns spanning the surface tangent space
+    (d x 2n), and the section normal to the flow inside it (d x 2n-1)."""
     data = field.char_data([float(v) for v in point])
     V = np.array(data.frame, dtype=float).T
     Q, _ = np.linalg.qr(V)
-    return Q
-
-def flow_split_basis(field: FoliationField, point):
-    """(unit flow direction, orthonormal section basis) inside the tangent space."""
-    Q = tangent_orthobasis(field, point)
     X = field.vector(point)
     xc = Q.T @ X
     nx = np.linalg.norm(xc)
@@ -291,8 +289,7 @@ def flow_split_basis(field: FoliationField, point):
         raise ValueError("point is a zero of the field; no flow direction")
     xc = (xc / nx).reshape(-1, 1)
     full, _ = np.linalg.qr(xc, mode="complete")
-    S = Q @ full[:, 1:]
-    return Q @ xc[:, 0], S
+    return Q, Q @ full[:, 1:]
 
 
 # zeros ----------------------------------------------------------------
@@ -411,34 +408,35 @@ class OrbitInfo:
 
 def find_orbit(field: FoliationField, seed_point, period_guess: float,
                tols: policy.Tolerances = policy.DEFAULT) -> RefinedOrbit:
-    """Newton shooting for a closed orbit from one seed and a period guess."""
+    """Newton shooting for a closed orbit from one seed and a period guess;
+    line-search trials are variational shots, and an accepted one is next."""
     chart = field.scene.chart
     p0 = field.surface.project(seed_point)
-    scale0 = 1.0 + float(np.max(np.abs(p0)))
-    speed_floor = math.sqrt(tols.newton_tol) * scale0
+    scale = 1.0 + float(np.max(np.abs(p0)))
+    speed_floor = math.sqrt(tols.newton_tol) * scale
     if float(np.linalg.norm(field.vector(p0))) < speed_floor:
         raise NoOrbitError("seed point is (numerically) a zero of the field")
-    Q = tangent_orthobasis(field, p0)
     try:
-        _, S = flow_split_basis(field, p0)
+        Q, S = flow_split_basis(field, p0)
     except ValueError:
         raise NoOrbitError("seed point is a zero of the field") from None
     m = S.shape[1]
     flow = Flow(field, tols)
-    u = np.zeros(m)
-    T = float(period_guess)
-    scale = 1.0 + float(np.max(np.abs(p0)))
-    last = None
-    for _ in range(tols.newton_max_iter):
+
+    def shoot(u, T):
         q = field.surface.project(p0 + S @ u)
-        try:
-            yT, M, w = flow.integrate_variational(q, T)
-        except (IntegrationError, EscapeError) as e:
-            raise NoOrbitError(
-                f"shooting could not complete a loop ({e})") from e
-        diff = wrap_diff(chart, yT, q)
-        r = Q.T @ diff
-        rn = float(np.max(np.abs(r)))
+        yT, M, w = flow.integrate_variational(q, T)
+        r = Q.T @ wrap_diff(chart, yT, q)
+        return q, yT, M, w, r, float(np.max(np.abs(r)))
+
+    u, T = np.zeros(m), float(period_guess)
+    try:
+        shot = shoot(u, T)
+    except (IntegrationError, EscapeError) as e:
+        raise NoOrbitError(
+            f"shooting could not complete a loop ({e})") from e
+    for _ in range(tols.newton_max_iter):
+        q, yT, M, w, r, rn = shot
         if rn < tols.newton_tol * scale * 10.0:
             if float(np.linalg.norm(field.vector(q))) < speed_floor:
                 raise NoOrbitError("refinement collapsed onto a zero")
@@ -450,7 +448,7 @@ def find_orbit(field: FoliationField, seed_point, period_guess: float,
         step, *_ = np.linalg.lstsq(Amat, -r, rcond=None)
         if not np.all(np.isfinite(step)):
             raise NoOrbitError("singular shooting system")
-        # damped update, trial residuals with plain integration
+        # damped update; an accepted trial is the next shot
         lam = 1.0
         for _ in range(5):
             u_try = u + lam * step[:m]
@@ -458,20 +456,18 @@ def find_orbit(field: FoliationField, seed_point, period_guess: float,
             if T_try <= 0.05 * period_guess or T_try > 20.0 * period_guess:
                 lam *= 0.5
                 continue
-            q_try = field.surface.project(p0 + S @ u_try)
             try:
-                res = flow.integrate(q_try, T_try)
+                trial = shoot(u_try, T_try)
             except (IntegrationError, EscapeError):
                 lam *= 0.5
                 continue
-            rt = float(np.max(np.abs(Q.T @ wrap_diff(chart, res.y, q_try))))
-            if rt < rn or lam <= 0.126:
-                u, T, last = u_try, T_try, rt
+            if trial[-1] < rn or lam <= 0.126:
+                u, T, shot = u_try, T_try, trial
                 break
             lam *= 0.5
         else:
             raise NoOrbitError(f"shooting stalled at residual {rn:.3e}")
-    raise NoOrbitError(f"no closed orbit from this seed (residual {last})")
+    raise NoOrbitError(f"no closed orbit from this seed (residual {shot[-1]})")
 
 
 def classify_orbit(field: FoliationField, orbit: RefinedOrbit) -> OrbitInfo:

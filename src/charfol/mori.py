@@ -827,16 +827,20 @@ def _column_orbit(field: FoliationField, H: ScalarField, psi0: float,
     psi = float(p[ch.index("psi")])
     psi = (psi + math.pi) % (2.0 * math.pi) - math.pi
     shift = math.hypot(float(p[ch.index("a")]), float(p[ch.index("b")]))
-    sgrid = np.linspace(0.0, spec.circumference, 129)[:-1]
-    loop = np.zeros((len(sgrid), ch.dim))
-    loop[:, ch.index("s")] = sgrid
-    loop[:, ch.index("a")] = p[ch.index("a")]
-    loop[:, ch.index("b")] = p[ch.index("b")]
-    loop[:, ch.index("psi")] = p[ch.index("psi")]
-    for i, s in enumerate(sgrid):
-        q = loop[i].copy()
-        loop[i, ch.index("t")] = float(H(list(q)))
+    loop = np.tile(p, (128, 1))
+    loop[:, ch.index("s")] = np.linspace(0.0, spec.circumference, 129)[:-1]
+    loop[:, ch.index("t")] = [float(H(list(q))) for q in loop]
     return ColumnOrbit(info=info, loop=loop, psi=psi, transverse_shift=shift)
+
+
+def _certificate_tols(tols: policy.Tolerances) -> policy.Tolerances:
+    """Chase tolerances of the column certificate: rtol and atol scale
+    with the profile, from 1e-7 and 1e-9 at DEFAULT; the step ceiling
+    and the budget size the chase chunks."""
+    d = policy.DEFAULT
+    return policy.replace(tols, ode_max_step=2.0, flow_budget=900.0,
+                          ode_rtol=1e-7 * (tols.ode_rtol / d.ode_rtol),
+                          ode_atol=1e-9 * (tols.ode_atol / d.ode_atol))
 
 
 def perturb_analysis(spec: PerturbationSpec,
@@ -902,8 +906,7 @@ def perturb_analysis(spec: PerturbationSpec,
             failure = e
     degenerate = bool(failure) or any(not o.info.hyperbolic for o in orbits)
 
-    ctols = policy.replace(tols, ode_max_step=2.0, flow_budget=900.0,
-                           ode_rtol=1e-7, ode_atol=1e-9)
+    ctols = _certificate_tols(tols)
     seeds = []
     for _ in range(10):
         q = np.zeros(ch.dim)

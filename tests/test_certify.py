@@ -10,8 +10,8 @@ import pytest
 
 from charfol import policy
 from charfol.certify import (ConvexityProfile, MorseSmaleCertificate,
-                             RecurrenceCandidate, build_profile,
-                             check_morse_smale, standard_gamma,
+                             RecurrenceCandidate, _loop_distance,
+                             build_profile, check_morse_smale, standard_gamma,
                              verification_grid, verify_convex_form)
 from charfol.contact import ContactScene, FoliationField, Hypersurface
 from charfol.dynamics import OrbitInfo, classify_zero, find_zeros
@@ -169,6 +169,42 @@ def test_recurrent_sampled_trajectory_fails():
     for rec in cert.recurrence:
         assert rec["returns"] == 50
         assert abs(rec["mean_return_time"] - 2.0 * math.pi) < 1e-9
+
+
+def test_loop_distance_matches_segment_formula():
+    # a column-like loop once around s, wobbling in psi, with a repeated
+    # vertex (a zero-length edge); the closing edge crosses the seam of s
+    ch = Chart(["t", "s", "a", "psi"], angular={"s": 60.0, "psi": 2 * math.pi})
+    per = {1: 60.0, 3: 2 * math.pi}
+    s = np.linspace(0.0, 60.0, 129)[:-1] + 0.3
+    loop = np.column_stack([0.01 * np.sin(s), s, 0.2 * np.cos(s / 7.0),
+                            3.0 + 0.5 * np.sin(s / 9.0)])
+    loop[40] = loop[39]
+
+    def wrap(v):
+        v = v.copy()
+        for i, p in per.items():
+            v[i] = (v[i] + 0.5 * p) % p - 0.5 * p
+        return v
+
+    def reference(p):
+        best = math.inf
+        for i in range(len(loop)):
+            a, b = loop[i], loop[(i + 1) % len(loop)]
+            d0, seg = wrap(p - a), wrap(b - a)
+            ss = float(seg @ seg)
+            t = 0.0 if ss == 0.0 else min(max(float(d0 @ seg) / ss, 0.0), 1.0)
+            best = min(best, float(np.linalg.norm(d0 - t * seg)))
+        return best
+
+    dist = _loop_distance(ch, loop)
+    rng = np.random.default_rng(5)
+    far = np.column_stack([rng.normal(size=40), rng.uniform(-90.0, 150.0, 40),
+                           rng.normal(size=40), rng.uniform(-10.0, 10.0, 40)])
+    near = loop[rng.integers(0, len(loop), 40)] \
+        + 0.05 * rng.normal(size=(40, 4)) + [0.0, 60.0, 0.0, -2 * math.pi]
+    for p in np.vstack([far, near, loop[[0, 39, 127]]]):
+        assert abs(dist(p) - reference(p)) <= 1e-12 * (1.0 + reference(p))
 
 
 # convexity profiles ----------------------------------------------------

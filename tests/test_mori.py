@@ -14,7 +14,7 @@ from scipy.integrate import quad
 
 from charfol import mori, policy
 from charfol.contact import FoliationField, graph_foliation_check, hamiltonian_residuals
-from charfol.dynamics import NoOrbitError, find_orbit
+from charfol.dynamics import Flow, NoOrbitError, find_orbit
 from charfol.errors import PolarDomainError
 
 EPS = 0.1
@@ -340,6 +340,56 @@ def test_column_orbits_match_quadrature(perturb):
         assert o.info.pairing_residual < 1e-6
     signs = sorted(o.info.liouville_sign for o in orbits)
     assert signs == [-1, 1]
+
+
+def test_column_orbits_match_closed_form(perturb):
+    # log C = sgn A I to integration accuracy (at most 8.5e-9 A I today);
+    # error control on the state components alone lands 2.2e-6 A I off,
+    # inside the 1e-4 bound on C of the quadrature test above
+    A = perturb["hamiltonian"]["amplitude"]
+    I = perturb["hamiltonian"]["bump_integral"]
+    assert len(perturb["orbits"]) == 2
+    for o in perturb["orbits"]:
+        sgn = 1.0 if o.info.positive else -1.0
+        assert abs(math.log(o.info.C) - sgn * A * I) < 1e-7 * A * I
+
+
+def test_column_shooting_reuses_variational_trials(monkeypatch):
+    # the expanding orbit converges in a handful of variational shots; a
+    # line search scored with plain runs, a different discretisation from
+    # the residual, stalls it at lambda = 1/8 (19 variational, 57 plain)
+    spec = mori.PerturbationSpec()
+    scene, surface, info = mori.column_scene(spec)
+    field = FoliationField(scene, surface)
+    calls = {"variational": 0, "plain": 0}
+    variational, plain = Flow.integrate_variational, Flow.integrate
+
+    def count_variational(self, *args, **kw):
+        calls["variational"] += 1
+        return variational(self, *args, **kw)
+
+    def count_plain(self, *args, **kw):
+        calls["plain"] += 1
+        return plain(self, *args, **kw)
+
+    monkeypatch.setattr(Flow, "integrate_variational", count_variational)
+    monkeypatch.setattr(Flow, "integrate", count_plain)
+    orbit = mori._column_orbit(field, info["H"], math.pi, spec,
+                               policy.DEFAULT)
+    assert orbit.info.positive
+    assert calls["variational"] <= 8
+    assert calls["plain"] == 0
+
+
+def test_certificate_tols_follow_profile():
+    for tols in (policy.DEFAULT, policy.STRICT, policy.FAST):
+        ct = mori._certificate_tols(tols)
+        assert ct.ode_max_step == 2.0 and ct.flow_budget == 900.0
+        assert ct.ode_rtol == pytest.approx(100.0 * tols.ode_rtol, rel=1e-12)
+        assert ct.ode_atol == pytest.approx(10.0 * tols.ode_atol, rel=1e-12)
+        assert ct.newton_tol == tols.newton_tol
+    ct = mori._certificate_tols(policy.DEFAULT)
+    assert (ct.ode_rtol, ct.ode_atol) == (1e-7, 1e-9)
 
 
 def test_column_persistence_and_margin(perturb):
