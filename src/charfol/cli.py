@@ -97,9 +97,8 @@ def cmd_foliation(args) -> int:
     elif doc.kind == "field":
         _, field = _field_scene(doc)
         names = doc.scene.chart.names
-        pts = [p for p in doc.surface.project_samples(
-                   _grid_points(doc, args.grid))
-               if doc.scene.in_domain(p)]
+        pts = doc.surface.project_samples(_grid_points(doc, args.grid))
+        pts = [p for p, ok in zip(pts, doc.scene.domain_mask(pts)) if ok]
     else:
         raise SceneParseError(
             f"scene {doc.name!r} has nothing to evaluate a foliation on")

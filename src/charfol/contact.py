@@ -20,7 +20,9 @@ code once on recording scalars and then call the traced straight-line
 kernels (see `kernel`); `char_data` and `ScalarField.value_and_grad`
 remain the reference. `vector_values`, `flow_values` and
 `project_values` return the kernels' floats as they are, for the
-integrator; the others wrap them in arrays.
+integrator; the others wrap them in arrays. `project_samples` projects
+a batch of sample points through the array ring instead: one evaluation
+of F's tree per Newton iteration on numpy coordinate columns.
 """
 
 from __future__ import annotations
@@ -83,6 +85,17 @@ class ContactScene:
             if hi is not None and v > hi:
                 return False
         return True
+
+    def domain_mask(self, points) -> np.ndarray:
+        """`in_domain` of each point, as one boolean array."""
+        x = np.array(points, dtype=float).reshape(len(points), self.chart.dim)
+        keep = np.ones(len(x), dtype=bool)
+        for i, lo, hi in self._bounds:
+            if lo is not None:
+                keep &= ~(x[:, i] < lo)
+            if hi is not None:
+                keep &= ~(x[:, i] > hi)
+        return keep
 
     def sample_points(self, rng, count: int) -> np.ndarray:
         """Random points: declared bounds, else [-1, 1]; angular on a period."""
@@ -196,14 +209,45 @@ class Hypersurface:
 
     def project_samples(self, points) -> list:
         """`project` each point, leaving out the points where it fails
-        with a CharfolError; any other error propagates."""
-        out = []
-        for q in points:
-            try:
-                out.append(self.project(q))
-            except CharfolError:
-                continue
-        return out
+        with a CharfolError; any other error propagates.
+
+        All points take their Newton steps together: one evaluation of
+        F's tree per iteration on the coordinate columns of the points
+        still moving (numpy arrays, a ring of the jets), with the float
+        operations of `project_values` in every row. Where numpy flags
+        a floating-point error, the per-point path runs instead, so the
+        errors raised and the points dropped are those of `project`.
+        """
+        try:
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
+                return self._project_batch(points)
+        except FloatingPointError:
+            out = []
+            for q in points:
+                try:
+                    out.append(self.project(q))
+                except CharfolError:
+                    continue
+            return out
+
+    def _project_batch(self, points) -> list:
+        x = np.array(points, dtype=float).reshape(len(points), self.chart.dim)
+        done = np.zeros(len(x), dtype=bool)
+        rows = np.arange(len(x))        # the points still moving
+        for _ in range(policy.PROJECT_MAX_ITER):
+            if not len(rows):
+                break
+            xa = x[rows]
+            v, g = self.F.value_and_grad(list(xa.T))
+            v, *g = (np.broadcast_to(c, rows.shape) for c in (v, *g))
+            hit = np.abs(v) < policy.PROJECT_TOL
+            done[rows[hit]] = True
+            gg = sum(gi * gi for gi in g)
+            move = ~hit & (gg != 0.0)
+            step = v[move] / gg[move]
+            x[rows[move]] = xa[move] - step[:, None] * np.stack(g, 1)[move]
+            rows = rows[move]
+        return list(x[done])
 
 
 @dataclass

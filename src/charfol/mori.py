@@ -824,8 +824,10 @@ def _column_orbit(field: FoliationField, H: ScalarField, psi0: float,
     orb = find_orbit(field, seed, guess, tols)
     info = classify_orbit(field, orb)
     p = orb.point
+    # wrapped to [-pi/2, 3pi/2): the orbits sit at 0 and pi, both away
+    # from the cut, so roundoff cannot flip the reported angle by 2 pi
     psi = float(p[ch.index("psi")])
-    psi = (psi + math.pi) % (2.0 * math.pi) - math.pi
+    psi -= 2.0 * math.pi * math.floor((psi + 0.5 * math.pi) / (2.0 * math.pi))
     shift = math.hypot(float(p[ch.index("a")]), float(p[ch.index("b")]))
     loop = np.tile(p, (128, 1))
     loop[:, ch.index("s")] = np.linspace(0.0, spec.circumference, 129)[:-1]

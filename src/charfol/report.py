@@ -143,10 +143,15 @@ def _cell(v) -> str:
 
 
 def write_csv(path: str, header, rows) -> None:
+    """A row of finite Python floats is formatted in one step, as
+    `format_float` prints each; any other row goes cell by cell."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+            if all(type(v) is float for v in row) and math.isfinite(sum(row)):
+                fh.write(",".join(["%.17g"] * len(row)) % tuple(row) + "\n")
+            else:
+                fh.write(",".join(_cell(v) for v in row) + "\n")
 
 
 def profile_rows(profile, grid) -> list:

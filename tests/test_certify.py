@@ -353,20 +353,27 @@ def test_degenerate_u_is_flagged():
     assert rep["min_volume"] <= 0
 
 
+class BuggyBatch:
+    """A scalar field whose evaluation on coordinate arrays, the batched
+    projection of the seed points, fails with a bug."""
+
+    def __init__(self, F):
+        self.F = F
+
+    def __getattr__(self, name):
+        return getattr(self.F, name)
+
+    def value_and_grad(self, point):
+        if isinstance(point[0], np.ndarray):
+            raise RuntimeError("bug in projection")
+        return self.F.value_and_grad(point)
+
+
 def test_seed_projection_bugs_propagate():
     # only charfol's own failures mean "this seed does not project"; any
     # other exception is a bug and must not quietly shrink the sample
     fld = s2_setup()
-    real = fld.surface.project
-    calls = []
-
-    def project(point):
-        calls.append(point)
-        if len(calls) == 1:
-            raise RuntimeError("bug in projection")
-        return real(point)
-
-    fld.surface.project = project
+    fld.surface.F = BuggyBatch(fld.surface.F)
     with pytest.raises(RuntimeError, match="bug in projection"):
         check_morse_smale(fld, samples=3)
 

@@ -195,6 +195,26 @@ def test_write_csv_formats_floats(tmp_path):
     assert lines[1] == "0.10000000000000001,x"
 
 
+def test_write_csv_float_rows_match_cell_path(tmp_path):
+    rows = [(0.1, -0.0, 1e-300, -2.5e17, 1.0 / 3.0),
+            (1e308, 1e308, -1e308),          # finite cells, overflowing sum
+            (float("nan"), 1.0, 2.0),
+            (float("inf"), 0.5, 0.25),
+            (0.5, float("-inf"), 0.25),
+            (3, 0.5, True),
+            (np.float64(0.1), 0.2, 0.3),
+            (0.1, np.float64(-0.0), np.int64(7)),
+            [0.7, 0.8],
+            ()]
+    rows += [tuple(r) for r in np.random.default_rng(23).normal(size=(20, 4))
+             .tolist()]
+    path = tmp_path / "t.csv"
+    report.write_csv(str(path), ("a", "b", "c"), rows)
+    want = "a,b,c\n" + "".join(
+        ",".join(report._cell(v) for v in row) + "\n" for row in rows)
+    assert path.read_bytes() == want.encode()
+
+
 # the command line -------------------------------------------------------
 
 def test_certify_passes_on_sphere_scene(tmp_path):

@@ -1,10 +1,12 @@
 """Characteristic direction solve against hand-computed cases."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from charfol import cli, mori
 from charfol.contact import (ContactScene, FoliationField, Hypersurface,
                              graph_foliation_check, hamiltonian_field_at,
                              hamiltonian_residuals, reeb_at)
@@ -73,6 +75,91 @@ def test_projection_converges_and_reports_failure():
     flat = Hypersurface(ch.parse("(x^2 + y^2 + z^2 - 1)^2"))
     with pytest.raises(ProjectionError):
         flat.project([1.4, 0.0, 0.0])
+
+
+def _project_each(surf, points):
+    """The per-point path: `project` at each point, with the indices of
+    the points it rejects."""
+    rows, dropped = [], []
+    for i, q in enumerate(points):
+        try:
+            rows.append(surf.project(q))
+        except ProjectionError:
+            dropped.append(i)
+    return rows, dropped
+
+
+def _batched(surf, points):
+    """`project_samples`, checking that it never falls back to `project`."""
+
+    def per_point(_):
+        raise AssertionError("the batched path fell back to project")
+
+    surf.project = per_point
+    try:
+        return surf.project_samples(points)
+    finally:
+        del surf.project
+
+
+def _box(scene, k):
+    return cli._grid_points(SimpleNamespace(scene=scene), k)
+
+
+@pytest.mark.parametrize("which", ["s2-height", "graph-model", "mori-n2"])
+def test_project_samples_matches_project_bitwise(which):
+    if which == "mori-n2":
+        # the 5-D box at --grid 24 has 8 million points; 6 per axis is 7,776
+        sc = mori.mori_scene(2, 0.1)
+        scene, surf = sc.cartesian, sc.surface_cartesian
+        box = _box(scene, 6)
+    else:
+        doc = cli._resolve_scene(which)
+        scene, surf = doc.scene, doc.surface
+        box = _box(scene, 24)
+    rand = scene.sample_points(np.random.default_rng(17), 500)
+    for points in (rand, box):
+        want, _ = _project_each(surf, points)
+        got = _batched(surf, points)
+        assert len(got) == len(want)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def test_project_samples_drops_what_project_rejects():
+    ch = Chart(["x", "y", "z"])
+    pts = np.vstack([np.random.default_rng(19).uniform(-1.5, 1.5, (300, 3)),
+                     np.zeros((1, 3))])
+    # Newton creeps towards the double root of the first surface and
+    # runs out of steps at most points; the centre has a zero gradient
+    for text, ndrop in (("(x^2 + y^2 + z^2 - 1)^2", 224),
+                        ("x^2 + y^2 + z^2 - 1", 1)):
+        surf = Hypersurface(ch.parse(text))
+        want, dropped = _project_each(surf, pts)
+        assert len(dropped) == ndrop and len(pts) - 1 in dropped
+        got = _batched(surf, pts)
+        assert len(got) == len(want)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def test_project_samples_raises_where_project_raises():
+    ch = Chart(["x", "y", "z"])
+    surf = Hypersurface(ch.parse("log(x) + y^2 + z^2"))
+    for bad in ([-0.5, 0.1, 0.2], [0.0, 0.3, 0.1]):
+        with pytest.raises(ValueError):
+            surf.project(bad)
+        with pytest.raises(ValueError):
+            surf.project_samples([[1.5, 0.2, 0.1], bad, [0.7, 0.0, 0.3]])
+    assert surf.project_samples([]) == []
+    assert surf.project_samples(np.empty((0, 3))) == []
+
+
+def test_domain_mask_matches_in_domain():
+    doc = cli._resolve_scene("graph-model")
+    pts = np.vstack([_box(doc.scene, 7) * 1.2,
+                     [[-0.1, 1.5, -1.5], [2.3, 0.0, 0.0]]])
+    assert doc.scene.domain_mask(pts).tolist() == [
+        doc.scene.in_domain(p) for p in pts]
+    assert 0 < doc.scene.domain_mask(pts).sum() < len(pts)
 
 
 def test_reeb_and_hamiltonian_closed_forms():

@@ -277,19 +277,26 @@ def test_phase_portrait(scene):
         assert abs(res) < 1e-8
 
 
+class BuggyBatch:
+    """A scalar field whose evaluation on coordinate arrays, the batched
+    projection of the census seeds, fails with a bug."""
+
+    def __init__(self, F):
+        self.F = F
+
+    def __getattr__(self, name):
+        return getattr(self.F, name)
+
+    def value_and_grad(self, point):
+        if isinstance(point[0], np.ndarray):
+            raise RuntimeError("bug in projection")
+        return self.F.value_and_grad(point)
+
+
 def test_census_lets_projection_bugs_propagate():
     scene = mori.mori_scene(2, 0.1)
     surf = scene.surface_cartesian
-    real = surf.project
-    calls = []
-
-    def project(point):
-        calls.append(point)
-        if len(calls) == 1:
-            raise RuntimeError("bug in projection")
-        return real(point)
-
-    surf.project = project
+    surf.F = BuggyBatch(surf.F)
     with pytest.raises(RuntimeError, match="bug in projection"):
         mori.census(scene)
 
@@ -340,6 +347,14 @@ def test_column_orbits_match_quadrature(perturb):
         assert o.info.pairing_residual < 1e-6
     signs = sorted(o.info.liouville_sign for o in orbits)
     assert signs == [-1, 1]
+
+
+def test_column_orbit_angles_are_stable(perturb):
+    # psi is wrapped to [-pi/2, 3pi/2): the contracting orbit reads 0 and
+    # the expanding one +pi, whichever side of pi Newton stops on
+    psi = sorted(o.psi for o in perturb["orbits"])
+    assert abs(psi[0]) < 1e-6
+    assert abs(psi[1] - math.pi) < 1e-6
 
 
 def test_column_orbits_match_closed_form(perturb):
