@@ -19,12 +19,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import policy
+from . import jets, policy
 from .contact import ContactScene
 from .dynamics import EventSpec, Flow, linearize_zero, wrap_diff
 from .errors import ConstructiveFailure, EscapeError, IntegrationError
 from .exterior import Chart, KForm, ScalarField, _fn, _rebase
-from .jets import fval
 
 
 @dataclass
@@ -180,20 +179,14 @@ def _turn_event(i: int, per: float, start: float, direction: int):
     """Event: coordinate i has turned a full period from start."""
     w = 2.0 * math.pi / per
 
-    def grad(y):
-        out = np.zeros(len(y))
-        out[i] = w * math.cos(w * (y[i] - start))
-        return out
-
-    return EventSpec(fn=lambda y: math.sin(w * (y[i] - start)), grad=grad,
+    return EventSpec(fn=lambda y: jets.sin(w * (y[i] - start)),
                      direction=direction)
 
 
 def _unstable_directions(field, point, sense):
     """Deduplicated real unstable directions at a zero, ambient components."""
-    A, data = linearize_zero(field, point)
+    A, frame = linearize_zero(field, point)
     w, V = np.linalg.eig(A)
-    frame = np.array([[fval(c) for c in v] for v in data.frame])
     out = []
     for j in range(len(w)):
         if w[j].real * sense <= 0.0:
@@ -366,13 +359,13 @@ def check_morse_smale(field, zeros=(), orbits=(),
 PROFILE_GRID = 1000
 
 
-def verification_grid(count: int = PROFILE_GRID) -> np.ndarray:
-    """Cell midpoints of [-1, 1]. Endpoints are excluded deliberately:
+def verification_grid() -> np.ndarray:
+    """The PROFILE_GRID cell midpoints of [-1, 1]. Endpoints are excluded:
     u' vanishes at both, so the graded positivity expression degenerates
     there and a strictly sloped boundary germ would be misread as a
     failure at s = 1 regardless of the profile between the ends."""
-    k = np.arange(int(count))
-    return -1.0 + (2.0 * k + 1.0) / float(count)
+    k = np.arange(PROFILE_GRID)
+    return -1.0 + (2.0 * k + 1.0) / float(PROFILE_GRID)
 
 
 @dataclass(frozen=True)
@@ -542,8 +535,7 @@ def standard_gamma(n: int) -> ContactScene:
 
 
 def verify_convex_form(profile: ConvexityProfile, gamma_scene: ContactScene,
-                       n: int, *, samples: int = 500, rng=None,
-                       tol: float = 1e-8) -> dict:
+                       n: int, *, samples: int = 500, rng=None) -> dict:
     """Compare the assembled form against its closed-form volume.
 
     alpha_1 = u dt + h1 lambda is built on R x [-1,1] x Gamma and
@@ -551,10 +543,11 @@ def verify_convex_form(profile: ConvexityProfile, gamma_scene: ContactScene,
     expansion collapses that coefficient to
     n h1^(n-1) (u h1' - u' h1) dt ds lambda (d lambda)^(n-1), which is
     evaluated independently from the profile functions. The report
-    carries the worst relative deviation between the two paths, the
-    positivity verdict, and for every non-positive sample the graded
-    surrogate n (u^n h1' - u' h1^n) so a degenerate injection shows
-    where positivity died.
+    carries the worst relative deviation between the two paths (matched
+    below policy.CONVEX_FORM_MATCH), the positivity verdict, and for
+    every non-positive sample the graded surrogate
+    n (u^n h1' - u' h1^n) so a degenerate injection shows where
+    positivity died.
     """
     n = int(n)
     if profile.n != n:
@@ -603,4 +596,4 @@ def verify_convex_form(profile: ConvexityProfile, gamma_scene: ContactScene,
                for p, v, w in zip(pts[bad], direct[bad], surrogate[bad])]
     return {"samples": int(len(pts)), "positive": not flagged,
             "min_volume": float(direct.min()), "max_rel_dev": worst,
-            "matched": worst < tol, "flagged": flagged}
+            "matched": worst < policy.CONVEX_FORM_MATCH, "flagged": flagged}

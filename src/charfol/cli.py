@@ -125,9 +125,7 @@ def _field_census(doc: SceneDocument, tols, rng):
     seeds += doc.surface.project_samples(
         doc.scene.sample_points(rng, doc.analysis.get("samples", 8)))
     pts = find_zeros(field, seeds, tols)
-    zeros = [classify_zero(field, p) for p in pts]
-    zeros.sort(key=lambda z: tuple(np.round(z.point, 9)))
-    return field, zeros
+    return field, [classify_zero(field, p) for p in pts]
 
 
 def cmd_classify(args) -> int:

@@ -14,15 +14,17 @@ divergences and multipliers are mutually consistent everywhere.
 Everything is evaluated pointwise over a generic scalar ring. Feeding
 jet coordinates through the same code path yields Jacobians, so there
 is one implementation to trust rather than a value path and a separate
-derivative path. The per-point entry points used along trajectories
-(`vector`, `flow_data`, `vector_and_jacobian`, `project`) run that
-code once on recording scalars and then call the traced straight-line
-kernels (see `kernel`); `char_data` and `ScalarField.value_and_grad`
-remain the reference. `vector_values`, `flow_values` and
+derivative path. At runtime every per-point quantity comes from the
+straight-line kernels traced from that code (see `kernel`): X, its
+Jacobian and the divergence (`vector`, `flow_data`, `divergence`), and
+F, grad F and the tangent frame (`Hypersurface.value_and_grad`,
+`frame`, `project`). `vector_values`, `flow_values` and
 `project_values` return the kernels' floats as they are, for the
-integrator; the others wrap them in arrays. `project_samples` projects
-a batch of sample points through the array ring instead: one evaluation
-of F's tree per Newton iteration on numpy coordinate columns.
+integrator; the others wrap them in arrays. The generic `char_data`
+and `ScalarField.value_and_grad` run only while a kernel is recorded,
+on sample batches and in tests, as the reference: `project_samples`
+projects a batch through the array ring, one evaluation of F's tree
+per Newton iteration on numpy coordinate columns.
 """
 
 from __future__ import annotations
@@ -187,6 +189,15 @@ class Hypersurface:
         v, g = self.F.value_and_grad(x)
         return (v, *g)
 
+    def value_and_grad(self, point):
+        """F and its gradient at a point, as floats from the traced kernel."""
+        v, *g = run(self._kernels, self._value_and_grad, _coords(point))
+        return v, g
+
+    def frame(self, point):
+        """(frame_coords, frame) of `char_data`, on the kernel's grad F."""
+        return tangent_frame(self.value_and_grad(point)[1])[1:]
+
     def project(self, point):
         """Newton steps along grad F back onto the surface."""
         return np.array(self.project_values(point), dtype=float)
@@ -195,7 +206,7 @@ class Hypersurface:
         """`project` on Python floats: the projected point as a list."""
         x = _coords(point)
         for _ in range(policy.PROJECT_MAX_ITER):
-            v, *g = run(self._kernels, self._value_and_grad, x)
+            v, g = self.value_and_grad(x)
             if abs(v) < policy.PROJECT_TOL:
                 return x
             gg = sum(gi * gi for gi in g)
@@ -250,6 +261,26 @@ class Hypersurface:
         return list(x[done])
 
 
+def tangent_frame(N):
+    """(pivot, frame_coords, frame) for a surface normal N over any ring.
+
+    The pivot p is the first index of the largest |N_p|; the frame is
+    e_a - (N_a / N_p) e_p for every other coordinate a, in order.
+    """
+    pivot = argmax([abs(fval(c)) for c in N])
+    Np = N[pivot]
+    if abs(fval(Np)) < policy.DEGENERATE_VOLUME:
+        raise DegenerateVolumeError(
+            "surface gradient vanishes; the point is not regular")
+    coords = [i for i in range(len(N)) if i != pivot]
+    frame = []
+    for a in coords:
+        v = [1.0 if i == a else 0.0 for i in range(len(N))]
+        v[pivot] = -(N[a] / Np)
+        frame.append(v)
+    return pivot, coords, frame
+
+
 @dataclass
 class CharData:
     """Everything the solve produced at one point, in one place."""
@@ -284,20 +315,8 @@ class FoliationField:
     def char_data(self, point) -> CharData:
         ad = _alpha_data(self.scene, point)
         d, n = self._d, self.scene.n
-        _, Ng = self.surface.F.value_and_grad(point)
-        N = list(Ng)
-        pivot = argmax([abs(fval(c)) for c in N])
-        Np = N[pivot]
-        if abs(fval(Np)) < policy.DEGENERATE_VOLUME:
-            raise DegenerateVolumeError(
-                "surface gradient vanishes; the point is not regular")
-        frame_coords = [i for i in range(d) if i != pivot]
-        frame = []
-        for a in frame_coords:
-            v = [0.0] * d
-            v[a] = 1.0
-            v[pivot] = -(N[a] / Np)
-            frame.append(v)
+        N = list(self.surface.F.value_and_grad(point)[1])
+        pivot, frame_coords, frame = tangent_frame(N)
         beta = ad.alpha.on_frame(frame)
         dbeta = ad.dalpha.on_frame(frame)
         eta = beta
@@ -372,9 +391,10 @@ class FoliationField:
         """Divergence of X against the induced surface volume.
 
         Uses the exact identity d(beta ^ (d beta)^(n-1)) = (d beta)^n on
-        the surface, so no derivatives of X itself are needed.
+        the surface, so no derivatives of X itself are needed; the value
+        is the last entry of `flow_values`.
         """
-        return float(fval(self.char_data(point).divergence))
+        return float(self.flow_values(point)[-1])
 
     # derived checks ----------------------------------------------------
 
@@ -470,8 +490,7 @@ def hamiltonian_residuals(scene: ContactScene, H: ScalarField,
     return {"alpha_residual": worst_contact, "pairing_residual": worst_pair}
 
 
-def graph_foliation_check(field: FoliationField, predicted, points,
-                          require_positive: bool = True) -> dict:
+def graph_foliation_check(field: FoliationField, predicted, points) -> dict:
     """Compare the solved direction against a predicted vector field.
 
     predicted maps a point to an ambient vector. Returns the worst
@@ -487,7 +506,7 @@ def graph_foliation_check(field: FoliationField, predicted, points,
         if P[k] == 0.0:
             raise ValueError("predicted field vanishes at a sample point")
         c = X[k] / P[k]
-        if require_positive and c <= 0.0:
+        if c <= 0.0:
             raise ContactConditionError(
                 f"predicted direction has the wrong sign (factor {c:.3e})")
         dev = np.max(np.abs(X - c * P)) / max(1.0, np.max(np.abs(X)))

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import policy
+from . import jets, policy
 from .contact import FoliationField, alpha_data_at
 from .errors import (ConstructiveFailure, ContactConditionError, EscapeError,
                      IntegrationError, NoOrbitError)
@@ -93,12 +93,11 @@ def _rows(n: int):
 
 @dataclass
 class EventSpec:
-    """Scalar crossing detector g(y) = 0 along a trajectory, with the
-    exact gradient of g used to land on the crossing. The first crossing
-    in the given direction ends the integration."""
+    """Scalar crossing detector g(y) = 0 along a trajectory; the first
+    crossing in the given direction ends the integration. fn runs on any
+    ring (use the ring functions of `jets`): jets give its slope."""
 
     fn: Callable
-    grad: Callable
     direction: int              # +1 upward crossings, -1 downward
 
 
@@ -130,9 +129,9 @@ def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
     Inside the loop, states and slopes are sequences of floats read
     entry by entry: post gets lists, rhs and domain_ok get lists or what
     post returned, and rhs and post may return any sequence (`Flow`'s
-    return lists and tuples). Event functions, the returned state, the
-    recorded path and the states in errors are ndarrays. A crossing of
-    the event stops the run with status "event".
+    return lists and tuples). Event functions get ndarrays here; the
+    returned state, the recorded path and the states in errors are
+    ndarrays. A crossing of the event stops the run with status "event".
     """
     z = np.asarray(z0, dtype=float).tolist()
     if post is not None:
@@ -192,7 +191,9 @@ def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
 
 def _locate_event(rhs, z0, f0, z1, f1, h, ev: EventSpec,
                   tols: policy.Tolerances, post):
-    """Bracket on the Hermite interpolant, then Newton with re-integration."""
+    """Bracket on the Hermite interpolant, then Newton with re-integration.
+    g and grad g come from one evaluation of the event on seeded jets;
+    a result that is not a Jet has gradient 0."""
 
     def hermite(th):
         h00 = 2 * th ** 3 - 3 * th ** 2 + 1
@@ -215,8 +216,9 @@ def _locate_event(rhs, z0, f0, z1, f1, h, ev: EventSpec,
     for _ in range(8):
         res = _integrate_core(rhs, z0, dt, tols, post=post)
         y = res.y
-        g = ev.fn(y)
-        gd = float(np.dot(ev.grad(y), rhs(y)))
+        g = ev.fn(jets.seed(y))
+        gd = float(np.dot(g.g, rhs(y))) if isinstance(g, jets.Jet) else 0.0
+        g = jets.fval(g)
         if gd == 0.0 or abs(g) < 1e-13 * (1.0 + abs(gd)):
             break
         dt = min(max(dt - g / gd, 0.0), h)
@@ -279,8 +281,8 @@ class Flow:
 def flow_split_basis(field: FoliationField, point):
     """(Q, S): orthonormal columns spanning the surface tangent space
     (d x 2n), and the section normal to the flow inside it (d x 2n-1)."""
-    data = field.char_data([float(v) for v in point])
-    V = np.array(data.frame, dtype=float).T
+    _, frame = field.surface.frame(point)
+    V = np.array(frame, dtype=float).T
     Q, _ = np.linalg.qr(V)
     X = field.vector(point)
     xc = Q.T @ X
@@ -312,8 +314,8 @@ def refine_zero(field: FoliationField, seed,
     best = None
     for _ in range(tols.newton_max_iter):
         X, J = field.vector_and_jacobian(x)
-        Fv, Fg = field.surface.F.value_and_grad(list(x))
-        r = np.append(X, float(Fv))
+        Fv, Fg = field.surface.value_and_grad(x)
+        r = np.append(X, Fv)
         rn = float(np.max(np.abs(r)))
         if best is None or rn < best[0]:
             best = (rn, x.copy())
@@ -347,20 +349,16 @@ def find_zeros(field: FoliationField, seeds,
 
 
 def linearize_zero(field: FoliationField, point):
-    """Restriction of the ambient Jacobian to the tangent space at a zero.
+    """(A, frame): the ambient Jacobian at a zero restricted to the
+    tangent space, in the frame of `Hypersurface.frame` (rows of `frame`).
 
     The frame vectors each carry a single unit coordinate, so tangent
     coordinates are read off componentwise.
     """
-    X, J = field.vector_and_jacobian(point)
-    data = field.char_data([float(v) for v in point])
-    m = len(data.frame_coords)
-    A = np.empty((m, m))
-    for a, v in enumerate(data.frame):
-        img = J @ np.asarray(v, dtype=float)
-        for b, jb in enumerate(data.frame_coords):
-            A[b, a] = img[jb]
-    return A, data
+    _, J = field.vector_and_jacobian(point)
+    coords, frame = field.surface.frame(point)
+    frame = np.array(frame)
+    return np.array([(J @ v)[coords] for v in frame]).T, frame
 
 
 def classify_zero(field: FoliationField, point) -> ZeroInfo:

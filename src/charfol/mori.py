@@ -466,7 +466,6 @@ class CensusOrbit:
     info: object                 # dynamics.OrbitInfo
     loop: np.ndarray             # points along the closed curve
     omega: float                 # engine angular rate of the rigid rotation
-    evidence: dict
 
 
 def _edge_orbit(scene: MoriScene, sign: float) -> CensusOrbit:
@@ -480,17 +479,15 @@ def _edge_orbit(scene: MoriScene, sign: float) -> CensusOrbit:
         q[0], q[-1] = math.sqrt(rr), z
         return q
 
-    def zdot(z):
-        return float(field.vector(lift(z))[-1])
-
     z = sign * 0.9 * eps ** 1.5
     for _ in range(60):
-        f0 = zdot(z)
-        scale = float(np.max(np.abs(field.vector(lift(z)))))
+        X = field.vector(lift(z))
+        f0 = float(X[-1])
+        scale = float(np.max(np.abs(X)))
         if abs(f0) < 1e-13 * scale:
             break
         h = 1e-9 * (1.0 + abs(z))
-        dz = (zdot(z + h) - f0) / h
+        dz = (float(field.vector(lift(z + h))[-1]) - f0) / h
         z = z - f0 / dz
     else:
         raise ConstructiveFailure("edge orbit height search stalled")
@@ -505,16 +502,7 @@ def _edge_orbit(scene: MoriScene, sign: float) -> CensusOrbit:
     G = np.zeros((d, d))
     G[0, 1], G[1, 0] = -1.0, 1.0
     A = J - omega * G
-    kres = float(np.max(np.abs(A @ X)) / (np.max(np.abs(A)) * scale))
-
-    # divergence is constant along the rotation orbit; spot-check that
     div = field.divergence(p)
-    rotdev = 0.0
-    for th in (1.1, 2.7):
-        c, s = math.cos(th), math.sin(th)
-        q = p.copy()
-        q[0], q[1] = c * p[0] - s * p[1], s * p[0] + c * p[1]
-        rotdev = max(rotdev, abs(field.divergence(q) - div) / abs(div))
 
     # classify in the expanding time direction: a multiplier of e^-40
     # sits below the roundoff floor of the section projection, while its
@@ -539,10 +527,7 @@ def _edge_orbit(scene: MoriScene, sign: float) -> CensusOrbit:
     loop[:, 0] = p[0] * np.cos(th)
     loop[:, 1] = p[0] * np.sin(th)
     loop[:, -1] = z
-    return CensusOrbit(info=info, loop=loop, omega=omega,
-                       evidence={"transverse_residual": transverse,
-                                 "generator_kernel_residual": kres,
-                                 "divergence_rotation_dev": rotdev})
+    return CensusOrbit(info=info, loop=loop, omega=omega)
 
 
 def census(scene: MoriScene, tols: policy.Tolerances = policy.DEFAULT,
@@ -589,10 +574,7 @@ def verify_orbit_closure(scene: MoriScene, orbits,
         p = np.asarray(o.info.point, dtype=float)
         T = o.info.period
         direction = 1 if sense * o.omega > 0.0 else -1
-        e1 = np.zeros(len(p))
-        e1[1] = 1.0
-        ev = EventSpec(fn=lambda y: float(y[1]), grad=lambda y: e1,
-                       direction=direction)
+        ev = EventSpec(fn=lambda y: y[1], direction=direction)
         res = flow.integrate(p, 1.4 * T, event=ev)
         if res.status != "event":
             raise ConstructiveFailure("orbit loop produced no section return")
@@ -602,10 +584,11 @@ def verify_orbit_closure(scene: MoriScene, orbits,
     return {"max_return_gap": worst_gap, "max_period_dev": worst_T}
 
 
-def phase_portrait_data(scene: MoriScene, trajectories: int = 6,
-                        span: float = 2.5,
+def phase_portrait_data(scene: MoriScene,
                         tols: policy.Tolerances = policy.DEFAULT) -> list:
-    """Reduced (z, r, rho) trajectories for plotting, as a list of rows."""
+    """Reduced (z, r, rho) trajectories for plotting, as a list of rows:
+    six starts across the axis band, each followed for 2.5 time units
+    both ways."""
     eps = scene.eps
     az, rr0 = scene.constants.axis_z, scene.constants.ring_rho
 
@@ -624,8 +607,8 @@ def phase_portrait_data(scene: MoriScene, trajectories: int = 6,
 
     ptols = policy.replace(tols, ode_max_step=0.05)
     rows = []
-    for k in range(trajectories):
-        f = (k + 0.5) / trajectories
+    for k in range(6):
+        f = (k + 0.5) / 6
         z0 = (2.0 * f - 1.0) * 0.75 * az
         rho0 = rr0 * (0.6 + 0.3 * f)
         rr = 1.0 + eps - (z0 * z0 + rho0 * rho0) / eps ** 2
@@ -633,7 +616,7 @@ def phase_portrait_data(scene: MoriScene, trajectories: int = 6,
             continue
         y0 = proj(np.array([z0, math.sqrt(rr), rho0]))
         for sgn in (+1.0, -1.0):
-            res = _integrate_core(lambda y: sgn * rhs(y), y0, span, ptols,
+            res = _integrate_core(lambda y: sgn * rhs(y), y0, 2.5, ptols,
                                   post=proj, record=True)
             for t, y in res.path:
                 rows.append({"id": f"{k}{'+' if sgn > 0 else '-'}",

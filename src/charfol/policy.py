@@ -25,6 +25,9 @@ DEDUP_RADIUS = 1e-6
 # distance of |multiplier| from 1 that still counts as 1
 HYPERBOLIC_BAND = 1e-6
 
+# relative gap between the two evaluations of a collar volume form
+CONVEX_FORM_MATCH = 1e-8
+
 # certification by flowing to limits
 CAPTURE_RADIUS = 2e-2       # declared converged once inside and contracting
 RECURRENCE_TUBE = 1e-2

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charfol import jets, policy
 from charfol.contact import ContactScene, FoliationField, Hypersurface
 from charfol.dynamics import (_A, _E, EventSpec, Flow, RefinedOrbit, _rms,
                               _rows, classify_orbit, classify_zero, find_orbit,
@@ -47,12 +48,24 @@ def test_flow_matches_linear_solution():
 def test_event_location_is_precise():
     fld = linear_setup()
     flow = Flow(fld)
-    ev = EventSpec(fn=lambda y: y[0] - 2.0, direction=+1,
-                   grad=lambda y: np.array([1.0, 0.0, 0.0]))
+    ev = EventSpec(fn=lambda y: y[0] - 2.0, direction=+1)
     res = flow.integrate([0.5, 0.1, 0.0], 5.0, event=ev)
     assert res.status == "event"
     t_true = 0.5 * math.log(4.0)
     assert abs(res.t - t_true) < 1e-9
+    assert abs(res.y[0] - 2.0) < 1e-11
+
+
+def test_event_slope_comes_from_jets():
+    # sin(w (x - 2)) rises through 0 where x = 0.5 e^{2t} reaches 2. Its
+    # slope is read off a jet evaluation; without it, landing stops at
+    # the bisection of the step's interpolant, about 3e-10 off in time.
+    fld = linear_setup()
+    w = math.pi / 4
+    ev = EventSpec(fn=lambda y: jets.sin(w * (y[0] - 2.0)), direction=+1)
+    res = Flow(fld, policy.STRICT).integrate([0.5, 0.1, 0.0], 5.0, event=ev)
+    assert res.status == "event"
+    assert abs(res.t - 0.5 * math.log(4.0)) < 1e-11
     assert abs(res.y[0] - 2.0) < 1e-11
 
 

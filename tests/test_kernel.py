@@ -1,11 +1,13 @@
 """Traced kernels against the ring-generic evaluators they were traced from.
 
-`FoliationField.vector`, `flow_data` and `vector_and_jacobian`, and
-`Hypersurface.project`, run straight-line kernels traced from
-`char_data` and `ScalarField.value_and_grad`. Those generic functions
-stay the reference: at every sampled surface point the kernels must
-give the same numbers exactly (`==`, so the sign of a zero may differ),
-and where the generic code raises, the kernels raise the same error.
+`FoliationField.vector`, `flow_data`, `vector_and_jacobian` and
+`divergence`, and `Hypersurface.value_and_grad`, `frame` and `project`,
+run straight-line kernels traced from `char_data` and
+`ScalarField.value_and_grad`. Those generic functions stay the
+reference: at every sampled surface point the kernels must give the
+same numbers exactly (`==`, so the sign of a zero may differ), and
+where the generic code raises, the kernels raise the same error. No
+command runs the generic functions on plain floats.
 """
 
 import math
@@ -18,6 +20,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from charfol import mori
+from charfol.cli import main
 from charfol.contact import ContactScene, FoliationField, Hypersurface
 from charfol.errors import (CharfolError, DegenerateVolumeError,
                             ProjectionError)
@@ -111,9 +114,10 @@ def test_kernels_equal_generic_char_data(name, fr):
     try:
         X, J, div = reference(field, p)
     except DegenerateVolumeError as e:
-        with pytest.raises(DegenerateVolumeError) as traced:
-            field.flow_data(p)
-        assert str(traced.value) == str(e)
+        for call in (field.flow_data, field.surface.frame):
+            with pytest.raises(DegenerateVolumeError) as traced:
+                call(p)
+            assert str(traced.value) == str(e)
         return
     assert field.vector(p).tolist() == X
     Xk, Jk, divk = field.flow_data(p)
@@ -122,6 +126,10 @@ def test_kernels_equal_generic_char_data(name, fr):
     assert divk == div
     Xv, Jv = field.vector_and_jacobian(p)
     assert Xv.tolist() == X and Jv.tolist() == J
+    # divergence and tangent frame against char_data on floats
+    data = field.char_data(p.tolist())
+    assert field.divergence(p) == fval(data.divergence)
+    assert field.surface.frame(p) == (data.frame_coords, data.frame)
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
@@ -186,6 +194,59 @@ def test_degenerate_point_raises_like_char_data():
         with pytest.raises(DegenerateVolumeError) as traced:
             call(origin)
         assert str(traced.value) == str(generic.value)
+
+
+def test_degenerate_frame_raises_like_char_data():
+    ch = Chart(("x", "y", "z"))
+    x, y, z = ch.vars()
+    surface = Hypersurface(x * x + y * y - z * z)
+    scene = ContactScene(ch, KForm.one_form(ch, [-y, x, ch.constant(1.0)]))
+    field = FoliationField(scene, surface)
+    surface.frame([0.3, 0.4, 0.5])
+    with pytest.raises(DegenerateVolumeError) as generic:
+        field.char_data([0.0, 0.0, 0.0])
+    with pytest.raises(DegenerateVolumeError) as traced:
+        surface.frame([0.0, 0.0, 0.0])
+    assert str(traced.value) == str(generic.value)
+
+
+def _traced(point) -> bool:
+    """Whether a point holds recording scalars or arrays (or jets over
+    them) rather than plain numbers."""
+    return any(isinstance(fval(c), (Rec, np.ndarray)) for c in point)
+
+
+@pytest.mark.parametrize("argv", [["classify", "s2-height"],
+                                  ["certify", "s2-height"],
+                                  ["classify", "mori-sigma0-n2"]])
+def test_commands_evaluate_only_through_kernels(argv, monkeypatch, tmp_path):
+    # char_data and the surface's F.value_and_grad may run while a
+    # kernel is recorded and on sample batches, never on plain floats
+    surfaces, plain = [], []
+    init = Hypersurface.__init__
+    char_data = FoliationField.char_data
+    value_and_grad = ScalarField.value_and_grad
+
+    def spy_init(self, field, *args, **kwargs):
+        surfaces.append(field)
+        init(self, field, *args, **kwargs)
+
+    def spy_char_data(self, point):
+        if not _traced(point):
+            plain.append(("char_data", list(point)))
+        return char_data(self, point)
+
+    def spy_value_and_grad(self, point):
+        if any(self is F for F in surfaces) and not _traced(point):
+            plain.append(("F.value_and_grad", list(point)))
+        return value_and_grad(self, point)
+
+    monkeypatch.setattr(Hypersurface, "__init__", spy_init)
+    monkeypatch.setattr(FoliationField, "char_data", spy_char_data)
+    monkeypatch.setattr(ScalarField, "value_and_grad", spy_value_and_grad)
+    assert main([*argv, "--json", str(tmp_path / "r.json")]) == 0
+    assert surfaces
+    assert plain == []
 
 
 def test_recording_scalar_refuses_hidden_branches():

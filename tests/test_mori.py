@@ -270,7 +270,7 @@ def test_shooting_refuses_torus_circle(scene):
 
 
 def test_phase_portrait(scene):
-    rows = mori.phase_portrait_data(scene, trajectories=6, span=2.5)
+    rows = mori.phase_portrait_data(scene)
     assert {"id", "t", "z", "r", "rho"} <= set(rows[0])
     for row in rows:
         res = mori.reduced_constraint(scene, (row["z"], row["r"], row["rho"]))
