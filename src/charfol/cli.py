@@ -83,39 +83,42 @@ def _grid_points(doc: SceneDocument, k: int):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+def _norms(vecs) -> np.ndarray:
+    """|v| of each row, as np.linalg.norm(v) computes it: sqrt(v . v),
+    bit for bit."""
+    return np.sqrt(np.matmul(vecs[:, None, :], vecs[:, :, None])).ravel()
+
+
 def cmd_foliation(args) -> int:
     doc = _resolve_scene(args.scene)
     rep = _base(args, "foliation", report.scene_digest(doc.text))
     rep["scene"] = doc.name
-    csvs = {}
     if doc.kind == "family":
         scene, field = _field_scene(doc)
         rng = np.random.default_rng(args.seed)
         pts = mori_mod.sample_surface_polar(scene, rng, args.grid ** 2)
-        pts = [scene.cartesian_point(p) for p in pts]
+        pts = np.array([scene.cartesian_point(p) for p in pts], dtype=float)
         names = scene.cartesian.chart.names
     elif doc.kind == "field":
         _, field = _field_scene(doc)
         names = doc.scene.chart.names
         pts = doc.surface.project_samples(_grid_points(doc, args.grid))
-        pts = [p for p, ok in zip(pts, doc.scene.domain_mask(pts)) if ok]
+        pts = np.array(pts, dtype=float).reshape(-1, len(names))
+        pts = pts[doc.scene.domain_mask(pts)]
     else:
         raise SceneParseError(
             f"scene {doc.name!r} has nothing to evaluate a foliation on")
-    if not pts:
+    if not len(pts):
         raise IntegrationError("no grid point projected onto the surface")
 
-    vecs = [field.vector(p) for p in pts]
-    norms = [float(np.linalg.norm(v)) for v in vecs]
+    vecs = field.vectors(pts)
+    norms = _norms(vecs).tolist()
     header = list(names) + [f"X_{n}" for n in names]
-    rows = [tuple(map(float, p)) + tuple(map(float, v))
-            for p, v in zip(pts, vecs)]
-    csvs["foliation.csv"] = (header, rows)
     rep.update({"points": len(pts),
                 "norm_min": min(norms), "norm_max": max(norms)})
     if not args.csv_dir:
         rep["note"] = "pass --csv-dir to write the grid samples"
-    _emit(args, rep, csvs)
+    _emit(args, rep, {"foliation.csv": (header, np.hstack([pts, vecs]))})
     return 0
 
 

@@ -20,11 +20,14 @@ Jacobian and the divergence (`vector`, `flow_data`, `divergence`), and
 F, grad F and the tangent frame (`Hypersurface.value_and_grad`,
 `frame`, `project`). `vector_values`, `flow_values` and
 `project_values` return the kernels' floats as they are, for the
-integrator; the others wrap them in arrays. The generic `char_data`
-and `ScalarField.value_and_grad` run only while a kernel is recorded,
-on sample batches and in tests, as the reference: `project_samples`
-projects a batch through the array ring, one evaluation of F's tree
-per Newton iteration on numpy coordinate columns.
+integrator; the others wrap them in arrays. `vectors` evaluates X on
+many points through the value kernels' array twins, the same records
+compiled over numpy columns, with `vector`'s bits in every row. The
+generic `char_data` and `ScalarField.value_and_grad` run only while a
+kernel is recorded, on sample batches and in tests, as the reference:
+`project_samples` projects a batch through the array ring, one
+evaluation of F's tree per Newton iteration on numpy coordinate
+columns.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .exterior import (AltArray, Chart, KForm, ScalarField, ring_det,
                        solve_top_contraction)
 from .expr import uses_var
 from .jets import Jet, fval, seed
-from .kernel import argmax, run
+from .kernel import argmax, run, run_rows
 
 
 def _coords(point) -> list:
@@ -347,6 +350,14 @@ class FoliationField:
     def vector_values(self, point) -> tuple:
         """X at a point, as a tuple of floats from the value kernel."""
         return run(self._kernels[0], self._value_outputs, _coords(point))
+
+    def vectors(self, points) -> np.ndarray:
+        """`vector` at every row of an (m, d) array, as an (m, d) array,
+        bit for bit, evaluated through the value kernels' array twins."""
+        x = np.asarray(points, dtype=float).reshape(-1, self._d)
+        out = np.empty_like(x)
+        run_rows(self._kernels[0], self._value_outputs, x, out)
+        return out
 
     def _value_outputs(self, point):
         return self.char_data(point).X

@@ -10,11 +10,19 @@ operations of the generic run on the same operands, so it computes the
 same values, and returns None at the first guard that fails, that is
 wherever the generic code would have taken another branch.
 
+`run_rows` runs a kernel list over the rows of an array. The same tape
+compiles a second time over numpy columns, to the kernel's array twin:
+a failing guard marks its rows instead of returning. A twin exists only
+for a tape of + - * /, negation, abs and comparisons, which numpy rounds
+exactly as Python floats do (its `exp`, `log` and `**` do not round as
+libm does), so a row the twin serves gets the kernel's bits. Rows no
+twin serves go through `run` one at a time.
+
 Operations with a Python number are folded away when they are exact
 identities or structural zeros: x * 1, x * 0, x + 0, x - 0, 0 - x
-(negation), x / 1 and 0 / x. The zero seed tangents of the jets vanish
-this way, which is where most of the speed comes from; values agree
-with the generic run except possibly in the sign of a zero.
+(negation), x / 1, 0 / x and x ** 1. The zero seed tangents of the jets
+vanish this way, which is where most of the speed comes from; values
+agree with the generic run except possibly in the sign of a zero.
 
 A Rec refuses `bool`, `float` and `index`, so a branch on a value
 that is not a recorded comparison cannot be baked into a kernel.
@@ -26,6 +34,8 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
+
+import numpy as np
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": operator.truediv, "**": operator.pow}
@@ -57,43 +67,56 @@ class Tape:
 
     def __init__(self):
         # (target name, or None for a guard; template; operand names;
-        #  whether the line runs even when nothing uses its value)
+        #  raises: False, True, or for a division by a recorded value
+        #  that value's name, since it raises where that value is 0)
         self.lines = []
         # the math functions the lines call, by their name in the kernel
         self.functions = {}
 
-    def emit(self, template, value, operands, may_raise=False) -> "Rec":
+    def emit(self, template, value, operands, raises=False) -> "Rec":
         name = f"t{len(self.lines)}"
-        self.lines.append((name, template, _names(operands), may_raise))
+        self.lines.append((name, template, _names(operands), raises))
         return Rec(value, name, self)
 
     def binary(self, a, op, b) -> "Rec":
+        if op == "**":
+            raises = True
+        elif op == "/" and isinstance(b, Rec):
+            raises = b.name
+        else:       # a number divisor is not 0, or the trace would have raised
+            raises = False
         return self.emit(f"{_slot(a)} {op} {_slot(b)}",
-                         _BINARY[op](_value(a), _value(b)), (a, b),
-                         may_raise=op in ("/", "**"))
+                         _BINARY[op](_value(a), _value(b)), (a, b), raises)
 
     def guard(self, a, op, b) -> bool:
         outcome = bool(_COMPARE[op](_value(a), _value(b)))
         test = f"{_slot(a)} {op} {_slot(b)}"
-        self.fail_if(test if not outcome else f"not ({test})", (a, b))
+        # {neg} is `not ` in a kernel and `~` in an array twin
+        self.fail_if(f"{{neg}}({test})" if outcome else test, (a, b))
         return outcome
 
     def fail_if(self, test: str, operands) -> None:
         """A guard: the kernel returns None where `test` holds."""
         self.lines.append((None, test, _names(operands), True))
 
-    def compile(self, nargs: int, outputs):
+    def compile(self, nargs: int, outputs, rows: bool = False):
         """The kernel returning `outputs` (Recs or numbers) as a tuple.
 
         Lines that feed neither an output nor a guard are dropped, unless
-        they can raise (a division, a power, a math function): where the
-        generic code fails, the kernel fails too. A value used once is
+        they can raise (a division by a recorded value, a power, a math
+        function): where the generic code fails, the kernel fails too. A value used once is
         written into the expression that uses it instead of being
         stored, which shrinks the source to parse; compiling the largest
         kernels is otherwise the largest transient allocation of a run.
         Values are only ever computed later than on the tape, never
         earlier, so every guard still runs before anything that the
         generic code computed only after its branch.
+
+        With `rows`, the same lines compile to the array twin: a function
+        of numpy columns returning (miss, outputs), where miss marks the
+        rows at which a guard fails or a divisor is 0, and the kernel
+        would return None or raise. A tape with a power or a math
+        function has no twin (None).
         """
         results = _names(outputs)
         live = set(results)
@@ -103,9 +126,14 @@ class Tape:
                 kept.append(line)
                 live.update(line[2])
         kept.reverse()
+        if rows and any(name is not None and raises is True
+                        for name, _, _, raises in kept):
+            return None
         uses = Counter(results)
-        for _, _, names, _ in kept:
+        for _, _, names, raises in kept:
             uses.update(names)
+            if rows and isinstance(raises, str):
+                uses[raises] += 1       # a divisor the twin tests is stored
         pending = {}      # name -> (expression, nesting) awaiting its one use
 
         def fill(template, names):
@@ -117,21 +145,27 @@ class Tape:
                     depth = max(depth, k)
                 else:
                     parts.append(n)
-            return template.format(*parts), depth
+            return template.format(*parts, neg="~" if rows else "not "), depth
 
-        body = []
-        for name, template, names, _ in kept:
+        body = ["    _miss = False"] if rows else []
+        for name, template, names, raises in kept:
             text, depth = fill(template, names)
+            if rows and isinstance(raises, str):
+                body.append(f"    _miss |= {raises} == 0.0")
             if name is None:
-                body.append(f"    if {text}: return None")
+                body.append(f"    _miss |= {text}" if rows
+                            else f"    if {text}: return None")
             elif uses[name] == 1 and depth < _NEST:
                 pending[name] = (text, depth + 1)
             else:
                 body.append(f"    {name} = {text}")
         ret, _ = fill("".join(_slot(o) + ", " for o in outputs), results)
+        if rows:
+            ret = f"_miss, ({ret})"
         args = ", ".join(f"x{i}" for i in range(nargs))
         src = "\n".join([f"def _k({args}):", *body, f"    return ({ret})\n"])
-        ns = dict(self.functions, inf=math.inf, nan=math.nan, _argmax=_argmax)
+        ns = dict(self.functions, inf=math.inf, nan=math.nan,
+                  _argmax=_argmax_rows if rows else _argmax)
         exec(compile(src, "<charfol kernel>", "exec"), ns)
         return ns["_k"]
 
@@ -210,9 +244,11 @@ class Rec:
         return 0.0 if other == 0 else self.tape.binary(other, "/", self)
 
     def __pow__(self, other):
-        if not isinstance(other, (Rec, *_NUMBER)):
+        if isinstance(other, Rec):
+            return self.tape.binary(self, "**", other)
+        if not isinstance(other, _NUMBER):
             return NotImplemented
-        return self.tape.binary(self, "**", other)
+        return self if other == 1 else self.tape.binary(self, "**", other)
 
     def __rpow__(self, other):
         if not isinstance(other, _NUMBER):
@@ -228,8 +264,7 @@ class Rec:
     def apply(self, fn: str) -> "Rec":
         """The math function `fn` (a row of the jets ring table)."""
         f = self.tape.functions["_" + fn] = getattr(math, fn)
-        return self.tape.emit(f"_{fn}({{}})", f(self.v), (self,),
-                              may_raise=True)
+        return self.tape.emit(f"_{fn}({{}})", f(self.v), (self,), raises=True)
 
     # comparisons become guards --------------------------------------
 
@@ -266,6 +301,13 @@ def _argmax(*values) -> int:
     return values.index(max(values))
 
 
+def _argmax_rows(*values):
+    """`_argmax` in each row of numpy columns; -1 in a row with a NaN,
+    which an array twin leaves to the kernel."""
+    v = np.stack(np.broadcast_arrays(*values))
+    return np.where(np.isnan(v).any(axis=0), -1, v.argmax(axis=0))
+
+
 def argmax(keys) -> int:
     """The index max() picks from `keys`: the first of the largest.
 
@@ -282,6 +324,14 @@ def argmax(keys) -> int:
     return best
 
 
+def _trace(fn, args):
+    """The tape of fn run once on recording scalars valued at args, and
+    fn's outputs."""
+    tape = Tape()
+    outputs = fn([Rec(v, f"x{i}", tape) for i, v in enumerate(args)])
+    return tape, list(outputs)
+
+
 def run(kernels: list, fn, args):
     """fn(args) for a list of floats, through the first of `kernels`
     whose guards hold at args.
@@ -291,7 +341,8 @@ def run(kernels: list, fn, args):
     where fn raises raises the same error from that run. The list ends
     up with one kernel per outcome of fn's comparisons (for `char_data`,
     one per pivot). Its owner keeps it, and nothing in it refers back to
-    the owner, so the kernels go when the owner does.
+    the owner, so the kernels go when the owner does. Each kernel keeps
+    its trace point, where `run_rows` traces it again for its twin.
     """
     for i, k in enumerate(kernels):
         out = k(*args)
@@ -299,8 +350,64 @@ def run(kernels: list, fn, args):
             if i:
                 kernels.insert(0, kernels.pop(i))
             return out
-    tape = Tape()
-    outputs = fn([Rec(v, f"x{i}", tape) for i, v in enumerate(args)])
-    k = tape.compile(len(args), list(outputs))
+    tape, outputs = _trace(fn, args)
+    k = tape.compile(len(args), outputs)
+    k.at = tuple(args)
     kernels.insert(0, k)
     return k(*args)
+
+
+# Rows go through the array twins this many at a time, which bounds the
+# memory that the twins' intermediate columns take.
+BLOCK = 1024
+
+
+def _twin(k, fn):
+    """The array twin of kernel k (None if it has none), compiled once
+    from a new trace at k's trace point, which repeats k's tape."""
+    if not hasattr(k, "twin"):
+        tape, outputs = _trace(fn, k.at)
+        k.twin = tape.compile(len(k.at), outputs, rows=True)
+    return k.twin
+
+
+def run_rows(kernels: list, fn, x, out) -> None:
+    """Fill each row of the float array `out` with `run(kernels, fn,
+    row)` for the same row of the float array `x`, bit for bit.
+
+    A block of rows at a time runs through the twins of `kernels`. A
+    twin serves a row where its guards hold, no divisor is 0 and the
+    outputs are finite (of two NaN operands, numpy and Python floats may
+    keep different ones); the guards of at most one kernel hold at a
+    point. A row that no twin serves goes through `run` on its own,
+    which traces the kernel it lacks or raises what the generic code
+    raises there; the twin of a kernel traced so then serves the rows
+    still waiting.
+    """
+    for start in range(0, len(x), BLOCK):
+        _run_block(kernels, fn, x[start:start + BLOCK],
+                   out[start:start + BLOCK])
+
+
+def _run_block(kernels, fn, x, out) -> None:
+    cols = np.ascontiguousarray(x.T)
+    wait = np.arange(len(x))            # the rows not yet served
+    fresh = list(kernels)               # the kernels whose twins have not run
+    while True:
+        for k in fresh:
+            twin = _twin(k, fn)
+            if twin is None or not len(wait):
+                continue
+            with np.errstate(all="ignore"):
+                miss, values = twin(*cols[:, wait])
+            y = np.column_stack([np.broadcast_to(v, wait.shape)
+                                 for v in values])
+            ok = np.logical_not(miss) & np.isfinite(y).all(axis=1)
+            out[wait[ok]] = y[ok]
+            wait = wait[~ok]
+        if not len(wait):
+            return
+        count = len(kernels)
+        i, wait = wait[0], wait[1:]
+        out[i] = run(kernels, fn, x[i].tolist())
+        fresh = kernels[:len(kernels) - count]      # what that run traced

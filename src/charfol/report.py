@@ -142,19 +142,27 @@ def _cell(v) -> str:
     return str(v)
 
 
+# An array is written this many rows per formatting step.
+_CSV_BLOCK = 1024
+
+
 def write_csv(path: str, header, rows) -> None:
-    """A row of finite Python floats is formatted in one step, as
-    `format_float` prints each; any other row goes cell by cell."""
+    """`rows` is a 2-D float array, formatted a block of rows at a time,
+    or a sequence of rows, formatted cell by cell. A float prints as
+    `format_float` prints it, without quotes, either way."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            if all(type(v) is float for v in row) and math.isfinite(sum(row)):
-                fh.write(",".join(["%.17g"] * len(row)) % tuple(row) + "\n")
-            else:
+        if isinstance(rows, np.ndarray):
+            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+            for start in range(0, len(rows), _CSV_BLOCK):
+                block = rows[start:start + _CSV_BLOCK]
+                fh.write(line * len(block) % tuple(block.ravel().tolist()))
+        else:
+            for row in rows:
                 fh.write(",".join(_cell(v) for v in row) + "\n")
 
 
-def profile_rows(profile, grid) -> list:
+def profile_rows(profile, grid) -> np.ndarray:
     """(s, u, h1, residual) rows of a convexity profile."""
     u, _, h, _, res = profile_arrays(profile.u, profile.h1, profile.n, grid)
-    return list(zip(grid.tolist(), u.tolist(), h.tolist(), res.tolist()))
+    return np.column_stack([grid, u, h, res])

@@ -215,6 +215,20 @@ def test_write_csv_float_rows_match_cell_path(tmp_path):
     assert path.read_bytes() == want.encode()
 
 
+def test_write_csv_arrays_match_cell_path(tmp_path, monkeypatch):
+    # an array goes a block of rows at a time, with a short last block
+    monkeypatch.setattr(report, "_CSV_BLOCK", 4)
+    arr = np.random.default_rng(29).normal(size=(11, 3)) * 1e5
+    arr[0] = [float("nan"), float("inf"), float("-inf")]
+    arr[1] = [-0.0, 1e-300, 1e308]
+    arr[2] = [1e308, 1e308, -1e308]
+    path = tmp_path / "t.csv"
+    report.write_csv(str(path), ("a", "b", "c"), arr)
+    want = "a,b,c\n" + "".join(
+        ",".join(report._cell(v) for v in row) + "\n" for row in arr.tolist())
+    assert path.read_bytes() == want.encode()
+
+
 # the command line -------------------------------------------------------
 
 def test_certify_passes_on_sphere_scene(tmp_path):

@@ -156,9 +156,6 @@ class ZeroDivergenceField:
     def vector_and_jacobian(self, p):
         return self.base.vector_and_jacobian(p)
 
-    def char_data(self, p):
-        return self.base.char_data(p)
-
     def divergence(self, p):
         return 0.0
 

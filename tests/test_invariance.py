@@ -45,9 +45,6 @@ class RescaledField:
             out = out + np.outer(np.asarray(X, dtype=float), self.grad_h(p))
         return self.h(p) * X, out
 
-    def char_data(self, p):
-        return self.base.char_data(p)
-
     def divergence(self, p):
         d = self.h(p) * self.base.divergence(p)
         if self.grad_h is not None:

@@ -8,26 +8,30 @@ reference: at every sampled surface point the kernels must give the
 same numbers exactly (`==`, so the sign of a zero may differ), and
 where the generic code raises, the kernels raise the same error. No
 command runs the generic functions on plain floats.
+`FoliationField.vectors` runs the kernels' array twins over many
+points; it must give `vector`'s bits at every point and raise what
+`vector` raises.
 """
 
 import math
 import operator
 from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from charfol import mori
-from charfol.cli import main
+from charfol import kernel, mori
+from charfol.cli import _grid_points, _norms, main
 from charfol.contact import ContactScene, FoliationField, Hypersurface
 from charfol.errors import (CharfolError, DegenerateVolumeError,
                             ProjectionError)
 from charfol.expr import Bin, Const
 from charfol.exterior import Chart, KForm, ScalarField, _fn
 from charfol.jets import Jet, fval, seed
-from charfol.kernel import Rec, Tape, _argmax, argmax, run
+from charfol.kernel import Rec, Tape, _argmax, _trace, argmax, run, run_rows
 from charfol.scenefile import load_scene
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
@@ -52,7 +56,17 @@ def _shell(n, chart):
     return scene.field_cartesian if chart == "cartesian" else scene.field_polar
 
 
+def _cone():
+    # x^2 + y^2 = z^2 in [-1, 1]^3, whose vertex (fractions 0.5) is not
+    # a regular point
+    ch = Chart(("x", "y", "z"))
+    x, y, z = ch.vars()
+    scene = ContactScene(ch, KForm.one_form(ch, [-y, x, ch.constant(1.0)]))
+    return FoliationField(scene, Hypersurface(x * x + y * y - z * z))
+
+
 FIELDS = {
+    "cone": _cone,
     "s2-height": lambda: _bundled("s2-height"),
     "graph-model": lambda: _bundled("graph-model"),
     "mori-sigma0-n2": lambda: _shell(2, "cartesian"),
@@ -103,18 +117,21 @@ def reference(field, p):
 
 
 fractions = st.lists(st.floats(0.0, 1.0), min_size=7, max_size=7)
+VERTEX = [0.5] * 7
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
 @PROPERTY
 @given(fractions)
+@example(fr=VERTEX)
 def test_kernels_equal_generic_char_data(name, fr):
     field = field_named(name)
     p = surface_point(field, fr)
     try:
         X, J, div = reference(field, p)
     except DegenerateVolumeError as e:
-        for call in (field.flow_data, field.surface.frame):
+        for call in (field.vector, field.flow_data, field.surface.frame,
+                     lambda q: field.vectors([q])):
             with pytest.raises(DegenerateVolumeError) as traced:
                 call(p)
             assert str(traced.value) == str(e)
@@ -162,6 +179,157 @@ def test_projection_kernel_equals_value_and_grad(name, fr):
         assert got == want
 
 
+FAILURES = (ArithmeticError, ValueError, CharfolError)
+
+
+def assert_vectors_are_pointwise(field, pts):
+    """field.vectors(pts) has the bits of [field.vector(p) for p in pts],
+    or raises the error that the first failing point raises there."""
+    try:
+        got = field.vectors(pts)
+    except FAILURES as e:
+        with pytest.raises(type(e)) as want:
+            for p in pts:
+                field.vector(p)
+        assert str(want.value) == str(e)
+        return
+    want = np.array([field.vector(p) for p in pts], dtype=float)
+    assert got.tobytes() == want.reshape(got.shape).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@PROPERTY
+@given(st.lists(fractions, min_size=1, max_size=12),
+       st.sampled_from([1, 3, kernel.BLOCK]))
+@example(frs=[[0.2] * 7, VERTEX, [0.9] * 7], block=3)
+def test_vectors_equal_vector_bit_for_bit(name, frs, block):
+    # small blocks mix pivots within a block and kernels across blocks;
+    # at the cone's vertex the batch raises DegenerateVolumeError
+    field = field_named(name)
+    box = _box(field.scene)
+    q = [[lo + f * (hi - lo) for f, (lo, hi) in zip(fr, box)] for fr in frs]
+    pts = field.surface.project_samples(q)
+    if name == "cone" and VERTEX in frs:
+        assert any(not p.any() for p in pts)        # the vertex is a row
+    with mock.patch.object(kernel, "BLOCK", block):
+        assert_vectors_are_pointwise(field, pts)
+
+
+def test_vectors_mix_pivots_in_every_block():
+    field = _bundled("s2-height")
+    axis = np.linspace(-1.0, 1.0, 8)
+    grid = np.stack(np.meshgrid(axis, axis, axis), -1).reshape(-1, 3)
+    pts = np.array(field.surface.project_samples(grid))
+    with mock.patch.object(kernel, "BLOCK", 64):
+        got = field.vectors(pts)
+    assert len(field._kernels[0]) == 3
+    pivots = [field.char_data(p).pivot for p in pts]
+    assert all(len(set(pivots[i:i + 64])) > 1
+               for i in range(0, len(pts), 64))
+    want = np.array([field.vector(p) for p in pts])
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["s2-height", "graph-model"])
+def test_grid_kernels_have_no_power_and_have_twins(name):
+    # x ** 1 folds away, so the value kernels of the grid scenes use only
+    # + - * /, negation, abs and comparisons, and each has an array twin
+    doc = load_scene(str(resources.files("charfol") / "scenes"
+                         / f"{name}.scene"))
+    field = FoliationField(doc.scene, doc.surface)
+    field.vectors(field.surface.project_samples(_grid_points(doc, 8)))
+    assert len(field._kernels[0]) > 1
+    for k in field._kernels[0]:
+        tape, _ = _trace(field._value_outputs, k.at)
+        assert not any("**" in line[1] for line in tape.lines)
+        assert not tape.functions
+        assert k.twin is not None
+
+
+def test_twin_leaves_zero_divisors_to_the_kernel():
+    def fn(xs):
+        x, y = xs
+        _ = 1.0 / y             # raises where y is 0; feeds no output
+        return [x * 2.0, x - y]
+
+    kernels = []
+    x = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    out = np.empty_like(x)
+    run_rows(kernels, fn, x, out)
+    assert out.tolist() == [[2.0, -1.0], [6.0, -1.0], [10.0, -1.0]]
+    assert len(kernels) == 1 and kernels[0].twin is not None
+    for zero in (0.0, -0.0):
+        with pytest.raises(ZeroDivisionError):
+            run(kernels, fn, [3.0, zero])
+        x[1, 1] = zero
+        with pytest.raises(ZeroDivisionError):
+            run_rows(kernels, fn, x, out)
+
+
+def test_twin_rows_follow_float_comparisons():
+    # ties, signed zeros, infinities and NaN pick the same branch and the
+    # same argmax in a twin as in its kernel (the output is not the key,
+    # so a wrong pick at a NaN key can give a finite output)
+    def fn(xs):
+        a, b, c = xs
+        i = argmax([abs(a), abs(b), c])
+        return [xs[i - 1] - 1.0 if a < b else -xs[i - 1]]
+
+    special = [0.0, -0.0, 1.0, -1.0, 2.0, math.inf, -math.inf, math.nan]
+    rows = np.array([[a, b, c] for a in special for b in special
+                     for c in special])
+    kernels = []
+    want = [run(kernels, fn, r.tolist()) for r in rows]
+    out = np.empty((len(rows), 1))
+    run_rows(kernels, fn, rows, out)
+    assert out.tobytes() == np.array(want, dtype=float).tobytes()
+
+
+def test_twin_leaves_nan_outputs_to_the_kernel():
+    # with two NaN operands, numpy and Python floats keep different ones:
+    # inf - inf is a NaN with its sign bit set, math.nan has it clear
+    def fn(xs):
+        x, y = xs
+        return [(x - x) + y]
+
+    rows = np.array([[1.0, 2.0], [math.inf, math.nan]])
+    kernels = []
+    want = [run(kernels, fn, r.tolist()) for r in rows]
+    out = np.empty((2, 1))
+    run_rows(kernels, fn, rows, out)
+    assert out.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_norms_equal_linalg_norm_bit_for_bit(d):
+    # `foliation` reports the smallest and largest |X| from one stacked
+    # matmul; np.linalg.norm of each row is the reference
+    rng = np.random.default_rng(d)
+    V = rng.normal(size=(20000, d)) * np.exp(rng.uniform(-30.0, 30.0,
+                                                         (20000, 1)))
+    V[:5] = 0.0
+    want = np.array([np.linalg.norm(v) for v in V])
+    assert _norms(V).tobytes() == want.tobytes()
+
+
+def test_foliation_at_the_cone_vertex_fails_like_vector(tmp_path, capsys):
+    # an odd grid over [-1, 1]^3 holds the vertex, where X is undefined
+    scene = tmp_path / "cone.scene"
+    scene.write_text("scene cone\n\nchart\n  names = x y z\n\nalpha\n"
+                     "  dx = -y\n  dy = x\n  dz = 1\n\nhypersurface\n"
+                     "  level = x^2 + y^2 - z^2\n")
+    doc = load_scene(str(scene))
+    pts = doc.surface.project_samples(_grid_points(doc, 5))
+    assert any(not p.any() for p in pts)
+    field = FoliationField(doc.scene, doc.surface)
+    with pytest.raises(DegenerateVolumeError) as pointwise:
+        for p in pts:
+            field.vector(p)
+    capsys.readouterr()
+    assert main(["foliation", str(scene), "--grid", "5"]) == 3
+    assert capsys.readouterr().err == f"numeric failure: {pointwise.value}\n"
+
+
 def test_pivot_switch_on_s2_height():
     # on the unit sphere grad F = 2p, so the pivot flips from x to z as
     # the point crosses the diagonal x = z
@@ -181,10 +349,7 @@ def test_pivot_switch_on_s2_height():
 
 
 def test_degenerate_point_raises_like_char_data():
-    ch = Chart(("x", "y", "z"))
-    x, y, z = ch.vars()
-    scene = ContactScene(ch, KForm.one_form(ch, [-y, x, ch.constant(1.0)]))
-    field = FoliationField(scene, Hypersurface(x * x + y * y - z * z))
+    field = _cone()
     field.vector([0.3, 0.4, 0.5])          # a kernel exists; its guard fails
     field.flow_data([0.3, 0.4, 0.5])
     origin = [0.0, 0.0, 0.0]
@@ -197,11 +362,8 @@ def test_degenerate_point_raises_like_char_data():
 
 
 def test_degenerate_frame_raises_like_char_data():
-    ch = Chart(("x", "y", "z"))
-    x, y, z = ch.vars()
-    surface = Hypersurface(x * x + y * y - z * z)
-    scene = ContactScene(ch, KForm.one_form(ch, [-y, x, ch.constant(1.0)]))
-    field = FoliationField(scene, surface)
+    field = _cone()
+    surface = field.surface
     surface.frame([0.3, 0.4, 0.5])
     with pytest.raises(DegenerateVolumeError) as generic:
         field.char_data([0.0, 0.0, 0.0])
@@ -218,7 +380,8 @@ def _traced(point) -> bool:
 
 @pytest.mark.parametrize("argv", [["classify", "s2-height"],
                                   ["certify", "s2-height"],
-                                  ["classify", "mori-sigma0-n2"]])
+                                  ["classify", "mori-sigma0-n2"],
+                                  ["foliation", "s2-height", "--grid", "8"]])
 def test_commands_evaluate_only_through_kernels(argv, monkeypatch, tmp_path):
     # char_data and the surface's F.value_and_grad may run while a
     # kernel is recorded and on sample batches, never on plain floats
@@ -341,7 +504,6 @@ trees = st.recursive(leaves, lambda kids: st.one_of(
     st.builds(lambda a, v: a.d(v), kids, st.sampled_from(CH.names)),
     kids.map(operator.neg)), max_leaves=6)
 points = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
-FAILURES = (ArithmeticError, ValueError, CharfolError)
 
 
 def _same(a, b):
@@ -376,3 +538,15 @@ def test_random_surfaces_match_generic(tree, p, q):
             assert _same(Jk, [list(c.g) if isinstance(c, Jet) else [0.0] * 3
                               for c in data.X])
             assert _same(divk, fval(data.divergence))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(trees, points, points)
+# grad F divides by y, which is exactly 0 at q
+@example(CH.var("x") / CH.var("y"), [0.5, 0.2, 0.1], [0.5, 0.0, 0.1])
+def test_random_surfaces_vectors_equal_vector(tree, p, q):
+    """The twins, traced from a batch, give `vector`'s bits and fail
+    where it fails; a tape with a power or a math function has no twin,
+    so its rows run one at a time."""
+    field = FoliationField(SCENE, Hypersurface(tree + CH.var("z")))
+    assert_vectors_are_pointwise(field, [p, q, p])
