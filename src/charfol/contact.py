@@ -44,7 +44,7 @@ from .errors import (CharfolError, ContactConditionError,
 from .exterior import (AltArray, Chart, KForm, ScalarField, ring_det,
                        solve_top_contraction)
 from .expr import uses_var
-from .jets import Jet, fval, seed
+from .jets import fval, seed, split
 from .kernel import argmax, run, run_rows
 
 
@@ -149,17 +149,9 @@ def _alpha_data(scene: ContactScene, point) -> _AlphaData:
     values, grads = [], []
     for i in range(d):
         comp = scene.alpha.comps.get((i,))
-        if comp is None:
-            values.append(0.0)
-            grads.append((0.0,) * d)
-            continue
-        out = comp.fn(*lifted)
-        if isinstance(out, Jet):
-            values.append(out.f)
-            grads.append(out.g)
-        else:
-            values.append(out)
-            grads.append((0.0,) * d)
+        v, g = split(0.0 if comp is None else comp.fn(*lifted), d)
+        values.append(v)
+        grads.append(g)
     dal = {}
     for i in range(d):
         for j in range(i + 1, d):
@@ -368,12 +360,9 @@ class FoliationField:
         data = self.char_data(seed(point))
         X, J = [], []
         for c in data.X:
-            if isinstance(c, Jet):
-                X.append(c.f)
-                J.extend(c.g)
-            else:
-                X.append(c)
-                J.extend((0.0,) * self._d)
+            v, g = split(c, self._d)
+            X.append(v)
+            J.extend(g)
         return X + J + [fval(data.divergence)]
 
     def flow_values(self, point) -> tuple:
@@ -381,22 +370,17 @@ class FoliationField:
         of floats from the first-order kernel."""
         return run(self._kernels[1], self._jet_outputs, _coords(point))
 
-    def _jet_pass(self, point):
+    def vector_and_jacobian(self, point):
+        """Value and ambient Jacobian in one pass, via a jet level."""
+        return self.flow_data(point)[:2]
+
+    def flow_data(self, point):
         """X, its ambient Jacobian and div from the first-order kernel."""
         out = self.flow_values(point)
         d = self._d
         X = np.array(out[:d], dtype=float)
         J = np.array(out[d:-1], dtype=float).reshape(d, d)
         return X, J, float(out[-1])
-
-    def vector_and_jacobian(self, point):
-        """Value and ambient Jacobian in one pass, via a jet level."""
-        X, J, _ = self._jet_pass(point)
-        return X, J
-
-    def flow_data(self, point):
-        """Value, ambient Jacobian, and divergence from a single jet pass."""
-        return self._jet_pass(point)
 
     def divergence(self, point) -> float:
         """Divergence of X against the induced surface volume.
@@ -410,18 +394,17 @@ class FoliationField:
     # derived checks ----------------------------------------------------
 
     def tangency_residual(self, point) -> float:
-        data = self.char_data(point)
-        dot = sum(fval(a) * fval(b) for a, b in zip(data.normal, data.X))
-        scale = max(1.0, max(abs(fval(c)) for c in data.X))
-        return abs(dot) / scale
+        return self._residual(self.char_data(point).normal, point)
 
     def contact_plane_residual(self, point) -> float:
         """alpha(X) vanishes identically for the characteristic direction."""
-        ad = _alpha_data(self.scene, point)
-        data = self.char_data(point)
-        val = sum(fval(a) * fval(b) for a, b in zip(ad.values, data.X))
-        scale = max(1.0, max(abs(fval(c)) for c in data.X))
-        return abs(val) / scale
+        return self._residual(_alpha_data(self.scene, point).values, point)
+
+    def _residual(self, covector, point) -> float:
+        """|covector(X)| at a point, relative to max(1, max |X_i|)."""
+        X = [fval(c) for c in self.char_data(point).X]
+        dot = sum(fval(a) * b for a, b in zip(covector, X))
+        return abs(dot) / max(1.0, max(abs(c) for c in X))
 
 
 def alpha_data_at(scene: ContactScene, point):

@@ -17,6 +17,7 @@ deduplication of elements are tested modulo the period.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -43,9 +44,6 @@ _A = (
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920,
       -17253 / 339200, 22 / 525, -1 / 40)
 
-# state length -> (the six stage functions, the error function)
-_ROWS = {}
-
 
 def _weighted(coeffs, j: int) -> str:
     """Source of sum(c * k[j] for c, k in zip(coeffs, ks)), term by term
@@ -55,7 +53,8 @@ def _weighted(coeffs, j: int) -> str:
     return f"(0.0{terms})"
 
 
-def _compile_rows(n: int):
+@functools.cache
+def _rows(n: int):
     """Straight-line DOPRI5 stage inputs and scaled error for states of
     length n, on lists of floats.
 
@@ -82,13 +81,6 @@ def _compile_rows(n: int):
     for src in funcs:
         exec(compile("\n".join(src) + "\n", "<charfol dopri5>", "exec"), ns)
     return [ns[f"stage{i}"] for i in range(1, 7)], ns["error"]
-
-
-def _rows(n: int):
-    rows = _ROWS.get(n)
-    if rows is None:
-        rows = _ROWS[n] = _compile_rows(n)
-    return rows
 
 
 @dataclass

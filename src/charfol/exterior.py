@@ -21,7 +21,7 @@ from . import expr
 from .errors import ChartMismatchError, DegenerateVolumeError
 from .expr import (Bin, Call, Const, Deriv, Neg, Node, Var, compile_node,
                    parse_expression)
-from .jets import Jet, fval, seed
+from .jets import fval, seed, split
 
 
 class Chart:
@@ -121,10 +121,7 @@ class ScalarField:
 
     def value_and_grad(self, point):
         """One jet sweep: value and all partials at a point of ring scalars."""
-        out = self.fn(*seed(point))
-        if isinstance(out, Jet):
-            return out.f, out.g
-        return out, (0.0,) * self.chart.dim
+        return split(self.fn(*seed(point)), self.chart.dim)
 
     def d(self, which) -> "ScalarField":
         j = which if isinstance(which, int) else self.chart.index(which)

@@ -93,6 +93,14 @@ class Jet:
         return Jet(v, tuple(v * lc * a for a in self.g))
 
 
+def split(x, width: int):
+    """(value, tangent) of x at one jet level; anything but a Jet is a
+    constant there, with a zero tangent of the given width."""
+    if isinstance(x, Jet):
+        return x.f, x.g
+    return x, (0.0,) * width
+
+
 def fval(x):
     """Strip all jet structure, returning the underlying plain scalar."""
     while isinstance(x, Jet):

@@ -19,10 +19,13 @@ libm does), so a row the twin serves gets the kernel's bits. Rows no
 twin serves go through `run` one at a time.
 
 Operations with a Python number are folded away when they are exact
-identities or structural zeros: x * 1, x * 0, x + 0, x - 0, 0 - x
-(negation), x / 1, 0 / x and x ** 1. The zero seed tangents of the jets
-vanish this way, which is where most of the speed comes from; values
-agree with the generic run except possibly in the sign of a zero.
+identities or structural zeros, as the table `_FOLDS` lists them. The
+zero seed tangents of the jets vanish this way, which is where most of
+the speed comes from. Values agree with the generic run except in the
+sign of a zero and where a fold meets an operand that is not finite:
+`x * 0` folds to 0.0 where the generic run gives NaN because x is ±inf
+or NaN, and `0 / x` folds to 0.0 where it gives NaN because x is NaN
+(or raises because x is 0).
 
 A Rec refuses `bool`, `float` and `index`, so a branch on a value
 that is not a recorded comparison cannot be baked into a kernel.
@@ -44,6 +47,56 @@ _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
             ">=": operator.ge, "==": operator.eq}
 
 _NUMBER = (int, float)
+
+# The folds: an operation with a Python number that is an exact identity
+# or a structural zero records nothing. For each operator, the numbers
+# that fold on the right (x op n) and on the left (n op x), and what the
+# operation folds to: "x" is the Rec itself, "-x" its negation (a line
+# of its own) and 0.0 the number 0.0.
+_FOLDS = {
+    "+": ({0: "x"}, {0: "x"}),
+    "-": ({0: "x"}, {0: "-x"}),
+    "*": ({0: 0.0, 1: "x"}, {0: 0.0, 1: "x"}),
+    "/": ({1: "x"}, {0: 0.0}),
+    "**": ({1: "x"}, {}),
+}
+
+
+def _operators(op):
+    """The methods `x op y` and `n op x` of a Rec x: a number that
+    _FOLDS lists folds, any other number or a Rec y records one line,
+    and anything else is NotImplemented. Rec op Rec reaches only the
+    first."""
+    right, left = _FOLDS[op]
+
+    def forward(self, other):
+        if isinstance(other, Rec):
+            return self.tape.binary(self, op, other)
+        if not isinstance(other, _NUMBER):
+            return NotImplemented
+        to = right.get(other)
+        if to is None:
+            return self.tape.binary(self, op, other)
+        return self if to == "x" else -self if to == "-x" else to
+
+    def reflected(self, other):
+        if not isinstance(other, _NUMBER):
+            return NotImplemented
+        to = left.get(other)
+        if to is None:
+            return self.tape.binary(other, op, self)
+        return self if to == "x" else -self if to == "-x" else to
+
+    return forward, reflected
+
+
+def _comparison(op):
+    """The method `x op y` of a Rec x, recording a guard."""
+    def compare(self, other):
+        if not isinstance(other, (Rec, *_NUMBER)):
+            return NotImplemented
+        return self.tape.guard(self, op, other)
+    return compare
 
 
 def _slot(x) -> str:
@@ -191,69 +244,11 @@ class Rec:
     def __repr__(self):
         return f"Rec({self.v!r}, {self.name!r})"
 
-    def __add__(self, other):
-        if isinstance(other, Rec):
-            return self.tape.binary(self, "+", other)
-        if not isinstance(other, _NUMBER):
-            return NotImplemented
-        return self if other == 0 else self.tape.binary(self, "+", other)
-
-    def __radd__(self, other):
-        if not isinstance(other, _NUMBER):
-            return NotImplemented
-        return self if other == 0 else self.tape.binary(other, "+", self)
-
-    def __sub__(self, other):
-        if isinstance(other, Rec):
-            return self.tape.binary(self, "-", other)
-        if not isinstance(other, _NUMBER):
-            return NotImplemented
-        return self if other == 0 else self.tape.binary(self, "-", other)
-
-    def __rsub__(self, other):
-        if not isinstance(other, _NUMBER):
-            return NotImplemented
-        return -self if other == 0 else self.tape.binary(other, "-", self)
-
-    def __mul__(self, other):
-        if isinstance(other, Rec):
-            return self.tape.binary(self, "*", other)
-        if not isinstance(other, _NUMBER):
-            return NotImplemented
-        if other == 0:
-            return 0.0
-        return self if other == 1 else self.tape.binary(self, "*", other)
-
-    def __rmul__(self, other):
-        if not isinstance(other, _NUMBER):
-            return NotImplemented
-        if other == 0:
-            return 0.0
-        return self if other == 1 else self.tape.binary(other, "*", self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Rec):
-            return self.tape.binary(self, "/", other)
-        if not isinstance(other, _NUMBER):
-            return NotImplemented
-        return self if other == 1 else self.tape.binary(self, "/", other)
-
-    def __rtruediv__(self, other):
-        if not isinstance(other, _NUMBER):
-            return NotImplemented
-        return 0.0 if other == 0 else self.tape.binary(other, "/", self)
-
-    def __pow__(self, other):
-        if isinstance(other, Rec):
-            return self.tape.binary(self, "**", other)
-        if not isinstance(other, _NUMBER):
-            return NotImplemented
-        return self if other == 1 else self.tape.binary(self, "**", other)
-
-    def __rpow__(self, other):
-        if not isinstance(other, _NUMBER):
-            return NotImplemented
-        return self.tape.binary(other, "**", self)
+    __add__, __radd__ = _operators("+")
+    __sub__, __rsub__ = _operators("-")
+    __mul__, __rmul__ = _operators("*")
+    __truediv__, __rtruediv__ = _operators("/")
+    __pow__, __rpow__ = _operators("**")
 
     def __neg__(self):
         return self.tape.emit("-{}", -self.v, (self,))
@@ -266,27 +261,9 @@ class Rec:
         f = self.tape.functions["_" + fn] = getattr(math, fn)
         return self.tape.emit(f"_{fn}({{}})", f(self.v), (self,), raises=True)
 
-    # comparisons become guards --------------------------------------
-
-    def _compare(self, op, other):
-        if not isinstance(other, (Rec, *_NUMBER)):
-            return NotImplemented
-        return self.tape.guard(self, op, other)
-
-    def __lt__(self, other):
-        return self._compare("<", other)
-
-    def __le__(self, other):
-        return self._compare("<=", other)
-
-    def __gt__(self, other):
-        return self._compare(">", other)
-
-    def __ge__(self, other):
-        return self._compare(">=", other)
-
-    def __eq__(self, other):
-        return self._compare("==", other)
+    # comparisons become guards (in the order of _COMPARE)
+    __lt__, __le__, __gt__, __ge__, __eq__ = map(_comparison, _COMPARE)
+    __hash__ = None
 
     def _hidden_branch(self, *_):
         raise TypeError("a recording scalar has no concrete value; "

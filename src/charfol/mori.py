@@ -474,10 +474,8 @@ def _edge_orbit(scene: MoriScene, sign: float) -> CensusOrbit:
     d = scene.cartesian.chart.dim
 
     def lift(z):
-        rr = 1.0 + eps - z * z / eps ** 2
-        q = np.zeros(d)
-        q[0], q[-1] = math.sqrt(rr), z
-        return q
+        r = math.sqrt(1.0 + eps - z * z / eps ** 2)
+        return cartesian_lift(scene, (z, r, 0.0))
 
     z = sign * 0.9 * eps ** 1.5
     for _ in range(60):
@@ -541,13 +539,9 @@ def census(scene: MoriScene, tols: policy.Tolerances = policy.DEFAULT,
     """
     rng = np.random.default_rng(0) if rng is None else rng
     field = scene.field_cartesian
-    d = scene.cartesian.chart.dim
     az = scene.constants.axis_z
-    seeds = []
-    for s in (-1.1, -0.9, 0.9, 1.1):
-        q = np.zeros(d)
-        q[-1] = s * az
-        seeds.append(q)
+    seeds = [cartesian_lift(scene, (s * az, 0.0, 0.0))
+             for s in (-1.1, -0.9, 0.9, 1.1)]
     seeds += scene.surface_cartesian.project_samples(
         scene.cartesian.sample_points(rng, 12))
     pts = find_zeros(field, seeds, tols)
@@ -792,16 +786,20 @@ class ColumnOrbit:
     transverse_shift: float
 
 
+def _graph_point(ch, H: ScalarField, s, a, b, psi) -> np.ndarray:
+    """The point of the column graph t = H over (s, a, b, psi)."""
+    q = np.zeros(ch.dim)
+    for name, v in (("s", s), ("a", a), ("b", b), ("psi", psi)):
+        q[ch.index(name)] = v
+    q[ch.index("t")] = float(H(list(q)))
+    return q
+
+
 def _column_orbit(field: FoliationField, H: ScalarField, psi0: float,
                   spec: PerturbationSpec,
                   tols: policy.Tolerances) -> ColumnOrbit:
     ch = field.scene.chart
-    seed = np.zeros(ch.dim)
-    seed[ch.index("s")] = 5.0
-    seed[ch.index("a")] = 0.02
-    seed[ch.index("b")] = -0.01
-    seed[ch.index("psi")] = psi0 + 0.1
-    seed[ch.index("t")] = float(H(list(seed)))
+    seed = _graph_point(ch, H, 5.0, 0.02, -0.01, psi0 + 0.1)
     sdot = float(field.vector(seed)[ch.index("s")])
     guess = spec.circumference / abs(sdot)
     orb = find_orbit(field, seed, guess, tols)
@@ -862,15 +860,9 @@ def perturb_analysis(spec: PerturbationSpec,
     ham = dict(prof)
     ham["center_gradient"] = cg
 
-    pts = []
-    for _ in range(200):
-        q = np.zeros(ch.dim)
-        q[ch.index("s")] = rng.uniform(0.0, spec.circumference)
-        q[ch.index("a")] = rng.uniform(-2.0, 2.0)
-        q[ch.index("b")] = rng.uniform(-2.0, 2.0)
-        q[ch.index("psi")] = rng.uniform(0.0, 2.0 * math.pi)
-        q[ch.index("t")] = float(H(list(q)))
-        pts.append(q)
+    pts = [_graph_point(ch, H, rng.uniform(0.0, spec.circumference),
+                        rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0),
+                        rng.uniform(0.0, 2.0 * math.pi)) for _ in range(200)]
     direction = graph_foliation_check(
         field, _predicted_lift(scene, base, H), pts)
 
@@ -894,15 +886,12 @@ def perturb_analysis(spec: PerturbationSpec,
     ctols = _certificate_tols(tols)
     seeds = []
     for _ in range(10):
-        q = np.zeros(ch.dim)
-        q[ch.index("s")] = rng.uniform(0.0, spec.circumference)
+        s = rng.uniform(0.0, spec.circumference)
         ang = rng.uniform(0.0, 2.0 * math.pi)
         rad = rng.uniform(0.1, 0.9)
-        q[ch.index("a")] = rad * math.cos(ang)
-        q[ch.index("b")] = rad * math.sin(ang)
-        q[ch.index("psi")] = rng.uniform(0.0, 2.0 * math.pi)
-        q[ch.index("t")] = float(H(list(q)))
-        seeds.append(q)
+        seeds.append(_graph_point(ch, H, s, rad * math.cos(ang),
+                                  rad * math.sin(ang),
+                                  rng.uniform(0.0, 2.0 * math.pi)))
     cert = certify.check_morse_smale(field, zeros=(), orbits=orbits,
                                      tols=ctols, seed_points=seeds)
 

@@ -476,6 +476,64 @@ def test_argmax_picks_what_max_over_indices_picks(values):
     assert argmax(values) == want
 
 
+# the folds of the recording scalar ---------------------------------------
+
+# What `x op n` (right) and `n op x` (left) fold to, written out here
+# rather than read from the kernel: x itself, its negation, or 0.0. Every
+# other number records the operation as one line.
+FOLDS = {
+    ("+", "right"): {0: "x"}, ("+", "left"): {0: "x"},
+    ("-", "right"): {0: "x"}, ("-", "left"): {0: "-x"},
+    ("*", "right"): {0: 0.0, 1: "x"}, ("*", "left"): {0: 0.0, 1: "x"},
+    ("/", "right"): {1: "x"}, ("/", "left"): {0: 0.0},
+    ("**", "right"): {1: "x"}, ("**", "left"): {},
+}
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+       "/": operator.truediv, "**": operator.pow}
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("n", [0, -0.0, 1, 1.0, -1.0, 2.0])
+def test_rec_folds_follow_the_table(op, side, n):
+    tape = Tape()
+    x = Rec(1.5, "x0", tape)
+    args = (x, n) if side == "right" else (n, x)
+    if (op, side, n) == ("/", "right", 0):
+        with pytest.raises(ZeroDivisionError):      # as 1.5 / 0 does
+            OPS[op](*args)
+        return
+    out = OPS[op](*args)
+    to = FOLDS[op, side].get(n)
+    if to is None:                  # one line, valued as on floats
+        value = OPS[op](*(1.5 if a is x else a for a in args))
+        assert isinstance(out, Rec) and out.v == value
+        assert len(tape.lines) == 1
+        assert f" {op} " in tape.lines[0][1] and tape.lines[0][2] == ["x0"]
+    elif to == "x":
+        assert out is x and tape.lines == []
+    elif to == "-x":                # the negation line, and no other
+        assert isinstance(out, Rec) and out.v == -1.5
+        assert tape.lines == [(out.name, "-{}", ["x0"], False)]
+    else:
+        assert type(out) is float and out == to and tape.lines == []
+
+
+def test_rec_operators_take_only_numbers_and_recs():
+    tape = Tape()
+    x, y = Rec(1.5, "x0", tape), Rec(2.0, "x1", tape)
+    assert (x * y).v == 3.0 and tape.lines[-1][1:3] == ("{} * {}",
+                                                        ["x0", "x1"])
+    assert x.__radd__(y) is NotImplemented      # Rec op Rec goes forward
+    for other in ("1", [1.0], None):
+        assert x.__add__(other) is NotImplemented
+        assert x.__rmul__(other) is NotImplemented
+        assert x.__lt__(other) is NotImplemented
+    with pytest.raises(TypeError):
+        hash(x)
+    assert len(tape.lines) == 1
+
+
 # random surfaces F = tree + z in the chart of s2-height ------------------
 
 CH = Chart(("x", "y", "z"))
@@ -550,3 +608,20 @@ def test_random_surfaces_vectors_equal_vector(tree, p, q):
     so its rows run one at a time."""
     field = FoliationField(SCENE, Hypersurface(tree + CH.var("z")))
     assert_vectors_are_pointwise(field, [p, q, p])
+
+
+def test_folds_give_zero_where_the_generic_run_gives_nan():
+    """At a tiny z, the jets of F = x/z + z overflow, so the generic run
+    multiplies inf by zero tangents and its Jacobian is NaN. The kernel
+    folds `x * 0` to 0.0 there: the y column is zero, and every entry
+    the generic run has finite is equal in the kernel."""
+    field = FoliationField(SCENE, Hypersurface(CH.var("x") / CH.var("z")
+                                               + CH.var("z")))
+    p = [1.0, 0.0, 2.6e-289]
+    X, J, div = reference(field, p)
+    Xk, Jk, divk = field.flow_data(p)
+    assert all(math.isnan(row[1]) for row in J)
+    assert all(v == 0.0 for v in Jk[:, 1])
+    generic = [*X, *np.ravel(J), div]
+    traced = [*Xk, *Jk.ravel(), divk]
+    assert all(k == g for k, g in zip(traced, generic) if math.isfinite(g))
