@@ -311,8 +311,7 @@ def check_morse_smale(field, zeros=(), orbits=(),
                        "positive element (connection violation)")
 
     if seed_points is None:
-        seeds = field.surface.project_samples(
-            field.scene.sample_points(rng, samples))
+        seeds = field.surface_samples(rng, samples)
     else:
         seeds = [np.asarray(q, dtype=float) for q in seed_points]
 

@@ -31,14 +31,14 @@ def _resolve_scene(arg: str) -> SceneDocument:
     if os.path.exists(arg):
         return load_scene(arg)
     base = resources.files("charfol") / "scenes"
-    for cand in (f"{arg}.scene", arg):
-        f = base / cand
+    for f in (base / f"{arg}.scene", base / arg):
         if f.is_file():
             return load_scene(str(f))
     raise SceneParseError(f"no scene file or bundled scene named {arg!r}")
 
 
-def _emit(args, rep: dict, csv_files: dict) -> None:
+def _emit(args, rep: dict, csv_files: dict) -> int:
+    """Write the report and its CSV files; return the verdict's exit code."""
     if args.csv_dir:
         os.makedirs(args.csv_dir, exist_ok=True)
         for name, (header, rows) in csv_files.items():
@@ -50,37 +50,25 @@ def _emit(args, rep: dict, csv_files: dict) -> None:
         print(f"{rep['command']}: {verdict} (report written to {args.json})")
     else:
         print(report.to_json(rep))
+    return 0 if rep.get("verdict", "pass") == "pass" else 1
 
 
-def _base(args, command: str, digest: str) -> dict:
-    return report.base_report(command, digest, args.seed,
-                              args.tolerance_profile,
-                              policy.profile(args.tolerance_profile))
+def _start(args, command: str, digest: str):
+    """The report of `command` on the scene text with this digest, and
+    the tolerances and random stream the command runs with."""
+    tols = policy.profile(args.tolerance_profile)
+    rep = report.base_report(command, digest, args.seed,
+                             args.tolerance_profile, tols)
+    return rep, tols, np.random.default_rng(args.seed)
 
 
-def _field_scene(doc: SceneDocument):
-    if doc.kind == "family":
-        scene = mori_mod.mori_scene(doc.family["n"], doc.family["eps"])
-        return scene, scene.field_cartesian
-    field = FoliationField(doc.scene, doc.surface)
-    return doc, field
-
-
-def _grid_points(doc: SceneDocument, k: int):
-    """Product grid over the bounded coordinate box, surface-projected."""
-    chart = doc.scene.chart
-    axes = []
-    for nm in chart.names:
-        lo, hi = doc.scene.domain.get(nm, (None, None))
-        if nm in chart.periods:
-            per = chart.periods[nm]
-            axes.append(np.linspace(0.0, per, k, endpoint=False))
-        else:
-            lo = -1.0 if lo is None else lo
-            hi = 1.0 if hi is None else hi
-            axes.append(np.linspace(lo, hi, k))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+def _open(args, command: str):
+    """The scene named on the command line, then `_start`'s report (with
+    the scene's name), tolerances and random stream."""
+    doc = _resolve_scene(args.scene)
+    rep, tols, rng = _start(args, command, report.scene_digest(doc.text))
+    rep["scene"] = doc.name
+    return doc, rep, tols, rng
 
 
 def _norms(vecs) -> np.ndarray:
@@ -89,20 +77,60 @@ def _norms(vecs) -> np.ndarray:
     return np.sqrt(np.matmul(vecs[:, None, :], vecs[:, :, None])).ravel()
 
 
+def _shell(doc: SceneDocument) -> mori_mod.MoriScene:
+    return mori_mod.mori_scene(doc.family["n"], doc.family["eps"])
+
+
+def _shell_elements(scene, cen, tols) -> dict:
+    """The rows of a shell census and the check that its orbits close."""
+    return {"elements": report.element_rows(cen["zeros"], cen["orbits"]),
+            "orbit_closure": mori_mod.verify_orbit_closure(
+                scene, cen["orbits"], tols)}
+
+
+def _shell_certificate(scene, cen, tols, rng):
+    """The certificate of a shell census, with the invariant torus as
+    its recurrence candidate."""
+    return certify_mod.check_morse_smale(
+        scene.field_cartesian, zeros=cen["zeros"], orbits=cen["orbits"],
+        tols=tols, rng=rng,
+        recurrence_candidates=[mori_mod.torus_recurrence_candidate(scene)])
+
+
+def _field_census(doc: SceneDocument, tols, rng):
+    """The field of a field scene and its classified zeros, refined from
+    the zero_seeds and `analysis.samples` (default 8) random points."""
+    field = FoliationField(doc.scene, doc.surface)
+    seeds = list(doc.analysis.get("zero_seeds", []))
+    seeds += field.surface_samples(rng, doc.analysis.get("samples", 8))
+    return field, [classify_zero(field, p)
+                   for p in find_zeros(field, seeds, tols)]
+
+
+def _column(spec, tols, rng):
+    """The column dossier of `spec` and its report fields, in order."""
+    dossier = mori_mod.perturb_analysis(spec, tols, rng)
+    fields = {k: dossier[k] for k in (
+        "hamiltonian", "direction_check", "hamiltonian_residuals", "orbits",
+        "degenerate", "persistence", "certificate")}
+    fields["orbits"] = [{**report.orbit_row(o.info), "psi": o.psi,
+                         "transverse_shift": o.transverse_shift}
+                        for o in dossier["orbits"]]
+    fields["certificate"] = report.certificate_dict(dossier["certificate"])
+    return dossier, fields
+
+
 def cmd_foliation(args) -> int:
-    doc = _resolve_scene(args.scene)
-    rep = _base(args, "foliation", report.scene_digest(doc.text))
-    rep["scene"] = doc.name
+    doc, rep, _, rng = _open(args, "foliation")
     if doc.kind == "family":
-        scene, field = _field_scene(doc)
-        rng = np.random.default_rng(args.seed)
+        scene = _shell(doc)
         pts = mori_mod.sample_surface_polar(scene, rng, args.grid ** 2)
         pts = np.array([scene.cartesian_point(p) for p in pts], dtype=float)
-        names = scene.cartesian.chart.names
+        field, names = scene.field_cartesian, scene.cartesian.chart.names
     elif doc.kind == "field":
-        _, field = _field_scene(doc)
+        field = FoliationField(doc.scene, doc.surface)
         names = doc.scene.chart.names
-        pts = doc.surface.project_samples(_grid_points(doc, args.grid))
+        pts = doc.surface.project_samples(doc.scene.grid_points(args.grid))
         pts = np.array(pts, dtype=float).reshape(-1, len(names))
         pts = pts[doc.scene.domain_mask(pts)]
     else:
@@ -118,67 +146,37 @@ def cmd_foliation(args) -> int:
                 "norm_min": min(norms), "norm_max": max(norms)})
     if not args.csv_dir:
         rep["note"] = "pass --csv-dir to write the grid samples"
-    _emit(args, rep, {"foliation.csv": (header, np.hstack([pts, vecs]))})
-    return 0
-
-
-def _field_census(doc: SceneDocument, tols, rng):
-    _, field = _field_scene(doc)
-    seeds = list(doc.analysis.get("zero_seeds", []))
-    seeds += doc.surface.project_samples(
-        doc.scene.sample_points(rng, doc.analysis.get("samples", 8)))
-    pts = find_zeros(field, seeds, tols)
-    return field, [classify_zero(field, p) for p in pts]
+    return _emit(args, rep,
+                 {"foliation.csv": (header, np.hstack([pts, vecs]))})
 
 
 def cmd_classify(args) -> int:
-    doc = _resolve_scene(args.scene)
-    tols = policy.profile(args.tolerance_profile)
-    rng = np.random.default_rng(args.seed)
-    rep = _base(args, "classify", report.scene_digest(doc.text))
-    rep["scene"] = doc.name
+    doc, rep, tols, rng = _open(args, "classify")
     if doc.kind == "family":
-        scene, _ = _field_scene(doc)
-        cen = mori_mod.census(scene, tols, rng)
-        closure = mori_mod.verify_orbit_closure(scene, cen["orbits"], tols)
-        rep["elements"] = ([report.zero_row(z) for z in cen["zeros"]]
-                           + [report.orbit_row(o.info)
-                              for o in cen["orbits"]])
-        rep["orbit_closure"] = closure
+        scene = _shell(doc)
+        rep.update(_shell_elements(scene, mori_mod.census(scene, tols, rng),
+                                   tols))
     elif doc.kind == "field":
-        _, zeros = _field_census(doc, tols, rng)
-        rep["elements"] = [report.zero_row(z) for z in zeros]
+        rep["elements"] = report.element_rows(
+            _field_census(doc, tols, rng)[1])
     else:
         raise SceneParseError(f"scene {doc.name!r} has no field to classify")
     rep["zeros"] = sum(1 for e in rep["elements"] if e["kind"] == "zero")
     rep["orbits"] = sum(1 for e in rep["elements"] if e["kind"] == "orbit")
-    _emit(args, rep, {})
-    return 0
+    return _emit(args, rep, {})
 
 
 def cmd_certify(args) -> int:
-    doc = _resolve_scene(args.scene)
-    tols = policy.profile(args.tolerance_profile)
-    rng = np.random.default_rng(args.seed)
-    rep = _base(args, "certify", report.scene_digest(doc.text))
-    rep["scene"] = doc.name
-    csvs = {}
+    doc, rep, tols, rng = _open(args, "certify")
     if doc.kind == "perturbation":
-        spec = mori_mod.PerturbationSpec(**doc.perturbation)
-        dossier = mori_mod.perturb_analysis(spec, tols, rng)
-        cert = dossier["certificate"]
-        rep["certificate"] = report.certificate_dict(cert)
-        rep["persistence"] = dossier["persistence"]
-        rep["verdict"] = cert.verdict
+        _, fields = _column(mori_mod.PerturbationSpec(**doc.perturbation),
+                            tols, rng)
+        rep.update((k, fields[k]) for k in ("certificate", "persistence"))
     elif doc.kind == "family":
-        scene, field = _field_scene(doc)
-        cen = mori_mod.census(scene, tols, rng)
-        cand = mori_mod.torus_recurrence_candidate(scene)
-        cert = certify_mod.check_morse_smale(
-            field, zeros=cen["zeros"], orbits=cen["orbits"], tols=tols,
-            rng=rng, recurrence_candidates=[cand])
+        scene = _shell(doc)
+        cert = _shell_certificate(scene, mori_mod.census(scene, tols, rng),
+                                  tols, rng)
         rep["certificate"] = report.certificate_dict(cert)
-        rep["verdict"] = cert.verdict
     elif doc.kind == "field":
         field, zeros = _field_census(doc, tols, rng)
         cert = certify_mod.check_morse_smale(
@@ -186,18 +184,14 @@ def cmd_certify(args) -> int:
             samples=doc.analysis.get("samples", 10),
             sense=doc.analysis.get("sense", 1))
         rep["certificate"] = report.certificate_dict(cert)
-        rep["verdict"] = cert.verdict
     else:
         raise SceneParseError(f"scene {doc.name!r} has no field to certify")
-    _emit(args, rep, csvs)
-    return 0 if rep["verdict"] == "pass" else 1
+    rep["verdict"] = rep["certificate"]["verdict"]
+    return _emit(args, rep, {})
 
 
 def cmd_convexify(args) -> int:
-    doc = _resolve_scene(args.scene)
-    rng = np.random.default_rng(args.seed)
-    rep = _base(args, "convexify", report.scene_digest(doc.text))
-    rep["scene"] = doc.name
+    doc, rep, _, rng = _open(args, "convexify")
     if doc.convexity is None:
         raise SceneParseError(f"scene {doc.name!r} has no convexity block")
     conv = dict(doc.convexity)
@@ -212,8 +206,7 @@ def cmd_convexify(args) -> int:
             f"n = {n} is {gamma.name!r}")
     check = certify_mod.verify_convex_form(profile, gamma, n,
                                            samples=500, rng=rng)
-    grid = certify_mod.verification_grid()
-    rows = report.profile_rows(profile, grid)
+    rows = report.profile_rows(profile, certify_mod.verification_grid())
     rep["profile"] = {"n": n, "boundary": profile.boundary,
                       "params": profile.params,
                       "grid_residuals": profile.grid_residuals}
@@ -222,42 +215,30 @@ def cmd_convexify(args) -> int:
     ok = (profile.grid_residuals > 0.0 and check["positive"]
           and check["matched"])
     rep["verdict"] = "pass" if ok else "fail"
-    _emit(args, rep, {"profile.csv": (("s", "u", "h1", "residual"), rows)})
-    return 0 if ok else 1
+    return _emit(args, rep,
+                 {"profile.csv": (("s", "u", "h1", "residual"), rows)})
 
 
 def cmd_mori_reproduce(args) -> int:
-    tols = policy.profile(args.tolerance_profile)
-    rng = np.random.default_rng(args.seed)
     scene = mori_mod.mori_scene(args.n, args.eps)
-    digest = report.scene_digest(f"mori n={args.n} eps={args.eps!r}")
-    rep = _base(args, "mori reproduce", digest)
+    rep, tols, rng = _start(args, "mori reproduce", report.scene_digest(
+        f"mori n={args.n} eps={args.eps!r}"))
     rep["family"] = {"n": args.n, "eps": args.eps}
     con = scene.constants
-    rep["constants"] = {"axis_z": con.axis_z, "orbit_z": con.orbit_z,
-                        "ring_r": con.ring_r, "ring_rho": con.ring_rho,
-                        "torus_slope": con.torus_slope}
-
-    direction = mori_mod.direction_match(scene, count=200, rng=rng)
-    charts = mori_mod.chart_agreement(scene, count=100, rng=rng)
+    rep["constants"] = dict(vars(con))
+    rep["direction_match"] = direction = mori_mod.direction_match(
+        scene, count=200, rng=rng)
+    rep["chart_agreement"] = charts = mori_mod.chart_agreement(
+        scene, count=100, rng=rng)
     cen = mori_mod.census(scene, tols, rng)
-    closure = mori_mod.verify_orbit_closure(scene, cen["orbits"], tols)
-    probe = mori_mod.torus_probe(scene, samples=100, rng=rng)
-    cand = mori_mod.torus_recurrence_candidate(scene)
-    cert = certify_mod.check_morse_smale(
-        scene.field_cartesian, zeros=cen["zeros"], orbits=cen["orbits"],
-        tols=tols, rng=rng, recurrence_candidates=[cand])
-
-    rep["direction_match"] = direction
-    rep["chart_agreement"] = charts
-    rep["elements"] = ([report.zero_row(z) for z in cen["zeros"]]
-                       + [report.orbit_row(o.info) for o in cen["orbits"]])
-    rep["orbit_closure"] = closure
-    rep["torus_probe"] = probe
+    rep.update(_shell_elements(scene, cen, tols))
+    rep["torus_probe"] = probe = mori_mod.torus_probe(scene, samples=100,
+                                                      rng=rng)
+    cert = _shell_certificate(scene, cen, tols, rng)
     rep["certificate"] = report.certificate_dict(cert)
 
     zs = sorted(float(z.point[-1]) for z in cen["zeros"])
-    gates = {
+    rep["gates"] = gates = {
         "direction": direction["max_angle"] < 1e-8
         and direction["factor_min"] > 0.0,
         "charts": charts["max_pullback_dev"] < 1e-10
@@ -270,58 +251,44 @@ def cmd_mori_reproduce(args) -> int:
         "degeneracy_detected": cert.verdict == "fail"
         and len(cert.recurrence) > 0,
     }
-    rep["gates"] = gates
     rep["verdict"] = "pass" if all(gates.values()) else "fail"
-
-    csvs = {}
     portrait = mori_mod.phase_portrait_data(scene, tols=tols)
-    csvs["phase-portrait.csv"] = (
+    return _emit(args, rep, {"phase-portrait.csv": (
         ("id", "t", "z", "r", "rho"),
-        [(r["id"], r["t"], r["z"], r["r"], r["rho"]) for r in portrait])
-    _emit(args, rep, csvs)
-    return 0 if rep["verdict"] == "pass" else 1
+        [(r["id"], r["t"], r["z"], r["r"], r["rho"]) for r in portrait])})
 
 
 def cmd_mori_perturb(args) -> int:
-    tols = policy.profile(args.tolerance_profile)
-    rng = np.random.default_rng(args.seed)
     spec = mori_mod.PerturbationSpec(delta=args.delta)
-    digest = report.scene_digest(f"mori perturb delta={args.delta!r}")
-    rep = _base(args, "mori perturb", digest)
-    dossier = mori_mod.perturb_analysis(spec, tols, rng)
-    cert = dossier["certificate"]
-
+    rep, tols, rng = _start(args, "mori perturb", report.scene_digest(
+        f"mori perturb delta={args.delta!r}"))
+    dossier, fields = _column(spec, tols, rng)
     rep["delta"] = args.delta
-    rep["hamiltonian"] = dossier["hamiltonian"]
-    rep["direction_check"] = dossier["direction_check"]
-    rep["hamiltonian_residuals"] = dossier["hamiltonian_residuals"]
-    rep["orbits"] = [report.orbit_row(o.info) for o in dossier["orbits"]]
-    for row, o in zip(rep["orbits"], dossier["orbits"]):
-        row["psi"] = o.psi
-        row["transverse_shift"] = o.transverse_shift
-    rep["degenerate"] = dossier["degenerate"]
-    rep["persistence"] = dossier["persistence"]
-    rep["certificate"] = report.certificate_dict(cert)
-
-    gates = {
+    rep.update(fields)
+    rep["gates"] = gates = {
         "two_hyperbolic_orbits": len(dossier["orbits"]) == 2
         and all(o.info.hyperbolic for o in dossier["orbits"]),
         "not_degenerate": not dossier["degenerate"],
         "persistence": bool(dossier["persistence"]["holds"]),
-        "certificate": cert.verdict == "pass",
+        "certificate": dossier["certificate"].verdict == "pass",
     }
-    rep["gates"] = gates
     rep["verdict"] = "pass" if all(gates.values()) else "fail"
+    rows = [(float(o.psi), i) + tuple(float(v) for v in p)
+            for o in dossier["orbits"] for i, p in enumerate(o.loop)]
+    header = ("orbit_psi", "k") + dossier["scene"].chart.names
+    return _emit(args, rep, {"orbit-loops.csv": (header, rows)})
 
-    csvs = {}
-    rows = []
-    ch = dossier["scene"].chart
-    for o in dossier["orbits"]:
-        for i, p in enumerate(o.loop):
-            rows.append((float(o.psi), i) + tuple(float(v) for v in p))
-    csvs["orbit-loops.csv"] = (("orbit_psi", "k") + ch.names, rows)
-    _emit(args, rep, csvs)
-    return 0 if rep["verdict"] == "pass" else 1
+
+def _grid_size(text: str) -> int:
+    """The value of --grid: an integer >= 1, else a usage error."""
+    try:
+        k = int(text)
+    except ValueError:
+        k = 0
+    if k < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return k
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -341,27 +308,20 @@ def _parser() -> argparse.ArgumentParser:
                         help="numeric policy (default: default)")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("foliation", parents=[common],
-                       help="evaluate the foliation field on a grid")
-    p.add_argument("scene")
-    p.add_argument("--grid", type=int, default=12,
-                   help="grid resolution (default 12)")
-    p.set_defaults(run=cmd_foliation)
-
-    p = sub.add_parser("classify", parents=[common],
-                       help="find and classify zeros and closed orbits")
-    p.add_argument("scene")
-    p.set_defaults(run=cmd_classify)
-
-    p = sub.add_parser("certify", parents=[common],
-                       help="assemble a Morse-Smale certificate")
-    p.add_argument("scene")
-    p.set_defaults(run=cmd_certify)
-
-    p = sub.add_parser("convexify", parents=[common],
-                       help="build and verify a convexity profile")
-    p.add_argument("scene")
-    p.set_defaults(run=cmd_convexify)
+    for name, run, text in (
+            ("foliation", cmd_foliation,
+             "evaluate the foliation field on a grid"),
+            ("classify", cmd_classify,
+             "find and classify zeros and closed orbits"),
+            ("certify", cmd_certify, "assemble a Morse-Smale certificate"),
+            ("convexify", cmd_convexify,
+             "build and verify a convexity profile")):
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.add_argument("scene")
+        if run is cmd_foliation:
+            p.add_argument("--grid", type=_grid_size, default=12,
+                           help="grid resolution (default 12)")
+        p.set_defaults(run=run)
 
     m = sub.add_parser("mori", help="built-in family analyses")
     msub = m.add_subparsers(dest="mori_command", required=True)
@@ -381,21 +341,15 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.run(args)
-    except SceneParseError as e:
+    except (SceneParseError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except IntegrationError as e:
+    except CharfolError as e:
         msg = f"numeric failure: {e}"
-        if e.t is not None:
+        if isinstance(e, IntegrationError) and e.t is not None:
             msg += f" (last good state at t = {e.t!r}: {e.state!r})"
         print(msg, file=sys.stderr)
         return 3
-    except CharfolError as e:
-        print(f"numeric failure: {e}", file=sys.stderr)
-        return 3
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -102,18 +102,29 @@ class ContactScene:
                 keep &= ~(x[:, i] > hi)
         return keep
 
-    def sample_points(self, rng, count: int) -> np.ndarray:
-        """Random points: declared bounds, else [-1, 1]; angular on a period."""
-        cols = []
+    def _box(self):
+        """(lo, hi, angular) of each coordinate: 0 and the period of an
+        angular one, else its declared bounds, -1 and 1 where none is."""
         for name in self.chart.names:
-            if name in self.chart.angular:
-                cols.append(rng.uniform(0.0, self.chart.periods[name], count))
-                continue
-            lo, hi = self.domain.get(name, (None, None))
-            lo = -1.0 if lo is None else lo
-            hi = 1.0 if hi is None else hi
-            cols.append(rng.uniform(lo, hi, count))
-        return np.column_stack(cols)
+            if name in self.chart.periods:
+                yield 0.0, self.chart.periods[name], True
+            else:
+                lo, hi = self.domain.get(name, (None, None))
+                yield (-1.0 if lo is None else lo, 1.0 if hi is None else hi,
+                       False)
+
+    def sample_points(self, rng, count: int) -> np.ndarray:
+        """`count` uniform random points of the box."""
+        return np.column_stack([rng.uniform(lo, hi, count)
+                                for lo, hi, _ in self._box()])
+
+    def grid_points(self, k: int) -> np.ndarray:
+        """The product grid of k values per coordinate over the box,
+        without the end of an angular coordinate's period."""
+        axes = [np.linspace(lo, hi, k, endpoint=not angular)
+                for lo, hi, angular in self._box()]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def contact_volume_at(self, point):
         """Coefficient of alpha ^ (d alpha)^n against the coordinate volume."""
@@ -350,6 +361,12 @@ class FoliationField:
         out = np.empty_like(x)
         run_rows(self._kernels[0], self._value_outputs, x, out)
         return out
+
+    def surface_samples(self, rng, count: int) -> list:
+        """`project_samples` of `count` random points of the scene's box:
+        the projections that did not fail."""
+        return self.surface.project_samples(
+            self.scene.sample_points(rng, count))
 
     def _value_outputs(self, point):
         return self.char_data(point).X

@@ -542,8 +542,7 @@ def census(scene: MoriScene, tols: policy.Tolerances = policy.DEFAULT,
     az = scene.constants.axis_z
     seeds = [cartesian_lift(scene, (s * az, 0.0, 0.0))
              for s in (-1.1, -0.9, 0.9, 1.1)]
-    seeds += scene.surface_cartesian.project_samples(
-        scene.cartesian.sample_points(rng, 12))
+    seeds += field.surface_samples(rng, 12)
     pts = find_zeros(field, seeds, tols)
     zeros = [classify_zero(field, p) for p in pts]
     zeros.sort(key=lambda zi: zi.point[-1])

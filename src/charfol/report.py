@@ -105,12 +105,16 @@ def orbit_row(info) -> dict:
                           "divergence": float(info.div_residual)}}
 
 
+def element_rows(zeros, orbits=()) -> list:
+    """The rows of zeros and then of orbits (records with .info)."""
+    return [zero_row(z) for z in zeros] + [orbit_row(o.info) for o in orbits]
+
+
 def certificate_dict(cert) -> dict:
-    elements = [zero_row(z) for z in cert.elements.get("zeros", [])]
-    elements += [orbit_row(o.info) for o in cert.elements.get("orbits", [])]
     return {"verdict": cert.verdict,
             "reasons": list(cert.reasons),
-            "elements": elements,
+            "elements": element_rows(cert.elements["zeros"],
+                                     cert.elements["orbits"]),
             "limit_check": float(cert.limit_check),
             "connection_violations": [
                 {"from": np.asarray(v["from"], dtype=float),

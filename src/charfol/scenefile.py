@@ -10,9 +10,15 @@ Four shapes of scene exist and the present blocks decide which:
 chart+alpha+hypersurface give a "field" scene, a family block gives a
 built-in family instance, a perturbation block (with no field, family
 or convexity block beside it) the column model, and a convexity block
-a profile-construction job. Unknown blocks and unknown
-keys inside a block are rejected with their position; so are duplicate
-keys, since silently taking the later one has burned enough people.
+a profile-construction job.
+
+`_SCHEMA` has one table per block: its keys, each with the reader that
+turns the text into a value or rejects it with its position, the
+required keys and the defaults. Builders read the chart, alpha,
+hypersurface and domain blocks, whose keys depend on each other.
+Unknown blocks and keys are rejected with their position; so are
+duplicate keys, since silently taking the later one has burned enough
+people.
 """
 
 from __future__ import annotations
@@ -25,19 +31,6 @@ import numpy as np
 from .contact import ContactScene, Hypersurface
 from .errors import SceneParseError
 from .exterior import Chart, KForm
-
-_BLOCK_KEYS = {
-    "chart": {"names", "angular"},
-    "params": None,
-    "alpha": None,
-    "hypersurface": {"level", "graph", "height"},
-    "domain": None,
-    "analysis": {"zero_seeds", "samples", "sense"},
-    "convexity": {"n", "h_minus", "h_plus", "rho_range", "rho_count",
-                  "stiffness", "gamma"},
-    "family": {"kind", "n", "eps"},
-    "perturbation": {"delta"},
-}
 
 
 @dataclass
@@ -66,40 +59,32 @@ class SceneDocument:
     perturbation: dict | None = None
 
 
-def _split_lines(text: str):
-    """(lineno, content, first-content-col) for every non-empty line."""
-    out = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        stripped = body.strip()
-        if not stripped:
-            continue
-        out.append((i, stripped, body.index(stripped[0]) + 1))
-    return out
-
-
 def _collect_blocks(text: str):
     """First pass: raw block table, no interpretation of values yet."""
     name = None
     blocks: dict[str, dict[str, _Entry]] = {}
     current = None
-    for lineno, content, col in _split_lines(text):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0]
+        content = body.strip()
+        if not content:
+            continue
+        col = body.index(content[0]) + 1
         if "=" not in content:
-            words = content.split()
-            head = words[0]
+            head, *rest = content.split()
             if head == "scene":
                 if name is not None:
                     raise SceneParseError("duplicate scene header",
                                           lineno, col)
-                if len(words) != 2:
+                if len(rest) != 1:
                     raise SceneParseError(
                         "scene header takes exactly one name", lineno, col)
-                name = words[1]
+                name = rest[0]
                 current = None
                 continue
-            if head not in _BLOCK_KEYS:
+            if head not in _SCHEMA:
                 raise SceneParseError(f"unknown block {head!r}", lineno, col)
-            if len(words) != 1:
+            if rest:
                 raise SceneParseError(
                     f"block header {head!r} takes no arguments", lineno, col)
             if head in blocks:
@@ -115,54 +100,53 @@ def _collect_blocks(text: str):
         key = key.strip()
         if not key.isidentifier():
             raise SceneParseError(f"bad key {key!r}", lineno, col)
-        allowed = _BLOCK_KEYS[current]
+        allowed = _SCHEMA[current].keys
         if allowed is not None and key not in allowed:
             raise SceneParseError(
                 f"unknown key {key!r} in block {current!r}", lineno, col)
         if key in blocks[current]:
             raise SceneParseError(
                 f"duplicate key {key!r} in block {current!r}", lineno, col)
-        vcol = col + content.index("=") + 1
-        vstrip = value.strip()
-        if vstrip:
-            vcol = col + content.index(vstrip, content.index("="))
-        blocks[current][key] = _Entry(vstrip, lineno, col, vcol)
+        eq, value = content.index("="), value.strip()
+        vcol = col + (content.index(value, eq) if value else eq + 1)
+        blocks[current][key] = _Entry(value, lineno, col, vcol)
     if name is None:
         raise SceneParseError("scene file has no 'scene <name>' header")
     return name, blocks
 
 
-def _float(e: _Entry, what: str) -> float:
-    try:
-        return float(e.value)
-    except ValueError:
-        raise SceneParseError(f"{what} must be a number, got {e.value!r}",
-                              e.line, e.vcol) from None
+def _reader(convert, noun: str, ok=None, error: str = ""):
+    """A reader: (entry, what, chart) -> the value `convert(text)`, with a
+    SceneParseError at the value where `convert` raises ValueError (the
+    text is not `noun`) or `ok` rejects the value (`error`, '{what}' and
+    '{text}' in it standing for the name and the text)."""
+    def read(e: _Entry, what: str, chart=None):
+        try:
+            value = convert(e.value)
+        except ValueError:
+            raise SceneParseError(f"{what} must be {noun}, got {e.value!r}",
+                                  e.line, e.vcol) from None
+        if ok is not None and not ok(value):
+            raise SceneParseError(error.format(what=what, text=e.value),
+                                  e.line, e.vcol)
+        return value
+    return read
 
 
-def _int(e: _Entry, what: str) -> int:
-    try:
-        return int(e.value)
-    except ValueError:
-        raise SceneParseError(f"{what} must be an integer, got {e.value!r}",
-                              e.line, e.vcol) from None
+def _numbers(text: str) -> tuple:
+    return tuple(float(tok) for tok in text.split())
 
 
-def _floats(e: _Entry, what: str) -> list:
-    try:
-        return [float(tok) for tok in e.value.split()]
-    except ValueError:
-        raise SceneParseError(f"{what} must be numbers, got {e.value!r}",
-                              e.line, e.vcol) from None
+_float = _reader(float, "a number")
+_int = _reader(int, "an integer")
+_germ = _reader(_numbers, "numbers", lambda v: len(v) == 2,
+                "{what} must be 'value slope'")
 
 
-def _points(e: _Entry, dim: int) -> list:
+def _points(e: _Entry, what: str, chart) -> list:
     """Parenthesized comma tuples separated by ';'."""
     pts = []
-    for chunk in e.value.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in filter(None, map(str.strip, e.value.split(";"))):
         if not (chunk.startswith("(") and chunk.endswith(")")):
             raise SceneParseError(
                 f"each seed must be a parenthesized tuple, got {chunk!r}",
@@ -172,25 +156,85 @@ def _points(e: _Entry, dim: int) -> list:
         except ValueError:
             raise SceneParseError(f"bad seed tuple {chunk!r}",
                                   e.line, e.vcol) from None
-        if len(vals) != dim:
+        if len(vals) != chart.dim:
             raise SceneParseError(
-                f"seed {chunk!r} has {len(vals)} coordinates, chart has {dim}",
-                e.line, e.vcol)
+                f"seed {chunk!r} has {len(vals)} coordinates, "
+                f"chart has {chart.dim}", e.line, e.vcol)
         pts.append(np.array(vals))
     if not pts:
-        raise SceneParseError("zero_seeds is empty", e.line, e.vcol)
+        raise SceneParseError(f"{what} is empty", e.line, e.vcol)
     return pts
+
+
+@dataclass(frozen=True)
+class _Block:
+    """`keys` maps each key to its reader, or to None where a builder
+    reads it; a block without `keys` takes any key."""
+
+    keys: dict | None = None
+    required: tuple = ()
+    defaults: dict = field(default_factory=dict)
+
+
+_SCHEMA = {
+    "chart": _Block({"names": None, "angular": None}),
+    "params": _Block(),
+    "alpha": _Block(),
+    "hypersurface": _Block({"level": None, "graph": None, "height": None}),
+    "domain": _Block(),
+    "analysis": _Block({
+        "zero_seeds": _points,
+        "samples": _reader(int, "an integer", lambda v: v >= 0,
+                           "{what} must be >= 0, got {text!r}"),
+        "sense": _reader(int, "an integer", lambda v: v in (-1, 1),
+                         "{what} must be 1 or -1")}),
+    "convexity": _Block({
+        "n": _int,
+        "h_minus": _germ,
+        "h_plus": _germ,
+        "rho_range": _reader(_numbers, "numbers", lambda v: len(v) == 2,
+                             "{what} must be 'lo hi'"),
+        "rho_count": _int,
+        "stiffness": _reader(_numbers, "numbers"),
+        "gamma": _reader(str, "text")}, required=("n", "h_minus", "h_plus")),
+    "family": _Block({
+        "kind": _reader(str, "text", lambda v: v == "mori",
+                        "unknown family {text!r}"),
+        "n": _int,
+        "eps": _float}, required=("kind",), defaults={"n": 2, "eps": 0.1}),
+    "perturbation": _Block({"delta": _float}),
+}
+
+
+def _first_line(entries: dict):
+    return next((e.line for e in entries.values()), None)
+
+
+def _read(blocks: dict, name: str, chart) -> dict:
+    """The values of block `name`, read by its schema, in schema order."""
+    block, entries = _SCHEMA[name], blocks[name]
+    for req in block.required:
+        if req not in entries:
+            raise SceneParseError(f"{name} block needs key {req!r}",
+                                  _first_line(entries))
+    return {key: read(entries[key], key, chart) if key in entries
+            else block.defaults[key]
+            for key, read in block.keys.items()
+            if key in entries or key in block.defaults}
 
 
 def _build_chart(block) -> Chart:
     if "names" not in block:
         raise SceneParseError("chart block needs a 'names' key")
-    names = tuple(block["names"].value.split())
     e = block["names"]
-    for nm in names:
+    names = tuple(e.value.split())
+    for i, nm in enumerate(names):
         if not nm.isidentifier():
             raise SceneParseError(f"bad coordinate name {nm!r}", e.line,
                                   e.vcol)
+        if nm in names[:i]:
+            raise SceneParseError(f"duplicate coordinate name {nm!r}",
+                                  e.line, e.vcol)
     angular = {}
     if "angular" in block:
         a = block["angular"]
@@ -224,22 +268,20 @@ def _build_alpha(block, chart: Chart, params) -> KForm:
 
 def _build_surface(block, chart: Chart, params) -> Hypersurface:
     if "level" in block:
+        e = block["level"]
         if "graph" in block or "height" in block:
-            e = block["level"]
             raise SceneParseError(
                 "hypersurface is either level or graph+height, not both",
                 e.line, e.col)
-        e = block["level"]
         return Hypersurface(chart.parse(e.value, params,
                                         origin=(e.line, e.vcol)))
     if "graph" in block and "height" in block:
         g, h = block["graph"], block["height"]
-        coord = g.value.strip()
-        if coord not in chart.names:
-            raise SceneParseError(f"graph coordinate {coord!r} is not in "
+        if g.value not in chart.names:
+            raise SceneParseError(f"graph coordinate {g.value!r} is not in "
                                   "the chart", g.line, g.vcol)
         hf = chart.parse(h.value, params, origin=(h.line, h.vcol))
-        return Hypersurface.graph(chart, coord, hf)
+        return Hypersurface.graph(chart, g.value, hf)
     any_e = next(iter(block.values()), None)
     raise SceneParseError("hypersurface block needs 'level' or "
                           "'graph' plus 'height'",
@@ -262,32 +304,26 @@ def _build_domain(block, chart: Chart) -> dict:
         side = []
         for p in parts:
             p = p.strip()
-            if p in ("*", "-inf", "inf"):
-                side.append(None)
-                continue
             try:
-                side.append(float(p))
+                bound = None if p in ("*", "-inf", "inf") else float(p)
             except ValueError:
+                bound = math.nan
+            if bound is not None and not math.isfinite(bound):
                 raise SceneParseError(f"bad domain bound {p!r}",
-                                      e.line, e.vcol) from None
+                                      e.line, e.vcol)
+            side.append(bound)
+        if None not in side and side[0] > side[1]:
+            raise SceneParseError(
+                f"domain of {key!r} has lo > hi, got {e.value!r}",
+                e.line, e.vcol)
         dom[key] = (side[0], side[1])
     return dom
 
 
-def _germ(e: _Entry, what: str) -> tuple:
-    vals = _floats(e, what)
-    if len(vals) != 2:
-        raise SceneParseError(f"{what} must be 'value slope'",
-                              e.line, e.vcol)
-    return (vals[0], vals[1])
-
-
 def parse_scene(text: str, path: str | None = None) -> SceneDocument:
     name, blocks = _collect_blocks(text)
-    params = {}
-    if "params" in blocks:
-        for key, e in blocks["params"].items():
-            params[key] = _float(e, f"param {key!r}")
+    params = {key: _float(e, f"param {key!r}")
+              for key, e in blocks.get("params", {}).items()}
 
     chart = _build_chart(blocks["chart"]) if "chart" in blocks else None
 
@@ -304,8 +340,7 @@ def parse_scene(text: str, path: str | None = None) -> SceneDocument:
 
     if "alpha" in blocks:
         alpha = _build_alpha(blocks["alpha"], chart, params)
-        domain = _build_domain(blocks["domain"], chart) \
-            if "domain" in blocks else {}
+        domain = _build_domain(blocks.get("domain", {}), chart)
         doc.scene = ContactScene(chart, alpha, name=name, domain=domain,
                                  params=params)
         doc.surface = _build_surface(blocks["hypersurface"], chart, params)
@@ -313,74 +348,26 @@ def parse_scene(text: str, path: str | None = None) -> SceneDocument:
 
     if "analysis" in blocks:
         if doc.scene is None:
-            e = next(iter(blocks["analysis"].values()), None)
             raise SceneParseError("analysis block needs a field scene",
-                                  e.line if e else None)
-        a = blocks["analysis"]
-        if "zero_seeds" in a:
-            doc.analysis["zero_seeds"] = _points(a["zero_seeds"], chart.dim)
-        if "samples" in a:
-            doc.analysis["samples"] = _int(a["samples"], "samples")
-        if "sense" in a:
-            s = _int(a["sense"], "sense")
-            if s not in (-1, 1):
-                raise SceneParseError("sense must be 1 or -1",
-                                      a["sense"].line, a["sense"].vcol)
-            doc.analysis["sense"] = s
+                                  _first_line(blocks["analysis"]))
+        doc.analysis = _read(blocks, "analysis", chart)
 
     if "convexity" in blocks:
-        c = blocks["convexity"]
-        for req in ("n", "h_minus", "h_plus"):
-            if req not in c:
-                any_e = next(iter(c.values()), None)
-                raise SceneParseError(
-                    f"convexity block needs key {req!r}",
-                    any_e.line if any_e else None)
-        conv = {"n": _int(c["n"], "n"),
-                "h_minus": _germ(c["h_minus"], "h_minus"),
-                "h_plus": _germ(c["h_plus"], "h_plus")}
-        if "rho_range" in c:
-            vals = _floats(c["rho_range"], "rho_range")
-            if len(vals) != 2:
-                raise SceneParseError("rho_range must be 'lo hi'",
-                                      c["rho_range"].line,
-                                      c["rho_range"].vcol)
-            conv["rho_range"] = (vals[0], vals[1])
-        if "rho_count" in c:
-            conv["rho_count"] = _int(c["rho_count"], "rho_count")
-        if "stiffness" in c:
-            conv["stiffness"] = tuple(_floats(c["stiffness"], "stiffness"))
-        if "gamma" in c:
-            conv["gamma"] = c["gamma"].value
-        doc.convexity = conv
-        if doc.kind == "":
-            doc.kind = "convexity"
+        doc.convexity = _read(blocks, "convexity", chart)
+        doc.kind = doc.kind or "convexity"
 
     if "family" in blocks:
-        f = blocks["family"]
-        if "kind" not in f:
-            any_e = next(iter(f.values()), None)
-            raise SceneParseError("family block needs key 'kind'",
-                                  any_e.line if any_e else None)
-        if f["kind"].value != "mori":
-            raise SceneParseError(f"unknown family {f['kind'].value!r}",
-                                  f["kind"].line, f["kind"].vcol)
-        fam = {"kind": "mori",
-               "n": _int(f["n"], "n") if "n" in f else 2,
-               "eps": _float(f["eps"], "eps") if "eps" in f else 0.1}
+        doc.family = _read(blocks, "family", chart)
         if doc.kind == "field":
             raise SceneParseError("a scene is either a field scene or a "
                                   "family instance, not both")
-        doc.family = fam
         doc.kind = "family"
 
     if "perturbation" in blocks:
         if doc.kind != "":
             raise SceneParseError("a perturbation scene takes no field, "
                                   "family or convexity block")
-        p = blocks["perturbation"]
-        doc.perturbation = ({"delta": _float(p["delta"], "delta")}
-                            if "delta" in p else {})
+        doc.perturbation = _read(blocks, "perturbation", chart)
         doc.kind = "perturbation"
 
     if doc.kind == "":

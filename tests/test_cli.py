@@ -149,6 +149,78 @@ def test_perturbation_takes_no_other_kind(other):
         parse_scene(text)
 
 
+def _rejected_at(text):
+    with pytest.raises(SceneParseError) as err:
+        parse_scene(text)
+    return str(err.value), err.value.line, err.value.col
+
+
+def test_reversed_domain_rejected_with_position():
+    bad = FIELD_SCENE.replace("x = -1.3 .. 1.3", "x = 1.3 .. -1.3")
+    msg, line, col = _rejected_at(bad)
+    assert (line, col) == (15, 7)
+    assert "'x'" in msg and "lo > hi" in msg
+    # an equal or open side is not reversed
+    doc = parse_scene(FIELD_SCENE.replace("x = -1.3 .. 1.3", "x = 0.5 .. 0.5")
+                      .replace("y = -1.3 .. 1.3", "y = 2 .. -inf"))
+    assert doc.scene.domain["x"] == (0.5, 0.5)
+    assert doc.scene.domain["y"] == (2.0, None)
+
+
+@pytest.mark.parametrize("bound", ["nan", "1e400", "+inf", "abc"])
+def test_non_finite_domain_bound_rejected_with_position(bound):
+    # a NaN or infinite bound used to reach numpy's uniform draw, which
+    # raised OverflowError out of `classify`
+    msg, line, col = _rejected_at(FIELD_SCENE.replace(
+        "x = -1.3 .. 1.3", f"x = {bound} .. 1.3"))
+    assert (line, col) == (15, 7)
+    assert msg.endswith(f"bad domain bound {bound!r}")
+
+
+@pytest.mark.parametrize("command", ["classify", "foliation"])
+def test_reversed_domain_exits_2_before_any_numerics(tmp_path, capsys,
+                                                     command):
+    scene = tmp_path / "rev.scene"
+    scene.write_text(FIELD_SCENE.replace("x = -1.3 .. 1.3", "x = 1.3 .. -1.3"))
+    assert main([command, str(scene)]) == 2
+    err = capsys.readouterr().err
+    assert "line 15, col 7" in err and "high - low" not in err
+
+
+def test_duplicate_chart_names_rejected_with_position(tmp_path, capsys):
+    msg, line, col = _rejected_at(FIELD_SCENE.replace("names = x y z",
+                                                      "names = x x z"))
+    assert (line, col) == (4, 11)
+    assert "duplicate coordinate name 'x'" in msg
+    scene = tmp_path / "dup.scene"
+    scene.write_text(FIELD_SCENE.replace("names = x y z", "names = x x z"))
+    assert main(["classify", str(scene)]) == 2
+    assert "line 4, col 11" in capsys.readouterr().err
+
+
+def test_negative_samples_rejected_with_position(tmp_path):
+    msg, line, col = _rejected_at(FIELD_SCENE.replace("samples = 4",
+                                                      "samples = -3"))
+    assert (line, col) == (21, 13)
+    assert "samples" in msg and "-3" in msg
+    # zero samples stays valid: the census runs on the zero seeds alone
+    scene = tmp_path / "zero.scene"
+    scene.write_text(FIELD_SCENE.replace("samples = 4", "samples = 0"))
+    assert parse_scene(scene.read_text()).analysis["samples"] == 0
+    out = tmp_path / "r.json"
+    assert main(["classify", str(scene), "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["zeros"] == 2
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "1.5", "x"])
+def test_foliation_grid_takes_only_positive_integers(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["foliation", "graph-model", "--grid", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--grid" in err and "integer >= 1" in err
+
+
 def test_bundled_scenes_parse():
     from importlib import resources
     base = resources.files("charfol") / "scenes"

@@ -1,7 +1,6 @@
 """Characteristic direction solve against hand-computed cases."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -102,21 +101,17 @@ def _batched(surf, points):
         del surf.project
 
 
-def _box(scene, k):
-    return cli._grid_points(SimpleNamespace(scene=scene), k)
-
-
 @pytest.mark.parametrize("which", ["s2-height", "graph-model", "mori-n2"])
 def test_project_samples_matches_project_bitwise(which):
     if which == "mori-n2":
         # the 5-D box at --grid 24 has 8 million points; 6 per axis is 7,776
         sc = mori.mori_scene(2, 0.1)
         scene, surf = sc.cartesian, sc.surface_cartesian
-        box = _box(scene, 6)
+        box = scene.grid_points(6)
     else:
         doc = cli._resolve_scene(which)
         scene, surf = doc.scene, doc.surface
-        box = _box(scene, 24)
+        box = scene.grid_points(24)
     rand = scene.sample_points(np.random.default_rng(17), 500)
     for points in (rand, box):
         want, _ = _project_each(surf, points)
@@ -155,7 +150,7 @@ def test_project_samples_raises_where_project_raises():
 
 def test_domain_mask_matches_in_domain():
     doc = cli._resolve_scene("graph-model")
-    pts = np.vstack([_box(doc.scene, 7) * 1.2,
+    pts = np.vstack([doc.scene.grid_points(7) * 1.2,
                      [[-0.1, 1.5, -1.5], [2.3, 0.0, 0.0]]])
     assert doc.scene.domain_mask(pts).tolist() == [
         doc.scene.in_domain(p) for p in pts]

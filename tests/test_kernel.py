@@ -24,7 +24,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from charfol import kernel, mori
-from charfol.cli import _grid_points, _norms, main
+from charfol.cli import _norms, main
 from charfol.contact import ContactScene, FoliationField, Hypersurface
 from charfol.errors import (CharfolError, DegenerateVolumeError,
                             ProjectionError)
@@ -237,7 +237,7 @@ def test_grid_kernels_have_no_power_and_have_twins(name):
     doc = load_scene(str(resources.files("charfol") / "scenes"
                          / f"{name}.scene"))
     field = FoliationField(doc.scene, doc.surface)
-    field.vectors(field.surface.project_samples(_grid_points(doc, 8)))
+    field.vectors(field.surface.project_samples(doc.scene.grid_points(8)))
     assert len(field._kernels[0]) > 1
     for k in field._kernels[0]:
         tape, _ = _trace(field._value_outputs, k.at)
@@ -319,7 +319,7 @@ def test_foliation_at_the_cone_vertex_fails_like_vector(tmp_path, capsys):
                      "  dx = -y\n  dy = x\n  dz = 1\n\nhypersurface\n"
                      "  level = x^2 + y^2 - z^2\n")
     doc = load_scene(str(scene))
-    pts = doc.surface.project_samples(_grid_points(doc, 5))
+    pts = doc.surface.project_samples(doc.scene.grid_points(5))
     assert any(not p.any() for p in pts)
     field = FoliationField(doc.scene, doc.surface)
     with pytest.raises(DegenerateVolumeError) as pointwise:
