@@ -4,7 +4,8 @@ Subcommands: foliation, classify, certify, convexify, and the built-in
 family runners `mori reproduce` and `mori perturb`. Scene arguments are
 file paths, or names of bundled scenes (see `charfol.scenes`). Exit
 codes: 0 for success or a passing verdict, 1 for an honest negative
-verdict, 2 for input problems, 3 for numeric failures. Reports are
+verdict, 2 for input problems, 3 for numeric failures, 4 for a crash
+(any other exception; its traceback goes to stderr). Reports are
 deterministic for a fixed scene and --seed; JSON goes to --json or
 stdout, plottable series go to --csv-dir.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from importlib import resources
 
 import numpy as np
@@ -124,8 +126,8 @@ def cmd_foliation(args) -> int:
     doc, rep, _, rng = _open(args, "foliation")
     if doc.kind == "family":
         scene = _shell(doc)
-        pts = mori_mod.sample_surface_polar(scene, rng, args.grid ** 2)
-        pts = np.array([scene.cartesian_point(p) for p in pts], dtype=float)
+        pts = scene.cartesian_points(
+            mori_mod.sample_surface_polar(scene, rng, args.grid ** 2))
         field, names = scene.field_cartesian, scene.cartesian.chart.names
     elif doc.kind == "field":
         field = FoliationField(doc.scene, doc.surface)
@@ -350,6 +352,9 @@ def main(argv=None) -> int:
             msg += f" (last good state at t = {e.t!r}: {e.state!r})"
         print(msg, file=sys.stderr)
         return 3
+    except Exception:       # a crash, which no verdict may be taken for
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

@@ -124,6 +124,10 @@ def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
     return lists and tuples). Event functions get ndarrays here; the
     returned state, the recorded path and the states in errors are
     ndarrays. A crossing of the event stops the run with status "event".
+
+    rhs depends on the values of its argument alone: where post returns
+    the last stage input's own float objects, the slope of that stage
+    is the slope at the accepted state, and rhs is not called again.
     """
     z = np.asarray(z0, dtype=float).tolist()
     if post is not None:
@@ -172,7 +176,10 @@ def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
         if domain_ok is not None and not domain_ok(znew):
             raise EscapeError("trajectory left the declared domain",
                               t=tnew, state=np.array(znew))
-        t, z, f = tnew, znew, rhs(znew)
+        # first same as last: the last stage ran at z5, so where post
+        # kept z5's own floats its slope is the slope at znew
+        fsal = all(a is b for a, b in zip(znew, z5, strict=True))
+        t, z, f = tnew, znew, k[6] if fsal else rhs(znew)
         if record:
             path.append((t, np.array(z)))
         grow = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))

@@ -27,6 +27,16 @@ sign of a zero and where a fold meets an operand that is not finite:
 or NaN, and `0 / x` folds to 0.0 where it gives NaN because x is NaN
 (or raises because x is 0).
 
+A value used once is written into the line that uses it, in
+parentheses only where Python's precedence needs them (`_BINDS`): the
+left operand of + - * / that binds more loosely than the operator, the
+right one that binds as loosely or more, the operand of a negation
+that is a sum, difference, product or quotient, and an operand of **
+that is not a name, number or call. Parentheses the grammar does not
+need leave nothing in the syntax tree, so the source parses to the
+tree, and compiles to the bytecode, of the fully parenthesized text;
+the parser, where `compile` spends most of its time, reads less.
+
 A Rec refuses `bool`, `float` and `index`, so a branch on a value
 that is not a recorded comparison cannot be baked into a kernel.
 `argmax` records a choice among several values as one guard.
@@ -114,6 +124,15 @@ def _value(x):
 # An expression is nested at most this deep into the line that uses it.
 _NEST = 16
 
+# How tightly an operation binds in Python source, then how tightly each
+# operand must bind to go in without parentheses: the left operand of
+# + - * / as tightly as the operator, the right one tighter, both
+# operands of ** as atoms (names, numbers, calls), and the operand of a
+# negation as tightly as a negation or a power.
+_ATOM = 5
+_BINDS = {"+": (1, 1, 2), "-": (1, 1, 2), "*": (2, 2, 3), "/": (2, 2, 3),
+          "neg": (3, 3), "**": (4, _ATOM, _ATOM)}
+
 
 class Tape:
     """The lines recorded by one trace, in execution order."""
@@ -125,10 +144,18 @@ class Tape:
         self.lines = []
         # the math functions the lines call, by their name in the kernel
         self.functions = {}
+        # for a line of an operator of _BINDS: how tightly it binds, and
+        # how tightly each of its operand names must bind
+        self.binds = {}
 
-    def emit(self, template, value, operands, raises=False) -> "Rec":
+    def emit(self, template, value, operands, raises=False,
+             op=None) -> "Rec":
         name = f"t{len(self.lines)}"
         self.lines.append((name, template, _names(operands), raises))
+        if op is not None:
+            strength, *needs = _BINDS[op]
+            self.binds[name] = (strength, [k for x, k in zip(operands, needs)
+                                           if isinstance(x, Rec)])
         return Rec(value, name, self)
 
     def binary(self, a, op, b) -> "Rec":
@@ -139,7 +166,7 @@ class Tape:
         else:       # a number divisor is not 0, or the trace would have raised
             raises = False
         return self.emit(f"{_slot(a)} {op} {_slot(b)}",
-                         _BINARY[op](_value(a), _value(b)), (a, b), raises)
+                         _BINARY[op](_value(a), _value(b)), (a, b), raises, op)
 
     def guard(self, a, op, b) -> bool:
         outcome = bool(_COMPARE[op](_value(a), _value(b)))
@@ -157,10 +184,12 @@ class Tape:
 
         Lines that feed neither an output nor a guard are dropped, unless
         they can raise (a division by a recorded value, a power, a math
-        function): where the generic code fails, the kernel fails too. A value used once is
-        written into the expression that uses it instead of being
-        stored, which shrinks the source to parse; compiling the largest
-        kernels is otherwise the largest transient allocation of a run.
+        function): where the generic code fails, the kernel fails too. A
+        value used once is written into the expression that uses it
+        instead of being stored, in parentheses only where `_BINDS` asks
+        for them, which shrinks the source to parse; compiling the
+        largest kernels is otherwise the largest transient allocation of
+        a run.
         Values are only ever computed later than on the tape, never
         earlier, so every guard still runs before anything that the
         generic code computed only after its branch.
@@ -187,14 +216,15 @@ class Tape:
             uses.update(names)
             if rows and isinstance(raises, str):
                 uses[raises] += 1       # a divisor the twin tests is stored
-        pending = {}      # name -> (expression, nesting) awaiting its one use
+        # name -> (expression, nesting, strength) awaiting its one use
+        pending = {}
 
-        def fill(template, names):
+        def fill(template, names, needs):
             parts, depth = [], 0
-            for n in names:
+            for n, need in zip(names, needs):
                 if n in pending:
-                    text, k = pending.pop(n)
-                    parts.append(f"({text})")
+                    text, k, strength = pending.pop(n)
+                    parts.append(f"({text})" if strength < need else text)
                     depth = max(depth, k)
                 else:
                     parts.append(n)
@@ -202,17 +232,19 @@ class Tape:
 
         body = ["    _miss = False"] if rows else []
         for name, template, names, raises in kept:
-            text, depth = fill(template, names)
+            strength, needs = self.binds.get(name, (_ATOM, [0] * len(names)))
+            text, depth = fill(template, names, needs)
             if rows and isinstance(raises, str):
                 body.append(f"    _miss |= {raises} == 0.0")
             if name is None:
                 body.append(f"    _miss |= {text}" if rows
                             else f"    if {text}: return None")
             elif uses[name] == 1 and depth < _NEST:
-                pending[name] = (text, depth + 1)
+                pending[name] = (text, depth + 1, strength)
             else:
                 body.append(f"    {name} = {text}")
-        ret, _ = fill("".join(_slot(o) + ", " for o in outputs), results)
+        ret, _ = fill("".join(_slot(o) + ", " for o in outputs), results,
+                      [0] * len(results))
         if rows:
             ret = f"_miss, ({ret})"
         args = ", ".join(f"x{i}" for i in range(nargs))
@@ -251,7 +283,7 @@ class Rec:
     __pow__, __rpow__ = _operators("**")
 
     def __neg__(self):
-        return self.tape.emit("-{}", -self.v, (self,))
+        return self.tape.emit("-{}", -self.v, (self,), op="neg")
 
     def __abs__(self):
         return self.tape.emit("abs({})", abs(self.v), (self,))

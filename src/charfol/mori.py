@@ -28,7 +28,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import certify, jets, policy
+from . import certify, jets, kernel, policy
 from .contact import (ContactScene, FoliationField, Hypersurface,
                       _hamiltonian_solve, alpha_data_at,
                       graph_foliation_check, hamiltonian_residuals)
@@ -172,6 +172,20 @@ class MoriScene:
         q.append(z)
         return q
 
+    def cartesian_points(self, polar_pts: np.ndarray) -> np.ndarray:
+        """`cartesian_point` of each row of a float array, bit for bit:
+        the cosines and sines come from math one entry at a time, since
+        numpy's do not round as libm's do."""
+        rad, ang = polar_pts[:, 1::2], polar_pts[:, 2::2]
+        flat = ang.ravel().tolist()
+        cos = np.array([math.cos(a) for a in flat]).reshape(ang.shape)
+        sin = np.array([math.sin(a) for a in flat]).reshape(ang.shape)
+        q = np.empty_like(polar_pts)
+        q[:, 0:-1:2] = rad * cos
+        q[:, 1:-1:2] = rad * sin
+        q[:, -1] = polar_pts[:, 0]
+        return q
+
 
 def mori_scene(n: int = 2, eps: float = 0.1) -> MoriScene:
     """Build one member of the family in both charts."""
@@ -219,11 +233,13 @@ def reference_field(scene: MoriScene, point) -> np.ndarray:
     return out
 
 
-def sample_surface_polar(scene: MoriScene, rng, count: int) -> list:
-    """Polar-regular random points on the shell.
+def sample_surface_polar(scene: MoriScene, rng, count: int) -> np.ndarray:
+    """Polar-regular random points on the shell, as the rows of an array.
 
     Transverse radii and height are drawn inside the constraint budget,
-    then r picks up the slack, so no rejection loop is needed.
+    then r picks up the slack, so no rejection loop is needed. One draw
+    fills the array row by row, in the order of a point's coordinates:
+    the n - 1 radii, the height fraction, its sign, the n angles.
     """
     eps, n = scene.eps, scene.n
     budget = eps ** 2 * (1.0 + eps)
@@ -231,15 +247,19 @@ def sample_surface_polar(scene: MoriScene, rng, count: int) -> list:
     hi = math.sqrt(0.5 * budget / (n - 1))
     if not lo < hi:
         raise ConstructiveFailure("polar floor eats the whole shell budget")
-    pts = []
-    for _ in range(count):
-        rho = rng.uniform(lo, hi, n - 1)
-        used = float(np.sum(rho * rho))
-        z = math.copysign(math.sqrt(rng.uniform(0.0, 0.9) * (budget - used)),
-                          rng.uniform(-1.0, 1.0))
-        r = math.sqrt(1.0 + eps - (z * z + used) / eps ** 2)
-        ang = rng.uniform(0.0, 2.0 * math.pi, n)
-        pts.append(scene.polar_point(z, r, ang[0], list(rho), list(ang[1:])))
+    u = rng.uniform([lo] * (n - 1) + [0.0, -1.0] + [0.0] * n,
+                    [hi] * (n - 1) + [0.9, 1.0] + [2.0 * math.pi] * n,
+                    size=(count, 2 * n + 1))
+    rho, frac, sign, ang = u[:, :n - 1], u[:, n - 1], u[:, n], u[:, n + 1:]
+    # summed along rows as np.sum sums one point's radii, bit for bit
+    used = (rho * rho).sum(axis=1)
+    z = np.copysign(np.sqrt(frac * (budget - used)), sign)
+    pts = np.empty((count, scene.polar.chart.dim))
+    pts[:, 0] = z
+    pts[:, 1] = np.sqrt(1.0 + eps - (z * z + used) / eps ** 2)
+    pts[:, 2] = ang[:, 0]
+    pts[:, 3::2] = rho
+    pts[:, 4::2] = ang[:, 1:]
     return pts
 
 
@@ -302,16 +322,15 @@ def chart_agreement(scene: MoriScene, count: int = 100, rng=None) -> dict:
 
 # the reduced flow -------------------------------------------------------
 
-def pushforward_field(scene: MoriScene, zrr) -> np.ndarray:
-    """The reduced (z, r, rho) components of the reference field."""
+def pushforward_field(scene: MoriScene, zrr) -> tuple:
+    """The reduced (z, r, rho) components of the reference field, as
+    floats."""
     z, r, rho = (float(v) for v in zrr)
     eps, e2 = scene.eps, scene.eps ** -2
     r2 = r * r
-    return np.array([
-        (r2 - 1.0) ** 2 + (2.0 * r2 - 1.0) * (e2 * z * z - eps),
-        e2 * r * (r2 - 1.0) * z,
-        e2 * (2.0 * r2 - 1.0) * z * rho,
-    ])
+    return ((r2 - 1.0) ** 2 + (2.0 * r2 - 1.0) * (e2 * z * z - eps),
+            e2 * r * (r2 - 1.0) * z,
+            e2 * (2.0 * r2 - 1.0) * z * rho)
 
 
 def reduced_constraint(scene: MoriScene, zrr):
@@ -584,18 +603,21 @@ def phase_portrait_data(scene: MoriScene,
     both ways."""
     eps = scene.eps
     az, rr0 = scene.constants.axis_z, scene.constants.ring_rho
+    kernels = []        # the traced kernel of `constraint`
 
-    def rhs(y):
-        return pushforward_field(scene, y)
+    def constraint(y):
+        c = reduced_constraint(scene, seed(y))
+        return (c.f, *c.g)
 
     def proj(y):
         out = y.copy()
         for _ in range(10):
-            c = reduced_constraint(scene, seed(out))
-            if abs(c.f) < 1e-13:
+            c, *g = kernel.run(kernels, constraint,
+                               np.asarray(out, dtype=float).tolist())
+            if abs(c) < 1e-13:
                 return out
-            g = np.array(c.g)
-            out = out - (c.f / float(g @ g)) * g
+            g = np.array(g)
+            out = out - (c / float(g @ g)) * g
         return out
 
     ptols = policy.replace(tols, ode_max_step=0.05)
@@ -609,8 +631,9 @@ def phase_portrait_data(scene: MoriScene,
             continue
         y0 = proj(np.array([z0, math.sqrt(rr), rho0]))
         for sgn in (+1.0, -1.0):
-            res = _integrate_core(lambda y: sgn * rhs(y), y0, 2.5, ptols,
-                                  post=proj, record=True)
+            res = _integrate_core(
+                lambda y: [sgn * v for v in pushforward_field(scene, y)],
+                y0, 2.5, ptols, post=proj, record=True)
             for t, y in res.path:
                 rows.append({"id": f"{k}{'+' if sgn > 0 else '-'}",
                              "t": sgn * t, "z": float(y[0]),

@@ -200,9 +200,12 @@ _SCHEMA = {
     "family": _Block({
         "kind": _reader(str, "text", lambda v: v == "mori",
                         "unknown family {text!r}"),
-        "n": _int,
+        "n": _reader(int, "an integer", lambda v: v >= 2,
+                     "{what} must be >= 2, got {text!r}"),
         "eps": _float}, required=("kind",), defaults={"n": 2, "eps": 0.1}),
-    "perturbation": _Block({"delta": _float}),
+    "perturbation": _Block({
+        "delta": _reader(float, "a number", lambda v: 0.0 < v <= 0.1,
+                         "{what} must lie in (0, 0.1], got {text!r}")}),
 }
 
 
@@ -249,6 +252,10 @@ def _build_chart(block) -> Chart:
             except ValueError:
                 raise SceneParseError(f"bad period in {tok!r}",
                                       a.line, a.vcol) from None
+            if not 0.0 < angular[nm] < math.inf:
+                raise SceneParseError(
+                    f"angular period of {nm!r} must be positive and finite, "
+                    f"got {per!r}", a.line, a.vcol)
     return Chart(names, angular=angular)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import charfol
-from charfol import report
+from charfol import cli, report
 from charfol.cli import main
 from charfol.errors import SceneParseError
 from charfol.scenefile import load_scene, parse_scene
@@ -210,6 +210,63 @@ def test_negative_samples_rejected_with_position(tmp_path):
     out = tmp_path / "r.json"
     assert main(["classify", str(scene), "--json", str(out)]) == 0
     assert json.loads(out.read_text())["zeros"] == 2
+
+
+def _exits_2_at(tmp_path, capsys, text, where):
+    # the command stops at the value's position before any numerics
+    scene = tmp_path / "bad.scene"
+    scene.write_text(text)
+    assert main(["certify", str(scene)]) == 2
+    assert f"line {where[0]}, col {where[1]}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1", "0", "-3"])
+def test_family_n_below_2_rejected_with_position(value, tmp_path, capsys):
+    text = f"scene f\nfamily\n  kind = mori\n  n = {value}\n"
+    msg, line, col = _rejected_at(text)
+    assert (line, col) == (4, 7)
+    assert msg.endswith(f"n must be >= 2, got {value!r}")
+    _exits_2_at(tmp_path, capsys, text, (4, 7))
+    assert parse_scene(text.replace(f"n = {value}", "n = 3")).family["n"] == 3
+
+
+@pytest.mark.parametrize("value", ["0.5", "0", "-0.01", "nan", "inf"])
+def test_perturbation_delta_out_of_range_rejected_with_position(
+        value, tmp_path, capsys):
+    text = f"scene p\nperturbation\n  delta = {value}\n"
+    msg, line, col = _rejected_at(text)
+    assert (line, col) == (3, 11)
+    assert msg.endswith(f"delta must lie in (0, 0.1], got {value!r}")
+    _exits_2_at(tmp_path, capsys, text, (3, 11))
+    # the ends of the range
+    assert parse_scene(text.replace(value, "0.1")).perturbation == {
+        "delta": 0.1}
+    assert parse_scene(text.replace(value, "1e-9")).perturbation == {
+        "delta": 1e-9}
+
+
+@pytest.mark.parametrize("period", ["-1", "0", "inf", "nan"])
+def test_angular_period_not_positive_finite_rejected_with_position(
+        period, tmp_path, capsys):
+    text = FIELD_SCENE.replace("names = x y z",
+                               f"names = x y z\n  angular = x z:{period}")
+    msg, line, col = _rejected_at(text)
+    assert (line, col) == (5, 13)
+    assert msg.endswith(
+        f"angular period of 'z' must be positive and finite, got {period!r}")
+    _exits_2_at(tmp_path, capsys, text, (5, 13))
+
+
+def test_crash_exits_4_with_its_traceback(monkeypatch, capsys):
+    # exit 1 is a negative verdict; an exception no handler names is a
+    # crash, and a script must be able to tell the two apart
+    def crash(args):
+        raise RuntimeError("something broke")
+
+    monkeypatch.setattr(cli, "cmd_classify", crash)
+    assert main(["classify", "s2-height"]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: something broke" in err
 
 
 @pytest.mark.parametrize("value", ["0", "-2", "1.5", "x"])

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from charfol import jets, policy
 from charfol.contact import ContactScene, FoliationField, Hypersurface
-from charfol.dynamics import (_A, _E, EventSpec, Flow, RefinedOrbit, _rms,
-                              _rows, classify_orbit, classify_zero, find_orbit,
+from charfol.dynamics import (_A, _E, EventSpec, Flow, RefinedOrbit,
+                              _integrate_core, _rms, _rows, classify_orbit, classify_zero, find_orbit,
                               find_zeros, linearize_zero, refine_zero,
                               wrap_diff)
 from charfol.errors import EscapeError, NoOrbitError
@@ -242,3 +242,50 @@ def test_stage_rows_start_from_zero_like_sum():
     # sum() starts from 0, so an all-negative-zero row gives +0.0
     z = np.array([-0.0, -0.0])
     _check_rows(z, z, [np.array([-0.0, 0.0])] * 7, 0.5)
+
+
+# first same as last ------------------------------------------------------
+
+def _counted_rotation():
+    """The rotation y' = (-y1, y0) and the list of states it ran at."""
+    seen = []
+
+    def rhs(y):
+        seen.append(list(y))
+        return [-y[1], y[0]]
+    return rhs, seen
+
+
+def _steps(post):
+    rhs, seen = _counted_rotation()
+    res = _integrate_core(rhs, [1.0, 0.0], 6.0, policy.DEFAULT, post=post,
+                          record=True)
+    return res, len(res.path) - 1, seen
+
+
+def test_accepted_step_reuses_the_last_stage_slope():
+    # a post that returns the last stage input's own floats: the first
+    # slope of the next step is the last stage's; new floats with the
+    # same values: one more call per accepted step, and the same bits
+    same, accepted, seen = _steps(lambda z: z)
+    copied, accepted2, seen2 = _steps(lambda z: [v + 0.0 for v in z])
+    assert accepted == accepted2 > 10 and same.steps == copied.steps
+    assert len(seen) == 1 + 6 * same.steps
+    assert len(seen2) == 1 + 6 * same.steps + accepted
+    assert same.y.tobytes() == copied.y.tobytes()
+    assert [y.tobytes() for _, y in same.path] == \
+        [y.tobytes() for _, y in copied.path]
+
+
+def test_no_reuse_where_post_moves_the_state():
+    # a projection onto the unit circle moves every accepted state, and
+    # each next step starts from the slope at the projected state
+    def post(z):
+        r = math.hypot(*z)
+        return [v / r for v in z]
+
+    res, accepted, seen = _steps(post)
+    assert accepted > 10
+    assert len(seen) == 1 + 6 * res.steps + accepted
+    starts = [y.tolist() for _, y in res.path[1:]]
+    assert all(s in seen for s in starts)

@@ -15,6 +15,7 @@ points; it must give `vector`'s bits at every point and raise what
 
 import math
 import operator
+import struct
 from importlib import resources
 from unittest import mock
 
@@ -625,3 +626,106 @@ def test_folds_give_zero_where_the_generic_run_gives_nan():
     generic = [*X, *np.ravel(J), div]
     traced = [*Xk, *Jk.ravel(), divk]
     assert all(k == g for k, g in zip(traced, generic) if math.isfinite(g))
+
+
+# the kernel source: parentheses only where precedence needs them -------
+
+def _program(steps):
+    """The function of the recording scalars x0, x1 that runs `steps`.
+    A step applies its operator to the value `i` steps back and to the
+    value `j` steps back, or to the number c (on the left with `left`);
+    the outputs are the last three values. Bases of real powers are
+    taken as abs, and number exponents rounded down to integers, so no
+    power is complex."""
+    def fn(xs):
+        vals = list(xs)
+        for op, i, j, c, left in steps:
+            a = vals[-1 - i % len(vals)]
+            b = vals[-1 - j % len(vals)] if c is None else c
+            if op == "neg":
+                v = -a
+            elif op == "abs":
+                v = abs(a)
+            elif op == "**":
+                v = (abs(a) ** b if c is None else abs(c) ** a if left
+                     else a ** float(math.floor(c)))
+            else:
+                v = OPS[op](b, a) if left else OPS[op](a, b)
+            vals.append(v)
+        return vals[-3:]
+    return fn
+
+
+def _line_by_line(tape, outputs, args):
+    """The outputs from the tape's lines run one at a time, each stored
+    under its own name."""
+    env = dict(tape.functions, **{f"x{i}": v for i, v in enumerate(args)})
+    for name, template, names, _ in tape.lines:
+        env[name] = eval(template.format(*names), env)
+    return [env[o.name] if isinstance(o, Rec) else o for o in outputs]
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+def _steps(*ops):
+    """`ops`, then abs(x0) twice, so that of the values the ops make
+    only the last is an output."""
+    m = len(ops)
+    return [*ops, ("abs", m + 1, 0, None, False),
+            ("abs", m + 2, 0, None, False)]
+
+
+back = st.one_of(st.just(0), st.just(1), st.integers(0, 40))
+steps = st.lists(st.tuples(
+    st.sampled_from(["+", "-", "*", "/", "**", "neg", "abs"]), back, back,
+    st.one_of(st.none(), st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 1.0,
+                                          3.0])), st.booleans()),
+    min_size=1, max_size=48)
+finite = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(steps, st.tuples(finite, finite), st.tuples(finite, finite))
+# a + (b + c), a - (b - c) and a / (b * c): right operands of the same
+# strength; 0.1 + (0.2 + 0.3) is not (0.1 + 0.2) + 0.3
+@example(_steps(("+", 0, 0, 0.3, False), ("+", 2, 0, None, False)),
+         (0.1, 0.2), (-1.1, 0.9))
+@example(_steps(("-", 0, 1, None, False), ("-", 1, 0, None, False)),
+         (0.3, 1.7), (-1.1, 0.9))
+@example(_steps(("*", 0, 1, None, False), ("/", 1, 0, None, False)),
+         (0.3, 1.7), (-1.1, 0.9))
+# negations of a product and of a power, a power of a sum
+@example(_steps(("*", 0, 1, None, False), ("neg", 0, 0, None, False),
+                ("**", 0, 0, 3.0, False), ("neg", 0, 0, None, False),
+                ("+", 0, 4, None, False), ("**", 0, 0, 3.0, False)),
+         (0.3, 1.7), (-1.1, 0.9))
+# a power of a power: x ** 3.0 ** 3.0 would be x ** 27.0
+@example(_steps(("**", 0, 0, 3.0, False), ("**", 0, 0, 3.0, False)),
+         (0.3, 1.7), (-1.1, 0.9))
+# negative numbers on either side, and as exponents
+@example(_steps(("-", 0, 0, -1.0, True), ("*", 0, 0, -2.5, False),
+                ("**", 0, 0, -1.0, False), ("**", 0, 0, -2.5, True)),
+         (0.3, 1.7), (-1.1, 0.9))
+# chains of single uses past _NEST, nested on the left and on the right
+@example(_steps(*[("+", 0, 0, 0.5, False)] * 40), (0.3, 1.7), (-1.1, 0.9))
+@example(_steps(*[("-", 0, 0, 1.5, True), ("/", 0, 0, 0.7, True)] * 20),
+         (0.3, 1.7), (-1.1, 0.9))
+def test_kernel_source_keeps_the_tape_order(steps, p, q):
+    """Compiled with its minimal parentheses, a random tape gives, at
+    its trace point and at another point, the bits of its lines run one
+    at a time, and fails where they fail."""
+    try:
+        tape, outputs = _trace(_program(steps), p)
+    except ArithmeticError:
+        assume(False)
+    k = tape.compile(2, outputs)
+    assert _bits(k(*p)) == _bits(_line_by_line(tape, outputs, p))
+    try:
+        want = _line_by_line(tape, outputs, q)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            k(*q)
+    else:
+        assert _bits(k(*q)) == _bits(want)

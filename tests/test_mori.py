@@ -16,6 +16,8 @@ from charfol import mori, policy
 from charfol.contact import FoliationField, graph_foliation_check, hamiltonian_residuals
 from charfol.dynamics import Flow, NoOrbitError, find_orbit
 from charfol.errors import PolarDomainError
+from charfol.jets import Jet
+from charfol.kernel import Rec
 
 EPS = 0.1
 
@@ -97,6 +99,41 @@ def test_reference_field_polar_guard(scene):
     p = np.array([0.0, 0.02, 0.0, 0.08, 0.0])
     with pytest.raises(PolarDomainError, match="[Cc]artesian"):
         mori.reference_field(scene, p)
+
+
+def _draw_point_by_point(scene, rng, count):
+    # the per-point draws: radii, height fraction, its sign, angles
+    eps, n = scene.eps, scene.n
+    budget = eps ** 2 * (1.0 + eps)
+    lo = scene.polar_floor * 1.05
+    hi = math.sqrt(0.5 * budget / (n - 1))
+    pts = []
+    for _ in range(count):
+        rho = rng.uniform(lo, hi, n - 1)
+        used = float(np.sum(rho * rho))
+        z = math.copysign(math.sqrt(rng.uniform(0.0, 0.9) * (budget - used)),
+                          rng.uniform(-1.0, 1.0))
+        r = math.sqrt(1.0 + eps - (z * z + used) / eps ** 2)
+        ang = rng.uniform(0.0, 2.0 * math.pi, n)
+        pts.append(scene.polar_point(z, r, ang[0], list(rho), list(ang[1:])))
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_shell_samples_equal_point_by_point_draws(n):
+    # one array draw gives the bits and the generator state of a draw
+    # per point, also where the row sum of the radii pairs its terms
+    scene = mori.mori_scene(n, EPS)
+    for seed in (0, 1, 12345):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        pts = mori.sample_surface_polar(scene, rng, 40)
+        want = _draw_point_by_point(scene, ref, 40)
+        assert pts.shape == want.shape == (40, 2 * n + 1)
+        assert pts.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+        cart = scene.cartesian_points(pts)
+        assert cart.tobytes() == np.array(
+            [scene.cartesian_point(p) for p in pts], dtype=float).tobytes()
 
 
 def test_reference_field_tangency(scene):
@@ -275,6 +312,22 @@ def test_phase_portrait(scene):
     for row in rows:
         res = mori.reduced_constraint(scene, (row["z"], row["r"], row["rho"]))
         assert abs(res) < 1e-8
+
+
+def test_phase_portrait_projects_through_a_kernel(scene, monkeypatch):
+    # the constraint runs on jets only while its kernel is recorded,
+    # never on jets of plain floats
+    calls = []
+    constraint = mori.reduced_constraint
+
+    def spy(scene, zrr):
+        calls.append(all(isinstance(c, Jet) and isinstance(c.f, Rec)
+                         for c in zrr))
+        return constraint(scene, zrr)
+
+    monkeypatch.setattr(mori, "reduced_constraint", spy)
+    assert mori.phase_portrait_data(scene)
+    assert calls and all(calls)
 
 
 class BuggyBatch:
