@@ -18,9 +18,11 @@ derivative path. At runtime every per-point quantity comes from the
 straight-line kernels traced from that code (see `kernel`): X, its
 Jacobian and the divergence (`vector`, `flow_data`, `divergence`), and
 F, grad F and the tangent frame (`Hypersurface.value_and_grad`,
-`frame`, `project`). `vector_values`, `flow_values` and
-`project_values` return the kernels' floats as they are, for the
-integrator; the others wrap them in arrays. `vectors` evaluates X on
+`frame`, `project`), and alpha's covector and d alpha (`alpha_data_at`).
+`vector_values`, `flow_values` and `project_values` return the
+kernels' floats as they are; the others wrap them in arrays.
+`float_path` hands the integrator the same functions on lists of
+floats, without converting the point. `vectors` evaluates X on
 many points through the value kernels' array twins, the same records
 compiled over numpy columns, with `vector`'s bits in every row. The
 generic `char_data` and `ScalarField.value_and_grad` run only while a
@@ -32,6 +34,7 @@ columns.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -81,6 +84,7 @@ class ContactScene:
             bounds.append((i, *dom[k]))
         self.domain = dom
         self._bounds = bounds       # (coordinate index, lo, hi)
+        self._kernels = []          # traced kernels of _alpha_outputs
 
     def in_domain(self, point) -> bool:
         for i, lo, hi in self._bounds:
@@ -125,6 +129,18 @@ class ContactScene:
                 for lo, hi, angular in self._box()]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
+
+    def _alpha_outputs(self, point):
+        """The function `alpha_values` traces."""
+        ad = _alpha_data(self, point)
+        d = self.chart.dim
+        return [*ad.values, *(ad.dalpha.get((i, j))
+                              for i in range(d) for j in range(i + 1, d))]
+
+    def alpha_values(self, point) -> tuple:
+        """alpha's coefficients, then (d alpha)_ij for i < j, flat, at a
+        point, as floats from the scene's traced kernel."""
+        return run(self._kernels, self._alpha_outputs, _coords(point))
 
     def contact_volume_at(self, point):
         """Coefficient of alpha ^ (d alpha)^n against the coordinate volume."""
@@ -181,7 +197,6 @@ class Hypersurface:
         self.F = field
         self.chart = field.chart
         self.label = label
-        self._kernels = []      # traced kernels of _value_and_grad
 
     @classmethod
     def graph(cls, chart: Chart, coord: str, h: ScalarField, label: str = "graph"):
@@ -191,13 +206,9 @@ class Hypersurface:
             raise ValueError(f"graph function may not depend on {coord!r}")
         return cls(chart.var(coord) - h, label)
 
-    def _value_and_grad(self, x):
-        v, g = self.F.value_and_grad(x)
-        return (v, *g)
-
     def value_and_grad(self, point):
         """F and its gradient at a point, as floats from the traced kernel."""
-        v, *g = run(self._kernels, self._value_and_grad, _coords(point))
+        v, *g = self.F.traced_value_and_grad(_coords(point))
         return v, g
 
     def frame(self, point):
@@ -210,9 +221,13 @@ class Hypersurface:
 
     def project_values(self, point) -> list:
         """`project` on Python floats: the projected point as a list."""
-        x = _coords(point)
+        return self.project_floats(_coords(point))
+
+    def project_floats(self, x: list) -> list:
+        """`project_values` of a list of Python floats, taken as it is:
+        x itself where F(x) is already below the tolerance."""
         for _ in range(policy.PROJECT_MAX_ITER):
-            v, g = self.value_and_grad(x)
+            v, *g = self.F.traced_value_and_grad(x)
             if abs(v) < policy.PROJECT_TOL:
                 return x
             gg = sum(gi * gi for gi in g)
@@ -354,6 +369,25 @@ class FoliationField:
         """X at a point, as a tuple of floats from the value kernel."""
         return run(self._kernels[0], self._value_outputs, _coords(point))
 
+    def float_path(self):
+        """(vector, flow, project): `vector_values`, `flow_values` and
+        `surface.project_floats` for a list of d Python floats, with the
+        same bits and without the conversion of the point.
+
+        The functions take their argument as it is. Every entry must be
+        a Python float: a numpy scalar, a jet or an array is not
+        converted, and what it gives is undefined. vector and flow
+        return the kernels' tuples of floats, X and (X, the rows of its
+        ambient Jacobian, div) flat. They run on the kernel lists of
+        `vector_values` and `flow_values`, so a kernel traced through
+        either serves both, and a point where those raise raises the
+        same error. project returns x itself where x is already on the
+        surface, else a new list.
+        """
+        return (functools.partial(run, self._kernels[0], self._value_outputs),
+                functools.partial(run, self._kernels[1], self._jet_outputs),
+                self.surface.project_floats)
+
     def vectors(self, points) -> np.ndarray:
         """`vector` at every row of an (m, d) array, as an (m, d) array,
         bit for bit, evaluated through the value kernels' array twins."""
@@ -425,19 +459,22 @@ class FoliationField:
 
 
 def alpha_data_at(scene: ContactScene, point):
-    """Numeric alpha covector and d alpha matrix at one point.
+    """Numeric alpha covector and d alpha matrix at one point, from the
+    scene's traced kernel.
 
     Returns (a, M) with a[i] the alpha coefficients and M antisymmetric,
-    M[i, j] = (d alpha)(e_i, e_j).
+    M[i, j] = (d alpha)(e_i, e_j); a zero entry is +0.0 on both sides,
+    as the generic `_alpha_data` leaves it out.
     """
-    ad = _alpha_data(scene, point)
     d = scene.chart.dim
-    a = np.array([fval(v) for v in ad.values])
+    out = scene.alpha_values(point)
     M = np.zeros((d, d))
-    for (i, j), c in ad.dalpha.comps.items():
-        M[i, j] = fval(c)
-        M[j, i] = -fval(c)
-    return a, M
+    pairs = ((i, j) for i in range(d) for j in range(i + 1, d))
+    for (i, j), c in zip(pairs, out[d:]):
+        if c != 0.0:
+            M[i, j] = c
+            M[j, i] = -c
+    return np.array(out[:d]), M
 
 
 # Reeb and Hamiltonian solves -----------------------------------------
@@ -476,10 +513,8 @@ def _hamiltonian_solve(a_row, M, hval: float, hgrad):
 def _hamiltonian(scene: ContactScene, H: ScalarField, point):
     """(a, M, H, dH(R) a - dH, Y) at one point, each computed once."""
     a_row, M = alpha_data_at(scene, point)
-    hval, hg = H.value_and_grad(point)
-    hval = float(fval(hval))
-    rhs_form, Y = _hamiltonian_solve(
-        a_row, M, hval, np.array([fval(g) for g in hg]))
+    hval, *hg = H.traced_value_and_grad(_coords(point))
+    rhs_form, Y = _hamiltonian_solve(a_row, M, hval, np.array(hg))
     return a_row, M, hval, rhs_form, Y
 
 

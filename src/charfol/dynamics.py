@@ -6,10 +6,14 @@ direction field is tangent to every level of the defining function, so
 projection removes roundoff drift rather than fighting the dynamics.
 Variational runs carry the ambient monodromy matrix and the divergence
 integral alongside the state, all sourced from one jet pass per stage.
-The loop runs on lists of Python floats, with stage sums generated as
-straight-line code per state length. Shooting for closed orbits scores
-its line-search trials with variational runs too, so an accepted trial
-is already the next Newton shot.
+The loop runs on lists of Python floats. Each attempted step is one
+function generated per state length (`_step`): the stage sums are
+locals, each stage input goes to the right-hand side as a list, and the
+scaled error norm is summed in numpy's order, so every step has the
+bits of the numpy sums it replaces. `Flow` feeds the loop straight from
+the field's kernels (`FoliationField.float_path`). Shooting for closed
+orbits scores its line-search trials with variational runs too, so an
+accepted trial is already the next Newton shot.
 
 Angular coordinates integrate unwrapped; closure of orbits and
 deduplication of elements are tested modulo the period.
@@ -46,41 +50,72 @@ _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920,
 
 
 def _weighted(coeffs, j: int) -> str:
-    """Source of sum(c * k[j] for c, k in zip(coeffs, ks)), term by term
-    in the same order and from the same start 0, so the float result has
-    the bits of that sum; 0.0 weights stay (they carry NaN and inf)."""
-    terms = "".join(f" + {c!r} * k{i}[{j}]" for i, c in enumerate(coeffs))
+    """Source of sum(c * k[j] for c, k in zip(coeffs, ks)), on the slope
+    locals k{i}_{j}, term by term in the same order and from the same
+    start 0, so the float result has the bits of that sum; 0.0 weights
+    stay (they carry NaN and inf)."""
+    terms = "".join(f" + {c!r} * k{i}_{j}" for i, c in enumerate(coeffs))
     return f"(0.0{terms})"
 
 
-@functools.cache
-def _rows(n: int):
-    """Straight-line DOPRI5 stage inputs and scaled error for states of
-    length n, on lists of floats.
+def _pairwise(terms: list) -> str:
+    """Source of the sum of `terms` in the order of numpy's pairwise sum
+    of a float array: one by one from 0.0 below 8 terms; up to 128, eight
+    accumulators over every eighth term, added in pairs, then the terms
+    past the last multiple of 8 one by one; above 128, the sums of two
+    halves, the first a multiple of 8 long."""
+    n = len(terms)
+    if n < 8:
+        return f"({' + '.join(['0.0', *terms])})"
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return f"({_pairwise(terms[:half])} + {_pairwise(terms[half:])})"
+    m = n - n % 8
+    r = [f"({' + '.join(terms[j:m:8])})" for j in range(8)]
+    head = (f"((({r[0]} + {r[1]}) + ({r[2]} + {r[3]}))"
+            f" + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]})))")
+    return f"({' + '.join([head, *terms[m:]])})"
 
-    Stage i returns z + h * sum(_A[i][j] * k_j); the error function
-    returns (h * sum(_E[j] * k_j)) / (atol + rtol * max(|z|, |z5|)),
-    where max is numpy's (a NaN on either side wins).
+
+@functools.cache
+def _step(n: int):
+    """One attempted DOPRI5 step for states of length n, as one
+    straight-line function of Python floats.
+
+    step(rhs, z, f, h, atol, rtol) -> (z5, k6, enorm): f is the slope
+    at z; stage i hands z + h * sum(_A[i][j] * k_j) to rhs as a list
+    and unpacks the slope it returns. z5 is the last stage input (the
+    5th-order solution) and k6 its slope. enorm is the RMS of the scaled
+    error (h * sum(_E[j] * k_j)) / (atol + rtol * max(|z|, |z5|)),
+    where max is numpy's: a NaN on either side gives NaN, and a NaN in
+    z makes z5's entry NaN too. Its squares are summed as numpy sums
+    them (`_pairwise`), so enorm has the bits of `_rms` of the error
+    array.
     """
-    funcs = []
+    ks = [[f"k{i}_{j}" for j in range(n)] for i in range(7)]
+    src = ["def step(rhs, z, f, h, atol, rtol):",
+           f"    {', '.join(f'y{j}' for j in range(n))}, = z",
+           f"    {', '.join(ks[0])}, = f"]
     for i in range(1, 7):
-        ks = ", ".join(f"k{j}" for j in range(i))
-        rows = ", ".join(f"z[{j}] + h * {_weighted(_A[i], j)}"
+        rows = ", ".join(f"y{j} + h * {_weighted(_A[i], j)}"
                          for j in range(n))
-        funcs.append([f"def stage{i}(z, h, {ks}):", f"    return [{rows}]"])
-    ks = ", ".join(f"k{j}" for j in range(7))
-    src = [f"def error(z, z5, h, atol, rtol, {ks}):"]
+        if i < 6:
+            src.append(f"    {', '.join(ks[i])}, = rhs([{rows}])")
+        else:
+            src += [f"    z5 = [{rows}]",
+                    f"    {', '.join(f'w{j}' for j in range(n))}, = z5",
+                    "    k6 = rhs(z5)",
+                    f"    {', '.join(ks[6])}, = k6"]
     for j in range(n):
-        src += [f"    a = abs(z[{j}]); b = abs(z5[{j}])",
-                f"    e{j} = h * {_weighted(_E, j)} / "
-                f"(atol + rtol * (a if a >= b or a != a else b))"]
-    src.append(f"    return [{', '.join(f'e{j}' for j in range(n))}]")
-    funcs.append(src)
-    # one function per compile keeps the parser's transient memory small
-    ns = {}
-    for src in funcs:
-        exec(compile("\n".join(src) + "\n", "<charfol dopri5>", "exec"), ns)
-    return [ns[f"stage{i}"] for i in range(1, 7)], ns["error"]
+        src += [f"    a = abs(y{j}); b = abs(w{j})",
+                f"    e = h * {_weighted(_E, j)} / "
+                f"(atol + rtol * (a if a >= b else b))",
+                f"    q{j} = e * e"]
+    sq = _pairwise([f"q{j}" for j in range(n)])
+    src.append(f"    return z5, k6, _sqrt({sq} / {n})")
+    ns = {"_sqrt": math.sqrt}
+    exec(compile("\n".join(src) + "\n", "<charfol dopri5>", "exec"), ns)
+    return ns["step"]
 
 
 @dataclass
@@ -120,10 +155,12 @@ def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
 
     Inside the loop, states and slopes are sequences of floats read
     entry by entry: post gets lists, rhs and domain_ok get lists or what
-    post returned, and rhs and post may return any sequence (`Flow`'s
-    return lists and tuples). Event functions get ndarrays here; the
-    returned state, the recorded path and the states in errors are
-    ndarrays. A crossing of the event stops the run with status "event".
+    post returned, and rhs and post may return any sequence of the
+    state's length (`Flow`'s return lists and tuples). Each attempted
+    step is one call of the generated `_step`. Event functions get
+    ndarrays here; the returned state, the recorded path and the states
+    in errors are ndarrays. A crossing of the event stops the run with
+    status "event".
 
     rhs depends on the values of its argument alone: where post returns
     the last stage input's own float objects, the slope of that stage
@@ -132,7 +169,7 @@ def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
     z = np.asarray(z0, dtype=float).tolist()
     if post is not None:
         z = post(z)
-    stages, error = _rows(len(z))
+    step = _step(len(z))
     atol, rtol = tols.ode_atol, tols.ode_rtol
     t = 0.0
     f = rhs(z)
@@ -150,12 +187,7 @@ def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
             raise IntegrationError("step budget exhausted", t=t,
                                    state=np.array(z))
         h = min(h, tmax - t)
-        k = [f]
-        for stage in stages:
-            zi = stage(z, h, *k)
-            k.append(rhs(zi))
-        z5 = zi                 # the last stage input
-        enorm = _rms(error(z, z5, h, atol, rtol, *k))
+        z5, k6, enorm = step(rhs, z, f, h, atol, rtol)
         if enorm > 1.0:
             h = max(h * max(0.2, 0.9 * enorm ** -0.25), 1e-14 * (1.0 + abs(t)))
             if h <= 1e-13 * (1.0 + abs(t)):
@@ -168,8 +200,8 @@ def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
             g1 = event.fn(np.array(znew))
             if (g0 < 0.0 <= g1) if event.direction > 0 else (g0 > 0.0 >= g1):
                 t_ev, z_ev = _locate_event(
-                    rhs, np.array(z), np.array(k[0]), np.array(z5),
-                    np.array(k[6]), h, event, tols, post)
+                    rhs, np.array(z), np.array(f), np.array(z5),
+                    np.array(k6), h, event, tols, post)
                 return SimpleNamespace(status="event", t=t + t_ev, y=z_ev,
                                        steps=steps, path=path)
             g0 = g1
@@ -179,7 +211,7 @@ def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
         # first same as last: the last stage ran at z5, so where post
         # kept z5's own floats its slope is the slope at znew
         fsal = all(a is b for a, b in zip(znew, z5, strict=True))
-        t, z, f = tnew, znew, k[6] if fsal else rhs(znew)
+        t, z, f = tnew, znew, k6 if fsal else rhs(znew)
         if record:
             path.append((t, np.array(z)))
         grow = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
@@ -216,7 +248,8 @@ def _locate_event(rhs, z0, f0, z1, f1, h, ev: EventSpec,
         res = _integrate_core(rhs, z0, dt, tols, post=post)
         y = res.y
         g = ev.fn(jets.seed(y))
-        gd = float(np.dot(g.g, rhs(y))) if isinstance(g, jets.Jet) else 0.0
+        gd = (float(np.dot(g.g, rhs(y.tolist())))
+              if isinstance(g, jets.Jet) else 0.0)
         g = jets.fval(g)
         if gd == 0.0 or abs(g) < 1e-13 * (1.0 + abs(gd)):
             break
@@ -225,50 +258,50 @@ def _locate_event(rhs, z0, f0, z1, f1, h, ev: EventSpec,
 
 
 class Flow:
-    """Trajectories of the characteristic direction field on one surface."""
+    """Trajectories of the characteristic direction field on one surface.
+
+    The loop runs on the field's float-list path (`float_path`): the
+    kernels take the loop's lists of floats as they are."""
 
     def __init__(self, field: FoliationField, tols: policy.Tolerances = policy.DEFAULT,
                  sense: int = +1):
         self.field = field
         self.tols = tols
         self.sense = float(sense)
+        self._vector, self._flow, self._post = field.float_path()
 
-    def _rhs(self, y):
-        X = self.field.vector_values(y)
-        return [-c for c in X] if self.sense < 0 else X
-
-    def _post(self, y):
-        return self.field.surface.project_values(y)
-
-    def _domain_ok(self, y):
-        return self.field.scene.in_domain(y)
+    def _backward(self, y):
+        return [-c for c in self._vector(y)]
 
     def integrate(self, y0, tmax, event: EventSpec | None = None,
                   record: bool = False):
-        return _integrate_core(self._rhs, y0, tmax, self.tols, post=self._post,
-                               event=event, domain_ok=self._domain_ok,
+        rhs = self._backward if self.sense < 0 else self._vector
+        return _integrate_core(rhs, y0, tmax, self.tols, post=self._post,
+                               event=event, domain_ok=self.field.scene.in_domain,
                                record=record)
 
     def integrate_variational(self, y0, tmax):
         """State, ambient monodromy, and divergence integral over [0, tmax]."""
         d = len(y0)
         s = self.sense
+        flow, project = self._flow, self._post
 
         # J @ M stays in numpy: BLAS rounds it differently from a
         # Python sum, and the reports keep BLAS's bits
         def rhs(z):
-            out = self.field.flow_values(z[:d])
+            out = flow(z[:d])
             JM = (np.array(out[d:-1]).reshape(d, d)
                   @ np.array(z[d:-1]).reshape(d, d))
             f = [*out[:d], *JM.ravel().tolist(), out[-1]]
             return [-c for c in f] if s < 0 else f
 
         def post(z):
-            return [*self.field.surface.project_values(z[:d]), *z[d:]]
+            return [*project(z[:d]), *z[d:]]
 
+        # in_domain reads only the coordinates, the first d entries
         z0 = np.concatenate([np.asarray(y0, float), np.eye(d).ravel(), [0.0]])
         res = _integrate_core(rhs, z0, tmax, self.tols, post=post,
-                              domain_ok=lambda z: self.field.scene.in_domain(z[:d]))
+                              domain_ok=self.field.scene.in_domain)
         y = res.y[:d]
         M = res.y[d:d + d * d].reshape(d, d)
         w = float(res.y[-1])

@@ -22,6 +22,7 @@ from .errors import ChartMismatchError, DegenerateVolumeError
 from .expr import (Bin, Call, Const, Deriv, Neg, Node, Var, compile_node,
                    parse_expression)
 from .jets import fval, seed, split
+from .kernel import run
 
 
 class Chart:
@@ -103,12 +104,13 @@ def _as_node(chart, x) -> Node:
 class ScalarField:
     """An expression tree bound to a chart, compiled on first use."""
 
-    __slots__ = ("chart", "node", "_fn")
+    __slots__ = ("chart", "node", "_fn", "_kernels")
 
     def __init__(self, chart: Chart, node):
         self.chart = chart
         self.node = node if isinstance(node, Node) else Const(float(node))
         self._fn = None
+        self._kernels = []      # traced kernels of _value_and_grad
 
     @property
     def fn(self):
@@ -122,6 +124,16 @@ class ScalarField:
     def value_and_grad(self, point):
         """One jet sweep: value and all partials at a point of ring scalars."""
         return split(self.fn(*seed(point)), self.chart.dim)
+
+    def _value_and_grad(self, point):
+        v, g = self.value_and_grad(point)
+        return (v, *g)
+
+    def traced_value_and_grad(self, x: list) -> tuple:
+        """`value_and_grad` at a list of Python floats, taken as it is,
+        through the field's traced kernels: the value and the partials
+        as one tuple of floats."""
+        return run(self._kernels, self._value_and_grad, x)
 
     def d(self, which) -> "ScalarField":
         j = which if isinstance(which, int) else self.chart.index(which)

@@ -25,7 +25,8 @@ the speed comes from. Values agree with the generic run except in the
 sign of a zero and where a fold meets an operand that is not finite:
 `x * 0` folds to 0.0 where the generic run gives NaN because x is ±inf
 or NaN, and `0 / x` folds to 0.0 where it gives NaN because x is NaN
-(or raises because x is 0).
+(or raises because x is 0). The negation of a recorded negation is
+its operand, which has the same bits.
 
 A value used once is written into the line that uses it, in
 parentheses only where Python's precedence needs them (`_BINDS`): the
@@ -261,9 +262,10 @@ def _names(operands) -> list:
 
 class Rec:
     """A recording scalar: its value at the trace point, the kernel
-    variable that holds it, and the tape of its trace."""
+    variable that holds it, the tape of its trace, and for a recorded
+    negation the Rec it negates."""
 
-    __slots__ = ("v", "name", "tape")
+    __slots__ = ("v", "name", "tape", "negates")
 
     # numpy must hand `float64 op Rec` to the reflected Rec operator.
     __array_ufunc__ = None
@@ -272,6 +274,7 @@ class Rec:
         self.v = v
         self.name = name
         self.tape = tape
+        self.negates = None
 
     def __repr__(self):
         return f"Rec({self.v!r}, {self.name!r})"
@@ -283,7 +286,11 @@ class Rec:
     __pow__, __rpow__ = _operators("**")
 
     def __neg__(self):
-        return self.tape.emit("-{}", -self.v, (self,), op="neg")
+        if self.negates is not None:    # -(-x) has x's bits, NaN included
+            return self.negates
+        out = self.tape.emit("-{}", -self.v, (self,), op="neg")
+        out.negates = self
+        return out
 
     def __abs__(self):
         return self.tape.emit("abs({})", abs(self.v), (self,))

@@ -786,9 +786,9 @@ def _predicted_lift(scene: ContactScene, base: ContactScene, H: ScalarField):
     def predicted(p):
         p = np.asarray(p, dtype=float)
         avec, Mm = alpha_data_at(base, p[sel])
-        hval, hg = H.value_and_grad(list(p))
-        hg = np.asarray(hg, dtype=float)
-        _, Y = _hamiltonian_solve(avec, Mm, float(hval), hg[sel])
+        hval, *hg = H.traced_value_and_grad(p.tolist())
+        hg = np.array(hg)
+        _, Y = _hamiltonian_solve(avec, Mm, hval, hg[sel])
         out = np.zeros(ch.dim)
         out[is_] = 1.0
         out[sel] = -Y
@@ -877,7 +877,7 @@ def perturb_analysis(spec: PerturbationSpec,
         for psi in (0.4, 2.2):
             q = np.zeros(ch.dim)
             q[ch.index("s")], q[ch.index("psi")] = s, psi
-            _, hgrad = H.value_and_grad(list(q))
+            _, *hgrad = H.traced_value_and_grad(q.tolist())
             cg = max(cg, abs(hgrad[ch.index("a")]), abs(hgrad[ch.index("b")]))
     ham = dict(prof)
     ham["center_gradient"] = cg

@@ -202,7 +202,9 @@ _SCHEMA = {
                         "unknown family {text!r}"),
         "n": _reader(int, "an integer", lambda v: v >= 2,
                      "{what} must be >= 2, got {text!r}"),
-        "eps": _float}, required=("kind",), defaults={"n": 2, "eps": 0.1}),
+        "eps": _reader(float, "a number", lambda v: 0.0 < v <= 0.3,
+                       "{what} must lie in (0, 0.3], got {text!r}")},
+        required=("kind",), defaults={"n": 2, "eps": 0.1}),
     "perturbation": _Block({
         "delta": _reader(float, "a number", lambda v: 0.0 < v <= 0.1,
                          "{what} must lie in (0, 0.1], got {text!r}")}),

@@ -245,6 +245,19 @@ def test_perturbation_delta_out_of_range_rejected_with_position(
         "delta": 1e-9}
 
 
+@pytest.mark.parametrize("value", ["0.5", "0", "-0.1", "nan", "inf"])
+def test_family_eps_out_of_range_rejected_with_position(
+        value, tmp_path, capsys):
+    text = f"scene f\nfamily\n  kind = mori\n  eps = {value}\n"
+    msg, line, col = _rejected_at(text)
+    assert (line, col) == (4, 9)
+    assert msg.endswith(f"eps must lie in (0, 0.3], got {value!r}")
+    _exits_2_at(tmp_path, capsys, text, (4, 9))
+    # the ends of the range
+    for ok in ("0.3", "1e-9"):
+        assert parse_scene(text.replace(value, ok)).family["eps"] == float(ok)
+
+
 @pytest.mark.parametrize("period", ["-1", "0", "inf", "nan"])
 def test_angular_period_not_positive_finite_rejected_with_position(
         period, tmp_path, capsys):

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charfol import jets, policy
+from charfol import dynamics, jets, policy
 from charfol.contact import ContactScene, FoliationField, Hypersurface
 from charfol.dynamics import (_A, _E, EventSpec, Flow, RefinedOrbit,
-                              _integrate_core, _rms, _rows, classify_orbit, classify_zero, find_orbit,
+                              _integrate_core, _pairwise, _step,
+                              classify_orbit, classify_zero, find_orbit,
                               find_zeros, linearize_zero, refine_zero,
                               wrap_diff)
 from charfol.errors import EscapeError, NoOrbitError
@@ -195,53 +196,104 @@ def test_float_entry_points_and_array_results():
         assert y.dtype == np.float64 and y.shape == (3,)
 
 
-# the integrator's generated stage sums -----------------------------------
+# the integrator's generated step -------------------------------------------
 
-def _check_rows(z, z5, k, h, atol=1e-9, rtol=1e-7):
-    """Generated stage and error rows against the numpy sums they
-    replace: equal, NaN in the same places, zeros of the same sign."""
-    stages, error = _rows(len(z))
+def _same(got, want):
+    """Equal, NaN in the same places, zeros of the same sign."""
+    got, want = np.array(got, dtype=float), np.array(want, dtype=float)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan], want[~nan])
+    assert np.array_equal(np.signbit(got[~nan]), np.signbit(want[~nan]))
+
+
+def _check_step(z, k, h, atol=1e-9, rtol=1e-7):
+    """`_step` against the numpy sums and norm it replaces: every stage
+    input, z5, k6 and enorm bit for bit."""
     lists = [kj.tolist() for kj in k]
+    seen = []
+
+    def rhs(y):         # the given slopes, in stage order
+        seen.append(y)
+        return lists[len(seen)]
+
+    z5, k6, enorm = _step(len(z))(rhs, z.tolist(), lists[0], h, atol, rtol)
     with np.errstate(all="ignore"):
         wants = [z + h * sum(c * kj for c, kj in zip(_A[i], k))
                  for i in range(1, 7)]
-        wants.append(h * sum(c * kj for c, kj in zip(_E, k))
-                     / (atol + rtol * np.maximum(np.abs(z), np.abs(z5))))
-    gots = [stage(z.tolist(), h, *lists[:i])
-            for i, stage in enumerate(stages, start=1)]
-    gots.append(error(z.tolist(), z5.tolist(), h, atol, rtol, *lists))
-    for got, want in zip(gots, wants):
-        got = np.array(got, dtype=float)
-        nan = np.isnan(want)
-        assert np.array_equal(np.isnan(got), nan)
-        assert np.array_equal(got[~nan], want[~nan])
-        assert np.array_equal(np.signbit(got[~nan]), np.signbit(want[~nan]))
-    # the error norm sums in numpy's order, as np.mean does
-    if not np.isnan(wants[-1]).any():
-        assert _rms(gots[-1]) == float(np.sqrt(np.mean(np.square(wants[-1]))))
+        err = (h * sum(c * kj for c, kj in zip(_E, k))
+               / (atol + rtol * np.maximum(np.abs(z), np.abs(wants[-1]))))
+        norm = np.sqrt(np.mean(np.square(err)))
+    assert len(seen) == 6 and seen[-1] is z5 and type(z5) is list
+    for got, want in zip(seen, wants):
+        _same(got, want)
+    assert k6 is lists[6]
+    assert type(enorm) is float
+    _same(enorm, norm)
 
 
 SPECIAL = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
 
 
-@pytest.mark.parametrize("n", [1, 3, 5, 7, 31])
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 8, 9, 16, 31])
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_stage_rows_equal_numpy_sums(n, data):
-    # z, z5, k0..k6 finite, with a few entries replaced by specials
+def test_step_equals_numpy_sums(n, data):
+    # z, k0..k6 finite, with a few entries replaced by specials
     vecs = [np.array(data.draw(st.lists(st.floats(-1e3, 1e3),
                                         min_size=n, max_size=n)))
-            for _ in range(9)]
+            for _ in range(8)]
     for a, j, v in data.draw(st.lists(st.tuples(
-            st.integers(0, 8), st.integers(0, n - 1), SPECIAL), max_size=3)):
+            st.integers(0, 7), st.integers(0, n - 1), SPECIAL), max_size=3)):
         vecs[a][j] = v
-    _check_rows(vecs[0], vecs[1], vecs[2:], data.draw(st.floats(1e-6, 1.0)))
+    _check_step(vecs[0], vecs[1:], data.draw(st.floats(1e-6, 1.0)))
 
 
-def test_stage_rows_start_from_zero_like_sum():
+def test_step_sums_start_from_zero_like_sum():
     # sum() starts from 0, so an all-negative-zero row gives +0.0
-    z = np.array([-0.0, -0.0])
-    _check_rows(z, z, [np.array([-0.0, 0.0])] * 7, 0.5)
+    _check_step(np.array([-0.0, -0.0]), [np.array([-0.0, 0.0])] * 7, 0.5)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 31, 57, 128, 129, 133, 300])
+def test_pairwise_source_sums_like_numpy(n):
+    rng = np.random.default_rng(n)
+    total = eval(f"lambda v: {_pairwise([f'v[{i}]' for i in range(n)])}")
+    for _ in range(50):
+        v = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-8, 9, n)
+        assert total(v.tolist()) == float(v.sum())
+
+
+@pytest.mark.parametrize("sense", [1, -1])
+def test_flow_right_hand_sides_equal_the_entry_points(sense, monkeypatch):
+    # the rhs that integrate and integrate_variational hand to the loop,
+    # against vector_values and flow_values (with numpy's J @ M)
+    fld, _ = graph_setup()
+    rhss = []
+
+    def spy(rhs, *args, **kwargs):
+        rhss.append(rhs)
+        return _integrate_core(rhs, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_integrate_core", spy)
+    flow = Flow(fld, sense=sense)
+    p = fld.surface.project([0.1, 0.3, 0.2])
+    flow.integrate(p, 0.5)
+    flow.integrate_variational(p, 0.5)
+    vector, variational = rhss[0], rhss[-1]
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        q = fld.surface.project(p + rng.uniform(-0.3, 0.3, 3))
+        X = list(fld.vector_values(q))
+        out = fld.flow_values(q)
+        M = rng.normal(size=(3, 3))
+        JM = np.array(out[3:-1]).reshape(3, 3) @ M
+        want = [*out[:3], *JM.ravel().tolist(), out[-1]]
+        got_X = vector(q.tolist())
+        got = variational([*q.tolist(), *M.ravel().tolist(), 0.0])
+        if sense < 0:
+            X, want = [-c for c in X], [-c for c in want]
+        assert np.array(got_X).tobytes() == np.array(X).tobytes()
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 # first same as last ------------------------------------------------------

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from charfol import kernel, mori
+from charfol import contact, kernel, mori
 from charfol.cli import _norms, main
 from charfol.contact import ContactScene, FoliationField, Hypersurface
 from charfol.errors import (CharfolError, DegenerateVolumeError,
@@ -158,7 +158,7 @@ def test_projection_kernel_equals_value_and_grad(name, fr):
     box = _box(field_named(name).scene)
     q = [lo + f * (hi - lo) for f, (lo, hi) in zip(fr, box)]
     v, g = surface.F.value_and_grad(q)
-    assert list(run(surface._kernels, surface._value_and_grad, q)) == [v, *g]
+    assert list(surface.F.traced_value_and_grad(q)) == [v, *g]
 
     # the Newton loop of project, run on the generic value_and_grad
     x, want = q, None
@@ -382,14 +382,17 @@ def _traced(point) -> bool:
 @pytest.mark.parametrize("argv", [["classify", "s2-height"],
                                   ["certify", "s2-height"],
                                   ["classify", "mori-sigma0-n2"],
-                                  ["foliation", "s2-height", "--grid", "8"]])
+                                  ["foliation", "s2-height", "--grid", "8"],
+                                  ["certify", "mori-column"]])
 def test_commands_evaluate_only_through_kernels(argv, monkeypatch, tmp_path):
-    # char_data and the surface's F.value_and_grad may run while a
-    # kernel is recorded and on sample batches, never on plain floats
+    # char_data, a scalar field's value_and_grad (the surface's F, the
+    # column's Hamiltonians) and alpha's data may run while a kernel is
+    # recorded and on sample batches, never on plain floats
     surfaces, plain = [], []
     init = Hypersurface.__init__
     char_data = FoliationField.char_data
     value_and_grad = ScalarField.value_and_grad
+    alpha_data = contact._alpha_data
 
     def spy_init(self, field, *args, **kwargs):
         surfaces.append(field)
@@ -401,13 +404,19 @@ def test_commands_evaluate_only_through_kernels(argv, monkeypatch, tmp_path):
         return char_data(self, point)
 
     def spy_value_and_grad(self, point):
-        if any(self is F for F in surfaces) and not _traced(point):
-            plain.append(("F.value_and_grad", list(point)))
+        if not _traced(point):
+            plain.append(("value_and_grad", self, list(point)))
         return value_and_grad(self, point)
+
+    def spy_alpha_data(scene, point):
+        if not _traced(point):
+            plain.append(("alpha", scene.name, list(point)))
+        return alpha_data(scene, point)
 
     monkeypatch.setattr(Hypersurface, "__init__", spy_init)
     monkeypatch.setattr(FoliationField, "char_data", spy_char_data)
     monkeypatch.setattr(ScalarField, "value_and_grad", spy_value_and_grad)
+    monkeypatch.setattr(contact, "_alpha_data", spy_alpha_data)
     assert main([*argv, "--json", str(tmp_path / "r.json")]) == 0
     assert surfaces
     assert plain == []
@@ -518,6 +527,22 @@ def test_rec_folds_follow_the_table(op, side, n):
         assert tape.lines == [(out.name, "-{}", ["x0"], False)]
     else:
         assert type(out) is float and out == to and tape.lines == []
+
+
+def test_rec_folds_a_double_negation():
+    # -(-x) is x itself: the same bits, NaN included, and no second line
+    tape = Tape()
+    x = Rec(1.5, "x0", tape)
+    y = -x
+    assert -y is x and tape.lines == [(y.name, "-{}", ["x0"], False)]
+    z = 0 - x                       # a folded negation folds back too
+    assert z is not y and -z is x and len(tape.lines) == 2
+    w = x * 3.0
+    assert -(-w) is w and len(tape.lines) == 4
+    nan = -math.nan                 # a NaN with its sign bit set
+    kernels = []
+    out = run(kernels, lambda xs: [-(-xs[0]), -(-(-xs[0]))], [nan])
+    assert struct.pack("<2d", *out) == struct.pack("<2d", nan, -nan)
 
 
 def test_rec_operators_take_only_numbers_and_recs():
