@@ -131,16 +131,12 @@ class ContactScene:
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def _alpha_outputs(self, point):
-        """The function `alpha_values` traces."""
+        """alpha's coefficients, then (d alpha)_ij for i < j, flat: the
+        function `alpha_data_at` evaluates through the scene's kernels."""
         ad = _alpha_data(self, point)
         d = self.chart.dim
         return [*ad.values, *(ad.dalpha.get((i, j))
                               for i in range(d) for j in range(i + 1, d))]
-
-    def alpha_values(self, point) -> tuple:
-        """alpha's coefficients, then (d alpha)_ij for i < j, flat, at a
-        point, as floats from the scene's traced kernel."""
-        return run(self._kernels, self._alpha_outputs, _coords(point))
 
     def contact_volume_at(self, point):
         """Coefficient of alpha ^ (d alpha)^n against the coordinate volume."""
@@ -467,7 +463,7 @@ def alpha_data_at(scene: ContactScene, point):
     as the generic `_alpha_data` leaves it out.
     """
     d = scene.chart.dim
-    out = scene.alpha_values(point)
+    out = run(scene._kernels, scene._alpha_outputs, _coords(point))
     M = np.zeros((d, d))
     pairs = ((i, j) for i in range(d) for j in range(i + 1, d))
     for (i, j), c in zip(pairs, out[d:]):

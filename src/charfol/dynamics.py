@@ -153,8 +153,9 @@ def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
     """Shared adaptive loop. post() cleans an accepted state (projection);
     domain_ok() raising or returning False stops with an escape.
 
-    Inside the loop, states and slopes are sequences of floats read
-    entry by entry: post gets lists, rhs and domain_ok get lists or what
+    tmax is taken as a Python float, so the stage inputs built from it
+    are Python floats too. Inside the loop, states and slopes are
+    sequences of floats read entry by entry: post gets lists, rhs and domain_ok get lists or what
     post returned, and rhs and post may return any sequence of the
     state's length (`Flow`'s return lists and tuples). Each attempted
     step is one call of the generated `_step`. Event functions get
@@ -166,6 +167,7 @@ def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
     the last stage input's own float objects, the slope of that stage
     is the slope at the accepted state, and rhs is not called again.
     """
+    tmax = float(tmax)
     z = np.asarray(z0, dtype=float).tolist()
     if post is not None:
         z = post(z)

@@ -296,6 +296,30 @@ def test_flow_right_hand_sides_equal_the_entry_points(sense, monkeypatch):
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
+@pytest.mark.parametrize("sense", [1, -1])
+def test_numpy_time_spans_feed_the_kernels_python_floats(sense, monkeypatch):
+    # the kernels take lists of Python floats: a numpy tmax must not turn
+    # the step size, and so every stage input, into numpy scalars
+    fld, _ = graph_setup()
+    kinds = set()
+
+    def spy(rhs, *args, **kwargs):
+        def typed(z):
+            kinds.update(type(v) for v in z)
+            return rhs(z)
+        return _integrate_core(typed, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_integrate_core", spy)
+    flow = Flow(fld, sense=sense)
+    p = fld.surface.project([0.1, 0.3, 0.2])
+    for go, state in ((flow.integrate, lambda r: r.y),
+                      (flow.integrate_variational, lambda r: r[0])):
+        kinds.clear()
+        res = go(p, np.float64(0.5))
+        assert kinds == {float}
+        assert state(res).tobytes() == state(go(p, 0.5)).tobytes()
+
+
 # first same as last ------------------------------------------------------
 
 def _counted_rotation():

@@ -1,15 +1,15 @@
 """Byte-compare the reports of two charfol checkouts.
 
-    python tools/compare_reports.py PARENT CHANGE [--seeds 0 7] [--jobs 2]
+    python tools/compare_reports.py PARENT CHANGE
 
 PARENT and CHANGE are source trees of charfol (each with `src/charfol`).
-Every command line of `COMMANDS` runs at every seed in both trees, each
-run in a new working directory with `--json r.json --csv-dir csv` and
-PYTHONPATH set to the tree's `src`. The JSON report, every CSV file,
-stdout, stderr and the exit code are then compared byte for byte. In
-stdout and stderr the tree's path and the working directory are
-replaced by placeholders first, since warnings and tracebacks name
-their files. One line is printed per difference; the exit code is 0
+Every command line of `COMMANDS` runs at each of `SEEDS` in both trees,
+one run at a time, each in a new working directory with
+`--json r.json --csv-dir csv` and PYTHONPATH set to the tree's `src`.
+The JSON report, every CSV file, stdout, stderr and the exit code are
+then compared byte for byte. In stdout and stderr the tree's path and
+the working directory are replaced by placeholders first, since
+warnings and tracebacks name their files. One line is printed per difference; the exit code is 0
 when every run matches and 1 otherwise.
 """
 
@@ -20,8 +20,9 @@ import os
 import subprocess
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+SEEDS = (0, 7)
 
 COMMANDS = [
     ["foliation", "s2-height", "--grid", "24"],
@@ -71,18 +72,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--seeds", type=int, nargs="+", default=[0, 7])
-    ap.add_argument("--jobs", type=int, default=2,
-                    help="command lines run at once (default 2)")
     args = ap.parse_args(argv)
     trees = [args.parent.resolve(), args.change.resolve()]
     for tree in trees:
         if not (tree / "src" / "charfol").is_dir():
             ap.error(f"{tree} has no src/charfol")
-    cases = [(argv, seed) for seed in args.seeds for argv in COMMANDS]
-    with ThreadPoolExecutor(max(1, args.jobs)) as pool:
-        results = pool.map(lambda c: compare(*trees, *c), cases)
-        diffs = [d for ds in results for d in ds]
+    cases = [(argv, seed) for seed in SEEDS for argv in COMMANDS]
+    diffs = [d for case in cases for d in compare(*trees, *case)]
     for d in diffs:
         print(d)
     print(f"{len(cases)} runs per tree, {len(diffs)} differences")
