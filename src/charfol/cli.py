@@ -101,10 +101,12 @@ def _shell_certificate(scene, cen, tols, rng):
 
 def _field_census(doc: SceneDocument, tols, rng):
     """The field of a field scene and its classified zeros, refined from
-    the zero_seeds and `analysis.samples` (default 8) random points."""
+    the zero_seeds and `analysis.samples` (default 8) random points, at
+    all of which alpha must be contact."""
     field = FoliationField(doc.scene, doc.surface)
     seeds = list(doc.analysis.get("zero_seeds", []))
     seeds += field.surface_samples(rng, doc.analysis.get("samples", 8))
+    doc.scene.verify_contact(seeds)
     return field, [classify_zero(field, p)
                    for p in find_zeros(field, seeds, tols)]
 

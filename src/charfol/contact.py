@@ -14,22 +14,16 @@ divergences and multipliers are mutually consistent everywhere.
 Everything is evaluated pointwise over a generic scalar ring. Feeding
 jet coordinates through the same code path yields Jacobians, so there
 is one implementation to trust rather than a value path and a separate
-derivative path. At runtime every per-point quantity comes from the
-straight-line kernels traced from that code (see `kernel`): X, its
-Jacobian and the divergence (`vector`, `flow_data`, `divergence`), and
-F, grad F and the tangent frame (`Hypersurface.value_and_grad`,
-`frame`, `project`), and alpha's covector and d alpha (`alpha_data_at`).
-`vector_values`, `flow_values` and `project_values` return the
-kernels' floats as they are; the others wrap them in arrays.
-`float_path` hands the integrator the same functions on lists of
-floats, without converting the point. `vectors` evaluates X on
-many points through the value kernels' array twins, the same records
-compiled over numpy columns, with `vector`'s bits in every row. The
-generic `char_data` and `ScalarField.value_and_grad` run only while a
-kernel is recorded, on sample batches and in tests, as the reference:
-`project_samples` projects a batch through the array ring, one
-evaluation of F's tree per Newton iteration on numpy coordinate
-columns.
+derivative path. At runtime X, its Jacobian, the divergence and the
+projection come from the straight-line kernels traced from that code
+(see `kernel`) in three shapes: float lists (`vector_floats`,
+`flow_floats`, `project_floats`), which the integrator runs on; row
+arrays of (m, d) points (`vectors`, `project_samples`), with the
+per-point bits in every row; and array wrappers of the float lists for
+any point (`vector`, `flow_data`, `project`). F, grad F, the tangent frame and alpha's data
+(`value_and_grad`, `frame`, `alpha_data_at`) come from kernels too.
+The generic `char_data` and `ScalarField.value_and_grad` run only while
+a kernel is recorded, on sample batches and in tests, as the reference.
 """
 
 from __future__ import annotations
@@ -146,14 +140,21 @@ class ContactScene:
             top = top.wedge(arrs.dalpha)
         return top.get(tuple(range(self.chart.dim)))
 
-    def verify_contact(self, points):
-        """Check non-degeneracy and constant sign at the given points."""
-        vals = [fval(self.contact_volume_at(p)) for p in points]
-        floor = min(abs(v) for v in vals)
-        if floor <= policy.DEGENERATE_VOLUME:
+    def verify_contact(self, points) -> np.ndarray:
+        """Check non-degeneracy and constant sign at the rows of an
+        (m, d) array, evaluated once on its coordinate columns; return
+        the contact volumes."""
+        x = np.asarray(points, dtype=float).reshape(-1, self.chart.dim)
+        with np.errstate(all="ignore"):
+            vals = np.broadcast_to(self.contact_volume_at(list(x.T)),
+                                   (len(x),))
+        if not len(vals):
+            return vals
+        floor = float(np.min(np.abs(vals)))
+        if not floor > policy.DEGENERATE_VOLUME:
             raise ContactConditionError(
                 f"contact volume falls to {floor:.3e} on the sample")
-        if min(vals) < 0.0 < max(vals):
+        if vals.min() < 0.0 < vals.max():
             raise ContactConditionError("contact volume changes sign on the sample")
         return vals
 
@@ -161,7 +162,6 @@ class ContactScene:
 @dataclass
 class _AlphaData:
     values: list
-    grads: list
     alpha: AltArray
     dalpha: AltArray
 
@@ -183,7 +183,7 @@ def _alpha_data(scene: ContactScene, point) -> _AlphaData:
                 dal[(i, j)] = c
     arr = AltArray(d, 1, {(i,): v for i, v in enumerate(values)
                           if not (isinstance(v, float) and v == 0.0)})
-    return _AlphaData(values, grads, arr, AltArray(d, 2, dal))
+    return _AlphaData(values, arr, AltArray(d, 2, dal))
 
 
 class Hypersurface:
@@ -211,17 +211,14 @@ class Hypersurface:
         """(frame_coords, frame) of `char_data`, on the kernel's grad F."""
         return tangent_frame(self.value_and_grad(point)[1])[1:]
 
-    def project(self, point):
+    def project(self, point) -> np.ndarray:
         """Newton steps along grad F back onto the surface."""
-        return np.array(self.project_values(point), dtype=float)
-
-    def project_values(self, point) -> list:
-        """`project` on Python floats: the projected point as a list."""
-        return self.project_floats(_coords(point))
+        return np.array(self.project_floats(_coords(point)), dtype=float)
 
     def project_floats(self, x: list) -> list:
-        """`project_values` of a list of Python floats, taken as it is:
-        x itself where F(x) is already below the tolerance."""
+        """`project` of a list of Python floats, taken as it is (other
+        entry types give undefined results): x itself where F(x) is
+        already below the tolerance, else a new list."""
         for _ in range(policy.PROJECT_MAX_ITER):
             v, *g = self.F.traced_value_and_grad(x)
             if abs(v) < policy.PROJECT_TOL:
@@ -242,7 +239,7 @@ class Hypersurface:
         All points take their Newton steps together: one evaluation of
         F's tree per iteration on the coordinate columns of the points
         still moving (numpy arrays, a ring of the jets), with the float
-        operations of `project_values` in every row. Where numpy flags
+        operations of `project_floats` in every row. Where numpy flags
         a floating-point error, the per-point path runs instead, so the
         errors raised and the points dropped are those of `project`.
         """
@@ -300,18 +297,12 @@ def tangent_frame(N):
 
 @dataclass
 class CharData:
-    """Everything the solve produced at one point, in one place."""
+    """What the solve produced at one point and its callers read."""
 
-    point: list
     X: list                  # ambient components, ring scalars
-    X_frame: list
     frame: list              # tangent frame vectors, ambient components
     frame_coords: list       # ambient coordinate index backing each frame slot
     pivot: int
-    omega0: object           # surface volume coefficient in the frame
-    normal: list
-    beta: AltArray
-    dbeta: AltArray
     divergence: object
 
 
@@ -326,6 +317,13 @@ class FoliationField:
         self._d = scene.chart.dim
         # traced kernels of _value_outputs and of _jet_outputs
         self._kernels = ([], [])
+        # X, and (X, the rows of its ambient Jacobian, div) flat, as
+        # tuples of floats, for a list of d Python floats taken as it is
+        # (an entry of any other type gives an undefined result)
+        self.vector_floats = functools.partial(
+            run, self._kernels[0], self._value_outputs)
+        self.flow_floats = functools.partial(
+            run, self._kernels[1], self._jet_outputs)
 
     # core ------------------------------------------------------------
 
@@ -354,35 +352,12 @@ class FoliationField:
         for _ in range(n - 1):
             dbn = dbn.wedge(dbeta)
         div = dbn.get(tuple(range(2 * n))) / omega0
-        return CharData(point=list(point), X=X, X_frame=Xf, frame=frame,
-                        frame_coords=frame_coords, pivot=pivot, omega0=omega0,
-                        normal=N, beta=beta, dbeta=dbeta, divergence=div)
+        return CharData(X=X, frame=frame, frame_coords=frame_coords,
+                        pivot=pivot, divergence=div)
 
     def vector(self, point) -> np.ndarray:
-        return np.array(self.vector_values(point), dtype=float)
-
-    def vector_values(self, point) -> tuple:
-        """X at a point, as a tuple of floats from the value kernel."""
-        return run(self._kernels[0], self._value_outputs, _coords(point))
-
-    def float_path(self):
-        """(vector, flow, project): `vector_values`, `flow_values` and
-        `surface.project_floats` for a list of d Python floats, with the
-        same bits and without the conversion of the point.
-
-        The functions take their argument as it is. Every entry must be
-        a Python float: a numpy scalar, a jet or an array is not
-        converted, and what it gives is undefined. vector and flow
-        return the kernels' tuples of floats, X and (X, the rows of its
-        ambient Jacobian, div) flat. They run on the kernel lists of
-        `vector_values` and `flow_values`, so a kernel traced through
-        either serves both, and a point where those raise raises the
-        same error. project returns x itself where x is already on the
-        surface, else a new list.
-        """
-        return (functools.partial(run, self._kernels[0], self._value_outputs),
-                functools.partial(run, self._kernels[1], self._jet_outputs),
-                self.surface.project_floats)
+        """X at a point, from the value kernel."""
+        return np.array(self.vector_floats(_coords(point)), dtype=float)
 
     def vectors(self, points) -> np.ndarray:
         """`vector` at every row of an (m, d) array, as an (m, d) array,
@@ -412,46 +387,17 @@ class FoliationField:
             J.extend(g)
         return X + J + [fval(data.divergence)]
 
-    def flow_values(self, point) -> tuple:
-        """X, the rows of its ambient Jacobian and div, flat, as a tuple
-        of floats from the first-order kernel."""
-        return run(self._kernels[1], self._jet_outputs, _coords(point))
-
     def vector_and_jacobian(self, point):
         """Value and ambient Jacobian in one pass, via a jet level."""
         return self.flow_data(point)[:2]
 
     def flow_data(self, point):
-        """X, its ambient Jacobian and div from the first-order kernel."""
-        out = self.flow_values(point)
-        d = self._d
-        X = np.array(out[:d], dtype=float)
-        J = np.array(out[d:-1], dtype=float).reshape(d, d)
-        return X, J, float(out[-1])
-
-    def divergence(self, point) -> float:
-        """Divergence of X against the induced surface volume.
-
-        Uses the exact identity d(beta ^ (d beta)^(n-1)) = (d beta)^n on
-        the surface, so no derivatives of X itself are needed; the value
-        is the last entry of `flow_values`.
-        """
-        return float(self.flow_values(point)[-1])
-
-    # derived checks ----------------------------------------------------
-
-    def tangency_residual(self, point) -> float:
-        return self._residual(self.char_data(point).normal, point)
-
-    def contact_plane_residual(self, point) -> float:
-        """alpha(X) vanishes identically for the characteristic direction."""
-        return self._residual(_alpha_data(self.scene, point).values, point)
-
-    def _residual(self, covector, point) -> float:
-        """|covector(X)| at a point, relative to max(1, max |X_i|)."""
-        X = [fval(c) for c in self.char_data(point).X]
-        dot = sum(fval(a) * b for a, b in zip(covector, X))
-        return abs(dot) / max(1.0, max(abs(c) for c in X))
+        """X, its ambient Jacobian and div from the first-order kernel.
+        div is taken against the induced surface volume, through the
+        identity d(beta ^ (d beta)^(n-1)) = (d beta)^n on the surface."""
+        out, d = self.flow_floats(_coords(point)), self._d
+        return (np.array(out[:d], dtype=float),
+                np.array(out[d:-1], dtype=float).reshape(d, d), float(out[-1]))
 
 
 def alpha_data_at(scene: ContactScene, point):

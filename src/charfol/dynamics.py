@@ -11,7 +11,8 @@ function generated per state length (`_step`): the stage sums are
 locals, each stage input goes to the right-hand side as a list, and the
 scaled error norm is summed in numpy's order, so every step has the
 bits of the numpy sums it replaces. `Flow` feeds the loop straight from
-the field's kernels (`FoliationField.float_path`). Shooting for closed
+the field's float lists (`FoliationField.vector_floats`, `flow_floats`,
+`Hypersurface.project_floats`). Shooting for closed
 orbits scores its line-search trials with variational runs too, so an
 accepted trial is already the next Newton shot.
 
@@ -262,15 +263,16 @@ def _locate_event(rhs, z0, f0, z1, f1, h, ev: EventSpec,
 class Flow:
     """Trajectories of the characteristic direction field on one surface.
 
-    The loop runs on the field's float-list path (`float_path`): the
-    kernels take the loop's lists of floats as they are."""
+    The loop runs on the field's float lists (`vector_floats`,
+    `flow_floats`, `surface.project_floats`) as they are."""
 
     def __init__(self, field: FoliationField, tols: policy.Tolerances = policy.DEFAULT,
                  sense: int = +1):
         self.field = field
         self.tols = tols
         self.sense = float(sense)
-        self._vector, self._flow, self._post = field.float_path()
+        self._vector, self._flow = field.vector_floats, field.flow_floats
+        self._post = field.surface.project_floats
 
     def _backward(self, y):
         return [-c for c in self._vector(y)]
@@ -400,7 +402,7 @@ def classify_zero(field: FoliationField, point) -> ZeroInfo:
     exactly 0 has no sign (0) and does not count as hyperbolic."""
     A, _ = linearize_zero(field, point)
     eigs = np.linalg.eigvals(A)
-    div = field.divergence(point)
+    div = field.flow_data(point)[2]
     sign = sign_of(div)
     band = policy.HYPERBOLIC_BAND * max(1.0, float(np.max(np.abs(eigs))))
     return ZeroInfo(point=np.asarray(point, dtype=float),

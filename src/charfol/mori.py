@@ -510,7 +510,7 @@ def _edge_orbit(scene: MoriScene, sign: float) -> CensusOrbit:
         raise ConstructiveFailure("edge orbit height search stalled")
 
     p = lift(z)
-    X, J = field.vector_and_jacobian(p)
+    X, J, div = field.flow_data(p)
     omega = float(X[1] / p[0])
     scale = float(np.max(np.abs(X)))
     transverse = max(abs(float(X[i])) for i in range(d) if i != 1) / scale
@@ -519,7 +519,6 @@ def _edge_orbit(scene: MoriScene, sign: float) -> CensusOrbit:
     G = np.zeros((d, d))
     G[0, 1], G[1, 0] = -1.0, 1.0
     A = J - omega * G
-    div = field.divergence(p)
 
     # classify in the expanding time direction: a multiplier of e^-40
     # sits below the roundoff floor of the section projection, while its

@@ -440,6 +440,28 @@ def test_malformed_expression_exits_2(tmp_path, capsys):
     assert "line 7" in err and "col" in err
 
 
+@pytest.mark.parametrize("command", ["classify", "certify"])
+def test_exact_form_exits_3_before_any_verdict(command, tmp_path, capsys):
+    # dy = -x makes alpha = d(z - xy): no contact structure, no foliation
+    # to certify
+    scene = tmp_path / "exact.scene"
+    scene.write_text(FIELD_SCENE.replace("dy = x", "dy = -x"))
+    code = main([command, str(scene), "--json", str(tmp_path / "r.json")])
+    assert code == 3
+    assert "contact volume" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_classify_without_seeds_checks_nothing(tmp_path):
+    scene = tmp_path / "none.scene"
+    scene.write_text(FIELD_SCENE.replace(
+        "  zero_seeds = (0.05, -0.03, 0.99); (-0.04, 0.02, -0.99)\n", "")
+        .replace("samples = 4", "samples = 0"))
+    out = tmp_path / "r.json"
+    assert main(["classify", str(scene), "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["zeros"] == 0
+
+
 def test_unknown_scene_exits_2(capsys):
     assert main(["certify", "no-such-scene"]) == 2
     assert "no-such-scene" in capsys.readouterr().err

@@ -157,8 +157,8 @@ class ZeroDivergenceField:
     def vector_and_jacobian(self, p):
         return self.base.vector_and_jacobian(p)
 
-    def divergence(self, p):
-        return 0.0
+    def flow_data(self, p):
+        return (*self.base.vector_and_jacobian(p), 0.0)
 
 
 def test_zero_divergence_gives_neutral_sign():
@@ -181,13 +181,27 @@ def test_unit_conformal_factor_gives_neutral_sign():
 
 
 def test_float_entry_points_and_array_results():
+    # the three shapes agree bit for bit: the array wrappers, the float
+    # lists and the rows of the row-array functions
     fld, _ = graph_setup()
-    p = fld.surface.project([0.1, 0.3, 0.2])
-    assert fld.vector(p).tolist() == list(fld.vector_values(p))
-    X, J, div = fld.flow_data(p)
-    assert [*X.tolist(), *J.ravel().tolist(), div] == list(fld.flow_values(p))
-    q = [0.4, 0.3, 0.2]
-    assert fld.surface.project(q).tolist() == fld.surface.project_values(q)
+    surf = fld.surface
+    p = surf.project([0.1, 0.3, 0.2])
+    qs = np.array([p, [0.4, 0.3, 0.2], [-0.2, 1.0, 2.5]])
+    pts = np.array([surf.project(q) for q in qs])
+    rows = fld.vectors(pts)
+    for i, q in enumerate(pts):
+        X = fld.vector(q)
+        assert X.tobytes() == np.array(fld.vector_floats(q.tolist())).tobytes()
+        assert X.tobytes() == rows[i].tobytes()
+        X, J, div = fld.flow_data(q)
+        assert ([*X.tolist(), *J.ravel().tolist(), div]
+                == list(fld.flow_floats(q.tolist())))
+    projected = surf.project_samples(qs)
+    assert len(projected) == len(qs)
+    for q, row in zip(qs, projected):
+        P = surf.project(q)
+        assert P.tobytes() == np.array(surf.project_floats(q.tolist())).tobytes()
+        assert P.tobytes() == row.tobytes()
     res = Flow(fld, sense=-1).integrate(p, 2.0, record=True)
     assert res.status == "time" and len(res.path) > 1
     for t, y in [(res.t, res.y), *res.path]:
@@ -266,7 +280,7 @@ def test_pairwise_source_sums_like_numpy(n):
 @pytest.mark.parametrize("sense", [1, -1])
 def test_flow_right_hand_sides_equal_the_entry_points(sense, monkeypatch):
     # the rhs that integrate and integrate_variational hand to the loop,
-    # against vector_values and flow_values (with numpy's J @ M)
+    # against vector_floats and flow_floats (with numpy's J @ M)
     fld, _ = graph_setup()
     rhss = []
 
@@ -283,8 +297,8 @@ def test_flow_right_hand_sides_equal_the_entry_points(sense, monkeypatch):
     rng = np.random.default_rng(3)
     for _ in range(5):
         q = fld.surface.project(p + rng.uniform(-0.3, 0.3, 3))
-        X = list(fld.vector_values(q))
-        out = fld.flow_values(q)
+        X = list(fld.vector_floats(q.tolist()))
+        out = fld.flow_floats(q.tolist())
         M = rng.normal(size=(3, 3))
         JM = np.array(out[3:-1]).reshape(3, 3) @ M
         want = [*out[:3], *JM.ravel().tolist(), out[-1]]

@@ -39,17 +39,16 @@ class RescaledField:
         return self.h(p) * self.base.vector(p)
 
     def vector_and_jacobian(self, p):
-        X, J = self.base.vector_and_jacobian(p)
-        out = self.h(p) * J
-        if self.grad_h is not None:
-            out = out + np.outer(np.asarray(X, dtype=float), self.grad_h(p))
-        return self.h(p) * X, out
+        return self.flow_data(p)[:2]
 
-    def divergence(self, p):
-        d = self.h(p) * self.base.divergence(p)
+    def flow_data(self, p):
+        X, J, div = self.base.flow_data(p)
+        h = self.h(p)
+        J, div = h * J, h * div
         if self.grad_h is not None:
-            d += float(np.dot(self.grad_h(p), self.base.vector(p)))
-        return d
+            J = J + np.outer(X, self.grad_h(p))
+            div += float(np.dot(self.grad_h(p), X))
+        return h * X, J, div
 
 
 def sphere_setup():

@@ -1,16 +1,19 @@
 """Traced kernels against the ring-generic evaluators they were traced from.
 
-`FoliationField.vector`, `flow_data`, `vector_and_jacobian` and
-`divergence`, and `Hypersurface.value_and_grad`, `frame` and `project`,
-run straight-line kernels traced from `char_data` and
-`ScalarField.value_and_grad`. Those generic functions stay the
-reference: at every sampled surface point the kernels must give the
-same numbers exactly (`==`, so the sign of a zero may differ), and
-where the generic code raises, the kernels raise the same error. No
-command runs the generic functions on plain floats.
-`FoliationField.vectors` runs the kernels' array twins over many
-points; it must give `vector`'s bits at every point and raise what
-`vector` raises.
+The field and the surface are evaluated in three shapes, all on
+straight-line kernels traced from `char_data` and
+`ScalarField.value_and_grad`: float lists
+(`FoliationField.vector_floats`, `flow_floats`,
+`Hypersurface.project_floats`), the array wrappers around them
+(`vector`, `flow_data`, `vector_and_jacobian`, `project`, with
+`Hypersurface.value_and_grad` and `frame`), and row arrays
+(`FoliationField.vectors`, `Hypersurface.project_samples`). The generic
+functions stay the reference: at every sampled surface point the
+kernels must give the same numbers exactly (`==`, so the sign of a
+zero may differ), and where the generic code raises, the kernels raise
+the same error. No command runs the generic functions on plain floats.
+`vectors` runs the kernels' array twins over many points; it must give
+`vector`'s bits at every point and raise what `vector` raises.
 """
 
 import math
@@ -146,7 +149,7 @@ def test_kernels_equal_generic_char_data(name, fr):
     assert Xv.tolist() == X and Jv.tolist() == J
     # divergence and tangent frame against char_data on floats
     data = field.char_data(p.tolist())
-    assert field.divergence(p) == fval(data.divergence)
+    assert field.flow_data(p)[2] == fval(data.divergence)
     assert field.surface.frame(p) == (data.frame_coords, data.frame)
 
 
