@@ -20,7 +20,7 @@ scene = ContactScene(ch, alpha, name="paraboloid-graph",
 
 # t = (x^2 + y^2) / 2, written as a level set
 f = (ch.var("x") ** 2 + ch.var("y") ** 2) * 0.5
-surf = Hypersurface(ch.var("t") - f, label="graph")
+surf = Hypersurface(ch.var("t") - f)
 
 field = FoliationField(scene, surf)
 

@@ -11,8 +11,7 @@ from charfol.certify import (ConvexityProfile, MorseSmaleCertificate,
                              standard_gamma, verification_grid,
                              verify_convex_form)
 from charfol.contact import (ContactScene, FoliationField, Hypersurface,
-                             graph_foliation_check, hamiltonian_field_at,
-                             hamiltonian_residuals, reeb_at)
+                             graph_foliation_check, hamiltonian_residuals)
 from charfol.dynamics import (Flow, OrbitInfo, ZeroInfo, classify_orbit,
                               classify_zero, find_orbit, find_zeros)
 from charfol.exterior import Chart, KForm, ScalarField
@@ -27,7 +26,7 @@ __all__ = [
     "OrbitInfo", "PerturbationSpec", "ScalarField", "ZeroInfo",
     "build_profile", "census", "check_morse_smale", "classify_orbit",
     "classify_zero", "find_orbit", "find_zeros", "graph_foliation_check",
-    "hamiltonian_field_at", "hamiltonian_residuals", "mori_scene",
-    "perturb_analysis", "policy", "reeb_at", "standard_gamma",
+    "hamiltonian_residuals", "mori_scene", "perturb_analysis", "policy",
+    "standard_gamma",
     "verification_grid", "verify_convex_form",
 ]

@@ -185,7 +185,7 @@ def _turn_event(i: int, per: float, start: float, direction: int):
 
 def _unstable_directions(field, point, sense):
     """Deduplicated real unstable directions at a zero, ambient components."""
-    A, frame = linearize_zero(field, point)
+    A, frame, _ = linearize_zero(field, point)
     w, V = np.linalg.eig(A)
     out = []
     for j in range(len(w)):

@@ -58,7 +58,7 @@ def _emit(args, rep: dict, csv_files: dict) -> int:
 def _start(args, command: str, digest: str):
     """The report of `command` on the scene text with this digest, and
     the tolerances and random stream the command runs with."""
-    tols = policy.profile(args.tolerance_profile)
+    tols = policy.PROFILES[args.tolerance_profile]
     rep = report.base_report(command, digest, args.seed,
                              args.tolerance_profile, tols)
     return rep, tols, np.random.default_rng(args.seed)

@@ -19,9 +19,11 @@ projection come from the straight-line kernels traced from that code
 (see `kernel`) in three shapes: float lists (`vector_floats`,
 `flow_floats`, `project_floats`), which the integrator runs on; row
 arrays of (m, d) points (`vectors`, `project_samples`), with the
-per-point bits in every row; and array wrappers of the float lists for
-any point (`vector`, `flow_data`, `project`). F, grad F, the tangent frame and alpha's data
-(`value_and_grad`, `frame`, `alpha_data_at`) come from kernels too.
+per-point bits in every row (for `project_samples`, where F's tree
+calls no function and takes no power but ^2); and array wrappers of
+the float lists for any point (`vector`, `flow_data`, `project`).
+F, grad F, the tangent frame and alpha's data (`value_and_grad`,
+`frame`, `alpha_data_at`) come from kernels too.
 The generic `char_data` and `ScalarField.value_and_grad` run only while
 a kernel is recorded, on sample batches and in tests, as the reference.
 """
@@ -29,9 +31,8 @@ a kernel is recorded, on sample batches and in tests, as the reference.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -57,8 +58,7 @@ class ContactScene:
     """A chart of dimension 2n+1 carrying a (candidate) contact form."""
 
     def __init__(self, chart: Chart, alpha: KForm, name: str = "scene",
-                 domain: Mapping[str, tuple] | None = None,
-                 params: Mapping[str, float] | None = None):
+                 domain: Mapping[str, tuple] | None = None):
         if alpha.deg != 1:
             raise ValueError("alpha must be a one-form")
         if alpha.chart != chart:
@@ -69,7 +69,6 @@ class ContactScene:
         self.alpha = alpha
         self.name = name
         self.n = (chart.dim - 1) // 2
-        self.params = dict(params or {})
         dom, bounds = {}, []
         for k, v in (domain or {}).items():
             i = chart.index(k)
@@ -189,18 +188,17 @@ def _alpha_data(scene: ContactScene, point) -> _AlphaData:
 class Hypersurface:
     """Zero set of a scalar field, with Newton projection along the gradient."""
 
-    def __init__(self, field: ScalarField, label: str = "surface"):
+    def __init__(self, field: ScalarField):
         self.F = field
         self.chart = field.chart
-        self.label = label
 
     @classmethod
-    def graph(cls, chart: Chart, coord: str, h: ScalarField, label: str = "graph"):
+    def graph(cls, chart: Chart, coord: str, h: ScalarField):
         """The set coord = h(other coordinates)."""
         i = chart.index(coord)
         if uses_var(h.node, i):
             raise ValueError(f"graph function may not depend on {coord!r}")
-        return cls(chart.var(coord) - h, label)
+        return cls(chart.var(coord) - h)
 
     def value_and_grad(self, point):
         """F and its gradient at a point, as floats from the traced kernel."""
@@ -238,10 +236,13 @@ class Hypersurface:
 
         All points take their Newton steps together: one evaluation of
         F's tree per iteration on the coordinate columns of the points
-        still moving (numpy arrays, a ring of the jets), with the float
-        operations of `project_floats` in every row. Where numpy flags
-        a floating-point error, the per-point path runs instead, so the
-        errors raised and the points dropped are those of `project`.
+        still moving (numpy arrays, a ring of the jets). A row has the
+        bits of `project_floats` where F's tree calls no function and
+        takes no power but ^2, as on every bundled surface; elsewhere
+        numpy's functions and powers may round differently from libm's,
+        and rows agree to roundoff. Where numpy flags a floating-point
+        error, the per-point path runs instead, so the errors raised
+        and the points dropped are those of `project`.
         """
         try:
             with np.errstate(divide="raise", invalid="raise", over="raise"):
@@ -431,48 +432,26 @@ def _solve(A, b, what: str) -> np.ndarray:
     return sol
 
 
-def _reeb(A) -> np.ndarray:
-    b = np.zeros(A.shape[0])
-    b[-1] = 1.0
-    return _solve(A, b, "Reeb")
-
-
-def reeb_at(scene: ContactScene, point) -> np.ndarray:
-    """The unique vector with alpha(R) = 1 annihilating d alpha."""
-    a_row, M = alpha_data_at(scene, point)
-    return _reeb(np.vstack([M.T, a_row]))
-
-
 def _hamiltonian_solve(a_row, M, hval: float, hgrad):
-    """(dH(R) a - dH, Y) from alpha's data and H's value and gradient."""
+    """(dH(R) a - dH, Y) from alpha's data and H's value and gradient,
+    R the Reeb field: alpha(R) = 1 and i_R d alpha = 0."""
     A = np.vstack([M.T, a_row])
-    R = _reeb(A)
+    R = _solve(A, np.eye(len(A))[-1], "Reeb")
     rhs_form = float(hgrad @ R) * a_row - hgrad
     Y = _solve(A, np.append(rhs_form, hval), "Hamiltonian")
     return rhs_form, Y
 
 
-def _hamiltonian(scene: ContactScene, H: ScalarField, point):
-    """(a, M, H, dH(R) a - dH, Y) at one point, each computed once."""
-    a_row, M = alpha_data_at(scene, point)
-    hval, *hg = H.traced_value_and_grad(_coords(point))
-    rhs_form, Y = _hamiltonian_solve(a_row, M, hval, np.array(hg))
-    return a_row, M, hval, rhs_form, Y
-
-
-def hamiltonian_field_at(scene: ContactScene, H: ScalarField,
-                         point) -> np.ndarray:
-    """Solve alpha(Y) = H, i_Y d alpha = dH(R) alpha - dH at one point."""
-    return _hamiltonian(scene, H, point)[-1]
-
-
 def hamiltonian_residuals(scene: ContactScene, H: ScalarField,
                           points) -> dict:
-    """Sup norms of the two defining conditions over a point sample."""
+    """Sup norms of the two defining conditions of H's Hamiltonian field
+    Y, alpha(Y) = H and i_Y d alpha = dH(R) alpha - dH, over points."""
     worst_pair = 0.0
     worst_contact = 0.0
     for p in points:
-        a_row, M, hval, rhs, Y = _hamiltonian(scene, H, p)
+        a_row, M = alpha_data_at(scene, p)
+        hval, *hg = H.traced_value_and_grad(_coords(p))
+        rhs, Y = _hamiltonian_solve(a_row, M, hval, np.array(hg))
         worst_contact = max(worst_contact, abs(float(a_row @ Y) - hval))
         worst_pair = max(worst_pair, float(np.max(np.abs(M.T @ Y - rhs))))
     return {"alpha_residual": worst_contact, "pairing_residual": worst_pair}

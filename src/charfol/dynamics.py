@@ -385,24 +385,24 @@ def find_zeros(field: FoliationField, seeds,
 
 
 def linearize_zero(field: FoliationField, point):
-    """(A, frame): the ambient Jacobian at a zero restricted to the
-    tangent space, in the frame of `Hypersurface.frame` (rows of `frame`).
+    """(A, frame, div): the ambient Jacobian at a zero restricted to the
+    tangent space, in the frame of `Hypersurface.frame` (rows of `frame`),
+    and the divergence, from one `flow_data`.
 
     The frame vectors each carry a single unit coordinate, so tangent
     coordinates are read off componentwise.
     """
-    _, J = field.vector_and_jacobian(point)
+    _, J, div = field.flow_data(point)
     coords, frame = field.surface.frame(point)
     frame = np.array(frame)
-    return np.array([(J @ v)[coords] for v in frame]).T, frame
+    return np.array([(J @ v)[coords] for v in frame]).T, frame, div
 
 
 def classify_zero(field: FoliationField, point) -> ZeroInfo:
     """Linearization and Liouville sign at a zero. A zero of divergence
     exactly 0 has no sign (0) and does not count as hyperbolic."""
-    A, _ = linearize_zero(field, point)
+    A, _, div = linearize_zero(field, point)
     eigs = np.linalg.eigvals(A)
-    div = field.flow_data(point)[2]
     sign = sign_of(div)
     band = policy.HYPERBOLIC_BAND * max(1.0, float(np.max(np.abs(eigs))))
     return ZeroInfo(point=np.asarray(point, dtype=float),
@@ -420,7 +420,6 @@ def classify_zero(field: FoliationField, point) -> ZeroInfo:
 class RefinedOrbit:
     point: np.ndarray
     period: float
-    residual: float
     monodromy: np.ndarray
     div_integral: float
 
@@ -474,8 +473,7 @@ def find_orbit(field: FoliationField, seed_point, period_guess: float,
         if rn < tols.newton_tol * scale * 10.0:
             if float(np.linalg.norm(field.vector(q))) < speed_floor:
                 raise NoOrbitError("refinement collapsed onto a zero")
-            return RefinedOrbit(point=q, period=T, residual=rn,
-                                monodromy=M, div_integral=w)
+            return RefinedOrbit(point=q, period=T, monodromy=M, div_integral=w)
         cols = [Q.T @ ((M - np.eye(len(q))) @ S[:, j]) for j in range(m)]
         cols.append(Q.T @ field.vector(yT))
         Amat = np.column_stack(cols)

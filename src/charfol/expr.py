@@ -19,7 +19,7 @@ import re
 from typing import Mapping, Sequence
 
 from .errors import SceneParseError
-from .jets import FUNCTIONS, Jet
+from .jets import FUNCTIONS, Jet, power
 
 CONSTANTS = {"pi": 3.141592653589793}
 
@@ -135,6 +135,7 @@ def _partial_evaluator(fn, j):
 def compile_node(node, dim: int):
     """Compile a tree to a function of dim positional scalars."""
     ns = {"_" + k: v for k, v in FUNCTIONS.items()}
+    ns["_pow"] = power
     argstr = ", ".join(f"x{i}" for i in range(dim))
     counter = [0]
 
@@ -144,6 +145,8 @@ def compile_node(node, dim: int):
         if isinstance(nd, Var):
             return f"x{nd.index}"
         if isinstance(nd, Bin):
+            if nd.op == "**":
+                return f"_pow({emit(nd.a)}, {emit(nd.b)})"
             return f"({emit(nd.a)} {nd.op} {emit(nd.b)})"
         if isinstance(nd, Neg):
             return f"(-{emit(nd.a)})"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import expr
 from .errors import ChartMismatchError, DegenerateVolumeError
@@ -332,9 +332,6 @@ class AltArray:
     def __neg__(self):
         return self._like(self.deg, {I: -a for I, a in self.comps.items()})
 
-    def scale(self, c):
-        return self._like(self.deg, {I: c * a for I, a in self.comps.items()})
-
     def max_abs(self):
         return max((abs(fval(a)) for a in self.comps.values()), default=0.0)
 
@@ -396,11 +393,6 @@ class KForm(AltArray):
     def one_form(cls, chart: Chart, coeffs) -> "KForm":
         return cls(chart, 1, {(i,): c for i, c in enumerate(coeffs)})
 
-    @classmethod
-    def volume(cls, chart: Chart) -> "KForm":
-        """The ordered coordinate top form with unit coefficient."""
-        return cls(chart, chart.dim, {tuple(range(chart.dim)): Const(1.0)})
-
     def d(self) -> "KForm":
         comps = {}
         for I, f in self.comps.items():
@@ -416,9 +408,6 @@ class KForm(AltArray):
     def at(self, point) -> AltArray:
         return AltArray(self.chart.dim, self.deg,
                         {I: f(point) for I, f in self.comps.items()})
-
-    def component(self, I) -> ScalarField:
-        return self.comps.get(tuple(I), self.chart.constant(0.0))
 
     def __mul__(self, c):
         return KForm(self.chart, self.deg,

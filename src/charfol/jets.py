@@ -83,12 +83,12 @@ class Jet:
             return Jet(1.0, tuple(0.0 * a for a in self.g))
         if p == 1:
             return self
-        base = self.f ** (p - 1)
+        base = power(self.f, p - 1)
         return Jet(base * self.f, tuple((p * base) * a for a in self.g))
 
     def __rpow__(self, c):
         # c ** jet, c a positive constant
-        v = c ** self.f
+        v = power(c, self.f)
         lc = log(c)
         return Jet(v, tuple(v * lc * a for a in self.g))
 
@@ -109,6 +109,14 @@ def fval(x):
 
 
 _KEPT = (Jet, np.ndarray, Rec)
+
+
+def power(a, b):
+    """a ** b over every ring; math.pow on anything else, which raises
+    ValueError where float ** returns a complex number."""
+    if isinstance(a, _KEPT) or isinstance(b, _KEPT):
+        return a ** b
+    return math.pow(a, b)
 
 
 def seed(values):

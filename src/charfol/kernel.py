@@ -31,12 +31,12 @@ its operand, which has the same bits.
 A value used once is written into the line that uses it, in
 parentheses only where Python's precedence needs them (`_BINDS`): the
 left operand of + - * / that binds more loosely than the operator, the
-right one that binds as loosely or more, the operand of a negation
-that is a sum, difference, product or quotient, and an operand of **
-that is not a name, number or call. Parentheses the grammar does not
-need leave nothing in the syntax tree, so the source parses to the
-tree, and compiles to the bytecode, of the fully parenthesized text;
-the parser, where `compile` spends most of its time, reads less.
+right one that binds as loosely or more, and the operand of a
+negation that is a sum, difference, product or quotient; a power is
+a call of `math.pow`. Parentheses the grammar does not need leave
+nothing in the syntax tree, so the source parses to the tree, and
+compiles to the bytecode, of the fully parenthesized text; the
+parser, where `compile` spends most of its time, reads less.
 
 A Rec refuses `bool`, `float` and `index`, so a branch on a value
 that is not a recorded comparison cannot be baked into a kernel.
@@ -51,8 +51,9 @@ from collections import Counter
 
 import numpy as np
 
+# ** is math.pow, which raises ValueError where float ** is complex
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-           "/": operator.truediv, "**": operator.pow}
+           "/": operator.truediv, "**": math.pow}
 
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
             ">=": operator.ge, "==": operator.eq}
@@ -127,12 +128,11 @@ _NEST = 16
 
 # How tightly an operation binds in Python source, then how tightly each
 # operand must bind to go in without parentheses: the left operand of
-# + - * / as tightly as the operator, the right one tighter, both
-# operands of ** as atoms (names, numbers, calls), and the operand of a
-# negation as tightly as a negation or a power.
+# + - * / as tightly as the operator, the right one tighter, and the
+# operand of a negation as tightly as a negation.
 _ATOM = 5
 _BINDS = {"+": (1, 1, 2), "-": (1, 1, 2), "*": (2, 2, 3), "/": (2, 2, 3),
-          "neg": (3, 3), "**": (4, _ATOM, _ATOM)}
+          "neg": (3, 3)}
 
 
 class Tape:
@@ -160,14 +160,15 @@ class Tape:
         return Rec(value, name, self)
 
     def binary(self, a, op, b) -> "Rec":
+        value = _BINARY[op](_value(a), _value(b))
         if op == "**":
-            raises = True
-        elif op == "/" and isinstance(b, Rec):
-            raises = b.name
-        else:       # a number divisor is not 0, or the trace would have raised
-            raises = False
-        return self.emit(f"{_slot(a)} {op} {_slot(b)}",
-                         _BINARY[op](_value(a), _value(b)), (a, b), raises, op)
+            self.functions["_pow"] = math.pow
+            return self.emit(f"_pow({_slot(a)}, {_slot(b)})", value, (a, b),
+                             raises=True)
+        # a number divisor is not 0, or the trace would have raised
+        raises = b.name if op == "/" and isinstance(b, Rec) else False
+        return self.emit(f"{_slot(a)} {op} {_slot(b)}", value, (a, b),
+                         raises, op)
 
     def guard(self, a, op, b) -> bool:
         outcome = bool(_COMPARE[op](_value(a), _value(b)))

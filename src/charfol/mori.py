@@ -34,7 +34,7 @@ from .contact import (ContactScene, FoliationField, Hypersurface,
                       graph_foliation_check, hamiltonian_residuals)
 from .dynamics import (EventSpec, Flow, RefinedOrbit, _integrate_core,
                        classify_orbit, classify_zero, find_orbit, find_zeros,
-                       orbit_info, wrap_diff)
+                       orbit_info)
 from .errors import ConstructiveFailure, NoOrbitError, PolarDomainError
 from .exterior import Chart, KForm, ScalarField, _fn
 from .jets import Jet, seed
@@ -101,9 +101,8 @@ class MoriScene:
         pdom = {"z": (-zmax, zmax), "r": (0.0, 1.2),
                 **{f"rho{i}": (0.0, 0.8) for i in range(1, n)}}
         self.polar = ContactScene(pch, alpha_p, name=f"mori-polar-n{n}",
-                                  domain=pdom, params={"eps": eps, "n": n})
-        self.surface_polar = Hypersurface(ScalarField(pch, Fp.node),
-                                          label="shell")
+                                  domain=pdom)
+        self.surface_polar = Hypersurface(ScalarField(pch, Fp.node))
 
         cnames = ["x", "y"]
         for i in range(1, n):
@@ -127,39 +126,14 @@ class MoriScene:
         cdom = {"x": (-1.2, 1.2), "y": (-1.2, 1.2), "z": (-zmax, zmax),
                 **{k: (-0.8, 0.8) for k in cnames[2:-1]}}
         self.cartesian = ContactScene(cch, alpha_c, name=f"mori-cartesian-n{n}",
-                                      domain=cdom, params={"eps": eps, "n": n})
-        self.surface_cartesian = Hypersurface(ScalarField(cch, Fc.node),
-                                              label="shell")
+                                      domain=cdom)
+        self.surface_cartesian = Hypersurface(ScalarField(cch, Fc.node))
 
         self.field_polar = FoliationField(self.polar, self.surface_polar)
         self.field_cartesian = FoliationField(self.cartesian,
                                               self.surface_cartesian)
 
     # point helpers -----------------------------------------------------
-
-    def polar_point(self, z: float, r: float, theta: float,
-                    rho, phi) -> np.ndarray:
-        """Assemble a polar point; None entries of rho are filled from the
-        shell constraint, split evenly."""
-        rho = list(rho)
-        phi = list(phi)
-        if len(rho) != self.n - 1 or len(phi) != self.n - 1:
-            raise ValueError(f"need {self.n - 1} transverse radii and angles")
-        budget = self.eps ** 2 * (1.0 + self.eps - r * r) - z * z
-        known = sum(v * v for v in rho if v is not None)
-        holes = [i for i, v in enumerate(rho) if v is None]
-        if holes:
-            left = (budget - known) / len(holes)
-            if left <= 0.0:
-                raise ValueError("no transverse budget left at this (z, r)")
-            for i in holes:
-                rho[i] = math.sqrt(left)
-        p = np.empty(self.polar.chart.dim)
-        p[0], p[1], p[2] = z, r, theta
-        for i in range(self.n - 1):
-            p[3 + 2 * i] = rho[i]
-            p[4 + 2 * i] = phi[i]
-        return p
 
     def cartesian_point(self, polar_pt) -> list:
         """The cartesian coordinates of a polar point, as a list over the
@@ -263,15 +237,12 @@ def sample_surface_polar(scene: MoriScene, rng, count: int) -> np.ndarray:
     return pts
 
 
-def direction_match(scene: MoriScene, count: int = 200, rng=None,
-                    mutate=None) -> dict:
+def direction_match(scene: MoriScene, count: int = 200, rng=None) -> dict:
     """Compare the solved polar direction against the reference field.
 
     Fits a pointwise scale factor and reports the worst relative
     deviation plus the factor range; the factor must come out positive
-    everywhere for the orientations to agree. mutate(point, vec),
-    if given, tampers with the reference before the comparison, which
-    is how the test suite checks the comparison has teeth.
+    everywhere for the orientations to agree.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     worst = 0.0
@@ -279,8 +250,6 @@ def direction_match(scene: MoriScene, count: int = 200, rng=None,
     for p in sample_surface_polar(scene, rng, count):
         X = scene.field_polar.vector(p)
         ref = reference_field(scene, p)
-        if mutate is not None:
-            ref = np.asarray(mutate(p, ref), dtype=float)
         c = float(np.dot(X, ref) / np.dot(ref, ref))
         dev = float(np.linalg.norm(X - c * ref) / np.linalg.norm(X))
         worst = max(worst, dev)
@@ -377,15 +346,6 @@ def torus_base_point(scene: MoriScene) -> tuple:
     z, rho = float(w[0]), float(w[1])
     r = math.sqrt(1.0 + scene.eps - (z * z + rho * rho) / scene.eps ** 2)
     return z, r, rho
-
-
-def torus_loop_time(scene: MoriScene) -> float:
-    """Engine time for one base loop of the invariant torus."""
-    z, r, rho = torus_base_point(scene)
-    p = cartesian_lift(scene, (z, r, rho), theta=0.3, phi=1.1)
-    X = scene.field_cartesian.vector(p)
-    thdot = (p[0] * X[1] - p[1] * X[0]) / (r * r)
-    return 2.0 * math.pi / abs(float(thdot))
 
 
 def torus_probe(scene: MoriScene, samples: int = 100, rng=None) -> dict:
@@ -512,8 +472,6 @@ def _edge_orbit(scene: MoriScene, sign: float) -> CensusOrbit:
     p = lift(z)
     X, J, div = field.flow_data(p)
     omega = float(X[1] / p[0])
-    scale = float(np.max(np.abs(X)))
-    transverse = max(abs(float(X[i])) for i in range(d) if i != 1) / scale
     T = 2.0 * math.pi / abs(omega)
 
     G = np.zeros((d, d))
@@ -529,8 +487,8 @@ def _edge_orbit(scene: MoriScene, sign: float) -> CensusOrbit:
     tsign = 1.0 if expanding else -1.0
     from scipy.linalg import expm   # the one scipy use; keeps it off start-up
     M = expm(tsign * T * A)
-    orbit = RefinedOrbit(point=p, period=T, residual=transverse,
-                         monodromy=M, div_integral=tsign * T * div)
+    orbit = RefinedOrbit(point=p, period=T, monodromy=M,
+                         div_integral=tsign * T * div)
     raw = classify_orbit(field, orbit)
     if expanding:
         info = raw
@@ -759,9 +717,8 @@ def column_scene(spec: PerturbationSpec):
                           (3,): a_, (2,): -b_})
     scene = ContactScene(ch, alpha, name="column",
                          domain={"t": (-1.0, 1.0), "a": (-box, box),
-                                 "b": (-box, box)},
-                         params={"delta": spec.delta})
-    surface = Hypersurface.graph(ch, "t", H, label="perturbed graph")
+                                 "b": (-box, box)})
+    surface = Hypersurface.graph(ch, "t", H)
     info = {"profile": prof, "H": H, "spec": spec}
     return scene, surface, info
 

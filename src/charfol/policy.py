@@ -71,13 +71,3 @@ FAST = replace(
 )
 
 PROFILES = {"strict": STRICT, "default": DEFAULT, "fast": FAST}
-
-
-def profile(name: str) -> Tolerances:
-    """Look up a named profile; KeyError lists the valid names."""
-    try:
-        return PROFILES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown tolerance profile {name!r}; expected one of {sorted(PROFILES)}"
-        ) from None

@@ -55,8 +55,6 @@ def to_json(obj, indent: int = 0) -> str:
         rows = [f'{pad1}{_atom(str(k))}: {to_json(v, indent + 1)}'
                 for k, v in obj.items()]
         return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(obj, complex):
-        return to_json([obj.real, obj.imag], indent)
     if isinstance(obj, np.ndarray):
         return to_json(obj.tolist(), indent)
     if isinstance(obj, (list, tuple)):
@@ -68,8 +66,6 @@ def to_json(obj, indent: int = 0) -> str:
             return "[" + ", ".join(to_json(v, indent + 1) for v in obj) + "]"
         rows = [pad1 + to_json(v, indent + 1) for v in obj]
         return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    if isinstance(obj, (np.complexfloating,)):
-        return to_json([float(obj.real), float(obj.imag)], indent)
     return _atom(obj)
 
 

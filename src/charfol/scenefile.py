@@ -50,7 +50,6 @@ class SceneDocument:
     text: str
     path: str | None = None
     chart: Chart | None = None
-    params: dict = field(default_factory=dict)
     scene: ContactScene | None = None
     surface: Hypersurface | None = None
     analysis: dict = field(default_factory=dict)
@@ -337,7 +336,7 @@ def parse_scene(text: str, path: str | None = None) -> SceneDocument:
     chart = _build_chart(blocks["chart"]) if "chart" in blocks else None
 
     doc = SceneDocument(name=name, kind="", text=text, path=path,
-                        chart=chart, params=params)
+                        chart=chart)
 
     geo = [b for b in ("alpha", "hypersurface", "domain", "analysis")
            if b in blocks]
@@ -350,8 +349,7 @@ def parse_scene(text: str, path: str | None = None) -> SceneDocument:
     if "alpha" in blocks:
         alpha = _build_alpha(blocks["alpha"], chart, params)
         domain = _build_domain(blocks.get("domain", {}), chart)
-        doc.scene = ContactScene(chart, alpha, name=name, domain=domain,
-                                 params=params)
+        doc.scene = ContactScene(chart, alpha, name=name, domain=domain)
         doc.surface = _build_surface(blocks["hypersurface"], chart, params)
         doc.kind = "field"
 

@@ -36,6 +36,17 @@ def test_probe_field_counts_operations(tracer, workload):
     assert counts and all(isinstance(v, int) for v in counts.values())
 
 
-def test_run_metadata_reads_thread_count():
-    from charfol.parallel import thread_count
-    assert thread_count() >= 1
+@pytest.fixture
+def bench_run(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("run")
+
+
+# run.py counts what a job raises as a failed job, but what these raise
+# stops the whole run
+def test_run_metadata_reads_thread_count(bench_run):
+    assert bench_run.metadata("shells", 0, 0.0, 0)["charfol_threads"] >= 1
+
+
+def test_run_imports_charfol_from_this_checkout(bench_run):
+    assert bench_run.import_charfol() is charfol.cli

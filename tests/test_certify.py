@@ -28,7 +28,7 @@ def s2_setup():
     scene = ContactScene(ch, alpha, name="s2-height",
                          domain={"x": (-1.3, 1.3), "y": (-1.3, 1.3),
                                  "z": (-1.3, 1.3)})
-    surf = Hypersurface(x_ * x_ + y_ * y_ + z_ * z_ - 1.0, label="unit sphere")
+    surf = Hypersurface(x_ * x_ + y_ * y_ + z_ * z_ - 1.0)
     return FoliationField(scene, surf)
 
 
@@ -159,7 +159,7 @@ def test_recurrent_sampled_trajectory_fails():
     x_, _, _ = ch.vars()
     scene = ContactScene(ch, KForm(ch, 1, {(1,): x_, (2,): ch.constant(1.0)}),
                          name="torus")
-    fld = FoliationField(scene, Hypersurface(x_ - 1.0, label="torus"))
+    fld = FoliationField(scene, Hypersurface(x_ - 1.0))
     cert = check_morse_smale(fld, seed_points=[[1.0, 0.3, 0.5]],
                              tols=policy.replace(policy.DEFAULT,
                                                  flow_budget=100.0))

@@ -68,7 +68,7 @@ alpha
 hypersurface
   level = x^2 + y^2 + z^2 - a
 """)
-    f = doc.scene.alpha.component((0,))
+    f = doc.scene.alpha.comps[(0,)]
     assert float(f([0.0, 2.0, 0.0])) == pytest.approx(-5.0)
 
 
@@ -185,6 +185,14 @@ def test_reversed_domain_exits_2_before_any_numerics(tmp_path, capsys,
     assert main([command, str(scene)]) == 2
     err = capsys.readouterr().err
     assert "line 15, col 7" in err and "high - low" not in err
+
+
+def test_real_power_of_a_negative_base_exits_2(tmp_path, capsys):
+    scene = tmp_path / "pow.scene"
+    scene.write_text(FIELD_SCENE.replace("level = x^2", "level = x^0.5")
+                     .replace("samples = 4", "samples = 20"))
+    assert main(["classify", str(scene)]) == 2
+    assert "error: math domain error" in capsys.readouterr().err
 
 
 def test_duplicate_chart_names_rejected_with_position(tmp_path, capsys):
@@ -315,18 +323,21 @@ def test_float_formatting_is_fixed_width():
 
 def test_to_json_handles_report_shapes():
     obj = {"a": [1.5, 2, True, None], "b": {"c": np.array([0.25, 0.5])},
-           "z": complex(1.0, -2.0), "s": 'quote " and\nnewline'}
+           "s": 'quote " and\nnewline'}
     text = report.to_json(obj)
     back = json.loads(text)
     assert back["a"] == [1.5, 2, True, None]
     assert back["b"]["c"] == [0.25, 0.5]
-    assert back["z"] == [1.0, -2.0]
     assert "\n" in back["s"]
 
 
 def test_to_json_rejects_unknown_types():
     with pytest.raises(TypeError):
         report.to_json({"bad": object()})
+    # reports carry complex values only as [re, im] pairs of floats
+    for z in (complex(1.0, -2.0), np.complex128(1.0 - 2.0j)):
+        with pytest.raises(TypeError):
+            report.to_json({"bad": z})
 
 
 def test_write_csv_formats_floats(tmp_path):

@@ -7,9 +7,8 @@ import pytest
 
 from charfol import cli, mori
 from charfol.contact import (ContactScene, FoliationField, Hypersurface,
-                             alpha_data_at, graph_foliation_check,
-                             hamiltonian_field_at, hamiltonian_residuals,
-                             reeb_at)
+                             _hamiltonian_solve, alpha_data_at,
+                             graph_foliation_check, hamiltonian_residuals)
 from charfol.errors import ContactConditionError, ProjectionError
 from charfol.exterior import Chart, KForm
 
@@ -25,7 +24,7 @@ def linear_scene():
     ch = Chart(["x", "y", "z"])
     alpha = KForm.one_form(ch, [ch.var("y"), 2.0 * ch.var("x"), ch.constant(1.0)])
     scene = ContactScene(ch, alpha, name="linear")
-    surf = Hypersurface(ch.var("z"), label="plane")
+    surf = Hypersurface(ch.var("z"))
     return scene, surf
 
 
@@ -57,7 +56,7 @@ def test_direction_lies_in_both_hyperplane_fields():
                                 ch.parse("2*x + 0.1*sin(y)"),
                                 ch.parse("1 + 0.2*x^2")])
     scene = ContactScene(ch, alpha)
-    surf = Hypersurface(ch.parse("z - 0.4*x^2 + 0.25*y^2 - 0.1"), label="saddle")
+    surf = Hypersurface(ch.parse("z - 0.4*x^2 + 0.25*y^2 - 0.1"))
     fld = FoliationField(scene, surf)
     rng = np.random.default_rng(3)
     for _ in range(25):
@@ -123,6 +122,25 @@ def test_project_samples_matches_project_bitwise(which):
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
+@pytest.mark.parametrize("term", ["x^2", "x^3", "x^4", "x^(-1)", "exp(x)"])
+def test_project_samples_agrees_with_project_to_roundoff(term):
+    # bit for bit only without function calls and powers other than ^2:
+    # numpy's exp rounds differently from libm's, and per point x^p
+    # takes libm's pow(x, p - 1), which numpy's power need not match
+    # (x ** 2.0 is x * x there, and pow(x, 2.0) is not always)
+    ch = Chart(["x", "y", "z"])
+    surf = Hypersurface(ch.parse(f"{term} + y^2 + z^2 - 1"))
+    pts = np.random.default_rng(23).uniform(-1.5, 1.5, (2000, 3))
+    want, dropped = _project_each(surf, pts)
+    got = _batched(surf, pts)
+    assert not dropped and len(got) == len(want)
+    for a, b in zip(got, want):
+        if term == "x^2":
+            assert a.tobytes() == b.tobytes()
+        else:
+            assert np.max(np.abs(a - b)) <= 1e-13 * max(1.0, np.max(np.abs(b)))
+
+
 def test_project_samples_drops_what_project_rejects():
     ch = Chart(["x", "y", "z"])
     pts = np.vstack([np.random.default_rng(19).uniform(-1.5, 1.5, (300, 3)),
@@ -160,17 +178,26 @@ def test_domain_mask_matches_in_domain():
     assert 0 < doc.scene.domain_mask(pts).sum() < len(pts)
 
 
+def hamiltonian_field(scene, H, p):
+    """The Hamiltonian field Y of H at p: alpha(Y) = H and
+    i_Y d alpha = dH(R) alpha - dH."""
+    a_row, M = alpha_data_at(scene, p)
+    hval, *hg = H.traced_value_and_grad([float(c) for c in p])
+    return _hamiltonian_solve(a_row, M, hval, np.array(hg))[1]
+
+
 def test_reeb_and_hamiltonian_closed_forms():
     scene = darboux3()
     rng = np.random.default_rng(11)
     pts = rng.uniform(-1.0, 1.0, (20, 3))
+    # H = 1 gives the Reeb field, d/dz for dz + x dy
     for p in pts:
-        R = reeb_at(scene, p)
+        R = hamiltonian_field(scene, scene.chart.constant(1.0), p)
         assert np.allclose(R, [0.0, 0.0, 1.0], atol=1e-12)
     # H = x^2 y + z has Y = (x - x^2, 2xy, z - x^2 y) in this form
     H = scene.chart.parse("x^2*y + z")
     for p in pts:
-        Y = hamiltonian_field_at(scene, H, p)
+        Y = hamiltonian_field(scene, H, p)
         x, y, z = p
         assert np.allclose(Y, [x - x * x, 2 * x * y, z - x * x * y], atol=1e-10)
     rep = hamiltonian_residuals(scene, H, pts)
@@ -185,10 +212,10 @@ def test_unit_hamiltonian_recovers_reeb():
     scene = ContactScene(ch, alpha)
     H = ch.constant(1.0)
     rng = np.random.default_rng(12)
+    # the Reeb field of dz + (x dy - y dx)/2 is d/dz
     for p in rng.uniform(-1.0, 1.0, (10, 3)):
-        Y = hamiltonian_field_at(scene, H, p)
-        R = reeb_at(scene, p)
-        assert np.allclose(Y, R, atol=1e-11)
+        Y = hamiltonian_field(scene, H, p)
+        assert np.allclose(Y, [0.0, 0.0, 1.0], atol=1e-11)
 
 
 def test_contact_condition_verification():
@@ -215,7 +242,7 @@ def graph_model(delta=0.3):
     alpha = KForm.one_form(ch, [ch.constant(0.0), ch.var("t"), ch.constant(1.0)])
     scene = ContactScene(ch, alpha, name="graph3")
     H = ch.parse(f"{delta} * sin(psi)")
-    surf = Hypersurface.graph(ch, "t", H, label="graph")
+    surf = Hypersurface.graph(ch, "t", H)
     return scene, surf, H
 
 

@@ -23,7 +23,7 @@ def linear_setup(domain=None):
     ch = Chart(["x", "y", "z"])
     alpha = KForm.one_form(ch, [ch.var("y"), 2.0 * ch.var("x"), ch.constant(1.0)])
     scene = ContactScene(ch, alpha, name="linear", domain=domain)
-    surf = Hypersurface(ch.var("z"), label="plane")
+    surf = Hypersurface(ch.var("z"))
     return FoliationField(scene, surf)
 
 
@@ -104,8 +104,18 @@ def test_zero_refinement_and_classification():
     assert info.divergence == pytest.approx(1.0, abs=1e-10)
     assert info.liouville_sign == 1
     # tangency of the restricted linearization
-    A, data = linearize_zero(fld, z)
+    A, frame, div = linearize_zero(fld, z)
     assert A.shape == (2, 2)
+    assert div == info.divergence
+
+
+def test_classify_zero_runs_the_first_order_kernel_once():
+    fld = linear_setup()
+    calls = []
+    flow_floats = fld.flow_floats
+    fld.flow_floats = lambda x: calls.append(x) or flow_floats(x)
+    classify_zero(fld, [0.0, 0.0, 0.0])
+    assert len(calls) == 1
 
 
 def test_orbit_refinement_and_return_map():
@@ -174,7 +184,7 @@ def test_unit_conformal_factor_gives_neutral_sign():
     # identity and its conformal factor is exactly 1
     fld = linear_setup()
     orbit = RefinedOrbit(point=np.array([1.0, 0.0, 0.0]), period=1.0,
-                         residual=0.0, monodromy=np.eye(3), div_integral=0.0)
+                         monodromy=np.eye(3), div_integral=0.0)
     info = classify_orbit(fld, orbit)
     assert info.C == 1.0
     assert info.liouville_sign == 0

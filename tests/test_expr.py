@@ -5,6 +5,7 @@ import math
 import pytest
 
 from charfol.errors import SceneParseError
+from charfol.exterior import Chart
 from charfol.expr import compile_node, deriv, parse_expression, to_text, uses_var
 from charfol.jets import seed
 
@@ -32,6 +33,16 @@ def test_functions_params_constants():
     assert math.isclose(f(0.5, 0.0), 1.0 + 0.5)
     g = build("exp(log(x)) + sqrt(x^2)")
     assert math.isclose(g(1.7, 0.0), 3.4, rel_tol=1e-14)
+
+
+def test_real_power_of_a_negative_base_raises_like_sqrt():
+    # float ** gives a complex number here; math.pow raises, as sqrt does
+    ch = Chart(("x", "y", "z"))
+    f = ch.parse("x^0.5 + y^2 + z^2 - 1")
+    assert f.traced_value_and_grad([0.2, 0.1, 0.1])[0] < 0.0
+    for call in (f, f.value_and_grad, f.traced_value_and_grad):
+        with pytest.raises(ValueError, match="math domain error"):
+            call([-0.2, 0.1, 0.1])
 
 
 def test_compiled_functions_accept_jets():

@@ -516,13 +516,19 @@ def test_rec_folds_follow_the_table(op, side, n):
         with pytest.raises(ZeroDivisionError):      # as 1.5 / 0 does
             OPS[op](*args)
         return
+    if (op, side, n) == ("**", "left", -1.0):
+        with pytest.raises(ValueError):     # as math.pow(-1.0, 1.5) does
+            OPS[op](*args)
+        return
     out = OPS[op](*args)
     to = FOLDS[op, side].get(n)
     if to is None:                  # one line, valued as on floats
         value = OPS[op](*(1.5 if a is x else a for a in args))
         assert isinstance(out, Rec) and out.v == value
         assert len(tape.lines) == 1
-        assert f" {op} " in tape.lines[0][1] and tape.lines[0][2] == ["x0"]
+        # a power is a call of math.pow, which raises on a complex power
+        call = "_pow(" if op == "**" else f" {op} "
+        assert call in tape.lines[0][1] and tape.lines[0][2] == ["x0"]
     elif to == "x":
         assert out is x and tape.lines == []
     elif to == "-x":                # the negation line, and no other
@@ -712,6 +718,8 @@ steps = st.lists(st.tuples(
                                           3.0])), st.booleans()),
     min_size=1, max_size=48)
 finite = st.floats(-3.0, 3.0, allow_nan=False)
+# what a line raises: math.pow raises ValueError for 0 to a negative power
+FAILS = (ArithmeticError, ValueError)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -746,14 +754,14 @@ def test_kernel_source_keeps_the_tape_order(steps, p, q):
     at a time, and fails where they fail."""
     try:
         tape, outputs = _trace(_program(steps), p)
-    except ArithmeticError:
+    except FAILS:
         assume(False)
     k = tape.compile(2, outputs)
     assert _bits(k(*p)) == _bits(_line_by_line(tape, outputs, p))
     try:
         want = _line_by_line(tape, outputs, q)
-    except ArithmeticError:
-        with pytest.raises(ArithmeticError):
+    except FAILS:
+        with pytest.raises(FAILS):
             k(*q)
     else:
         assert _bits(k(*q)) == _bits(want)

@@ -85,8 +85,9 @@ def test_scene_validation():
 
 
 def test_reference_field_sample_values(scene):
-    # z = 0, r = 0.5, mass split evenly between the rho_i
-    p = scene.polar_point(z=0.0, r=0.5, theta=0.3, rho=[None], phi=[1.1])
+    # z = 0, r = 0.5, rho1 from the shell constraint
+    rho = math.sqrt(scene.eps ** 2 * (1.0 + scene.eps - 0.25))
+    p = np.array([0.0, 0.5, 0.3, rho, 1.1])
     v = mori.reference_field(scene, p)
     names = scene.polar.chart.names
     assert abs(v[names.index("z")] - 0.6125) < 1e-12
@@ -115,7 +116,8 @@ def _draw_point_by_point(scene, rng, count):
                           rng.uniform(-1.0, 1.0))
         r = math.sqrt(1.0 + eps - (z * z + used) / eps ** 2)
         ang = rng.uniform(0.0, 2.0 * math.pi, n)
-        pts.append(scene.polar_point(z, r, ang[0], list(rho), list(ang[1:])))
+        pts.append([z, r, ang[0], *(c for pair in zip(rho, ang[1:])
+                                    for c in pair)])
     return np.array(pts)
 
 
@@ -153,14 +155,16 @@ def test_direction_match_n2(scene):
     assert rep["factor_min"] > 0.0
 
 
-def test_direction_match_catches_mutation(scene):
-    def flip(point, vec):
-        out = np.array(vec, dtype=float)
-        out[scene.polar.chart.index("phi1")] *= -1.0
+def test_direction_match_catches_mutation(scene, monkeypatch):
+    reference = mori.reference_field
+
+    def flipped(sc, point):
+        out = np.array(reference(sc, point), dtype=float)
+        out[sc.polar.chart.index("phi1")] *= -1.0
         return out
 
-    rep = mori.direction_match(scene, count=20, rng=np.random.default_rng(5),
-                               mutate=flip)
+    monkeypatch.setattr(mori, "reference_field", flipped)
+    rep = mori.direction_match(scene, count=20, rng=np.random.default_rng(5))
     assert rep["max_angle"] > 1e-3
 
 
@@ -299,7 +303,10 @@ def test_shooting_refuses_torus_circle(scene):
     z, r, rho = mori.torus_base_point(scene)
     p = mori.cartesian_lift(scene, (z, r, rho), theta=0.4, phi=1.9)
     field = scene.field_cartesian
-    T = mori.torus_loop_time(scene)
+    # one base loop: 2 pi over the constant angular rate on the torus
+    q = mori.cartesian_lift(scene, (z, r, rho), theta=0.3, phi=1.1)
+    X = field.vector(q)
+    T = 2.0 * math.pi / abs(float((q[0] * X[1] - q[1] * X[0]) / (r * r)))
     tols = policy.replace(policy.DEFAULT, newton_max_iter=3,
                           ode_max_steps=4000)
     with pytest.raises(NoOrbitError):
