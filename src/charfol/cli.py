@@ -345,7 +345,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.run(args)
-    except (SceneParseError, ValueError) as e:
+    except (SceneParseError, ValueError, ZeroDivisionError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except CharfolError as e:

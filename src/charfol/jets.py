@@ -28,8 +28,9 @@ class Jet:
     __array_ufunc__ = None
 
     def __init__(self, f, g):
+        # g is a tuple, which every caller builds
         self.f = f
-        self.g = tuple(g)
+        self.g = g
 
     def __repr__(self):
         return f"Jet({self.f!r}, {self.g!r})"
@@ -39,29 +40,29 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             return Jet(self.f + other.f,
-                       tuple(a + b for a, b in zip(self.g, other.g, strict=True)))
+                       tuple([a + b for a, b in zip(self.g, other.g, strict=True)]))
         return Jet(self.f + other, self.g)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.f, tuple(-a for a in self.g))
+        return Jet(-self.f, tuple([-a for a in self.g]))
 
     def __sub__(self, other):
         if isinstance(other, Jet):
             return Jet(self.f - other.f,
-                       tuple(a - b for a, b in zip(self.g, other.g, strict=True)))
+                       tuple([a - b for a, b in zip(self.g, other.g, strict=True)]))
         return Jet(self.f - other, self.g)
 
     def __rsub__(self, other):
-        return Jet(other - self.f, tuple(-a for a in self.g))
+        return Jet(other - self.f, tuple([-a for a in self.g]))
 
     def __mul__(self, other):
         if isinstance(other, Jet):
             return Jet(self.f * other.f,
-                       tuple(a * other.f + self.f * b
-                             for a, b in zip(self.g, other.g, strict=True)))
-        return Jet(self.f * other, tuple(a * other for a in self.g))
+                       tuple([a * other.f + self.f * b
+                              for a, b in zip(self.g, other.g, strict=True)]))
+        return Jet(self.f * other, tuple([a * other for a in self.g]))
 
     __rmul__ = __mul__
 

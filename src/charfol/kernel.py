@@ -10,6 +10,10 @@ operations of the generic run on the same operands, so it computes the
 same values, and returns None at the first guard that fails, that is
 wherever the generic code would have taken another branch.
 
+An operator method of Rec appends its line tuple to the tape itself,
+from a template and a `binds` entry made once per operator and operand
+shape, so a trace takes about twice as long as the same run on floats.
+
 `run_rows` runs a kernel list over the rows of an array. The same tape
 compiles a second time over numpy columns, to the kernel's array twin:
 a failing guard marks its rows instead of returning. A twin exists only
@@ -47,7 +51,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
+from itertools import repeat
 
 import numpy as np
 
@@ -78,26 +82,61 @@ def _operators(op):
     """The methods `x op y` and `n op x` of a Rec x: a number that
     _FOLDS lists folds, any other number or a Rec y records one line,
     and anything else is NotImplemented. Rec op Rec reaches only the
-    first."""
+    first. A number goes into its line's template as its `_slot`
+    text."""
     right, left = _FOLDS[op]
+    fn = _BINARY[op]
+    if op == "**":
+        head, mid, tail, raises = "_pow(", ", ", ")", True
+        bind_both = bind_x = bind_n = None
+    else:
+        head, mid, tail, raises = "", f" {op} ", "", False
+        strength, need_a, need_b = _BINDS[op]
+        bind_both, bind_x, bind_n = ((strength, [need_a, need_b]),
+                                     (strength, [need_a]), (strength, [need_b]))
+    both = head + "{}" + mid + "{}" + tail
+    # a number divisor is not 0, or the trace would have raised
+    divides = op == "/"
 
     def forward(self, other):
         if isinstance(other, Rec):
-            return self.tape.binary(self, op, other)
-        if not isinstance(other, _NUMBER):
+            value, template, bind = fn(self.v, other.v), both, bind_both
+            names = [self.name, other.name]
+            fails = other.name if divides else raises
+        elif not isinstance(other, _NUMBER):
             return NotImplemented
-        to = right.get(other)
-        if to is None:
-            return self.tape.binary(self, op, other)
-        return self if to == "x" else -self if to == "-x" else to
+        else:
+            to = right.get(other)
+            if to is not None:
+                return self if to == "x" else -self if to == "-x" else to
+            value = fn(self.v, other)
+            template = head + "{}" + mid + _slot(other) + tail
+            names, bind, fails = [self.name], bind_x, raises
+        tape = self.tape
+        name = f"t{len(tape.lines)}"
+        tape.lines.append((name, template, names, fails))
+        if bind is None:
+            tape.functions["_pow"] = math.pow
+        else:
+            tape.binds[name] = bind
+        return Rec(value, name, tape)
 
     def reflected(self, other):
         if not isinstance(other, _NUMBER):
             return NotImplemented
         to = left.get(other)
-        if to is None:
-            return self.tape.binary(other, op, self)
-        return self if to == "x" else -self if to == "-x" else to
+        if to is not None:
+            return self if to == "x" else -self if to == "-x" else to
+        value = fn(other, self.v)
+        tape = self.tape
+        name = f"t{len(tape.lines)}"
+        tape.lines.append((name, head + _slot(other) + mid + "{}" + tail,
+                           [self.name], self.name if divides else raises))
+        if bind_n is None:
+            tape.functions["_pow"] = math.pow
+        else:
+            tape.binds[name] = bind_n
+        return Rec(value, name, tape)
 
     return forward, reflected
 
@@ -128,11 +167,11 @@ _NEST = 16
 
 # How tightly an operation binds in Python source, then how tightly each
 # operand must bind to go in without parentheses: the left operand of
-# + - * / as tightly as the operator, the right one tighter, and the
-# operand of a negation as tightly as a negation.
+# + - * / as tightly as the operator, the right one tighter. A negation's
+# line gets _NEG_BIND: its operand must bind as tightly as a negation.
 _ATOM = 5
-_BINDS = {"+": (1, 1, 2), "-": (1, 1, 2), "*": (2, 2, 3), "/": (2, 2, 3),
-          "neg": (3, 3)}
+_BINDS = {"+": (1, 1, 2), "-": (1, 1, 2), "*": (2, 2, 3), "/": (2, 2, 3)}
+_NEG_BIND = (3, [3])
 
 
 class Tape:
@@ -149,26 +188,10 @@ class Tape:
         # how tightly each of its operand names must bind
         self.binds = {}
 
-    def emit(self, template, value, operands, raises=False,
-             op=None) -> "Rec":
+    def emit(self, template, value, operands, raises=False) -> "Rec":
         name = f"t{len(self.lines)}"
         self.lines.append((name, template, _names(operands), raises))
-        if op is not None:
-            strength, *needs = _BINDS[op]
-            self.binds[name] = (strength, [k for x, k in zip(operands, needs)
-                                           if isinstance(x, Rec)])
         return Rec(value, name, self)
-
-    def binary(self, a, op, b) -> "Rec":
-        value = _BINARY[op](_value(a), _value(b))
-        if op == "**":
-            self.functions["_pow"] = math.pow
-            return self.emit(f"_pow({_slot(a)}, {_slot(b)})", value, (a, b),
-                             raises=True)
-        # a number divisor is not 0, or the trace would have raised
-        raises = b.name if op == "/" and isinstance(b, Rec) else False
-        return self.emit(f"{_slot(a)} {op} {_slot(b)}", value, (a, b),
-                         raises, op)
 
     def guard(self, a, op, b) -> bool:
         outcome = bool(_COMPARE[op](_value(a), _value(b)))
@@ -203,23 +226,24 @@ class Tape:
         function has no twin (None).
         """
         results = _names(outputs)
-        live = set(results)
+        uses = {}   # reads of each live name; a raising line may have none
+        for name in results:
+            uses[name] = uses.get(name, 0) + 1
         kept = []
         for line in reversed(self.lines):
-            if line[3] or line[0] in live:
+            if line[3] or line[0] in uses:
                 kept.append(line)
-                live.update(line[2])
+                for name in line[2]:
+                    uses[name] = uses.get(name, 0) + 1
+                if rows and isinstance(line[3], str):
+                    uses[line[3]] += 1      # a divisor the twin tests is stored
         kept.reverse()
         if rows and any(name is not None and raises is True
                         for name, _, _, raises in kept):
             return None
-        uses = Counter(results)
-        for _, _, names, raises in kept:
-            uses.update(names)
-            if rows and isinstance(raises, str):
-                uses[raises] += 1       # a divisor the twin tests is stored
         # name -> (expression, nesting, strength) awaiting its one use
         pending = {}
+        neg = "~" if rows else "not "
 
         def fill(template, names, needs):
             parts, depth = [], 0
@@ -230,23 +254,24 @@ class Tape:
                     depth = max(depth, k)
                 else:
                     parts.append(n)
-            return template.format(*parts, neg="~" if rows else "not "), depth
+            return template.format(*parts, neg=neg), depth
 
         body = ["    _miss = False"] if rows else []
+        atom = (_ATOM, repeat(0))
         for name, template, names, raises in kept:
-            strength, needs = self.binds.get(name, (_ATOM, [0] * len(names)))
+            strength, needs = self.binds.get(name, atom)
             text, depth = fill(template, names, needs)
             if rows and isinstance(raises, str):
                 body.append(f"    _miss |= {raises} == 0.0")
             if name is None:
                 body.append(f"    _miss |= {text}" if rows
                             else f"    if {text}: return None")
-            elif uses[name] == 1 and depth < _NEST:
+            elif uses.get(name, 0) == 1 and depth < _NEST:
                 pending[name] = (text, depth + 1, strength)
             else:
                 body.append(f"    {name} = {text}")
         ret, _ = fill("".join(_slot(o) + ", " for o in outputs), results,
-                      [0] * len(results))
+                      atom[1])
         if rows:
             ret = f"_miss, ({ret})"
         args = ", ".join(f"x{i}" for i in range(nargs))
@@ -289,7 +314,11 @@ class Rec:
     def __neg__(self):
         if self.negates is not None:    # -(-x) has x's bits, NaN included
             return self.negates
-        out = self.tape.emit("-{}", -self.v, (self,), op="neg")
+        tape = self.tape
+        name = f"t{len(tape.lines)}"
+        tape.lines.append((name, "-{}", [self.name], False))
+        tape.binds[name] = _NEG_BIND
+        out = Rec(-self.v, name, tape)
         out.negates = self
         return out
 

@@ -322,7 +322,7 @@ def _reduced_rates(scene: MoriScene, z: float, rho: float):
     p = cartesian_lift(scene, (zj, jets.sqrt(rr), rj))
     X, J = scene.field_cartesian.vector_and_jacobian([c.f for c in p])
     dX = J @ np.array([c.g for c in p])
-    Xj = [Jet(x, row) for x, row in zip(X.tolist(), dX.tolist())]
+    Xj = [Jet(x, tuple(row)) for x, row in zip(X.tolist(), dX.tolist())]
     rdot = sum(p[2 + 2 * i] * Xj[2 + 2 * i] + p[3 + 2 * i] * Xj[3 + 2 * i]
                for i in range(scene.n - 1))
     return Xj[-1], rdot / rj, X

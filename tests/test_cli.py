@@ -195,6 +195,24 @@ def test_real_power_of_a_negative_base_exits_2(tmp_path, capsys):
     assert "error: math domain error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["classify", "certify"])
+@pytest.mark.parametrize("level, seed, message", [
+    ("1/(x - 0.5)", "(0.5, 0.0, 0.0)", "float division by zero"),
+    ("exp(1000*x)", "(0.8, 0.0, 0.0)", "math range error"),
+], ids=["zero-divisor", "overflow"])
+def test_arithmetic_error_at_a_sample_point_exits_2(tmp_path, capsys,
+                                                    command, level, seed,
+                                                    message):
+    # like a domain error of log or sqrt, and unlike a crash (exit 4)
+    scene = tmp_path / "arith.scene"
+    scene.write_text(FIELD_SCENE.replace("level = x^2", f"level = {level} + x^2")
+                     .replace("(0.05, -0.03, 0.99); (-0.04, 0.02, -0.99)",
+                              seed))
+    assert main([command, str(scene)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "Traceback" not in err
+
+
 def test_duplicate_chart_names_rejected_with_position(tmp_path, capsys):
     msg, line, col = _rejected_at(FIELD_SCENE.replace("names = x y z",
                                                       "names = x x z"))

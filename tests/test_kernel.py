@@ -19,6 +19,7 @@ the same error. No command runs the generic functions on plain floats.
 import math
 import operator
 import struct
+from collections import Counter
 from importlib import resources
 from unittest import mock
 
@@ -765,3 +766,178 @@ def test_kernel_source_keeps_the_tape_order(steps, p, q):
             k(*q)
     else:
         assert _bits(k(*q)) == _bits(want)
+
+
+# the recorder against a reference -----------------------------------------
+# `Tape` records each operation in the operator methods of `Rec` and
+# builds a line's template and `binds` entry once per operator. The
+# reference below builds every line from scratch, one call per step, and
+# writes the source from a `Counter` of uses: the tapes and the kernel
+# sources of the two must be the same.
+
+_REF_BINDS = {"+": (1, 1, 2), "-": (1, 1, 2), "*": (2, 2, 3), "/": (2, 2, 3),
+              "neg": (3, 3)}
+
+
+class _RefTape(Tape):
+    def emit(self, template, value, operands, raises=False, op=None):
+        name = f"t{len(self.lines)}"
+        self.lines.append((name, template, kernel._names(operands), raises))
+        if op is not None:
+            strength, *needs = _REF_BINDS[op]
+            self.binds[name] = (strength, [k for x, k in zip(operands, needs)
+                                           if isinstance(x, Rec)])
+        return _RefRec(value, name, self)
+
+    def binary(self, a, op, b):
+        value = kernel._BINARY[op](kernel._value(a), kernel._value(b))
+        slot = kernel._slot
+        if op == "**":
+            self.functions["_pow"] = math.pow
+            return self.emit(f"_pow({slot(a)}, {slot(b)})", value, (a, b),
+                             raises=True)
+        raises = b.name if op == "/" and isinstance(b, Rec) else False
+        return self.emit(f"{slot(a)} {op} {slot(b)}", value, (a, b),
+                         raises, op)
+
+    def source(self, nargs, outputs, rows=False):
+        """The text `compile` would get for this tape, or None for a
+        twin the tape has not."""
+        results = kernel._names(outputs)
+        live = set(results)
+        kept = []
+        for line in reversed(self.lines):
+            if line[3] or line[0] in live:
+                kept.append(line)
+                live.update(line[2])
+        kept.reverse()
+        if rows and any(name is not None and raises is True
+                        for name, _, _, raises in kept):
+            return None
+        uses = Counter(results)
+        for _, _, names, raises in kept:
+            uses.update(names)
+            if rows and isinstance(raises, str):
+                uses[raises] += 1
+        pending = {}
+
+        def fill(template, names, needs):
+            parts, depth = [], 0
+            for n, need in zip(names, needs):
+                if n in pending:
+                    text, k, strength = pending.pop(n)
+                    parts.append(f"({text})" if strength < need else text)
+                    depth = max(depth, k)
+                else:
+                    parts.append(n)
+            return template.format(*parts, neg="~" if rows else "not "), depth
+
+        body = ["    _miss = False"] if rows else []
+        for name, template, names, raises in kept:
+            strength, needs = self.binds.get(name,
+                                             (kernel._ATOM, [0] * len(names)))
+            text, depth = fill(template, names, needs)
+            if rows and isinstance(raises, str):
+                body.append(f"    _miss |= {raises} == 0.0")
+            if name is None:
+                body.append(f"    _miss |= {text}" if rows
+                            else f"    if {text}: return None")
+            elif uses[name] == 1 and depth < kernel._NEST:
+                pending[name] = (text, depth + 1, strength)
+            else:
+                body.append(f"    {name} = {text}")
+        ret, _ = fill("".join(kernel._slot(o) + ", " for o in outputs),
+                      results, [0] * len(results))
+        if rows:
+            ret = f"_miss, ({ret})"
+        args = ", ".join(f"x{i}" for i in range(nargs))
+        return "\n".join([f"def _k({args}):", *body, f"    return ({ret})\n"])
+
+
+def _ref_operators(op):
+    right, left = kernel._FOLDS[op]
+
+    def forward(self, other):
+        if isinstance(other, Rec):
+            return self.tape.binary(self, op, other)
+        if not isinstance(other, (int, float)):
+            return NotImplemented
+        to = right.get(other)
+        if to is None:
+            return self.tape.binary(self, op, other)
+        return self if to == "x" else -self if to == "-x" else to
+
+    def reflected(self, other):
+        if not isinstance(other, (int, float)):
+            return NotImplemented
+        to = left.get(other)
+        if to is None:
+            return self.tape.binary(other, op, self)
+        return self if to == "x" else -self if to == "-x" else to
+
+    return forward, reflected
+
+
+class _RefRec(Rec):
+    __slots__ = ()
+    __add__, __radd__ = _ref_operators("+")
+    __sub__, __rsub__ = _ref_operators("-")
+    __mul__, __rmul__ = _ref_operators("*")
+    __truediv__, __rtruediv__ = _ref_operators("/")
+    __pow__, __rpow__ = _ref_operators("**")
+
+    def __neg__(self):
+        if self.negates is not None:
+            return self.negates
+        out = self.tape.emit("-{}", -self.v, (self,), op="neg")
+        out.negates = self
+        return out
+
+
+def _ref_trace(fn, args):
+    tape = _RefTape()
+    outputs = fn([_RefRec(v, f"x{i}", tape) for i, v in enumerate(args)])
+    return tape, list(outputs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(steps, st.tuples(finite, finite))
+@example(_steps(("-", 0, 0, -1.0, True), ("*", 0, 0, -2.5, False),
+                ("**", 0, 0, -1.0, False), ("**", 0, 0, -2.5, True)),
+         (0.3, 1.7))
+@example(_steps(("/", 0, 1, None, False), ("/", 0, 0, 0.5, True),
+                ("neg", 0, 0, None, False), ("-", 0, 0, 0.0, True)),
+         (0.3, 1.7))
+# a chain of single uses past _NEST
+@example(_steps(*[("-", 0, 0, 1.5, True), ("/", 0, 0, 0.7, True)] * 20),
+         (0.3, 1.7))
+def test_recorder_matches_the_reference_recorder(steps, p):
+    """A random program records the same lines, `binds` and functions
+    as under the reference recorder, and its kernel and twin compile
+    from the reference's source text."""
+    fn = _program(steps)
+    try:
+        tape, outputs = _trace(fn, p)
+    except FAILS as e:
+        with pytest.raises(type(e)):
+            _ref_trace(fn, p)
+        return
+    ref, ref_outputs = _ref_trace(fn, p)
+    assert tape.lines == ref.lines
+    assert tape.binds == ref.binds
+    assert tape.functions == ref.functions
+    assert [getattr(o, "name", o) for o in outputs] == [
+        getattr(o, "name", o) for o in ref_outputs]
+    sources = []
+
+    def capture(src, *args):
+        sources.append(src)
+        return compile(src, *args)
+
+    with mock.patch.object(kernel, "compile", capture, create=True):
+        for rows in (False, True):
+            sources.clear()
+            twin = tape.compile(2, outputs, rows=rows)
+            want = ref.source(2, ref_outputs, rows=rows)
+            assert sources == ([] if want is None else [want])
+            assert (twin is None) == (want is None)
