@@ -43,8 +43,8 @@ def _emit(args, rep: dict, csv_files: dict) -> int:
     """Write the report and its CSV files; return the verdict's exit code."""
     if args.csv_dir:
         os.makedirs(args.csv_dir, exist_ok=True)
-        for name, (header, rows) in csv_files.items():
-            report.write_csv(os.path.join(args.csv_dir, name), header, rows)
+        for name, spec in csv_files.items():
+            report.write_csv(os.path.join(args.csv_dir, name), *spec)
         rep["csv_files"] = sorted(csv_files)
     if args.json:
         report.write_json(args.json, rep)
@@ -259,7 +259,8 @@ def cmd_mori_reproduce(args) -> int:
     portrait = mori_mod.phase_portrait_data(scene, tols=tols)
     return _emit(args, rep, {"phase-portrait.csv": (
         ("id", "t", "z", "r", "rho"),
-        [(r["id"], r["t"], r["z"], r["r"], r["rho"]) for r in portrait])})
+        [(r["t"], r["z"], r["r"], r["rho"]) for r in portrait],
+        [r["id"] for r in portrait])})
 
 
 def cmd_mori_perturb(args) -> int:
@@ -277,7 +278,7 @@ def cmd_mori_perturb(args) -> int:
         "certificate": dossier["certificate"].verdict == "pass",
     }
     rep["verdict"] = "pass" if all(gates.values()) else "fail"
-    rows = [(float(o.psi), i) + tuple(float(v) for v in p)
+    rows = [(o.psi, i, *p)
             for o in dossier["orbits"] for i, p in enumerate(o.loop)]
     header = ("orbit_psi", "k") + dossier["scene"].chart.names
     return _emit(args, rep, {"orbit-loops.csv": (header, rows)})

@@ -8,6 +8,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import charfol
 from charfol import cli, report
@@ -358,46 +361,111 @@ def test_to_json_rejects_unknown_types():
             report.to_json({"bad": z})
 
 
-def test_write_csv_formats_floats(tmp_path):
+def _header(rows, labels) -> list:
+    return ["id"] * (labels is not None) + [
+        f"c{i}" for i in range(np.shape(rows)[1])]
+
+
+def _csv(tmp_path, rows, labels=None) -> bytes:
     path = tmp_path / "t.csv"
-    report.write_csv(str(path), ("a", "b"), [(0.1, "x"), (2.0, "y")])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "a,b"
-    assert lines[1] == "0.10000000000000001,x"
+    report.write_csv(str(path), _header(rows, labels), rows, labels)
+    return path.read_bytes()
+
+
+def _percent_g(rows, labels=None) -> bytes:
+    """What `write_csv` must write: every cell through `"%.17g" %`."""
+    cells = [["%.17g" % v for v in row]
+             for row in np.asarray(rows, dtype=float).tolist()]
+    if labels is not None:
+        cells = [[s] + row for s, row in zip(labels, cells)]
+    lines = [_header(rows, labels)] + cells
+    return "".join(",".join(r) + "\n" for r in lines).encode()
+
+
+def test_write_csv_formats_floats(tmp_path):
+    got = _csv(tmp_path, [(0.1, 2.0), (-1e-5, 123456.5)], labels=["x", "y+"])
+    assert got.decode().splitlines() == [
+        "id,c0,c1", "x,0.10000000000000001,2",
+        "y+,-1.0000000000000001e-05,123456.5"]
 
 
 def test_write_csv_float_rows_match_cell_path(tmp_path):
     rows = [(0.1, -0.0, 1e-300, -2.5e17, 1.0 / 3.0),
-            (1e308, 1e308, -1e308),          # finite cells, overflowing sum
-            (float("nan"), 1.0, 2.0),
-            (float("inf"), 0.5, 0.25),
-            (0.5, float("-inf"), 0.25),
-            (3, 0.5, True),
-            (np.float64(0.1), 0.2, 0.3),
-            (0.1, np.float64(-0.0), np.int64(7)),
-            [0.7, 0.8],
-            ()]
-    rows += [tuple(r) for r in np.random.default_rng(23).normal(size=(20, 4))
+            (1e308, 1e308, -1e308, 3, np.int64(7)),  # finite, overflowing sum
+            (float("nan"), 1.0, 2.0, float("inf"), float("-inf")),
+            (np.float64(0.1), 0.2, 0.3, 5e-324, -2.2250738585072014e-308)]
+    rows += [tuple(r) for r in np.random.default_rng(23).normal(size=(20, 5))
              .tolist()]
-    path = tmp_path / "t.csv"
-    report.write_csv(str(path), ("a", "b", "c"), rows)
-    want = "a,b,c\n" + "".join(
-        ",".join(report._cell(v) for v in row) + "\n" for row in rows)
-    assert path.read_bytes() == want.encode()
+    assert _csv(tmp_path, rows) == _percent_g(rows)
+    ids = [f"{k}{'+-'[k % 2]}" for k in range(len(rows))]
+    assert _csv(tmp_path, rows, ids) == _percent_g(rows, ids)
+    report.write_csv(str(tmp_path / "e.csv"), ("id", "a", "b"), [], [])
+    assert (tmp_path / "e.csv").read_bytes() == b"id,a,b\n"
 
 
 def test_write_csv_arrays_match_cell_path(tmp_path, monkeypatch):
-    # an array goes a block of rows at a time, with a short last block
-    monkeypatch.setattr(report, "_CSV_BLOCK", 4)
+    # an array goes a block of rows at a time (here 4 rows of 3 cells),
+    # with a short last block
+    monkeypatch.setattr(report, "_CSV_BLOCK", 14)
     arr = np.random.default_rng(29).normal(size=(11, 3)) * 1e5
     arr[0] = [float("nan"), float("inf"), float("-inf")]
     arr[1] = [-0.0, 1e-300, 1e308]
     arr[2] = [1e308, 1e308, -1e308]
-    path = tmp_path / "t.csv"
-    report.write_csv(str(path), ("a", "b", "c"), arr)
-    want = "a,b,c\n" + "".join(
-        ",".join(report._cell(v) for v in row) + "\n" for row in arr.tolist())
-    assert path.read_bytes() == want.encode()
+    assert _csv(tmp_path, arr) == _percent_g(arr)
+    ids = [str(k) * (k % 4) for k in range(11)]      # "" included
+    assert _csv(tmp_path, arr, ids) == _percent_g(arr, ids)
+    assert _csv(tmp_path, arr[:, :1]) == _percent_g(arr[:, :1])
+    assert _csv(tmp_path, arr[:0]) == _percent_g(arr[:0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                               min_side=1, max_side=40),
+                  elements=st.floats(allow_subnormal=True)))
+def test_write_csv_matches_percent_g_on_any_array(tmp_path_factory, arr):
+    tmp = tmp_path_factory.mktemp("csv")
+    assert _csv(tmp, arr) == _percent_g(arr)
+
+
+def test_write_csv_matches_percent_g_on_random_bits(tmp_path):
+    rng = np.random.default_rng(31)
+    bits = rng.integers(0, 2 ** 64, size=(1 << 20), dtype=np.uint64)
+    # three in four with a binary exponent where %g prints fixed notation
+    fixed = rng.integers(1023 - 15, 1023 + 58, size=len(bits), dtype=np.uint64)
+    pick = rng.random(len(bits)) < 0.75
+    bits[pick] = bits[pick] & ~np.uint64(0x7FF << 52) | fixed[pick] << 52
+    arr = bits.view(np.float64).reshape(-1, 4)
+    assert _csv(tmp_path, arr) == _percent_g(arr)
+
+
+def _ties():
+    """Doubles at a half-way point of their 17th digit: q 2^(e-17) with q
+    odd is one whenever it has decimal exponent e (here -4 to 15)."""
+    rng = np.random.default_rng(37)
+    out = []
+    for e in range(-4, 16):
+        lo = math.ceil(10.0 ** e * 2 ** (17 - e))
+        hi = math.floor(10.0 ** (e + 1) * 2 ** (17 - e))
+        for q in rng.integers(lo, min(hi, 2 ** 53), size=8).tolist():
+            out.append(math.ldexp(q | 1, e - 17))
+    return out
+
+
+def test_write_csv_hard_cases(tmp_path):
+    tens = 10.0 ** np.arange(-6, 19)
+    near = [tens]
+    for way in (0.0, np.inf):
+        step = tens
+        for _ in range(2):
+            step = np.nextafter(step, way)
+            near.append(step)
+    edges = [1000000000000000.25, 1000000000000000.75, 1000000000000001.25,
+             1e-4, 1e17, 9.9999999999999991e-05, 99999999999999984.0,
+             0.99999999999999989, 0.5 - 2.0 ** -54, 1.0 - 2.0 ** -53]
+    values = np.concatenate(near + [edges, _ties()])
+    assert "%.17g" % 1000000000000000.25 == "1000000000000000.2"
+    for arr in (values, -values):
+        assert _csv(tmp_path, arr[:, None]) == _percent_g(arr[:, None])
 
 
 # the command line -------------------------------------------------------
