@@ -337,15 +337,15 @@ def check_morse_smale(field, zeros=(), orbits=(),
                              "budget without capture")
         if ok:
             captured += 1
-    limit = captured / len(seeds) if seeds else 0.0
+    limit = captured / len(seeds) if len(seeds) else 0.0
 
     if reasons:
         verdict = "fail"
-    elif seeds and captured == len(seeds):
+    elif len(seeds) and captured == len(seeds):
         verdict = "pass"
     else:
         verdict = "inconclusive"
-        if not seeds:
+        if not len(seeds):
             notes.append("no usable seeds; nothing was sampled")
     return MorseSmaleCertificate(
         verdict=verdict, reasons=reasons, elements=elements,

@@ -105,7 +105,7 @@ def _field_census(doc: SceneDocument, tols, rng):
     all of which alpha must be contact."""
     field = FoliationField(doc.scene, doc.surface)
     seeds = list(doc.analysis.get("zero_seeds", []))
-    seeds += field.surface_samples(rng, doc.analysis.get("samples", 8))
+    seeds.extend(field.surface_samples(rng, doc.analysis.get("samples", 8)))
     doc.scene.verify_contact(seeds)
     return field, [classify_zero(field, p)
                    for p in find_zeros(field, seeds, tols)]
@@ -135,7 +135,6 @@ def cmd_foliation(args) -> int:
         field = FoliationField(doc.scene, doc.surface)
         names = doc.scene.chart.names
         pts = doc.surface.project_samples(doc.scene.grid_points(args.grid))
-        pts = np.array(pts, dtype=float).reshape(-1, len(names))
         pts = pts[doc.scene.domain_mask(pts)]
     else:
         raise SceneParseError(

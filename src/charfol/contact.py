@@ -18,14 +18,14 @@ derivative path. At runtime X, its Jacobian, the divergence and the
 projection come from the straight-line kernels traced from that code
 (see `kernel`) in three shapes: float lists (`vector_floats`,
 `flow_floats`, `project_floats`), which the integrator runs on; row
-arrays of (m, d) points (`vectors`, `project_samples`), with the
-per-point bits in every row (for `project_samples`, where F's tree
-calls no function and takes no power but ^2); and array wrappers of
-the float lists for any point (`vector`, `flow_data`, `project`).
+arrays of (m, d) points (`vectors`, `project_samples`), through the
+kernels' array twins, with the per-point bits in every row; and array
+wrappers of the float lists for any point (`vector`, `flow_data`,
+`project`).
 F, grad F, the tangent frame and alpha's data (`value_and_grad`,
 `frame`, `alpha_data_at`) come from kernels too.
-The generic `char_data` and `ScalarField.value_and_grad` run only while
-a kernel is recorded, on sample batches and in tests, as the reference.
+The generic `char_data` runs only while a kernel is recorded and in
+tests, as the reference; `value_and_grad` also on profile arrays.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from typing import Mapping
 import numpy as np
 
 from . import policy
-from .errors import (CharfolError, ContactConditionError,
-                     DegenerateVolumeError, ProjectionError)
+from .errors import (ContactConditionError, DegenerateVolumeError,
+                     ProjectionError)
 from .exterior import (AltArray, Chart, KForm, ScalarField, ring_det,
                        solve_top_contraction)
 from .expr import uses_var
@@ -230,50 +230,31 @@ class Hypersurface:
             f"projection did not reach |F| < {policy.PROJECT_TOL:g} "
             f"in {policy.PROJECT_MAX_ITER} steps (|F| = {abs(v):.3e})")
 
-    def project_samples(self, points) -> list:
-        """`project` each point, leaving out the points where it fails
-        with a CharfolError; any other error propagates.
-
-        All points take their Newton steps together: one evaluation of
-        F's tree per iteration on the coordinate columns of the points
-        still moving (numpy arrays, a ring of the jets). A row has the
-        bits of `project_floats` where F's tree calls no function and
-        takes no power but ^2, as on every bundled surface; elsewhere
-        numpy's functions and powers may round differently from libm's,
-        and rows agree to roundoff. Where numpy flags a floating-point
-        error, the per-point path runs instead, so the errors raised
-        and the points dropped are those of `project`.
-        """
-        try:
-            with np.errstate(divide="raise", invalid="raise", over="raise"):
-                return self._project_batch(points)
-        except FloatingPointError:
-            out = []
-            for q in points:
-                try:
-                    out.append(self.project(q))
-                except CharfolError:
-                    continue
-            return out
-
-    def _project_batch(self, points) -> list:
+    def project_samples(self, points) -> np.ndarray:
+        """`project` each point, as the rows of a (k, d) array, leaving
+        out the points where it fails with a CharfolError; any other
+        error propagates. All points take the Newton steps of
+        `project_floats` together, on F and grad F from the array twins
+        of F's kernels, so each row has `project`'s bits."""
         x = np.array(points, dtype=float).reshape(len(points), self.chart.dim)
         done = np.zeros(len(x), dtype=bool)
         rows = np.arange(len(x))        # the points still moving
-        for _ in range(policy.PROJECT_MAX_ITER):
-            if not len(rows):
-                break
-            xa = x[rows]
-            v, g = self.F.value_and_grad(list(xa.T))
-            v, *g = (np.broadcast_to(c, rows.shape) for c in (v, *g))
-            hit = np.abs(v) < policy.PROJECT_TOL
-            done[rows[hit]] = True
-            gg = sum(gi * gi for gi in g)
-            move = ~hit & (gg != 0.0)
-            step = v[move] / gg[move]
-            x[rows[move]] = xa[move] - step[:, None] * np.stack(g, 1)[move]
-            rows = rows[move]
-        return list(x[done])
+        # numpy's float steps overflow to inf silently, as Python's do
+        with np.errstate(all="ignore"):
+            for _ in range(policy.PROJECT_MAX_ITER):
+                if not len(rows):
+                    break
+                xa = x[rows]
+                vg = self.F.value_and_grad_rows(xa)
+                v, g = vg[:, 0], vg[:, 1:]
+                hit = np.abs(v) < policy.PROJECT_TOL
+                done[rows[hit]] = True
+                gg = sum(gi * gi for gi in g.T)
+                move = ~hit & (gg != 0.0)
+                step = v[move] / gg[move]
+                x[rows[move]] = xa[move] - step[:, None] * g[move]
+                rows = rows[move]
+        return x[done]
 
 
 def tangent_frame(N):
@@ -364,13 +345,11 @@ class FoliationField:
         """`vector` at every row of an (m, d) array, as an (m, d) array,
         bit for bit, evaluated through the value kernels' array twins."""
         x = np.asarray(points, dtype=float).reshape(-1, self._d)
-        out = np.empty_like(x)
-        run_rows(self._kernels[0], self._value_outputs, x, out)
-        return out
+        return run_rows(self._kernels[0], self._value_outputs, x, self._d)
 
-    def surface_samples(self, rng, count: int) -> list:
+    def surface_samples(self, rng, count: int) -> np.ndarray:
         """`project_samples` of `count` random points of the scene's box:
-        the projections that did not fail."""
+        the projections that did not fail, as rows."""
         return self.surface.project_samples(
             self.scene.sample_points(rng, count))
 

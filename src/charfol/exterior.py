@@ -22,7 +22,7 @@ from .errors import ChartMismatchError, DegenerateVolumeError
 from .expr import (Bin, Call, Const, Deriv, Neg, Node, Var, compile_node,
                    parse_expression)
 from .jets import fval, seed, split
-from .kernel import run
+from .kernel import run, run_rows
 
 
 class Chart:
@@ -134,6 +134,12 @@ class ScalarField:
         through the field's traced kernels: the value and the partials
         as one tuple of floats."""
         return run(self._kernels, self._value_and_grad, x)
+
+    def value_and_grad_rows(self, x):
+        """`traced_value_and_grad` at each row of an (m, d) float array,
+        as an (m, d + 1) array, through its kernels' array twins."""
+        return run_rows(self._kernels, self._value_and_grad, x,
+                        self.chart.dim + 1)
 
     def d(self, which) -> "ScalarField":
         j = which if isinstance(which, int) else self.chart.index(which)

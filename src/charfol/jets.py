@@ -9,6 +9,9 @@ scalars of `kernel` (which turn one evaluation into a straight-line
 kernel), jets over any of these, and nested jets. All differentiation
 in the library goes through this module; there is no symbolic
 differentiation and no finite differencing on hot paths.
+The array ring serves what keeps numpy's rounding of its functions:
+`ContactScene.verify_contact`, `certify`'s collar profile and
+`mori._column_profile_data`; other rows run on the kernels' twins.
 """
 
 from __future__ import annotations

@@ -16,11 +16,11 @@ shape, so a trace takes about twice as long as the same run on floats.
 
 `run_rows` runs a kernel list over the rows of an array. The same tape
 compiles a second time over numpy columns, to the kernel's array twin:
-a failing guard marks its rows instead of returning. A twin exists only
-for a tape of + - * /, negation, abs and comparisons, which numpy rounds
-exactly as Python floats do (its `exp`, `log` and `**` do not round as
-libm does), so a row the twin serves gets the kernel's bits. Rows no
-twin serves go through `run` one at a time.
+a failing guard marks its rows instead of returning. numpy rounds + -
+* / as Python floats do, but not `exp`, `log` and `**` as libm does,
+so a twin calls math functions and `math.pow` element by element
+(`_each`): a row it serves gets the kernel's bits. `run` takes the rows
+no twin serves, and those of a block where a twin raises a math error.
 
 Operations with a Python number are folded away when they are exact
 identities or structural zeros, as the table `_FOLDS` lists them. The
@@ -222,8 +222,8 @@ class Tape:
         With `rows`, the same lines compile to the array twin: a function
         of numpy columns returning (miss, outputs), where miss marks the
         rows at which a guard fails or a divisor is 0, and the kernel
-        would return None or raise. A tape with a power or a math
-        function has no twin (None).
+        would return None or raise; its powers and math functions run
+        element by element (`_each`).
         """
         results = _names(outputs)
         uses = {}   # reads of each live name; a raising line may have none
@@ -238,9 +238,6 @@ class Tape:
                 if rows and isinstance(line[3], str):
                     uses[line[3]] += 1      # a divisor the twin tests is stored
         kept.reverse()
-        if rows and any(name is not None and raises is True
-                        for name, _, _, raises in kept):
-            return None
         # name -> (expression, nesting, strength) awaiting its one use
         pending = {}
         neg = "~" if rows else "not "
@@ -276,7 +273,8 @@ class Tape:
             ret = f"_miss, ({ret})"
         args = ", ".join(f"x{i}" for i in range(nargs))
         src = "\n".join([f"def _k({args}):", *body, f"    return ({ret})\n"])
-        ns = dict(self.functions, inf=math.inf, nan=math.nan,
+        ns = dict({n: _each(f) for n, f in self.functions.items()}
+                  if rows else self.functions, inf=math.inf, nan=math.nan,
                   _argmax=_argmax_rows if rows else _argmax)
         exec(compile(src, "<charfol kernel>", "exec"), ns)
         return ns["_k"]
@@ -347,6 +345,16 @@ def _argmax(*values) -> int:
     return values.index(max(values))
 
 
+def _each(f):
+    """f over numpy columns one element at a time, with f's bits and
+    errors; a number (a power's constant) stands for every element."""
+    def over(*args):
+        n = max(map(np.size, args))
+        return np.fromiter(map(f, *[a.tolist() if np.ndim(a) else repeat(a)
+                                    for a in args]), float, n)
+    return over
+
+
 def _argmax_rows(*values):
     """`_argmax` in each row of numpy columns; -1 in a row with a NaN,
     which an array twin leaves to the kernel."""
@@ -409,51 +417,62 @@ BLOCK = 1024
 
 
 def _twin(k, fn):
-    """The array twin of kernel k (None if it has none), compiled once
-    from a new trace at k's trace point, which repeats k's tape."""
+    """The array twin of kernel k, compiled once from a new trace at k's
+    trace point, which repeats k's tape."""
     if not hasattr(k, "twin"):
         tape, outputs = _trace(fn, k.at)
         k.twin = tape.compile(len(k.at), outputs, rows=True)
     return k.twin
 
 
-def run_rows(kernels: list, fn, x, out) -> None:
-    """Fill each row of the float array `out` with `run(kernels, fn,
-    row)` for the same row of the float array `x`, bit for bit.
+def run_rows(kernels: list, fn, x, width: int) -> np.ndarray:
+    """The (m, width) array whose rows are `run(kernels, fn, row)` for
+    the rows of the (m, d) float array `x`, bit for bit.
 
     A block of rows at a time runs through the twins of `kernels`. A
     twin serves a row where its guards hold, no divisor is 0 and the
     outputs are finite (of two NaN operands, numpy and Python floats may
-    keep different ones); the guards of at most one kernel hold at a
-    point. A row that no twin serves goes through `run` on its own,
-    which traces the kernel it lacks or raises what the generic code
-    raises there; the twin of a kernel traced so then serves the rows
-    still waiting.
+    keep different ones), unless it raises a math error in the block;
+    the guards of at most one kernel hold at a point. A row that no twin
+    serves goes through `run` on its own, which traces the kernel it
+    lacks or raises what the generic code raises there; the twin of a
+    kernel traced so then serves the rows still waiting.
     """
+    out = np.empty((len(x), width))
     for start in range(0, len(x), BLOCK):
         _run_block(kernels, fn, x[start:start + BLOCK],
                    out[start:start + BLOCK])
+    return out
 
 
 def _run_block(kernels, fn, x, out) -> None:
+    if not kernels:
+        run(kernels, fn, x[0].tolist())     # a kernel for the first twin
     cols = np.ascontiguousarray(x.T)
-    wait = np.arange(len(x))            # the rows not yet served
+    wait = slice(None)      # the rows not yet served; at first all, unindexed
     fresh = list(kernels)               # the kernels whose twins have not run
     while True:
         for k in fresh:
-            twin = _twin(k, fn)
-            if twin is None or not len(wait):
-                continue
-            with np.errstate(all="ignore"):
-                miss, values = twin(*cols[:, wait])
-            y = np.column_stack([np.broadcast_to(v, wait.shape)
-                                 for v in values])
-            ok = np.logical_not(miss) & np.isfinite(y).all(axis=1)
-            out[wait[ok]] = y[ok]
-            wait = wait[~ok]
-        if not len(wait):
-            return
+            wait = _serve(_twin(k, fn), cols, out, wait)
+            if not len(wait):
+                return
         count = len(kernels)
         i, wait = wait[0], wait[1:]
         out[i] = run(kernels, fn, x[i].tolist())
+        if not len(wait):
+            return
         fresh = kernels[:len(kernels) - count]      # what that run traced
+
+
+def _serve(twin, cols, out, wait):
+    """Write the rows `wait` of the block (a slice or indices) that
+    `twin` serves into `out`; return the indices of those it leaves."""
+    rows = np.arange(len(out))[wait]
+    try:
+        with np.errstate(all="ignore"):
+            miss, values = twin(*cols[:, wait])
+    except (ArithmeticError, ValueError):
+        return rows
+    for j, v in enumerate(values):
+        out[wait, j] = v                # rows left are written again later
+    return rows[miss | ~np.isfinite(out[wait]).all(axis=1)]

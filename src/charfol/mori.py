@@ -132,6 +132,7 @@ class MoriScene:
         self.field_polar = FoliationField(self.polar, self.surface_polar)
         self.field_cartesian = FoliationField(self.cartesian,
                                               self.surface_cartesian)
+        self._kernels = []      # traced kernels of cartesian_point
 
     # point helpers -----------------------------------------------------
 
@@ -147,18 +148,10 @@ class MoriScene:
         return q
 
     def cartesian_points(self, polar_pts: np.ndarray) -> np.ndarray:
-        """`cartesian_point` of each row of a float array, bit for bit:
-        the cosines and sines come from math one entry at a time, since
-        numpy's do not round as libm's do."""
-        rad, ang = polar_pts[:, 1::2], polar_pts[:, 2::2]
-        flat = ang.ravel().tolist()
-        cos = np.array([math.cos(a) for a in flat]).reshape(ang.shape)
-        sin = np.array([math.sin(a) for a in flat]).reshape(ang.shape)
-        q = np.empty_like(polar_pts)
-        q[:, 0:-1:2] = rad * cos
-        q[:, 1:-1:2] = rad * sin
-        q[:, -1] = polar_pts[:, 0]
-        return q
+        """`cartesian_point` of each row of a float array, bit for bit,
+        through the array twins of its kernels."""
+        return kernel.run_rows(self._kernels, self.cartesian_point,
+                               polar_pts, polar_pts.shape[1])
 
 
 def mori_scene(n: int = 2, eps: float = 0.1) -> MoriScene:
@@ -518,7 +511,7 @@ def census(scene: MoriScene, tols: policy.Tolerances = policy.DEFAULT,
     az = scene.constants.axis_z
     seeds = [cartesian_lift(scene, (s * az, 0.0, 0.0))
              for s in (-1.1, -0.9, 0.9, 1.1)]
-    seeds += field.surface_samples(rng, 12)
+    seeds.extend(field.surface_samples(rng, 12))
     pts = find_zeros(field, seeds, tols)
     zeros = [classify_zero(field, p) for p in pts]
     zeros.sort(key=lambda zi: zi.point[-1])

@@ -354,8 +354,8 @@ def test_degenerate_u_is_flagged():
 
 
 class BuggyBatch:
-    """A scalar field whose evaluation on coordinate arrays, the batched
-    projection of the seed points, fails with a bug."""
+    """A scalar field whose evaluation on rows, the batched projection of
+    the seed points, fails with a bug."""
 
     def __init__(self, F):
         self.F = F
@@ -363,10 +363,8 @@ class BuggyBatch:
     def __getattr__(self, name):
         return getattr(self.F, name)
 
-    def value_and_grad(self, point):
-        if isinstance(point[0], np.ndarray):
-            raise RuntimeError("bug in projection")
-        return self.F.value_and_grad(point)
+    def value_and_grad_rows(self, x):
+        raise RuntimeError("bug in projection")
 
 
 def test_seed_projection_bugs_propagate():

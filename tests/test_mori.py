@@ -338,8 +338,8 @@ def test_phase_portrait_projects_through_a_kernel(scene, monkeypatch):
 
 
 class BuggyBatch:
-    """A scalar field whose evaluation on coordinate arrays, the batched
-    projection of the census seeds, fails with a bug."""
+    """A scalar field whose evaluation on rows, the batched projection of
+    the census seeds, fails with a bug."""
 
     def __init__(self, F):
         self.F = F
@@ -347,10 +347,8 @@ class BuggyBatch:
     def __getattr__(self, name):
         return getattr(self.F, name)
 
-    def value_and_grad(self, point):
-        if isinstance(point[0], np.ndarray):
-            raise RuntimeError("bug in projection")
-        return self.F.value_and_grad(point)
+    def value_and_grad_rows(self, x):
+        raise RuntimeError("bug in projection")
 
 
 def test_census_lets_projection_bugs_propagate():
