@@ -282,9 +282,6 @@ class CharData:
     """What the solve produced at one point and its callers read."""
 
     X: list                  # ambient components, ring scalars
-    frame: list              # tangent frame vectors, ambient components
-    frame_coords: list       # ambient coordinate index backing each frame slot
-    pivot: int
     divergence: object
 
 
@@ -334,8 +331,7 @@ class FoliationField:
         for _ in range(n - 1):
             dbn = dbn.wedge(dbeta)
         div = dbn.get(tuple(range(2 * n))) / omega0
-        return CharData(X=X, frame=frame, frame_coords=frame_coords,
-                        pivot=pivot, divergence=div)
+        return CharData(X=X, divergence=div)
 
     def vector(self, point) -> np.ndarray:
         """X at a point, from the value kernel."""

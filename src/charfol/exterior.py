@@ -3,11 +3,11 @@
 An AltArray is an alternating array kept as a sparse dictionary from
 strictly increasing index tuples to entries of any ring (floats, numpy
 arrays of points, recording scalars, jets over these, nested jets); it
-holds the wedge, interior product and sum. A KForm is an AltArray whose
-entries are ScalarFields of one chart, and adds the exterior
-derivative, which produces derivative nodes evaluated through jets, so
-the usual identities hold to machine precision rather than to a
-finite-difference error. Hot loops run the straight-line kernels of
+holds the wedge, the pullback to a frame and the sum. A KForm is an
+AltArray whose entries are ScalarFields of one chart, and adds the
+exterior derivative, which produces derivative nodes evaluated through
+jets, so the usual identities hold to machine precision rather than to
+a finite-difference error. Hot loops run the straight-line kernels of
 `kernel`, which AltArray code traces once per pivot.
 """
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
+from itertools import combinations
 from typing import Sequence
 
 from . import expr
@@ -299,20 +300,10 @@ class AltArray:
                 comps[K] = comps[K] + term if K in comps else term
         return self._like(self.deg + other.deg, comps)
 
-    def iprod(self, vec):
-        comps = {}
-        for I, a in self.comps.items():
-            for p, i in enumerate(I):
-                J = I[:p] + I[p + 1:]
-                term = a * vec[i] if p % 2 == 0 else -(a * vec[i])
-                comps[J] = comps[J] + term if J in comps else term
-        return self._like(self.deg - 1, comps)
-
     def on_frame(self, vectors):
         """Pull back along the linear map sending basis vector a to vectors[a]."""
         m = len(vectors)
         out = {}
-        from itertools import combinations
         for A in combinations(range(m), self.deg):
             total = None
             for I, a in self.comps.items():
@@ -331,15 +322,6 @@ class AltArray:
         for I, b in other.comps.items():
             comps[I] = comps[I] + b if I in comps else b
         return self._like(self.deg, comps)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self._like(self.deg, {I: -a for I, a in self.comps.items()})
-
-    def max_abs(self):
-        return max((abs(fval(a)) for a in self.comps.values()), default=0.0)
 
 
 def solve_top_contraction(vol_coeff, eta: AltArray):

@@ -44,7 +44,8 @@ parser, where `compile` spends most of its time, reads less.
 
 A Rec refuses `bool`, `float` and `index`, so a branch on a value
 that is not a recorded comparison cannot be baked into a kernel.
-`argmax` records a choice among several values as one guard.
+Every guard is one such comparison: `argmax` records its choice among
+several values as the comparisons with the chosen one that decide it.
 """
 
 from __future__ import annotations
@@ -194,15 +195,14 @@ class Tape:
         return Rec(value, name, self)
 
     def guard(self, a, op, b) -> bool:
+        """`a op b` at the trace point, recorded as a guard: the kernel
+        returns None where the comparison comes out otherwise."""
         outcome = bool(_COMPARE[op](_value(a), _value(b)))
         test = f"{_slot(a)} {op} {_slot(b)}"
         # {neg} is `not ` in a kernel and `~` in an array twin
-        self.fail_if(f"{{neg}}({test})" if outcome else test, (a, b))
+        self.lines.append((None, f"{{neg}}({test})" if outcome else test,
+                           _names((a, b)), True))
         return outcome
-
-    def fail_if(self, test: str, operands) -> None:
-        """A guard: the kernel returns None where `test` holds."""
-        self.lines.append((None, test, _names(operands), True))
 
     def compile(self, nargs: int, outputs, rows: bool = False):
         """The kernel returning `outputs` (Recs or numbers) as a tuple.
@@ -274,8 +274,7 @@ class Tape:
         args = ", ".join(f"x{i}" for i in range(nargs))
         src = "\n".join([f"def _k({args}):", *body, f"    return ({ret})\n"])
         ns = dict({n: _each(f) for n, f in self.functions.items()}
-                  if rows else self.functions, inf=math.inf, nan=math.nan,
-                  _argmax=_argmax_rows if rows else _argmax)
+                  if rows else self.functions, inf=math.inf, nan=math.nan)
         exec(compile(src, "<charfol kernel>", "exec"), ns)
         return ns["_k"]
 
@@ -355,27 +354,29 @@ def _each(f):
     return over
 
 
-def _argmax_rows(*values):
-    """`_argmax` in each row of numpy columns; -1 in a row with a NaN,
-    which an array twin leaves to the kernel."""
-    v = np.stack(np.broadcast_arrays(*values))
-    return np.where(np.isnan(v).any(axis=0), -1, v.argmax(axis=0))
-
-
 def argmax(keys) -> int:
-    """The index max() picks from `keys`: the first of the largest.
+    """The index p that max() picks from `keys`: the first of the largest.
 
-    On recording scalars the whole choice is one guard. max() itself
-    would record its pairwise comparisons, whose outcomes differ between
-    points with the same answer (up to 2^(len - 1) patterns), and every
-    pattern would cost a kernel of its own.
+    On recording scalars the choice becomes the comparisons with
+    top = keys[p] that decide it, each a guard: keys[0] < top when
+    p > 0, keys[i] >= top for 0 < i < p, and keys[i] > top for i > p.
+    Their outcomes repeat exactly where max() picks p again, with ties,
+    signed zeros, infinities and NaN (max() keeps a NaN first key and
+    passes over a later one). max() itself would record its running
+    comparisons, whose outcomes differ between points with the same
+    answer (up to 2^(len - 1) patterns), and every pattern would cost a
+    kernel of its own.
     """
-    best = _argmax(*(_value(k) for k in keys))
-    recs = [k for k in keys if isinstance(k, Rec)]
-    if recs:
-        recs[0].tape.fail_if(
-            f"_argmax({', '.join(_slot(k) for k in keys)}) != {best}", recs)
-    return best
+    p = _argmax(*map(_value, keys))
+    top = keys[p]
+    # a comparison with a recording scalar records its guard
+    if p:
+        keys[0] < top
+    for k in keys[1:p]:
+        k >= top
+    for k in keys[p + 1:]:
+        k > top
+    return p
 
 
 def _trace(fn, args):

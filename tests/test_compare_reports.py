@@ -60,6 +60,53 @@ def test_a_changed_byte_is_reported(tool, tmp_path, capsys):
     change = _stub(tmp_path / "change", "x,y\n0.6,1\n")
     assert tool.main([str(parent), str(change)]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines == [f"{' '.join(argv)} --seed 0: csv/grid.csv differs"
-                     for argv in tool.COMMANDS] + [
-        "2 runs per tree, 2 differences"]
+    assert lines == [
+        "| run | output | where | difference |", "| --- | --- | --- | --- |",
+        *(f"| {' '.join(argv)} --seed 0 | csv/grid.csv | column x "
+          f"| 1 float, max rel 0.167 |" for argv in tool.COMMANDS),
+        "", "2 runs per tree, 2 differences"]
+
+
+@pytest.mark.parametrize("a, b, want", [
+    # the same mapping in another key order
+    ('{"x": {"a": 1, "b": 2}}', '{"x": {"b": 2, "a": 1}}',
+     [("x", "key order changed")]),
+    # an int that becomes a float is a semantic change, not a numeric one
+    ('{"n": 1}', '{"n": 1.0}', [("n", "1 -> 1.0")]),
+    # NaN against NaN is equal; NaN against a number is an infinite change
+    ('{"v": [NaN, 1.0, 2.0]}', '{"v": [NaN, 1.5, NaN]}',
+     [("v[*]", "2 floats, max rel inf")]),
+    ('{"v": [NaN, 1.0]}', '{"v": [NaN, 1.25]}',
+     [("v[*]", "1 float, max rel 0.2")]),
+    # a signed zero is listed, with relative size 0
+    ('{"z": [-0.0, 3.0]}', '{"z": [0.0, 3.0]}',
+     [("z[*]", "1 float, max rel 0")]),
+    ('{"verdict": "pass", "ok": true}', '{"verdict": "fail", "ok": false}',
+     [("verdict", '"pass" -> "fail"'), ("ok", "true -> false")]),
+    # a shorter list, and the entries both lists still have
+    ('{"orbits": [{"m": [1.0, 2.0]}, {"m": [4.0]}]}',
+     '{"orbits": [{"m": [1.0, 2.5]}], "extra": 0}',
+     [("orbits", "length 2 -> 1"), ("orbits[*].m[*]", "1 float, max rel 0.2"),
+      ("extra", "key added")]),
+], ids=["key order", "int to float", "nan", "nan equal", "signed zero",
+        "verdict", "list length"])
+def test_json_differences(tool, a, b, want):
+    assert tool.differences("r.json", a.encode(), b.encode()) == want
+
+
+def test_csv_text_and_exit_code_differences(tool):
+    a = b"id,x,y\n0+,0.5,nan\n1+,-0.0,2\n"
+    b = b"id,x,y\n0-,0.5,nan\n1-,0.0,3\n2-,1,1\n"
+    assert tool.differences("csv/p.csv", a, b) == [
+        ("rows", "2 -> 3"), ("column id", '"0+" -> "0-" (and 1 more)'),
+        ("column x", "1 float, max rel 0"),
+        ("column y", "1 float, max rel 0.333")]
+    assert tool.differences("stdout", b"certify: pass (r.json)\n",
+                            b"certify: fail (r.json)\n") == [
+        ("line 1", '"certify: pass (r.json)" -> "certify: fail (r.json)"')]
+    assert tool.differences("exit code", b"0", b"1") == [("", "0 -> 1")]
+    # a change of layout alone, and JSON that does not parse
+    assert tool.differences("r.json", b'{"a": 1}', b'{"a":1}') == [
+        ("", "bytes differ")]
+    assert tool.differences("r.json", b"{", b"{}") == [
+        ("line 1", '"{" -> "{}"')]

@@ -30,7 +30,8 @@ from hypothesis import strategies as st
 
 from charfol import contact, jets, kernel, mori
 from charfol.cli import _norms, main
-from charfol.contact import ContactScene, FoliationField, Hypersurface
+from charfol.contact import (ContactScene, FoliationField, Hypersurface,
+                             tangent_frame)
 from charfol.errors import (CharfolError, DegenerateVolumeError,
                             ProjectionError)
 from charfol.expr import Bin, Const
@@ -113,6 +114,11 @@ def surface_point(field, fractions):
         assume(False)
 
 
+def _grad(field, p) -> list:
+    """The generic grad F at p, the normal that char_data pivots on."""
+    return list(field.surface.F.value_and_grad(list(p))[1])
+
+
 def reference(field, p):
     """X, J and div from the generic char_data, value and jet level."""
     X = [fval(c) for c in field.char_data(p).X]
@@ -148,10 +154,11 @@ def test_kernels_equal_generic_char_data(name, fr):
     assert divk == div
     Xv, Jv = field.vector_and_jacobian(p)
     assert Xv.tolist() == X and Jv.tolist() == J
-    # divergence and tangent frame against char_data on floats
+    # divergence against char_data on floats, and the tangent frame
+    # against tangent_frame on the generic grad F
     data = field.char_data(p.tolist())
     assert field.flow_data(p)[2] == fval(data.divergence)
-    assert field.surface.frame(p) == (data.frame_coords, data.frame)
+    assert field.surface.frame(p) == tangent_frame(_grad(field, p))[1:]
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
@@ -228,7 +235,7 @@ def test_vectors_mix_pivots_in_every_block():
     with mock.patch.object(kernel, "BLOCK", 64):
         got = field.vectors(pts)
     assert len(field._kernels[0]) == 3
-    pivots = [field.char_data(p).pivot for p in pts]
+    pivots = [tangent_frame(_grad(field, p))[0] for p in pts]
     assert all(len(set(pivots[i:i + 64])) > 1
                for i in range(0, len(pts), 64))
     want = np.array([field.vector(p) for p in pts])
@@ -386,6 +393,30 @@ def test_every_kernel_of_a_command_has_a_twin(argv, tmp_path, capsys):
         assert all(a == b or not math.isfinite(b) for a, b in zip(got, want))
 
 
+def test_kernel_globals_are_libm_pow_and_constants(monkeypatch, tmp_path,
+                                                   capsys):
+    # every guard is an inline comparison, so a kernel or twin calls
+    # nothing but the ring's libm functions and the power
+    compiled = []
+    compile_ = Tape.compile
+
+    def spy(self, *args, **kwargs):
+        k = compile_(self, *args, **kwargs)
+        compiled.append((k, kwargs.get("rows", False)))
+        return k
+
+    monkeypatch.setattr(Tape, "compile", spy)
+    for argv in (["certify", "s2-height"], ["certify", "mori-column"],
+                 ["foliation", "mori-sigma0-n2", "--grid", "8"],
+                 ["mori", "reproduce"]):
+        assert main([*argv, "--json", str(tmp_path / "r.json")]) == 0
+    capsys.readouterr()
+    assert {rows for _, rows in compiled} == {False, True}
+    allowed = {f"_{row[0]}" for row in jets._RULES} | {"_pow", "inf", "nan"}
+    for k, _ in compiled:
+        assert set(k.__globals__) - {"__builtins__", k.__name__} <= allowed
+
+
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_norms_equal_linalg_norm_bit_for_bit(d):
     # `foliation` reports the smallest and largest |X| from one stacked
@@ -423,7 +454,7 @@ def test_pivot_switch_on_s2_height():
     pts = [np.array([math.cos(a), 0.0, math.sin(a)])
            for a in (math.pi / 4 - 1e-3, math.pi / 4 + 1e-3,
                      math.pi / 4 - 2e-3)]
-    pivots = [field.char_data(p).pivot for p in pts]
+    pivots = [tangent_frame(_grad(field, p))[0] for p in pts]
     assert pivots == [0, 2, 0]
     for p in pts:
         X, J, div = reference(field, p)
@@ -569,6 +600,35 @@ def test_argmax_picks_what_max_over_indices_picks(values):
     want = max(range(len(values)), key=values.__getitem__)
     assert _argmax(*values) == want
     assert argmax(values) == want
+
+
+KEYS = st.lists(st.one_of(st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 2.0]), st.floats()),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(KEYS, KEYS)
+# max() keeps a NaN first key, and passes over a later NaN
+@example(at=[math.nan, 1.0], other=[math.nan, 2.0])
+@example(at=[1.0, math.nan, 2.0], other=[1.0, 3.0, math.nan])
+@example(at=[0.0, -0.0, 1.0], other=[-0.0, 0.0, -1.0])
+@example(at=[2.0, 2.0], other=[2.0, math.inf])
+def test_argmax_guards_hold_where_max_picks_the_same(at, other):
+    # a kernel traced at one key tuple, and its twin, serve another tuple
+    # of the same length exactly where max() makes the same pick there
+    other = (other * len(at))[:len(at)]
+
+    def fn(xs):
+        return [float(argmax(list(xs)))]
+
+    kernels = []
+    assert run(kernels, fn, at) == (float(_argmax(*at)),)
+    k, = kernels
+    same = _argmax(*other) == _argmax(*at)
+    assert (k(*other) is not None) == same
+    miss, _ = kernel._twin(k, fn)(*(np.array([v]) for v in other))
+    assert (not np.any(miss)) == same
 
 
 # the folds of the recording scalar ---------------------------------------
