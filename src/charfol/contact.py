@@ -17,11 +17,11 @@ is one implementation to trust rather than a value path and a separate
 derivative path. At runtime X, its Jacobian, the divergence and the
 projection come from the straight-line kernels traced from that code
 (see `kernel`) in three shapes: float lists (`vector_floats`,
-`flow_floats`, `project_floats`), which the integrator runs on; row
-arrays of (m, d) points (`vectors`, `project_samples`), through the
-kernels' array twins, with the per-point bits in every row; and array
-wrappers of the float lists for any point (`vector`, `flow_data`,
-`project`).
+`flow_floats`, `variational_floats`, `project_floats`), which the
+integrator runs on; row arrays of (m, d) points (`vectors`,
+`project_samples`), through the kernels' array twins, with the
+per-point bits in every row; and array wrappers of the float lists for
+any point (`vector`, `flow_data`, `project`).
 F, grad F, the tangent frame and alpha's data (`value_and_grad`,
 `frame`, `alpha_data_at`) come from kernels too.
 The generic `char_data` runs only while a kernel is recorded and in
@@ -31,6 +31,7 @@ tests, as the reference; `value_and_grad` also on profile arrays.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -294,15 +295,19 @@ class FoliationField:
         self.scene = scene
         self.surface = surface
         self._d = scene.chart.dim
-        # traced kernels of _value_outputs and of _jet_outputs
-        self._kernels = ([], [])
+        # traced kernels of _value_outputs, _jet_outputs and
+        # _variational_outputs
+        self._kernels = ([], [], [])
         # X, and (X, the rows of its ambient Jacobian, div) flat, as
         # tuples of floats, for a list of d Python floats taken as it is
-        # (an entry of any other type gives an undefined result)
+        # (an entry of any other type gives an undefined result); and
+        # (X, J·M, div) for a variational state of d + d² + 1 floats
         self.vector_floats = functools.partial(
             run, self._kernels[0], self._value_outputs)
         self.flow_floats = functools.partial(
             run, self._kernels[1], self._jet_outputs)
+        self.variational_floats = functools.partial(
+            run, self._kernels[2], self._variational_outputs)
 
     # core ------------------------------------------------------------
 
@@ -362,6 +367,17 @@ class FoliationField:
             X.append(v)
             J.extend(g)
         return X + J + [fval(data.divergence)]
+
+    def _variational_outputs(self, z):
+        """X, J·M row by row and div, flat, for z = (x, M row by row, w):
+        each entry of J·M sums J_ik M_kj over k = 0, ..., d - 1 in order."""
+        d = self._d
+        out = self._jet_outputs(z[:d])
+        J, M = out[d:-1], z[d:-1]
+        JM = [functools.reduce(operator.add, [J[i + k] * M[k * d + j]
+                                              for k in range(d)])
+              for i in range(0, d * d, d) for j in range(d)]
+        return [*out[:d], *JM, out[-1]]
 
     def vector_and_jacobian(self, point):
         """Value and ambient Jacobian in one pass, via a jet level."""

@@ -11,10 +11,11 @@ function generated per state length (`_step`): the stage sums are
 locals, each stage input goes to the right-hand side as a list, and the
 scaled error norm is summed in numpy's order, so every step has the
 bits of the numpy sums it replaces. `Flow` feeds the loop straight from
-the field's float lists (`FoliationField.vector_floats`, `flow_floats`,
-`Hypersurface.project_floats`). Shooting for closed
-orbits scores its line-search trials with variational runs too, so an
-accepted trial is already the next Newton shot.
+the field's float lists (`FoliationField.vector_floats`,
+`variational_floats`, `Hypersurface.project_floats`): a variational
+run's right-hand side, J·M included, is one kernel call. Shooting for
+closed orbits scores its line-search trials with variational runs too,
+so an accepted trial is already the next Newton shot.
 
 Angular coordinates integrate unwrapped; closure of orbits and
 deduplication of elements are tested modulo the period.
@@ -264,22 +265,25 @@ class Flow:
     """Trajectories of the characteristic direction field on one surface.
 
     The loop runs on the field's float lists (`vector_floats`,
-    `flow_floats`, `surface.project_floats`) as they are."""
+    `variational_floats`, `surface.project_floats`) as they are."""
 
     def __init__(self, field: FoliationField, tols: policy.Tolerances = policy.DEFAULT,
                  sense: int = +1):
         self.field = field
         self.tols = tols
         self.sense = float(sense)
-        self._vector, self._flow = field.vector_floats, field.flow_floats
+        self._vector = field.vector_floats
         self._post = field.surface.project_floats
 
-    def _backward(self, y):
-        return [-c for c in self._vector(y)]
+    def _sensed(self, f):
+        """The right-hand side f, negated for sense -1."""
+        if self.sense < 0:
+            return lambda z: [-c for c in f(z)]
+        return f
 
     def integrate(self, y0, tmax, event: EventSpec | None = None,
                   record: bool = False):
-        rhs = self._backward if self.sense < 0 else self._vector
+        rhs = self._sensed(self._vector)
         return _integrate_core(rhs, y0, tmax, self.tols, post=self._post,
                                event=event, domain_ok=self.field.scene.in_domain,
                                record=record)
@@ -287,24 +291,15 @@ class Flow:
     def integrate_variational(self, y0, tmax):
         """State, ambient monodromy, and divergence integral over [0, tmax]."""
         d = len(y0)
-        s = self.sense
-        flow, project = self._flow, self._post
-
-        # J @ M stays in numpy: BLAS rounds it differently from a
-        # Python sum, and the reports keep BLAS's bits
-        def rhs(z):
-            out = flow(z[:d])
-            JM = (np.array(out[d:-1]).reshape(d, d)
-                  @ np.array(z[d:-1]).reshape(d, d))
-            f = [*out[:d], *JM.ravel().tolist(), out[-1]]
-            return [-c for c in f] if s < 0 else f
+        project = self._post
 
         def post(z):
             return [*project(z[:d]), *z[d:]]
 
         # in_domain reads only the coordinates, the first d entries
         z0 = np.concatenate([np.asarray(y0, float), np.eye(d).ravel(), [0.0]])
-        res = _integrate_core(rhs, z0, tmax, self.tols, post=post,
+        res = _integrate_core(self._sensed(self.field.variational_floats),
+                              z0, tmax, self.tols, post=post,
                               domain_ok=self.field.scene.in_domain)
         y = res.y[:d]
         M = res.y[d:d + d * d].reshape(d, d)

@@ -63,7 +63,7 @@ def test_a_changed_byte_is_reported(tool, tmp_path, capsys):
     assert lines == [
         "| run | output | where | difference |", "| --- | --- | --- | --- |",
         *(f"| {' '.join(argv)} --seed 0 | csv/grid.csv | column x "
-          f"| 1 float, max rel 0.167 |" for argv in tool.COMMANDS),
+          f"| 1 float, max rel 0.167, max abs 0.1 |" for argv in tool.COMMANDS),
         "", "2 runs per tree, 2 differences"]
 
 
@@ -75,21 +75,28 @@ def test_a_changed_byte_is_reported(tool, tmp_path, capsys):
     ('{"n": 1}', '{"n": 1.0}', [("n", "1 -> 1.0")]),
     # NaN against NaN is equal; NaN against a number is an infinite change
     ('{"v": [NaN, 1.0, 2.0]}', '{"v": [NaN, 1.5, NaN]}',
-     [("v[*]", "2 floats, max rel inf")]),
+     [("v[*]", "2 floats, max rel inf, max abs inf")]),
     ('{"v": [NaN, 1.0]}', '{"v": [NaN, 1.25]}',
-     [("v[*]", "1 float, max rel 0.2")]),
+     [("v[*]", "1 float, max rel 0.2, max abs 0.25")]),
     # a signed zero is listed, with relative size 0
     ('{"z": [-0.0, 3.0]}', '{"z": [0.0, 3.0]}',
-     [("z[*]", "1 float, max rel 0")]),
+     [("z[*]", "1 float, max rel 0, max abs 0")]),
     ('{"verdict": "pass", "ok": true}', '{"verdict": "fail", "ok": false}',
      [("verdict", '"pass" -> "fail"'), ("ok", "true -> false")]),
     # a shorter list, and the entries both lists still have
     ('{"orbits": [{"m": [1.0, 2.0]}, {"m": [4.0]}]}',
      '{"orbits": [{"m": [1.0, 2.5]}], "extra": 0}',
-     [("orbits", "length 2 -> 1"), ("orbits[*].m[*]", "1 float, max rel 0.2"),
+     [("orbits", "length 2 -> 1"),
+      ("orbits[*].m[*]", "1 float, max rel 0.2, max abs 0.5"),
       ("extra", "key added")]),
+    # an infinity against a number; equal infinities are equal
+    ('{"m": [1.0, -Infinity]}', '{"m": [Infinity, -Infinity]}',
+     [("m[*]", "1 float, max rel inf, max abs inf")]),
+    # noise near 0: a large relative change of a tiny absolute size
+    ('{"m": [14.6, 5.8e-21]}', '{"m": [14.600000000000001, 5.9e-21]}',
+     [("m[*]", "2 floats, max rel 0.0169, max abs 1.78e-15")]),
 ], ids=["key order", "int to float", "nan", "nan equal", "signed zero",
-        "verdict", "list length"])
+        "verdict", "list length", "infinity", "noise near zero"])
 def test_json_differences(tool, a, b, want):
     assert tool.differences("r.json", a.encode(), b.encode()) == want
 
@@ -99,8 +106,8 @@ def test_csv_text_and_exit_code_differences(tool):
     b = b"id,x,y\n0-,0.5,nan\n1-,0.0,3\n2-,1,1\n"
     assert tool.differences("csv/p.csv", a, b) == [
         ("rows", "2 -> 3"), ("column id", '"0+" -> "0-" (and 1 more)'),
-        ("column x", "1 float, max rel 0"),
-        ("column y", "1 float, max rel 0.333")]
+        ("column x", "1 float, max rel 0, max abs 0"),
+        ("column y", "1 float, max rel 0.333, max abs 1")]
     assert tool.differences("stdout", b"certify: pass (r.json)\n",
                             b"certify: fail (r.json)\n") == [
         ("line 1", '"certify: pass (r.json)" -> "certify: fail (r.json)"')]

@@ -287,10 +287,23 @@ def test_pairwise_source_sums_like_numpy(n):
         assert total(v.tolist()) == float(v.sum())
 
 
+def _in_order_product(J, M, d):
+    """J @ M for d x d matrices given row by row, as flat lists: each
+    entry J_i0 M_0j + J_i1 M_1j + ... summed in that order."""
+    out = []
+    for i in range(0, d * d, d):
+        for j in range(d):
+            acc = J[i] * M[j]
+            for k in range(1, d):
+                acc = acc + J[i + k] * M[k * d + j]
+            out.append(acc)
+    return out
+
+
 @pytest.mark.parametrize("sense", [1, -1])
 def test_flow_right_hand_sides_equal_the_entry_points(sense, monkeypatch):
     # the rhs that integrate and integrate_variational hand to the loop,
-    # against vector_floats and flow_floats (with numpy's J @ M)
+    # against vector_floats, and flow_floats followed by J @ M in order
     fld, _ = graph_setup()
     rhss = []
 
@@ -305,19 +318,42 @@ def test_flow_right_hand_sides_equal_the_entry_points(sense, monkeypatch):
     flow.integrate_variational(p, 0.5)
     vector, variational = rhss[0], rhss[-1]
     rng = np.random.default_rng(3)
+    eps = np.finfo(float).eps
     for _ in range(5):
         q = fld.surface.project(p + rng.uniform(-0.3, 0.3, 3))
         X = list(fld.vector_floats(q.tolist()))
         out = fld.flow_floats(q.tolist())
         M = rng.normal(size=(3, 3))
-        JM = np.array(out[3:-1]).reshape(3, 3) @ M
-        want = [*out[:3], *JM.ravel().tolist(), out[-1]]
+        JM = _in_order_product(out[3:-1], M.ravel().tolist(), 3)
+        want = [*out[:3], *JM, out[-1]]
         got_X = vector(q.tolist())
         got = variational([*q.tolist(), *M.ravel().tolist(), 0.0])
         if sense < 0:
             X, want = [-c for c in X], [-c for c in want]
         assert np.array(got_X).tobytes() == np.array(X).tobytes()
-        assert np.array(got).tobytes() == np.array(want).tobytes()
+        # the same floats; a zero's sign may differ where the kernel
+        # folded a structural zero of J
+        assert list(got) == want
+        # and numpy's product to within its rounding bound
+        J = np.array(out[3:-1]).reshape(3, 3)
+        bound = 4 * eps * (np.abs(J) @ np.abs(M))
+        assert np.all(np.abs(sense * np.array(got[3:-1]).reshape(3, 3)
+                             - J @ M) <= bound)
+
+
+def test_variational_run_backward_undoes_the_forward_run():
+    # sense -1 integrates the variational system of -X: from the forward
+    # run's end it comes back to the start, with the inverse monodromy
+    # and the opposite divergence integral
+    fld, _ = graph_setup()
+    p = fld.surface.project([0.1, 0.3, 0.2])
+    T = 2.0
+    y, M, w = Flow(fld).integrate_variational(p, T)
+    y_back, M_back, w_back = Flow(fld, sense=-1).integrate_variational(y, T)
+    assert np.max(np.abs(y_back - p)) < 1e-8
+    assert np.max(np.abs(M_back @ M - np.eye(3))) < 1e-7
+    assert abs(w_back + w) < 1e-8
+    assert abs(w) > 1e-3        # the divergence integral is not 0 here
 
 
 @pytest.mark.parametrize("sense", [1, -1])

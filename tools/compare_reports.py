@@ -16,9 +16,11 @@ Each output that differs gets rows in a Markdown table (`differences`):
 a semantic difference (a key, string, bool, int, list length, exit code
 or line of text that changes) with its first instance, and a numeric
 one per JSON path (list indices collapsed, `orbits[*].multipliers[*]`)
-or CSV column, with the number of floats that changed and the largest
-|a - b| / max(|a|, |b|). NaN against NaN is equal; -0.0 against 0.0 is
-a change of relative size 0.
+or CSV column, with the number of floats that changed, the largest
+|a - b| / max(|a|, |b|) and the largest |a - b|, so that a large
+relative change of an entry near 0 shows its absolute size. NaN against
+NaN is equal; -0.0 against 0.0 is a change of size 0, and a NaN or an
+infinity against another value one of infinite size.
 """
 
 from __future__ import annotations
@@ -77,17 +79,17 @@ def _show(x) -> str:
 
 def _leaf(found: dict, where: str, a, b) -> None:
     """Note two leaves at `where` that may differ: two floats in the
-    numeric entry (count, largest relative change), anything else in the
-    semantic one (count, first instance)."""
+    numeric entry (count, largest relative and absolute changes),
+    anything else in the semantic one (count, first instance)."""
     if type(a) is float and type(b) is float:
         if (a != a and b != b) or (a == b and math.copysign(1.0, a)
                                    == math.copysign(1.0, b)):
             return
         finite = math.isfinite(a) and math.isfinite(b)
-        rel = (abs(a - b) / max(abs(a), abs(b)) if finite and a != b
-               else 0.0 if finite else math.inf)
-        n, top = found.get((where, float), (0, 0.0))
-        found[where, float] = (n + 1, max(top, rel))
+        gap = abs(a - b) if finite else math.inf
+        rel = gap / max(abs(a), abs(b)) if finite and gap else gap
+        n, top, top_gap = found.get((where, float), (0, 0.0, 0.0))
+        found[where, float] = (n + 1, max(top, rel), max(top_gap, gap))
     elif type(a) is not type(b) or a != b:
         _semantic(found, where, f"{_show(a)} -> {_show(b)}")
 
@@ -168,9 +170,10 @@ def differences(name: str, a: bytes, b: bytes) -> list:
     else:
         _lines(found, ta, tb)
     rows = []
-    for (where, kind), (n, what) in found.items():
+    for (where, kind), (n, what, *gap) in found.items():
         if kind is float:
-            what = f"{n} float{'s' * (n > 1)}, max rel {what:.3g}"
+            what = (f"{n} float{'s' * (n > 1)}, max rel {what:.3g}, "
+                    f"max abs {gap[0]:.3g}")
         elif n > 1:
             what += f" (and {n - 1} more)"
         rows.append((where, what))
