@@ -99,28 +99,33 @@ def _capture_sets(chart, zeros, orbits, sense, dim_surface):
     return fw, bw
 
 
+def _chunk(tols) -> float:
+    """Flow time of one leg of a chase, and of the settle after a capture."""
+    return max(4.0 * tols.ode_max_step, tols.flow_budget / 24.0)
+
+
 def _chase(field, q, sets, sense, tols):
     """Chunked integration until a capture set is reached or the budget dies.
 
-    Returns (label or None, endpoint, note or None).
+    Returns (reached, endpoint, note or None): whether a capture set was
+    reached, where the chase stopped, and why it gave up early.
     """
     flow = Flow(field, tols, sense=sense)
     radius = policy.CAPTURE_RADIUS
-    chunk = max(4.0 * tols.ode_max_step, tols.flow_budget / 24.0)
+    chunk = _chunk(tols)
     spent, p = 0.0, np.asarray(q, dtype=float)
     while spent < tols.flow_budget:
         step = min(chunk, tols.flow_budget - spent)
         try:
             res = flow.integrate(p, step)
         except EscapeError:
-            return None, p, "trajectory left the declared domain"
+            return False, p, "trajectory left the declared domain"
         except IntegrationError as e:
-            return None, p, f"integration gave up: {e}"
+            return False, p, f"integration gave up: {e}"
         p, spent = res.y, spent + res.t
-        for kind, el, dist in sets:
-            if dist(p) < radius:
-                return f"{kind} at {np.round(el.point if kind == 'zero' else el.info.point, 6)}", p, None
-    return None, p, None
+        if any(dist(p) < radius for _, _, dist in sets):
+            return True, p, None
+    return False, p, None
 
 
 def _angular_recurrence(field, q, sense, tols):
@@ -279,11 +284,11 @@ def check_morse_smale(field, zeros=(), orbits=(),
             continue
         for v in _unstable_directions(field, z.point, sense):
             start = field.surface.project(z.point + 1e-4 * v)
-            label, endpoint, note = _chase(field, start, positive, sense,
-                                           tols)
+            reached, endpoint, note = _chase(field, start, positive, sense,
+                                             tols)
             if note:
                 notes.append(f"separatrix launch: {note}")
-            if label is None:
+            if not reached:
                 continue
             # capture fires at chunk boundaries and can sit anywhere
             # inside the capture radius; settle one more chunk so a
@@ -291,8 +296,7 @@ def check_morse_smale(field, zeros=(), orbits=(),
             # while a transit leaves again.
             try:
                 settle = Flow(field, tols, sense=sense).integrate(
-                    endpoint,
-                    max(4.0 * tols.ode_max_step, tols.flow_budget / 24.0))
+                    endpoint, _chunk(tols))
                 endpoint = settle.y
             except (EscapeError, IntegrationError):
                 pass
@@ -319,8 +323,8 @@ def check_morse_smale(field, zeros=(), orbits=(),
     for q in seeds:
         ok = True
         for s, sets in ((sense, fw), (-sense, bw)):
-            label, endpoint, note = _chase(field, q, sets, s, tols)
-            if label is not None:
+            reached, endpoint, note = _chase(field, q, sets, s, tols)
+            if reached:
                 continue
             ok = False
             if note:
@@ -424,9 +428,7 @@ def profile_arrays(u: ScalarField, h1: ScalarField, n: int, ss):
     return uv, up, hv, hp, uv ** n * hp - up * hv ** n
 
 
-def build_profile(h_minus, h_plus, n: int, *,
-                  rho_range=(0.05, 12.0), rho_count: int = 18,
-                  stiffness=(4.0e4, 1.2e5, 3.6e5)) -> ConvexityProfile:
+def build_profile(h_minus, h_plus, n: int) -> ConvexityProfile:
     """Construct (u, h1) matching the boundary germs for this n.
 
     Germs are (value, slope) pairs of h at s = -1 and s = +1. The h1
@@ -465,14 +467,13 @@ def build_profile(h_minus, h_plus, n: int, *,
     s_ = Chart(("s",)).var("s")
     u_f = _u_expr(s_)
 
-    lo, hi = float(rho_range[0]), float(rho_range[1])
-    if not 0.0 < lo < hi:
-        raise ValueError("rho_range must be increasing and positive")
+    # the lattice: 18 geometric steps of rho in [lo, hi] at each K
+    lo, hi = 0.05, 12.0
     tried, deepest = 0, (-1, "no candidate was evaluated")
-    for K in (float(k) for k in stiffness):
+    for K in (4.0e4, 1.2e5, 3.6e5):
         iep = (1.0 / K - 1.0 / K ** 2) + math.exp(-K) / K ** 2
         nu = (G + qm * (4.0 / 15.0) - qp * iep) * (105.0 / 16.0)
-        ladder = list(np.geomspace(lo, hi, int(rho_count)))
+        ladder = list(np.geomspace(lo, hi, 18))
         ladder += [a * abs(nu) for a in (1.05, 1.3, 2.0)
                    if lo <= a * abs(nu) <= hi]
         for rho in sorted(set(ladder)):

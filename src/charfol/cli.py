@@ -197,16 +197,10 @@ def cmd_convexify(args) -> int:
     doc, rep, _, rng = _open(args, "convexify")
     if doc.convexity is None:
         raise SceneParseError(f"scene {doc.name!r} has no convexity block")
-    conv = dict(doc.convexity)
-    n = conv.pop("n")
-    gamma_name = conv.pop("gamma", None)
-    profile = certify_mod.build_profile(conv.pop("h_minus"),
-                                        conv.pop("h_plus"), n, **conv)
+    conv = doc.convexity
+    n = conv["n"]
+    profile = certify_mod.build_profile(conv["h_minus"], conv["h_plus"], n)
     gamma = certify_mod.standard_gamma(n)
-    if gamma_name is not None and gamma_name != gamma.name:
-        raise SceneParseError(
-            f"unknown gamma model {gamma_name!r}; the standard model for "
-            f"n = {n} is {gamma.name!r}")
     check = certify_mod.verify_convex_form(profile, gamma, n,
                                            samples=500, rng=rng)
     rows = report.profile_rows(profile, certify_mod.verification_grid())

@@ -8,11 +8,11 @@ Variational runs carry the ambient monodromy matrix and the divergence
 integral alongside the state, all sourced from one jet pass per stage.
 The loop runs on lists of Python floats. Each attempted step is one
 function generated per state length (`_step`): the stage sums are
-locals, each stage input goes to the right-hand side as a list, and the
-scaled error norm is summed in numpy's order, so every step has the
-bits of the numpy sums it replaces. `Flow` feeds the loop straight from
+locals, summed in index order, and each stage input goes to the
+right-hand side as a list. `Flow` feeds the loop straight from
 the field's float lists (`FoliationField.vector_floats`,
-`variational_floats`, `Hypersurface.project_floats`): a variational
+`variational_floats`, `Hypersurface.project_floats`, the one
+projection of every projected flow): a variational
 run's right-hand side, J·M included, is one kernel call. Shooting for
 closed orbits scores its line-search trials with variational runs too,
 so an accepted trial is already the next Newton shot.
@@ -52,31 +52,10 @@ _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920,
 
 
 def _weighted(coeffs, j: int) -> str:
-    """Source of sum(c * k[j] for c, k in zip(coeffs, ks)), on the slope
-    locals k{i}_{j}, term by term in the same order and from the same
-    start 0, so the float result has the bits of that sum; 0.0 weights
-    stay (they carry NaN and inf)."""
-    terms = "".join(f" + {c!r} * k{i}_{j}" for i, c in enumerate(coeffs))
-    return f"(0.0{terms})"
-
-
-def _pairwise(terms: list) -> str:
-    """Source of the sum of `terms` in the order of numpy's pairwise sum
-    of a float array: one by one from 0.0 below 8 terms; up to 128, eight
-    accumulators over every eighth term, added in pairs, then the terms
-    past the last multiple of 8 one by one; above 128, the sums of two
-    halves, the first a multiple of 8 long."""
-    n = len(terms)
-    if n < 8:
-        return f"({' + '.join(['0.0', *terms])})"
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return f"({_pairwise(terms[:half])} + {_pairwise(terms[half:])})"
-    m = n - n % 8
-    r = [f"({' + '.join(terms[j:m:8])})" for j in range(8)]
-    head = (f"((({r[0]} + {r[1]}) + ({r[2]} + {r[3]}))"
-            f" + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]})))")
-    return f"({' + '.join([head, *terms[m:]])})"
+    """Source of the sum of c * k{i}_{j} over the nonzero weights c of
+    `coeffs`, in index order."""
+    return "(" + " + ".join(f"{c!r} * k{i}_{j}"
+                            for i, c in enumerate(coeffs) if c) + ")"
 
 
 @functools.cache
@@ -90,9 +69,8 @@ def _step(n: int):
     5th-order solution) and k6 its slope. enorm is the RMS of the scaled
     error (h * sum(_E[j] * k_j)) / (atol + rtol * max(|z|, |z5|)),
     where max is numpy's: a NaN on either side gives NaN, and a NaN in
-    z makes z5's entry NaN too. Its squares are summed as numpy sums
-    them (`_pairwise`), so enorm has the bits of `_rms` of the error
-    array.
+    z makes z5's entry NaN too. Every sum runs in index order, over the
+    nonzero weights.
     """
     ks = [[f"k{i}_{j}" for j in range(n)] for i in range(7)]
     src = ["def step(rhs, z, f, h, atol, rtol):",
@@ -113,8 +91,8 @@ def _step(n: int):
                 f"    e = h * {_weighted(_E, j)} / "
                 f"(atol + rtol * (a if a >= b else b))",
                 f"    q{j} = e * e"]
-    sq = _pairwise([f"q{j}" for j in range(n)])
-    src.append(f"    return z5, k6, _sqrt({sq} / {n})")
+    sq = " + ".join(f"q{j}" for j in range(n))
+    src.append(f"    return z5, k6, _sqrt(({sq}) / {n})")
     ns = {"_sqrt": math.sqrt}
     exec(compile("\n".join(src) + "\n", "<charfol dopri5>", "exec"), ns)
     return ns["step"]
@@ -145,10 +123,6 @@ def sign_of(x: float, neutral: float = 0.0) -> int:
     return int(x > neutral) - int(x < neutral)
 
 
-def _rms(v):
-    return math.sqrt(float(np.square(v).sum()) / len(v))
-
-
 def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
                     event: EventSpec | None = None, domain_ok=None,
                     record=False):
@@ -156,11 +130,13 @@ def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
     domain_ok() raising or returning False stops with an escape.
 
     tmax is taken as a Python float, so the stage inputs built from it
-    are Python floats too. Inside the loop, states and slopes are
-    sequences of floats read entry by entry: post gets lists, rhs and domain_ok get lists or what
-    post returned, and rhs and post may return any sequence of the
-    state's length (`Flow`'s return lists and tuples). Each attempted
-    step is one call of the generated `_step`. Event functions get
+    are Python floats too. The first step size comes from in-order sums
+    over the state's floats and its slope. Inside the loop, states and
+    slopes are sequences of floats read entry by entry: post gets lists,
+    rhs and domain_ok get lists or what post returned, and rhs and post
+    may return any sequence of the state's length (`Flow`'s return lists
+    and tuples). Each attempted step is one call of the generated
+    `_step`. Event functions get
     ndarrays here; the returned state, the recorded path and the states
     in errors are ndarrays. A crossing of the event stops the run with
     status "event".
@@ -177,13 +153,17 @@ def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
     atol, rtol = tols.ode_atol, tols.ode_rtol
     t = 0.0
     f = rhs(z)
-    za = np.array(z)
-    sc = atol + rtol * np.abs(za)
-    d0, d1 = _rms(za / sc), _rms(np.asarray(f, dtype=float) / sc)
+    # RMS of z and f scaled by the tolerances, summed in order
+    d0 = d1 = 0.0
+    for v, fv in zip(z, f):
+        s = atol + rtol * abs(v)
+        a, b = v / s, fv / s
+        d0, d1 = d0 + a * a, d1 + b * b
+    d0, d1 = math.sqrt(d0 / len(z)), math.sqrt(d1 / len(z))
     h = min(tols.ode_max_step, 0.01 * d0 / d1 if d1 > 1e-12 else tols.ode_max_step)
     h = max(h, 1e-10)
-    g0 = None if event is None else event.fn(za)
-    path = [(0.0, za)] if record else None
+    g0 = None if event is None else event.fn(np.array(z))
+    path = [(0.0, np.array(z))] if record else None
     steps = 0
     while t < tmax * (1.0 - 1e-15) :
         steps += 1

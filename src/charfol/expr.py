@@ -15,6 +15,7 @@ derivative off the result, which keeps nesting levels from mixing.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Mapping, Sequence
 
@@ -135,7 +136,8 @@ def _partial_evaluator(fn, j):
 def compile_node(node, dim: int):
     """Compile a tree to a function of dim positional scalars."""
     ns = {"_" + k: v for k, v in FUNCTIONS.items()}
-    ns["_pow"] = power
+    # repr() of a non-finite Const is the name inf or nan
+    ns.update(_pow=power, inf=math.inf, nan=math.nan)
     argstr = ", ".join(f"x{i}" for i in range(dim))
     counter = [0]
 
@@ -262,7 +264,11 @@ class _Parser:
     def atom(self):
         t = self.next()
         if t.kind == "num":
-            return Const(float(t.text))
+            value = float(t.text)
+            if not math.isfinite(value):
+                raise SceneParseError(f"number {t.text!r} overflows",
+                                      t.line, t.col)
+            return Const(value)
         if t.kind == "name":
             nxt = self.peek()
             if nxt.kind == "op" and nxt.text == "(":

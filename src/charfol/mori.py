@@ -550,26 +550,14 @@ def phase_portrait_data(scene: MoriScene,
                         tols: policy.Tolerances = policy.DEFAULT) -> list:
     """Reduced (z, r, rho) trajectories for plotting, as a list of rows:
     six starts across the axis band, each followed for 2.5 time units
-    both ways."""
+    both ways. The reduced constraint is a `Hypersurface` over the chart
+    (z, r, rho), whose `project_floats` projects the starts and every
+    accepted step, and raises `ProjectionError` where one does not
+    converge, as in every other flow."""
     eps = scene.eps
     az, rr0 = scene.constants.axis_z, scene.constants.ring_rho
-    kernels = []        # the traced kernel of `constraint`
-
-    def constraint(y):
-        c = reduced_constraint(scene, seed(y))
-        return (c.f, *c.g)
-
-    def proj(y):
-        out = y.copy()
-        for _ in range(10):
-            c, *g = kernel.run(kernels, constraint,
-                               np.asarray(out, dtype=float).tolist())
-            if abs(c) < 1e-13:
-                return out
-            g = np.array(g)
-            out = out - (c / float(g @ g)) * g
-        return out
-
+    shell = Hypersurface(
+        reduced_constraint(scene, Chart(("z", "r", "rho")).vars()))
     ptols = policy.replace(tols, ode_max_step=0.05)
     rows = []
     for k in range(6):
@@ -579,11 +567,11 @@ def phase_portrait_data(scene: MoriScene,
         rr = 1.0 + eps - (z0 * z0 + rho0 * rho0) / eps ** 2
         if rr <= 0.04:
             continue
-        y0 = proj(np.array([z0, math.sqrt(rr), rho0]))
+        y0 = shell.project_floats([z0, math.sqrt(rr), rho0])
         for sgn in (+1.0, -1.0):
             res = _integrate_core(
                 lambda y: [sgn * v for v in pushforward_field(scene, y)],
-                y0, 2.5, ptols, post=proj, record=True)
+                y0, 2.5, ptols, post=shell.project_floats, record=True)
             for t, y in res.path:
                 rows.append({"id": f"{k}{'+' if sgn > 0 else '-'}",
                              "t": sgn * t, "z": float(y[0]),

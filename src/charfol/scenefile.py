@@ -132,13 +132,21 @@ def _reader(convert, noun: str, ok=None, error: str = ""):
     return read
 
 
+def _finite(text: str) -> float:
+    """float(text), with a ValueError for NaN and the infinities too."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def _numbers(text: str) -> tuple:
-    return tuple(float(tok) for tok in text.split())
+    return tuple(_finite(tok) for tok in text.split())
 
 
-_float = _reader(float, "a number")
+_float = _reader(_finite, "a finite number")
 _int = _reader(int, "an integer")
-_germ = _reader(_numbers, "numbers", lambda v: len(v) == 2,
+_germ = _reader(_numbers, "finite numbers", lambda v: len(v) == 2,
                 "{what} must be 'value slope'")
 
 
@@ -151,7 +159,7 @@ def _points(e: _Entry, what: str, chart) -> list:
                 f"each seed must be a parenthesized tuple, got {chunk!r}",
                 e.line, e.vcol)
         try:
-            vals = [float(t) for t in chunk[1:-1].split(",")]
+            vals = [_finite(t) for t in chunk[1:-1].split(",")]
         except ValueError:
             raise SceneParseError(f"bad seed tuple {chunk!r}",
                                   e.line, e.vcol) from None
@@ -190,12 +198,7 @@ _SCHEMA = {
     "convexity": _Block({
         "n": _int,
         "h_minus": _germ,
-        "h_plus": _germ,
-        "rho_range": _reader(_numbers, "numbers", lambda v: len(v) == 2,
-                             "{what} must be 'lo hi'"),
-        "rho_count": _int,
-        "stiffness": _reader(_numbers, "numbers"),
-        "gamma": _reader(str, "text")}, required=("n", "h_minus", "h_plus")),
+        "h_plus": _germ}, required=("n", "h_minus", "h_plus")),
     "family": _Block({
         "kind": _reader(str, "text", lambda v: v == "mori",
                         "unknown family {text!r}"),

@@ -125,20 +125,33 @@ def test_alpha_requires_hypersurface():
         parse_scene("scene t\nchart\n  names = x y\nalpha\n  dx = 1\n")
 
 
-def test_convexity_block_roundtrip():
-    doc = parse_scene("""\
+def _rejected_at(text):
+    with pytest.raises(SceneParseError) as err:
+        parse_scene(text)
+    return str(err.value), err.value.line, err.value.col
+
+
+CONVEXITY_SCENE = """\
 scene prof
 convexity
   n = 2
   h_minus = 1.0 0.6
   h_plus = 1.0 -0.6
-  rho_range = 0.1 8.0
-  rho_count = 9
-""")
+"""
+
+
+def test_convexity_block_roundtrip():
+    doc = parse_scene(CONVEXITY_SCENE)
     assert doc.kind == "convexity"
-    assert doc.convexity["h_plus"] == (1.0, -0.6)
-    assert doc.convexity["rho_range"] == (0.1, 8.0)
-    assert doc.convexity["rho_count"] == 9
+    assert doc.convexity == {"n": 2, "h_minus": (1.0, 0.6),
+                             "h_plus": (1.0, -0.6)}
+    # the sweep of build_profile is fixed: its knobs are unknown keys
+    for key, value in [("rho_range", "0.1 8.0"), ("rho_count", "9"),
+                       ("stiffness", "-5"), ("gamma", "gamma-torus")]:
+        msg, line, col = _rejected_at(CONVEXITY_SCENE
+                                      + f"  {key} = {value}\n")
+        assert (line, col) == (6, 3)
+        assert f"unknown key {key!r} in block 'convexity'" in msg
 
 
 @pytest.mark.parametrize("other", [
@@ -150,12 +163,6 @@ def test_perturbation_takes_no_other_kind(other):
     text = f"scene mixed\nperturbation\n  delta = 0.05\n{other}"
     with pytest.raises(SceneParseError, match="perturbation scene"):
         parse_scene(text)
-
-
-def _rejected_at(text):
-    with pytest.raises(SceneParseError) as err:
-        parse_scene(text)
-    return str(err.value), err.value.line, err.value.col
 
 
 def test_reversed_domain_rejected_with_position():
@@ -178,6 +185,108 @@ def test_non_finite_domain_bound_rejected_with_position(bound):
         "x = -1.3 .. 1.3", f"x = {bound} .. 1.3"))
     assert (line, col) == (15, 7)
     assert msg.endswith(f"bad domain bound {bound!r}")
+
+
+def _field(old, new):
+    return FIELD_SCENE.replace(old, new)
+
+
+CHART_ONLY = "scene t\nchart\n  names = x y\n"
+FIELD_BLOCKS = FIELD_SCENE.replace("scene demo\n", "")
+
+
+# (scene text, message fragment, line, column): each row reaches its own
+# raise site of the reader; a text of None names a file that is missing
+SCENE_ERRORS = [
+    ("scene a\nscene b\n", "duplicate scene header", 2, 1),
+    ("scene a b\n", "exactly one name", 1, 1),
+    ("scene t\nchart x\n", "takes no arguments", 2, 1),
+    (CHART_ONLY + "chart\n", "duplicate block 'chart'", 4, 1),
+    ("scene t\n  k = 1\n", "key outside any block", 2, 3),
+    ("scene t\nparams\n  1a = 2\n", "bad key '1a'", 3, 3),
+    (_field("samples = 4", "samples = many"),
+     "samples must be an integer, got 'many'", 21, 13),
+    (_field("(0.05, -0.03, 0.99); ", "0.05 -0.03 0.99; "),
+     "parenthesized tuple", 20, 16),
+    (_field("(0.05, -0.03, 0.99)", "(a, b, c)"), "bad seed tuple", 20, 16),
+    (_field("(0.05, -0.03, 0.99)", "(0.05, 0.99)"),
+     "has 2 coordinates, chart has 3", 20, 16),
+    (_field("(0.05, -0.03, 0.99); (-0.04, 0.02, -0.99)", ";"),
+     "zero_seeds is empty", 20, 16),
+    ("scene p\nconvexity\n  n = 2\n  h_minus = 1 0.6\n",
+     "convexity block needs key 'h_plus'", 3, None),
+    ("scene t\nchart\n  angular = x\n", "needs a 'names' key", None, None),
+    (_field("names = x y z", "names = x 1y z"),
+     "bad coordinate name '1y'", 4, 11),
+    (_field("names = x y z", "names = x y z\n  angular = w"),
+     "angular coordinate 'w' is not in the chart", 5, 13),
+    (_field("names = x y z", "names = x y z\n  angular = x:abc"),
+     "bad period in 'x:abc'", 5, 13),
+    (_field("dz = 1", "dw = 1"), "alpha keys must be d<coordinate>", 9, 3),
+    (CHART_ONLY + "alpha\nhypersurface\n  level = x\n",
+     "alpha block has no components", None, None),
+    (_field("level = x^2", "graph = z\n  level = x^2"),
+     "either level or graph+height", 13, 3),
+    (_field("level = x^2 + y^2 + z^2 - 1", "graph = w\n  height = x"),
+     "graph coordinate 'w' is not in the chart", 12, 11),
+    (_field("level = x^2 + y^2 + z^2 - 1", "height = x"),
+     "needs 'level' or 'graph' plus 'height'", 12, 3),
+    (_field("z = -1.3 .. 1.3", "w = -1.3 .. 1.3"),
+     "domain key 'w' is not a chart coordinate", 17, 3),
+    (_field("z = -1.3 .. 1.3", "z = -1.3 1.3"),
+     "domain value must be 'lo .. hi'", 17, 7),
+    ("scene t\nanalysis\n  samples = 1\n",
+     "block 'analysis' needs a chart block", None, None),
+    (CHART_ONLY + "analysis\n  samples = 1\n",
+     "analysis block needs a field scene", 5, None),
+    (FIELD_SCENE + "family\n  kind = mori\n",
+     "either a field scene or a family instance", None, None),
+    (CHART_ONLY, "defines no runnable content", None, None),
+    (None, "cannot read scene file", None, None),
+]
+
+
+@pytest.mark.parametrize("text, fragment, line, col", SCENE_ERRORS,
+                         ids=[row[1] for row in SCENE_ERRORS])
+def test_scene_errors_carry_their_position(tmp_path, text, fragment, line,
+                                           col):
+    path = tmp_path / "bad.scene"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SceneParseError) as err:
+        load_scene(str(path))
+    assert fragment in str(err.value)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+# a number that is not finite stops at its position, exit 2, before any
+# numerics; `command` is the command that runs the scene
+@pytest.mark.parametrize("text, command, fragment, where", [
+    (FIELD_SCENE.replace("level = x^2 + y^2 + z^2 - 1",
+                         "level = x^2 + y^2 + z^2 - 1 + 0 * c")
+     + "params\n  c = nan\n", "classify",
+     "param 'c' must be a finite number, got 'nan'", (23, 7)),
+    (FIELD_SCENE.replace("level = x^2 + y^2 + z^2 - 1",
+                         "level = x^2 + y^2 + z^2 - 1 + 0 * c")
+     + "params\n  c = inf\n", "classify",
+     "param 'c' must be a finite number, got 'inf'", (23, 7)),
+    (FIELD_SCENE.replace("level = x^2 + y^2 + z^2 - 1",
+                         "level = x^2 + y^2 + z^2 - 1 + 0 * 1e999"),
+     "classify", "number '1e999' overflows", (12, 37)),
+    (FIELD_SCENE.replace("(0.05, -0.03, 0.99)", "(nan, 0, 1)"), "classify",
+     "bad seed tuple '(nan, 0, 1)'", (20, 16)),
+    ("scene p\nconvexity\n  n = 2\n  h_minus = inf 0.6\n"
+     "  h_plus = 1.0 -0.6\n", "convexify",
+     "h_minus must be finite numbers, got 'inf 0.6'", (4, 13)),
+], ids=["param-nan", "param-inf", "literal-1e999", "seed-nan", "germ-inf"])
+def test_non_finite_number_rejected_with_position(tmp_path, capsys, text,
+                                                  command, fragment, where):
+    msg, line, col = _rejected_at(text)
+    assert fragment in msg and (line, col) == where
+    scene = tmp_path / "bad.scene"
+    scene.write_text(text)
+    assert main([command, str(scene)]) == 2
+    assert f"line {where[0]}, col {where[1]}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["classify", "foliation"])
@@ -500,6 +609,15 @@ def test_classify_graph_model(tmp_path):
     el = rep["elements"][0]
     assert max(abs(v) for v in el["location"]) < 1e-8
     assert el["hyperbolic"] is True
+
+
+def test_report_without_json_goes_to_stdout(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["classify", "s2-height", "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["classify", "s2-height"]) == 0
+    printed = capsys.readouterr().out
+    assert printed == out.read_text()
 
 
 def test_foliation_writes_grid_csv(tmp_path):

@@ -54,6 +54,15 @@ def test_compiled_functions_accept_jets():
     assert math.isclose(out.g[1], 1.3 ** 2 * math.cos(0.7) - 1.3 / 0.7 ** 2, rel_tol=1e-13)
 
 
+def test_non_finite_constants_compile():
+    # repr() of a non-finite Const is the name inf or nan in the source
+    ch = Chart(("x",))
+    f = ch.constant(math.inf) + ch.var("x")
+    assert f([1.0]) == math.inf
+    assert math.isnan((ch.constant(math.nan) * ch.var("x"))([2.0]))
+    assert compile_node(ch.constant(-math.inf).node, 1)(0.0) == -math.inf
+
+
 def test_deriv_nodes():
     node = parse_expression("d(x^2 * y, x)", ("x", "y"))
     f = compile_node(node, 2)

@@ -13,11 +13,10 @@ import pytest
 from scipy.integrate import quad
 
 from charfol import mori, policy
-from charfol.contact import FoliationField, graph_foliation_check, hamiltonian_residuals
+from charfol.contact import (FoliationField, Hypersurface,
+                             graph_foliation_check, hamiltonian_residuals)
 from charfol.dynamics import Flow, NoOrbitError, find_orbit
 from charfol.errors import PolarDomainError
-from charfol.jets import Jet
-from charfol.kernel import Rec
 
 EPS = 0.1
 
@@ -322,19 +321,27 @@ def test_phase_portrait(scene):
 
 
 def test_phase_portrait_projects_through_a_kernel(scene, monkeypatch):
-    # the constraint runs on jets only while its kernel is recorded,
-    # never on jets of plain floats
-    calls = []
-    constraint = mori.reduced_constraint
+    # the starts and every accepted step go through the project_floats
+    # of one surface, the reduced constraint over the chart (z, r, rho),
+    # whose traced kernel gives the constraint's own floats
+    seen = []
+    project = Hypersurface.project_floats
 
-    def spy(scene, zrr):
-        calls.append(all(isinstance(c, Jet) and isinstance(c.f, Rec)
-                         for c in zrr))
-        return constraint(scene, zrr)
+    def spy(self, x):
+        seen.append(self)
+        return project(self, x)
 
-    monkeypatch.setattr(mori, "reduced_constraint", spy)
-    assert mori.phase_portrait_data(scene)
-    assert calls and all(calls)
+    monkeypatch.setattr(Hypersurface, "project_floats", spy)
+    rows = mori.phase_portrait_data(scene)
+    assert rows and len(seen) >= len(rows)
+    shell = seen[0]
+    assert all(s is shell for s in seen)
+    assert shell.chart.names == ("z", "r", "rho")
+    for row in rows[::25]:
+        p = [row["z"], row["r"], row["rho"]]
+        value = shell.F.traced_value_and_grad(p)[0]
+        assert value == mori.reduced_constraint(scene, p)
+        assert abs(value) < policy.PROJECT_TOL
 
 
 class BuggyBatch:
