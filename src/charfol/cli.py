@@ -111,19 +111,6 @@ def _field_census(doc: SceneDocument, tols, rng):
                    for p in find_zeros(field, seeds, tols)]
 
 
-def _column(spec, tols, rng):
-    """The column dossier of `spec` and its report fields, in order."""
-    dossier = mori_mod.perturb_analysis(spec, tols, rng)
-    fields = {k: dossier[k] for k in (
-        "hamiltonian", "direction_check", "hamiltonian_residuals", "orbits",
-        "degenerate", "persistence", "certificate")}
-    fields["orbits"] = [{**report.orbit_row(o.info), "psi": o.psi,
-                         "transverse_shift": o.transverse_shift}
-                        for o in dossier["orbits"]]
-    fields["certificate"] = report.certificate_dict(dossier["certificate"])
-    return dossier, fields
-
-
 def cmd_foliation(args) -> int:
     doc, rep, _, rng = _open(args, "foliation")
     if doc.kind == "family":
@@ -172,9 +159,12 @@ def cmd_classify(args) -> int:
 def cmd_certify(args) -> int:
     doc, rep, tols, rng = _open(args, "certify")
     if doc.kind == "perturbation":
-        _, fields = _column(mori_mod.PerturbationSpec(**doc.perturbation),
-                            tols, rng)
-        rep.update((k, fields[k]) for k in ("certificate", "persistence"))
+        scene, surface, info = mori_mod.column_scene(
+            mori_mod.PerturbationSpec(**doc.perturbation))
+        col = mori_mod.column_certificate(FoliationField(scene, surface),
+                                          info, tols, rng)
+        rep["certificate"] = report.certificate_dict(col["certificate"])
+        rep["persistence"] = col["persistence"]
     elif doc.kind == "family":
         scene = _shell(doc)
         cert = _shell_certificate(scene, mori_mod.census(scene, tols, rng),
@@ -260,9 +250,16 @@ def cmd_mori_perturb(args) -> int:
     spec = mori_mod.PerturbationSpec(delta=args.delta)
     rep, tols, rng = _start(args, "mori perturb", report.scene_digest(
         f"mori perturb delta={args.delta!r}"))
-    dossier, fields = _column(spec, tols, rng)
+    dossier = mori_mod.perturb_analysis(spec, tols, rng)
     rep["delta"] = args.delta
-    rep.update(fields)
+    rep.update((k, dossier[k]) for k in (
+        "hamiltonian", "direction_check", "hamiltonian_residuals"))
+    rep["orbits"] = [{**report.orbit_row(o.info), "psi": o.psi,
+                      "transverse_shift": o.transverse_shift}
+                     for o in dossier["orbits"]]
+    rep["degenerate"] = dossier["degenerate"]
+    rep["persistence"] = dossier["persistence"]
+    rep["certificate"] = report.certificate_dict(dossier["certificate"])
     rep["gates"] = gates = {
         "two_hyperbolic_orbits": len(dossier["orbits"]) == 2
         and all(o.info.hyperbolic for o in dossier["orbits"]),

@@ -607,6 +607,9 @@ class PerturbationSpec:
     def __post_init__(self):
         if not self.delta > 0.0:
             raise ValueError("delta must be positive")
+        if self.delta > 0.1:
+            raise ValueError(
+                "perturbation strengths above 0.1 are out of scope")
 
 
 def _column_bump_tree(spec: PerturbationSpec, s: ScalarField) -> ScalarField:
@@ -785,6 +788,54 @@ def _certificate_tols(tols: policy.Tolerances) -> policy.Tolerances:
                           ode_atol=1e-9 * (tols.ode_atol / d.ode_atol))
 
 
+def column_certificate(field: FoliationField, info: dict,
+                       tols: policy.Tolerances = policy.DEFAULT,
+                       rng=None) -> dict:
+    """The certificate of a built column and the persistence it rests on.
+
+    `field` and `info` come from `column_scene`. Locates the two
+    surviving orbits by shooting, chases 10 seeds drawn from `rng`
+    under `_certificate_tols`, and compares the orbits' multiplier
+    margin with the bump integral. For delta below the hyperbolic
+    resolution the orbit family is degenerate; the persistence block
+    then reports the collapse instead of inventing isolated orbits.
+    """
+    rng = np.random.default_rng(0) if rng is None else rng
+    spec, H, prof = info["spec"], info["H"], info["profile"]
+    ch = field.scene.chart
+    orbits = []
+    for psi0 in (0.0, math.pi):
+        try:
+            orbits.append(_column_orbit(field, H, psi0, spec, tols))
+        except NoOrbitError:
+            pass
+    degenerate = len(orbits) < 2 or any(not o.info.hyperbolic
+                                        for o in orbits)
+
+    seeds = []
+    for _ in range(10):
+        s = rng.uniform(0.0, spec.circumference)
+        ang = rng.uniform(0.0, 2.0 * math.pi)
+        rad = rng.uniform(0.1, 0.9)
+        seeds.append(_graph_point(ch, H, s, rad * math.cos(ang),
+                                  rad * math.sin(ang),
+                                  rng.uniform(0.0, 2.0 * math.pi)))
+    cert = certify.check_morse_smale(field, zeros=(), orbits=orbits,
+                                     tols=_certificate_tols(tols),
+                                     seed_points=seeds)
+
+    A, I = prof["amplitude"], prof["bump_integral"]
+    pers44 = {"holds": False, "max_shift": math.nan, "margin": 0.0,
+              "predicted_margin": 1.0 - math.exp(-0.5 * A * I)}
+    if not degenerate:
+        shift = max(o.transverse_shift for o in orbits)
+        gap = min(float(np.min(np.abs(np.abs(o.info.multipliers) - 1.0)))
+                  for o in orbits)
+        pers44.update(holds=bool(shift < 1e-8), max_shift=shift, margin=gap)
+    return {"orbits": orbits, "degenerate": degenerate,
+            "persistence": pers44, "certificate": cert}
+
+
 def perturb_analysis(spec: PerturbationSpec,
                      tols: policy.Tolerances = policy.DEFAULT,
                      rng=None) -> dict:
@@ -792,14 +843,10 @@ def perturb_analysis(spec: PerturbationSpec,
 
     Builds the column scene, checks the Hamiltonian size and support
     invariants, verifies the predicted direction and the defining
-    equations of the Hamiltonian field, locates the two surviving
-    orbits by shooting, compares their multipliers with the bump
-    integral, and runs the certificate. For delta below the hyperbolic
-    resolution the orbit family is degenerate; the dossier then reports
-    the collapse instead of inventing isolated orbits.
+    equations of the Hamiltonian field on points drawn from `rng`, and
+    then adds `column_certificate` of the same field, whose seeds are
+    the stream's next draws.
     """
-    if spec.delta > 0.1:
-        raise ValueError("perturbation strengths above 0.1 are out of scope")
     rng = np.random.default_rng(0) if rng is None else rng
     scene, surface, info = column_scene(spec)
     field = FoliationField(scene, surface)
@@ -833,42 +880,7 @@ def perturb_analysis(spec: PerturbationSpec,
                       rng.uniform(0.0, 2.0 * math.pi)]) for _ in range(100)]
     ham_res = hamiltonian_residuals(base, Hb, bpts)
 
-    orbits = []
-    failure = None
-    for psi0 in (0.0, math.pi):
-        try:
-            orbits.append(_column_orbit(field, H, psi0, spec, tols))
-        except NoOrbitError as e:
-            failure = e
-    degenerate = bool(failure) or any(not o.info.hyperbolic for o in orbits)
-
-    ctols = _certificate_tols(tols)
-    seeds = []
-    for _ in range(10):
-        s = rng.uniform(0.0, spec.circumference)
-        ang = rng.uniform(0.0, 2.0 * math.pi)
-        rad = rng.uniform(0.1, 0.9)
-        seeds.append(_graph_point(ch, H, s, rad * math.cos(ang),
-                                  rad * math.sin(ang),
-                                  rng.uniform(0.0, 2.0 * math.pi)))
-    cert = certify.check_morse_smale(field, zeros=(), orbits=orbits,
-                                     tols=ctols, seed_points=seeds)
-
-    A, I = prof["amplitude"], prof["bump_integral"]
-    if orbits and not degenerate:
-        margin = min(float(np.min(np.abs(np.abs(o.info.multipliers) - 1.0)))
-                     for o in orbits)
-        max_shift = max(o.transverse_shift for o in orbits)
-        pers44 = {"holds": bool(max_shift < 1e-8),
-                  "max_shift": max_shift,
-                  "margin": margin,
-                  "predicted_margin": 1.0 - math.exp(-0.5 * A * I)}
-    else:
-        pers44 = {"holds": False, "max_shift": math.nan, "margin": 0.0,
-                  "predicted_margin": 1.0 - math.exp(-0.5 * A * I)}
-
     return {"spec": spec, "scene": scene, "surface": surface, "field": field,
             "hamiltonian": ham, "direction_check": direction,
-            "hamiltonian_residuals": ham_res, "orbits": orbits,
-            "degenerate": degenerate, "persistence": pers44,
-            "certificate": cert}
+            "hamiltonian_residuals": ham_res,
+            **column_certificate(field, info, tols, rng)}

@@ -145,7 +145,6 @@ def _numbers(text: str) -> tuple:
 
 
 _float = _reader(_finite, "a finite number")
-_int = _reader(int, "an integer")
 _germ = _reader(_numbers, "finite numbers", lambda v: len(v) == 2,
                 "{what} must be 'value slope'")
 
@@ -196,7 +195,8 @@ _SCHEMA = {
         "sense": _reader(int, "an integer", lambda v: v in (-1, 1),
                          "{what} must be 1 or -1")}),
     "convexity": _Block({
-        "n": _int,
+        "n": _reader(int, "an integer", lambda v: v in (1, 2, 3),
+                     "{what} must be 1, 2 or 3, got {text!r}"),
         "h_minus": _germ,
         "h_plus": _germ}, required=("n", "h_minus", "h_plus")),
     "family": _Block({

@@ -259,6 +259,26 @@ def test_scene_errors_carry_their_position(tmp_path, text, fragment, line,
     assert (err.value.line, err.value.col) == (line, col)
 
 
+@pytest.mark.parametrize("value", ["4", "0"])
+def test_convexity_n_outside_1_to_3_exits_2_at_its_position(
+        tmp_path, capsys, monkeypatch, value):
+    # standard Gamma models exist for n = 1, 2, 3 only; the reader says
+    # so at the value, before build_profile's sweep runs
+    text = CONVEXITY_SCENE.replace("n = 2", f"n = {value}")
+    msg, line, col = _rejected_at(text)
+    assert msg.endswith(f"n must be 1, 2 or 3, got {value!r}")
+    assert (line, col) == (3, 7)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_profile ran")
+
+    monkeypatch.setattr(cli.certify_mod, "build_profile", refuse)
+    scene = tmp_path / "n.scene"
+    scene.write_text(text)
+    assert main(["convexify", str(scene)]) == 2
+    assert "line 3, col 7: n must be 1, 2 or 3" in capsys.readouterr().err
+
+
 # a number that is not finite stops at its position, exit 2, before any
 # numerics; `command` is the command that runs the scene
 @pytest.mark.parametrize("text, command, fragment, where", [
@@ -688,6 +708,14 @@ def test_bad_perturbation_delta_exits_2(tmp_path, capsys):
     assert main(["certify", str(scene)]) == 2
 
 
+def test_mori_perturb_delta_above_bound_exits_2(capsys):
+    # the bound the perturbation block's reader enforces, from
+    # PerturbationSpec itself
+    assert main(["mori", "perturb", "--delta", "0.2"]) == 2
+    assert ("error: perturbation strengths above 0.1 are out of scope"
+            in capsys.readouterr().err)
+
+
 def test_reports_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["convexify", "collar-profile", "--json", str(a),
@@ -705,18 +733,6 @@ def test_tolerance_profile_flag(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["numeric_policy"]["profile"] == "fast"
     assert rep["numeric_policy"]["flow_budget"] == pytest.approx(200.0)
-
-
-def test_thread_env_does_not_change_results(tmp_path, monkeypatch):
-    outs = []
-    for k in ("1", "3"):
-        monkeypatch.setenv("CHARFOL_THREADS", k)
-        d = tmp_path / f"t{k}"
-        assert main(["foliation", "graph-model", "--grid", "4",
-                     "--csv-dir", str(d),
-                     "--json", str(tmp_path / f"r{k}.json")]) == 0
-        outs.append((d / "foliation.csv").read_bytes())
-    assert outs[0] == outs[1]
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -1,23 +1,27 @@
 """Structural invariances of the solved foliation.
 
-Four families: conformal rescaling of the contact form, volume-form
+Five families: conformal rescaling of the contact form, volume-form
 rescaling of the defining identity, angular equivariance on the
-rotation-symmetric shell, and time reversal. Each is checked through
-the public classification surface, with exact transformation laws
-where they exist (a conformal factor g multiplies the direction by
-g^n; a volume factor h divides it by h).
+rotation-symmetric shell, time reversal, and the choice of pivot in the
+tangent frame. Each is checked through the public classification
+surface or `char_data`, with exact transformation laws where they exist
+(a conformal factor g multiplies the direction by g^n; a volume factor
+h divides it by h).
 """
 
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from charfol import mori, policy
+from charfol import contact, mori, policy
 from charfol.certify import check_morse_smale
 from charfol.contact import ContactScene, FoliationField, Hypersurface
 from charfol.dynamics import classify_zero, find_zeros
 from charfol.exterior import Chart, KForm
+from charfol.jets import fval
+from charfol.scenefile import load_scene
 
 
 class RescaledField:
@@ -175,6 +179,48 @@ def test_angular_shift_invariance_on_shell():
             Y = field.vector(q)
             worst = max(worst, float(np.max(np.abs(Y - X))) / scale)
     assert worst < 1e-9
+
+
+# pivot independence --------------------------------------------------------
+
+def _bundled_field(name):
+    doc = load_scene(str(resources.files("charfol") / "scenes"
+                         / f"{name}.scene"))
+    return FoliationField(doc.scene, doc.surface)
+
+
+PIVOT_FIELDS = {
+    "s2-height": lambda: _bundled_field("s2-height"),
+    "graph-model": lambda: _bundled_field("graph-model"),
+    "shell-n2-cartesian": lambda: mori.mori_scene(2, 0.1).field_cartesian,
+    "shell-n3-cartesian": lambda: mori.mori_scene(3, 0.1).field_cartesian,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIVOT_FIELDS))
+def test_direction_does_not_depend_on_the_pivot(name, monkeypatch):
+    # the frame pivots on the first largest |N_p|; any index with |N_q|
+    # of the same order gives a frame of the same tangent space, so X
+    # and div X must agree to roundoff whichever one the solve uses
+    field = PIVOT_FIELDS[name]()
+    pts = field.surface_samples(np.random.default_rng(5), 40)
+    pivot = contact.argmax
+    switched = 0
+    for p in pts.tolist():
+        ref = field.char_data(p)
+        X0 = np.array([fval(c) for c in ref.X])
+        div0 = fval(ref.divergence)
+        N = np.abs(np.array(field.surface.F.value_and_grad(p)[1], float))
+        for q in np.flatnonzero(N >= 0.3 * N.max()).tolist():
+            monkeypatch.setattr(contact, "argmax", lambda keys, q=q: q)
+            data = field.char_data(p)
+            monkeypatch.setattr(contact, "argmax", pivot)
+            X = np.array([fval(c) for c in data.X])
+            assert np.max(np.abs(X - X0)) <= 1e-12 * np.max(np.abs(X0))
+            assert (abs(fval(data.divergence) - div0)
+                    <= 1e-12 * max(1.0, abs(div0)))
+            switched += q != pivot(N.tolist())
+    assert len(pts) >= 30 and switched >= 10
 
 
 # time reversal -------------------------------------------------------------

@@ -6,13 +6,15 @@ form, orbit exponents from the reduced rates, and the column-model
 multipliers from a 1-D quadrature of the bump profile.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from charfol import mori, policy
+from charfol import mori, policy, report
+from charfol.cli import main
 from charfol.contact import (FoliationField, Hypersurface,
                              graph_foliation_check, hamiltonian_residuals)
 from charfol.dynamics import Flow, NoOrbitError, find_orbit
@@ -497,7 +499,30 @@ def test_column_tiny_delta_collapses():
 
 
 def test_perturbation_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="delta must be positive"):
         mori.PerturbationSpec(delta=-0.01)
-    with pytest.raises(ValueError):
-        mori.perturb_analysis(mori.PerturbationSpec(delta=0.2))
+    with pytest.raises(ValueError, match="perturbation strengths above 0.1 "
+                                         "are out of scope"):
+        mori.PerturbationSpec(delta=0.2)
+
+
+def test_certify_column_runs_only_the_certificate(perturb, monkeypatch,
+                                                  tmp_path, capsys):
+    # the dossier's checks are `mori perturb`'s; `certify` reports the
+    # certificate and persistence, which rest on the orbits alone, so
+    # they equal the dossier's whatever the seed
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify ran a dossier check")
+
+    for name in ("graph_foliation_check", "hamiltonian_residuals",
+                 "_predicted_lift"):
+        monkeypatch.setattr(mori, name, refuse)
+    out = tmp_path / "r.json"
+    assert main(["certify", "mori-column", "--json", str(out)]) == 0
+    capsys.readouterr()
+    rep = json.loads(out.read_text())
+    want = report.certificate_dict(perturb["certificate"])
+    assert (report.to_json(rep["certificate"]["elements"])
+            == report.to_json(want["elements"]))
+    assert (report.to_json(rep["persistence"])
+            == report.to_json(perturb["persistence"]))
