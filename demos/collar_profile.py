@@ -19,7 +19,7 @@ right = (1.0, -0.6)  # value and slope at s = +1
 
 for n in (1, 2, 3):
     prof = build_profile(left, right, n)
-    rep = verify_convex_form(prof, standard_gamma(n), n, samples=500,
+    rep = verify_convex_form(prof, standard_gamma(n), samples=500,
                              rng=np.random.default_rng(n))
     print(f"n = {n}:")
     print(f"  swept parameters: rho = {prof.params['rho']:.4f}, "

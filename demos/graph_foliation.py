@@ -14,7 +14,7 @@ from charfol.exterior import Chart, KForm
 
 ch = Chart(("t", "x", "y"))
 alpha = KForm.one_form(ch, [ch.constant(1.0), ch.constant(0.0), ch.var("x")])
-scene = ContactScene(ch, alpha, name="paraboloid-graph",
+scene = ContactScene(alpha, name="paraboloid-graph",
                      domain={"t": (-0.1, 2.3), "x": (-1.5, 1.5),
                              "y": (-1.5, 1.5)})
 

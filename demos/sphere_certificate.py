@@ -16,7 +16,7 @@ from charfol.exterior import Chart, KForm
 ch = Chart(("x", "y", "z"))
 x, y = ch.var("x"), ch.var("y")
 alpha = KForm.one_form(ch, [-y, x, ch.constant(1.0)])
-scene = ContactScene(ch, alpha, name="sphere",
+scene = ContactScene(alpha, name="sphere",
                      domain={n: (-1.3, 1.3) for n in ch.names})
 surf = Hypersurface(x * x + y * y + ch.var("z") * ch.var("z") - 1.0)
 
@@ -30,8 +30,9 @@ for z in zeros:
     print(f"zero at {np.round(z.point, 6)}  sign {z.liouville_sign:+d}  "
           f"stable dim {z.stable_dim}  div {z.divergence:+.4f}")
 
-cert = check_morse_smale(field, zeros=zeros, tols=tols, samples=20,
-                         rng=np.random.default_rng(0))
+# 20 random points of the box, projected onto the sphere
+seeds = field.surface_samples(np.random.default_rng(0), 20)
+cert = check_morse_smale(field, seeds, zeros=zeros, tols=tols)
 print(f"verdict: {cert.verdict}  (seeds used: {cert.seeds_used}, "
       f"limit check: {cert.limit_check:.3f})")
 for note in cert.notes:

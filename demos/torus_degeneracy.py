@@ -29,7 +29,9 @@ print(f"transverse contraction per loop: "
 
 cen = census(scene)
 cand = torus_recurrence_candidate(scene)
-cert = check_morse_smale(scene.field_cartesian, zeros=cen["zeros"],
+field = scene.field_cartesian
+seeds = field.surface_samples(np.random.default_rng(0), 20)
+cert = check_morse_smale(field, seeds, zeros=cen["zeros"],
                          orbits=cen["orbits"],
                          recurrence_candidates=[cand])
 

@@ -209,22 +209,23 @@ def _unstable_directions(field, point, sense):
     return out
 
 
-def check_morse_smale(field, zeros=(), orbits=(),
+def check_morse_smale(field, seeds, zeros=(), orbits=(),
                       tols: policy.Tolerances = policy.DEFAULT,
-                      rng=None, samples: int = 20,
-                      recurrence_candidates=(), sense: int = +1,
-                      seed_points=None) -> MorseSmaleCertificate:
+                      recurrence_candidates=(),
+                      sense: int = +1) -> MorseSmaleCertificate:
     """Assemble the certificate for one census on one surface.
 
-    zeros are ZeroInfo records; orbits carry .info (OrbitInfo) and
-    .loop (a sampled closed curve). The verdict is fail on any concrete
-    witness against the structure, pass when every element is
+    seeds are the points of the surface whose trajectories are chased
+    in both time directions (for instance `field.surface_samples(rng,
+    count)`); zeros are ZeroInfo records; orbits carry .info (OrbitInfo)
+    and .loop (a sampled closed curve). The verdict is fail on any
+    concrete witness against the structure, pass when every element is
     hyperbolic, no candidate verifies, no launched connection lands
-    wrong, and every sampled trajectory is captured both ways;
-    anything short of that is inconclusive, with the offending seed
-    recorded.
+    wrong, and every seed is captured both ways; anything short of that
+    is inconclusive, with the offending seed recorded. No seeds is
+    inconclusive.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
+    seeds = [np.asarray(q, dtype=float) for q in seeds]
     chart = field.scene.chart
     dim_surface = chart.dim - 1
     reasons, notes, recurrence = [], [], []
@@ -314,11 +315,6 @@ def check_morse_smale(field, zeros=(), orbits=(),
         reasons.append("a separatrix of a negative element reaches a "
                        "positive element (connection violation)")
 
-    if seed_points is None:
-        seeds = field.surface_samples(rng, samples)
-    else:
-        seeds = [np.asarray(q, dtype=float) for q in seed_points]
-
     captured = 0
     for q in seeds:
         ok = True
@@ -341,15 +337,15 @@ def check_morse_smale(field, zeros=(), orbits=(),
                              "budget without capture")
         if ok:
             captured += 1
-    limit = captured / len(seeds) if len(seeds) else 0.0
+    limit = captured / len(seeds) if seeds else 0.0
 
     if reasons:
         verdict = "fail"
-    elif len(seeds) and captured == len(seeds):
+    elif seeds and captured == len(seeds):
         verdict = "pass"
     else:
         verdict = "inconclusive"
-        if not len(seeds):
+        if not seeds:
             notes.append("no usable seeds; nothing was sampled")
     return MorseSmaleCertificate(
         verdict=verdict, reasons=reasons, elements=elements,
@@ -517,27 +513,28 @@ def standard_gamma(n: int) -> ContactScene:
     """Desk-scale contact models for the dividing-set factor."""
     if n == 1:
         ch = Chart(("phi",), angular=("phi",))
-        return ContactScene(ch, KForm(ch, 1, {(0,): ch.constant(1.0)}),
+        return ContactScene(KForm(ch, 1, {(0,): ch.constant(1.0)}),
                             name="gamma-circle")
     if n == 2:
         ch = Chart(("th", "x", "y"), angular=("th", "x", "y"))
         th = ch.var("th")
         lam = KForm(ch, 1, {(1,): _fn("cos", th), (2,): -_fn("sin", th)})
-        return ContactScene(ch, lam, name="gamma-torus")
+        return ContactScene(lam, name="gamma-torus")
     if n == 3:
         ch = Chart(("th", "x", "y", "a", "b"), angular=("th", "x", "y"))
         th, a = ch.var("th"), ch.var("a")
         lam = KForm(ch, 1, {(1,): _fn("cos", th), (2,): -_fn("sin", th),
                             (4,): a})
-        return ContactScene(ch, lam, name="gamma-torus-plane",
+        return ContactScene(lam, name="gamma-torus-plane",
                             domain={"a": (-1.5, 1.5), "b": (-1.5, 1.5)})
     raise ValueError("standard Gamma models exist for n in {1, 2, 3}")
 
 
 def verify_convex_form(profile: ConvexityProfile, gamma_scene: ContactScene,
-                       n: int, *, samples: int = 500, rng=None) -> dict:
+                       *, samples: int = 500, rng=None) -> dict:
     """Compare the assembled form against its closed-form volume.
 
+    n is `profile.n`; gamma_scene must have dimension 2n - 1.
     alpha_1 = u dt + h1 lambda is built on R x [-1,1] x Gamma and
     alpha_1 ^ (d alpha_1)^n evaluated by the exterior machinery; wedge
     expansion collapses that coefficient to
@@ -549,9 +546,7 @@ def verify_convex_form(profile: ConvexityProfile, gamma_scene: ContactScene,
     n (u^n h1' - u' h1^n) so a degenerate injection shows where
     positivity died.
     """
-    n = int(n)
-    if profile.n != n:
-        raise ValueError(f"profile was built for n = {profile.n}, not {n}")
+    n = profile.n
     gch = gamma_scene.chart
     if gch.dim != 2 * n - 1:
         raise ValueError(
@@ -566,7 +561,7 @@ def verify_convex_form(profile: ConvexityProfile, gamma_scene: ContactScene,
                          ScalarField(big, _rebase(f.node, gch, big))
                          for I, f in gamma_scene.alpha.comps.items()})
     alpha1 = KForm(big, 1, {(0,): u_b}) + lam * h_b
-    band = ContactScene(big, alpha1, name=f"band over {gamma_scene.name}",
+    band = ContactScene(alpha1, name=f"band over {gamma_scene.name}",
                         domain={"t": (-1.0, 1.0), "s": (-1.0, 1.0),
                                 **gamma_scene.domain})
     top = tuple(range(big.dim))

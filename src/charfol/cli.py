@@ -91,11 +91,12 @@ def _shell_elements(scene, cen, tols) -> dict:
 
 
 def _shell_certificate(scene, cen, tols, rng):
-    """The certificate of a shell census, with the invariant torus as
-    its recurrence candidate."""
+    """The certificate of a shell census from 20 seeds drawn from `rng`,
+    with the invariant torus as its recurrence candidate."""
+    field = scene.field_cartesian
     return certify_mod.check_morse_smale(
-        scene.field_cartesian, zeros=cen["zeros"], orbits=cen["orbits"],
-        tols=tols, rng=rng,
+        field, field.surface_samples(rng, 20), zeros=cen["zeros"],
+        orbits=cen["orbits"], tols=tols,
         recurrence_candidates=[mori_mod.torus_recurrence_candidate(scene)])
 
 
@@ -173,9 +174,8 @@ def cmd_certify(args) -> int:
     elif doc.kind == "field":
         field, zeros = _field_census(doc, tols, rng)
         cert = certify_mod.check_morse_smale(
-            field, zeros=zeros, tols=tols, rng=rng,
-            samples=doc.analysis.get("samples", 10),
-            sense=doc.analysis.get("sense", 1))
+            field, field.surface_samples(rng, doc.analysis.get("samples", 10)),
+            zeros=zeros, tols=tols, sense=doc.analysis.get("sense", 1))
         rep["certificate"] = report.certificate_dict(cert)
     else:
         raise SceneParseError(f"scene {doc.name!r} has no field to certify")
@@ -191,9 +191,9 @@ def cmd_convexify(args) -> int:
     n = conv["n"]
     profile = certify_mod.build_profile(conv["h_minus"], conv["h_plus"], n)
     gamma = certify_mod.standard_gamma(n)
-    check = certify_mod.verify_convex_form(profile, gamma, n,
-                                           samples=500, rng=rng)
-    rows = report.profile_rows(profile, certify_mod.verification_grid())
+    check = certify_mod.verify_convex_form(profile, gamma, samples=500,
+                                           rng=rng)
+    rows = report.profile_rows(profile)
     rep["profile"] = {"n": n, "boundary": profile.boundary,
                       "params": profile.params,
                       "grid_residuals": profile.grid_residuals}

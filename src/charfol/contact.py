@@ -40,7 +40,7 @@ import numpy as np
 from . import policy
 from .errors import (ContactConditionError, DegenerateVolumeError,
                      ProjectionError)
-from .exterior import (AltArray, Chart, KForm, ScalarField, ring_det,
+from .exterior import (AltArray, KForm, ScalarField, ring_det,
                        solve_top_contraction)
 from .expr import uses_var
 from .jets import fval, seed, split
@@ -56,14 +56,13 @@ def _coords(point) -> list:
 
 
 class ContactScene:
-    """A chart of dimension 2n+1 carrying a (candidate) contact form."""
+    """A (candidate) contact form alpha on its chart of dimension 2n+1."""
 
-    def __init__(self, chart: Chart, alpha: KForm, name: str = "scene",
+    def __init__(self, alpha: KForm, name: str = "scene",
                  domain: Mapping[str, tuple] | None = None):
         if alpha.deg != 1:
             raise ValueError("alpha must be a one-form")
-        if alpha.chart != chart:
-            raise ValueError("alpha lives on a different chart")
+        chart = alpha.chart
         if chart.dim % 2 == 0:
             raise ValueError("contact charts have odd dimension")
         self.chart = chart
@@ -194,12 +193,11 @@ class Hypersurface:
         self.chart = field.chart
 
     @classmethod
-    def graph(cls, chart: Chart, coord: str, h: ScalarField):
-        """The set coord = h(other coordinates)."""
-        i = chart.index(coord)
-        if uses_var(h.node, i):
+    def graph(cls, coord: str, h: ScalarField):
+        """The set coord = h(other coordinates), in h's chart."""
+        if uses_var(h.node, h.chart.index(coord)):
             raise ValueError(f"graph function may not depend on {coord!r}")
-        return cls(chart.var(coord) - h)
+        return cls(h.chart.var(coord) - h)
 
     def value_and_grad(self, point):
         """F and its gradient at a point, as floats from the traced kernel."""

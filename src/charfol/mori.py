@@ -100,7 +100,7 @@ class MoriScene:
         zmax = 1.5 * self.constants.axis_z
         pdom = {"z": (-zmax, zmax), "r": (0.0, 1.2),
                 **{f"rho{i}": (0.0, 0.8) for i in range(1, n)}}
-        self.polar = ContactScene(pch, alpha_p, name=f"mori-polar-n{n}",
+        self.polar = ContactScene(alpha_p, name=f"mori-polar-n{n}",
                                   domain=pdom)
         self.surface_polar = Hypersurface(ScalarField(pch, Fp.node))
 
@@ -125,7 +125,7 @@ class MoriScene:
         Fc = rr + (zz * zz + usum) * e2 - (1.0 + eps)
         cdom = {"x": (-1.2, 1.2), "y": (-1.2, 1.2), "z": (-zmax, zmax),
                 **{k: (-0.8, 0.8) for k in cnames[2:-1]}}
-        self.cartesian = ContactScene(cch, alpha_c, name=f"mori-cartesian-n{n}",
+        self.cartesian = ContactScene(alpha_c, name=f"mori-cartesian-n{n}",
                                       domain=cdom)
         self.surface_cartesian = Hypersurface(ScalarField(cch, Fc.node))
 
@@ -699,10 +699,10 @@ def column_scene(spec: PerturbationSpec):
 
     alpha = KForm(ch, 1, {(1,): t_, (4,): ch.constant(1.0),
                           (3,): a_, (2,): -b_})
-    scene = ContactScene(ch, alpha, name="column",
+    scene = ContactScene(alpha, name="column",
                          domain={"t": (-1.0, 1.0), "a": (-box, box),
                                  "b": (-box, box)})
-    surface = Hypersurface.graph(ch, "t", H)
+    surface = Hypersurface.graph("t", H)
     info = {"profile": prof, "H": H, "spec": spec}
     return scene, surface, info
 
@@ -711,7 +711,7 @@ def _base_scene(spec: PerturbationSpec):
     ch = Chart(("a", "b", "psi"), angular=("psi",))
     a_, b_ = ch.var("a"), ch.var("b")
     lam = KForm(ch, 1, {(2,): ch.constant(1.0), (1,): a_, (0,): -b_})
-    return ContactScene(ch, lam, name="column-base",
+    return ContactScene(lam, name="column-base",
                         domain={"a": (-spec.box_radius, spec.box_radius),
                                 "b": (-spec.box_radius, spec.box_radius)})
 
@@ -820,9 +820,8 @@ def column_certificate(field: FoliationField, info: dict,
         seeds.append(_graph_point(ch, H, s, rad * math.cos(ang),
                                   rad * math.sin(ang),
                                   rng.uniform(0.0, 2.0 * math.pi)))
-    cert = certify.check_morse_smale(field, zeros=(), orbits=orbits,
-                                     tols=_certificate_tols(tols),
-                                     seed_points=seeds)
+    cert = certify.check_morse_smale(field, seeds, orbits=orbits,
+                                     tols=_certificate_tols(tols))
 
     A, I = prof["amplitude"], prof["bump_integral"]
     pers44 = {"holds": False, "max_shift": math.nan, "margin": 0.0,

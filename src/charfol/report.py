@@ -22,7 +22,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .certify import profile_arrays
+from .certify import profile_arrays, verification_grid
 
 
 def format_float(x: float) -> str:
@@ -257,7 +257,8 @@ def write_csv(path: str, header, rows, labels=None) -> None:
             fh.write(block.tobytes().translate(None, b"\0"))
 
 
-def profile_rows(profile, grid) -> np.ndarray:
-    """(s, u, h1, residual) rows of a convexity profile."""
+def profile_rows(profile) -> np.ndarray:
+    """(s, u, h1, residual) rows of a profile on the verification grid."""
+    grid = verification_grid()
     u, _, h, _, res = profile_arrays(profile.u, profile.h1, profile.n, grid)
     return np.column_stack([grid, u, h, res])

@@ -292,7 +292,7 @@ def _build_surface(block, chart: Chart, params) -> Hypersurface:
             raise SceneParseError(f"graph coordinate {g.value!r} is not in "
                                   "the chart", g.line, g.vcol)
         hf = chart.parse(h.value, params, origin=(h.line, h.vcol))
-        return Hypersurface.graph(chart, g.value, hf)
+        return Hypersurface.graph(g.value, hf)
     any_e = next(iter(block.values()), None)
     raise SceneParseError("hypersurface block needs 'level' or "
                           "'graph' plus 'height'",
@@ -352,7 +352,7 @@ def parse_scene(text: str, path: str | None = None) -> SceneDocument:
     if "alpha" in blocks:
         alpha = _build_alpha(blocks["alpha"], chart, params)
         domain = _build_domain(blocks.get("domain", {}), chart)
-        doc.scene = ContactScene(chart, alpha, name=name, domain=domain)
+        doc.scene = ContactScene(alpha, name=name, domain=domain)
         doc.surface = _build_surface(blocks["hypersurface"], chart, params)
         doc.kind = "field"
 

@@ -203,7 +203,9 @@ def test_criterion_5_degeneracy_detection(scene2, census2):
 
     cen, _ = census2
     cand = mori.torus_recurrence_candidate(scene2)
-    cert = check_morse_smale(scene2.field_cartesian, zeros=cen["zeros"],
+    field = scene2.field_cartesian
+    seeds = field.surface_samples(np.random.default_rng(5), 20)
+    cert = check_morse_smale(field, seeds, zeros=cen["zeros"],
                              orbits=cen["orbits"],
                              recurrence_candidates=[cand])
     rec = cert.recurrence
@@ -257,7 +259,7 @@ def test_criterion_7_convexity_profiles():
             flat = np.abs(hp[pos]) < np.abs(up[pos]) * np.abs(
                 h[pos] / u[pos]) ** n
             ok = ok and bool(flat.all())
-        rep = verify_convex_form(prof, standard_gamma(n), n, samples=500,
+        rep = verify_convex_form(prof, standard_gamma(n), samples=500,
                                  rng=np.random.default_rng(70 + n))
         ok = ok and rep["positive"] and rep["matched"] \
             and rep["samples"] == 500
@@ -274,11 +276,11 @@ def test_criterion_8_hamiltonian_contract(dossier):
     worst = 0.0
     scenes = []
     ch = Chart(("x", "y", "z"))
-    scenes.append((ContactScene(ch, KForm.one_form(
+    scenes.append((ContactScene(KForm.one_form(
         ch, [ch.constant(0.0), ch.var("x"), ch.constant(1.0)])),
         ch.parse("x^2*y + z")))
     ch2 = Chart(("x", "y", "z"))
-    scenes.append((ContactScene(ch2, KForm.one_form(
+    scenes.append((ContactScene(KForm.one_form(
         ch2, [-0.5 * ch2.var("y"), 0.5 * ch2.var("x"), ch2.constant(1.0)])),
         ch2.parse("sin(x) + 0.5*y*z")))
     g2 = standard_gamma(2)
@@ -310,7 +312,7 @@ def _sphere():
     ch = Chart(("x", "y", "z"))
     x_, y_ = ch.var("x"), ch.var("y")
     alpha = KForm.one_form(ch, [-y_, x_, ch.constant(1.0)])
-    scene = ContactScene(ch, alpha, name="sphere",
+    scene = ContactScene(alpha, name="sphere",
                          domain={n: (-1.3, 1.3) for n in ch.names})
     surf = Hypersurface(x_ * x_ + y_ * y_ + ch.var("z") * ch.var("z") - 1.0)
     return ch, scene, surf
@@ -387,8 +389,7 @@ def test_criterion_9_invariance_suite(scene2):
         swap_ok = swap_ok and (w.liouville_sign == -z.liouville_sign
                                and w.stable_dim == 2 - z.stable_dim)
     seeds = [p / np.linalg.norm(p) for p in rng.normal(size=(100, 3))]
-    cert = check_morse_smale(field, zeros=base, tols=tols,
-                             seed_points=seeds, sense=-1)
+    cert = check_morse_smale(field, seeds, zeros=base, tols=tols, sense=-1)
     reversal_ok = swap_ok and cert.verdict == "pass" \
         and cert.seeds_used == 100
 

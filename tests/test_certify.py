@@ -25,7 +25,7 @@ def s2_setup():
     ch = Chart(["x", "y", "z"])
     x_, y_, z_ = ch.vars()
     alpha = KForm.one_form(ch, [-y_, x_, ch.constant(1.0)])
-    scene = ContactScene(ch, alpha, name="s2-height",
+    scene = ContactScene(alpha, name="s2-height",
                          domain={"x": (-1.3, 1.3), "y": (-1.3, 1.3),
                                  "z": (-1.3, 1.3)})
     surf = Hypersurface(x_ * x_ + y_ * y_ + z_ * z_ - 1.0)
@@ -64,7 +64,7 @@ def test_s2_census_structure(s2):
 
 def test_certificate_passes_on_sphere(s2, sphere_seeds):
     fld, zeros = s2
-    cert = check_morse_smale(fld, zeros=zeros, seed_points=sphere_seeds)
+    cert = check_morse_smale(fld, sphere_seeds, zeros=zeros)
     assert isinstance(cert, MorseSmaleCertificate)
     assert cert.verdict == "pass"
     assert cert.limit_check == 1.0
@@ -77,16 +77,24 @@ def test_certificate_passes_on_sphere(s2, sphere_seeds):
 
 def test_time_reversal_passes_with_same_census(s2, sphere_seeds):
     fld, zeros = s2
-    cert = check_morse_smale(fld, zeros=zeros, seed_points=sphere_seeds[:6],
-                             sense=-1)
+    cert = check_morse_smale(fld, sphere_seeds[:6], zeros=zeros, sense=-1)
     assert cert.verdict == "pass"
     assert cert.limit_check == 1.0
+
+
+def test_no_seeds_is_inconclusive(s2):
+    fld, zeros = s2
+    cert = check_morse_smale(fld, [], zeros=zeros)
+    assert cert.verdict == "inconclusive"
+    assert cert.seeds_used == 0 and cert.limit_check == 0.0
+    assert cert.reasons == []
+    assert cert.notes == ["no usable seeds; nothing was sampled"]
 
 
 def test_doctored_signs_raise_connection_violation(s2, sphere_seeds):
     fld, zeros = s2
     flipped = [replace(z, liouville_sign=-z.liouville_sign) for z in zeros]
-    cert = check_morse_smale(fld, zeros=flipped, seed_points=sphere_seeds[:4])
+    cert = check_morse_smale(fld, sphere_seeds[:4], zeros=flipped)
     assert cert.verdict == "fail"
     assert any("connection violation" in r for r in cert.reasons)
     assert cert.connection_violations
@@ -95,17 +103,17 @@ def test_doctored_signs_raise_connection_violation(s2, sphere_seeds):
     assert hit["from"][2] > 0.5              # launched from the doctored source
 
 
-def test_nonhyperbolic_zero_fails_fast(s2):
+def test_nonhyperbolic_zero_fails_fast(s2, sphere_seeds):
     fld, zeros = s2
     doctored = [replace(zeros[0], hyperbolic=False), zeros[1]]
-    cert = check_morse_smale(fld, zeros=doctored)
+    cert = check_morse_smale(fld, sphere_seeds, zeros=doctored)
     assert cert.verdict == "fail"
     assert any("neutral eigenvalue" in r for r in cert.reasons)
     assert cert.limit_check == 0.0
     assert cert.seeds_used == 0
 
 
-def test_nonhyperbolic_orbit_fails_fast(s2):
+def test_nonhyperbolic_orbit_fails_fast(s2, sphere_seeds):
     fld, zeros = s2
     th = np.linspace(0, 2 * np.pi, 24, endpoint=False)
     loop = np.column_stack([np.cos(th), np.sin(th), 0 * th])
@@ -114,17 +122,18 @@ def test_nonhyperbolic_orbit_fails_fast(s2):
                      det_residual=0.0, pairing_residual=0.0, div_residual=0.0,
                      positive=True, liouville_sign=1, stable_index=1,
                      hyperbolic=False)
-    cert = check_morse_smale(fld, zeros=zeros,
+    cert = check_morse_smale(fld, sphere_seeds, zeros=zeros,
                              orbits=[SimpleNamespace(info=info, loop=loop)])
     assert cert.verdict == "fail"
     assert any("unit modulus" in r for r in cert.reasons)
 
 
-def test_verified_candidate_disqualifies(s2):
+def test_verified_candidate_disqualifies(s2, sphere_seeds):
     fld, zeros = s2
     cand = RecurrenceCandidate(point=np.zeros(3), description="synthetic torus",
                                verify=lambda field, tols: {"kind": "synthetic"})
-    cert = check_morse_smale(fld, zeros=zeros, recurrence_candidates=[cand])
+    cert = check_morse_smale(fld, sphere_seeds, zeros=zeros,
+                             recurrence_candidates=[cand])
     assert cert.verdict == "fail"
     assert any("recurren" in r for r in cert.reasons)
     assert cert.recurrence[0]["description"] == "synthetic torus"
@@ -134,7 +143,7 @@ def test_unverified_candidate_is_ignored(s2, sphere_seeds):
     fld, zeros = s2
     cand = RecurrenceCandidate(point=np.zeros(3), description="hollow claim",
                                verify=lambda field, tols: None)
-    cert = check_morse_smale(fld, zeros=zeros, seed_points=sphere_seeds[:4],
+    cert = check_morse_smale(fld, sphere_seeds[:4], zeros=zeros,
                              recurrence_candidates=[cand])
     assert cert.verdict == "pass"
     assert cert.recurrence == []
@@ -143,10 +152,9 @@ def test_unverified_candidate_is_ignored(s2, sphere_seeds):
 def test_more_budget_never_flips_pass_to_fail(s2, sphere_seeds):
     fld, zeros = s2
     small = policy.replace(policy.DEFAULT, flow_budget=2.0)
-    cert_small = check_morse_smale(fld, zeros=zeros,
-                                   seed_points=sphere_seeds[:5], tols=small)
-    cert_big = check_morse_smale(fld, zeros=zeros,
-                                 seed_points=sphere_seeds[:5])
+    cert_small = check_morse_smale(fld, sphere_seeds[:5], zeros=zeros,
+                                   tols=small)
+    cert_big = check_morse_smale(fld, sphere_seeds[:5], zeros=zeros)
     assert cert_big.verdict == "pass"
     assert cert_small.verdict in ("pass", "inconclusive")
     assert cert_small.limit_check <= cert_big.limit_check + 1e-12
@@ -157,10 +165,10 @@ def test_recurrent_sampled_trajectory_fails():
     # closed loop of period 2 pi, with no element to be captured by
     ch = Chart(["x", "y", "z"], angular=("y", "z"))
     x_, _, _ = ch.vars()
-    scene = ContactScene(ch, KForm(ch, 1, {(1,): x_, (2,): ch.constant(1.0)}),
+    scene = ContactScene(KForm(ch, 1, {(1,): x_, (2,): ch.constant(1.0)}),
                          name="torus")
     fld = FoliationField(scene, Hypersurface(x_ - 1.0))
-    cert = check_morse_smale(fld, seed_points=[[1.0, 0.3, 0.5]],
+    cert = check_morse_smale(fld, [[1.0, 0.3, 0.5]],
                              tols=policy.replace(policy.DEFAULT,
                                                  flow_budget=100.0))
     assert cert.verdict == "fail"
@@ -314,7 +322,7 @@ def test_sweep_exhaustion_names_constraint():
 @pytest.mark.parametrize("n,samples", [(1, 500), (2, 500), (3, 200)])
 def test_verify_convex_form_matches_closed_form(n, samples):
     prof = build_profile((1.0, 0.6), (1.0, -0.6), n)
-    rep = verify_convex_form(prof, standard_gamma(n), n, samples=samples,
+    rep = verify_convex_form(prof, standard_gamma(n), samples=samples,
                              rng=np.random.default_rng(3))
     assert rep["samples"] == samples
     assert rep["positive"] is True
@@ -335,16 +343,16 @@ def test_standard_gammas_are_contact():
 def test_verify_rejects_mismatches():
     prof = build_profile((1.0, 0.6), (1.0, -0.6), 1)
     with pytest.raises(ValueError):
-        verify_convex_form(prof, standard_gamma(2), 2)
+        verify_convex_form(prof, standard_gamma(2))
     prof2 = build_profile((1.0, 0.6), (1.0, -0.6), 2)
     with pytest.raises(ValueError):
-        verify_convex_form(prof2, standard_gamma(1), 2)
+        verify_convex_form(prof2, standard_gamma(1))
 
 
 def test_degenerate_u_is_flagged():
     prof = build_profile((1.0, 0.6), (1.0, -0.6), 1)
     dead = replace(prof, u=prof.u.chart.constant(0.0))
-    rep = verify_convex_form(dead, standard_gamma(1), 1, samples=60,
+    rep = verify_convex_form(dead, standard_gamma(1), samples=60,
                              rng=np.random.default_rng(5))
     assert rep["positive"] is False
     assert len(rep["flagged"]) == 60
@@ -373,7 +381,7 @@ def test_seed_projection_bugs_propagate():
     fld = s2_setup()
     fld.surface.F = BuggyBatch(fld.surface.F)
     with pytest.raises(RuntimeError, match="bug in projection"):
-        check_morse_smale(fld, samples=3)
+        fld.surface_samples(np.random.default_rng(0), 3)
 
 
 def test_gamma_form_with_partial_derivative():
@@ -383,9 +391,9 @@ def test_gamma_form_with_partial_derivative():
     prof = build_profile((1.0, 0.6), (1.0, -0.6), 1)
     reps = []
     for text in ("2 + d(sin(phi), phi)", "2 + cos(phi)"):
-        sc = ContactScene(ch, KForm(ch, 1, {(0,): ch.parse(text)}),
+        sc = ContactScene(KForm(ch, 1, {(0,): ch.parse(text)}),
                           name="weighted circle")
-        reps.append(verify_convex_form(prof, sc, 1, samples=120,
+        reps.append(verify_convex_form(prof, sc, samples=120,
                                        rng=np.random.default_rng(9)))
     assert reps[0]["positive"] is True and reps[0]["matched"] is True
     assert reps[0] == reps[1]
@@ -395,26 +403,26 @@ def test_nonconstant_circle_form():
     # lambda = (2 + cos phi) dphi is still a contact form on the circle
     ch = Chart(("phi",), angular=("phi",))
     lam = KForm(ch, 1, {(0,): ch.parse("2 + cos(phi)")})
-    sc = ContactScene(ch, lam, name="weighted circle")
+    sc = ContactScene(lam, name="weighted circle")
     prof = build_profile((1.0, 0.6), (1.0, -0.6), 1)
-    rep = verify_convex_form(prof, sc, 1, samples=120,
+    rep = verify_convex_form(prof, sc, samples=120,
                              rng=np.random.default_rng(9))
     assert rep["positive"] is True
     assert rep["max_rel_dev"] < 1e-8
 
 
-def test_neutral_zero_sign_fails_the_gate(s2):
+def test_neutral_zero_sign_fails_the_gate(s2, sphere_seeds):
     fld, zeros = s2
     doctored = [replace(zeros[0], liouville_sign=0, hyperbolic=False),
                 zeros[1]]
-    cert = check_morse_smale(fld, zeros=doctored)
+    cert = check_morse_smale(fld, sphere_seeds, zeros=doctored)
     assert cert.verdict == "fail"
     assert any("no Liouville sign" in r for r in cert.reasons)
     assert not any("neutral eigenvalue" in r for r in cert.reasons)
     assert cert.seeds_used == 0
 
 
-def test_neutral_orbit_sign_fails_the_gate(s2):
+def test_neutral_orbit_sign_fails_the_gate(s2, sphere_seeds):
     fld, zeros = s2
     th = np.linspace(0, 2 * np.pi, 24, endpoint=False)
     loop = np.column_stack([np.cos(th), np.sin(th), 0 * th])
@@ -424,7 +432,7 @@ def test_neutral_orbit_sign_fails_the_gate(s2):
                      det_residual=0.0, pairing_residual=0.0, div_residual=0.0,
                      positive=False, liouville_sign=0, stable_index=1,
                      hyperbolic=True)
-    cert = check_morse_smale(fld, zeros=zeros,
+    cert = check_morse_smale(fld, sphere_seeds, zeros=zeros,
                              orbits=[SimpleNamespace(info=info, loop=loop)])
     assert cert.verdict == "fail"
     assert any("C = 1, so no Liouville sign" in r for r in cert.reasons)

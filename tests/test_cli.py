@@ -702,6 +702,30 @@ def test_unknown_scene_exits_2(capsys):
     assert "no-such-scene" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["certify", "collar-profile"],
+     "error: scene 'collar-profile' has no field to certify"),
+    (["convexify", "s2-height"],
+     "error: scene 's2-height' has no convexity block"),
+], ids=["certify-profile", "convexify-field"])
+def test_scene_without_the_commands_block_exits_2(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_exhausted_profile_sweep_exits_3(tmp_path, capsys):
+    # a left slope of 50 leaves no lattice candidate with q > 0 on [-1, 1]
+    scene = tmp_path / "steep.scene"
+    scene.write_text(CONVEXITY_SCENE.replace("h_minus = 1.0 0.6",
+                                             "h_minus = 1.0 50"))
+    out = tmp_path / "r.json"
+    assert main(["convexify", str(scene), "--json", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "numeric failure: parameter sweep exhausted after 54 candidates; "
+        "tightest failure: interior slope positivity (q > 0)\n")
+    assert not out.exists()
+
+
 def test_bad_perturbation_delta_exits_2(tmp_path, capsys):
     scene = tmp_path / "p.scene"
     scene.write_text("scene p\nperturbation\n  delta = -0.5\n")

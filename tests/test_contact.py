@@ -16,14 +16,14 @@ from charfol.exterior import Chart, KForm
 def darboux3():
     ch = Chart(["x", "y", "z"])
     alpha = KForm.one_form(ch, [ch.constant(0.0), ch.var("x"), ch.constant(1.0)])
-    return ContactScene(ch, alpha, name="darboux3")
+    return ContactScene(alpha, name="darboux3")
 
 
 def linear_scene():
     # dz + y dx + 2x dy on {z = 0}: direction field (2x, -y, 0) exactly
     ch = Chart(["x", "y", "z"])
     alpha = KForm.one_form(ch, [ch.var("y"), 2.0 * ch.var("x"), ch.constant(1.0)])
-    scene = ContactScene(ch, alpha, name="linear")
+    scene = ContactScene(alpha, name="linear")
     surf = Hypersurface(ch.var("z"))
     return scene, surf
 
@@ -55,7 +55,7 @@ def test_direction_lies_in_both_hyperplane_fields():
     alpha = KForm.one_form(ch, [ch.parse("y - 0.3*z^2"),
                                 ch.parse("2*x + 0.1*sin(y)"),
                                 ch.parse("1 + 0.2*x^2")])
-    scene = ContactScene(ch, alpha)
+    scene = ContactScene(alpha)
     surf = Hypersurface(ch.parse("z - 0.4*x^2 + 0.25*y^2 - 0.1"))
     fld = FoliationField(scene, surf)
     rng = np.random.default_rng(3)
@@ -205,7 +205,7 @@ def test_unit_hamiltonian_recovers_reeb():
     ch = Chart(["x", "y", "z"])
     alpha = KForm.one_form(ch, [-0.5 * ch.var("y"), 0.5 * ch.var("x"),
                                 ch.constant(1.0)])
-    scene = ContactScene(ch, alpha)
+    scene = ContactScene(alpha)
     H = ch.constant(1.0)
     rng = np.random.default_rng(12)
     # the Reeb field of dz + (x dy - y dx)/2 is d/dz
@@ -222,12 +222,12 @@ def test_contact_condition_verification():
     assert all(v > 0 for v in vals) or all(v < 0 for v in vals)
 
     ch = Chart(["x", "y", "z"])
-    degenerate = ContactScene(ch, KForm.one_form(
+    degenerate = ContactScene(KForm.one_form(
         ch, [ch.constant(0.0), ch.constant(0.0), ch.constant(1.0)]))
     with pytest.raises(ContactConditionError):
         degenerate.verify_contact(pts)
 
-    flipping = ContactScene(ch, KForm.one_form(
+    flipping = ContactScene(KForm.one_form(
         ch, [ch.constant(0.0), ch.parse("x^2"), ch.constant(1.0)]))
     with pytest.raises(ContactConditionError):
         flipping.verify_contact([[1.0, 0, 0], [-1.0, 0, 0]])
@@ -236,9 +236,9 @@ def test_contact_condition_verification():
 def graph_model(delta=0.3):
     ch = Chart(["t", "s", "psi"], angular=("s", "psi"))
     alpha = KForm.one_form(ch, [ch.constant(0.0), ch.var("t"), ch.constant(1.0)])
-    scene = ContactScene(ch, alpha, name="graph3")
+    scene = ContactScene(alpha, name="graph3")
     H = ch.parse(f"{delta} * sin(psi)")
-    surf = Hypersurface.graph(ch, "t", H)
+    surf = Hypersurface.graph("t", H)
     return scene, surf, H
 
 
@@ -265,4 +265,4 @@ def test_graph_prediction_matches_engine():
 def test_graph_constructor_rejects_self_dependence():
     ch = Chart(["t", "s", "psi"], angular=("s", "psi"))
     with pytest.raises(ValueError):
-        Hypersurface.graph(ch, "t", ch.parse("t + sin(psi)"))
+        Hypersurface.graph("t", ch.parse("t + sin(psi)"))

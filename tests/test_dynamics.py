@@ -22,7 +22,7 @@ def linear_setup(domain=None):
     # dz + y dx + 2x dy on {z = 0}: X = (2x, -y, 0), flow diag(e^{2t}, e^{-t})
     ch = Chart(["x", "y", "z"])
     alpha = KForm.one_form(ch, [ch.var("y"), 2.0 * ch.var("x"), ch.constant(1.0)])
-    scene = ContactScene(ch, alpha, name="linear", domain=domain)
+    scene = ContactScene(alpha, name="linear", domain=domain)
     surf = Hypersurface(ch.var("z"))
     return FoliationField(scene, surf)
 
@@ -30,9 +30,9 @@ def linear_setup(domain=None):
 def graph_setup(delta=0.3):
     ch = Chart(["t", "s", "psi"], angular=("s", "psi"))
     alpha = KForm.one_form(ch, [ch.constant(0.0), ch.var("t"), ch.constant(1.0)])
-    scene = ContactScene(ch, alpha, name="graph3")
+    scene = ContactScene(alpha, name="graph3")
     H = ch.parse(f"{delta} * sin(psi)")
-    surf = Hypersurface.graph(ch, "t", H)
+    surf = Hypersurface.graph("t", H)
     return FoliationField(scene, surf), delta
 
 

@@ -59,7 +59,7 @@ def sphere_setup():
     ch = Chart(("x", "y", "z"))
     x_, y_ = ch.var("x"), ch.var("y")
     alpha = KForm.one_form(ch, [-y_, x_, ch.constant(1.0)])
-    scene = ContactScene(ch, alpha, name="sphere",
+    scene = ContactScene(alpha, name="sphere",
                          domain={n: (-1.3, 1.3) for n in ch.names})
     surf = Hypersurface(x_ * x_ + y_ * y_ + ch.var("z") * ch.var("z") - 1.0)
     return ch, scene, surf
@@ -84,7 +84,7 @@ def surface_samples(scene, surf, rng, count):
 
 def conformal_deviation(scene, surf, g, n, points):
     """Worst direction deviation and factor error for alpha -> g alpha."""
-    scaled = ContactScene(scene.chart, scene.alpha * g, name="scaled",
+    scaled = ContactScene(scene.alpha * g, name="scaled",
                           domain=dict(scene.domain))
     f1 = FoliationField(scene, surf)
     f2 = FoliationField(scaled, surf)
@@ -261,7 +261,6 @@ def test_time_reversed_certificate_passes_on_sphere():
     rng = np.random.default_rng(19)
     seeds = [p / np.linalg.norm(p)
              for p in rng.normal(size=(8, 3))]
-    cert = check_morse_smale(field, zeros=zeros, tols=tols,
-                             seed_points=seeds, sense=-1)
+    cert = check_morse_smale(field, seeds, zeros=zeros, tols=tols, sense=-1)
     assert cert.verdict == "pass"
     assert cert.limit_check == pytest.approx(1.0)

@@ -69,7 +69,7 @@ def _cone():
     # a regular point
     ch = Chart(("x", "y", "z"))
     x, y, z = ch.vars()
-    scene = ContactScene(ch, KForm.one_form(ch, [-y, x, ch.constant(1.0)]))
+    scene = ContactScene(KForm.one_form(ch, [-y, x, ch.constant(1.0)]))
     return FoliationField(scene, Hypersurface(x * x + y * y - z * z))
 
 
@@ -738,7 +738,7 @@ def test_rec_operators_take_only_numbers_and_recs():
 # random surfaces F = tree + z in the chart of s2-height ------------------
 
 CH = Chart(("x", "y", "z"))
-SCENE = ContactScene(CH, KForm.one_form(CH, [-CH.var("y"), CH.var("x"),
+SCENE = ContactScene(KForm.one_form(CH, [-CH.var("y"), CH.var("x"),
                                              CH.constant(1.0)]))
 
 
