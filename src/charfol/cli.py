@@ -145,8 +145,7 @@ def cmd_classify(args) -> int:
     doc, rep, tols, rng = _open(args, "classify")
     if doc.kind == "family":
         scene = _shell(doc)
-        rep.update(_shell_elements(scene, mori_mod.census(scene, tols, rng),
-                                   tols))
+        rep.update(_shell_elements(scene, mori_mod.census(scene, tols), tols))
     elif doc.kind == "field":
         rep["elements"] = report.element_rows(
             _field_census(doc, tols, rng)[1])
@@ -168,7 +167,7 @@ def cmd_certify(args) -> int:
         rep["persistence"] = col["persistence"]
     elif doc.kind == "family":
         scene = _shell(doc)
-        cert = _shell_certificate(scene, mori_mod.census(scene, tols, rng),
+        cert = _shell_certificate(scene, mori_mod.census(scene, tols),
                                   tols, rng)
         rep["certificate"] = report.certificate_dict(cert)
     elif doc.kind == "field":
@@ -217,7 +216,7 @@ def cmd_mori_reproduce(args) -> int:
         scene, count=200, rng=rng)
     rep["chart_agreement"] = charts = mori_mod.chart_agreement(
         scene, count=100, rng=rng)
-    cen = mori_mod.census(scene, tols, rng)
+    cen = mori_mod.census(scene, tols)
     rep.update(_shell_elements(scene, cen, tols))
     rep["torus_probe"] = probe = mori_mod.torus_probe(scene, samples=100,
                                                       rng=rng)

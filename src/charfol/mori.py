@@ -497,21 +497,19 @@ def _edge_orbit(scene: MoriScene, sign: float) -> CensusOrbit:
     return CensusOrbit(info=info, loop=loop, omega=omega)
 
 
-def census(scene: MoriScene, tols: policy.Tolerances = policy.DEFAULT,
-           rng=None) -> dict:
+def census(scene: MoriScene, tols: policy.Tolerances = policy.DEFAULT) -> dict:
     """All zeros and closed orbits of the foliation on the shell.
 
-    Zeros come from Newton refinement over axis seeds plus a random
-    sweep; orbits from the rotation symmetry, with monodromy in the
-    rotating frame. See the module docstring for why shooting is not
-    an option here.
+    Zeros come from Newton refinement of four seeds on the rotation
+    axis, where the symmetry puts every zero; the test suite checks
+    completeness by the Poincare-Hopf sum chi(S^2n) = 2. Orbits come
+    from the rotation symmetry, with monodromy in the rotating frame.
+    See the module docstring for why shooting is not an option here.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     field = scene.field_cartesian
     az = scene.constants.axis_z
     seeds = [cartesian_lift(scene, (s * az, 0.0, 0.0))
              for s in (-1.1, -0.9, 0.9, 1.1)]
-    seeds.extend(field.surface_samples(rng, 12))
     pts = find_zeros(field, seeds, tols)
     zeros = [classify_zero(field, p) for p in pts]
     zeros.sort(key=lambda zi: zi.point[-1])

@@ -62,6 +62,13 @@ def test_s2_census_structure(s2):
     assert abs(north.eigenvalues[0].imag) > 0
 
 
+def test_s2_census_sums_to_euler_characteristic(s2):
+    # Poincare-Hopf on S^2: sum of (-1)^stable_dim over hyperbolic zeros
+    _, zeros = s2
+    assert all(z.hyperbolic for z in zeros)
+    assert sum((-1) ** z.stable_dim for z in zeros) == 2
+
+
 def test_certificate_passes_on_sphere(s2, sphere_seeds):
     fld, zeros = s2
     cert = check_morse_smale(fld, sphere_seeds, zeros=zeros)

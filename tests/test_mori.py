@@ -226,8 +226,10 @@ def test_torus_exponent_matches_closed_form(n):
     assert abs(got - lam_loop) < 1e-12 * lam_loop
 
 
-def test_census_zeros(scene, census):
-    zeros = census["zeros"]
+@pytest.mark.parametrize("n, eps", [(2, EPS), (2, 0.05), (2, 0.15), (4, 0.1)])
+def test_census_zeros(n, eps):
+    scene = mori.mori_scene(n, eps)
+    zeros = mori.census(scene)["zeros"]
     assert len(zeros) == 2
     names = scene.cartesian.chart.names
     iz = names.index("z")
@@ -241,6 +243,15 @@ def test_census_zeros(scene, census):
         # top pole attracts, bottom pole repels
         assert z.liouville_sign == (-1 if z.point[iz] > 0 else 1)
     assert zeros[0].liouville_sign * zeros[1].liouville_sign == -1
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_census_zeros_sum_to_euler_characteristic(n):
+    # Poincare-Hopf on the shell S^2n: the axis seeds miss no zero
+    zeros = mori.census(mori.mori_scene(n, EPS))["zeros"]
+    assert all(z.hyperbolic for z in zeros)
+    assert {z.stable_dim for z in zeros} == {0, 2 * n}
+    assert sum((-1) ** z.stable_dim for z in zeros) == 2
 
 
 def test_census_orbits(scene, census):
@@ -346,25 +357,36 @@ def test_phase_portrait_projects_through_a_kernel(scene, monkeypatch):
         assert abs(value) < policy.PROJECT_TOL
 
 
-class BuggyBatch:
-    """A scalar field whose evaluation on rows, the batched projection of
-    the census seeds, fails with a bug."""
+class Buggy:
+    """A scalar field whose method `name` fails with a bug."""
 
-    def __init__(self, F):
-        self.F = F
+    def __init__(self, F, name):
+        self.F, self.name = F, name
 
     def __getattr__(self, name):
+        if name == self.name:
+            raise RuntimeError(f"bug in {name}")
         return getattr(self.F, name)
 
-    def value_and_grad_rows(self, x):
-        raise RuntimeError("bug in projection")
+
+def test_census_needs_no_random_seeds(monkeypatch):
+    scene = mori.mori_scene(2, 0.1)
+    surf = scene.surface_cartesian
+    surf.F = Buggy(surf.F, "value_and_grad_rows")
+
+    def no_samples(self, rng, count):
+        raise RuntimeError("census drew random seeds")
+
+    monkeypatch.setattr(FoliationField, "surface_samples", no_samples)
+    cen = mori.census(scene)
+    assert len(cen["zeros"]) == 2 and len(cen["orbits"]) == 2
 
 
 def test_census_lets_projection_bugs_propagate():
     scene = mori.mori_scene(2, 0.1)
     surf = scene.surface_cartesian
-    surf.F = BuggyBatch(surf.F)
-    with pytest.raises(RuntimeError, match="bug in projection"):
+    surf.F = Buggy(surf.F, "traced_value_and_grad")
+    with pytest.raises(RuntimeError, match="bug in traced_value_and_grad"):
         mori.census(scene)
 
 

@@ -49,6 +49,7 @@ COMMANDS = [
     ["convexify", "collar-profile"],
     ["mori", "reproduce", "--n", "2"],
     ["mori", "reproduce", "--n", "3"],
+    ["mori", "reproduce", "--n", "4"],
     ["mori", "perturb"],
 ]
 
