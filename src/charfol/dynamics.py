@@ -15,7 +15,8 @@ the field's float lists (`FoliationField.vector_floats`,
 projection of every projected flow): a variational
 run's right-hand side, J·M included, is one kernel call. Shooting for
 closed orbits scores its line-search trials with variational runs too,
-so an accepted trial is already the next Newton shot.
+so an accepted trial is already the next Newton shot; an expanding orbit
+is shot in reversed time, where it contracts, and classified inverted.
 
 Angular coordinates integrate unwrapped; closure of orbits and
 deduplication of elements are tested modulo the period.
@@ -319,19 +320,24 @@ class ZeroInfo:
 
 def refine_zero(field: FoliationField, seed,
                 tols: policy.Tolerances = policy.DEFAULT) -> np.ndarray:
-    """Newton on (X, F) jointly; converges to a zero on the surface."""
+    """Newton on (X, F) jointly; converges to a zero on the surface, or
+    gives up once the residual sits at its best (`policy.ZERO_STALL_*`)."""
     x = field.surface.project(seed)
     scale = 1.0 + float(np.max(np.abs(x)))
-    best = None
+    best, flat = None, 0
     for _ in range(tols.newton_max_iter):
         X, J = field.vector_and_jacobian(x)
         Fv, Fg = field.surface.value_and_grad(x)
         r = np.append(X, Fv)
         rn = float(np.max(np.abs(r)))
+        flat = flat + 1 if (best is not None and abs(rn - best[0])
+                            <= policy.ZERO_STALL_RTOL * best[0]) else 0
         if best is None or rn < best[0]:
             best = (rn, x.copy())
         if rn < tols.newton_tol * scale:
             return x
+        if flat >= policy.ZERO_STALL_STEPS:
+            break
         A = np.vstack([J, np.asarray(Fg, dtype=float)])
         dx, *_ = np.linalg.lstsq(A, -r, rcond=None)
         if not np.all(np.isfinite(dx)):
@@ -415,9 +421,13 @@ class OrbitInfo:
 
 
 def find_orbit(field: FoliationField, seed_point, period_guess: float,
-               tols: policy.Tolerances = policy.DEFAULT) -> RefinedOrbit:
+               tols: policy.Tolerances = policy.DEFAULT,
+               sense: int = +1) -> RefinedOrbit:
     """Newton shooting for a closed orbit from one seed and a period guess;
-    line-search trials are variational shots, and an accepted one is next."""
+    line-search trials are variational shots, and an accepted one is next.
+    Sense -1 shoots in reversed time, where a positive orbit contracts and
+    seed errors shrink; the monodromy and divergence integral are then the
+    reversed flow's, for `classify_orbit` with the same sense."""
     chart = field.scene.chart
     p0 = field.surface.project(seed_point)
     scale = 1.0 + float(np.max(np.abs(p0)))
@@ -429,7 +439,7 @@ def find_orbit(field: FoliationField, seed_point, period_guess: float,
     except ValueError:
         raise NoOrbitError("seed point is a zero of the field") from None
     m = S.shape[1]
-    flow = Flow(field, tols)
+    flow = Flow(field, tols, sense=sense)
 
     def shoot(u, T):
         q = field.surface.project(p0 + S @ u)
@@ -450,7 +460,7 @@ def find_orbit(field: FoliationField, seed_point, period_guess: float,
                 raise NoOrbitError("refinement collapsed onto a zero")
             return RefinedOrbit(point=q, period=T, monodromy=M, div_integral=w)
         cols = [Q.T @ ((M - np.eye(len(q))) @ S[:, j]) for j in range(m)]
-        cols.append(Q.T @ field.vector(yT))
+        cols.append(Q.T @ (sense * field.vector(yT)))
         Amat = np.column_stack(cols)
         step, *_ = np.linalg.lstsq(Amat, -r, rcond=None)
         if not np.all(np.isfinite(step)):
@@ -477,8 +487,11 @@ def find_orbit(field: FoliationField, seed_point, period_guess: float,
     raise NoOrbitError(f"no closed orbit from this seed (residual {shot[-1]})")
 
 
-def classify_orbit(field: FoliationField, orbit: RefinedOrbit) -> OrbitInfo:
-    """Return map data on the section normal to the flow at the base point."""
+def classify_orbit(field: FoliationField, orbit: RefinedOrbit,
+                   sense: int = +1) -> OrbitInfo:
+    """Return map data on the section normal to the flow at the base point.
+    For sense -1 the monodromy is the reversed flow's, whose return map is
+    the inverse: its multipliers and C are inverted, its residuals kept."""
     p = orbit.point
     n = field.scene.n
     _, S = flow_split_basis(field, p)
@@ -511,21 +524,13 @@ def classify_orbit(field: FoliationField, orbit: RefinedOrbit) -> OrbitInfo:
         rest.pop(j)
     div_res = abs(orbit.div_integral - math.log(abs(detP))) / max(
         1.0, abs(math.log(abs(detP))))
-    return orbit_info(orbit, eigs, C, det_res, pair_res, div_res)
-
-
-def orbit_info(orbit: RefinedOrbit, multipliers, C: float,
-               det_residual: float, pairing_residual: float,
-               div_residual: float) -> OrbitInfo:
-    """Classify an orbit from its return-map multipliers and conformal
-    factor C; the residuals are carried into the record as given."""
+    if sense < 0:
+        eigs, C = 1.0 / eigs, 1.0 / C
     band = policy.HYPERBOLIC_BAND
-    moduli = np.abs(multipliers)
-    return OrbitInfo(point=orbit.point, period=orbit.period,
-                     multipliers=multipliers, C=C,
-                     det_residual=det_residual,
-                     pairing_residual=pairing_residual,
-                     div_residual=div_residual, positive=bool(C > 1.0),
+    moduli = np.abs(eigs)
+    return OrbitInfo(point=p, period=orbit.period, multipliers=eigs, C=C,
+                     det_residual=det_res, pairing_residual=pair_res,
+                     div_residual=div_res, positive=bool(C > 1.0),
                      liouville_sign=sign_of(C, 1.0),
                      stable_index=int(np.sum(moduli < 1.0 - band)) + 1,
                      hyperbolic=bool(np.all(np.abs(moduli - 1.0) > band)))

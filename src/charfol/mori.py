@@ -14,9 +14,10 @@ G the rotation generator. This is not a shortcut for convenience: the
 transverse log-multipliers are of size 2 pi / sqrt(eps) per loop, so a
 shooting method would have to invert a return map that amplifies
 floating point noise by seventeen orders of magnitude. The module keeps
-find_orbit available for the perturbation model, where the multipliers
-are moderate, and the test suite demonstrates that shooting honestly
-refuses the stiff cases.
+find_orbit for the perturbation model, where the multipliers are
+moderate and each orbit is shot in the time direction where it
+contracts; the test suite shows that forward shooting refuses the stiff
+cases.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from .contact import (ContactScene, FoliationField, Hypersurface,
                       _hamiltonian_solve, alpha_data_at,
                       graph_foliation_check, hamiltonian_residuals)
 from .dynamics import (EventSpec, Flow, RefinedOrbit, _integrate_core,
-                       classify_orbit, classify_zero, find_orbit, find_zeros,
-                       orbit_info)
+                       classify_orbit, classify_zero, find_orbit, find_zeros)
 from .errors import ConstructiveFailure, NoOrbitError, PolarDomainError
 from .exterior import Chart, KForm, ScalarField, _fn
 from .jets import Jet, seed
@@ -473,22 +473,13 @@ def _edge_orbit(scene: MoriScene, sign: float) -> CensusOrbit:
 
     # classify in the expanding time direction: a multiplier of e^-40
     # sits below the roundoff floor of the section projection, while its
-    # inverse is perfectly representable. The return map of the reversed
-    # flow is exactly the inverse on the same section, so the forward
-    # data comes back by inverting.
-    expanding = div > 0.0
-    tsign = 1.0 if expanding else -1.0
+    # inverse is perfectly representable
+    tsign = 1.0 if div > 0.0 else -1.0
     from scipy.linalg import expm   # the one scipy use; keeps it off start-up
     M = expm(tsign * T * A)
     orbit = RefinedOrbit(point=p, period=T, monodromy=M,
                          div_integral=tsign * T * div)
-    raw = classify_orbit(field, orbit)
-    if expanding:
-        info = raw
-    else:
-        info = orbit_info(orbit, 1.0 / raw.multipliers, 1.0 / raw.C,
-                          raw.det_residual, raw.pairing_residual,
-                          raw.div_residual)
+    info = classify_orbit(field, orbit, sense=tsign)
     th = np.linspace(0.0, 2.0 * math.pi, 97)[:-1]
     loop = np.zeros((96, d))
     loop[:, 0] = p[0] * np.cos(th)
@@ -758,12 +749,15 @@ def _graph_point(ch, H: ScalarField, s, a, b, psi) -> np.ndarray:
 def _column_orbit(field: FoliationField, H: ScalarField, psi0: float,
                   spec: PerturbationSpec,
                   tols: policy.Tolerances) -> ColumnOrbit:
+    """The orbit near psi0 on the column, shot in the time direction where
+    it contracts: reversed where the divergence at the seed is positive."""
     ch = field.scene.chart
     seed = _graph_point(ch, H, 5.0, 0.02, -0.01, psi0 + 0.1)
-    sdot = float(field.vector(seed)[ch.index("s")])
-    guess = spec.circumference / abs(sdot)
-    orb = find_orbit(field, seed, guess, tols)
-    info = classify_orbit(field, orb)
+    X, _, div = field.flow_data(seed)
+    guess = spec.circumference / abs(float(X[ch.index("s")]))
+    sense = -1 if div > 0.0 else +1
+    orb = find_orbit(field, seed, guess, tols, sense=sense)
+    info = classify_orbit(field, orb, sense=sense)
     p = orb.point
     # wrapped to [-pi/2, 3pi/2): the orbits sit at 0 and pi, both away
     # from the cut, so roundoff cannot flip the reported angle by 2 pi

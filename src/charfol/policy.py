@@ -22,6 +22,11 @@ PROJECT_MAX_ITER = 20
 # zeros closer than this (angular coordinates wrapped) are one zero
 DEDUP_RADIUS = 1e-6
 
+# a zero seed has stalled once its residual has stayed within
+# ZERO_STALL_RTOL of its best for ZERO_STALL_STEPS Newton steps
+ZERO_STALL_RTOL = 1e-3
+ZERO_STALL_STEPS = 3
+
 # distance of |multiplier| from 1 that still counts as 1
 HYPERBOLIC_BAND = 1e-6
 

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charfol import dynamics, jets, policy
+from charfol import cli, dynamics, jets, policy
 from charfol.contact import ContactScene, FoliationField, Hypersurface
 from charfol.dynamics import (_A, _E, EventSpec, Flow, RefinedOrbit,
                               _integrate_core, _step,
                               classify_orbit, classify_zero, find_orbit,
                               find_zeros, linearize_zero, refine_zero,
                               wrap_diff)
-from charfol.errors import EscapeError, NoOrbitError
+from charfol.errors import ConstructiveFailure, EscapeError, NoOrbitError
 from charfol.exterior import Chart, KForm
 
 
@@ -141,6 +141,45 @@ def test_orbit_refinement_and_return_map():
     assert info2.C == pytest.approx(1.0 / want_C, rel=1e-6)
     assert info2.positive and info2.stable_index == 1
     assert info2.liouville_sign == 1
+
+
+def test_reversed_shot_classifies_as_the_forward_orbit():
+    # the positive psi = pi circle, shot as a contracting orbit of the
+    # reversed flow; classify_orbit inverts the multipliers and C
+    fld, delta = graph_setup(delta=0.3)
+    guess = 2 * math.pi * (1 + delta ** 2)
+    seed = [-0.05, 0.3, math.pi - 0.2]
+    fwd_orbit = find_orbit(fld, seed, guess)
+    fwd = classify_orbit(fld, fwd_orbit)
+    orbit = find_orbit(fld, seed, guess, sense=-1)
+    assert orbit.period == pytest.approx(fwd_orbit.period, rel=1e-8)
+    assert orbit.div_integral < 0.0 < fwd_orbit.div_integral
+    info = classify_orbit(fld, orbit, sense=-1)
+    assert info.C == pytest.approx(fwd.C, rel=1e-6)
+    assert np.sort(np.abs(info.multipliers)) == pytest.approx(
+        np.sort(np.abs(fwd.multipliers)), rel=1e-6)
+    assert info.positive and info.liouville_sign == 1
+    assert (info.stable_index, info.hyperbolic) == (fwd.stable_index, True)
+    raw = classify_orbit(fld, orbit)
+    assert info.C == 1.0 / raw.C
+    assert info.det_residual == raw.det_residual
+
+
+def test_stalled_zero_seed_gives_up_early():
+    # on graph-model this random seed reaches a plateau at residual
+    # 1.26e-4, off every zero, at Newton step 25; refine_zero gives up
+    # 3 steps into it, not after all 40
+    doc = cli._resolve_scene("graph-model")
+    fld = FoliationField(doc.scene, doc.surface)
+    steps = []
+    vector_and_jacobian = fld.vector_and_jacobian
+    fld.vector_and_jacobian = lambda x: (steps.append(x)
+                                         or vector_and_jacobian(x))
+    seed = [0.7602700222616668, 0.5444067868791745, -1.10641822785203]
+    with pytest.raises(ConstructiveFailure,
+                       match=r"^zero refinement stalled at residual 1\.260e-04$"):
+        refine_zero(fld, seed)
+    assert len(steps) == 28 < policy.DEFAULT.newton_max_iter
 
 
 def test_no_orbit_from_zero_seed():

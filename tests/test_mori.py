@@ -6,6 +6,7 @@ form, orbit exponents from the reduced rates, and the column-model
 multipliers from a 1-D quadrature of the bump profile.
 """
 
+import functools
 import json
 import math
 
@@ -459,17 +460,20 @@ def test_column_orbits_match_closed_form(perturb):
 
 
 def test_column_shooting_reuses_variational_trials(monkeypatch):
-    # the expanding orbit converges in a handful of variational shots; a
+    # the expanding orbit is shot in reversed time, where it contracts,
+    # and converges in 4 variational shots (7 when shot forward); a
     # line search scored with plain runs, a different discretisation from
     # the residual, stalls it at lambda = 1/8 (19 variational, 57 plain)
     spec = mori.PerturbationSpec()
     scene, surface, info = mori.column_scene(spec)
     field = FoliationField(scene, surface)
     calls = {"variational": 0, "plain": 0}
+    senses = set()
     variational, plain = Flow.integrate_variational, Flow.integrate
 
     def count_variational(self, *args, **kw):
         calls["variational"] += 1
+        senses.add(self.sense)
         return variational(self, *args, **kw)
 
     def count_plain(self, *args, **kw):
@@ -481,8 +485,44 @@ def test_column_shooting_reuses_variational_trials(monkeypatch):
     orbit = mori._column_orbit(field, info["H"], math.pi, spec,
                                policy.DEFAULT)
     assert orbit.info.positive
-    assert calls["variational"] <= 8
+    assert calls["variational"] <= 5
     assert calls["plain"] == 0
+    assert senses == {-1.0}
+
+
+@functools.cache
+def column_at(delta):
+    spec = mori.PerturbationSpec(delta=delta)
+    scene, surface, info = mori.column_scene(spec)
+    return mori.column_certificate(FoliationField(scene, surface), info)
+
+
+@pytest.mark.parametrize("delta", [0.005, 0.01, 0.02, 0.05, 0.08, 0.1])
+def test_column_orbits_across_delta(delta):
+    # both orbits are found and hyperbolic over the accepted range; the
+    # expanding one, shot forward, was lost from delta = 0.08 on
+    rep = column_at(delta)
+    assert not rep["degenerate"]
+    psi = sorted(o.psi for o in rep["orbits"])
+    assert len(psi) == 2 and all(o.info.hyperbolic for o in rep["orbits"])
+    assert abs(psi[0]) < 1e-6 and abs(psi[1] - math.pi) < 1e-6
+    pers = rep["persistence"]
+    assert (abs(pers["margin"] - pers["predicted_margin"])
+            < 1e-8 * pers["predicted_margin"])
+
+
+@pytest.mark.parametrize("delta", [
+    pytest.param(0.005, marks=pytest.mark.xfail(strict=True, reason=(
+        "8 of 10 seeds read 'recurrent' (4 of 10 in `mori perturb` at "
+        "seed 0): the chase budget is too short for the weak "
+        "contraction there"))),
+    pytest.param(0.01, marks=pytest.mark.xfail(strict=True, reason=(
+        "1 of 10 seeds reads 'recurrent' (none in `mori perturb` at "
+        "seed 0), as at 0.005 but rarer"))),
+    0.02, 0.05, 0.08, 0.1])
+def test_column_certificate_across_delta(delta):
+    cert = column_at(delta)["certificate"]
+    assert cert.verdict == "pass", cert.reasons
 
 
 def test_certificate_tols_follow_profile():

@@ -51,6 +51,7 @@ COMMANDS = [
     ["mori", "reproduce", "--n", "3"],
     ["mori", "reproduce", "--n", "4"],
     ["mori", "perturb"],
+    ["mori", "perturb", "--delta", "0.1"],
 ]
 
 
