@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from charfol import census, check_morse_smale, mori_scene
-from charfol.mori import torus_probe, torus_recurrence_candidate
+from charfol.mori import torus_probe, torus_recurrence
 
 scene = mori_scene(2, 0.1)
 con = scene.constants
@@ -28,12 +28,11 @@ print(f"transverse contraction per loop: "
       f"{probe['transverse_exponent_per_loop']:.3f}")
 
 cen = census(scene)
-cand = torus_recurrence_candidate(scene)
 field = scene.field_cartesian
 seeds = field.surface_samples(np.random.default_rng(0), 20)
 cert = check_morse_smale(field, seeds, zeros=cen["zeros"],
                          orbits=cen["orbits"],
-                         recurrence_candidates=[cand])
+                         recurrence=torus_recurrence(scene))
 
 print(f"\nverdict: {cert.verdict}")
 for reason in cert.reasons:

@@ -3,8 +3,9 @@
 What a finite computation can honestly certify: that every element of a
 proposed census is hyperbolic, that a sample of trajectories lands on
 census elements in both time directions, that separatrices launched
-from negative elements do not reach positive ones, and that supplied
-recurrence candidates fail to verify. A pass is therefore evidence
+from negative elements do not reach positive ones, and that no
+verified recurrence was supplied (a record such as
+`mori.torus_recurrence` returns). A pass is therefore evidence
 within the sampled basins, not a global proof, and the certificate says
 so; a fail always carries a concrete witness (a neutral multiplier, a
 verified invariant set, a forbidden connection, or a recurrent sampled
@@ -24,20 +25,6 @@ from .contact import ContactScene
 from .dynamics import EventSpec, Flow, linearize_zero, wrap_diff
 from .errors import ConstructiveFailure, EscapeError, IntegrationError
 from .exterior import Chart, KForm, ScalarField, _fn, _rebase
-
-
-@dataclass
-class RecurrenceCandidate:
-    """A proposed non-trivial recurrent set.
-
-    verify(field, tols) must return an evidence dict when the candidate
-    is real and None when it is not; the certificate treats verified
-    candidates as disqualifying.
-    """
-
-    point: np.ndarray
-    description: str
-    verify: object
 
 
 @dataclass
@@ -211,25 +198,27 @@ def _unstable_directions(field, point, sense):
 
 def check_morse_smale(field, seeds, zeros=(), orbits=(),
                       tols: policy.Tolerances = policy.DEFAULT,
-                      recurrence_candidates=(),
-                      sense: int = +1) -> MorseSmaleCertificate:
+                      recurrence=(), sense: int = +1) -> MorseSmaleCertificate:
     """Assemble the certificate for one census on one surface.
 
     seeds are the points of the surface whose trajectories are chased
     in both time directions (for instance `field.surface_samples(rng,
     count)`); zeros are ZeroInfo records; orbits carry .info (OrbitInfo)
-    and .loop (a sampled closed curve). The verdict is fail on any
-    concrete witness against the structure, pass when every element is
-    hyperbolic, no candidate verifies, no launched connection lands
-    wrong, and every seed is captured both ways; anything short of that
-    is inconclusive, with the offending seed recorded. No seeds is
-    inconclusive.
+    and .loop (a sampled closed curve). recurrence holds already
+    verified recurrent sets, dicts with at least a description (for
+    instance `mori.torus_recurrence(scene)`); once every element is
+    hyperbolic each is recorded, and disqualifies. The verdict is fail
+    on any concrete witness against the structure, pass when every
+    element is hyperbolic, no recurrence is supplied, no launched
+    connection lands wrong, and every seed is captured both ways;
+    anything short of that is inconclusive, with the offending seed
+    recorded. No seeds is inconclusive.
     """
     seeds = [np.asarray(q, dtype=float) for q in seeds]
     chart = field.scene.chart
     dim_surface = chart.dim - 1
-    reasons, notes, recurrence = [], [], []
-    violations = []
+    supplied, recurrence = recurrence, []
+    reasons, notes, violations = [], [], []
     elements = {"zeros": list(zeros), "orbits": list(orbits)}
 
     def skipped(note):
@@ -258,13 +247,9 @@ def check_morse_smale(field, seeds, zeros=(), orbits=(),
     if reasons:
         return skipped("hyperbolicity gate failed")
 
-    for cand in recurrence_candidates:
-        evidence = cand.verify(field, tols)
-        if evidence is not None:
-            recurrence.append({"description": cand.description,
-                               "point": np.asarray(cand.point, dtype=float),
-                               **evidence})
-            reasons.append(f"verified recurrence: {cand.description}")
+    recurrence += supplied
+    reasons += [f"verified recurrence: {rec['description']}"
+                for rec in supplied]
     if reasons:
         return skipped("a recurrence candidate verified")
 

@@ -92,12 +92,12 @@ def _shell_elements(scene, cen, tols) -> dict:
 
 def _shell_certificate(scene, cen, tols, rng):
     """The certificate of a shell census from 20 seeds drawn from `rng`,
-    with the invariant torus as its recurrence candidate."""
+    given the invariant torus as verified recurrence."""
     field = scene.field_cartesian
     return certify_mod.check_morse_smale(
         field, field.surface_samples(rng, 20), zeros=cen["zeros"],
         orbits=cen["orbits"], tols=tols,
-        recurrence_candidates=[mori_mod.torus_recurrence_candidate(scene)])
+        recurrence=mori_mod.torus_recurrence(scene))
 
 
 def _field_census(doc: SceneDocument, tols, rng):

@@ -17,6 +17,8 @@ run's right-hand side, J·M included, is one kernel call. Shooting for
 closed orbits scores its line-search trials with variational runs too,
 so an accepted trial is already the next Newton shot; an expanding orbit
 is shot in reversed time, where it contracts, and classified inverted.
+An event is located on the accepted step that detects it, by
+safeguarded Newton on that step's own map over the step size.
 
 Angular coordinates integrate unwrapped; closure of orbits and
 deduplication of elements are tested modulo the period.
@@ -168,7 +170,7 @@ def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
     steps = 0
     while t < tmax * (1.0 - 1e-15) :
         steps += 1
-        if steps > tols.ode_max_steps:
+        if steps > policy.ODE_MAX_STEPS:
             raise IntegrationError("step budget exhausted", t=t,
                                    state=np.array(z))
         h = min(h, tmax - t)
@@ -185,8 +187,8 @@ def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
             g1 = event.fn(np.array(znew))
             if (g0 < 0.0 <= g1) if event.direction > 0 else (g0 > 0.0 >= g1):
                 t_ev, z_ev = _locate_event(
-                    rhs, np.array(z), np.array(f), np.array(z5),
-                    np.array(k6), h, event, tols, post)
+                    lambda tau: step(rhs, z, f, tau, atol, rtol), h, g0, g1,
+                    event, post)
                 return SimpleNamespace(status="event", t=t + t_ev, y=z_ev,
                                        steps=steps, path=path)
             g0 = g1
@@ -205,41 +207,27 @@ def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
                            path=path)
 
 
-def _locate_event(rhs, z0, f0, z1, f1, h, ev: EventSpec,
-                  tols: policy.Tolerances, post):
-    """Bracket on the Hermite interpolant, then Newton with re-integration.
-    g and grad g come from one evaluation of the event on seeded jets;
-    a result that is not a Jet has gradient 0."""
-
-    def hermite(th):
-        h00 = 2 * th ** 3 - 3 * th ** 2 + 1
-        h10 = th ** 3 - 2 * th ** 2 + th
-        h01 = -2 * th ** 3 + 3 * th ** 2
-        h11 = th ** 3 - th ** 2
-        return h00 * z0 + (h10 * h) * f0 + h01 * z1 + (h11 * h) * f1
-
-    g0 = ev.fn(z0)
-    lo, hi = 0.0, 1.0
+def _locate_event(step_to, h, g0, g1, ev: EventSpec, post):
+    """(tau, state) of the crossing inside an accepted step of size h,
+    whose event values are g0 and g1: safeguarded Newton on
+    tau -> g(post(z5)), with (z5, k6, _) = step_to(tau) the step's own
+    `_step` from its start, begun at the secant point. g and grad g come
+    from the event on seeded jets, g' = grad g . k6 (0 for a result that
+    is not a Jet), a Newton point off the bracket gives way to its
+    midpoint, and it stops at |g| < 1e-13 (1 + |g'|)."""
+    lo, hi, tau = 0.0, h, float(h * g0 / (g0 - g1))
     for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if g0 * ev.fn(hermite(mid)) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    dt = 0.5 * (lo + hi) * h
-
-    y = None
-    for _ in range(8):
-        res = _integrate_core(rhs, z0, dt, tols, post=post)
-        y = res.y
+        z5, k6, _ = step_to(tau)
+        y = post(z5) if post is not None else z5
         g = ev.fn(jets.seed(y))
-        gd = (float(np.dot(g.g, rhs(y.tolist())))
-              if isinstance(g, jets.Jet) else 0.0)
+        gd = float(np.dot(g.g, k6)) if isinstance(g, jets.Jet) else 0.0
         g = jets.fval(g)
-        if gd == 0.0 or abs(g) < 1e-13 * (1.0 + abs(gd)):
+        if abs(g) < 1e-13 * (1.0 + abs(gd)):
             break
-        dt = min(max(dt - g / gd, 0.0), h)
-    return dt, y
+        lo, hi = (tau, hi) if (g < 0.0) == (g0 < 0.0) else (lo, tau)
+        newton = tau - g / gd if gd != 0.0 else lo
+        tau = newton if lo < newton < hi else 0.5 * (lo + hi)
+    return tau, np.array(y)
 
 
 class Flow:

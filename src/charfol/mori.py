@@ -403,30 +403,23 @@ def torus_probe(scene: MoriScene, samples: int = 100, rng=None) -> dict:
             "slope_note": note}
 
 
-def torus_recurrence_candidate(scene: MoriScene):
-    """A recurrence candidate for the certificate machinery.
-
-    Carries one point of the invariant torus and a verifier that
-    re-derives the rigid-rotation evidence on demand.
-    """
-    z0, r0, rho0 = torus_base_point(scene)
-    point = cartesian_lift(scene, (z0, r0, rho0), theta=0.0, phi=0.0)
-
-    def verify(field, tols):
-        rep = torus_probe(scene, samples=40, rng=np.random.default_rng(202))
-        if rep["invariance_residual"] > 1e-6:
-            return None
-        return {"kind": "invariant torus",
-                "unit_modulus_fiber_multiplier": rep["fiber_multiplier"],
-                "slope": rep["slope"],
-                "transverse_exponent_per_loop":
-                    rep["transverse_exponent_per_loop"],
-                "angular_rate_variation": rep["angular_rate_variation"]}
-
-    return certify.RecurrenceCandidate(
-        point=point,
-        description="invariant torus over the reduced saddle ring",
-        verify=verify)
+def torus_recurrence(scene: MoriScene) -> list:
+    """The invariant torus as verified recurrence for
+    `certify.check_morse_smale`: [] when a 40-sample `torus_probe`
+    finds the field off the torus (invariance residual above 1e-6), and
+    otherwise one record, at the lift of the probe's base point, with
+    the probe's rigid-rotation evidence."""
+    rep = torus_probe(scene, samples=40, rng=np.random.default_rng(202))
+    if rep["invariance_residual"] > 1e-6:
+        return []
+    return [{"description": "invariant torus over the reduced saddle ring",
+             "point": np.array(cartesian_lift(scene, rep["point"])),
+             "kind": "invariant torus",
+             "unit_modulus_fiber_multiplier": rep["fiber_multiplier"],
+             "slope": rep["slope"],
+             "transverse_exponent_per_loop":
+                 rep["transverse_exponent_per_loop"],
+             "angular_rate_variation": rep["angular_rate_variation"]}]
 
 
 # census -----------------------------------------------------------------

@@ -33,6 +33,9 @@ HYPERBOLIC_BAND = 1e-6
 # relative gap between the two evaluations of a collar volume form
 CONVEX_FORM_MATCH = 1e-8
 
+# accepted and rejected steps one integration may attempt
+ODE_MAX_STEPS = 200_000
+
 # certification by flowing to limits
 CAPTURE_RADIUS = 2e-2       # declared converged once inside and contracting
 RECURRENCE_TUBE = 1e-2
@@ -44,7 +47,6 @@ class Tolerances:
     ode_rtol: float = 1e-9
     ode_atol: float = 1e-10
     ode_max_step: float = 0.25
-    ode_max_steps: int = 200_000
 
     # root finding (field zeros, periodic orbits)
     newton_tol: float = 1e-11

@@ -202,12 +202,11 @@ def test_criterion_5_degeneracy_detection(scene2, census2):
     r_star = math.sqrt(0.5 * (lo + hi))
 
     cen, _ = census2
-    cand = mori.torus_recurrence_candidate(scene2)
     field = scene2.field_cartesian
     seeds = field.surface_samples(np.random.default_rng(5), 20)
     cert = check_morse_smale(field, seeds, zeros=cen["zeros"],
                              orbits=cen["orbits"],
-                             recurrence_candidates=[cand])
+                             recurrence=mori.torus_recurrence(scene2))
     rec = cert.recurrence
     ok = cert.verdict == "fail" and len(rec) == 1
     if ok:

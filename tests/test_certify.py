@@ -10,9 +10,9 @@ import pytest
 
 from charfol import policy
 from charfol.certify import (ConvexityProfile, MorseSmaleCertificate,
-                             RecurrenceCandidate, _loop_distance,
-                             build_profile, check_morse_smale, standard_gamma,
-                             verification_grid, verify_convex_form)
+                             _loop_distance, build_profile, check_morse_smale,
+                             standard_gamma, verification_grid,
+                             verify_convex_form)
 from charfol.contact import ContactScene, FoliationField, Hypersurface
 from charfol.dynamics import OrbitInfo, classify_zero, find_zeros
 from charfol.errors import ConstructiveFailure
@@ -110,6 +110,10 @@ def test_doctored_signs_raise_connection_violation(s2, sphere_seeds):
     assert hit["from"][2] > 0.5              # launched from the doctored source
 
 
+SYNTHETIC_TORUS = {"description": "synthetic torus", "point": np.zeros(3),
+                   "kind": "synthetic"}
+
+
 def test_nonhyperbolic_zero_fails_fast(s2, sphere_seeds):
     fld, zeros = s2
     doctored = [replace(zeros[0], hyperbolic=False), zeros[1]]
@@ -118,6 +122,13 @@ def test_nonhyperbolic_zero_fails_fast(s2, sphere_seeds):
     assert any("neutral eigenvalue" in r for r in cert.reasons)
     assert cert.limit_check == 0.0
     assert cert.seeds_used == 0
+    # a verified recurrence is recorded only past the hyperbolicity gate
+    cert = check_morse_smale(fld, sphere_seeds, zeros=doctored,
+                             recurrence=[SYNTHETIC_TORUS])
+    assert cert.verdict == "fail" and cert.seeds_used == 0
+    assert cert.recurrence == []
+    assert not any("recurren" in r for r in cert.reasons)
+    assert cert.notes == ["hyperbolicity gate failed; sampling skipped"]
 
 
 def test_nonhyperbolic_orbit_fails_fast(s2, sphere_seeds):
@@ -137,23 +148,12 @@ def test_nonhyperbolic_orbit_fails_fast(s2, sphere_seeds):
 
 def test_verified_candidate_disqualifies(s2, sphere_seeds):
     fld, zeros = s2
-    cand = RecurrenceCandidate(point=np.zeros(3), description="synthetic torus",
-                               verify=lambda field, tols: {"kind": "synthetic"})
     cert = check_morse_smale(fld, sphere_seeds, zeros=zeros,
-                             recurrence_candidates=[cand])
+                             recurrence=[SYNTHETIC_TORUS])
     assert cert.verdict == "fail"
-    assert any("recurren" in r for r in cert.reasons)
-    assert cert.recurrence[0]["description"] == "synthetic torus"
-
-
-def test_unverified_candidate_is_ignored(s2, sphere_seeds):
-    fld, zeros = s2
-    cand = RecurrenceCandidate(point=np.zeros(3), description="hollow claim",
-                               verify=lambda field, tols: None)
-    cert = check_morse_smale(fld, sphere_seeds[:4], zeros=zeros,
-                             recurrence_candidates=[cand])
-    assert cert.verdict == "pass"
-    assert cert.recurrence == []
+    assert cert.reasons == ["verified recurrence: synthetic torus"]
+    assert cert.recurrence == [SYNTHETIC_TORUS]
+    assert cert.seeds_used == 0
 
 
 def test_more_budget_never_flips_pass_to_fail(s2, sphere_seeds):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from charfol import cli, dynamics, jets, policy
 from charfol.contact import ContactScene, FoliationField, Hypersurface
 from charfol.dynamics import (_A, _E, EventSpec, Flow, RefinedOrbit,
-                              _integrate_core, _step,
+                              _integrate_core, _locate_event, _step,
                               classify_orbit, classify_zero, find_orbit,
                               find_zeros, linearize_zero, refine_zero,
                               wrap_diff)
@@ -68,6 +68,36 @@ def test_event_slope_comes_from_jets():
     assert res.status == "event"
     assert abs(res.t - 0.5 * math.log(4.0)) < 1e-11
     assert abs(res.y[0] - 2.0) < 1e-11
+
+
+def test_event_is_located_on_the_accepted_step(monkeypatch):
+    # the crossing is found inside the step that detected it, on that
+    # step's own map: one integration loop, no nested run, and a few
+    # evaluations of the step map (6 slopes each) after the detection
+    calls, slopes, located = [], [], []
+
+    def rhs(y):
+        slopes.append(list(y))
+        return [-y[1], y[0]]
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return _integrate_core(*args, **kwargs)
+
+    def locate(*args, **kwargs):
+        located.append(len(slopes))
+        return _locate_event(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_integrate_core", spy)
+    monkeypatch.setattr(dynamics, "_locate_event", locate)
+    ev = EventSpec(fn=lambda y: y[1] - 0.5, direction=+1)
+    res = dynamics._integrate_core(rhs, [1.0, 0.0], 6.0, policy.DEFAULT,
+                                   event=ev)
+    assert res.status == "event"
+    assert abs(res.t - math.pi / 6) < 1e-9
+    assert abs(res.y[1] - 0.5) < 1e-13
+    assert len(calls) == 1 and len(located) == 1
+    assert 0 < len(slopes) - located[0] <= 4 * 6
 
 
 def test_escape_raises_with_state():

@@ -215,6 +215,33 @@ def test_torus_probe(scene, probe):
     assert "no-op" in probe["slope_note"]
 
 
+def test_torus_recurrence_reads_its_probe(scene, monkeypatch):
+    # the record comes from one 40-sample probe at default_rng(202): none
+    # when the field leaves the torus, else one at the lifted probe point
+    real, calls = mori.torus_probe, []
+
+    def probe_with(residual, point):
+        def fake(sc, samples=100, rng=None):
+            calls.append((samples, rng.bit_generator.state))
+            rep = real(sc, samples=samples, rng=rng)
+            return {**rep, "invariance_residual": residual, "point": point}
+        return fake
+
+    base = mori.torus_base_point(scene)
+    monkeypatch.setattr(mori, "torus_probe", probe_with(2e-6, base))
+    assert mori.torus_recurrence(scene) == []
+    moved = (0.01, base[1], base[2])
+    monkeypatch.setattr(mori, "torus_probe", probe_with(1e-7, moved))
+    [rec] = mori.torus_recurrence(scene)
+    assert rec["point"].tolist() == mori.cartesian_lift(scene, moved)
+    assert rec["description"] == "invariant torus over the reduced saddle ring"
+    assert rec["kind"] == "invariant torus"
+    assert rec["unit_modulus_fiber_multiplier"] == 1.0
+    assert abs(rec["transverse_exponent_per_loop"]) > 20.0
+    state = np.random.default_rng(202).bit_generator.state
+    assert calls == [(40, state), (40, state)]
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_torus_exponent_matches_closed_form(n):
     # the linearization comes from the field's jets, so the exponent per
@@ -299,20 +326,20 @@ def test_orbit_closedness_dynamic(scene, census):
     assert rep["max_period_dev"] < 1e-6
 
 
-def test_shooting_refuses_edge_orbit(scene, census):
+def test_shooting_refuses_edge_orbit(scene, census, monkeypatch):
     # the return map amplifies noise by e^(2 pi / sqrt(eps)) per transverse
     # direction and loop, so shooting from an offset seed has to fail
     field = scene.field_cartesian
     o = next(o for o in census["orbits"] if o.info.positive)
     seed = np.array(o.info.point, dtype=float)
     seed[scene.cartesian.chart.index("z")] += 1e-3
-    tols = policy.replace(policy.DEFAULT, newton_max_iter=4,
-                          ode_max_steps=4000)
+    tols = policy.replace(policy.DEFAULT, newton_max_iter=4)
+    monkeypatch.setattr(policy, "ODE_MAX_STEPS", 4000)
     with pytest.raises(NoOrbitError):
         find_orbit(field, seed, o.info.period, tols)
 
 
-def test_shooting_refuses_torus_circle(scene):
+def test_shooting_refuses_torus_circle(scene, monkeypatch):
     z, r, rho = mori.torus_base_point(scene)
     p = mori.cartesian_lift(scene, (z, r, rho), theta=0.4, phi=1.9)
     field = scene.field_cartesian
@@ -320,8 +347,8 @@ def test_shooting_refuses_torus_circle(scene):
     q = mori.cartesian_lift(scene, (z, r, rho), theta=0.3, phi=1.1)
     X = field.vector(q)
     T = 2.0 * math.pi / abs(float((q[0] * X[1] - q[1] * X[0]) / (r * r)))
-    tols = policy.replace(policy.DEFAULT, newton_max_iter=3,
-                          ode_max_steps=4000)
+    tols = policy.replace(policy.DEFAULT, newton_max_iter=3)
+    monkeypatch.setattr(policy, "ODE_MAX_STEPS", 4000)
     with pytest.raises(NoOrbitError):
         find_orbit(field, p, T, tols)
 

@@ -52,6 +52,7 @@ COMMANDS = [
     ["mori", "reproduce", "--n", "4"],
     ["mori", "perturb"],
     ["mori", "perturb", "--delta", "0.1"],
+    ["mori", "perturb", "--delta", "0.005"],
 ]
 
 
