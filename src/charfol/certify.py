@@ -251,7 +251,7 @@ def check_morse_smale(field, seeds, zeros=(), orbits=(),
     reasons += [f"verified recurrence: {rec['description']}"
                 for rec in supplied]
     if reasons:
-        return skipped("a recurrence candidate verified")
+        return skipped("a verified recurrence was supplied")
 
     fw, bw = _capture_sets(chart, zeros, orbits, sense, dim_surface)
 

@@ -17,8 +17,9 @@ is one implementation to trust rather than a value path and a separate
 derivative path. At runtime X, its Jacobian, the divergence and the
 projection come from the straight-line kernels traced from that code
 (see `kernel`) in three shapes: float lists (`vector_floats`,
-`flow_floats`, `variational_floats`, `project_floats`), which the
-integrator runs on; row arrays of (m, d) points (`vectors`,
+`flow_floats`, `project_floats`), and for the integrator the
+(kernels, fn) pairs whose kernels it calls itself (`vector_rhs`,
+`variational_rhs`); row arrays of (m, d) points (`vectors`,
 `project_samples`), through the kernels' array twins, with the
 per-point bits in every row; and array wrappers of the float lists for
 any point (`vector`, `flow_data`, `project`).
@@ -215,9 +216,13 @@ class Hypersurface:
     def project_floats(self, x: list) -> list:
         """`project` of a list of Python floats, taken as it is (other
         entry types give undefined results): x itself where F(x) is
-        already below the tolerance, else a new list."""
+        already below the tolerance, else a new list. F and grad F come
+        from the front kernel of F's list, called directly, and from
+        `run` only where its guards fail."""
+        kernels, fn = self.F._kernels, self.F._value_and_grad
         for _ in range(policy.PROJECT_MAX_ITER):
-            v, *g = self.F.traced_value_and_grad(x)
+            out = kernels[0](*x) if kernels else None
+            v, *g = run(kernels, fn, x) if out is None else out
             if abs(v) < policy.PROJECT_TOL:
                 return x
             gg = sum(gi * gi for gi in g)
@@ -296,16 +301,17 @@ class FoliationField:
         # traced kernels of _value_outputs, _jet_outputs and
         # _variational_outputs
         self._kernels = ([], [], [])
+        # the right-hand sides of `dynamics`, as the (kernels, fn) pairs
+        # `run` takes: X, and (X, J·M, div) for a variational state of
+        # d + d² + 1 floats
+        self.vector_rhs = (self._kernels[0], self._value_outputs)
+        self.variational_rhs = (self._kernels[2], self._variational_outputs)
         # X, and (X, the rows of its ambient Jacobian, div) flat, as
         # tuples of floats, for a list of d Python floats taken as it is
-        # (an entry of any other type gives an undefined result); and
-        # (X, J·M, div) for a variational state of d + d² + 1 floats
-        self.vector_floats = functools.partial(
-            run, self._kernels[0], self._value_outputs)
+        # (an entry of any other type gives an undefined result)
+        self.vector_floats = functools.partial(run, *self.vector_rhs)
         self.flow_floats = functools.partial(
             run, self._kernels[1], self._jet_outputs)
-        self.variational_floats = functools.partial(
-            run, self._kernels[2], self._variational_outputs)
 
     # core ------------------------------------------------------------
 

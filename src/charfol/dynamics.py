@@ -6,14 +6,16 @@ direction field is tangent to every level of the defining function, so
 projection removes roundoff drift rather than fighting the dynamics.
 Variational runs carry the ambient monodromy matrix and the divergence
 integral alongside the state, all sourced from one jet pass per stage.
-The loop runs on lists of Python floats. Each attempted step is one
-function generated per state length (`_step`): the stage sums are
-locals, summed in index order, and each stage input goes to the
-right-hand side as a list. `Flow` feeds the loop straight from
-the field's float lists (`FoliationField.vector_floats`,
-`variational_floats`, `Hypersurface.project_floats`, the one
-projection of every projected flow): a variational
-run's right-hand side, J·M included, is one kernel call. Shooting for
+The loop runs on lists of Python floats. A right-hand side is the
+`(kernels, fn)` pair of `kernel.run`, and each attempted step is one
+function generated per state length and time sense (`_step`): the
+stage sums are locals, summed in index order, each stage calls the
+front kernel itself (`kernel.run` only where its guards fail), and
+reversed time is the sign of the weights. `Flow` feeds the loop the
+field's pairs (`FoliationField.vector_rhs`, `variational_rhs`) and
+`Hypersurface.project_floats`, the one projection of every projected
+flow: a variational run's right-hand side, J·M included, is one
+kernel call. Shooting for
 closed orbits scores its line-search trials with variational runs too,
 so an accepted trial is already the next Newton shot; an expanding orbit
 is shot in reversed time, where it contracts, and classified inverted.
@@ -34,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import jets, policy
+from . import jets, kernel, policy
 from .contact import FoliationField, alpha_data_at
 from .errors import (ConstructiveFailure, ContactConditionError, EscapeError,
                      IntegrationError, NoOrbitError)
@@ -54,49 +56,62 @@ _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920,
       -17253 / 339200, 22 / 525, -1 / 40)
 
 
-def _weighted(coeffs, j: int) -> str:
-    """Source of the sum of c * k{i}_{j} over the nonzero weights c of
-    `coeffs`, in index order."""
-    return "(" + " + ".join(f"{c!r} * k{i}_{j}"
+def _weighted(coeffs, j: int, sense: int) -> str:
+    """Source of the sum of (sense * c) * k{i}_{j} over the nonzero
+    weights c of `coeffs`, in index order."""
+    return "(" + " + ".join(f"{sense * c!r} * k{i}_{j}"
                             for i, c in enumerate(coeffs) if c) + ")"
 
 
 @functools.cache
-def _step(n: int):
-    """One attempted DOPRI5 step for states of length n, as one
-    straight-line function of Python floats.
+def _step(n: int, sense: int):
+    """One attempted DOPRI5 step for states of length n in time sense
+    +1 or -1, as one straight-line function of Python floats.
 
-    step(rhs, z, f, h, atol, rtol) -> (z5, k6, enorm): f is the slope
-    at z; stage i hands z + h * sum(_A[i][j] * k_j) to rhs as a list
-    and unpacks the slope it returns. z5 is the last stage input (the
-    5th-order solution) and k6 its slope. enorm is the RMS of the scaled
-    error (h * sum(_E[j] * k_j)) / (atol + rtol * max(|z|, |z5|)),
-    where max is numpy's: a NaN on either side gives NaN, and a NaN in
-    z makes z5's entry NaN too. Every sum runs in index order, over the
-    nonzero weights.
+    step(kernels, fn, z, f, h, atol, rtol) -> (z5, k6, enorm) for the
+    right-hand side `(kernels, fn)` of `kernel.run`: f is the slope at
+    z, and stage i calls the front kernel on the floats of
+    z + h * sum(sense * _A[i][j] * k_j); only where its guards fail
+    does the stage go through `kernel.run`, and later stages call the
+    new front kernel. The sense is the sign of the weights, and
+    (-c) * k is -(c * k) exactly, so sense -1 has the bits of a step
+    along the negated slopes, signed zeros included. z5 is the last
+    stage input (the 5th-order solution) and k6 its slope. enorm is
+    the RMS of the scaled error (h * sum(sense * _E[j] * k_j)) /
+    (atol + rtol * max(|z|, |z5|)), where max is numpy's: a NaN on
+    either side gives NaN, and a NaN in z makes z5's entry NaN too.
+    Every sum runs in index order, over the nonzero weights.
     """
     ks = [[f"k{i}_{j}" for j in range(n)] for i in range(7)]
-    src = ["def step(rhs, z, f, h, atol, rtol):",
+    src = ["def step(kernels, fn, z, f, h, atol, rtol):",
            f"    {', '.join(f'y{j}' for j in range(n))}, = z",
-           f"    {', '.join(ks[0])}, = f"]
+           f"    {', '.join(ks[0])}, = f",
+           "    kern = kernels[0]"]
     for i in range(1, 7):
-        rows = ", ".join(f"y{j} + h * {_weighted(_A[i], j)}"
-                         for j in range(n))
+        s = [f"s{j}" if i < 6 else f"w{j}" for j in range(n)]
+        src += [f"    {s[j]} = y{j} + h * {_weighted(_A[i], j, sense)}"
+                for j in range(n)]
+        args = ", ".join(s)
         if i < 6:
-            src.append(f"    {', '.join(ks[i])}, = rhs([{rows}])")
+            src += [f"    r = kern({args})",
+                    "    if r is None:",
+                    f"        r = kernel.run(kernels, fn, [{args}])",
+                    "        kern = kernels[0]",
+                    f"    {', '.join(ks[i])}, = r"]
         else:
-            src += [f"    z5 = [{rows}]",
-                    f"    {', '.join(f'w{j}' for j in range(n))}, = z5",
-                    "    k6 = rhs(z5)",
+            src += [f"    z5 = [{args}]",
+                    f"    k6 = kern({args})",
+                    "    if k6 is None:",
+                    "        k6 = kernel.run(kernels, fn, z5)",
                     f"    {', '.join(ks[6])}, = k6"]
     for j in range(n):
         src += [f"    a = abs(y{j}); b = abs(w{j})",
-                f"    e = h * {_weighted(_E, j)} / "
+                f"    e = h * {_weighted(_E, j, sense)} / "
                 f"(atol + rtol * (a if a >= b else b))",
                 f"    q{j} = e * e"]
     sq = " + ".join(f"q{j}" for j in range(n))
     src.append(f"    return z5, k6, _sqrt(({sq}) / {n})")
-    ns = {"_sqrt": math.sqrt}
+    ns = {"_sqrt": math.sqrt, "kernel": kernel}
     exec(compile("\n".join(src) + "\n", "<charfol dopri5>", "exec"), ns)
     return ns["step"]
 
@@ -128,34 +143,40 @@ def sign_of(x: float, neutral: float = 0.0) -> int:
 
 def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
                     event: EventSpec | None = None, domain_ok=None,
-                    record=False):
-    """Shared adaptive loop. post() cleans an accepted state (projection);
-    domain_ok() raising or returning False stops with an escape.
+                    record=False, sense: int = 1):
+    """Shared adaptive loop, backward in time for sense -1. post()
+    cleans an accepted state (projection); domain_ok() raising or
+    returning False stops with an escape.
 
+    rhs is the `(kernels, fn)` pair of `kernel.run`: every slope comes
+    from the front kernel, called on the state's floats as positional
+    arguments, and from `kernel.run` only where its guards fail; a
+    plain function f of floats is `([f], None)`. Each attempted step is
+    one call of the generated `_step` for the state's length and sense.
     tmax is taken as a Python float, so the stage inputs built from it
-    are Python floats too. The first step size comes from in-order sums
-    over the state's floats and its slope. Inside the loop, states and
-    slopes are sequences of floats read entry by entry: post gets lists,
-    rhs and domain_ok get lists or what post returned, and rhs and post
-    may return any sequence of the state's length (`Flow`'s return lists
-    and tuples). Each attempted step is one call of the generated
-    `_step`. Event functions get
-    ndarrays here; the returned state, the recorded path and the states
-    in errors are ndarrays. A crossing of the event stops the run with
-    status "event".
-
-    rhs depends on the values of its argument alone: where post returns
-    the last stage input's own float objects, the slope of that stage
-    is the slope at the accepted state, and rhs is not called again.
+    are Python floats too; t counts up from 0 in either sense. The
+    first step size comes from in-order sums over the state's floats
+    and its slope. States are lists: post returns a list, its argument
+    itself where it leaves the state as it is, and then the last stage's
+    slope is the next step's first (first same as last). Event
+    functions get ndarrays here; the returned state, the recorded path
+    and the states in errors are ndarrays. A crossing of the event
+    stops the run with status "event".
     """
+    kernels, fn = rhs
+
+    def slope(y):
+        out = kernels[0](*y) if kernels else None
+        return kernel.run(kernels, fn, y) if out is None else out
+
     tmax = float(tmax)
     z = np.asarray(z0, dtype=float).tolist()
     if post is not None:
         z = post(z)
-    step = _step(len(z))
+    step = _step(len(z), sense)
     atol, rtol = tols.ode_atol, tols.ode_rtol
     t = 0.0
-    f = rhs(z)
+    f = slope(z)
     # RMS of z and f scaled by the tolerances, summed in order
     d0 = d1 = 0.0
     for v, fv in zip(z, f):
@@ -174,7 +195,7 @@ def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
             raise IntegrationError("step budget exhausted", t=t,
                                    state=np.array(z))
         h = min(h, tmax - t)
-        z5, k6, enorm = step(rhs, z, f, h, atol, rtol)
+        z5, k6, enorm = step(kernels, fn, z, f, h, atol, rtol)
         if enorm > 1.0:
             h = max(h * max(0.2, 0.9 * enorm ** -0.25), 1e-14 * (1.0 + abs(t)))
             if h <= 1e-13 * (1.0 + abs(t)):
@@ -187,18 +208,15 @@ def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
             g1 = event.fn(np.array(znew))
             if (g0 < 0.0 <= g1) if event.direction > 0 else (g0 > 0.0 >= g1):
                 t_ev, z_ev = _locate_event(
-                    lambda tau: step(rhs, z, f, tau, atol, rtol), h, g0, g1,
-                    event, post)
+                    lambda tau: step(kernels, fn, z, f, tau, atol, rtol),
+                    h, g0, g1, event, post, sense)
                 return SimpleNamespace(status="event", t=t + t_ev, y=z_ev,
                                        steps=steps, path=path)
             g0 = g1
         if domain_ok is not None and not domain_ok(znew):
             raise EscapeError("trajectory left the declared domain",
                               t=tnew, state=np.array(znew))
-        # first same as last: the last stage ran at z5, so where post
-        # kept z5's own floats its slope is the slope at znew
-        fsal = all(a is b for a, b in zip(znew, z5, strict=True))
-        t, z, f = tnew, znew, k6 if fsal else rhs(znew)
+        t, z, f = tnew, znew, k6 if znew is z5 else slope(znew)
         if record:
             path.append((t, np.array(z)))
         grow = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
@@ -207,20 +225,20 @@ def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
                            path=path)
 
 
-def _locate_event(step_to, h, g0, g1, ev: EventSpec, post):
+def _locate_event(step_to, h, g0, g1, ev: EventSpec, post, sense):
     """(tau, state) of the crossing inside an accepted step of size h,
     whose event values are g0 and g1: safeguarded Newton on
     tau -> g(post(z5)), with (z5, k6, _) = step_to(tau) the step's own
     `_step` from its start, begun at the secant point. g and grad g come
-    from the event on seeded jets, g' = grad g . k6 (0 for a result that
-    is not a Jet), a Newton point off the bracket gives way to its
-    midpoint, and it stops at |g| < 1e-13 (1 + |g'|)."""
+    from the event on seeded jets, g' = sense * (grad g . k6) (0 for a
+    result that is not a Jet), a Newton point off the bracket gives way
+    to its midpoint, and it stops at |g| < 1e-13 (1 + |g'|)."""
     lo, hi, tau = 0.0, h, float(h * g0 / (g0 - g1))
     for _ in range(60):
         z5, k6, _ = step_to(tau)
         y = post(z5) if post is not None else z5
         g = ev.fn(jets.seed(y))
-        gd = float(np.dot(g.g, k6)) if isinstance(g, jets.Jet) else 0.0
+        gd = sense * float(np.dot(g.g, k6)) if isinstance(g, jets.Jet) else 0.0
         g = jets.fval(g)
         if abs(g) < 1e-13 * (1.0 + abs(gd)):
             break
@@ -231,45 +249,42 @@ def _locate_event(step_to, h, g0, g1, ev: EventSpec, post):
 
 
 class Flow:
-    """Trajectories of the characteristic direction field on one surface.
+    """Trajectories of the characteristic direction field on one surface,
+    backward in time for sense -1 (the sign of the step's weights).
 
-    The loop runs on the field's float lists (`vector_floats`,
-    `variational_floats`, `surface.project_floats`) as they are."""
+    The loop calls the front kernels of the field's `(kernels, fn)`
+    pairs (`vector_rhs`, `variational_rhs`) itself and projects through
+    `surface.project_floats`; a variational post returns its argument
+    itself where the point stays, so first same as last holds."""
 
     def __init__(self, field: FoliationField, tols: policy.Tolerances = policy.DEFAULT,
                  sense: int = +1):
         self.field = field
         self.tols = tols
-        self.sense = float(sense)
-        self._vector = field.vector_floats
-        self._post = field.surface.project_floats
-
-    def _sensed(self, f):
-        """The right-hand side f, negated for sense -1."""
-        if self.sense < 0:
-            return lambda z: [-c for c in f(z)]
-        return f
+        self.sense = sense
 
     def integrate(self, y0, tmax, event: EventSpec | None = None,
                   record: bool = False):
-        rhs = self._sensed(self._vector)
-        return _integrate_core(rhs, y0, tmax, self.tols, post=self._post,
+        return _integrate_core(self.field.vector_rhs, y0, tmax, self.tols,
+                               post=self.field.surface.project_floats,
                                event=event, domain_ok=self.field.scene.in_domain,
-                               record=record)
+                               record=record, sense=self.sense)
 
     def integrate_variational(self, y0, tmax):
         """State, ambient monodromy, and divergence integral over [0, tmax]."""
         d = len(y0)
-        project = self._post
+        project = self.field.surface.project_floats
 
         def post(z):
-            return [*project(z[:d]), *z[d:]]
+            x = z[:d]
+            p = project(x)
+            return z if p is x else [*p, *z[d:]]
 
         # in_domain reads only the coordinates, the first d entries
         z0 = np.concatenate([np.asarray(y0, float), np.eye(d).ravel(), [0.0]])
-        res = _integrate_core(self._sensed(self.field.variational_floats),
-                              z0, tmax, self.tols, post=post,
-                              domain_ok=self.field.scene.in_domain)
+        res = _integrate_core(self.field.variational_rhs, z0, tmax, self.tols,
+                              post=post, domain_ok=self.field.scene.in_domain,
+                              sense=self.sense)
         y = res.y[:d]
         M = res.y[d:d + d * d].reshape(d, d)
         w = float(res.y[-1])

@@ -22,6 +22,7 @@ cases.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -285,9 +286,9 @@ def chart_agreement(scene: MoriScene, count: int = 100, rng=None) -> dict:
 # the reduced flow -------------------------------------------------------
 
 def pushforward_field(scene: MoriScene, zrr) -> tuple:
-    """The reduced (z, r, rho) components of the reference field, as
-    floats."""
-    z, r, rho = (float(v) for v in zrr)
+    """The reduced (z, r, rho) components of the reference field, over
+    the ring of its entries."""
+    z, r, rho = zrr
     eps, e2 = scene.eps, scene.eps ** -2
     r2 = r * r
     return ((r2 - 1.0) ** 2 + (2.0 * r2 - 1.0) * (e2 * z * z - eps),
@@ -535,12 +536,15 @@ def phase_portrait_data(scene: MoriScene,
     both ways. The reduced constraint is a `Hypersurface` over the chart
     (z, r, rho), whose `project_floats` projects the starts and every
     accepted step, and raises `ProjectionError` where one does not
-    converge, as in every other flow."""
+    converge, as in every other flow. The reduced field runs through
+    its traced kernels, one list for all the runs, and the backward
+    runs in sense -1."""
     eps = scene.eps
     az, rr0 = scene.constants.axis_z, scene.constants.ring_rho
     shell = Hypersurface(
         reduced_constraint(scene, Chart(("z", "r", "rho")).vars()))
     ptols = policy.replace(tols, ode_max_step=0.05)
+    rhs = ([], functools.partial(pushforward_field, scene))
     rows = []
     for k in range(6):
         f = (k + 0.5) / 6
@@ -551,9 +555,9 @@ def phase_portrait_data(scene: MoriScene,
             continue
         y0 = shell.project_floats([z0, math.sqrt(rr), rho0])
         for sgn in (+1.0, -1.0):
-            res = _integrate_core(
-                lambda y: [sgn * v for v in pushforward_field(scene, y)],
-                y0, 2.5, ptols, post=shell.project_floats, record=True)
+            res = _integrate_core(rhs, y0, 2.5, ptols,
+                                  post=shell.project_floats, record=True,
+                                  sense=sgn)
             for t, y in res.path:
                 rows.append({"id": f"{k}{'+' if sgn > 0 else '-'}",
                              "t": sgn * t, "z": float(y[0]),

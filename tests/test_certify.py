@@ -154,6 +154,8 @@ def test_verified_candidate_disqualifies(s2, sphere_seeds):
     assert cert.reasons == ["verified recurrence: synthetic torus"]
     assert cert.recurrence == [SYNTHETIC_TORUS]
     assert cert.seeds_used == 0
+    assert cert.notes == ["a verified recurrence was supplied; "
+                          "sampling skipped"]
 
 
 def test_more_budget_never_flips_pass_to_fail(s2, sphere_seeds):

@@ -1,5 +1,6 @@
 """Integrator, zeros, and closed orbits against analytic flows."""
 
+import functools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charfol import cli, dynamics, jets, policy
+from charfol import cli, dynamics, jets, kernel, policy
 from charfol.contact import ContactScene, FoliationField, Hypersurface
 from charfol.dynamics import (_A, _E, EventSpec, Flow, RefinedOrbit,
                               _integrate_core, _locate_event, _step,
@@ -76,9 +77,9 @@ def test_event_is_located_on_the_accepted_step(monkeypatch):
     # evaluations of the step map (6 slopes each) after the detection
     calls, slopes, located = [], [], []
 
-    def rhs(y):
+    def rhs(*y):
         slopes.append(list(y))
-        return [-y[1], y[0]]
+        return (-y[1], y[0])
 
     def spy(*args, **kwargs):
         calls.append(args)
@@ -91,8 +92,8 @@ def test_event_is_located_on_the_accepted_step(monkeypatch):
     monkeypatch.setattr(dynamics, "_integrate_core", spy)
     monkeypatch.setattr(dynamics, "_locate_event", locate)
     ev = EventSpec(fn=lambda y: y[1] - 0.5, direction=+1)
-    res = dynamics._integrate_core(rhs, [1.0, 0.0], 6.0, policy.DEFAULT,
-                                   event=ev)
+    res = dynamics._integrate_core(([rhs], None), [1.0, 0.0], 6.0,
+                                   policy.DEFAULT, event=ev)
     assert res.status == "event"
     assert abs(res.t - math.pi / 6) < 1e-9
     assert abs(res.y[1] - 0.5) < 1e-13
@@ -308,26 +309,32 @@ def _in_order(terms):
     return acc
 
 
-def _check_step(z, k, h, atol=1e-9, rtol=1e-7):
-    """`_step` against the plain-order sums and norm it is specified by:
-    every stage input, z5, k6 and enorm bit for bit."""
+def _check_step(z, k, h, sense, atol=1e-9, rtol=1e-7):
+    """`_step` for a sense against the plain-order sums and norm it is
+    specified by, over the slopes k for sense 1 and over their negations
+    for sense -1: every stage input, z5, k6 and enorm bit for bit."""
     lists = [kj.tolist() for kj in k]
     seen = []
 
-    def rhs(y):         # the given slopes, in stage order
+    def rhs(*y):        # the given slopes, in stage order
         seen.append(y)
         return lists[len(seen)]
 
     def weighted(coeffs):
-        return _in_order([c * kj for c, kj in zip(coeffs, k) if c])
+        return _in_order([c * (-kj if sense < 0 else kj)
+                          for c, kj in zip(coeffs, k) if c])
 
-    z5, k6, enorm = _step(len(z))(rhs, z.tolist(), lists[0], h, atol, rtol)
+    z5, k6, enorm = _step(len(z), sense)([rhs], None, z.tolist(), lists[0],
+                                         h, atol, rtol)
     with np.errstate(all="ignore"):
         wants = [z + h * weighted(_A[i]) for i in range(1, 7)]
         err = (h * weighted(_E)
                / (atol + rtol * np.maximum(np.abs(z), np.abs(wants[-1]))))
         norm = math.sqrt(_in_order((err * err).tolist()) / len(z))
-    assert len(seen) == 6 and seen[-1] is z5 and type(z5) is list
+    # the last stage hands the kernel z5's own floats
+    assert len(seen) == 6 and type(z5) is list
+    assert len(seen[-1]) == len(z5)
+    assert all(a is b for a, b in zip(seen[-1], z5))
     for got, want in zip(seen, wants):
         _same(got, want)
     assert k6 is lists[6]
@@ -342,14 +349,35 @@ SPECIAL = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_step_equals_numpy_sums(n, data):
-    # z, k0..k6 finite, with a few entries replaced by specials
+    # z, k0..k6 finite, with a few entries replaced by specials; both
+    # senses, sense -1 against the sums of the negated slopes
     vecs = [np.array(data.draw(st.lists(st.floats(-1e3, 1e3),
                                         min_size=n, max_size=n)))
             for _ in range(8)]
     for a, j, v in data.draw(st.lists(st.tuples(
             st.integers(0, 7), st.integers(0, n - 1), SPECIAL), max_size=3)):
         vecs[a][j] = v
-    _check_step(vecs[0], vecs[1:], data.draw(st.floats(1e-6, 1.0)))
+    h = data.draw(st.floats(1e-6, 1.0))
+    for sense in (1, -1):
+        _check_step(vecs[0], vecs[1:], h, sense)
+
+
+def test_negated_weights_keep_the_zero_signs():
+    # a -0.0 coordinate whose stage increment is a zero of cancelling
+    # terms: stepping on the negated slopes gives +0.0 there, and so
+    # does sense -1, whose weights carry the sign; a step of -h on the
+    # slopes themselves would give -0.0
+    z, k = np.array([-0.0]), [np.array([0.0])] * 7
+    _check_step(z, k, 0.5, -1)
+    seen = []
+
+    def rhs(*y):
+        seen.append(y)
+        return [0.0]
+    _step(1, 1)([rhs], None, [-0.0], [0.0], -0.5, 1e-9, 1e-7)
+    _step(1, -1)([rhs], None, [-0.0], [0.0], 0.5, 1e-9, 1e-7)
+    assert math.copysign(1.0, seen[2][0]) == -1.0
+    assert math.copysign(1.0, seen[8][0]) == 1.0
 
 
 def _in_order_product(J, M, d):
@@ -367,13 +395,14 @@ def _in_order_product(J, M, d):
 
 @pytest.mark.parametrize("sense", [1, -1])
 def test_flow_right_hand_sides_equal_the_entry_points(sense, monkeypatch):
-    # the rhs that integrate and integrate_variational hand to the loop,
-    # against vector_floats, and flow_floats followed by J @ M in order
+    # the (kernels, fn) pairs that integrate and integrate_variational
+    # hand to the loop, with the flow's sense, against vector_floats, and
+    # flow_floats followed by J @ M in order
     fld, _ = graph_setup()
     rhss = []
 
     def spy(rhs, *args, **kwargs):
-        rhss.append(rhs)
+        rhss.append((rhs, kwargs["sense"]))
         return _integrate_core(rhs, *args, **kwargs)
 
     monkeypatch.setattr(dynamics, "_integrate_core", spy)
@@ -381,7 +410,9 @@ def test_flow_right_hand_sides_equal_the_entry_points(sense, monkeypatch):
     p = fld.surface.project([0.1, 0.3, 0.2])
     flow.integrate(p, 0.5)
     flow.integrate_variational(p, 0.5)
-    vector, variational = rhss[0], rhss[-1]
+    assert [s for _, s in rhss] == [sense, sense]
+    vector, variational = (functools.partial(kernel.run, *rhs)
+                           for rhs, _ in (rhss[0], rhss[-1]))
     rng = np.random.default_rng(3)
     eps = np.finfo(float).eps
     for _ in range(5):
@@ -393,8 +424,6 @@ def test_flow_right_hand_sides_equal_the_entry_points(sense, monkeypatch):
         want = [*out[:3], *JM, out[-1]]
         got_X = vector(q.tolist())
         got = variational([*q.tolist(), *M.ravel().tolist(), 0.0])
-        if sense < 0:
-            X, want = [-c for c in X], [-c for c in want]
         assert np.array(got_X).tobytes() == np.array(X).tobytes()
         # the same floats; a zero's sign may differ where the kernel
         # folded a structural zero of J
@@ -402,8 +431,8 @@ def test_flow_right_hand_sides_equal_the_entry_points(sense, monkeypatch):
         # and numpy's product to within its rounding bound
         J = np.array(out[3:-1]).reshape(3, 3)
         bound = 4 * eps * (np.abs(J) @ np.abs(M))
-        assert np.all(np.abs(sense * np.array(got[3:-1]).reshape(3, 3)
-                             - J @ M) <= bound)
+        assert np.all(np.abs(np.array(got[3:-1]).reshape(3, 3) - J @ M)
+                      <= bound)
 
 
 def test_variational_run_backward_undoes_the_forward_run():
@@ -421,18 +450,85 @@ def test_variational_run_backward_undoes_the_forward_run():
     assert abs(w) > 1e-3        # the divergence integral is not 0 here
 
 
+def test_reversed_flow_is_the_forward_flow_of_the_negated_field():
+    # sense -1 is the sign of the step's weights: integrate, with an
+    # event located inside a step, and integrate_variational give the
+    # bytes of forward runs along the negated kernels' slopes
+    fld, _ = graph_setup()
+    surf, in_domain = fld.surface, fld.scene.in_domain
+    p = surf.project([0.1, 0.3, 0.2])
+    back = Flow(fld, sense=-1)
+
+    def forward(rhs, z0, post, **kwargs):
+        neg = ([lambda *z: [-c for c in kernel.run(*rhs, list(z))]], None)
+        return _integrate_core(neg, z0, 2.0, policy.DEFAULT, post=post,
+                               domain_ok=in_domain, **kwargs)
+
+    res = back.integrate(p, 2.0, record=True)
+    want = forward(fld.vector_rhs, p, surf.project_floats, record=True)
+    assert res.t == want.t and len(res.path) == len(want.path) > 5
+    assert all(t == u and y.tobytes() == w.tobytes()
+               for (t, y), (u, w) in zip(res.path, want.path))
+    # a level of s between two accepted states
+    (_, a), (_, b) = res.path[3], res.path[4]
+    mid = 0.5 * (a[1] + b[1])
+    ev = EventSpec(fn=lambda y: y[1] - mid,
+                   direction=1 if b[1] > a[1] else -1)
+    res = back.integrate(p, 2.0, event=ev)
+    want = forward(fld.vector_rhs, p, surf.project_floats, event=ev)
+    assert res.status == want.status == "event"
+    assert res.t == want.t and res.y.tobytes() == want.y.tobytes()
+    assert abs(res.y[1] - mid) < 1e-12
+
+    y, M, w = back.integrate_variational(p, 2.0)
+    z0 = [*p.tolist(), *np.eye(3).ravel().tolist(), 0.0]
+    want = forward(fld.variational_rhs, z0,
+                   lambda z: [*surf.project_floats(z[:3]), *z[3:]]).y
+    assert np.concatenate([y, M.ravel(), [w]]).tobytes() == want.tobytes()
+
+
+def test_pivot_change_inside_a_step_goes_through_run():
+    # on the sphere the pivot is the largest |coordinate|: this run
+    # starts with z largest and ends with y largest, so a step's stages
+    # miss the front kernel. It has the bytes, and the kernel lists, of
+    # a run that sends every stage through kernel.run, and ends with the
+    # new pivot's kernel at the front; a second run moves the kernels
+    doc = cli._resolve_scene("s2-height")
+
+    def pivot(x):
+        return int(np.argmax(np.abs(x)))
+
+    fld = FoliationField(doc.scene, doc.surface)
+    ref = FoliationField(doc.scene, doc.surface)
+    every = ([lambda *y: kernel.run(*ref.vector_rhs, list(y))], None)
+    p = fld.surface.project([0.5, 0.2, 0.8])
+    for _ in range(2):
+        res = Flow(fld).integrate(p, 1.0, record=True)
+        want = _integrate_core(every, p, 1.0, policy.DEFAULT,
+                               post=fld.surface.project_floats,
+                               domain_ok=fld.scene.in_domain, record=True)
+        assert len(res.path) == len(want.path)
+        assert all(t == u and y.tobytes() == w.tobytes()
+                   for (t, y), (u, w) in zip(res.path, want.path))
+        assert (pivot(p), pivot(res.y)) == (2, 1)
+        kernels = fld.vector_rhs[0]
+        assert [k.at for k in kernels] == [k.at for k in ref.vector_rhs[0]]
+        assert len(kernels) == 2 and pivot(kernels[0].at) == pivot(res.y)
+        assert kernels[0](*res.y.tolist()) is not None
+
+
 @pytest.mark.parametrize("sense", [1, -1])
 def test_numpy_time_spans_feed_the_kernels_python_floats(sense, monkeypatch):
-    # the kernels take lists of Python floats: a numpy tmax must not turn
-    # the step size, and so every stage input, into numpy scalars
+    # the kernels take Python floats: a numpy tmax must not turn the
+    # step size, and so every stage input, into numpy scalars
     fld, _ = graph_setup()
     kinds = set()
 
     def spy(rhs, *args, **kwargs):
-        def typed(z):
+        def typed(*z):
             kinds.update(type(v) for v in z)
-            return rhs(z)
-        return _integrate_core(typed, *args, **kwargs)
+            return kernel.run(*rhs, list(z))
+        return _integrate_core(([typed], None), *args, **kwargs)
 
     monkeypatch.setattr(dynamics, "_integrate_core", spy)
     flow = Flow(fld, sense=sense)
@@ -448,13 +544,14 @@ def test_numpy_time_spans_feed_the_kernels_python_floats(sense, monkeypatch):
 # first same as last ------------------------------------------------------
 
 def _counted_rotation():
-    """The rotation y' = (-y1, y0) and the list of states it ran at."""
+    """The rotation y' = (-y1, y0) as a one-kernel right-hand side, and
+    the list of states it ran at."""
     seen = []
 
-    def rhs(y):
+    def rhs(*y):
         seen.append(list(y))
-        return [-y[1], y[0]]
-    return rhs, seen
+        return (-y[1], y[0])
+    return ([rhs], None), seen
 
 
 def _steps(post):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from charfol import mori, policy, report
+from charfol import contact, kernel, mori, policy, report
 from charfol.cli import main
 from charfol.contact import (FoliationField, Hypersurface,
                              graph_foliation_check, hamiltonian_residuals)
@@ -515,6 +515,37 @@ def test_column_shooting_reuses_variational_trials(monkeypatch):
     assert calls["variational"] <= 5
     assert calls["plain"] == 0
     assert senses == {-1.0}
+
+
+def test_column_shot_calls_run_only_where_the_front_kernel_misses(
+        monkeypatch):
+    # one reversed-time shot of the column's expanding orbit, on a new
+    # field: the step and the projection call the front kernels
+    # themselves, and kernel.run only to trace or where the front's
+    # guards fail
+    spec = mori.PerturbationSpec()
+    scene, surface, info = mori.column_scene(spec)
+    field = FoliationField(scene, surface)
+    seed = mori._graph_point(scene.chart, info["H"], 5.0, 0.02, -0.01,
+                             math.pi + 0.1)
+    X = field.vector(seed)
+    period = spec.circumference / abs(float(X[scene.chart.index("s")]))
+    hits, misses = [], []
+    run = kernel.run
+
+    def spy(kernels, fn, args):
+        front = kernels[0](*args) if kernels else None
+        (misses if front is None else hits).append(len(kernels))
+        return run(kernels, fn, args)
+
+    monkeypatch.setattr(kernel, "run", spy)
+    monkeypatch.setattr(contact, "run", spy)
+    q = field.surface.project(seed)
+    Flow(field, sense=-1).integrate_variational(q, period)
+    # two traces, F's kernel in the first projection and the
+    # variational kernel in the first slope, and no other call
+    assert hits == [] and misses == [0, 0]
+    assert len(surface.F._kernels) == len(field.variational_rhs[0]) == 1
 
 
 @functools.cache
