@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import jets, policy
+from . import jets, parallel, policy
 from .contact import ContactScene
 from .dynamics import EventSpec, Flow, linearize_zero, wrap_diff
 from .errors import ConstructiveFailure, EscapeError, IntegrationError
@@ -196,6 +196,29 @@ def _unstable_directions(field, point, sense):
     return out
 
 
+def _seed_chases(field, q, fw, bw, sense, tols):
+    """(captured, notes, recurrence records, reasons) of one seed, chased
+    forward to fw and backward to bw."""
+    ok, notes, records, reasons = True, [], [], []
+    for s, sets in ((sense, fw), (-sense, bw)):
+        reached, endpoint, note = _chase(field, q, sets, s, tols)
+        if reached:
+            continue
+        ok = False
+        if note:
+            notes.append(f"seed {np.round(q, 4)}: {note}")
+            continue
+        evidence = _angular_recurrence(field, endpoint, s, tols)
+        if evidence is not None:
+            records.append({"seed": np.round(q, 6), **evidence})
+            reasons.append("a sampled trajectory is recurrent without "
+                           "being asymptotic to any element")
+        else:
+            notes.append(f"seed {np.round(q, 4)} exhausted the flow "
+                         "budget without capture")
+    return ok, notes, records, reasons
+
+
 def check_morse_smale(field, seeds, zeros=(), orbits=(),
                       tols: policy.Tolerances = policy.DEFAULT,
                       recurrence=(), sense: int = +1) -> MorseSmaleCertificate:
@@ -213,6 +236,13 @@ def check_morse_smale(field, seeds, zeros=(), orbits=(),
     connection lands wrong, and every seed is captured both ways;
     anything short of that is inconclusive, with the offending seed
     recorded. No seeds is inconclusive.
+
+    The seeds are chased side by side on one worker per CPU
+    (`parallel.pmap`, one `_seed_chases` call per seed), and what each
+    seed found is merged in seed order, so the certificate has the
+    same bytes whatever the worker count. A recurrent sampled
+    trajectory is recorded per seed and direction, and its reason is
+    stated once.
     """
     seeds = [np.asarray(q, dtype=float) for q in seeds]
     chart = field.scene.chart
@@ -301,27 +331,14 @@ def check_morse_smale(field, seeds, zeros=(), orbits=(),
                        "positive element (connection violation)")
 
     captured = 0
-    for q in seeds:
-        ok = True
-        for s, sets in ((sense, fw), (-sense, bw)):
-            reached, endpoint, note = _chase(field, q, sets, s, tols)
-            if reached:
-                continue
-            ok = False
-            if note:
-                notes.append(f"seed {np.round(q, 4)}: {note}")
-                continue
-            evidence = _angular_recurrence(field, endpoint, s, tols)
-            if evidence is not None:
-                recurrence.append({"seed": np.round(q, 6), **evidence})
-                reasons.append(
-                    "a sampled trajectory is recurrent without being "
-                    "asymptotic to any element")
-            else:
-                notes.append(f"seed {np.round(q, 4)} exhausted the flow "
-                             "budget without capture")
-        if ok:
-            captured += 1
+    for ok, seed_notes, records, seed_reasons in parallel.pmap(
+            lambda q: _seed_chases(field, q, fw, bw, sense, tols), seeds):
+        captured += ok
+        notes += seed_notes
+        recurrence += records
+        for reason in seed_reasons:
+            if reason not in reasons:
+                reasons.append(reason)
     limit = captured / len(seeds) if seeds else 0.0
 
     if reasons:

@@ -30,7 +30,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from charfol import contact, jets, kernel, mori
+from charfol import contact, jets, kernel, mori, parallel
 from charfol.cli import _norms, main
 from charfol.contact import (ContactScene, FoliationField, Hypersurface,
                              tangent_frame)
@@ -385,9 +385,12 @@ _LIBM = {"foliation mori-sigma0-n2 --grid 6", "certify mori-column"}
 
 
 @pytest.mark.parametrize("argv", _report_commands())
-def test_every_kernel_of_a_command_has_a_twin(argv, tmp_path, capsys):
+def test_every_kernel_of_a_command_has_a_twin(argv, monkeypatch, tmp_path,
+                                             capsys):
     """Every kernel a command traces has an array twin, which serves its
     trace point with the kernel's outputs."""
+    # one worker: the spy cannot see a trace made in a forked child
+    monkeypatch.setattr(parallel, "_cpus", lambda: 1)
     traced = []
     line = " ".join(argv)
 
@@ -420,7 +423,9 @@ def test_every_kernel_of_a_command_has_a_twin(argv, tmp_path, capsys):
 def test_kernel_globals_are_libm_pow_and_constants(monkeypatch, tmp_path,
                                                    capsys):
     # every guard is an inline comparison, so a kernel or twin calls
-    # nothing but the ring's libm functions and the power
+    # nothing but the ring's libm functions and the power (one worker:
+    # the spy cannot see a compile made in a forked child)
+    monkeypatch.setattr(parallel, "_cpus", lambda: 1)
     compiled = []
     compile_ = Tape.compile
 
@@ -527,7 +532,9 @@ def _traced(point) -> bool:
 def test_commands_evaluate_only_through_kernels(argv, monkeypatch, tmp_path):
     # char_data, a scalar field's value_and_grad (the surface's F, the
     # column's Hamiltonians) and alpha's data may run while a kernel is
-    # recorded and on sample batches, never on plain floats
+    # recorded and on sample batches, never on plain floats (one worker:
+    # the spies cannot see a call made in a forked child)
+    monkeypatch.setattr(parallel, "_cpus", lambda: 1)
     surfaces, plain = [], []
     init = Hypersurface.__init__
     char_data = FoliationField.char_data

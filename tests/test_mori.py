@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from charfol import contact, kernel, mori, policy, report
+from charfol import contact, kernel, mori, parallel, policy, report
 from charfol.cli import main
 from charfol.contact import (FoliationField, Hypersurface,
                              graph_foliation_check, hamiltonian_residuals)
@@ -633,6 +633,10 @@ def test_certify_column_runs_only_the_certificate(perturb, monkeypatch,
     # they equal the dossier's whatever the seed
     def refuse(*args, **kwargs):
         raise AssertionError("certify ran a dossier check")
+
+    # one worker: a refused call in a forked child would raise here
+    # only when this process computes the child's share again
+    monkeypatch.setattr(parallel, "_cpus", lambda: 1)
 
     for name in ("graph_foliation_check", "hamiltonian_residuals",
                  "_predicted_lift"):
