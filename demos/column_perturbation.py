@@ -10,6 +10,7 @@ be checked against perturbation theory rather than against themselves.
 """
 
 from charfol import PerturbationSpec, perturb_analysis
+from charfol.mori import column_psi
 
 spec = PerturbationSpec(delta=0.05)
 d = perturb_analysis(spec)
@@ -20,9 +21,9 @@ print(f"direction check against the product model: "
       f"max rel dev {d['direction_check']['max_rel_dev']:.2e}")
 
 for o in d["orbits"]:
-    info = o.info
-    print(f"orbit at psi = {o.psi:+.6f}  C = {info.C:.6f}  "
-          f"sign {info.liouville_sign:+d}  hyperbolic: {info.hyperbolic}")
+    psi = column_psi(d["scene"].chart, o.point)
+    print(f"orbit at psi = {psi:+.6f}  C = {o.C:.6f}  "
+          f"sign {o.sign:+d}  hyperbolic: {o.hyperbolic}")
 
 pers = d["persistence"]
 print(f"orbit shift vs first-order prediction: margin "

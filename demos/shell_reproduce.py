@@ -26,15 +26,13 @@ print(f"\ncensus found {len(cen['zeros'])} zeros, "
       f"{len(cen['orbits'])} closed orbits")
 for z in cen["zeros"]:
     dz = abs(abs(z.point[-1]) - con.axis_z)
-    print(f"  zero   z = {z.point[-1]:+.12f}  sign {z.liouville_sign:+d}  "
+    print(f"  zero   z = {z.point[-1]:+.12f}  sign {z.sign:+d}  "
           f"|dz| = {dz:.2e}")
 for o in cen["orbits"]:
-    info = o.info
-    z = float(info.point[-1])
-    r = math.hypot(info.point[0], info.point[1])
+    z = float(o.point[-1])
+    r = math.hypot(o.point[0], o.point[1])
     print(f"  orbit  z = {z:+.12f}  r = {r:.12f}  sign "
-          f"{info.liouville_sign:+d}  C = {info.C:.3e}  "
-          f"period {info.period:.6f}")
+          f"{o.sign:+d}  C = {o.C:.3e}  period {o.period:.6f}")
 
 closure = verify_orbit_closure(scene, cen["orbits"])
 print(f"\norbit closure: max return gap {closure['max_return_gap']:.2e}, "

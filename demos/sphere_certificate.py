@@ -27,12 +27,12 @@ field = FoliationField(scene, surf)
 pts = find_zeros(field, [[0.05, -0.03, 0.99], [-0.04, 0.02, -0.99]], tols)
 zeros = [classify_zero(field, p) for p in pts]
 for z in zeros:
-    print(f"zero at {np.round(z.point, 6)}  sign {z.liouville_sign:+d}  "
+    print(f"zero at {np.round(z.point, 6)}  sign {z.sign:+d}  "
           f"stable dim {z.stable_dim}  div {z.divergence:+.4f}")
 
 # 20 random points of the box, projected onto the sphere
 seeds = field.surface_samples(np.random.default_rng(0), 20)
-cert = check_morse_smale(field, seeds, zeros=zeros, tols=tols)
+cert = check_morse_smale(field, seeds, zeros, tols=tols)
 print(f"verdict: {cert.verdict}  (seeds used: {cert.seeds_used}, "
       f"limit check: {cert.limit_check:.3f})")
 for note in cert.notes:

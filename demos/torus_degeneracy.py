@@ -30,8 +30,7 @@ print(f"transverse contraction per loop: "
 cen = census(scene)
 field = scene.field_cartesian
 seeds = field.surface_samples(np.random.default_rng(0), 20)
-cert = check_morse_smale(field, seeds, zeros=cen["zeros"],
-                         orbits=cen["orbits"],
+cert = check_morse_smale(field, seeds, cen["zeros"] + cen["orbits"],
                          recurrence=torus_recurrence(scene))
 
 print(f"\nverdict: {cert.verdict}")

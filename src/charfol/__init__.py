@@ -12,8 +12,8 @@ from charfol.certify import (ConvexityProfile, MorseSmaleCertificate,
                              verify_convex_form)
 from charfol.contact import (ContactScene, FoliationField, Hypersurface,
                              graph_foliation_check, hamiltonian_residuals)
-from charfol.dynamics import (Flow, OrbitInfo, ZeroInfo, classify_orbit,
-                              classify_zero, find_orbit, find_zeros)
+from charfol.dynamics import (Element, Flow, classify_orbit, classify_zero,
+                              find_orbit, find_zeros)
 from charfol.exterior import Chart, KForm, ScalarField
 from charfol.mori import (MoriScene, PerturbationSpec, census, mori_scene,
                           perturb_analysis)
@@ -21,9 +21,9 @@ from charfol.mori import (MoriScene, PerturbationSpec, census, mori_scene,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Chart", "ContactScene", "ConvexityProfile", "Flow", "FoliationField",
-    "Hypersurface", "KForm", "MoriScene", "MorseSmaleCertificate",
-    "OrbitInfo", "PerturbationSpec", "ScalarField", "ZeroInfo",
+    "Chart", "ContactScene", "ConvexityProfile", "Element", "Flow",
+    "FoliationField", "Hypersurface", "KForm", "MoriScene",
+    "MorseSmaleCertificate", "PerturbationSpec", "ScalarField",
     "build_profile", "census", "check_morse_smale", "classify_orbit",
     "classify_zero", "find_orbit", "find_zeros", "graph_foliation_check",
     "hamiltonian_residuals", "mori_scene", "perturb_analysis", "policy",

@@ -31,7 +31,7 @@ from .exterior import Chart, KForm, ScalarField, _fn, _rebase
 class MorseSmaleCertificate:
     verdict: str                      # "pass" | "fail" | "inconclusive"
     reasons: list
-    elements: dict
+    elements: list                    # the census, zeros first
     limit_check: float                # fraction of seeds captured both ways
     connection_violations: list
     recurrence: list
@@ -57,32 +57,31 @@ def _loop_distance(chart, loop):
     return dist
 
 
-def _capture_entry(chart, kind, el):
-    """(kind, element, distance from a point to it) for a zero or an orbit."""
-    if kind == "zero":
-        return kind, el, lambda p: float(
+def _capture_entry(chart, el):
+    """(element, distance from a point to it): the wrapped max-norm
+    distance to a zero's point, the distance to an orbit's loop."""
+    if el.kind == "zero":
+        return el, lambda p: float(
             np.max(np.abs(wrap_diff(chart, p, el.point))))
-    return kind, el, _loop_distance(chart, el.loop)
+    return el, _loop_distance(chart, el.loop)
 
 
-def _capture_sets(chart, zeros, orbits, sense, dim_surface):
-    """(forward, backward) capture predicates under the given time sense."""
+def _capture_sets(chart, elements, sense):
+    """(forward, backward) capture entries under the given time sense:
+    forward where an element's stable set has the surface's dimension
+    dim, backward where its unstable set has; sense -1 swaps the two.
+    Both sets hold the element's own directions, the dim - len(spectrum)
+    its spectrum does not cross (0 for a zero, 1 for an orbit)."""
+    dim = chart.dim - 1
     fw, bw = [], []
-    for z in zeros:
-        sdim = z.stable_dim if sense > 0 else dim_surface - z.stable_dim
-        entry = _capture_entry(chart, "zero", z)
-        if sdim == dim_surface:
-            fw.append(entry)
-        if sdim == 0:
-            bw.append(entry)
-    for o in orbits:
-        sidx = o.info.stable_index if sense > 0 \
-            else dim_surface + 1 - o.info.stable_index
-        entry = _capture_entry(chart, "orbit", o)
-        if sidx == dim_surface:
-            fw.append(entry)
-        if sidx == 1:
-            bw.append(entry)
+    into, out = (fw, bw) if sense > 0 else (bw, fw)
+    for el in elements:
+        entry = _capture_entry(chart, el)
+        unstable_dim = dim + (dim - len(el.spectrum)) - el.stable_dim
+        if el.stable_dim == dim:
+            into.append(entry)
+        if unstable_dim == dim:
+            out.append(entry)
     return fw, bw
 
 
@@ -110,7 +109,7 @@ def _chase(field, q, sets, sense, tols):
         except IntegrationError as e:
             return False, p, f"integration gave up: {e}"
         p, spent = res.y, spent + res.t
-        if any(dist(p) < radius for _, _, dist in sets):
+        if any(dist(p) < radius for _, dist in sets):
             return True, p, None
     return False, p, None
 
@@ -219,23 +218,39 @@ def _seed_chases(field, q, fw, bw, sense, tols):
     return ok, notes, records, reasons
 
 
-def check_morse_smale(field, seeds, zeros=(), orbits=(),
+def _gate_reasons(el) -> list:
+    """Why an element fails the hyperbolicity gate; a zero without sign
+    is named for that alone."""
+    if el.kind == "zero":
+        at = f"zero at {np.round(el.point, 6)} has"
+        if el.sign == 0:
+            return [f"{at} divergence 0, so no Liouville sign"]
+        return [] if el.hyperbolic else [f"{at} a neutral eigenvalue"]
+    at = f"orbit through {np.round(el.point, 6)} has"
+    reasons = [] if el.hyperbolic else [f"{at} a multiplier of unit modulus"]
+    if el.sign == 0:
+        reasons.append(f"{at} conformal factor C = 1, so no Liouville sign")
+    return reasons
+
+
+def check_morse_smale(field, seeds, elements=(),
                       tols: policy.Tolerances = policy.DEFAULT,
                       recurrence=(), sense: int = +1) -> MorseSmaleCertificate:
     """Assemble the certificate for one census on one surface.
 
     seeds are the points of the surface whose trajectories are chased
     in both time directions (for instance `field.surface_samples(rng,
-    count)`); zeros are ZeroInfo records; orbits carry .info (OrbitInfo)
-    and .loop (a sampled closed curve). recurrence holds already
-    verified recurrent sets, dicts with at least a description (for
-    instance `mori.torus_recurrence(scene)`); once every element is
-    hyperbolic each is recorded, and disqualifies. The verdict is fail
-    on any concrete witness against the structure, pass when every
-    element is hyperbolic, no recurrence is supplied, no launched
-    connection lands wrong, and every seed is captured both ways;
-    anything short of that is inconclusive, with the offending seed
-    recorded. No seeds is inconclusive.
+    count)`); elements is the census, a list of `dynamics.Element`,
+    zeros first (the order of `report.element_rows`), each orbit with
+    its loop. recurrence holds already verified recurrent sets, dicts
+    with at least a description (for instance
+    `mori.torus_recurrence(scene)`); once every element is hyperbolic
+    each is recorded, and disqualifies. The verdict is fail on any
+    concrete witness against the structure, pass when every element is
+    hyperbolic, no recurrence is supplied, no launched connection lands
+    wrong, and every seed is captured both ways; anything short of that
+    is inconclusive, with the offending seed recorded. No seeds is
+    inconclusive.
 
     The seeds are chased side by side on one worker per CPU
     (`parallel.pmap`, one `_seed_chases` call per seed), and what each
@@ -246,10 +261,9 @@ def check_morse_smale(field, seeds, zeros=(), orbits=(),
     """
     seeds = [np.asarray(q, dtype=float) for q in seeds]
     chart = field.scene.chart
-    dim_surface = chart.dim - 1
+    elements = list(elements)
     supplied, recurrence = recurrence, []
     reasons, notes, violations = [], [], []
-    elements = {"zeros": list(zeros), "orbits": list(orbits)}
 
     def skipped(note):
         return MorseSmaleCertificate(
@@ -257,23 +271,8 @@ def check_morse_smale(field, seeds, zeros=(), orbits=(),
             limit_check=0.0, connection_violations=[], recurrence=recurrence,
             seeds_used=0, notes=[f"{note}; sampling skipped"])
 
-    for z in zeros:
-        if z.liouville_sign == 0:
-            reasons.append(
-                f"zero at {np.round(z.point, 6)} has divergence 0, so no "
-                "Liouville sign")
-        elif not z.hyperbolic:
-            reasons.append(
-                f"zero at {np.round(z.point, 6)} has a neutral eigenvalue")
-    for o in orbits:
-        if not o.info.hyperbolic:
-            reasons.append(
-                f"orbit through {np.round(o.info.point, 6)} has a multiplier "
-                "of unit modulus")
-        if o.info.liouville_sign == 0:
-            reasons.append(
-                f"orbit through {np.round(o.info.point, 6)} has conformal "
-                "factor C = 1, so no Liouville sign")
+    for el in elements:
+        reasons += _gate_reasons(el)
     if reasons:
         return skipped("hyperbolicity gate failed")
 
@@ -283,20 +282,18 @@ def check_morse_smale(field, seeds, zeros=(), orbits=(),
     if reasons:
         return skipped("a verified recurrence was supplied")
 
-    fw, bw = _capture_sets(chart, zeros, orbits, sense, dim_surface)
+    fw, bw = _capture_sets(chart, elements, sense)
 
     # separatrices of negative elements must not reach positive elements.
     # Signs are read in the effective time direction, so a reversed run
     # swaps the two sets. Only zeros are launched; unstable Floquet
     # bundles of orbits would need a different parametrization and are
     # left to the sampling pass.
-    positive = [_capture_entry(chart, "zero", z)
-                for z in zeros if z.liouville_sign * sense > 0]
-    positive += [_capture_entry(chart, "orbit", o)
-                 for o in orbits if o.info.liouville_sign * sense > 0]
+    positive = [_capture_entry(chart, el)
+                for el in elements if el.sign * sense > 0]
     approach = 1e-3
-    for z in zeros:
-        if z.liouville_sign * sense >= 0:
+    for z in elements:
+        if z.kind != "zero" or z.sign * sense >= 0:
             continue
         for v in _unstable_directions(field, z.point, sense):
             start = field.surface.project(z.point + 1e-4 * v)
@@ -317,15 +314,13 @@ def check_morse_smale(field, seeds, zeros=(), orbits=(),
             except (EscapeError, IntegrationError):
                 pass
             hit = None
-            for kind, el, dist in positive:
+            for el, dist in positive:
                 if dist(endpoint) < approach:
-                    hit = (kind, el)
+                    hit = el
             if hit is not None:
-                violations.append(
-                    {"from": np.round(z.point, 6),
-                     "to": np.round(hit[1].point if hit[0] == "zero"
-                                    else hit[1].info.point, 6),
-                     "kind": hit[0]})
+                violations.append({"from": np.round(z.point, 6),
+                                   "to": np.round(hit.point, 6),
+                                   "kind": hit.kind})
     if violations:
         reasons.append("a separatrix of a negative element reaches a "
                        "positive element (connection violation)")

@@ -85,7 +85,7 @@ def _shell(doc: SceneDocument) -> mori_mod.MoriScene:
 
 def _shell_elements(scene, cen, tols) -> dict:
     """The rows of a shell census and the check that its orbits close."""
-    return {"elements": report.element_rows(cen["zeros"], cen["orbits"]),
+    return {"elements": report.element_rows(cen["zeros"] + cen["orbits"]),
             "orbit_closure": mori_mod.verify_orbit_closure(
                 scene, cen["orbits"], tols)}
 
@@ -95,9 +95,8 @@ def _shell_certificate(scene, cen, tols, rng):
     given the invariant torus as verified recurrence."""
     field = scene.field_cartesian
     return certify_mod.check_morse_smale(
-        field, field.surface_samples(rng, 20), zeros=cen["zeros"],
-        orbits=cen["orbits"], tols=tols,
-        recurrence=mori_mod.torus_recurrence(scene))
+        field, field.surface_samples(rng, 20), cen["zeros"] + cen["orbits"],
+        tols=tols, recurrence=mori_mod.torus_recurrence(scene))
 
 
 def _field_census(doc: SceneDocument, tols, rng):
@@ -174,7 +173,7 @@ def cmd_certify(args) -> int:
         field, zeros = _field_census(doc, tols, rng)
         cert = certify_mod.check_morse_smale(
             field, field.surface_samples(rng, doc.analysis.get("samples", 10)),
-            zeros=zeros, tols=tols, sense=doc.analysis.get("sense", 1))
+            zeros, tols=tols, sense=doc.analysis.get("sense", 1))
         rep["certificate"] = report.certificate_dict(cert)
     else:
         raise SceneParseError(f"scene {doc.name!r} has no field to certify")
@@ -231,8 +230,8 @@ def cmd_mori_reproduce(args) -> int:
         and charts["factor_min"] > 0.0,
         "census": len(cen["zeros"]) == 2 and len(cen["orbits"]) == 2
         and abs(zs[0] + con.axis_z) < 1e-8 and abs(zs[1] - con.axis_z) < 1e-8
-        and {z.liouville_sign for z in cen["zeros"]} == {-1, 1}
-        and {o.info.liouville_sign for o in cen["orbits"]} == {-1, 1},
+        and {z.sign for z in cen["zeros"]} == {-1, 1}
+        and {o.sign for o in cen["orbits"]} == {-1, 1},
         "torus_invariance": probe["invariance_residual"] < 1e-8,
         "degeneracy_detected": cert.verdict == "fail"
         and len(cert.recurrence) > 0,
@@ -253,23 +252,26 @@ def cmd_mori_perturb(args) -> int:
     rep["delta"] = args.delta
     rep.update((k, dossier[k]) for k in (
         "hamiltonian", "direction_check", "hamiltonian_residuals"))
-    rep["orbits"] = [{**report.orbit_row(o.info), "psi": o.psi,
-                      "transverse_shift": o.transverse_shift}
-                     for o in dossier["orbits"]]
+    ch, orbits = dossier["scene"].chart, dossier["orbits"]
+    psis = [mori_mod.column_psi(ch, o.point) for o in orbits]
+    rep["orbits"] = [
+        {**report.orbit_row(o), "psi": psi,
+         "transverse_shift": mori_mod.transverse_shift(ch, o.point)}
+        for o, psi in zip(orbits, psis)]
     rep["degenerate"] = dossier["degenerate"]
     rep["persistence"] = dossier["persistence"]
     rep["certificate"] = report.certificate_dict(dossier["certificate"])
     rep["gates"] = gates = {
-        "two_hyperbolic_orbits": len(dossier["orbits"]) == 2
-        and all(o.info.hyperbolic for o in dossier["orbits"]),
+        "two_hyperbolic_orbits": len(orbits) == 2
+        and all(o.hyperbolic for o in orbits),
         "not_degenerate": not dossier["degenerate"],
         "persistence": bool(dossier["persistence"]["holds"]),
         "certificate": dossier["certificate"].verdict == "pass",
     }
     rep["verdict"] = "pass" if all(gates.values()) else "fail"
-    rows = [(o.psi, i, *p)
-            for o in dossier["orbits"] for i, p in enumerate(o.loop)]
-    header = ("orbit_psi", "k") + dossier["scene"].chart.names
+    rows = [(psi, i, *p)
+            for o, psi in zip(orbits, psis) for i, p in enumerate(o.loop)]
+    header = ("orbit_psi", "k") + ch.names
     return _emit(args, rep, {"orbit-loops.csv": (header, rows)})
 
 

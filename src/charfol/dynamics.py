@@ -309,16 +309,32 @@ def flow_split_basis(field: FoliationField, point):
     return Q, Q @ full[:, 1:]
 
 
-# zeros ----------------------------------------------------------------
+# census elements and zeros ---------------------------------------------
 
 @dataclass
-class ZeroInfo:
+class Element:
+    """A zero or a closed orbit of the field (kind "zero" or "orbit"), as
+    a census lists it and the certificate checks it. spectrum: a zero's
+    eigenvalues on the tangent space, or an orbit's multipliers on the
+    section. sign: the Liouville sign, 0 for none. stable_dim: the
+    dimension of the stable set, an orbit's own direction included.
+    Only a zero has a divergence; only an orbit has a period, the
+    conformal factor C of its return map, the residuals of
+    `classify_orbit` and a loop, points along it sampled by the caller."""
+
+    kind: str
     point: np.ndarray
-    eigenvalues: np.ndarray
-    divergence: float
-    liouville_sign: int
+    spectrum: np.ndarray
+    sign: int
     stable_dim: int
     hyperbolic: bool
+    divergence: float | None = None
+    period: float | None = None
+    C: float | None = None
+    det_residual: float | None = None       # |det dP - C^n| / |C^n|
+    pairing_residual: float | None = None   # symplectic pairing mu <-> C/mu
+    div_residual: float | None = None       # divergence integral vs log det dP
+    loop: np.ndarray | None = None
 
 
 def refine_zero(field: FoliationField, seed,
@@ -382,20 +398,20 @@ def linearize_zero(field: FoliationField, point):
     return np.array([(J @ v)[coords] for v in frame]).T, frame, div
 
 
-def classify_zero(field: FoliationField, point) -> ZeroInfo:
-    """Linearization and Liouville sign at a zero. A zero of divergence
-    exactly 0 has no sign (0) and does not count as hyperbolic."""
+def classify_zero(field: FoliationField, point) -> Element:
+    """The Element of a zero: linearization, divergence and its sign, the
+    Liouville sign. A zero of divergence exactly 0 has no sign (0) and
+    does not count as hyperbolic."""
     A, _, div = linearize_zero(field, point)
     eigs = np.linalg.eigvals(A)
     sign = sign_of(div)
     band = policy.HYPERBOLIC_BAND * max(1.0, float(np.max(np.abs(eigs))))
-    return ZeroInfo(point=np.asarray(point, dtype=float),
-                    eigenvalues=eigs,
-                    divergence=div,
-                    liouville_sign=sign,
-                    stable_dim=int(np.sum(eigs.real < 0.0)),
-                    hyperbolic=bool(sign != 0
-                                    and np.all(np.abs(eigs.real) > band)))
+    return Element(kind="zero", point=np.asarray(point, dtype=float),
+                   spectrum=eigs, sign=sign,
+                   stable_dim=int(np.sum(eigs.real < 0.0)),
+                   hyperbolic=bool(sign != 0
+                                   and np.all(np.abs(eigs.real) > band)),
+                   divergence=div)
 
 
 # closed orbits ---------------------------------------------------------
@@ -406,21 +422,6 @@ class RefinedOrbit:
     period: float
     monodromy: np.ndarray
     div_integral: float
-
-
-@dataclass
-class OrbitInfo:
-    point: np.ndarray
-    period: float
-    multipliers: np.ndarray      # eigenvalues of the section return map
-    C: float                     # conformal factor of the return map
-    det_residual: float          # |det dP - C^n| / |C^n|
-    pairing_residual: float      # symplectic pairing mu <-> C/mu
-    div_residual: float          # divergence integral vs log det dP
-    positive: bool
-    liouville_sign: int
-    stable_index: int
-    hyperbolic: bool
 
 
 def find_orbit(field: FoliationField, seed_point, period_guess: float,
@@ -491,10 +492,12 @@ def find_orbit(field: FoliationField, seed_point, period_guess: float,
 
 
 def classify_orbit(field: FoliationField, orbit: RefinedOrbit,
-                   sense: int = +1) -> OrbitInfo:
-    """Return map data on the section normal to the flow at the base point.
-    For sense -1 the monodromy is the reversed flow's, whose return map is
-    the inverse: its multipliers and C are inverted, its residuals kept."""
+                   sense: int = +1) -> Element:
+    """The Element of a refined orbit, without loop, from the return map
+    on the section normal to the flow at the base point; C's side of 1
+    is the Liouville sign. For sense -1 the monodromy is the reversed
+    flow's, whose return map is the inverse: its multipliers and C are
+    inverted, its residuals kept."""
     p = orbit.point
     n = field.scene.n
     _, S = flow_split_basis(field, p)
@@ -531,9 +534,9 @@ def classify_orbit(field: FoliationField, orbit: RefinedOrbit,
         eigs, C = 1.0 / eigs, 1.0 / C
     band = policy.HYPERBOLIC_BAND
     moduli = np.abs(eigs)
-    return OrbitInfo(point=p, period=orbit.period, multipliers=eigs, C=C,
-                     det_residual=det_res, pairing_residual=pair_res,
-                     div_residual=div_res, positive=bool(C > 1.0),
-                     liouville_sign=sign_of(C, 1.0),
-                     stable_index=int(np.sum(moduli < 1.0 - band)) + 1,
-                     hyperbolic=bool(np.all(np.abs(moduli - 1.0) > band)))
+    return Element(kind="orbit", point=p, spectrum=eigs,
+                   sign=sign_of(C, 1.0),
+                   stable_dim=int(np.sum(moduli < 1.0 - band)) + 1,
+                   hyperbolic=bool(np.all(np.abs(moduli - 1.0) > band)),
+                   period=orbit.period, C=C, det_residual=det_res,
+                   pairing_residual=pair_res, div_residual=div_res)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
@@ -34,8 +34,9 @@ from . import certify, jets, kernel, parallel, policy
 from .contact import (ContactScene, FoliationField, Hypersurface,
                       _hamiltonian_solve, alpha_data_at,
                       graph_foliation_check, hamiltonian_residuals)
-from .dynamics import (EventSpec, Flow, RefinedOrbit, _integrate_core,
-                       classify_orbit, classify_zero, find_orbit, find_zeros)
+from .dynamics import (Element, EventSpec, Flow, RefinedOrbit,
+                       _integrate_core, classify_orbit, classify_zero,
+                       find_orbit, find_zeros)
 from .errors import ConstructiveFailure, NoOrbitError, PolarDomainError
 from .exterior import Chart, KForm, ScalarField, _fn
 from .jets import Jet, seed
@@ -425,16 +426,7 @@ def torus_recurrence(scene: MoriScene) -> list:
 
 # census -----------------------------------------------------------------
 
-@dataclass
-class CensusOrbit:
-    """A closed orbit element: classification plus its sampled loop."""
-
-    info: object                 # dynamics.OrbitInfo
-    loop: np.ndarray             # points along the closed curve
-    omega: float                 # engine angular rate of the rigid rotation
-
-
-def _edge_orbit(scene: MoriScene, sign: float) -> CensusOrbit:
+def _edge_orbit(scene: MoriScene, sign: float) -> Element:
     field = scene.field_cartesian
     eps = scene.eps
     d = scene.cartesian.chart.dim
@@ -473,17 +465,20 @@ def _edge_orbit(scene: MoriScene, sign: float) -> CensusOrbit:
     M = expm(tsign * T * A)
     orbit = RefinedOrbit(point=p, period=T, monodromy=M,
                          div_integral=tsign * T * div)
-    info = classify_orbit(field, orbit, sense=tsign)
     th = np.linspace(0.0, 2.0 * math.pi, 97)[:-1]
     loop = np.zeros((96, d))
     loop[:, 0] = p[0] * np.cos(th)
     loop[:, 1] = p[0] * np.sin(th)
     loop[:, -1] = z
-    return CensusOrbit(info=info, loop=loop, omega=omega)
+    return replace(classify_orbit(field, orbit, sense=tsign), loop=loop)
 
 
 def census(scene: MoriScene, tols: policy.Tolerances = policy.DEFAULT) -> dict:
-    """All zeros and closed orbits of the foliation on the shell.
+    """All zeros and closed orbits of the foliation on the shell, as
+    {"zeros": [...], "orbits": [...]}: lists of `dynamics.Element`,
+    zeros by height, then the orbit below the equator and the one above
+    it, each with a loop of 96 points. zeros + orbits is the element
+    list of the certificate and of `report.element_rows`.
 
     Zeros come from Newton refinement of four seeds on the rotation
     axis, where the symmetry puts every zero; the test suite checks
@@ -497,7 +492,7 @@ def census(scene: MoriScene, tols: policy.Tolerances = policy.DEFAULT) -> dict:
              for s in (-1.1, -0.9, 0.9, 1.1)]
     pts = find_zeros(field, seeds, tols)
     zeros = [classify_zero(field, p) for p in pts]
-    zeros.sort(key=lambda zi: zi.point[-1])
+    zeros.sort(key=lambda z: z.point[-1])
     orbits = [_edge_orbit(scene, -1.0), _edge_orbit(scene, +1.0)]
     return {"zeros": zeros, "orbits": orbits}
 
@@ -509,16 +504,18 @@ def verify_orbit_closure(scene: MoriScene, orbits,
     Integrates one full loop in the contracting time direction of each
     orbit (the expanding direction is hopeless by design) and reports
     the worst return gap and the deviation of the measured return time
-    from the rotation period.
+    from the rotation period. The rotation sense is the field's at the
+    orbit's point.
     """
     field = scene.field_cartesian
     worst_gap = worst_T = 0.0
     for o in orbits:
-        sense = -1 if o.info.positive else +1
+        sense = -1 if o.sign > 0 else +1
         flow = Flow(field, tols, sense=sense)
-        p = np.asarray(o.info.point, dtype=float)
-        T = o.info.period
-        direction = 1 if sense * o.omega > 0.0 else -1
+        p = np.asarray(o.point, dtype=float)
+        T = o.period
+        omega = float(field.vector(p)[1] / p[0])
+        direction = 1 if sense * omega > 0.0 else -1
         ev = EventSpec(fn=lambda y: y[1], direction=direction)
         res = flow.integrate(p, 1.4 * T, event=ev)
         if res.status != "event":
@@ -724,16 +721,6 @@ def _predicted_lift(scene: ContactScene, base: ContactScene, H: ScalarField):
     return predicted
 
 
-@dataclass
-class ColumnOrbit:
-    """A perturbed closed orbit with its distance from the original circle."""
-
-    info: object
-    loop: np.ndarray
-    psi: float
-    transverse_shift: float
-
-
 def _graph_point(ch, H: ScalarField, s, a, b, psi) -> np.ndarray:
     """The point of the column graph t = H over (s, a, b, psi)."""
     q = np.zeros(ch.dim)
@@ -743,28 +730,37 @@ def _graph_point(ch, H: ScalarField, s, a, b, psi) -> np.ndarray:
     return q
 
 
+def column_psi(ch: Chart, point) -> float:
+    """The angle psi of a point of the column, wrapped to [-pi/2, 3pi/2):
+    the orbits sit at 0 and pi, both away from the cut, so roundoff
+    cannot flip the reported angle by 2 pi."""
+    psi = float(point[ch.index("psi")])
+    return psi - 2.0 * math.pi * math.floor((psi + 0.5 * math.pi)
+                                           / (2.0 * math.pi))
+
+
+def transverse_shift(ch: Chart, point) -> float:
+    """Distance of a point of the column from the circle a = b = 0."""
+    return math.hypot(float(point[ch.index("a")]),
+                      float(point[ch.index("b")]))
+
+
 def _column_orbit(field: FoliationField, H: ScalarField, psi0: float,
                   spec: PerturbationSpec,
-                  tols: policy.Tolerances) -> ColumnOrbit:
-    """The orbit near psi0 on the column, shot in the time direction where
-    it contracts: reversed where the divergence at the seed is positive."""
+                  tols: policy.Tolerances) -> Element:
+    """The orbit Element near psi0 on the column, with a loop of 128
+    points, shot in the time direction where it contracts: reversed
+    where the divergence at the seed is positive."""
     ch = field.scene.chart
     seed = _graph_point(ch, H, 5.0, 0.02, -0.01, psi0 + 0.1)
     X, _, div = field.flow_data(seed)
     guess = spec.circumference / abs(float(X[ch.index("s")]))
     sense = -1 if div > 0.0 else +1
     orb = find_orbit(field, seed, guess, tols, sense=sense)
-    info = classify_orbit(field, orb, sense=sense)
-    p = orb.point
-    # wrapped to [-pi/2, 3pi/2): the orbits sit at 0 and pi, both away
-    # from the cut, so roundoff cannot flip the reported angle by 2 pi
-    psi = float(p[ch.index("psi")])
-    psi -= 2.0 * math.pi * math.floor((psi + 0.5 * math.pi) / (2.0 * math.pi))
-    shift = math.hypot(float(p[ch.index("a")]), float(p[ch.index("b")]))
-    loop = np.tile(p, (128, 1))
+    loop = np.tile(orb.point, (128, 1))
     loop[:, ch.index("s")] = np.linspace(0.0, spec.circumference, 129)[:-1]
     loop[:, ch.index("t")] = [float(H(list(q))) for q in loop]
-    return ColumnOrbit(info=info, loop=loop, psi=psi, transverse_shift=shift)
+    return replace(classify_orbit(field, orb, sense=sense), loop=loop)
 
 
 def _certificate_tols(tols: policy.Tolerances) -> policy.Tolerances:
@@ -803,8 +799,7 @@ def column_certificate(field: FoliationField, info: dict,
 
     orbits = [o for o in parallel.pmap(shoot, (0.0, math.pi))
               if o is not None]
-    degenerate = len(orbits) < 2 or any(not o.info.hyperbolic
-                                        for o in orbits)
+    degenerate = len(orbits) < 2 or any(not o.hyperbolic for o in orbits)
 
     seeds = []
     for _ in range(10):
@@ -814,15 +809,15 @@ def column_certificate(field: FoliationField, info: dict,
         seeds.append(_graph_point(ch, H, s, rad * math.cos(ang),
                                   rad * math.sin(ang),
                                   rng.uniform(0.0, 2.0 * math.pi)))
-    cert = certify.check_morse_smale(field, seeds, orbits=orbits,
+    cert = certify.check_morse_smale(field, seeds, orbits,
                                      tols=_certificate_tols(tols))
 
     A, I = prof["amplitude"], prof["bump_integral"]
     pers44 = {"holds": False, "max_shift": math.nan, "margin": 0.0,
               "predicted_margin": 1.0 - math.exp(-0.5 * A * I)}
     if not degenerate:
-        shift = max(o.transverse_shift for o in orbits)
-        gap = min(float(np.min(np.abs(np.abs(o.info.multipliers) - 1.0)))
+        shift = max(transverse_shift(ch, o.point) for o in orbits)
+        gap = min(float(np.min(np.abs(np.abs(o.spectrum) - 1.0)))
                   for o in orbits)
         pers44.update(holds=bool(shift < 1e-8), max_shift=shift, margin=gap)
     return {"orbits": orbits, "degenerate": degenerate,

@@ -85,37 +85,38 @@ def _pairs(values) -> list:
 def zero_row(z) -> dict:
     return {"kind": "zero",
             "location": np.asarray(z.point, dtype=float),
-            "eigenvalues": _pairs(z.eigenvalues),
+            "eigenvalues": _pairs(z.spectrum),
             "divergence": float(z.divergence),
-            "sign": int(z.liouville_sign),
+            "sign": int(z.sign),
             "index": int(z.stable_dim),
             "hyperbolic": bool(z.hyperbolic)}
 
 
-def orbit_row(info) -> dict:
+def orbit_row(o) -> dict:
     return {"kind": "orbit",
-            "location": np.asarray(info.point, dtype=float),
-            "period": float(info.period),
-            "multipliers": _pairs(info.multipliers),
-            "C": float(info.C),
-            "sign": int(info.liouville_sign),
-            "index": int(info.stable_index),
-            "hyperbolic": bool(info.hyperbolic),
-            "residuals": {"det": float(info.det_residual),
-                          "pairing": float(info.pairing_residual),
-                          "divergence": float(info.div_residual)}}
+            "location": np.asarray(o.point, dtype=float),
+            "period": float(o.period),
+            "multipliers": _pairs(o.spectrum),
+            "C": float(o.C),
+            "sign": int(o.sign),
+            "index": int(o.stable_dim),
+            "hyperbolic": bool(o.hyperbolic),
+            "residuals": {"det": float(o.det_residual),
+                          "pairing": float(o.pairing_residual),
+                          "divergence": float(o.div_residual)}}
 
 
-def element_rows(zeros, orbits=()) -> list:
-    """The rows of zeros and then of orbits (records with .info)."""
-    return [zero_row(z) for z in zeros] + [orbit_row(o.info) for o in orbits]
+def element_rows(elements) -> list:
+    """The rows of a list of `dynamics.Element`, in order; each row's
+    index is the element's stable_dim."""
+    return [zero_row(e) if e.kind == "zero" else orbit_row(e)
+            for e in elements]
 
 
 def certificate_dict(cert) -> dict:
     return {"verdict": cert.verdict,
             "reasons": list(cert.reasons),
-            "elements": element_rows(cert.elements["zeros"],
-                                     cert.elements["orbits"]),
+            "elements": element_rows(cert.elements),
             "limit_check": float(cert.limit_check),
             "connection_violations": [
                 {"from": np.asarray(v["from"], dtype=float),

@@ -146,14 +146,13 @@ def test_criterion_2_exterior_identities():
 
 
 def test_criterion_3_return_map_structure(census2, dossier):
-    infos = [o.info for o in census2[0]["orbits"]]
-    infos += [o.info for o in dossier[0]["orbits"]]
+    infos = census2[0]["orbits"] + dossier[0]["orbits"]
     assert len(infos) >= 4
     worst_det = max(o.det_residual for o in infos)
     worst_pair = max(o.pairing_residual for o in infos)
     signs = all(o.hyperbolic
-                and o.liouville_sign == (1 if math.log(o.C) > 0 else -1)
-                and o.positive == (o.C > 1.0) for o in infos)
+                and o.sign == (1 if math.log(o.C) > 0 else -1)
+                and (o.sign > 0) == (o.C > 1.0) for o in infos)
     ok = worst_det < 1e-6 and worst_pair < 1e-6 and signs
     emit(3, ok, f"return-map structure on {len(infos)} hyperbolic orbits",
          f"det {worst_det:.2e}, pairing {worst_pair:.2e}")
@@ -167,17 +166,17 @@ def test_criterion_4_shell_census(scene2, census2):
     con = scene2.constants
     zeros, orbits = cen["zeros"], cen["orbits"]
     zs = sorted(float(z.point[-1]) for z in zeros)
-    oz = sorted(float(o.info.point[-1]) for o in orbits)
+    oz = sorted(float(o.point[-1]) for o in orbits)
     loc = (len(zeros) == 2 and len(orbits) == 2
            and abs(zs[0] + con.axis_z) < 1e-8
            and abs(zs[1] - con.axis_z) < 1e-8
            and abs(oz[0] + con.orbit_z) < 1e-8
            and abs(oz[1] - con.orbit_z) < 1e-8)
-    signs = ({z.liouville_sign for z in zeros} == {-1, 1}
-             and {o.info.liouville_sign for o in orbits} == {-1, 1})
-    idx = all(z.stable_dim <= 2 for z in zeros if z.liouville_sign > 0)
-    idx = idx and all(o.info.stable_index <= 2 for o in orbits
-                      if o.info.liouville_sign > 0)
+    signs = ({z.sign for z in zeros} == {-1, 1}
+             and {o.sign for o in orbits} == {-1, 1})
+    idx = all(z.stable_dim <= 2 for z in zeros if z.sign > 0)
+    idx = idx and all(o.stable_dim <= 2 for o in orbits
+                      if o.sign > 0)
     ok = loc and signs and idx and dt < 120.0
     emit(4, ok, "shell census: 2 zeros + 2 orbits at the closed-form "
          "heights", f"census in {dt:.1f} s")
@@ -204,8 +203,7 @@ def test_criterion_5_degeneracy_detection(scene2, census2):
     cen, _ = census2
     field = scene2.field_cartesian
     seeds = field.surface_samples(np.random.default_rng(5), 20)
-    cert = check_morse_smale(field, seeds, zeros=cen["zeros"],
-                             orbits=cen["orbits"],
+    cert = check_morse_smale(field, seeds, cen["zeros"] + cen["orbits"],
                              recurrence=mori.torus_recurrence(scene2))
     rec = cert.recurrence
     ok = cert.verdict == "fail" and len(rec) == 1
@@ -227,7 +225,7 @@ def test_criterion_6_perturbation(dossier):
     d, dt = dossier
     orbits = d["orbits"]
     pers = d["persistence"]
-    ok = (len(orbits) == 2 and all(o.info.hyperbolic for o in orbits)
+    ok = (len(orbits) == 2 and all(o.hyperbolic for o in orbits)
           and not d["degenerate"]
           and abs(pers["margin"] - pers["predicted_margin"]) < 1e-4
           and d["certificate"].verdict == "pass"
@@ -358,7 +356,7 @@ def test_criterion_9_invariance_suite(scene2):
         for z in base:
             w = classify_zero(wrapped, z.point)
             volume_ok = volume_ok and (
-                w.liouville_sign == z.liouville_sign
+                w.sign == z.sign
                 and int(np.sign(w.divergence)) == int(np.sign(z.divergence))
                 and w.stable_dim == z.stable_dim)
             n_vol += 1
@@ -385,10 +383,10 @@ def test_criterion_9_invariance_suite(scene2):
     swap_ok = True
     for z in base:
         w = classify_zero(rev, z.point)
-        swap_ok = swap_ok and (w.liouville_sign == -z.liouville_sign
+        swap_ok = swap_ok and (w.sign == -z.sign
                                and w.stable_dim == 2 - z.stable_dim)
     seeds = [p / np.linalg.norm(p) for p in rng.normal(size=(100, 3))]
-    cert = check_morse_smale(field, seeds, zeros=base, tols=tols, sense=-1)
+    cert = check_morse_smale(field, seeds, base, tols=tols, sense=-1)
     reversal_ok = swap_ok and cert.verdict == "pass" \
         and cert.seeds_used == 100
 

@@ -3,18 +3,18 @@
 import math
 import re
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from charfol import policy
+from charfol import mori, policy
 from charfol.certify import (ConvexityProfile, MorseSmaleCertificate,
-                             _loop_distance, build_profile, check_morse_smale,
+                             _capture_sets, _loop_distance, build_profile,
+                             check_morse_smale,
                              standard_gamma, verification_grid,
                              verify_convex_form)
 from charfol.contact import ContactScene, FoliationField, Hypersurface
-from charfol.dynamics import OrbitInfo, classify_zero, find_zeros
+from charfol.dynamics import Element, classify_zero, find_zeros
 from charfol.errors import ConstructiveFailure
 from charfol.exterior import Chart, KForm
 from charfol.jets import fval
@@ -55,11 +55,11 @@ def test_s2_census_structure(s2):
     north = next(z for z in zeros if z.point[2] > 0)
     assert np.allclose(north.point, [0, 0, 1], atol=1e-9)
     assert np.allclose(south.point, [0, 0, -1], atol=1e-9)
-    assert north.liouville_sign == 1 and north.stable_dim == 0
-    assert south.liouville_sign == -1 and south.stable_dim == 2
+    assert north.sign == 1 and north.stable_dim == 0
+    assert south.sign == -1 and south.stable_dim == 2
     assert north.hyperbolic and south.hyperbolic
     # focus pair: complex eigenvalues, matched real parts
-    assert abs(north.eigenvalues[0].imag) > 0
+    assert abs(north.spectrum[0].imag) > 0
 
 
 def test_s2_census_sums_to_euler_characteristic(s2):
@@ -71,7 +71,7 @@ def test_s2_census_sums_to_euler_characteristic(s2):
 
 def test_certificate_passes_on_sphere(s2, sphere_seeds):
     fld, zeros = s2
-    cert = check_morse_smale(fld, sphere_seeds, zeros=zeros)
+    cert = check_morse_smale(fld, sphere_seeds, zeros)
     assert isinstance(cert, MorseSmaleCertificate)
     assert cert.verdict == "pass"
     assert cert.limit_check == 1.0
@@ -79,19 +79,20 @@ def test_certificate_passes_on_sphere(s2, sphere_seeds):
     assert cert.transversality == "not verified"
     assert cert.connection_violations == []
     assert cert.recurrence == []
-    assert set(cert.elements) == {"zeros", "orbits"}
+    assert cert.elements is not zeros
+    assert [id(e) for e in cert.elements] == [id(z) for z in zeros]
 
 
 def test_time_reversal_passes_with_same_census(s2, sphere_seeds):
     fld, zeros = s2
-    cert = check_morse_smale(fld, sphere_seeds[:6], zeros=zeros, sense=-1)
+    cert = check_morse_smale(fld, sphere_seeds[:6], zeros, sense=-1)
     assert cert.verdict == "pass"
     assert cert.limit_check == 1.0
 
 
 def test_no_seeds_is_inconclusive(s2):
     fld, zeros = s2
-    cert = check_morse_smale(fld, [], zeros=zeros)
+    cert = check_morse_smale(fld, [], zeros)
     assert cert.verdict == "inconclusive"
     assert cert.seeds_used == 0 and cert.limit_check == 0.0
     assert cert.reasons == []
@@ -100,8 +101,8 @@ def test_no_seeds_is_inconclusive(s2):
 
 def test_doctored_signs_raise_connection_violation(s2, sphere_seeds):
     fld, zeros = s2
-    flipped = [replace(z, liouville_sign=-z.liouville_sign) for z in zeros]
-    cert = check_morse_smale(fld, sphere_seeds[:4], zeros=flipped)
+    flipped = [replace(z, sign=-z.sign) for z in zeros]
+    cert = check_morse_smale(fld, sphere_seeds[:4], flipped)
     assert cert.verdict == "fail"
     assert any("connection violation" in r for r in cert.reasons)
     assert cert.connection_violations
@@ -117,13 +118,13 @@ SYNTHETIC_TORUS = {"description": "synthetic torus", "point": np.zeros(3),
 def test_nonhyperbolic_zero_fails_fast(s2, sphere_seeds):
     fld, zeros = s2
     doctored = [replace(zeros[0], hyperbolic=False), zeros[1]]
-    cert = check_morse_smale(fld, sphere_seeds, zeros=doctored)
+    cert = check_morse_smale(fld, sphere_seeds, doctored)
     assert cert.verdict == "fail"
     assert any("neutral eigenvalue" in r for r in cert.reasons)
     assert cert.limit_check == 0.0
     assert cert.seeds_used == 0
     # a verified recurrence is recorded only past the hyperbolicity gate
-    cert = check_morse_smale(fld, sphere_seeds, zeros=doctored,
+    cert = check_morse_smale(fld, sphere_seeds, doctored,
                              recurrence=[SYNTHETIC_TORUS])
     assert cert.verdict == "fail" and cert.seeds_used == 0
     assert cert.recurrence == []
@@ -135,20 +136,18 @@ def test_nonhyperbolic_orbit_fails_fast(s2, sphere_seeds):
     fld, zeros = s2
     th = np.linspace(0, 2 * np.pi, 24, endpoint=False)
     loop = np.column_stack([np.cos(th), np.sin(th), 0 * th])
-    info = OrbitInfo(point=loop[0], period=6.28,
-                     multipliers=np.array([1.0 + 0j]), C=1.0,
-                     det_residual=0.0, pairing_residual=0.0, div_residual=0.0,
-                     positive=True, liouville_sign=1, stable_index=1,
-                     hyperbolic=False)
-    cert = check_morse_smale(fld, sphere_seeds, zeros=zeros,
-                             orbits=[SimpleNamespace(info=info, loop=loop)])
+    orbit = Element(kind="orbit", point=loop[0],
+                    spectrum=np.array([1.0 + 0j]), sign=1, stable_dim=1,
+                    hyperbolic=False, period=6.28, C=1.0, det_residual=0.0,
+                    pairing_residual=0.0, div_residual=0.0, loop=loop)
+    cert = check_morse_smale(fld, sphere_seeds, zeros + [orbit])
     assert cert.verdict == "fail"
     assert any("unit modulus" in r for r in cert.reasons)
 
 
 def test_verified_candidate_disqualifies(s2, sphere_seeds):
     fld, zeros = s2
-    cert = check_morse_smale(fld, sphere_seeds, zeros=zeros,
+    cert = check_morse_smale(fld, sphere_seeds, zeros,
                              recurrence=[SYNTHETIC_TORUS])
     assert cert.verdict == "fail"
     assert cert.reasons == ["verified recurrence: synthetic torus"]
@@ -161,12 +160,51 @@ def test_verified_candidate_disqualifies(s2, sphere_seeds):
 def test_more_budget_never_flips_pass_to_fail(s2, sphere_seeds):
     fld, zeros = s2
     small = policy.replace(policy.DEFAULT, flow_budget=2.0)
-    cert_small = check_morse_smale(fld, sphere_seeds[:5], zeros=zeros,
+    cert_small = check_morse_smale(fld, sphere_seeds[:5], zeros,
                                    tols=small)
-    cert_big = check_morse_smale(fld, sphere_seeds[:5], zeros=zeros)
+    cert_big = check_morse_smale(fld, sphere_seeds[:5], zeros)
     assert cert_big.verdict == "pass"
     assert cert_small.verdict in ("pass", "inconclusive")
     assert cert_small.limit_check <= cert_big.limit_check + 1e-12
+
+
+@pytest.fixture(scope="module")
+def column_orbits():
+    """The column's chart and its two orbits, psi = 0 then psi = pi."""
+    spec = mori.PerturbationSpec()
+    scene, surface, info = mori.column_scene(spec)
+    field = FoliationField(scene, surface)
+    return scene.chart, [mori._column_orbit(field, info["H"], psi0, spec,
+                                            policy.DEFAULT)
+                         for psi0 in (0.0, math.pi)]
+
+
+# (census, sense, forward set, backward set) as the separate zero and
+# orbit rules gave them: the sphere's sink is its south pole and its
+# source the north pole; the column's psi = 0 orbit attracts (stable
+# set of dimension 4) and its psi = pi orbit repels (stable_dim 1)
+@pytest.mark.parametrize("census, sense, forward, backward", [
+    ("s2-height", 1, ["south"], ["north"]),
+    ("s2-height", -1, ["north"], ["south"]),
+    ("column", 1, ["psi = 0"], ["psi = pi"]),
+    ("column", -1, ["psi = pi"], ["psi = 0"]),
+])
+def test_capture_sets_from_one_element_list(s2, column_orbits, census,
+                                            sense, forward, backward):
+    if census == "s2-height":
+        fld, elements = s2
+        chart = fld.scene.chart
+        names = {id(z): "north" if z.point[2] > 0 else "south"
+                 for z in elements}
+    else:
+        chart, elements = column_orbits
+        names = dict(zip(map(id, elements), ["psi = 0", "psi = pi"]))
+        assert [o.stable_dim for o in elements] == [4, 1]
+    fw, bw = _capture_sets(chart, elements, sense)
+    assert [names[id(el)] for el, _ in fw] == forward
+    assert [names[id(el)] for el, _ in bw] == backward
+    for el, dist in fw + bw:
+        assert dist(el.point) < 1e-12
 
 
 def test_recurrent_sampled_trajectory_fails():
@@ -422,9 +460,9 @@ def test_nonconstant_circle_form():
 
 def test_neutral_zero_sign_fails_the_gate(s2, sphere_seeds):
     fld, zeros = s2
-    doctored = [replace(zeros[0], liouville_sign=0, hyperbolic=False),
+    doctored = [replace(zeros[0], sign=0, hyperbolic=False),
                 zeros[1]]
-    cert = check_morse_smale(fld, sphere_seeds, zeros=doctored)
+    cert = check_morse_smale(fld, sphere_seeds, doctored)
     assert cert.verdict == "fail"
     assert any("no Liouville sign" in r for r in cert.reasons)
     assert not any("neutral eigenvalue" in r for r in cert.reasons)
@@ -436,13 +474,11 @@ def test_neutral_orbit_sign_fails_the_gate(s2, sphere_seeds):
     th = np.linspace(0, 2 * np.pi, 24, endpoint=False)
     loop = np.column_stack([np.cos(th), np.sin(th), 0 * th])
     # doctored so that only the sign gate can fire
-    info = OrbitInfo(point=loop[0], period=6.28,
-                     multipliers=np.array([1.0 + 0j]), C=1.0,
-                     det_residual=0.0, pairing_residual=0.0, div_residual=0.0,
-                     positive=False, liouville_sign=0, stable_index=1,
-                     hyperbolic=True)
-    cert = check_morse_smale(fld, sphere_seeds, zeros=zeros,
-                             orbits=[SimpleNamespace(info=info, loop=loop)])
+    orbit = Element(kind="orbit", point=loop[0],
+                    spectrum=np.array([1.0 + 0j]), sign=0, stable_dim=1,
+                    hyperbolic=True, period=6.28, C=1.0, det_residual=0.0,
+                    pairing_residual=0.0, div_residual=0.0, loop=loop)
+    cert = check_morse_smale(fld, sphere_seeds, zeros + [orbit])
     assert cert.verdict == "fail"
     assert any("C = 1, so no Liouville sign" in r for r in cert.reasons)
     assert cert.seeds_used == 0

@@ -129,11 +129,11 @@ def test_zero_refinement_and_classification():
     z = zeros[0]
     assert np.max(np.abs(z)) < 1e-9
     info = classify_zero(fld, z)
-    assert sorted(info.eigenvalues.real) == pytest.approx([-1.0, 2.0], abs=1e-9)
+    assert sorted(info.spectrum.real) == pytest.approx([-1.0, 2.0], abs=1e-9)
     assert info.hyperbolic
     assert info.stable_dim == 1
     assert info.divergence == pytest.approx(1.0, abs=1e-10)
-    assert info.liouville_sign == 1
+    assert info.sign == 1
     # tangency of the restricted linearization
     A, frame, div = linearize_zero(fld, z)
     assert A.shape == (2, 2)
@@ -161,17 +161,16 @@ def test_orbit_refinement_and_return_map():
     assert info.C == pytest.approx(want_C, rel=1e-6)
     assert info.det_residual < 1e-6
     assert info.div_residual < 1e-6
-    assert not info.positive
-    assert info.liouville_sign == -1
-    assert info.stable_index == 2
+    assert info.sign == -1
+    assert info.stable_dim == 2
     assert info.hyperbolic
 
     # the other orbit, psi = pi, is the positive one
     orbit2 = find_orbit(fld, [-0.05, 0.3, math.pi - 0.2], guess)
     info2 = classify_orbit(fld, orbit2)
     assert info2.C == pytest.approx(1.0 / want_C, rel=1e-6)
-    assert info2.positive and info2.stable_index == 1
-    assert info2.liouville_sign == 1
+    assert info2.sign > 0 and info2.stable_dim == 1
+    assert info2.sign == 1
 
 
 def test_reversed_shot_classifies_as_the_forward_orbit():
@@ -187,10 +186,10 @@ def test_reversed_shot_classifies_as_the_forward_orbit():
     assert orbit.div_integral < 0.0 < fwd_orbit.div_integral
     info = classify_orbit(fld, orbit, sense=-1)
     assert info.C == pytest.approx(fwd.C, rel=1e-6)
-    assert np.sort(np.abs(info.multipliers)) == pytest.approx(
-        np.sort(np.abs(fwd.multipliers)), rel=1e-6)
-    assert info.positive and info.liouville_sign == 1
-    assert (info.stable_index, info.hyperbolic) == (fwd.stable_index, True)
+    assert np.sort(np.abs(info.spectrum)) == pytest.approx(
+        np.sort(np.abs(fwd.spectrum)), rel=1e-6)
+    assert info.sign == 1
+    assert (info.stable_dim, info.hyperbolic) == (fwd.stable_dim, True)
     raw = classify_orbit(fld, orbit)
     assert info.C == 1.0 / raw.C
     assert info.det_residual == raw.det_residual
@@ -244,8 +243,8 @@ class ZeroDivergenceField:
 def test_zero_divergence_gives_neutral_sign():
     info = classify_zero(ZeroDivergenceField(linear_setup()), [0.0, 0.0, 0.0])
     # the eigenvalues (-1, 2) are off the axis; the sign alone is neutral
-    assert sorted(info.eigenvalues.real) == pytest.approx([-1.0, 2.0])
-    assert info.liouville_sign == 0
+    assert sorted(info.spectrum.real) == pytest.approx([-1.0, 2.0])
+    assert info.sign == 0
     assert not info.hyperbolic
 
 
@@ -257,7 +256,7 @@ def test_unit_conformal_factor_gives_neutral_sign():
                          monodromy=np.eye(3), div_integral=0.0)
     info = classify_orbit(fld, orbit)
     assert info.C == 1.0
-    assert info.liouville_sign == 0
+    assert info.sign == 0
 
 
 def test_float_entry_points_and_array_results():

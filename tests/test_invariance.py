@@ -146,12 +146,12 @@ def test_divergence_sign_survives_volume_rescaling():
         wrapped = RescaledField(field, h, grad_h)
         for z in base:
             w = classify_zero(wrapped, z.point)
-            assert w.liouville_sign == z.liouville_sign
+            assert w.sign == z.sign
             assert int(np.sign(w.divergence)) == int(np.sign(z.divergence))
             assert w.stable_dim == z.stable_dim
             assert w.hyperbolic
             # eigenvalues scale by exactly h(p); ratios are preserved
-            ratio = np.sort(w.eigenvalues.real) / np.sort(z.eigenvalues.real)
+            ratio = np.sort(w.spectrum.real) / np.sort(z.spectrum.real)
             assert np.allclose(ratio, h(z.point), rtol=1e-7)
             checked += 1
     assert checked == 50
@@ -235,7 +235,7 @@ def test_time_reversal_swaps_census_signs():
     rev = RescaledField(field, lambda p: -1.0)
     for z in fw:
         w = classify_zero(rev, z.point)
-        assert w.liouville_sign == -z.liouville_sign
+        assert w.sign == -z.sign
         assert w.divergence == pytest.approx(-z.divergence)
         assert w.stable_dim == 2 - z.stable_dim
         assert w.hyperbolic
@@ -247,7 +247,7 @@ def test_time_reversal_swaps_shell_census():
     rev = RescaledField(scn.field_cartesian, lambda p: -1.0)
     for z in cen["zeros"]:
         w = classify_zero(rev, z.point)
-        assert w.liouville_sign == -z.liouville_sign
+        assert w.sign == -z.sign
         assert w.stable_dim == 4 - z.stable_dim
 
 
@@ -261,6 +261,6 @@ def test_time_reversed_certificate_passes_on_sphere():
     rng = np.random.default_rng(19)
     seeds = [p / np.linalg.norm(p)
              for p in rng.normal(size=(8, 3))]
-    cert = check_morse_smale(field, seeds, zeros=zeros, tols=tols, sense=-1)
+    cert = check_morse_smale(field, seeds, zeros, tols=tols, sense=-1)
     assert cert.verdict == "pass"
     assert cert.limit_check == pytest.approx(1.0)

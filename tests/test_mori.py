@@ -269,8 +269,8 @@ def test_census_zeros(n, eps):
         body = [z.point[i] for i in range(len(names)) if i != iz]
         assert float(np.max(np.abs(body))) < 1e-9
         # top pole attracts, bottom pole repels
-        assert z.liouville_sign == (-1 if z.point[iz] > 0 else 1)
-    assert zeros[0].liouville_sign * zeros[1].liouville_sign == -1
+        assert z.sign == (-1 if z.point[iz] > 0 else 1)
+    assert zeros[0].sign * zeros[1].sign == -1
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -289,21 +289,21 @@ def test_census_orbits(scene, census):
     iz = names.index("z")
     c = scene.constants
     for o in orbits:
-        z = float(o.info.point[iz])
+        z = float(o.point[iz])
         assert abs(abs(z) - c.orbit_z) < 1e-8
-        r = math.hypot(o.info.point[names.index("x")], o.info.point[names.index("y")])
+        r = math.hypot(o.point[names.index("x")], o.point[names.index("y")])
         assert abs(r - 1.0) < 1e-8
-        assert o.info.hyperbolic
-        assert o.info.positive == (z > 0)
-        assert o.info.liouville_sign == (1 if z > 0 else -1)
-        assert o.info.det_residual < 1e-6
-        assert o.info.pairing_residual < 1e-6
-        assert o.info.div_residual < 1e-6
-    pos = [o for o in orbits if o.info.positive]
-    neg = [o for o in orbits if not o.info.positive]
+        assert o.hyperbolic
+        assert (o.sign > 0) == (z > 0)
+        assert o.sign == (1 if z > 0 else -1)
+        assert o.det_residual < 1e-6
+        assert o.pairing_residual < 1e-6
+        assert o.div_residual < 1e-6
+    pos = [o for o in orbits if o.sign > 0]
+    neg = [o for o in orbits if o.sign <= 0]
     assert len(pos) == 1 and len(neg) == 1
-    assert pos[0].info.stable_index <= 2
-    moduli = np.abs(neg[0].info.multipliers)
+    assert pos[0].stable_dim <= 2
+    moduli = np.abs(neg[0].spectrum)
     assert int(np.sum(moduli > 1.0)) <= 2
 
 
@@ -312,11 +312,11 @@ def test_orbit_exponents_closed_form(census):
     # {4 pi / sqrt(eps), 2 pi / sqrt(eps) twice}, sign following the orbit height
     a = 2.0 * math.pi / math.sqrt(EPS)
     for o in census["orbits"]:
-        sgn = 1.0 if o.info.positive else -1.0
-        got = np.sort(np.log(np.abs(o.info.multipliers)))
+        sgn = 1.0 if o.sign > 0 else -1.0
+        got = np.sort(np.log(np.abs(o.spectrum)))
         want = np.sort(sgn * np.array([2.0 * a, a, a]))
         assert float(np.max(np.abs(got - want))) < 1e-6 * 2.0 * a
-        assert abs(math.log(o.info.C) - sgn * 2.0 * a) < 1e-6 * 2.0 * a
+        assert abs(math.log(o.C) - sgn * 2.0 * a) < 1e-6 * 2.0 * a
 
 
 def test_orbit_closedness_dynamic(scene, census):
@@ -330,13 +330,13 @@ def test_shooting_refuses_edge_orbit(scene, census, monkeypatch):
     # the return map amplifies noise by e^(2 pi / sqrt(eps)) per transverse
     # direction and loop, so shooting from an offset seed has to fail
     field = scene.field_cartesian
-    o = next(o for o in census["orbits"] if o.info.positive)
-    seed = np.array(o.info.point, dtype=float)
+    o = next(o for o in census["orbits"] if o.sign > 0)
+    seed = np.array(o.point, dtype=float)
     seed[scene.cartesian.chart.index("z")] += 1e-3
     tols = policy.replace(policy.DEFAULT, newton_max_iter=4)
     monkeypatch.setattr(policy, "ODE_MAX_STEPS", 4000)
     with pytest.raises(NoOrbitError):
-        find_orbit(field, seed, o.info.period, tols)
+        find_orbit(field, seed, o.period, tols)
 
 
 def test_shooting_refuses_torus_circle(scene, monkeypatch):
@@ -453,23 +453,25 @@ def test_column_orbits_match_quadrature(perturb):
     I, err = quad(chi, 0.0, spec.circumference, limit=400)
     assert err < 1e-6 * I
     for o in orbits:
-        sgn = 1.0 if o.info.positive else -1.0
+        sgn = 1.0 if o.sign > 0 else -1.0
         want = np.sort(sgn * A * I * np.array([1.0, 0.5, 0.5]))
-        got = np.sort(np.log(np.abs(o.info.multipliers)))
+        got = np.sort(np.log(np.abs(o.spectrum)))
         assert float(np.max(np.abs(got - want))) < 1e-4 * A * I
-        assert abs(math.log(o.info.C) - sgn * A * I) < 1e-4 * A * I
-        assert abs(abs(o.psi) - (0.0 if o.info.positive is False else math.pi)) < 1e-6
-        assert o.transverse_shift < 1e-8
-        assert o.info.det_residual < 1e-6
-        assert o.info.pairing_residual < 1e-6
-    signs = sorted(o.info.liouville_sign for o in orbits)
+        assert abs(math.log(o.C) - sgn * A * I) < 1e-4 * A * I
+        psi = mori.column_psi(perturb["scene"].chart, o.point)
+        assert abs(abs(psi) - (math.pi if o.sign > 0 else 0.0)) < 1e-6
+        assert mori.transverse_shift(perturb["scene"].chart, o.point) < 1e-8
+        assert o.det_residual < 1e-6
+        assert o.pairing_residual < 1e-6
+    signs = sorted(o.sign for o in orbits)
     assert signs == [-1, 1]
 
 
 def test_column_orbit_angles_are_stable(perturb):
     # psi is wrapped to [-pi/2, 3pi/2): the contracting orbit reads 0 and
     # the expanding one +pi, whichever side of pi Newton stops on
-    psi = sorted(o.psi for o in perturb["orbits"])
+    ch = perturb["scene"].chart
+    psi = sorted(mori.column_psi(ch, o.point) for o in perturb["orbits"])
     assert abs(psi[0]) < 1e-6
     assert abs(psi[1] - math.pi) < 1e-6
 
@@ -482,8 +484,8 @@ def test_column_orbits_match_closed_form(perturb):
     I = perturb["hamiltonian"]["bump_integral"]
     assert len(perturb["orbits"]) == 2
     for o in perturb["orbits"]:
-        sgn = 1.0 if o.info.positive else -1.0
-        assert abs(math.log(o.info.C) - sgn * A * I) < 1e-7 * A * I
+        sgn = 1.0 if o.sign > 0 else -1.0
+        assert abs(math.log(o.C) - sgn * A * I) < 1e-7 * A * I
 
 
 def test_column_shooting_reuses_variational_trials(monkeypatch):
@@ -511,7 +513,7 @@ def test_column_shooting_reuses_variational_trials(monkeypatch):
     monkeypatch.setattr(Flow, "integrate", count_plain)
     orbit = mori._column_orbit(field, info["H"], math.pi, spec,
                                policy.DEFAULT)
-    assert orbit.info.positive
+    assert orbit.sign > 0
     assert calls["variational"] <= 5
     assert calls["plain"] == 0
     assert senses == {-1.0}
@@ -552,7 +554,8 @@ def test_column_shot_calls_run_only_where_the_front_kernel_misses(
 def column_at(delta):
     spec = mori.PerturbationSpec(delta=delta)
     scene, surface, info = mori.column_scene(spec)
-    return mori.column_certificate(FoliationField(scene, surface), info)
+    return {**mori.column_certificate(FoliationField(scene, surface), info),
+            "chart": scene.chart}
 
 
 @pytest.mark.parametrize("delta", [0.005, 0.01, 0.02, 0.05, 0.08, 0.1])
@@ -561,8 +564,9 @@ def test_column_orbits_across_delta(delta):
     # expanding one, shot forward, was lost from delta = 0.08 on
     rep = column_at(delta)
     assert not rep["degenerate"]
-    psi = sorted(o.psi for o in rep["orbits"])
-    assert len(psi) == 2 and all(o.info.hyperbolic for o in rep["orbits"])
+    psi = sorted(mori.column_psi(rep["chart"], o.point)
+                 for o in rep["orbits"])
+    assert len(psi) == 2 and all(o.hyperbolic for o in rep["orbits"])
     assert abs(psi[0]) < 1e-6 and abs(psi[1] - math.pi) < 1e-6
     pers = rep["persistence"]
     assert (abs(pers["margin"] - pers["predicted_margin"])

@@ -114,6 +114,29 @@ def test_reports_do_not_depend_on_the_worker_count(argv, monkeypatch,
     assert forked == serial
 
 
+def _open_fds():
+    """The number of this process's open file descriptors, or None where
+    /proc is missing."""
+    if not os.path.isdir("/proc/self/fd"):
+        return None
+    return len(os.listdir("/proc/self/fd"))
+
+
+def test_repeated_runs_in_one_process_leave_nothing_behind(
+        monkeypatch, tmp_path, capsys):
+    # a long-lived process, such as the benchmark's, runs the same
+    # commands again and again: every run must give the same bytes and
+    # leave no child and no open descriptor behind
+    _workers(monkeypatch, 2)
+    fds = _open_fds()
+    for argv in (["certify", "mori-column"], ["certify", "s2-height"]):
+        runs = [_run(argv, tmp_path, capsys) for _ in range(4)]
+        _no_children_left()
+        assert runs[0][0] == 0 and runs[0][1]
+        assert runs[1:] == runs[:1] * 3
+    assert _open_fds() == fds
+
+
 def test_the_column_uses_what_its_child_sent(monkeypatch):
     # a share computed again in the parent would give the same report,
     # only later; each result here names the process that computed it
