@@ -19,6 +19,9 @@ kernel call. Shooting for
 closed orbits scores its line-search trials with variational runs too,
 so an accepted trial is already the next Newton shot; an expanding orbit
 is shot in reversed time, where it contracts, and classified inverted.
+Its early shots only aim Newton and run at the loose `policy.coarse`
+tolerances of the certificate's chases; the last ones, and the orbit
+returned, run at the profile's.
 An event is located on the accepted step that detects it, by
 safeguarded Newton on that step's own map over the step size.
 
@@ -39,7 +42,7 @@ import numpy as np
 from . import jets, kernel, policy
 from .contact import FoliationField, alpha_data_at
 from .errors import (ConstructiveFailure, ContactConditionError, EscapeError,
-                     IntegrationError, NoOrbitError)
+                     IntegrationError, NoOrbitError, ProjectionError)
 
 # Dormand-Prince 5(4) coefficients; _A[6] is the 5th-order weight b, so
 # the last stage input is the 5th-order solution
@@ -431,7 +434,15 @@ def find_orbit(field: FoliationField, seed_point, period_guess: float,
     line-search trials are variational shots, and an accepted one is next.
     Sense -1 shoots in reversed time, where a positive orbit contracts and
     seed errors shrink; the monodromy and divergence integral are then the
-    reversed flow's, for `classify_orbit` with the same sense."""
+    reversed flow's, for `classify_orbit` with the same sense.
+
+    Shots run at `policy.coarse(tols)`, which aim Newton as well, until
+    one's residual is below sqrt(coarse rtol) * scale; the trials of its
+    step and all later shots run at `tols`, and only a shot at `tols`
+    converges. A loop begun coarse that fails in any way starts again
+    from the seed at `tols`, so every error is that of shooting at
+    `tols` alone. A trial whose start or run does not project fails, as
+    one that does not integrate does."""
     chart = field.scene.chart
     p0 = field.surface.project(seed_point)
     scale = 1.0 + float(np.max(np.abs(p0)))
@@ -443,52 +454,65 @@ def find_orbit(field: FoliationField, seed_point, period_guess: float,
     except ValueError:
         raise NoOrbitError("seed point is a zero of the field") from None
     m = S.shape[1]
-    flow = Flow(field, tols, sense=sense)
+    coarse = Flow(field, policy.coarse(tols), sense)
+    fine = Flow(field, tols, sense)
+    handover = math.sqrt(coarse.tols.ode_rtol) * scale
+    failed = (IntegrationError, EscapeError, ProjectionError)
 
-    def shoot(u, T):
+    def shoot(flow, u, T):
         q = field.surface.project(p0 + S @ u)
         yT, M, w = flow.integrate_variational(q, T)
         r = Q.T @ wrap_diff(chart, yT, q)
         return q, yT, M, w, r, float(np.max(np.abs(r)))
 
-    u, T = np.zeros(m), float(period_guess)
-    try:
-        shot = shoot(u, T)
-    except (IntegrationError, EscapeError) as e:
+    def newton(flow):
+        u, T = np.zeros(m), float(period_guess)
+        try:
+            shot = shoot(flow, u, T)
+        except failed as e:
+            raise NoOrbitError(
+                f"shooting could not complete a loop ({e})") from e
+        for _ in range(tols.newton_max_iter):
+            q, yT, M, w, r, rn = shot
+            if flow is fine and rn < tols.newton_tol * scale * 10.0:
+                if float(np.linalg.norm(field.vector(q))) < speed_floor:
+                    raise NoOrbitError("refinement collapsed onto a zero")
+                return RefinedOrbit(point=q, period=T, monodromy=M,
+                                    div_integral=w)
+            cols = [Q.T @ ((M - np.eye(len(q))) @ S[:, j]) for j in range(m)]
+            cols.append(Q.T @ (sense * field.vector(yT)))
+            Amat = np.column_stack(cols)
+            step, *_ = np.linalg.lstsq(Amat, -r, rcond=None)
+            if not np.all(np.isfinite(step)):
+                raise NoOrbitError("singular shooting system")
+            if rn < handover:
+                flow = fine
+            # damped update; an accepted trial is the next shot
+            lam = 1.0
+            for _ in range(5):
+                u_try = u + lam * step[:m]
+                T_try = T + lam * float(step[m])
+                if T_try <= 0.05 * period_guess or T_try > 20.0 * period_guess:
+                    lam *= 0.5
+                    continue
+                try:
+                    trial = shoot(flow, u_try, T_try)
+                except failed:
+                    lam *= 0.5
+                    continue
+                if trial[-1] < rn or lam <= 0.126:
+                    u, T, shot = u_try, T_try, trial
+                    break
+                lam *= 0.5
+            else:
+                raise NoOrbitError(f"shooting stalled at residual {rn:.3e}")
         raise NoOrbitError(
-            f"shooting could not complete a loop ({e})") from e
-    for _ in range(tols.newton_max_iter):
-        q, yT, M, w, r, rn = shot
-        if rn < tols.newton_tol * scale * 10.0:
-            if float(np.linalg.norm(field.vector(q))) < speed_floor:
-                raise NoOrbitError("refinement collapsed onto a zero")
-            return RefinedOrbit(point=q, period=T, monodromy=M, div_integral=w)
-        cols = [Q.T @ ((M - np.eye(len(q))) @ S[:, j]) for j in range(m)]
-        cols.append(Q.T @ (sense * field.vector(yT)))
-        Amat = np.column_stack(cols)
-        step, *_ = np.linalg.lstsq(Amat, -r, rcond=None)
-        if not np.all(np.isfinite(step)):
-            raise NoOrbitError("singular shooting system")
-        # damped update; an accepted trial is the next shot
-        lam = 1.0
-        for _ in range(5):
-            u_try = u + lam * step[:m]
-            T_try = T + lam * float(step[m])
-            if T_try <= 0.05 * period_guess or T_try > 20.0 * period_guess:
-                lam *= 0.5
-                continue
-            try:
-                trial = shoot(u_try, T_try)
-            except (IntegrationError, EscapeError):
-                lam *= 0.5
-                continue
-            if trial[-1] < rn or lam <= 0.126:
-                u, T, shot = u_try, T_try, trial
-                break
-            lam *= 0.5
-        else:
-            raise NoOrbitError(f"shooting stalled at residual {rn:.3e}")
-    raise NoOrbitError(f"no closed orbit from this seed (residual {shot[-1]})")
+            f"no closed orbit from this seed (residual {shot[-1]})")
+
+    try:
+        return newton(coarse)
+    except NoOrbitError:
+        return newton(fine)
 
 
 def classify_orbit(field: FoliationField, orbit: RefinedOrbit,

@@ -764,13 +764,10 @@ def _column_orbit(field: FoliationField, H: ScalarField, psi0: float,
 
 
 def _certificate_tols(tols: policy.Tolerances) -> policy.Tolerances:
-    """Chase tolerances of the column certificate: rtol and atol scale
-    with the profile, from 1e-7 and 1e-9 at DEFAULT; the step ceiling
-    and the budget size the chase chunks."""
-    d = policy.DEFAULT
-    return policy.replace(tols, ode_max_step=2.0, flow_budget=900.0,
-                          ode_rtol=1e-7 * (tols.ode_rtol / d.ode_rtol),
-                          ode_atol=1e-9 * (tols.ode_atol / d.ode_atol))
+    """Chase tolerances of the column certificate: the profile's
+    `policy.coarse` integration, with a budget of 900 that sizes the
+    chase chunks."""
+    return policy.replace(policy.coarse(tols), flow_budget=900.0)
 
 
 def column_certificate(field: FoliationField, info: dict,

@@ -78,3 +78,13 @@ FAST = replace(
 )
 
 PROFILES = {"strict": STRICT, "default": DEFAULT, "fast": FAST}
+
+
+def coarse(tols: Tolerances) -> Tolerances:
+    """The loose integration of a profile, for runs that need not be
+    accurate in full: the certificate's chases and `find_orbit`'s early
+    shots. rtol and atol are 100 and 10 times the profile's (exactly
+    1e-7 and 1e-9 at DEFAULT), and steps go up to 2.0."""
+    return replace(tols, ode_max_step=2.0,
+                   ode_rtol=1e-7 * (tols.ode_rtol / DEFAULT.ode_rtol),
+                   ode_atol=1e-9 * (tols.ode_atol / DEFAULT.ode_atol))

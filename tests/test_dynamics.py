@@ -15,7 +15,8 @@ from charfol.dynamics import (_A, _E, EventSpec, Flow, RefinedOrbit,
                               classify_orbit, classify_zero, find_orbit,
                               find_zeros, linearize_zero, refine_zero,
                               wrap_diff)
-from charfol.errors import ConstructiveFailure, EscapeError, NoOrbitError
+from charfol.errors import (ConstructiveFailure, EscapeError, NoOrbitError,
+                            ProjectionError)
 from charfol.exterior import Chart, KForm
 
 
@@ -210,6 +211,45 @@ def test_stalled_zero_seed_gives_up_early():
                        match=r"^zero refinement stalled at residual 1\.260e-04$"):
         refine_zero(fld, seed)
     assert len(steps) == 28 < policy.DEFAULT.newton_max_iter
+
+
+def _shot_periods(monkeypatch, fail=lambda k: False):
+    """The periods of the variational runs of one find_orbit on the
+    graph model's psi = 0 circle, and its result; run k raises
+    ProjectionError where fail(k) holds."""
+    periods = []
+    variational = Flow.integrate_variational
+
+    def spy(self, y0, tmax):
+        periods.append(tmax)
+        if fail(len(periods) - 1):
+            raise ProjectionError("projection did not converge")
+        return variational(self, y0, tmax)
+
+    fld, delta = graph_setup(delta=0.3)
+    guess = 2 * math.pi * (1 + delta ** 2)
+    with monkeypatch.context() as mp:
+        mp.setattr(Flow, "integrate_variational", spy)
+        return periods, find_orbit(fld, [0.05, 0.3, 0.2], guess)
+
+
+def test_a_trial_that_does_not_project_halves_the_step(monkeypatch):
+    # the first trial (run 1, lambda = 1) fails to project; the next
+    # trial takes half the step, and the orbit is still found
+    plain, orbit = _shot_periods(monkeypatch)
+    failing, again = _shot_periods(monkeypatch, fail=lambda k: k == 1)
+    assert failing[1] == plain[1]
+    assert failing[2] - plain[0] == pytest.approx(0.5 * (plain[1] - plain[0]),
+                                                  rel=1e-12)
+    assert again.period == pytest.approx(orbit.period, rel=1e-9)
+    assert abs(again.point[0]) < 1e-8
+
+
+def test_a_first_shot_that_does_not_project_finds_no_orbit(monkeypatch):
+    with pytest.raises(NoOrbitError,
+                       match=r"^shooting could not complete a loop "
+                             r"\(projection did not converge\)$"):
+        _shot_periods(monkeypatch, fail=lambda k: True)
 
 
 def test_no_orbit_from_zero_seed():

@@ -490,7 +490,8 @@ def test_column_orbits_match_closed_form(perturb):
 
 def test_column_shooting_reuses_variational_trials(monkeypatch):
     # the expanding orbit is shot in reversed time, where it contracts,
-    # and converges in 4 variational shots (7 when shot forward); a
+    # and converges in 4 variational shots, 2 coarse and 2 at the
+    # profile's tolerances (7 at full accuracy when shot forward); a
     # line search scored with plain runs, a different discretisation from
     # the residual, stalls it at lambda = 1/8 (19 variational, 57 plain)
     spec = mori.PerturbationSpec()
@@ -517,6 +518,47 @@ def test_column_shooting_reuses_variational_trials(monkeypatch):
     assert calls["variational"] <= 5
     assert calls["plain"] == 0
     assert senses == {-1.0}
+
+
+# variational runs per column orbit, at psi = 0 and pi, when every shot
+# ran at the profile's tolerances
+FULL_ACCURACY_RUNS = {0.005: 5, 0.01: 5, 0.02: 5, 0.05: 4, 0.08: 4, 0.1: 4}
+
+
+@pytest.mark.parametrize("delta", sorted(FULL_ACCURACY_RUNS))
+def test_column_shots_are_coarse_until_the_residual_is_small(delta,
+                                                             monkeypatch):
+    # early shots only aim Newton and run at the chase tolerances; the
+    # shots after the hand-over, and the orbit returned, are at `tols`
+    tols = policy.DEFAULT
+    coarse = policy.coarse(tols)
+    spec = mori.PerturbationSpec(delta=delta)
+    scene, surface, info = mori.column_scene(spec)
+    field = FoliationField(scene, surface)
+    runs, found = [], []
+    variational = Flow.integrate_variational
+
+    def spy(self, *args):
+        out = variational(self, *args)
+        runs.append((self.tols, out[1]))
+        return out
+
+    def keep(*args, **kw):
+        found.append(find_orbit(*args, **kw))
+        return found[-1]
+
+    monkeypatch.setattr(Flow, "integrate_variational", spy)
+    monkeypatch.setattr(mori, "find_orbit", keep)
+    for psi0 in (0.0, math.pi):
+        runs.clear()
+        mori._column_orbit(field, info["H"], psi0, spec, tols)
+        schedule = [t for t, _ in runs]
+        assert len(runs) <= FULL_ACCURACY_RUNS[delta]
+        k = schedule.count(coarse)
+        assert k >= 1 and schedule == [coarse] * k + [tols] * (len(runs) - k)
+        assert found[-1].monodromy is runs[-1][1]
+        if delta == 0.05:
+            assert schedule == [coarse, coarse, tols, tols]
 
 
 def test_column_shot_calls_run_only_where_the_front_kernel_misses(
@@ -590,6 +632,7 @@ def test_column_certificate_across_delta(delta):
 def test_certificate_tols_follow_profile():
     for tols in (policy.DEFAULT, policy.STRICT, policy.FAST):
         ct = mori._certificate_tols(tols)
+        assert ct == policy.replace(policy.coarse(tols), flow_budget=900.0)
         assert ct.ode_max_step == 2.0 and ct.flow_budget == 900.0
         assert ct.ode_rtol == pytest.approx(100.0 * tols.ode_rtol, rel=1e-12)
         assert ct.ode_atol == pytest.approx(10.0 * tols.ode_atol, rel=1e-12)

@@ -137,6 +137,28 @@ def test_repeated_runs_in_one_process_leave_nothing_behind(
     assert _open_fds() == fds
 
 
+def test_runs_under_a_timer_signal_in_the_parent(monkeypatch, tmp_path,
+                                                capsys):
+    # a benchmark harness samples the host with a 50 ms ITIMER_REAL
+    # SIGALRM handler while a job runs; it interrupts the parent's reads
+    # of its children's pipes and the shots and chases it computes itself
+    _workers(monkeypatch, 2)
+    ticks = []
+    previous = signal.signal(signal.SIGALRM,
+                             lambda signum, frame: ticks.append(signum))
+    signal.setitimer(signal.ITIMER_REAL, 0.05, 0.05)
+    try:
+        runs = [_run(["certify", "mori-column"], tmp_path, capsys)
+                for _ in range(4)]
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    _no_children_left()
+    assert ticks
+    assert runs[0][0] == 0 and runs[0][1] and runs[0][3] == ""
+    assert runs[1:] == runs[:1] * 3
+
+
 def test_the_column_uses_what_its_child_sent(monkeypatch):
     # a share computed again in the parent would give the same report,
     # only later; each result here names the process that computed it

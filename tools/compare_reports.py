@@ -46,6 +46,7 @@ COMMANDS = [
                                   "mori-sigma0-n2", "mori-column")
       for verb in ("classify", "certify")),
     ["certify", "mori-column", "--tolerance-profile", "strict"],
+    ["certify", "mori-column", "--tolerance-profile", "fast"],
     ["convexify", "collar-profile"],
     ["mori", "reproduce", "--n", "2"],
     ["mori", "reproduce", "--n", "3"],
