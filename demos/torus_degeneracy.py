@@ -31,7 +31,7 @@ cen = census(scene)
 field = scene.field_cartesian
 seeds = field.surface_samples(np.random.default_rng(0), 20)
 cert = check_morse_smale(field, seeds, cen["zeros"] + cen["orbits"],
-                         recurrence=torus_recurrence(scene))
+                         recurrence=torus_recurrence(scene, probe))
 
 print(f"\nverdict: {cert.verdict}")
 for reason in cert.reasons:

@@ -244,13 +244,13 @@ def check_morse_smale(field, seeds, elements=(),
     zeros first (the order of `report.element_rows`), each orbit with
     its loop. recurrence holds already verified recurrent sets, dicts
     with at least a description (for instance
-    `mori.torus_recurrence(scene)`); once every element is hyperbolic
-    each is recorded, and disqualifies. The verdict is fail on any
-    concrete witness against the structure, pass when every element is
-    hyperbolic, no recurrence is supplied, no launched connection lands
-    wrong, and every seed is captured both ways; anything short of that
-    is inconclusive, with the offending seed recorded. No seeds is
-    inconclusive.
+    `mori.torus_recurrence(scene, probe)`); once every element is
+    hyperbolic each is recorded, and disqualifies. The verdict is fail
+    on any concrete witness against the structure, pass when every
+    element is hyperbolic, no recurrence is supplied, no launched
+    connection lands wrong, and every seed is captured both ways;
+    anything short of that is inconclusive, with the offending seed
+    recorded. No seeds is inconclusive.
 
     The seeds are chased side by side on one worker per CPU
     (`parallel.pmap`, one `_seed_chases` call per seed), and what each

@@ -90,13 +90,17 @@ def _shell_elements(scene, cen, tols) -> dict:
                 scene, cen["orbits"], tols)}
 
 
-def _shell_certificate(scene, cen, tols, rng):
+def _shell_certificate(scene, cen, tols, rng, probe=None):
     """The certificate of a shell census from 20 seeds drawn from `rng`,
-    given the invariant torus as verified recurrence."""
+    given the invariant torus of `probe` as verified recurrence; without
+    one, the torus is probed on `rng` after the seeds."""
     field = scene.field_cartesian
+    seeds = field.surface_samples(rng, 20)
+    if probe is None:
+        probe = mori_mod.torus_probe(scene, rng=rng)
     return certify_mod.check_morse_smale(
-        field, field.surface_samples(rng, 20), cen["zeros"] + cen["orbits"],
-        tols=tols, recurrence=mori_mod.torus_recurrence(scene))
+        field, seeds, cen["zeros"] + cen["orbits"], tols=tols,
+        recurrence=mori_mod.torus_recurrence(scene, probe))
 
 
 def _field_census(doc: SceneDocument, tols, rng):
@@ -219,7 +223,7 @@ def cmd_mori_reproduce(args) -> int:
     rep.update(_shell_elements(scene, cen, tols))
     rep["torus_probe"] = probe = mori_mod.torus_probe(scene, samples=100,
                                                       rng=rng)
-    cert = _shell_certificate(scene, cen, tols, rng)
+    cert = _shell_certificate(scene, cen, tols, rng, probe)
     rep["certificate"] = report.certificate_dict(cert)
 
     zs = sorted(float(z.point[-1]) for z in cen["zeros"])

@@ -352,10 +352,10 @@ def refine_zero(field: FoliationField, seed,
         Fv, Fg = field.surface.value_and_grad(x)
         r = np.append(X, Fv)
         rn = float(np.max(np.abs(r)))
-        flat = flat + 1 if (best is not None and abs(rn - best[0])
-                            <= policy.ZERO_STALL_RTOL * best[0]) else 0
-        if best is None or rn < best[0]:
-            best = (rn, x.copy())
+        flat = flat + 1 if (best is not None and abs(rn - best)
+                            <= policy.ZERO_STALL_RTOL * best) else 0
+        if best is None or rn < best:
+            best = rn
         if rn < tols.newton_tol * scale:
             return x
         if flat >= policy.ZERO_STALL_STEPS:
@@ -366,7 +366,7 @@ def refine_zero(field: FoliationField, seed,
             break
         x = x + dx
     raise ConstructiveFailure(
-        f"zero refinement stalled at residual {best[0]:.3e}")
+        f"zero refinement stalled at residual {best:.3e}")
 
 
 def find_zeros(field: FoliationField, seeds,
@@ -439,9 +439,7 @@ def find_orbit(field: FoliationField, seed_point, period_guess: float,
     Shots run at `policy.coarse(tols)`, which aim Newton as well, until
     one's residual is below sqrt(coarse rtol) * scale; the trials of its
     step and all later shots run at `tols`, and only a shot at `tols`
-    converges. A loop begun coarse that fails in any way starts again
-    from the seed at `tols`, so every error is that of shooting at
-    `tols` alone. A trial whose start or run does not project fails, as
+    converges. A trial whose start or run does not project fails, as
     one that does not integrate does."""
     chart = field.scene.chart
     p0 = field.surface.project(seed_point)
@@ -454,65 +452,58 @@ def find_orbit(field: FoliationField, seed_point, period_guess: float,
     except ValueError:
         raise NoOrbitError("seed point is a zero of the field") from None
     m = S.shape[1]
-    coarse = Flow(field, policy.coarse(tols), sense)
+    flow = Flow(field, policy.coarse(tols), sense)
     fine = Flow(field, tols, sense)
-    handover = math.sqrt(coarse.tols.ode_rtol) * scale
+    handover = math.sqrt(flow.tols.ode_rtol) * scale
     failed = (IntegrationError, EscapeError, ProjectionError)
 
-    def shoot(flow, u, T):
+    def shoot(u, T):
         q = field.surface.project(p0 + S @ u)
         yT, M, w = flow.integrate_variational(q, T)
         r = Q.T @ wrap_diff(chart, yT, q)
         return q, yT, M, w, r, float(np.max(np.abs(r)))
 
-    def newton(flow):
-        u, T = np.zeros(m), float(period_guess)
-        try:
-            shot = shoot(flow, u, T)
-        except failed as e:
-            raise NoOrbitError(
-                f"shooting could not complete a loop ({e})") from e
-        for _ in range(tols.newton_max_iter):
-            q, yT, M, w, r, rn = shot
-            if flow is fine and rn < tols.newton_tol * scale * 10.0:
-                if float(np.linalg.norm(field.vector(q))) < speed_floor:
-                    raise NoOrbitError("refinement collapsed onto a zero")
-                return RefinedOrbit(point=q, period=T, monodromy=M,
-                                    div_integral=w)
-            cols = [Q.T @ ((M - np.eye(len(q))) @ S[:, j]) for j in range(m)]
-            cols.append(Q.T @ (sense * field.vector(yT)))
-            Amat = np.column_stack(cols)
-            step, *_ = np.linalg.lstsq(Amat, -r, rcond=None)
-            if not np.all(np.isfinite(step)):
-                raise NoOrbitError("singular shooting system")
-            if rn < handover:
-                flow = fine
-            # damped update; an accepted trial is the next shot
-            lam = 1.0
-            for _ in range(5):
-                u_try = u + lam * step[:m]
-                T_try = T + lam * float(step[m])
-                if T_try <= 0.05 * period_guess or T_try > 20.0 * period_guess:
-                    lam *= 0.5
-                    continue
-                try:
-                    trial = shoot(flow, u_try, T_try)
-                except failed:
-                    lam *= 0.5
-                    continue
-                if trial[-1] < rn or lam <= 0.126:
-                    u, T, shot = u_try, T_try, trial
-                    break
-                lam *= 0.5
-            else:
-                raise NoOrbitError(f"shooting stalled at residual {rn:.3e}")
-        raise NoOrbitError(
-            f"no closed orbit from this seed (residual {shot[-1]})")
-
+    u, T = np.zeros(m), float(period_guess)
     try:
-        return newton(coarse)
-    except NoOrbitError:
-        return newton(fine)
+        shot = shoot(u, T)
+    except failed as e:
+        raise NoOrbitError(f"shooting could not complete a loop ({e})") from e
+    for _ in range(tols.newton_max_iter):
+        q, yT, M, w, r, rn = shot
+        if flow is fine and rn < tols.newton_tol * scale * 10.0:
+            if float(np.linalg.norm(field.vector(q))) < speed_floor:
+                raise NoOrbitError("refinement collapsed onto a zero")
+            return RefinedOrbit(point=q, period=T, monodromy=M,
+                                div_integral=w)
+        cols = [Q.T @ ((M - np.eye(len(q))) @ S[:, j]) for j in range(m)]
+        cols.append(Q.T @ (sense * field.vector(yT)))
+        Amat = np.column_stack(cols)
+        step, *_ = np.linalg.lstsq(Amat, -r, rcond=None)
+        if not np.all(np.isfinite(step)):
+            raise NoOrbitError("singular shooting system")
+        if rn < handover:
+            flow = fine
+        # damped update; an accepted trial is the next shot
+        lam = 1.0
+        for _ in range(5):
+            u_try = u + lam * step[:m]
+            T_try = T + lam * float(step[m])
+            if T_try <= 0.05 * period_guess or T_try > 20.0 * period_guess:
+                lam *= 0.5
+                continue
+            try:
+                trial = shoot(u_try, T_try)
+            except failed:
+                lam *= 0.5
+                continue
+            if trial[-1] < rn or lam <= 0.126:
+                u, T, shot = u_try, T_try, trial
+                break
+            lam *= 0.5
+        else:
+            raise NoOrbitError(f"shooting stalled at residual {rn:.3e}")
+    raise NoOrbitError(
+        f"no closed orbit from this seed (residual {shot[-1]})")
 
 
 def classify_orbit(field: FoliationField, orbit: RefinedOrbit,

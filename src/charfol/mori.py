@@ -405,23 +405,22 @@ def torus_probe(scene: MoriScene, samples: int = 100, rng=None) -> dict:
             "slope_note": note}
 
 
-def torus_recurrence(scene: MoriScene) -> list:
+def torus_recurrence(scene: MoriScene, probe: dict) -> list:
     """The invariant torus as verified recurrence for
-    `certify.check_morse_smale`: [] when a 40-sample `torus_probe`
-    finds the field off the torus (invariance residual above 1e-6), and
-    otherwise one record, at the lift of the probe's base point, with
-    the probe's rigid-rotation evidence."""
-    rep = torus_probe(scene, samples=40, rng=np.random.default_rng(202))
-    if rep["invariance_residual"] > 1e-6:
+    `certify.check_morse_smale`, read off a `torus_probe` report: []
+    when the probe finds the field off the torus (invariance residual
+    above 1e-6), and otherwise one record, at the lift of the probe's
+    base point, with the probe's rigid-rotation evidence."""
+    if probe["invariance_residual"] > 1e-6:
         return []
     return [{"description": "invariant torus over the reduced saddle ring",
-             "point": np.array(cartesian_lift(scene, rep["point"])),
+             "point": np.array(cartesian_lift(scene, probe["point"])),
              "kind": "invariant torus",
-             "unit_modulus_fiber_multiplier": rep["fiber_multiplier"],
-             "slope": rep["slope"],
+             "unit_modulus_fiber_multiplier": probe["fiber_multiplier"],
+             "slope": probe["slope"],
              "transverse_exponent_per_loop":
-                 rep["transverse_exponent_per_loop"],
-             "angular_rate_variation": rep["angular_rate_variation"]}]
+                 probe["transverse_exponent_per_loop"],
+             "angular_rate_variation": probe["angular_rate_variation"]}]
 
 
 # census -----------------------------------------------------------------

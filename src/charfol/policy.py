@@ -1,10 +1,12 @@
-"""Numerical policy: every tolerance and budget in one place.
+"""Numerical policy: the tolerances and budgets that are varied or shared.
 
-Library code never hard-codes a threshold. The thresholds that no
-profile changes are module constants. The ones a profile or a caller
-varies are the fields of Tolerances; each entry point that reads one
-accepts a Tolerances instance (defaulting to DEFAULT), so the command
-line can swap profiles uniformly without touching call sites.
+A threshold that a profile or a caller varies, or that several modules
+share, lives here. The shared ones that no profile changes are module
+constants. The ones a profile or a caller varies are the fields of
+Tolerances; each entry point that reads one accepts a Tolerances
+instance (defaulting to DEFAULT), so the command line can swap profiles
+uniformly without touching call sites. A threshold private to one loop
+(an iteration cap, a residual floor, a period bound) stays beside it.
 """
 
 from __future__ import annotations

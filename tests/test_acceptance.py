@@ -202,9 +202,11 @@ def test_criterion_5_degeneracy_detection(scene2, census2):
 
     cen, _ = census2
     field = scene2.field_cartesian
-    seeds = field.surface_samples(np.random.default_rng(5), 20)
+    rng = np.random.default_rng(5)
+    seeds = field.surface_samples(rng, 20)
+    probe = mori.torus_probe(scene2, rng=rng)
     cert = check_morse_smale(field, seeds, cen["zeros"] + cen["orbits"],
-                             recurrence=mori.torus_recurrence(scene2))
+                             recurrence=mori.torus_recurrence(scene2, probe))
     rec = cert.recurrence
     ok = cert.verdict == "fail" and len(rec) == 1
     if ok:

@@ -620,6 +620,19 @@ def test_certify_family_scene_fails_with_recurrence(tmp_path):
     assert rep["certificate"]["recurrence"]
 
 
+def test_reproduce_records_the_torus_it_reports(tmp_path):
+    # the certificate's recurrence record is read off the report's own
+    # torus probe, so the two agree bit for bit
+    out = tmp_path / "r.json"
+    assert main(["mori", "reproduce", "--json", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    probe = rep["torus_probe"]
+    [rec] = rep["certificate"]["recurrence"]
+    for key in ("slope", "transverse_exponent_per_loop",
+                "angular_rate_variation"):
+        assert rec[key] == probe[key], key
+
+
 def test_classify_graph_model(tmp_path):
     out = tmp_path / "r.json"
     code = main(["classify", "graph-model", "--json", str(out)])

@@ -246,10 +246,13 @@ def test_a_trial_that_does_not_project_halves_the_step(monkeypatch):
 
 
 def test_a_first_shot_that_does_not_project_finds_no_orbit(monkeypatch):
+    # one attempt: no second loop starts from the seed
+    runs = []
     with pytest.raises(NoOrbitError,
                        match=r"^shooting could not complete a loop "
                              r"\(projection did not converge\)$"):
-        _shot_periods(monkeypatch, fail=lambda k: True)
+        _shot_periods(monkeypatch, fail=lambda k: runs.append(k) or True)
+    assert runs == [0]
 
 
 def test_no_orbit_from_zero_seed():

@@ -215,31 +215,19 @@ def test_torus_probe(scene, probe):
     assert "no-op" in probe["slope_note"]
 
 
-def test_torus_recurrence_reads_its_probe(scene, monkeypatch):
-    # the record comes from one 40-sample probe at default_rng(202): none
-    # when the field leaves the torus, else one at the lifted probe point
-    real, calls = mori.torus_probe, []
-
-    def probe_with(residual, point):
-        def fake(sc, samples=100, rng=None):
-            calls.append((samples, rng.bit_generator.state))
-            rep = real(sc, samples=samples, rng=rng)
-            return {**rep, "invariance_residual": residual, "point": point}
-        return fake
-
-    base = mori.torus_base_point(scene)
-    monkeypatch.setattr(mori, "torus_probe", probe_with(2e-6, base))
-    assert mori.torus_recurrence(scene) == []
-    moved = (0.01, base[1], base[2])
-    monkeypatch.setattr(mori, "torus_probe", probe_with(1e-7, moved))
-    [rec] = mori.torus_recurrence(scene)
+def test_torus_recurrence_reads_its_probe(scene, probe):
+    # the record is read off the probe it is given: none when the field
+    # leaves the torus, else one at the lifted probe point
+    assert mori.torus_recurrence(
+        scene, {**probe, "invariance_residual": 2e-6}) == []
+    moved = (0.01, probe["point"][1], probe["point"][2])
+    [rec] = mori.torus_recurrence(
+        scene, {**probe, "invariance_residual": 1e-7, "point": moved})
     assert rec["point"].tolist() == mori.cartesian_lift(scene, moved)
     assert rec["description"] == "invariant torus over the reduced saddle ring"
     assert rec["kind"] == "invariant torus"
     assert rec["unit_modulus_fiber_multiplier"] == 1.0
     assert abs(rec["transverse_exponent_per_loop"]) > 20.0
-    state = np.random.default_rng(202).bit_generator.state
-    assert calls == [(40, state), (40, state)]
 
 
 @pytest.mark.parametrize("n", [2, 3])
