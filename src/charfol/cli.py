@@ -103,16 +103,24 @@ def _shell_certificate(scene, cen, tols, rng, probe=None):
         recurrence=mori_mod.torus_recurrence(scene, probe))
 
 
-def _field_census(doc: SceneDocument, tols, rng):
+def _field_census(doc: SceneDocument, rep: dict, tols, rng):
     """The field of a field scene and its classified zeros, refined from
     the zero_seeds and `analysis.samples` (default 8) random points, at
-    all of which alpha must be contact."""
+    all of which alpha must be contact. Only zeros inside the declared
+    domain count; any other goes to the report's "zeros_outside_domain",
+    with the seed it was refined from."""
     field = FoliationField(doc.scene, doc.surface)
     seeds = list(doc.analysis.get("zero_seeds", []))
     seeds.extend(field.surface_samples(rng, doc.analysis.get("samples", 8)))
     doc.scene.verify_contact(seeds)
-    return field, [classify_zero(field, p)
-                   for p in find_zeros(field, seeds, tols)]
+    found = find_zeros(field, seeds, tols, with_seeds=True)
+    inside = doc.scene.domain_mask([z for z, _ in found])
+    outside = [{"location": z, "seed": s}
+               for (z, s), ok in zip(found, inside) if not ok]
+    if outside:
+        rep["zeros_outside_domain"] = outside
+    return field, [classify_zero(field, z)
+                   for (z, _), ok in zip(found, inside) if ok]
 
 
 def cmd_foliation(args) -> int:
@@ -151,7 +159,7 @@ def cmd_classify(args) -> int:
         rep.update(_shell_elements(scene, mori_mod.census(scene, tols), tols))
     elif doc.kind == "field":
         rep["elements"] = report.element_rows(
-            _field_census(doc, tols, rng)[1])
+            _field_census(doc, rep, tols, rng)[1])
     else:
         raise SceneParseError(f"scene {doc.name!r} has no field to classify")
     rep["zeros"] = sum(1 for e in rep["elements"] if e["kind"] == "zero")
@@ -174,7 +182,7 @@ def cmd_certify(args) -> int:
                                   tols, rng)
         rep["certificate"] = report.certificate_dict(cert)
     elif doc.kind == "field":
-        field, zeros = _field_census(doc, tols, rng)
+        field, zeros = _field_census(doc, rep, tols, rng)
         cert = certify_mod.check_morse_smale(
             field, field.surface_samples(rng, doc.analysis.get("samples", 10)),
             zeros, tols=tols, sense=doc.analysis.get("sense", 1))

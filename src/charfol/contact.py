@@ -18,8 +18,9 @@ derivative path. At runtime X, its Jacobian, the divergence and the
 projection come from the straight-line kernels traced from that code
 (see `kernel`) in three shapes: float lists (`vector_floats`,
 `flow_floats`, `project_floats`), and for the integrator the
-(kernels, fn) pairs whose kernels it calls itself (`vector_rhs`,
-`variational_rhs`); row arrays of (m, d) points (`vectors`,
+(kernels, fn) pairs whose kernels it calls itself (`vector_rhs`, and
+`variational_rhs(k)` for a variational state of k columns); row
+arrays of (m, d) points (`vectors`,
 `project_samples`), through the kernels' array twins, with the
 per-point bits in every row; and array wrappers of the float lists for
 any point (`vector`, `flow_data`, `project`).
@@ -298,14 +299,12 @@ class FoliationField:
         self.scene = scene
         self.surface = surface
         self._d = scene.chart.dim
-        # traced kernels of _value_outputs, _jet_outputs and
-        # _variational_outputs
-        self._kernels = ([], [], [])
-        # the right-hand sides of `dynamics`, as the (kernels, fn) pairs
-        # `run` takes: X, and (X, J·M, div) for a variational state of
-        # d + d² + 1 floats
+        # traced kernels of _value_outputs and _jet_outputs, and of
+        # _variational_outputs by basis width
+        self._kernels = ([], [], {})
+        # the right-hand side of `dynamics` for X, as the (kernels, fn)
+        # pair `run` takes
         self.vector_rhs = (self._kernels[0], self._value_outputs)
-        self.variational_rhs = (self._kernels[2], self._variational_outputs)
         # X, and (X, the rows of its ambient Jacobian, div) flat, as
         # tuples of floats, for a list of d Python floats taken as it is
         # (an entry of any other type gives an undefined result)
@@ -372,16 +371,26 @@ class FoliationField:
             J.extend(g)
         return X + J + [fval(data.divergence)]
 
+    def variational_rhs(self, width: int):
+        """The right-hand side of `dynamics` for (X, J·V, div), as the
+        (kernels, fn) pair `run` takes, for a variational state of
+        d + d * width + 1 floats: V is d x width. Each width has its
+        own kernels."""
+        return (self._kernels[2].setdefault(width, []),
+                self._variational_outputs)
+
     def _variational_outputs(self, z):
-        """X, J·M row by row and div, flat, for z = (x, M row by row, w):
-        each entry of J·M sums J_ik M_kj over k = 0, ..., d - 1 in order."""
+        """X, J·V row by row and div, flat, for z = (x, V row by row, w)
+        with V of d rows: each entry of J·V sums J_ik V_kj over
+        k = 0, ..., d - 1 in order."""
         d = self._d
+        k = (len(z) - d - 1) // d
         out = self._jet_outputs(z[:d])
-        J, M = out[d:-1], z[d:-1]
-        JM = [functools.reduce(operator.add, [J[i + k] * M[k * d + j]
-                                              for k in range(d)])
-              for i in range(0, d * d, d) for j in range(d)]
-        return [*out[:d], *JM, out[-1]]
+        J, V = out[d:-1], z[d:-1]
+        JV = [functools.reduce(operator.add, [J[i + m] * V[m * k + j]
+                                              for m in range(d)])
+              for i in range(0, d * d, d) for j in range(k)]
+        return [*out[:d], *JV, out[-1]]
 
     def vector_and_jacobian(self, point):
         """Value and ambient Jacobian in one pass, via a jet level."""

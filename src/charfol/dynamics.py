@@ -4,20 +4,23 @@ The integrator is an adaptive Dormand-Prince 5(4) pair with Newton
 re-projection onto the hypersurface after every accepted step; the
 direction field is tangent to every level of the defining function, so
 projection removes roundoff drift rather than fighting the dynamics.
-Variational runs carry the ambient monodromy matrix and the divergence
-integral alongside the state, all sourced from one jet pass per stage.
+Variational runs carry V = M·basis, a d x k basis moved by the ambient
+monodromy M, and the divergence integral alongside the state, all
+sourced from one jet pass per stage.
 The loop runs on lists of Python floats. A right-hand side is the
 `(kernels, fn)` pair of `kernel.run`, and each attempted step is one
 function generated per state length and time sense (`_step`): the
 stage sums are locals, summed in index order, each stage calls the
 front kernel itself (`kernel.run` only where its guards fail), and
 reversed time is the sign of the weights. `Flow` feeds the loop the
-field's pairs (`FoliationField.vector_rhs`, `variational_rhs`) and
+field's pairs (`FoliationField.vector_rhs`, `variational_rhs(k)`) and
 `Hypersurface.project_floats`, the one projection of every projected
-flow: a variational run's right-hand side, J·M included, is one
+flow: a variational run's right-hand side, J·V included, is one
 kernel call. Shooting for
 closed orbits scores its line-search trials with variational runs too,
-so an accepted trial is already the next Newton shot; an expanding orbit
+so an accepted trial is already the next Newton shot; each shot carries
+only the 2n-1 columns of its section, which Newton and the return map
+read, and an expanding orbit
 is shot in reversed time, where it contracts, and classified inverted.
 Its early shots only aim Newton and run at the loose `policy.coarse`
 tolerances of the certificate's chases; the last ones, and the orbit
@@ -256,7 +259,7 @@ class Flow:
     backward in time for sense -1 (the sign of the step's weights).
 
     The loop calls the front kernels of the field's `(kernels, fn)`
-    pairs (`vector_rhs`, `variational_rhs`) itself and projects through
+    pairs (`vector_rhs`, `variational_rhs(k)`) itself and projects through
     `surface.project_floats`; a variational post returns its argument
     itself where the point stays, so first same as last holds."""
 
@@ -273,9 +276,17 @@ class Flow:
                                event=event, domain_ok=self.field.scene.in_domain,
                                record=record, sense=self.sense)
 
-    def integrate_variational(self, y0, tmax):
-        """State, ambient monodromy, and divergence integral over [0, tmax]."""
+    def integrate_variational(self, y0, tmax, basis):
+        """State, V = M · basis for the ambient monodromy M (d x k for a
+        d x k basis), and divergence integral over [0, tmax].
+
+        The step controller's RMS error norm spans all d + d·k + 1
+        floats of the run, so the steps taken, and V's accuracy at the
+        profile's tolerances, depend on the basis width k: a narrower
+        basis weighs the state more and V less."""
         d = len(y0)
+        basis = np.asarray(basis, dtype=float)
+        k = basis.shape[1]
         project = self.field.surface.project_floats
 
         def post(z):
@@ -284,14 +295,15 @@ class Flow:
             return z if p is x else [*p, *z[d:]]
 
         # in_domain reads only the coordinates, the first d entries
-        z0 = np.concatenate([np.asarray(y0, float), np.eye(d).ravel(), [0.0]])
-        res = _integrate_core(self.field.variational_rhs, z0, tmax, self.tols,
-                              post=post, domain_ok=self.field.scene.in_domain,
+        z0 = np.concatenate([np.asarray(y0, float), basis.ravel(), [0.0]])
+        res = _integrate_core(self.field.variational_rhs(k), z0, tmax,
+                              self.tols, post=post,
+                              domain_ok=self.field.scene.in_domain,
                               sense=self.sense)
         y = res.y[:d]
-        M = res.y[d:d + d * d].reshape(d, d)
+        V = res.y[d:d + d * k].reshape(d, k)
         w = float(res.y[-1])
-        return y, M, w
+        return y, V, w
 
 
 # tangent machinery ----------------------------------------------------
@@ -370,21 +382,24 @@ def refine_zero(field: FoliationField, seed,
 
 
 def find_zeros(field: FoliationField, seeds,
-               tols: policy.Tolerances = policy.DEFAULT) -> list:
-    """Refine every seed and keep the distinct results."""
+               tols: policy.Tolerances = policy.DEFAULT,
+               with_seeds: bool = False) -> list:
+    """Refine every seed and keep the distinct results, sorted; with
+    `with_seeds`, as (zero, first seed that reached it) pairs."""
     chart = field.scene.chart
     out = []
     for s in seeds:
+        s = np.asarray(s, dtype=float)
         try:
-            z = refine_zero(field, np.asarray(s, dtype=float), tols)
+            z = refine_zero(field, s, tols)
         except ConstructiveFailure:
             continue
         if any(np.max(np.abs(wrap_diff(chart, z, q))) < policy.DEDUP_RADIUS
-               for q in out):
+               for q, _ in out):
             continue
-        out.append(z)
-    out.sort(key=lambda p: tuple(np.round(p, 9)))
-    return out
+        out.append((z, s))
+    out.sort(key=lambda zs: tuple(np.round(zs[0], 9)))
+    return out if with_seeds else [z for z, _ in out]
 
 
 def linearize_zero(field: FoliationField, point):
@@ -421,8 +436,14 @@ def classify_zero(field: FoliationField, point) -> Element:
 
 @dataclass
 class RefinedOrbit:
+    """A closed orbit: a point on it and the period; the section S at
+    the point (d x 2n-1, `flow_split_basis`'s); the section monodromy
+    M·S of the ambient monodromy M over one period; and the divergence
+    integral."""
+
     point: np.ndarray
     period: float
+    section: np.ndarray
     monodromy: np.ndarray
     div_integral: float
 
@@ -436,11 +457,18 @@ def find_orbit(field: FoliationField, seed_point, period_guess: float,
     seed errors shrink; the monodromy and divergence integral are then the
     reversed flow's, for `classify_orbit` with the same sense.
 
-    Shots run at `policy.coarse(tols)`, which aim Newton as well, until
-    one's residual is below sqrt(coarse rtol) * scale; the trials of its
-    step and all later shots run at `tols`, and only a shot at `tols`
-    converges. A trial whose start or run does not project fails, as
-    one that does not integrate does."""
+    Each shot starts at a point q on the surface and carries V = M·S_q,
+    the section S_q at q (`flow_split_basis`) moved by the monodromy:
+    Newton solves in the coordinates of S_q and the period, on the
+    residual's components in the seed's tangent basis Q, and a trial
+    starts at the projection of q + S_q·step. An accepted trial is the
+    next shot, and its start the next base. Shots run at
+    `policy.coarse(tols)`, which aim Newton as well, until one's residual
+    is below sqrt(coarse rtol) * scale; the trials of its step and all
+    later shots run at `tols`, the first of those trials that completes
+    is taken whatever its residual, and only a shot at `tols` converges.
+    A trial whose start or run does not project fails, as one that does
+    not integrate does."""
     chart = field.scene.chart
     p0 = field.surface.project(seed_point)
     scale = 1.0 + float(np.max(np.abs(p0)))
@@ -457,47 +485,54 @@ def find_orbit(field: FoliationField, seed_point, period_guess: float,
     handover = math.sqrt(flow.tols.ode_rtol) * scale
     failed = (IntegrationError, EscapeError, ProjectionError)
 
-    def shoot(u, T):
-        q = field.surface.project(p0 + S @ u)
-        yT, M, w = flow.integrate_variational(q, T)
+    def shoot(q, S, T):
+        yT, V, w = flow.integrate_variational(q, T, S)
         r = Q.T @ wrap_diff(chart, yT, q)
-        return q, yT, M, w, r, float(np.max(np.abs(r)))
+        return q, S, yT, V, w, r, float(np.max(np.abs(r)))
 
-    u, T = np.zeros(m), float(period_guess)
+    T = float(period_guess)
     try:
-        shot = shoot(u, T)
+        shot = shoot(p0, S, T)
     except failed as e:
         raise NoOrbitError(f"shooting could not complete a loop ({e})") from e
     for _ in range(tols.newton_max_iter):
-        q, yT, M, w, r, rn = shot
+        q, S, yT, V, w, r, rn = shot
         if flow is fine and rn < tols.newton_tol * scale * 10.0:
             if float(np.linalg.norm(field.vector(q))) < speed_floor:
                 raise NoOrbitError("refinement collapsed onto a zero")
-            return RefinedOrbit(point=q, period=T, monodromy=M,
+            return RefinedOrbit(point=q, period=T, section=S, monodromy=V,
                                 div_integral=w)
-        cols = [Q.T @ ((M - np.eye(len(q))) @ S[:, j]) for j in range(m)]
-        cols.append(Q.T @ (sense * field.vector(yT)))
-        Amat = np.column_stack(cols)
+        Amat = np.column_stack([Q.T @ (V - S),
+                                Q.T @ (sense * field.vector(yT))])
         step, *_ = np.linalg.lstsq(Amat, -r, rcond=None)
         if not np.all(np.isfinite(step)):
             raise NoOrbitError("singular shooting system")
-        if rn < handover:
+        # the first trial at `tols` is taken: its residual does not
+        # compare with a coarse one
+        handed = flow is not fine and rn < handover
+        if handed:
             flow = fine
         # damped update; an accepted trial is the next shot
         lam = 1.0
         for _ in range(5):
-            u_try = u + lam * step[:m]
             T_try = T + lam * float(step[m])
             if T_try <= 0.05 * period_guess or T_try > 20.0 * period_guess:
                 lam *= 0.5
                 continue
             try:
-                trial = shoot(u_try, T_try)
+                q_try = field.surface.project(q + S @ (lam * step[:m]))
+                try:
+                    _, S_try = flow_split_basis(field, q_try)
+                except ValueError:
+                    # the trial starts at a zero: it has no section
+                    lam *= 0.5
+                    continue
+                trial = shoot(q_try, S_try, T_try)
             except failed:
                 lam *= 0.5
                 continue
-            if trial[-1] < rn or lam <= 0.126:
-                u, T, shot = u_try, T_try, trial
+            if handed or trial[-1] < rn or lam <= 0.126:
+                T, shot = T_try, trial
                 break
             lam *= 0.5
         else:
@@ -509,15 +544,14 @@ def find_orbit(field: FoliationField, seed_point, period_guess: float,
 def classify_orbit(field: FoliationField, orbit: RefinedOrbit,
                    sense: int = +1) -> Element:
     """The Element of a refined orbit, without loop, from the return map
-    on the section normal to the flow at the base point; C's side of 1
-    is the Liouville sign. For sense -1 the monodromy is the reversed
-    flow's, whose return map is the inverse: its multipliers and C are
-    inverted, its residuals kept."""
+    dP = Sᵀ(M·S) on the orbit's section S, normal to the flow at the
+    base point; C's side of 1 is the Liouville sign. For sense -1 the
+    monodromy is the reversed flow's, whose return map is the inverse:
+    its multipliers and C are inverted, its residuals kept."""
     p = orbit.point
     n = field.scene.n
-    _, S = flow_split_basis(field, p)
-    M = orbit.monodromy
-    dP = S.T @ (M @ S)
+    S = orbit.section
+    dP = S.T @ orbit.monodromy
     a_vec, Mda = alpha_data_at(field.scene, p)
     lam_row = a_vec @ S
     Msec = S.T @ (Mda @ S)

@@ -36,7 +36,7 @@ from .contact import (ContactScene, FoliationField, Hypersurface,
                       graph_foliation_check, hamiltonian_residuals)
 from .dynamics import (Element, EventSpec, Flow, RefinedOrbit,
                        _integrate_core, classify_orbit, classify_zero,
-                       find_orbit, find_zeros)
+                       find_orbit, find_zeros, flow_split_basis)
 from .errors import ConstructiveFailure, NoOrbitError, PolarDomainError
 from .exterior import Chart, KForm, ScalarField, _fn
 from .jets import Jet, seed
@@ -461,8 +461,9 @@ def _edge_orbit(scene: MoriScene, sign: float) -> Element:
     # inverse is perfectly representable
     tsign = 1.0 if div > 0.0 else -1.0
     from scipy.linalg import expm   # the one scipy use; keeps it off start-up
-    M = expm(tsign * T * A)
-    orbit = RefinedOrbit(point=p, period=T, monodromy=M,
+    _, S = flow_split_basis(field, p)
+    orbit = RefinedOrbit(point=p, period=T, section=S,
+                         monodromy=expm(tsign * T * A) @ S,
                          div_integral=tsign * T * div)
     th = np.linspace(0.0, 2.0 * math.pi, 97)[:-1]
     loop = np.zeros((96, d))

@@ -39,7 +39,9 @@ CONVEX_FORM_MATCH = 1e-8
 ODE_MAX_STEPS = 200_000
 
 # certification by flowing to limits
-CAPTURE_RADIUS = 2e-2       # declared converged once inside and contracting
+# a chase is captured when a chunk of its flow ends within this
+# distance of a capture set; only chunk ends are tested
+CAPTURE_RADIUS = 2e-2
 RECURRENCE_TUBE = 1e-2
 
 

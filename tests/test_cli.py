@@ -633,6 +633,54 @@ def test_reproduce_records_the_torus_it_reports(tmp_path):
         assert rec[key] == probe[key], key
 
 
+TWO_SHEET_SCENE = """\
+scene two-sheet
+
+chart
+  names = x y z
+
+alpha
+  dx = -y + (-0.231)*y*z + (-0.068)*x^2
+  dy = x + (0.178)*y*z + (-0.235)*1
+  dz = 1 + (0.138)*x*y + (0.279)*x^2
+
+hypersurface
+  level = x^2 + y^2 + z^2 - 1 + (0.254)*x + (-0.220)*x^2 + (-0.283)*exp(z)
+
+domain
+  x = -2 .. 2
+  y = -2 .. 2
+  z = -2 .. 2
+
+analysis
+  zero_seeds = (0, 0, 1); (0, 0, -1); (0.9, 0.1, 0)
+  samples = 6
+"""
+
+
+@pytest.mark.parametrize("command", ["classify", "certify"])
+def test_census_keeps_zeros_inside_the_domain(command, tmp_path):
+    # the exp(z) term opens a second sheet of the level set above the
+    # box; at seed 0 Newton from a random sample reaches a zero on it,
+    # at z = 3.948, which the report lists apart with its seed
+    scene = tmp_path / "two-sheet.scene"
+    scene.write_text(TWO_SHEET_SCENE)
+    out = tmp_path / "r.json"
+    assert main([command, str(scene), "--json", str(out), "--seed", "0"]) == 0
+    rep = json.loads(out.read_text())
+    elements = rep["elements"] if command == "classify" else (
+        rep["certificate"]["elements"])
+    assert len(elements) == 2
+    assert all(max(abs(v) for v in e["location"]) <= 2.0 for e in elements)
+    assert sum(e["index"] for e in elements) == 2      # chi(S^2)
+    [dropped] = rep["zeros_outside_domain"]
+    assert dropped["location"][2] == pytest.approx(3.948, abs=1e-3)
+    doc = load_scene(str(scene))
+    seed = np.array(dropped["seed"])
+    assert doc.scene.in_domain(seed)
+    assert abs(float(doc.surface.F(list(seed)))) < 1e-9
+
+
 def test_classify_graph_model(tmp_path):
     out = tmp_path / "r.json"
     code = main(["classify", "graph-model", "--json", str(out)])

@@ -13,8 +13,8 @@ from charfol.contact import ContactScene, FoliationField, Hypersurface
 from charfol.dynamics import (_A, _E, EventSpec, Flow, RefinedOrbit,
                               _integrate_core, _locate_event, _step,
                               classify_orbit, classify_zero, find_orbit,
-                              find_zeros, linearize_zero, refine_zero,
-                              wrap_diff)
+                              find_zeros, flow_split_basis, linearize_zero,
+                              refine_zero, wrap_diff)
 from charfol.errors import (ConstructiveFailure, EscapeError, NoOrbitError,
                             ProjectionError)
 from charfol.exterior import Chart, KForm
@@ -115,11 +115,32 @@ def test_variational_monodromy_and_divergence():
     fld = linear_setup()
     flow = Flow(fld)
     T = 0.8
-    y, M, w = flow.integrate_variational([0.2, 0.5, 0.0], T)
+    y, M, w = flow.integrate_variational([0.2, 0.5, 0.0], T, np.eye(3))
     assert np.allclose(M[:2, :2],
                        [[math.exp(2 * T), 0.0], [0.0, math.exp(-T)]],
                        rtol=1e-7, atol=1e-9)
     # divergence of (2x, -y) is 1; integral over [0, T] is T
+    assert abs(w - T) < 1e-8
+
+
+def test_variational_run_moves_its_basis_by_the_monodromy():
+    # on the linear field the ambient Jacobian A is constant, so a run
+    # carrying a d x k basis B returns V = expm(T A) B, and its state
+    # has d + d k + 1 floats
+    from scipy.linalg import expm
+    fld = linear_setup()
+    p = [0.2, 0.5, 0.0]
+    A = fld.flow_data(p)[1]
+    B = np.random.default_rng(5).normal(size=(3, 2))
+    T = 0.8
+    seen = []
+    rhs = fld.variational_rhs(2)
+    fld.variational_rhs = lambda k: (seen.append(k) or rhs)
+    y, V, w = Flow(fld).integrate_variational(p, T, B)
+    assert seen == [2] and len(rhs[0]) == 1
+    assert len(rhs[0][0].at) == 3 + 3 * 2 + 1
+    assert V.shape == (3, 2)
+    assert np.allclose(V, expm(T * A) @ B, rtol=1e-7, atol=1e-9)
     assert abs(w - T) < 1e-8
 
 
@@ -213,18 +234,18 @@ def test_stalled_zero_seed_gives_up_early():
     assert len(steps) == 28 < policy.DEFAULT.newton_max_iter
 
 
-def _shot_periods(monkeypatch, fail=lambda k: False):
+def _shot_periods(monkeypatch, fail=lambda k: False, error=ProjectionError):
     """The periods of the variational runs of one find_orbit on the
-    graph model's psi = 0 circle, and its result; run k raises
-    ProjectionError where fail(k) holds."""
+    graph model's psi = 0 circle, and its result; run k raises `error`
+    where fail(k) holds."""
     periods = []
     variational = Flow.integrate_variational
 
-    def spy(self, y0, tmax):
+    def spy(self, y0, tmax, basis):
         periods.append(tmax)
         if fail(len(periods) - 1):
-            raise ProjectionError("projection did not converge")
-        return variational(self, y0, tmax)
+            raise error("projection did not converge")
+        return variational(self, y0, tmax, basis)
 
     fld, delta = graph_setup(delta=0.3)
     guess = 2 * math.pi * (1 + delta ** 2)
@@ -243,6 +264,44 @@ def test_a_trial_that_does_not_project_halves_the_step(monkeypatch):
                                                   rel=1e-12)
     assert again.period == pytest.approx(orbit.period, rel=1e-9)
     assert abs(again.point[0]) < 1e-8
+
+
+def test_a_value_error_of_a_trial_run_is_raised(monkeypatch):
+    # only a trial start without a section halves the step for a
+    # ValueError; one raised by the trial's run is not read as a failure
+    with pytest.raises(ValueError, match="^projection did not converge$"):
+        _shot_periods(monkeypatch, fail=lambda k: k == 1, error=ValueError)
+
+
+def test_the_first_trial_at_full_accuracy_is_taken(monkeypatch):
+    # the first run at `tols` comes back 1e-2 off in psi, so its residual
+    # is far above the coarse shot's; it is taken all the same, and the
+    # next run is a Newton shot from it, not the half step of a line
+    # search from the coarse shot
+    runs = []
+    variational = Flow.integrate_variational
+
+    def spy(self, y0, tmax, basis):
+        y, V, w = variational(self, y0, tmax, basis)
+        if self.tols == policy.DEFAULT and all(t != self.tols
+                                               for t, _ in runs):
+            y = y + np.array([0.0, 0.0, 1e-2])
+        runs.append((self.tols, tmax))
+        return y, V, w
+
+    fld, delta = graph_setup(delta=0.3)
+    guess = 2 * math.pi * (1 + delta ** 2)
+    plain = find_orbit(fld, [0.05, 0.3, 0.2], guess)
+    monkeypatch.setattr(Flow, "integrate_variational", spy)
+    orbit = find_orbit(fld, [0.05, 0.3, 0.2], guess)
+    tols = [t for t, _ in runs]
+    k = tols.index(policy.DEFAULT)
+    assert k >= 1 and len(runs) > k + 1
+    assert tols[:k] == [policy.coarse(policy.DEFAULT)] * k
+    (_, T0), (_, T1), (_, T2) = runs[k - 1:k + 2]
+    assert T2 != pytest.approx(T0 + 0.5 * (T1 - T0), rel=1e-12)
+    assert abs(T2 - T1) < abs(T1 - T0)
+    assert orbit.period == pytest.approx(plain.period, rel=1e-9)
 
 
 def test_a_first_shot_that_does_not_project_finds_no_orbit(monkeypatch):
@@ -295,8 +354,10 @@ def test_unit_conformal_factor_gives_neutral_sign():
     # an identity monodromy at a regular point: the return map is the
     # identity and its conformal factor is exactly 1
     fld = linear_setup()
-    orbit = RefinedOrbit(point=np.array([1.0, 0.0, 0.0]), period=1.0,
-                         monodromy=np.eye(3), div_integral=0.0)
+    p = np.array([1.0, 0.0, 0.0])
+    _, S = flow_split_basis(fld, p)
+    orbit = RefinedOrbit(point=p, period=1.0, section=S, monodromy=S,
+                         div_integral=0.0)
     info = classify_orbit(fld, orbit)
     assert info.C == 1.0
     assert info.sign == 0
@@ -422,15 +483,15 @@ def test_negated_weights_keep_the_zero_signs():
     assert math.copysign(1.0, seen[8][0]) == 1.0
 
 
-def _in_order_product(J, M, d):
-    """J @ M for d x d matrices given row by row, as flat lists: each
-    entry J_i0 M_0j + J_i1 M_1j + ... summed in that order."""
+def _in_order_product(J, V, d, k):
+    """J @ V for a d x d J and a d x k V given row by row, as flat lists:
+    each entry J_i0 V_0j + J_i1 V_1j + ... summed in that order."""
     out = []
     for i in range(0, d * d, d):
-        for j in range(d):
-            acc = J[i] * M[j]
-            for k in range(1, d):
-                acc = acc + J[i + k] * M[k * d + j]
+        for j in range(k):
+            acc = J[i] * V[j]
+            for m in range(1, d):
+                acc = acc + J[i + m] * V[m * k + j]
             out.append(acc)
     return out
 
@@ -439,7 +500,8 @@ def _in_order_product(J, M, d):
 def test_flow_right_hand_sides_equal_the_entry_points(sense, monkeypatch):
     # the (kernels, fn) pairs that integrate and integrate_variational
     # hand to the loop, with the flow's sense, against vector_floats, and
-    # flow_floats followed by J @ M in order
+    # flow_floats followed by J @ V in order, for bases of 3 and 2
+    # columns, each with its own kernels
     fld, _ = graph_setup()
     rhss = []
 
@@ -451,30 +513,34 @@ def test_flow_right_hand_sides_equal_the_entry_points(sense, monkeypatch):
     flow = Flow(fld, sense=sense)
     p = fld.surface.project([0.1, 0.3, 0.2])
     flow.integrate(p, 0.5)
-    flow.integrate_variational(p, 0.5)
-    assert [s for _, s in rhss] == [sense, sense]
-    vector, variational = (functools.partial(kernel.run, *rhs)
-                           for rhs, _ in (rhss[0], rhss[-1]))
+    widths = (3, 2)
+    for k in widths:
+        flow.integrate_variational(p, 0.5, np.eye(3)[:, :k])
+    assert [s for _, s in rhss] == [sense] * 3
+    assert rhss[1][0][0] is not rhss[2][0][0]
+    vector, *variational = (functools.partial(kernel.run, *rhs)
+                            for rhs, _ in rhss)
     rng = np.random.default_rng(3)
     eps = np.finfo(float).eps
     for _ in range(5):
         q = fld.surface.project(p + rng.uniform(-0.3, 0.3, 3))
         X = list(fld.vector_floats(q.tolist()))
         out = fld.flow_floats(q.tolist())
-        M = rng.normal(size=(3, 3))
-        JM = _in_order_product(out[3:-1], M.ravel().tolist(), 3)
-        want = [*out[:3], *JM, out[-1]]
         got_X = vector(q.tolist())
-        got = variational([*q.tolist(), *M.ravel().tolist(), 0.0])
         assert np.array(got_X).tobytes() == np.array(X).tobytes()
-        # the same floats; a zero's sign may differ where the kernel
-        # folded a structural zero of J
-        assert list(got) == want
-        # and numpy's product to within its rounding bound
-        J = np.array(out[3:-1]).reshape(3, 3)
-        bound = 4 * eps * (np.abs(J) @ np.abs(M))
-        assert np.all(np.abs(np.array(got[3:-1]).reshape(3, 3) - J @ M)
-                      <= bound)
+        for k, run_k in zip(widths, variational):
+            V = rng.normal(size=(3, k))
+            JV = _in_order_product(out[3:-1], V.ravel().tolist(), 3, k)
+            want = [*out[:3], *JV, out[-1]]
+            got = run_k([*q.tolist(), *V.ravel().tolist(), 0.0])
+            # the same floats; a zero's sign may differ where the kernel
+            # folded a structural zero of J
+            assert list(got) == want
+            # and numpy's product to within its rounding bound
+            J = np.array(out[3:-1]).reshape(3, 3)
+            bound = 4 * eps * (np.abs(J) @ np.abs(V))
+            assert np.all(np.abs(np.array(got[3:-1]).reshape(3, k) - J @ V)
+                          <= bound)
 
 
 def test_variational_run_backward_undoes_the_forward_run():
@@ -484,12 +550,30 @@ def test_variational_run_backward_undoes_the_forward_run():
     fld, _ = graph_setup()
     p = fld.surface.project([0.1, 0.3, 0.2])
     T = 2.0
-    y, M, w = Flow(fld).integrate_variational(p, T)
-    y_back, M_back, w_back = Flow(fld, sense=-1).integrate_variational(y, T)
+    y, M, w = Flow(fld).integrate_variational(p, T, np.eye(3))
+    y_back, M_back, w_back = Flow(fld, sense=-1).integrate_variational(
+        y, T, np.eye(3))
     assert np.max(np.abs(y_back - p)) < 1e-8
     assert np.max(np.abs(M_back @ M - np.eye(3))) < 1e-7
     assert abs(w_back + w) < 1e-8
     assert abs(w) > 1e-3        # the divergence integral is not 0 here
+
+
+def test_variational_run_backward_returns_the_start_basis():
+    # a forward run carries the section S at p to V = M S; the backward
+    # run from its end, carrying V, brings back p and S
+    fld, _ = graph_setup()
+    p = fld.surface.project([0.1, 0.3, 0.2])
+    _, S = flow_split_basis(fld, p)
+    T = 2.0
+    y, V, w = Flow(fld).integrate_variational(p, T, S)
+    assert V.shape == S.shape == (3, 1)
+    assert np.max(np.abs(V - S)) > 1e-3     # the run moved the basis
+    y_back, S_back, w_back = Flow(fld, sense=-1).integrate_variational(
+        y, T, V)
+    assert np.max(np.abs(y_back - p)) < 1e-8
+    assert np.max(np.abs(S_back - S)) < 1e-7
+    assert abs(w_back + w) < 1e-8
 
 
 def test_reversed_flow_is_the_forward_flow_of_the_negated_field():
@@ -522,9 +606,9 @@ def test_reversed_flow_is_the_forward_flow_of_the_negated_field():
     assert res.t == want.t and res.y.tobytes() == want.y.tobytes()
     assert abs(res.y[1] - mid) < 1e-12
 
-    y, M, w = back.integrate_variational(p, 2.0)
+    y, M, w = back.integrate_variational(p, 2.0, np.eye(3))
     z0 = [*p.tolist(), *np.eye(3).ravel().tolist(), 0.0]
-    want = forward(fld.variational_rhs, z0,
+    want = forward(fld.variational_rhs(3), z0,
                    lambda z: [*surf.project_floats(z[:3]), *z[3:]]).y
     assert np.concatenate([y, M.ravel(), [w]]).tobytes() == want.tobytes()
 
@@ -575,8 +659,10 @@ def test_numpy_time_spans_feed_the_kernels_python_floats(sense, monkeypatch):
     monkeypatch.setattr(dynamics, "_integrate_core", spy)
     flow = Flow(fld, sense=sense)
     p = fld.surface.project([0.1, 0.3, 0.2])
+    variational = functools.partial(flow.integrate_variational,
+                                    basis=np.eye(3))
     for go, state in ((flow.integrate, lambda r: r.y),
-                      (flow.integrate_variational, lambda r: r[0])):
+                      (variational, lambda r: r[0])):
         kinds.clear()
         res = go(p, np.float64(0.5))
         assert kinds == {float}
