@@ -11,6 +11,8 @@ so; a fail always carries a concrete witness (a neutral multiplier, a
 verified invariant set, a forbidden connection, or a recurrent sampled
 trajectory). Transversality of invariant manifolds is out of scope and
 is reported as such.
+Every flow the certificate starts runs at `policy.coarse` of the
+profile, for times derived from `policy.FLOW_BUDGET`.
 """
 
 from __future__ import annotations
@@ -85,23 +87,18 @@ def _capture_sets(chart, elements, sense):
     return fw, bw
 
 
-def _chunk(tols) -> float:
-    """Flow time of one leg of a chase, and of the settle after a capture."""
-    return max(4.0 * tols.ode_max_step, tols.flow_budget / 24.0)
-
-
 def _chase(field, q, sets, sense, tols):
-    """Chunked integration until a capture set is reached or the budget dies.
+    """Flow in legs until a capture set is reached or the budget dies.
 
     Returns (reached, endpoint, note or None): whether a capture set was
     reached, where the chase stopped, and why it gave up early.
     """
     flow = Flow(field, tols, sense=sense)
     radius = policy.CAPTURE_RADIUS
-    chunk = _chunk(tols)
+    budget = policy.FLOW_BUDGET
     spent, p = 0.0, np.asarray(q, dtype=float)
-    while spent < tols.flow_budget:
-        step = min(chunk, tols.flow_budget - spent)
+    while spent < budget:
+        step = min(budget / 24.0, budget - spent)
         try:
             res = flow.integrate(p, step)
         except EscapeError:
@@ -137,7 +134,7 @@ def _angular_recurrence(field, q, sense, tols):
     per = chart.periods[chart.names[best]]
     direction = 1 if X[best] * sense > 0 else -1
     flow = Flow(field, tols, sense=sense)
-    budget = 4.0 * tols.flow_budget
+    budget = 4.0 * policy.FLOW_BUDGET
     tube = policy.RECURRENCE_TUBE * scale
     spent, p = 0.0, q.copy()
     returns, drift, gaps = 0, 0.0, []
@@ -250,7 +247,8 @@ def check_morse_smale(field, seeds, elements=(),
     element is hyperbolic, no recurrence is supplied, no launched
     connection lands wrong, and every seed is captured both ways;
     anything short of that is inconclusive, with the offending seed
-    recorded. No seeds is inconclusive.
+    recorded. No seeds is inconclusive. tols is the profile; every flow
+    runs at `policy.coarse(tols)`.
 
     The seeds are chased side by side on one worker per CPU
     (`parallel.pmap`, one `_seed_chases` call per seed), and what each
@@ -260,6 +258,7 @@ def check_morse_smale(field, seeds, elements=(),
     stated once.
     """
     seeds = [np.asarray(q, dtype=float) for q in seeds]
+    tols = policy.coarse(tols)
     chart = field.scene.chart
     elements = list(elements)
     supplied, recurrence = recurrence, []
@@ -303,13 +302,13 @@ def check_morse_smale(field, seeds, elements=(),
                 notes.append(f"separatrix launch: {note}")
             if not reached:
                 continue
-            # capture fires at chunk boundaries and can sit anywhere
-            # inside the capture radius; settle one more chunk so a
-            # genuine landing contracts below the approach threshold
-            # while a transit leaves again.
+            # capture fires at leg ends and can sit anywhere inside the
+            # capture radius; settle one more leg so a genuine landing
+            # contracts below the approach threshold while a transit
+            # leaves again.
             try:
                 settle = Flow(field, tols, sense=sense).integrate(
-                    endpoint, _chunk(tols))
+                    endpoint, policy.FLOW_BUDGET / 24.0)
                 endpoint = settle.y
             except (EscapeError, IntegrationError):
                 pass

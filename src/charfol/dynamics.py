@@ -355,13 +355,19 @@ class Element:
 def refine_zero(field: FoliationField, seed,
                 tols: policy.Tolerances = policy.DEFAULT) -> np.ndarray:
     """Newton on (X, F) jointly; converges to a zero on the surface, or
-    gives up once the residual sits at its best (`policy.ZERO_STALL_*`)."""
+    gives up once the residual sits at its best (`policy.ZERO_STALL_*`)
+    or the field fails at an iterate after the (projected) seed."""
     x = field.surface.project(seed)
     scale = 1.0 + float(np.max(np.abs(x)))
     best, flat = None, 0
-    for _ in range(tols.newton_max_iter):
-        X, J = field.vector_and_jacobian(x)
-        Fv, Fg = field.surface.value_and_grad(x)
+    for it in range(tols.newton_max_iter):
+        try:
+            X, J = field.vector_and_jacobian(x)
+            Fv, Fg = field.surface.value_and_grad(x)
+        except (ArithmeticError, ValueError) as e:
+            if it == 0:
+                raise
+            raise ConstructiveFailure(f"zero refinement failed: {e}") from e
         r = np.append(X, Fv)
         rn = float(np.max(np.abs(r)))
         flat = flat + 1 if (best is not None and abs(rn - best)

@@ -326,21 +326,23 @@ def _reduced_rates(scene: MoriScene, z: float, rho: float):
 def torus_base_point(scene: MoriScene) -> tuple:
     """Newton on the engine's reduced rates for the saddle ring.
 
-    Returns (z, r, rho). Independent of the closed forms in
-    MoriConstants apart from the initial guess scale.
+    Returns ((z, r, rho), A), A the Jacobian of the reduced rates over
+    (z, rho) there. Independent of the closed forms in MoriConstants
+    apart from the initial guess scale.
     """
     w = np.array([0.0, 0.9 * scene.constants.ring_rho])
     for _ in range(40):
         zd, rd, X = _reduced_rates(scene, w[0], w[1])
         r0 = np.array([zd.f, rd.f])
+        A = np.array([zd.g, rd.g])
         if float(np.max(np.abs(r0))) < 1e-13 * float(np.max(np.abs(X))):
             break
-        w = w + np.linalg.solve(np.array([zd.g, rd.g]), -r0)
+        w = w + np.linalg.solve(A, -r0)
     else:
         raise ConstructiveFailure("saddle ring search did not converge")
     z, rho = float(w[0]), float(w[1])
     r = math.sqrt(1.0 + scene.eps - (z * z + rho * rho) / scene.eps ** 2)
-    return z, r, rho
+    return (z, r, rho), A
 
 
 def torus_probe(scene: MoriScene, samples: int = 100, rng=None) -> dict:
@@ -355,7 +357,7 @@ def torus_probe(scene: MoriScene, samples: int = 100, rng=None) -> dict:
     rate ratio matches the closed form.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    z0, r0, rho0 = torus_base_point(scene)
+    (z0, r0, rho0), A = torus_base_point(scene)
     field = scene.field_cartesian
     each = rho0 / math.sqrt(scene.n - 1)
     worst_inv = 0.0
@@ -386,8 +388,6 @@ def torus_probe(scene: MoriScene, samples: int = 100, rng=None) -> dict:
                * scene.constants.torus_slope) / abs(mean[1])
 
     # transverse linearization of the reduced engine flow at the ring
-    zd, rd, _ = _reduced_rates(scene, z0, rho0)
-    A = np.array([zd.g, rd.g])
     lam = float(np.max(np.real(np.linalg.eigvals(A))))
     loop = 2.0 * math.pi / abs(float(mean[0]))
     note = ("the rate ratio varies continuously with eps, and nothing "
@@ -763,24 +763,18 @@ def _column_orbit(field: FoliationField, H: ScalarField, psi0: float,
     return replace(classify_orbit(field, orb, sense=sense), loop=loop)
 
 
-def _certificate_tols(tols: policy.Tolerances) -> policy.Tolerances:
-    """Chase tolerances of the column certificate: the profile's
-    `policy.coarse` integration, with a budget of 900 that sizes the
-    chase chunks."""
-    return policy.replace(policy.coarse(tols), flow_budget=900.0)
-
-
 def column_certificate(field: FoliationField, info: dict,
                        tols: policy.Tolerances = policy.DEFAULT,
                        rng=None) -> dict:
     """The certificate of a built column and the persistence it rests on.
 
     `field` and `info` come from `column_scene`. Locates the two
-    surviving orbits by shooting, chases 10 seeds drawn from `rng`
-    under `_certificate_tols`, and compares the orbits' multiplier
-    margin with the bump integral. For delta below the hyperbolic
-    resolution the orbit family is degenerate; the persistence block
-    then reports the collapse instead of inventing isolated orbits.
+    surviving orbits by shooting, chases 10 seeds drawn from `rng` with
+    `check_morse_smale` under the same profile `tols`, and compares the
+    orbits' multiplier margin with the bump integral. For delta below
+    the hyperbolic resolution the orbit family is degenerate; the
+    persistence block then reports the collapse instead of inventing
+    isolated orbits.
     The two orbits are shot side by side (`parallel.pmap`), and so are
     the seeds' chases; the result has the same bytes as a serial run.
     """
@@ -806,8 +800,7 @@ def column_certificate(field: FoliationField, info: dict,
         seeds.append(_graph_point(ch, H, s, rad * math.cos(ang),
                                   rad * math.sin(ang),
                                   rng.uniform(0.0, 2.0 * math.pi)))
-    cert = certify.check_morse_smale(field, seeds, orbits,
-                                     tols=_certificate_tols(tols))
+    cert = certify.check_morse_smale(field, seeds, orbits, tols=tols)
 
     A, I = prof["amplitude"], prof["bump_integral"]
     pers44 = {"holds": False, "max_shift": math.nan, "margin": 0.0,

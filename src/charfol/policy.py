@@ -7,6 +7,7 @@ Tolerances; each entry point that reads one accepts a Tolerances
 instance (defaulting to DEFAULT), so the command line can swap profiles
 uniformly without touching call sites. A threshold private to one loop
 (an iteration cap, a residual floor, a period bound) stays beside it.
+How far the certificate flows (FLOW_BUDGET) is the same at every profile.
 """
 
 from __future__ import annotations
@@ -39,10 +40,11 @@ CONVEX_FORM_MATCH = 1e-8
 ODE_MAX_STEPS = 200_000
 
 # certification by flowing to limits
-# a chase is captured when a chunk of its flow ends within this
-# distance of a capture set; only chunk ends are tested
+# a chase is captured when a leg of its flow ends within this distance
+# of a capture set; only leg ends are tested
 CAPTURE_RADIUS = 2e-2
 RECURRENCE_TUBE = 1e-2
+FLOW_BUDGET = 900.0     # flow time of one chase, in legs of a 24th
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,6 @@ class Tolerances:
     newton_max_iter: int = 40
 
     # certification by flowing to limits
-    flow_budget: float = 400.0        # max flow time per limit-tracking run
     recurrence_returns: int = 50
 
 
@@ -78,7 +79,6 @@ FAST = replace(
     ode_atol=1e-8,
     newton_tol=1e-9,
     recurrence_returns=25,
-    flow_budget=200.0,
 )
 
 PROFILES = {"strict": STRICT, "default": DEFAULT, "fast": FAST}
@@ -86,9 +86,10 @@ PROFILES = {"strict": STRICT, "default": DEFAULT, "fast": FAST}
 
 def coarse(tols: Tolerances) -> Tolerances:
     """The loose integration of a profile, for runs that need not be
-    accurate in full: the certificate's chases and `find_orbit`'s early
-    shots. rtol and atol are 100 and 10 times the profile's (exactly
-    1e-7 and 1e-9 at DEFAULT), and steps go up to 2.0."""
+    accurate in full: every flow of `certify.check_morse_smale` (its
+    chases, separatrix settles and recurrence counts) and `find_orbit`'s
+    early shots. rtol and atol are 100 and 10 times the profile's
+    (exactly 1e-7 and 1e-9 at DEFAULT), and steps go up to 2.0."""
     return replace(tols, ode_max_step=2.0,
                    ode_rtol=1e-7 * (tols.ode_rtol / DEFAULT.ode_rtol),
                    ode_atol=1e-9 * (tols.ode_atol / DEFAULT.ode_atol))

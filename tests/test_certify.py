@@ -157,12 +157,12 @@ def test_verified_candidate_disqualifies(s2, sphere_seeds):
                           "sampling skipped"]
 
 
-def test_more_budget_never_flips_pass_to_fail(s2, sphere_seeds):
+def test_more_budget_never_flips_pass_to_fail(s2, sphere_seeds,
+                                              monkeypatch):
     fld, zeros = s2
-    small = policy.replace(policy.DEFAULT, flow_budget=2.0)
-    cert_small = check_morse_smale(fld, sphere_seeds[:5], zeros,
-                                   tols=small)
     cert_big = check_morse_smale(fld, sphere_seeds[:5], zeros)
+    monkeypatch.setattr(policy, "FLOW_BUDGET", 2.0)
+    cert_small = check_morse_smale(fld, sphere_seeds[:5], zeros)
     assert cert_big.verdict == "pass"
     assert cert_small.verdict in ("pass", "inconclusive")
     assert cert_small.limit_check <= cert_big.limit_check + 1e-12
@@ -207,7 +207,7 @@ def test_capture_sets_from_one_element_list(s2, column_orbits, census,
         assert dist(el.point) < 1e-12
 
 
-def test_recurrent_sampled_trajectory_fails():
+def test_recurrent_sampled_trajectory_fails(monkeypatch):
     # alpha = dz + x dy on R x T^2: on the torus x = 1 every leaf is a
     # closed loop of period 2 pi, with no element to be captured by
     ch = Chart(["x", "y", "z"], angular=("y", "z"))
@@ -215,9 +215,8 @@ def test_recurrent_sampled_trajectory_fails():
     scene = ContactScene(KForm(ch, 1, {(1,): x_, (2,): ch.constant(1.0)}),
                          name="torus")
     fld = FoliationField(scene, Hypersurface(x_ - 1.0))
-    cert = check_morse_smale(fld, [[1.0, 0.3, 0.5]],
-                             tols=policy.replace(policy.DEFAULT,
-                                                 flow_budget=100.0))
+    monkeypatch.setattr(policy, "FLOW_BUDGET", 100.0)
+    cert = check_morse_smale(fld, [[1.0, 0.3, 0.5]])
     assert cert.verdict == "fail"
     assert any("recurrent" in r for r in cert.reasons)
     assert len(cert.recurrence) == 2        # forward and backward

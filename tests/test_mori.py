@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from charfol import contact, kernel, mori, parallel, policy, report
+from charfol import certify, contact, kernel, mori, parallel, policy, report
 from charfol.cli import main
 from charfol.contact import (FoliationField, Hypersurface,
                              graph_foliation_check, hamiltonian_residuals)
@@ -193,7 +193,7 @@ def test_pushforward_zero_families(scene):
 
 
 def test_torus_base_point(scene):
-    z, r, rho = mori.torus_base_point(scene)
+    (z, r, rho), _ = mori.torus_base_point(scene)
     x = ring_radius_sq(EPS)
     assert abs(z) < 1e-10
     assert abs(r - math.sqrt(x)) < 1e-10
@@ -328,7 +328,7 @@ def test_shooting_refuses_edge_orbit(scene, census, monkeypatch):
 
 
 def test_shooting_refuses_torus_circle(scene, monkeypatch):
-    z, r, rho = mori.torus_base_point(scene)
+    (z, r, rho), _ = mori.torus_base_point(scene)
     p = mori.cartesian_lift(scene, (z, r, rho), theta=0.4, phi=1.9)
     field = scene.field_cartesian
     # one base loop: 2 pi over the constant angular rate on the torus
@@ -619,16 +619,34 @@ def test_column_certificate_across_delta(delta):
     assert cert.verdict == "pass", cert.reasons
 
 
-def test_certificate_tols_follow_profile():
-    for tols in (policy.DEFAULT, policy.STRICT, policy.FAST):
-        ct = mori._certificate_tols(tols)
-        assert ct == policy.replace(policy.coarse(tols), flow_budget=900.0)
-        assert ct.ode_max_step == 2.0 and ct.flow_budget == 900.0
-        assert ct.ode_rtol == pytest.approx(100.0 * tols.ode_rtol, rel=1e-12)
-        assert ct.ode_atol == pytest.approx(10.0 * tols.ode_atol, rel=1e-12)
-        assert ct.newton_tol == tols.newton_tol
-    ct = mori._certificate_tols(policy.DEFAULT)
-    assert (ct.ode_rtol, ct.ode_atol) == (1e-7, 1e-9)
+@pytest.mark.parametrize("profile", ["default", "strict", "fast"])
+@pytest.mark.parametrize("scene_name", ["s2-height", "mori-column"])
+def test_certificate_flows_run_coarse(scene_name, profile, monkeypatch,
+                                      tmp_path):
+    # every flow of check_morse_smale (chases, settles, recurrence
+    # counts) runs at the profile's coarse tolerances, also on the
+    # column, which hands the certificate its profile unchanged
+    monkeypatch.setattr(parallel, "_cpus", lambda: 1)
+    seen = []
+
+    class Spy(Flow):
+        def integrate(self, *args, **kwargs):
+            seen.append(self.tols)
+            return super().integrate(*args, **kwargs)
+
+    monkeypatch.setattr(certify, "Flow", Spy)
+    main(["certify", scene_name, "--tolerance-profile", profile,
+          "--json", str(tmp_path / "r.json")])
+    tols = policy.PROFILES[profile]
+    want = policy.coarse(tols)
+    assert seen and all(t == want for t in seen)
+    assert want.ode_max_step == 2.0
+    assert want.ode_rtol == pytest.approx(100.0 * tols.ode_rtol, rel=1e-12)
+    assert want.ode_atol == pytest.approx(10.0 * tols.ode_atol, rel=1e-12)
+    assert want == policy.replace(tols, ode_rtol=want.ode_rtol,
+                                  ode_atol=want.ode_atol, ode_max_step=2.0)
+    if profile == "default":
+        assert (want.ode_rtol, want.ode_atol) == (1e-7, 1e-9)
 
 
 def test_column_persistence_and_margin(perturb):

@@ -45,6 +45,9 @@ COMMANDS = [
     *([verb, scene] for scene in ("s2-height", "graph-model",
                                   "mori-sigma0-n2", "mori-column")
       for verb in ("classify", "certify")),
+    ["certify", "s2-height", "--tolerance-profile", "strict"],
+    ["certify", "s2-height", "--tolerance-profile", "fast"],
+    ["certify", "graph-model", "--tolerance-profile", "fast"],
     ["certify", "mori-column", "--tolerance-profile", "strict"],
     ["certify", "mori-column", "--tolerance-profile", "fast"],
     ["convexify", "collar-profile"],
