@@ -461,27 +461,34 @@ def hamiltonian_residuals(scene: ContactScene, H: ScalarField,
     return {"alpha_residual": worst_contact, "pairing_residual": worst_pair}
 
 
+def direction_fit(X, P) -> tuple:
+    """(c, sine) per row of X against P, both (m, d): the least-squares
+    factor c = X·P / P·P and the sine |X - cP| / |X| of the angle between
+    the two directions. Each dot product is a (1, d) by (d, 1) matmul,
+    with `np.dot`'s bits on every row."""
+    X, P = np.asarray(X, dtype=float), np.asarray(P, dtype=float)
+
+    def dot(a, b):
+        return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+    c = dot(X, P) / dot(P, P)
+    R = X - c[:, None] * P
+    return c, np.sqrt(dot(R, R)) / np.sqrt(dot(X, X))
+
+
 def graph_foliation_check(field: FoliationField, predicted, points) -> dict:
     """Compare the solved direction against a predicted vector field.
 
-    predicted maps a point to an ambient vector. Returns the worst
-    relative deviation after fitting a pointwise scale factor, and the
-    range of fitted factors. Raises if a factor has the wrong sign.
+    predicted maps a point to an ambient vector. Returns the worst sine
+    of the angle (`direction_fit`) and the range of the fitted factors.
+    Raises if the prediction vanishes or a factor has the wrong sign.
     """
-    worst = 0.0
-    factors = []
-    for p in points:
-        X = field.vector(p)
-        P = np.asarray(predicted(p), dtype=float)
-        k = int(np.argmax(np.abs(P)))
-        if P[k] == 0.0:
-            raise ValueError("predicted field vanishes at a sample point")
-        c = X[k] / P[k]
-        if c <= 0.0:
-            raise ContactConditionError(
-                f"predicted direction has the wrong sign (factor {c:.3e})")
-        dev = np.max(np.abs(X - c * P)) / max(1.0, np.max(np.abs(X)))
-        worst = max(worst, float(dev))
-        factors.append(float(c))
-    return {"max_rel_dev": worst,
-            "factor_min": min(factors), "factor_max": max(factors)}
+    P = np.array([predicted(p) for p in points], dtype=float)
+    if not np.all(np.any(P, axis=1)):
+        raise ValueError("predicted field vanishes at a sample point")
+    c, sine = direction_fit(field.vectors(points), P)
+    if np.any(c <= 0.0):
+        raise ContactConditionError(
+            f"predicted direction has the wrong sign (factor {c.min():.3e})")
+    return {"max_rel_dev": float(sine.max()),
+            "factor_min": float(c.min()), "factor_max": float(c.max())}

@@ -444,14 +444,15 @@ def classify_zero(field: FoliationField, point) -> Element:
 class RefinedOrbit:
     """A closed orbit: a point on it and the period; the section S at
     the point (d x 2n-1, `flow_split_basis`'s); the section monodromy
-    M·S of the ambient monodromy M over one period; and the divergence
-    integral."""
+    M·S of the ambient monodromy M over one period; the divergence
+    integral; and the time sense that M and the integral are of."""
 
     point: np.ndarray
     period: float
     section: np.ndarray
     monodromy: np.ndarray
     div_integral: float
+    sense: int = +1
 
 
 def find_orbit(field: FoliationField, seed_point, period_guess: float,
@@ -461,7 +462,7 @@ def find_orbit(field: FoliationField, seed_point, period_guess: float,
     line-search trials are variational shots, and an accepted one is next.
     Sense -1 shoots in reversed time, where a positive orbit contracts and
     seed errors shrink; the monodromy and divergence integral are then the
-    reversed flow's, for `classify_orbit` with the same sense.
+    reversed flow's, and the orbit carries its sense for `classify_orbit`.
 
     Each shot starts at a point q on the surface and carries V = M·S_q,
     the section S_q at q (`flow_split_basis`) moved by the monodromy:
@@ -481,10 +482,7 @@ def find_orbit(field: FoliationField, seed_point, period_guess: float,
     speed_floor = math.sqrt(tols.newton_tol) * scale
     if float(np.linalg.norm(field.vector(p0))) < speed_floor:
         raise NoOrbitError("seed point is (numerically) a zero of the field")
-    try:
-        Q, S = flow_split_basis(field, p0)
-    except ValueError:
-        raise NoOrbitError("seed point is a zero of the field") from None
+    Q, S = flow_split_basis(field, p0)
     m = S.shape[1]
     flow = Flow(field, policy.coarse(tols), sense)
     fine = Flow(field, tols, sense)
@@ -507,7 +505,7 @@ def find_orbit(field: FoliationField, seed_point, period_guess: float,
             if float(np.linalg.norm(field.vector(q))) < speed_floor:
                 raise NoOrbitError("refinement collapsed onto a zero")
             return RefinedOrbit(point=q, period=T, section=S, monodromy=V,
-                                div_integral=w)
+                                div_integral=w, sense=sense)
         Amat = np.column_stack([Q.T @ (V - S),
                                 Q.T @ (sense * field.vector(yT))])
         step, *_ = np.linalg.lstsq(Amat, -r, rcond=None)
@@ -547,13 +545,12 @@ def find_orbit(field: FoliationField, seed_point, period_guess: float,
         f"no closed orbit from this seed (residual {shot[-1]})")
 
 
-def classify_orbit(field: FoliationField, orbit: RefinedOrbit,
-                   sense: int = +1) -> Element:
+def classify_orbit(field: FoliationField, orbit: RefinedOrbit) -> Element:
     """The Element of a refined orbit, without loop, from the return map
     dP = Sᵀ(M·S) on the orbit's section S, normal to the flow at the
-    base point; C's side of 1 is the Liouville sign. For sense -1 the
-    monodromy is the reversed flow's, whose return map is the inverse:
-    its multipliers and C are inverted, its residuals kept."""
+    base point; C's side of 1 is the Liouville sign. An orbit of sense
+    -1 carries the reversed flow's monodromy, whose return map is the
+    inverse: its multipliers and C are inverted, its residuals kept."""
     p = orbit.point
     n = field.scene.n
     S = orbit.section
@@ -585,7 +582,7 @@ def classify_orbit(field: FoliationField, orbit: RefinedOrbit,
         rest.pop(j)
     div_res = abs(orbit.div_integral - math.log(abs(detP))) / max(
         1.0, abs(math.log(abs(detP))))
-    if sense < 0:
+    if orbit.sense < 0:
         eigs, C = 1.0 / eigs, 1.0 / C
     band = policy.HYPERBOLIC_BAND
     moduli = np.abs(eigs)

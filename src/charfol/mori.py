@@ -32,7 +32,7 @@ import numpy as np
 
 from . import certify, jets, kernel, parallel, policy
 from .contact import (ContactScene, FoliationField, Hypersurface,
-                      _hamiltonian_solve, alpha_data_at,
+                      _hamiltonian_solve, alpha_data_at, direction_fit,
                       graph_foliation_check, hamiltonian_residuals)
 from .dynamics import (Element, EventSpec, Flow, RefinedOrbit,
                        _integrate_core, classify_orbit, classify_zero,
@@ -179,26 +179,25 @@ def cartesian_lift(scene: MoriScene, zrr, theta: float = 0.0,
 def reference_field(scene: MoriScene, point) -> np.ndarray:
     """The closed-form representative of the characteristic direction.
 
-    Polar components, valid away from the coordinate axes. On the shell
-    it is tangent and never vanishes, so it fixes the direction of the
-    foliation everywhere the polar chart is honest.
+    Polar components at a point or at each row of an array, valid away
+    from the coordinate axes; the z, r and rho_i ones are
+    `pushforward_field`'s. On the shell it is tangent and never vanishes,
+    so it fixes the direction of the foliation where the polar chart is
+    honest.
     """
     p = np.asarray(point, dtype=float)
-    eps, e2 = scene.eps, scene.eps ** -2
-    z, r = p[0], p[1]
     floor = scene.polar_floor
-    if r < floor or any(p[3 + 2 * i] < floor for i in range(scene.n - 1)):
+    if np.any(p[..., 1::2] < floor):        # r and the rho_i
         raise PolarDomainError(
             f"point sits within {floor:g} of a polar axis; evaluate on the "
             "cartesian chart instead")
-    out = np.zeros_like(p)
-    r2 = r * r
-    out[0] = (r2 - 1.0) ** 2 + (2.0 * r2 - 1.0) * (e2 * z * z - eps)
-    out[1] = e2 * r * (r2 - 1.0) * z
-    out[2] = 1.0 + 2.0 * eps - 2.0 * e2 * z * z
-    for i in range(scene.n - 1):
-        out[3 + 2 * i] = e2 * (2.0 * r2 - 1.0) * z * p[3 + 2 * i]
-        out[4 + 2 * i] = e2 * (2.0 * r2 * r2 - 2.0 * r2 + 1.0)
+    z, r = p[..., :1], p[..., 1:2]          # columns, against the rho_i
+    e2, r2 = scene.eps ** -2, r * r
+    out = np.empty_like(p)
+    out[..., :1], out[..., 1:2], out[..., 3::2] = pushforward_field(
+        scene, (z, r, p[..., 3::2]))
+    out[..., 2:3] = 1.0 + 2.0 * scene.eps - 2.0 * e2 * z * z
+    out[..., 4::2] = e2 * (2.0 * r2 * r2 - 2.0 * r2 + 1.0)
     return out
 
 
@@ -235,22 +234,16 @@ def sample_surface_polar(scene: MoriScene, rng, count: int) -> np.ndarray:
 def direction_match(scene: MoriScene, count: int = 200, rng=None) -> dict:
     """Compare the solved polar direction against the reference field.
 
-    Fits a pointwise scale factor and reports the worst relative
-    deviation plus the factor range; the factor must come out positive
-    everywhere for the orientations to agree.
+    Fits a pointwise scale factor (`direction_fit`) and reports the
+    worst sine of the angle plus the factor range; the factor must come
+    out positive everywhere for the orientations to agree.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    worst = 0.0
-    fmin, fmax = math.inf, -math.inf
-    for p in sample_surface_polar(scene, rng, count):
-        X = scene.field_polar.vector(p)
-        ref = reference_field(scene, p)
-        c = float(np.dot(X, ref) / np.dot(ref, ref))
-        dev = float(np.linalg.norm(X - c * ref) / np.linalg.norm(X))
-        worst = max(worst, dev)
-        fmin, fmax = min(fmin, c), max(fmax, c)
-    return {"samples": count, "max_angle": worst,
-            "factor_min": fmin, "factor_max": fmax}
+    pts = sample_surface_polar(scene, rng, count)
+    c, sine = direction_fit([scene.field_polar.vector(p) for p in pts],
+                            reference_field(scene, pts))
+    return {"samples": count, "max_angle": float(sine.max()),
+            "factor_min": float(c.min()), "factor_max": float(c.max())}
 
 
 def chart_agreement(scene: MoriScene, count: int = 100, rng=None) -> dict:
@@ -258,11 +251,11 @@ def chart_agreement(scene: MoriScene, count: int = 100, rng=None) -> dict:
 
     Checks that the cartesian form pulls back to the polar form, that
     the defining functions agree, and that the two solved directions
-    are positively proportional under the transition map.
+    are positively proportional under the transition map (`direction_fit`).
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    worst_a = worst_f = worst_x = 0.0
-    fmin = math.inf
+    worst_a = worst_f = 0.0
+    Xp, Xc = [], []
     for p in sample_surface_polar(scene, rng, count):
         qj = scene.cartesian_point(seed(p))
         q = [c.f for c in qj]
@@ -274,14 +267,12 @@ def chart_agreement(scene: MoriScene, count: int = 100, rng=None) -> dict:
                                      / max(1.0, np.max(np.abs(a_p)))))
         worst_f = max(worst_f, abs(float(scene.surface_polar.F(list(p)))
                                    - float(scene.surface_cartesian.F(list(q)))))
-        Xp = J @ scene.field_polar.vector(p)
-        Xc = scene.field_cartesian.vector(q)
-        c = float(np.dot(Xc, Xp) / np.dot(Xp, Xp))
-        fmin = min(fmin, c)
-        worst_x = max(worst_x, float(np.linalg.norm(Xc - c * Xp)
-                                     / np.linalg.norm(Xc)))
+        Xp.append(J @ scene.field_polar.vector(p))
+        Xc.append(scene.field_cartesian.vector(q))
+    c, sine = direction_fit(Xc, Xp)
     return {"max_pullback_dev": worst_a, "max_level_dev": worst_f,
-            "direction_dev": worst_x, "factor_min": fmin, "samples": count}
+            "direction_dev": float(sine.max()), "factor_min": float(c.min()),
+            "samples": count}
 
 
 # the reduced flow -------------------------------------------------------
@@ -459,18 +450,18 @@ def _edge_orbit(scene: MoriScene, sign: float) -> Element:
     # classify in the expanding time direction: a multiplier of e^-40
     # sits below the roundoff floor of the section projection, while its
     # inverse is perfectly representable
-    tsign = 1.0 if div > 0.0 else -1.0
+    tsign = 1 if div > 0.0 else -1
     from scipy.linalg import expm   # the one scipy use; keeps it off start-up
     _, S = flow_split_basis(field, p)
     orbit = RefinedOrbit(point=p, period=T, section=S,
                          monodromy=expm(tsign * T * A) @ S,
-                         div_integral=tsign * T * div)
+                         div_integral=tsign * T * div, sense=tsign)
     th = np.linspace(0.0, 2.0 * math.pi, 97)[:-1]
     loop = np.zeros((96, d))
     loop[:, 0] = p[0] * np.cos(th)
     loop[:, 1] = p[0] * np.sin(th)
     loop[:, -1] = z
-    return replace(classify_orbit(field, orbit, sense=tsign), loop=loop)
+    return replace(classify_orbit(field, orbit), loop=loop)
 
 
 def census(scene: MoriScene, tols: policy.Tolerances = policy.DEFAULT) -> dict:
@@ -648,7 +639,7 @@ def _column_profile_data(spec: PerturbationSpec) -> dict:
     inside = np.linspace(spec.column[0], spec.column[1], 24001)
     I = float(np.trapezoid(chi([inside]), inside))
     lo, hi = spec.column
-    outside = np.concatenate([np.linspace(hi - L, lo, 2001)])
+    outside = np.linspace(hi - L, lo, 2001)
     out_sup = float(np.max(chi([outside]))) * sup_g * A
     return {"amplitude": A,
             "sup_H": A * sup_chi * sup_g,
@@ -755,12 +746,11 @@ def _column_orbit(field: FoliationField, H: ScalarField, psi0: float,
     seed = _graph_point(ch, H, 5.0, 0.02, -0.01, psi0 + 0.1)
     X, _, div = field.flow_data(seed)
     guess = spec.circumference / abs(float(X[ch.index("s")]))
-    sense = -1 if div > 0.0 else +1
-    orb = find_orbit(field, seed, guess, tols, sense=sense)
+    orb = find_orbit(field, seed, guess, tols, sense=-1 if div > 0.0 else +1)
     loop = np.tile(orb.point, (128, 1))
     loop[:, ch.index("s")] = np.linspace(0.0, spec.circumference, 129)[:-1]
     loop[:, ch.index("t")] = [float(H(list(q))) for q in loop]
-    return replace(classify_orbit(field, orb, sense=sense), loop=loop)
+    return replace(classify_orbit(field, orb), loop=loop)
 
 
 def column_certificate(field: FoliationField, info: dict,

@@ -2,6 +2,7 @@
 
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -206,15 +207,32 @@ def test_reversed_shot_classifies_as_the_forward_orbit():
     orbit = find_orbit(fld, seed, guess, sense=-1)
     assert orbit.period == pytest.approx(fwd_orbit.period, rel=1e-8)
     assert orbit.div_integral < 0.0 < fwd_orbit.div_integral
-    info = classify_orbit(fld, orbit, sense=-1)
+    info = classify_orbit(fld, orbit)
     assert info.C == pytest.approx(fwd.C, rel=1e-6)
     assert np.sort(np.abs(info.spectrum)) == pytest.approx(
         np.sort(np.abs(fwd.spectrum)), rel=1e-6)
     assert info.sign == 1
     assert (info.stable_dim, info.hyperbolic) == (fwd.stable_dim, True)
-    raw = classify_orbit(fld, orbit)
+    raw = classify_orbit(fld, replace(orbit, sense=1))
     assert info.C == 1.0 / raw.C
     assert info.det_residual == raw.det_residual
+
+
+def test_orbit_is_classified_in_the_sense_it_was_shot():
+    # a reversed shot carries its sense: classified without arguments it
+    # is the forward orbit, not the reversed flow's
+    fld, delta = graph_setup(delta=0.3)
+    guess = 2 * math.pi * (1 + delta ** 2)
+    seed = [-0.05, 0.3, math.pi - 0.2]
+    fwd_orbit = find_orbit(fld, seed, guess)
+    orbit = find_orbit(fld, seed, guess, sense=-1)
+    assert (fwd_orbit.sense, orbit.sense) == (1, -1)
+    fwd, info = classify_orbit(fld, fwd_orbit), classify_orbit(fld, orbit)
+    assert (info.sign, info.stable_dim, info.hyperbolic) == (
+        fwd.sign, fwd.stable_dim, fwd.hyperbolic) == (1, 1, True)
+    assert info.C == pytest.approx(fwd.C, rel=1e-6)
+    assert np.sort(np.abs(info.spectrum)) == pytest.approx(
+        np.sort(np.abs(fwd.spectrum)), rel=1e-6)
 
 
 def test_stalled_zero_seed_gives_up_early():

@@ -13,10 +13,18 @@ Two seeded recipes, the first 3 scenes of each from `default_rng(2024)`:
 Both use the box [-2, 2]^3. `certify --seed 0` runs once on one worker
 and once on every usable CPU, and each test checks one property of
 those runs.
+
+Time reversal: `certify --seed 0` runs twice more on each scene, once
+with every alpha component negated (X -> -X, as the chart has 3
+dimensions) and once with `sense = -1` in its analysis block. Both keep
+the verdict and the zeros (locations to 1e-9). The negated field's zeros
+have the opposite sign and index 2 - index; the reversed run's census is
+the field's own, so its signs and indices are unchanged.
 """
 
 import functools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +98,29 @@ def runs(tmp_path_factory):
     return functools.cache(lambda name: _runs(name, tmp))
 
 
+def _reversals(name, tmp):
+    """(exit code, report) of `certify --seed 0` on the scene with alpha
+    negated and on the scene run in sense -1, by variant."""
+    texts = {"negated": re.sub(r"^  (d[xyz]) = (.*)$", r"  \1 = -(\2)",
+                               SCENES[name], flags=re.M),
+             "reversed": SCENES[name] + "  sense = -1\n"}
+    out = {}
+    for variant, text in texts.items():
+        path = tmp / f"{name}-{variant}.scene"
+        path.write_text(text)
+        report = tmp / f"{name}-{variant}.json"
+        code = main(["certify", str(path), "--seed", "0",
+                     "--json", str(report)])
+        out[variant] = (code, json.loads(report.read_text()))
+    return out
+
+
+@pytest.fixture(scope="module")
+def reversals(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("reversed")
+    return functools.cache(lambda name: _reversals(name, tmp))
+
+
 @pytest.mark.parametrize("name", SCENES)
 def test_certify_gives_a_verdict(runs, name):
     assert [code for code, _ in runs(name)] in ([0, 0], [1, 1])
@@ -115,3 +146,28 @@ def test_passing_census_sums_to_euler_characteristic(runs, name):
 def test_report_bytes_do_not_depend_on_workers(runs, name):
     (_, one), (_, every) = runs(name)
     assert one == every
+
+
+@pytest.mark.parametrize("variant", ("negated", "reversed"))
+@pytest.mark.parametrize("name", SCENES)
+def test_time_reversal_keeps_the_verdict(runs, reversals, name, variant):
+    (code, report), _ = runs(name)
+    assert reversals(name)[variant][0] == code
+    assert reversals(name)[variant][1]["verdict"] == \
+        json.loads(report)["verdict"]
+
+
+@pytest.mark.parametrize("variant", ("negated", "reversed"))
+@pytest.mark.parametrize("name", SCENES)
+def test_time_reversal_keeps_the_zeros(runs, reversals, name, variant):
+    (_, report), _ = runs(name)
+    zeros = json.loads(report)["certificate"]["elements"]
+    other = reversals(name)[variant][1]["certificate"]["elements"]
+    assert len(other) == len(zeros) > 0
+    flip = variant == "negated"
+    for el in zeros:
+        [twin] = [o for o in other
+                  if np.max(np.abs(np.subtract(o["location"],
+                                               el["location"]))) < 1e-9]
+        assert twin["sign"] == (-el["sign"] if flip else el["sign"])
+        assert twin["index"] == (2 - el["index"] if flip else el["index"])

@@ -162,12 +162,39 @@ def test_direction_match_catches_mutation(scene, monkeypatch):
 
     def flipped(sc, point):
         out = np.array(reference(sc, point), dtype=float)
-        out[sc.polar.chart.index("phi1")] *= -1.0
+        out[..., sc.polar.chart.index("phi1")] *= -1.0
         return out
 
     monkeypatch.setattr(mori, "reference_field", flipped)
     rep = mori.direction_match(scene, count=20, rng=np.random.default_rng(5))
     assert rep["max_angle"] > 1e-3
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_reference_field_rows_match_points(n):
+    sc = mori.mori_scene(n, EPS)
+    pts = mori.sample_surface_polar(sc, np.random.default_rng(4), 50)
+    want = np.array([mori.reference_field(sc, p) for p in pts])
+    assert mori.reference_field(sc, pts).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_direction_fit_matches_the_per_row_formula(n):
+    # bit for bit against the fit one point at a time, on the solved and
+    # the closed-form directions at shell samples
+    sc = mori.mori_scene(n, EPS)
+    pts = mori.sample_surface_polar(sc, np.random.default_rng(4), 50)
+    X = np.array([sc.field_polar.vector(p) for p in pts])
+    P = mori.reference_field(sc, pts)
+    c, sine = contact.direction_fit(X, P)
+    want_c, want_sine = [], []
+    for x, ref in zip(X, P):
+        k = float(np.dot(x, ref) / np.dot(ref, ref))
+        want_c.append(k)
+        want_sine.append(float(np.linalg.norm(x - k * ref)
+                               / np.linalg.norm(x)))
+    assert c.tobytes() == np.array(want_c).tobytes()
+    assert sine.tobytes() == np.array(want_sine).tobytes()
 
 
 def test_direction_match_n3():
