@@ -23,7 +23,7 @@ import numpy as np
 from . import certify as certify_mod
 from . import mori as mori_mod
 from . import policy, report
-from .contact import FoliationField
+from .contact import FoliationField, row_dot
 from .dynamics import classify_zero, find_zeros
 from .errors import CharfolError, IntegrationError, SceneParseError
 from .scenefile import SceneDocument, load_scene
@@ -76,7 +76,7 @@ def _open(args, command: str):
 def _norms(vecs) -> np.ndarray:
     """|v| of each row, as np.linalg.norm(v) computes it: sqrt(v . v),
     bit for bit."""
-    return np.sqrt(np.matmul(vecs[:, None, :], vecs[:, :, None])).ravel()
+    return np.sqrt(row_dot(vecs, vecs))
 
 
 def _shell(doc: SceneDocument) -> mori_mod.MoriScene:

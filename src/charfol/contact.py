@@ -461,19 +461,20 @@ def hamiltonian_residuals(scene: ContactScene, H: ScalarField,
     return {"alpha_residual": worst_contact, "pairing_residual": worst_pair}
 
 
+def row_dot(A, B) -> np.ndarray:
+    """The dot product of each row of A with the same row of B, both
+    (m, d), as one stacked matmul, with `np.dot`'s bits on every row."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+
+
 def direction_fit(X, P) -> tuple:
     """(c, sine) per row of X against P, both (m, d): the least-squares
     factor c = X·P / P·P and the sine |X - cP| / |X| of the angle between
-    the two directions. Each dot product is a (1, d) by (d, 1) matmul,
-    with `np.dot`'s bits on every row."""
+    the two directions."""
     X, P = np.asarray(X, dtype=float), np.asarray(P, dtype=float)
-
-    def dot(a, b):
-        return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-    c = dot(X, P) / dot(P, P)
+    c = row_dot(X, P) / row_dot(P, P)
     R = X - c[:, None] * P
-    return c, np.sqrt(dot(R, R)) / np.sqrt(dot(X, X))
+    return c, np.sqrt(row_dot(R, R)) / np.sqrt(row_dot(X, X))
 
 
 def graph_foliation_check(field: FoliationField, predicted, points) -> dict:

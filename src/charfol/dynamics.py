@@ -16,11 +16,10 @@ reversed time is the sign of the weights. `Flow` feeds the loop the
 field's pairs (`FoliationField.vector_rhs`, `variational_rhs(k)`) and
 `Hypersurface.project_floats`, the one projection of every projected
 flow: a variational run's right-hand side, J·V included, is one
-kernel call. Shooting for
-closed orbits scores its line-search trials with variational runs too,
-so an accepted trial is already the next Newton shot; each shot carries
-only the 2n-1 columns of its section, which Newton and the return map
-read, and an expanding orbit
+kernel call. Shooting for closed orbits is plain Newton on variational
+runs: a trial that runs is the next shot, and only one that cannot run
+halves the step. Each shot carries only the 2n-1 columns of its
+section, which Newton and the return map read, and an expanding orbit
 is shot in reversed time, where it contracts, and classified inverted.
 Its early shots only aim Newton and run at the loose `policy.coarse`
 tolerances of the certificate's chases; the last ones, and the orbit
@@ -458,8 +457,7 @@ class RefinedOrbit:
 def find_orbit(field: FoliationField, seed_point, period_guess: float,
                tols: policy.Tolerances = policy.DEFAULT,
                sense: int = +1) -> RefinedOrbit:
-    """Newton shooting for a closed orbit from one seed and a period guess;
-    line-search trials are variational shots, and an accepted one is next.
+    """Newton shooting for a closed orbit from one seed and a period guess.
     Sense -1 shoots in reversed time, where a positive orbit contracts and
     seed errors shrink; the monodromy and divergence integral are then the
     reversed flow's, and the orbit carries its sense for `classify_orbit`.
@@ -467,15 +465,15 @@ def find_orbit(field: FoliationField, seed_point, period_guess: float,
     Each shot starts at a point q on the surface and carries V = M·S_q,
     the section S_q at q (`flow_split_basis`) moved by the monodromy:
     Newton solves in the coordinates of S_q and the period, on the
-    residual's components in the seed's tangent basis Q, and a trial
-    starts at the projection of q + S_q·step. An accepted trial is the
-    next shot, and its start the next base. Shots run at
-    `policy.coarse(tols)`, which aim Newton as well, until one's residual
-    is below sqrt(coarse rtol) * scale; the trials of its step and all
-    later shots run at `tols`, the first of those trials that completes
-    is taken whatever its residual, and only a shot at `tols` converges.
-    A trial whose start or run does not project fails, as one that does
-    not integrate does."""
+    residual's components in the seed's tangent basis Q. A trial starts
+    at the projection of q + S_q·(λ·step); if it runs, it is the next
+    shot, whatever its residual. If its period leaves [0.05, 20] times
+    the guess, or its start or run fails to project, integrate or stay
+    in the domain, λ halves instead, from 1 down to 1/16, and five
+    failed tries stall the search. Shots run at `policy.coarse(tols)`,
+    which aim Newton as well, until one's residual is below
+    sqrt(coarse rtol) * scale; the shots after it run at `tols`, and
+    only a shot at `tols` converges."""
     chart = field.scene.chart
     p0 = field.surface.project(seed_point)
     scale = 1.0 + float(np.max(np.abs(p0)))
@@ -511,34 +509,19 @@ def find_orbit(field: FoliationField, seed_point, period_guess: float,
         step, *_ = np.linalg.lstsq(Amat, -r, rcond=None)
         if not np.all(np.isfinite(step)):
             raise NoOrbitError("singular shooting system")
-        # the first trial at `tols` is taken: its residual does not
-        # compare with a coarse one
-        handed = flow is not fine and rn < handover
-        if handed:
+        if flow is not fine and rn < handover:
             flow = fine
-        # damped update; an accepted trial is the next shot
-        lam = 1.0
-        for _ in range(5):
+        for lam in (1.0, 0.5, 0.25, 0.125, 0.0625):
             T_try = T + lam * float(step[m])
-            if T_try <= 0.05 * period_guess or T_try > 20.0 * period_guess:
-                lam *= 0.5
+            if not 0.05 * period_guess < T_try <= 20.0 * period_guess:
                 continue
             try:
                 q_try = field.surface.project(q + S @ (lam * step[:m]))
-                try:
-                    _, S_try = flow_split_basis(field, q_try)
-                except ValueError:
-                    # the trial starts at a zero: it has no section
-                    lam *= 0.5
-                    continue
-                trial = shoot(q_try, S_try, T_try)
+                shot = shoot(q_try, flow_split_basis(field, q_try)[1], T_try)
             except failed:
-                lam *= 0.5
                 continue
-            if handed or trial[-1] < rn or lam <= 0.126:
-                T, shot = T_try, trial
-                break
-            lam *= 0.5
+            T = T_try
+            break
         else:
             raise NoOrbitError(f"shooting stalled at residual {rn:.3e}")
     raise NoOrbitError(

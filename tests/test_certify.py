@@ -1,5 +1,6 @@
 """Certificates on a height-function sphere and convexity profiles."""
 
+import json
 import math
 import re
 from dataclasses import replace
@@ -7,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from charfol import mori, policy
+from charfol import mori, policy, report
 from charfol.certify import (ConvexityProfile, MorseSmaleCertificate,
                              _capture_sets, _loop_distance, build_profile,
                              check_morse_smale,
@@ -109,6 +110,21 @@ def test_doctored_signs_raise_connection_violation(s2, sphere_seeds):
     hit = cert.connection_violations[0]
     assert set(hit) == {"from", "to", "kind"}
     assert hit["from"][2] > 0.5              # launched from the doctored source
+
+
+def test_connection_violations_reach_the_json_report(s2, sphere_seeds):
+    # through the report writer and back: each violation is a row of two
+    # 3-float points and the kind of the element the separatrix reached
+    fld, zeros = s2
+    flipped = [replace(z, sign=-z.sign) for z in zeros]
+    cert = check_morse_smale(fld, sphere_seeds[:4], flipped)
+    rows = json.loads(report.to_json(report.certificate_dict(cert)))[
+        "connection_violations"]
+    assert len(rows) == len(cert.connection_violations) == 2
+    for row in rows:
+        assert set(row) == {"from", "to", "kind"} and row["kind"] == "zero"
+        assert np.array(row["from"], dtype=float).tolist() == [0.0, 0.0, 1.0]
+        assert np.array(row["to"], dtype=float).tolist() == [0.0, 0.0, -1.0]
 
 
 SYNTHETIC_TORUS = {"description": "synthetic torus", "point": np.zeros(3),

@@ -252,6 +252,22 @@ def test_stalled_zero_seed_gives_up_early():
     assert len(steps) == 28 < policy.DEFAULT.newton_max_iter
 
 
+def test_a_field_failure_at_the_seed_is_raised():
+    # the field fails at the projected seed itself: the seed is bad, not
+    # a refinement that went astray, so the error is raised and
+    # find_zeros does not drop the seed silently
+    fld = linear_setup()
+
+    def fail(x):
+        raise ValueError("field undefined at the seed")
+
+    fld.vector_and_jacobian = fail
+    with pytest.raises(ValueError, match="^field undefined at the seed$"):
+        refine_zero(fld, [0.1, 0.2, 0.0])
+    with pytest.raises(ValueError, match="^field undefined at the seed$"):
+        find_zeros(fld, [[0.1, 0.2, 0.0]])
+
+
 def _shot_periods(monkeypatch, fail=lambda k: False, error=ProjectionError):
     """The periods of the variational runs of one find_orbit on the
     graph model's psi = 0 circle, and its result; run k raises `error`
@@ -285,8 +301,8 @@ def test_a_trial_that_does_not_project_halves_the_step(monkeypatch):
 
 
 def test_a_value_error_of_a_trial_run_is_raised(monkeypatch):
-    # only a trial start without a section halves the step for a
-    # ValueError; one raised by the trial's run is not read as a failure
+    # a ValueError is not read as a trial that cannot run, whether the
+    # trial's run raises it or its start has no section
     with pytest.raises(ValueError, match="^projection did not converge$"):
         _shot_periods(monkeypatch, fail=lambda k: k == 1, error=ValueError)
 
@@ -320,6 +336,32 @@ def test_the_first_trial_at_full_accuracy_is_taken(monkeypatch):
     assert T2 != pytest.approx(T0 + 0.5 * (T1 - T0), rel=1e-12)
     assert abs(T2 - T1) < abs(T1 - T0)
     assert orbit.period == pytest.approx(plain.period, rel=1e-9)
+
+
+def test_a_trial_that_runs_is_the_next_shot(monkeypatch):
+    # the first coarse trial (run 1) comes back 0.3 off in psi, far above
+    # the first shot's residual; it is still the next shot, so run 2 is a
+    # Newton step from it and not the half step from run 0, and the orbit
+    # is the unperturbed one
+    runs = []
+    variational = Flow.integrate_variational
+
+    def spy(self, y0, tmax, basis):
+        y, V, w = variational(self, y0, tmax, basis)
+        if len(runs) == 1:
+            y = y + np.array([0.0, 0.0, 0.3])
+        runs.append(tmax)
+        return y, V, w
+
+    fld, delta = graph_setup(delta=0.3)
+    guess = 2 * math.pi * (1 + delta ** 2)
+    plain = find_orbit(fld, [0.05, 0.3, 0.2], guess)
+    monkeypatch.setattr(Flow, "integrate_variational", spy)
+    orbit = find_orbit(fld, [0.05, 0.3, 0.2], guess)
+    T0, T1, T2 = runs[:3]
+    assert T2 != pytest.approx(T0 + 0.5 * (T1 - T0), rel=1e-9)
+    assert orbit.period == pytest.approx(plain.period, rel=1e-9)
+    assert abs(orbit.point[0]) < 1e-8
 
 
 def test_a_first_shot_that_does_not_project_finds_no_orbit(monkeypatch):

@@ -9,6 +9,7 @@ surface or `char_data`, with exact transformation laws where they exist
 h divides it by h).
 """
 
+import functools
 import math
 from importlib import resources
 
@@ -21,7 +22,8 @@ from charfol.contact import ContactScene, FoliationField, Hypersurface
 from charfol.dynamics import classify_zero, find_zeros
 from charfol.exterior import Chart, KForm
 from charfol.jets import fval
-from charfol.scenefile import load_scene
+from charfol.scenefile import load_scene, parse_scene
+from test_generated_scenes import SCENES
 
 
 class RescaledField:
@@ -189,11 +191,17 @@ def _bundled_field(name):
     return FoliationField(doc.scene, doc.surface)
 
 
+def _generated_field(name):
+    doc = parse_scene(SCENES[name])
+    return FoliationField(doc.scene, doc.surface)
+
+
 PIVOT_FIELDS = {
     "s2-height": lambda: _bundled_field("s2-height"),
     "graph-model": lambda: _bundled_field("graph-model"),
     "shell-n2-cartesian": lambda: mori.mori_scene(2, 0.1).field_cartesian,
     "shell-n3-cartesian": lambda: mori.mori_scene(3, 0.1).field_cartesian,
+    **{name: functools.partial(_generated_field, name) for name in SCENES},
 }
 
 

@@ -691,6 +691,29 @@ def test_column_certificate_passes(perturb):
     assert not cert.connection_violations
 
 
+def test_a_lost_column_orbit_leaves_a_degenerate_column(monkeypatch):
+    # the orbit at psi = pi is not found: the column is degenerate, the
+    # persistence block reports the collapse, and the certificate runs on
+    # the one orbit that was found. The verdict is not pinned: it reads
+    # "fail" on a seed that tends to the lost orbit and reads "recurrent"
+    monkeypatch.setattr(parallel, "_cpus", lambda: 1)
+    column_orbit = mori._column_orbit
+
+    def lose(field, H, psi0, spec, tols):
+        if psi0 == math.pi:
+            raise NoOrbitError("the orbit at psi = pi is lost")
+        return column_orbit(field, H, psi0, spec, tols)
+
+    monkeypatch.setattr(mori, "_column_orbit", lose)
+    scene, surface, info = mori.column_scene(mori.PerturbationSpec())
+    rep = mori.column_certificate(FoliationField(scene, surface), info)
+    assert rep["degenerate"] and len(rep["orbits"]) == 1
+    pers = rep["persistence"]
+    assert pers["holds"] is False and pers["margin"] == 0.0
+    assert math.isnan(pers["max_shift"])
+    assert len(rep["certificate"].elements) == 1
+
+
 def test_column_tiny_delta_collapses():
     rep = mori.perturb_analysis(mori.PerturbationSpec(delta=1e-9),
                                 rng=np.random.default_rng(4))
