@@ -10,22 +10,26 @@ within the sampled basins, not a global proof, and the certificate says
 so; a fail always carries a concrete witness (a neutral multiplier, a
 verified invariant set, a forbidden connection, or a recurrent sampled
 trajectory). Transversality of invariant manifolds is out of scope and
-is reported as such.
-Every flow the certificate starts runs at `policy.coarse` of the
-profile, for times derived from `policy.FLOW_BUDGET`.
+is reported as such. A chase is captured in an element's own region
+(`capture_region`), a sublevel set of a quadratic Lyapunov function of
+its linearization. Every flow the certificate starts runs at
+`policy.coarse` of the profile, for times derived from
+`policy.FLOW_BUDGET`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import jets, parallel, policy
 from .contact import ContactScene
 from .dynamics import EventSpec, Flow, linearize_zero, wrap_diff
-from .errors import ConstructiveFailure, EscapeError, IntegrationError
+from .errors import (ConstructiveFailure, EscapeError, IntegrationError,
+                     ProjectionError)
 from .exterior import Chart, KForm, ScalarField, _fn, _rebase
 
 
@@ -40,6 +44,7 @@ class MorseSmaleCertificate:
     seeds_used: int
     transversality: str = "not verified"
     notes: list = dc_field(default_factory=list)
+    regions: list = dc_field(default_factory=list)  # per element, or None
 
 
 def _loop_distance(chart, loop):
@@ -59,56 +64,191 @@ def _loop_distance(chart, loop):
     return dist
 
 
-def _capture_entry(chart, el):
-    """(element, distance from a point to it): the wrapped max-norm
-    distance to a zero's point, the distance to an orbit's loop."""
+# capture regions ---------------------------------------------------------
+
+# the ladder of levels starts at outer radius LADDER_RADIUS and halves;
+# a zero's sample is SHELLS shells {V = c'} of DIRECTIONS points each
+LADDER_RADIUS, LADDER_RUNGS = 0.8, 16
+SHELLS, DIRECTIONS = 8, 64
+
+
+def _lyapunov(A, discrete: bool) -> np.ndarray:
+    """P with AᵀPA - P = -I (discrete) or AᵀP + PA = -I: a Kronecker solve."""
+    m = len(A)
+    K = (np.kron(A.T, A.T) - np.eye(m * m) if discrete
+         else np.kron(A.T, np.eye(m)) + np.kron(np.eye(m), A.T))
+    P = np.linalg.solve(K, -np.eye(m).ravel()).reshape(m, m)
+    return 0.5 * (P + P.T)
+
+
+def capture_region(field, el, tols: policy.Tolerances = policy.DEFAULT):
+    """{V < level} for a hyperbolic element, in the sense it attracts in:
+    V(x) = ξᵀPξ, ξ = basisᵀ(x - point) wrapped, as a dict of plain arrays
+    and numbers (sense, basis, P, level, radii largest first, reach,
+    samples); None where the element attracts in neither sense.
+
+    A zero's basis picks its tangent coordinates, and AᵀP + PA = -I for
+    its linearization A; an orbit's is its section, and dPᵀP dP - P = -I
+    for its return map dP. The level is the first rung of the ladder a
+    sample confirms, 0.0 for none. A zero's sample, projected, must stay
+    in the domain with V' < 0; reach is its farthest point. An orbit's
+    is the 4 points of {V = level} on the ± extreme eigenvectors of P,
+    projected, which must return to the section (`_next_crossing`, at
+    `policy.coarse(tols)`) with V at most (1 + max |μ|²) / 2 times the
+    level; reach is the outer radius."""
+    chart, p, dim = field.scene.chart, el.point, field.scene.chart.dim - 1
+    # forward where the stable set is all of the surface, backward where
+    # the unstable one is; both hold the dim - len(spectrum) own directions
+    sense = (1 if el.stable_dim == dim
+             else -1 if el.stable_dim == dim - len(el.spectrum) else 0)
+    if not el.hyperbolic or sense == 0:
+        return None
     if el.kind == "zero":
-        return el, lambda p: float(
-            np.max(np.abs(wrap_diff(chart, p, el.point))))
-    return el, _loop_distance(chart, el.loop)
+        basis = np.eye(len(p))[:, field.surface.frame(p)[0]]
+        P = _lyapunov(sense * linearize_zero(field, p)[0], False)
+        w = np.random.default_rng(0).standard_normal(
+            (SHELLS * DIRECTIONS, len(P)))
+        w *= np.sqrt(np.repeat(np.arange(1, SHELLS + 1) / SHELLS, DIRECTIONS)
+                     / np.einsum("ij,jk,ik->i", w, P, w))[:, None]
+
+        def reach(level):
+            """The sample's farthest distance, None where it fails."""
+            x = field.surface.project_samples(p + math.sqrt(level) * w
+                                              @ basis.T)
+            if len(x) < len(w) or not field.scene.domain_mask(x).all():
+                return None
+            d = wrap_diff(chart, x, p)
+            rate = sense * field.vectors(x) @ basis
+            if np.all(np.einsum("ij,jk,ik->i", d @ basis, P, rate) < 0.0):
+                return float(np.max(np.linalg.norm(d, axis=1)))
+            return None
+    else:
+        basis, dP = el.section, el.return_map
+        if el.shot_sense != sense:
+            dP = np.linalg.inv(dP)
+        P = _lyapunov(dP, True)
+        rho = 0.5 * (1.0 + float(np.max(np.abs(np.linalg.eigvals(dP)))) ** 2)
+        lam, E = np.linalg.eigh(P)
+        w = [s * E[:, j] / math.sqrt(lam[j]) for j in (0, -1) for s in (1, -1)]
+        flow = Flow(field, policy.coarse(tols), sense=sense)
+        event = _section_event(chart, p, sense * field.vector(p))
+        V = _quadratic(chart, p, basis, P)
+
+        def returns(u, level):
+            try:
+                x = field.surface.project(p + basis @ (math.sqrt(level) * u))
+                _, y, crossed = _next_crossing(flow, x, el.period, event,
+                                               clear=0.5 * el.period)
+            except (EscapeError, IntegrationError, ProjectionError):
+                return False
+            return crossed and V(y) <= rho * level
+
+        def reach(level):
+            """The outer radius, None where a return fails."""
+            if all(returns(u, level) for u in w):
+                return math.sqrt(level / lam[0])
+            return None
+
+    level = LADDER_RADIUS ** 2 * float(np.linalg.eigvalsh(P)[0])
+    for _ in range(LADDER_RUNGS):
+        far = reach(level)
+        if far is not None:
+            break
+        level *= 0.5
+    else:
+        level, far = 0.0, 0.0
+    return {"sense": sense, "basis": basis, "P": P, "level": level,
+            "radii": np.sqrt(level / np.linalg.eigvalsh(P)),
+            "reach": far, "samples": len(w)}
 
 
-def _capture_sets(chart, elements, sense):
-    """(forward, backward) capture entries under the given time sense:
-    forward where an element's stable set has the surface's dimension
-    dim, backward where its unstable set has; sense -1 swaps the two.
-    Both sets hold the element's own directions, the dim - len(spectrum)
-    its spectrum does not cross (0 for a zero, 1 for an orbit)."""
-    dim = chart.dim - 1
-    fw, bw = [], []
-    into, out = (fw, bw) if sense > 0 else (bw, fw)
-    for el in elements:
-        entry = _capture_entry(chart, el)
-        unstable_dim = dim + (dim - len(el.spectrum)) - el.stable_dim
-        if el.stable_dim == dim:
-            into.append(entry)
-        if unstable_dim == dim:
-            out.append(entry)
+def _quadratic(chart, point, basis, P):
+    """V(x) = ξᵀPξ for ξ = basisᵀ(x - point), angular entries wrapped."""
+
+    def V(x):
+        xi = wrap_diff(chart, x, point) @ basis
+        return float(xi @ P @ xi)
+
+    return V
+
+
+def _section_event(chart, point, normal) -> EventSpec:
+    """Event: a crossing along `normal` of the hyperplane through point
+    normal to it, an angular offset u of period L read as L sin(2πu/L)/2π."""
+    terms = [(i, n, p, 2.0 * math.pi / chart.periods.get(name, math.inf))
+             for i, (name, n, p) in enumerate(zip(
+                 chart.names, normal.tolist(), point.tolist())) if n]
+
+    def fn(y):
+        g = 0.0
+        for i, n, p, w in terms:
+            u = y[i] - p
+            g = g + n * (jets.sin(w * u) / w if w else u)
+        return g
+
+    return EventSpec(fn=fn, direction=1)
+
+
+def _next_crossing(flow, x, period: float, event, clear: float = 0.0):
+    """(time, point, crossed) of the first crossing of an orbit's section
+    from x after `clear` time, at most 1.5 periods on, else its run's end."""
+    t = 0.0
+    if clear:
+        res = flow.integrate(x, clear)
+        t, x = res.t, res.y
+    res = flow.integrate(x, 1.5 * period - clear, event=event)
+    return t + res.t, res.y, res.status == "event"
+
+
+def _capture_sets(field, elements, regions, sense):
+    """(forward, backward) capture tests of the elements with a region in
+    the chase's sense: element, V, level, reach, near(x), the distance to
+    the point or loop, and an orbit's period and section event."""
+    fw, bw, chart = [], [], field.scene.chart
+    for el, r in zip(elements, regions):
+        if r is not None:
+            orbit, p = el.kind == "orbit", el.point
+            (fw if r["sense"] == sense else bw).append(SimpleNamespace(
+                element=el, level=r["level"], reach=r["reach"],
+                period=el.period, V=_quadratic(chart, p, r["basis"], r["P"]),
+                near=_loop_distance(chart, el.loop if orbit else [p]),
+                event=_section_event(chart, p, r["sense"] * field.vector(p))
+                if orbit else None))
     return fw, bw
 
 
 def _chase(field, q, sets, sense, tols):
-    """Flow in legs until a capture set is reached or the budget dies.
+    """Flow in legs until a capture set captures or the budget dies.
 
-    Returns (reached, endpoint, note or None): whether a capture set was
-    reached, where the chase stopped, and why it gave up early.
+    Returns (element or None, endpoint, note or None): the element that
+    captured the chase, where the chase stopped, and why it gave up
+    early. An orbit's test runs on to its section, where the chase goes on.
     """
     flow = Flow(field, tols, sense=sense)
-    radius = policy.CAPTURE_RADIUS
     budget = policy.FLOW_BUDGET
     spent, p = 0.0, np.asarray(q, dtype=float)
-    while spent < budget:
-        step = min(budget / 24.0, budget - spent)
-        try:
-            res = flow.integrate(p, step)
-        except EscapeError:
-            return False, p, "trajectory left the declared domain"
-        except IntegrationError as e:
-            return False, p, f"integration gave up: {e}"
-        p, spent = res.y, spent + res.t
-        if any(dist(p) < radius for _, dist in sets):
-            return True, p, None
-    return False, p, None
+    try:
+        while spent < budget:
+            res = flow.integrate(p, min(budget / 96.0, budget - spent))
+            p, spent = res.y, spent + res.t
+            for cap in sets:
+                if not cap.near(p) < cap.reach:
+                    continue
+                if cap.event is None:
+                    if cap.V(p) < cap.level:
+                        return cap.element, p, None
+                    continue
+                t, p, crossed = _next_crossing(flow, p, cap.period,
+                                               cap.event)
+                spent += t
+                if crossed and cap.V(p) < cap.level:
+                    return cap.element, p, None
+                break                       # p moved on: a new leg
+    except EscapeError:
+        return None, p, "trajectory left the declared domain"
+    except IntegrationError as e:
+        return None, p, f"integration gave up: {e}"
+    return None, p, None
 
 
 def _angular_recurrence(field, q, sense, tols):
@@ -131,7 +271,6 @@ def _angular_recurrence(field, q, sense, tols):
             best, rate = i, r
     if best is None or rate < 1e-10:
         return None
-    per = chart.periods[chart.names[best]]
     direction = 1 if X[best] * sense > 0 else -1
     flow = Flow(field, tols, sense=sense)
     budget = 4.0 * policy.FLOW_BUDGET
@@ -141,7 +280,7 @@ def _angular_recurrence(field, q, sense, tols):
     while spent < budget and returns < tols.recurrence_returns:
         # each leg counts one turn from its own start: a landing a hair
         # short of the crossing would otherwise fire again at once
-        ev = _turn_event(best, per, p[best], direction)
+        ev = _section_event(chart, p, direction * np.eye(len(p))[best])
         try:
             res = flow.integrate(p, budget - spent, event=ev)
         except (EscapeError, IntegrationError):
@@ -161,14 +300,6 @@ def _angular_recurrence(field, q, sense, tols):
                 "max_drift": drift, "coordinate": chart.names[best],
                 "mean_return_time": float(np.mean(gaps))}
     return None
-
-
-def _turn_event(i: int, per: float, start: float, direction: int):
-    """Event: coordinate i has turned a full period from start."""
-    w = 2.0 * math.pi / per
-
-    return EventSpec(fn=lambda y: jets.sin(w * (y[i] - start)),
-                     direction=direction)
 
 
 def _unstable_directions(field, point, sense):
@@ -197,8 +328,8 @@ def _seed_chases(field, q, fw, bw, sense, tols):
     forward to fw and backward to bw."""
     ok, notes, records, reasons = True, [], [], []
     for s, sets in ((sense, fw), (-sense, bw)):
-        reached, endpoint, note = _chase(field, q, sets, s, tols)
-        if reached:
+        captor, endpoint, note = _chase(field, q, sets, s, tols)
+        if captor is not None:
             continue
         ok = False
         if note:
@@ -242,13 +373,18 @@ def check_morse_smale(field, seeds, elements=(),
     its loop. recurrence holds already verified recurrent sets, dicts
     with at least a description (for instance
     `mori.torus_recurrence(scene, probe)`); once every element is
-    hyperbolic each is recorded, and disqualifies. The verdict is fail
-    on any concrete witness against the structure, pass when every
-    element is hyperbolic, no recurrence is supplied, no launched
-    connection lands wrong, and every seed is captured both ways;
-    anything short of that is inconclusive, with the offending seed
-    recorded. No seeds is inconclusive. tols is the profile; every flow
-    runs at `policy.coarse(tols)`.
+    hyperbolic each is recorded, and disqualifies. Past both, each
+    element gets its `capture_region` (its own `region` if set), in
+    `regions`. A chase is captured where V < level in a region of its
+    sense: a zero's at a leg end, an orbit's at the next crossing of its
+    section, once a leg ends within the outer radius of its loop. A
+    separatrix of a negative zero may enter no positive element's region.
+    The verdict is fail on any concrete witness against the structure,
+    pass when every element is hyperbolic, no recurrence is supplied,
+    no launched connection lands wrong, and every seed is captured both
+    ways; anything short of that is inconclusive, with the offending
+    seed recorded. No seeds is inconclusive. tols is the profile; every
+    flow runs at `policy.coarse(tols)`.
 
     The seeds are chased side by side on one worker per CPU
     (`parallel.pmap`, one `_seed_chases` call per seed), and what each
@@ -258,8 +394,7 @@ def check_morse_smale(field, seeds, elements=(),
     stated once.
     """
     seeds = [np.asarray(q, dtype=float) for q in seeds]
-    tols = policy.coarse(tols)
-    chart = field.scene.chart
+    profile, tols = tols, policy.coarse(tols)
     elements = list(elements)
     supplied, recurrence = recurrence, []
     reasons, notes, violations = [], [], []
@@ -281,41 +416,21 @@ def check_morse_smale(field, seeds, elements=(),
     if reasons:
         return skipped("a verified recurrence was supplied")
 
-    fw, bw = _capture_sets(chart, elements, sense)
+    regions = [el.region if el.region is not None
+               else capture_region(field, el, profile) for el in elements]
+    fw, bw = _capture_sets(field, elements, regions, sense)
 
-    # separatrices of negative elements must not reach positive elements.
-    # Signs are read in the effective time direction, so a reversed run
-    # swaps the two sets. Only zeros are launched; unstable Floquet
-    # bundles of orbits would need a different parametrization and are
-    # left to the sampling pass.
-    positive = [_capture_entry(chart, el)
-                for el in elements if el.sign * sense > 0]
-    approach = 1e-3
+    # signs are read in the effective time direction. Only zeros are
+    # launched; unstable Floquet bundles of orbits are left to sampling
+    positive = [cap for cap in fw if cap.element.sign * sense > 0]
     for z in elements:
-        if z.kind != "zero" or z.sign * sense >= 0:
+        if not positive or z.kind != "zero" or z.sign * sense >= 0:
             continue
         for v in _unstable_directions(field, z.point, sense):
             start = field.surface.project(z.point + 1e-4 * v)
-            reached, endpoint, note = _chase(field, start, positive, sense,
-                                             tols)
+            hit, _, note = _chase(field, start, positive, sense, tols)
             if note:
                 notes.append(f"separatrix launch: {note}")
-            if not reached:
-                continue
-            # capture fires at leg ends and can sit anywhere inside the
-            # capture radius; settle one more leg so a genuine landing
-            # contracts below the approach threshold while a transit
-            # leaves again.
-            try:
-                settle = Flow(field, tols, sense=sense).integrate(
-                    endpoint, policy.FLOW_BUDGET / 24.0)
-                endpoint = settle.y
-            except (EscapeError, IntegrationError):
-                pass
-            hit = None
-            for el, dist in positive:
-                if dist(endpoint) < approach:
-                    hit = el
             if hit is not None:
                 violations.append({"from": np.round(z.point, 6),
                                    "to": np.round(hit.point, 6),
@@ -346,7 +461,8 @@ def check_morse_smale(field, seeds, elements=(),
     return MorseSmaleCertificate(
         verdict=verdict, reasons=reasons, elements=elements,
         limit_check=limit, connection_violations=violations,
-        recurrence=recurrence, seeds_used=len(seeds), notes=notes)
+        recurrence=recurrence, seeds_used=len(seeds), notes=notes,
+        regions=regions)
 
 
 # convexity profiles ----------------------------------------------------

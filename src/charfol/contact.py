@@ -82,8 +82,9 @@ class ContactScene:
         self._kernels = []          # traced kernels of _alpha_outputs
 
     def in_domain(self, point) -> bool:
+        """Whether a point (floats or an array row) is in the domain box."""
         for i, lo, hi in self._bounds:
-            v = fval(point[i])
+            v = point[i]
             if lo is not None and v < lo:
                 return False
             if hi is not None and v > hi:

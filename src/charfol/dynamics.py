@@ -334,7 +334,9 @@ class Element:
     dimension of the stable set, an orbit's own direction included.
     Only a zero has a divergence; only an orbit has a period, the
     conformal factor C of its return map, the residuals of
-    `classify_orbit` and a loop, points along it sampled by the caller."""
+    `classify_orbit`, its section S and return map dP = SᵀMS shot in
+    `shot_sense`, and a loop, points along it sampled by the caller.
+    region is a `certify.capture_region`; every field pickles."""
 
     kind: str
     point: np.ndarray
@@ -348,7 +350,11 @@ class Element:
     det_residual: float | None = None       # |det dP - C^n| / |C^n|
     pairing_residual: float | None = None   # symplectic pairing mu <-> C/mu
     div_residual: float | None = None       # divergence integral vs log det dP
+    section: np.ndarray | None = None
+    return_map: np.ndarray | None = None
+    shot_sense: int | None = None
     loop: np.ndarray | None = None
+    region: dict | None = None
 
 
 def refine_zero(field: FoliationField, seed,
@@ -574,4 +580,5 @@ def classify_orbit(field: FoliationField, orbit: RefinedOrbit) -> Element:
                    stable_dim=int(np.sum(moduli < 1.0 - band)) + 1,
                    hyperbolic=bool(np.all(np.abs(moduli - 1.0) > band)),
                    period=orbit.period, C=C, det_residual=det_res,
-                   pairing_residual=pair_res, div_residual=div_res)
+                   pairing_residual=pair_res, div_residual=div_res,
+                   section=S, return_map=dP, shot_sense=orbit.sense)

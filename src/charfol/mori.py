@@ -741,7 +741,8 @@ def _column_orbit(field: FoliationField, H: ScalarField, psi0: float,
                   tols: policy.Tolerances) -> Element:
     """The orbit Element near psi0 on the column, with a loop of 128
     points, shot in the time direction where it contracts: reversed
-    where the divergence at the seed is positive."""
+    where the divergence at the seed is positive, and its capture region
+    (`certify.capture_region`), calibrated in the shot's worker."""
     ch = field.scene.chart
     seed = _graph_point(ch, H, 5.0, 0.02, -0.01, psi0 + 0.1)
     X, _, div = field.flow_data(seed)
@@ -750,7 +751,8 @@ def _column_orbit(field: FoliationField, H: ScalarField, psi0: float,
     loop = np.tile(orb.point, (128, 1))
     loop[:, ch.index("s")] = np.linspace(0.0, spec.circumference, 129)[:-1]
     loop[:, ch.index("t")] = [float(H(list(q))) for q in loop]
-    return replace(classify_orbit(field, orb), loop=loop)
+    orbit = replace(classify_orbit(field, orb), loop=loop)
+    return replace(orbit, region=certify.capture_region(field, orbit, tols))
 
 
 def column_certificate(field: FoliationField, info: dict,
@@ -764,7 +766,8 @@ def column_certificate(field: FoliationField, info: dict,
     orbits' multiplier margin with the bump integral. For delta below
     the hyperbolic resolution the orbit family is degenerate; the
     persistence block then reports the collapse instead of inventing
-    isolated orbits.
+    isolated orbits. Where shooting loses an orbit, nothing is chased
+    and the certificate is inconclusive, naming the lost orbit's psi.
     The two orbits are shot side by side (`parallel.pmap`), and so are
     the seeds' chases; the result has the same bytes as a serial run.
     """
@@ -778,8 +781,8 @@ def column_certificate(field: FoliationField, info: dict,
         except NoOrbitError:
             return None
 
-    orbits = [o for o in parallel.pmap(shoot, (0.0, math.pi))
-              if o is not None]
+    shots = dict(zip(("0", "pi"), parallel.pmap(shoot, (0.0, math.pi))))
+    orbits = [o for o in shots.values() if o is not None]
     degenerate = len(orbits) < 2 or any(not o.hyperbolic for o in orbits)
 
     seeds = []
@@ -790,7 +793,16 @@ def column_certificate(field: FoliationField, info: dict,
         seeds.append(_graph_point(ch, H, s, rad * math.cos(ang),
                                   rad * math.sin(ang),
                                   rng.uniform(0.0, 2.0 * math.pi)))
-    cert = certify.check_morse_smale(field, seeds, orbits, tols=tols)
+    lost = [f"shooting lost the closed orbit at psi = {psi}"
+            for psi, o in shots.items() if o is None]
+    if lost:
+        cert = certify.MorseSmaleCertificate(
+            verdict="inconclusive", reasons=lost, elements=orbits,
+            limit_check=0.0, connection_violations=[], recurrence=[],
+            seeds_used=0, notes=["the census is incomplete; sampling "
+                                 "skipped"])
+    else:
+        cert = certify.check_morse_smale(field, seeds, orbits, tols=tols)
 
     A, I = prof["amplitude"], prof["bump_integral"]
     pers44 = {"holds": False, "max_shift": math.nan, "margin": 0.0,

@@ -124,4 +124,10 @@ def pmap(fn, items) -> list:
         for pid, r, _ in children:
             os.close(r)
             _reap(pid)
-    return [fn(x) if y is missing else y for x, y in zip(items, out)]
+    return [_again(fn, x) if y is missing else y for x, y in zip(items, out)]
+
+
+def _again(fn, x):
+    """fn(x) again in the parent, for an item whose share raised, died or
+    sent results that do not pickle."""
+    return fn(x)

@@ -40,11 +40,8 @@ CONVEX_FORM_MATCH = 1e-8
 ODE_MAX_STEPS = 200_000
 
 # certification by flowing to limits
-# a chase is captured when a leg of its flow ends within this distance
-# of a capture set; only leg ends are tested
-CAPTURE_RADIUS = 2e-2
 RECURRENCE_TUBE = 1e-2
-FLOW_BUDGET = 900.0     # flow time of one chase, in legs of a 24th
+FLOW_BUDGET = 900.0     # flow time of one chase, in legs of a 96th
 
 
 @dataclass(frozen=True)
@@ -87,8 +84,9 @@ PROFILES = {"strict": STRICT, "default": DEFAULT, "fast": FAST}
 def coarse(tols: Tolerances) -> Tolerances:
     """The loose integration of a profile, for runs that need not be
     accurate in full: every flow of `certify.check_morse_smale` (its
-    chases, separatrix settles and recurrence counts) and `find_orbit`'s
-    early shots. rtol and atol are 100 and 10 times the profile's
+    chases, separatrix launches and recurrence counts), the calibration
+    runs of `certify.capture_region`, and `find_orbit`'s early shots.
+    rtol and atol are 100 and 10 times the profile's
     (exactly 1e-7 and 1e-9 at DEFAULT), and steps go up to 2.0."""
     return replace(tols, ode_max_step=2.0,
                    ode_rtol=1e-7 * (tols.ode_rtol / DEFAULT.ode_rtol),

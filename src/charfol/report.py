@@ -114,9 +114,15 @@ def element_rows(elements) -> list:
 
 
 def certificate_dict(cert) -> dict:
+    """The report of a certificate, each element with its capture region."""
+    rows = element_rows(cert.elements)
+    for row, r in zip(rows, cert.regions):
+        if r is not None:
+            row["region"] = {k: r[k] for k in ("sense", "level", "radii",
+                                               "reach", "samples")}
     return {"verdict": cert.verdict,
             "reasons": list(cert.reasons),
-            "elements": element_rows(cert.elements),
+            "elements": rows,
             "limit_check": float(cert.limit_check),
             "connection_violations": [
                 {"from": np.asarray(v["from"], dtype=float),

@@ -4,18 +4,20 @@ import json
 import math
 import re
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from charfol import mori, policy, report
+from charfol import certify, mori, parallel, policy, report
 from charfol.certify import (ConvexityProfile, MorseSmaleCertificate,
                              _capture_sets, _loop_distance, build_profile,
-                             check_morse_smale,
+                             capture_region, check_morse_smale,
                              standard_gamma, verification_grid,
                              verify_convex_form)
+from charfol.cli import main
 from charfol.contact import ContactScene, FoliationField, Hypersurface
-from charfol.dynamics import Element, classify_zero, find_zeros
+from charfol.dynamics import Element, Flow, classify_zero, find_zeros
 from charfol.errors import ConstructiveFailure
 from charfol.exterior import Chart, KForm
 from charfol.jets import fval
@@ -186,13 +188,13 @@ def test_more_budget_never_flips_pass_to_fail(s2, sphere_seeds,
 
 @pytest.fixture(scope="module")
 def column_orbits():
-    """The column's chart and its two orbits, psi = 0 then psi = pi."""
+    """The column's field and its two orbits, psi = 0 then psi = pi."""
     spec = mori.PerturbationSpec()
     scene, surface, info = mori.column_scene(spec)
     field = FoliationField(scene, surface)
-    return scene.chart, [mori._column_orbit(field, info["H"], psi0, spec,
-                                            policy.DEFAULT)
-                         for psi0 in (0.0, math.pi)]
+    return field, [mori._column_orbit(field, info["H"], psi0, spec,
+                                      policy.DEFAULT)
+                   for psi0 in (0.0, math.pi)]
 
 
 # (census, sense, forward set, backward set) as the separate zero and
@@ -209,18 +211,86 @@ def test_capture_sets_from_one_element_list(s2, column_orbits, census,
                                             sense, forward, backward):
     if census == "s2-height":
         fld, elements = s2
-        chart = fld.scene.chart
         names = {id(z): "north" if z.point[2] > 0 else "south"
                  for z in elements}
+        regions = [capture_region(fld, z) for z in elements]
     else:
-        chart, elements = column_orbits
+        fld, elements = column_orbits
         names = dict(zip(map(id, elements), ["psi = 0", "psi = pi"]))
         assert [o.stable_dim for o in elements] == [4, 1]
-    fw, bw = _capture_sets(chart, elements, sense)
-    assert [names[id(el)] for el, _ in fw] == forward
-    assert [names[id(el)] for el, _ in bw] == backward
-    for el, dist in fw + bw:
-        assert dist(el.point) < 1e-12
+        regions = [o.region for o in elements]
+    fw, bw = _capture_sets(fld, elements, regions, sense)
+    assert [names[id(cap.element)] for cap in fw] == forward
+    assert [names[id(cap.element)] for cap in bw] == backward
+    for cap in fw + bw:
+        # each region is tested near its element, which it holds
+        assert cap.near(cap.element.point) < 1e-12 < cap.reach
+        assert cap.V(cap.element.point) == 0.0 < cap.level
+
+
+def sink_saddle_setup():
+    # alpha = -(dz + x dy) on the graph z = x^2/2 + y^2/2 + 2y^3/3: a sink
+    # (a focus) at the origin and a saddle half a unit away, at y = -1/2
+    ch = Chart(["x", "y", "z"])
+    x_, y_, _ = ch.vars()
+    scene = ContactScene(KForm(ch, 1, {(1,): -x_, (2,): ch.constant(-1.0)}),
+                         name="sink-saddle",
+                         domain={"x": (-2.0, 2.0), "y": (-2.0, 2.0)})
+    f = x_ * x_ * 0.5 + y_ * y_ * 0.5 + y_ * y_ * y_ * (2.0 / 3.0)
+    fld = FoliationField(scene, Hypersurface.graph("z", f))
+    pts = find_zeros(fld, [np.array([0.01, 0.02, 0.0]),
+                           np.array([0.01, -0.48, 0.0])])
+    return fld, [classify_zero(fld, p) for p in pts]
+
+
+def test_a_sinks_region_excludes_the_saddle_beside_it():
+    fld, zeros = sink_saddle_setup()
+    saddle, sink = sorted(zeros, key=lambda z: z.stable_dim)
+    assert (saddle.stable_dim, sink.stable_dim) == (1, 2)
+    assert capture_region(fld, saddle) is None
+    region = capture_region(fld, sink)
+    assert region["sense"] == 1 and region["level"] > 0.0
+    # the saddle lies within the region's outer radius, but V > level there
+    gap = saddle.point - sink.point
+    assert np.linalg.norm(gap) < region["radii"][0]
+    xi = gap @ region["basis"]
+    assert xi @ region["P"] @ xi > region["level"]
+
+
+def test_no_region_is_computed_where_nothing_is_chased(monkeypatch,
+                                                       tmp_path, capsys):
+    # classify, the shell's certificate (skipped on its verified torus)
+    # and the shell reproductions compute no region and run no flow of
+    # the certificate; certify s2-height does both
+    monkeypatch.setattr(parallel, "_cpus", lambda: 1)
+    calls = []
+    region = certify.capture_region
+
+    def spy_region(*args, **kwargs):
+        calls.append("region")
+        return region(*args, **kwargs)
+
+    class Spy(Flow):
+        def integrate(self, *args, **kwargs):
+            calls.append("flow")
+            return super().integrate(*args, **kwargs)
+
+    monkeypatch.setattr(certify, "capture_region", spy_region)
+    monkeypatch.setattr(certify, "Flow", Spy)
+    base = resources.files("charfol") / "scenes"
+    argvs = [["classify", f.name.removesuffix(".scene")]
+             for f in sorted(base.iterdir(), key=lambda f: f.name)
+             if f.name.endswith(".scene")]
+    argvs += [["certify", "mori-sigma0-n2"], ["mori", "reproduce"],
+              ["mori", "reproduce", "--n", "3"]]
+    for argv in argvs:
+        main([*argv, "--json", str(tmp_path / "r.json")])
+    capsys.readouterr()
+    assert len(argvs) == 8 and calls == []
+    assert main(["certify", "s2-height", "--json",
+                 str(tmp_path / "r.json")]) == 0
+    capsys.readouterr()
+    assert calls.count("region") == 2 and "flow" in calls
 
 
 def test_recurrent_sampled_trajectory_fails(monkeypatch):

@@ -381,7 +381,7 @@ def _report_commands() -> list:
 _EXIT = {"certify graph-model": 1,
          "certify graph-model --tolerance-profile fast": 1,
          "certify mori-sigma0-n2": 1,
-         "classify mori-column": 2, "mori perturb --delta 0.005": 1}
+         "classify mori-column": 2}
 _NO_KERNEL = {"classify mori-column", "convexify collar-profile"}
 _LIBM = {"foliation mori-sigma0-n2 --grid 6", "certify mori-column"}
 

@@ -527,6 +527,9 @@ def test_column_shooting_reuses_variational_trials(monkeypatch):
 
     monkeypatch.setattr(Flow, "integrate_variational", count_variational)
     monkeypatch.setattr(Flow, "integrate", count_plain)
+    # the capture region's calibration runs are plain flows after the
+    # shots; this test counts the shots alone
+    monkeypatch.setattr(certify, "capture_region", lambda *args: None)
     orbit = mori._column_orbit(field, info["H"], math.pi, spec,
                                policy.DEFAULT)
     assert orbit.sign > 0
@@ -634,13 +637,11 @@ def test_column_orbits_across_delta(delta):
 
 @pytest.mark.parametrize("delta", [
     pytest.param(0.005, marks=pytest.mark.xfail(strict=True, reason=(
-        "8 of 10 seeds read 'recurrent' (4 of 10 in `mori perturb` at "
-        "seed 0): the chase budget is too short for the weak "
-        "contraction there"))),
-    pytest.param(0.01, marks=pytest.mark.xfail(strict=True, reason=(
         "1 of 10 seeds reads 'recurrent' (none in `mori perturb` at "
-        "seed 0), as at 0.005 but rarer"))),
-    0.02, 0.05, 0.08, 0.1])
+        "seed 0): its backward chase spends the budget leaving the "
+        "psi = 0 orbit and ends 1.6 from the psi = pi loop, outside "
+        "its capture region"))),
+    0.01, 0.02, 0.05, 0.08, 0.1])
 def test_column_certificate_across_delta(delta):
     cert = column_at(delta)["certificate"]
     assert cert.verdict == "pass", cert.reasons
@@ -693,10 +694,11 @@ def test_column_certificate_passes(perturb):
 
 def test_a_lost_column_orbit_leaves_a_degenerate_column(monkeypatch):
     # the orbit at psi = pi is not found: the column is degenerate, the
-    # persistence block reports the collapse, and the certificate runs on
-    # the one orbit that was found. The verdict is not pinned: it reads
-    # "fail" on a seed that tends to the lost orbit and reads "recurrent"
+    # persistence block reports the collapse, and on an incomplete census
+    # nothing is chased. Chased, a seed that tends to the lost orbit read
+    # "recurrent" and failed the certificate on a false witness
     monkeypatch.setattr(parallel, "_cpus", lambda: 1)
+    monkeypatch.setattr(certify, "_seed_chases", None)
     column_orbit = mori._column_orbit
 
     def lose(field, H, psi0, spec, tols):
@@ -711,7 +713,12 @@ def test_a_lost_column_orbit_leaves_a_degenerate_column(monkeypatch):
     pers = rep["persistence"]
     assert pers["holds"] is False and pers["margin"] == 0.0
     assert math.isnan(pers["max_shift"])
-    assert len(rep["certificate"].elements) == 1
+    cert = rep["certificate"]
+    assert [id(e) for e in cert.elements] == [id(o) for o in rep["orbits"]]
+    assert cert.verdict == "inconclusive"
+    assert cert.reasons == ["shooting lost the closed orbit at psi = pi"]
+    assert cert.seeds_used == 0 and cert.limit_check == 0.0
+    assert cert.recurrence == [] and cert.connection_violations == []
 
 
 def test_column_tiny_delta_collapses():

@@ -185,6 +185,43 @@ def test_the_column_uses_what_its_child_sent(monkeypatch):
         True, False] * 5
 
 
+def _spy_on_the_fallback(monkeypatch) -> list:
+    """The items `pmap` computes again in the parent, as they come."""
+    again, fallback = [], parallel._again
+
+    def spy(fn, x):
+        again.append(x)
+        return fallback(fn, x)
+
+    monkeypatch.setattr(parallel, "_again", spy)
+    return again
+
+
+def test_a_share_that_does_not_pickle_is_computed_again(monkeypatch):
+    _workers(monkeypatch, 2)
+    again = _spy_on_the_fallback(monkeypatch)
+    out = parallel.pmap(lambda x: (x, lambda: x), range(4))
+    _no_children_left()
+    assert [x for x, f in out] == [0, 1, 2, 3]
+    assert again == [1, 3]
+
+
+def test_the_certificate_shares_come_back_from_the_child(monkeypatch,
+                                                         tmp_path, capsys):
+    # a share that does not pickle is computed twice, the second time
+    # in the parent: the column's shots with their capture regions and
+    # the chases of both certificates must come back from the child
+    _workers(monkeypatch, 2)
+    again = _spy_on_the_fallback(monkeypatch)
+    scene, surface, info = mori.column_scene(mori.PerturbationSpec())
+    col = mori.column_certificate(FoliationField(scene, surface), info)
+    assert col["certificate"].verdict == "pass"
+    assert all(o.region["level"] > 0.0 for o in col["orbits"])
+    assert _run(["certify", "s2-height"], tmp_path, capsys)[0] == 0
+    _no_children_left()
+    assert again == []
+
+
 def test_a_chase_that_raises_in_a_child_only_changes_nothing(
         monkeypatch, tmp_path, capsys):
     argv = ["certify", "s2-height"]
