@@ -89,13 +89,13 @@ def capture_region(field, el, tols: policy.Tolerances = policy.DEFAULT):
 
     A zero's basis picks its tangent coordinates, and AᵀP + PA = -I for
     its linearization A; an orbit's is its section, and dPᵀP dP - P = -I
-    for its return map dP. The level is the first rung of the ladder a
-    sample confirms, 0.0 for none. A zero's sample, projected, must stay
-    in the domain with V' < 0; reach is its farthest point. An orbit's
-    is the 4 points of {V = level} on the ± extreme eigenvectors of P,
-    projected, which must return to the section (`_next_crossing`, at
-    `policy.coarse(tols)`) with V at most (1 + max |μ|²) / 2 times the
-    level; reach is the outer radius."""
+    for its return map dP, inverted where it expands. The level is the
+    first rung of the ladder a sample confirms, 0.0 for none. A zero's
+    sample, projected, must stay in the domain with V' < 0; reach is its
+    farthest point. An orbit's is the 4 points of {V = level} on the ±
+    extreme eigenvectors of P, projected, which must return to the
+    section (`_next_crossing`, at `policy.coarse(tols)`) with V at most
+    (1 + max |μ|²) / 2 times the level; reach is the outer radius."""
     chart, p, dim = field.scene.chart, el.point, field.scene.chart.dim - 1
     # forward where the stable set is all of the surface, backward where
     # the unstable one is; both hold the dim - len(spectrum) own directions
@@ -124,7 +124,7 @@ def capture_region(field, el, tols: policy.Tolerances = policy.DEFAULT):
             return None
     else:
         basis, dP = el.section, el.return_map
-        if el.shot_sense != sense:
+        if np.max(np.abs(np.linalg.eigvals(dP))) > 1.0:
             dP = np.linalg.inv(dP)
         P = _lyapunov(dP, True)
         rho = 0.5 * (1.0 + float(np.max(np.abs(np.linalg.eigvals(dP)))) ** 2)
@@ -186,7 +186,7 @@ def _section_event(chart, point, normal) -> EventSpec:
             g = g + n * (jets.sin(w * u) / w if w else u)
         return g
 
-    return EventSpec(fn=fn, direction=1)
+    return EventSpec(fn=fn)
 
 
 def _next_crossing(flow, x, period: float, event, clear: float = 0.0):
@@ -257,12 +257,14 @@ def _angular_recurrence(field, q, sense, tols):
     Detection keys on a smooth periodic function of one coordinate, so
     a two-unit integration step cannot jump over a return the way a
     thin-tube crossing test would. Charts without angular coordinates
-    return None (nothing to count against).
+    return None (nothing to count against). The tube scales with q's
+    non-angular coordinates alone, not with the turns of an angle.
     """
     chart = field.scene.chart
     q = np.asarray(q, dtype=float)
     X = field.vector(q)
-    scale = max(1.0, float(np.max(np.abs(q))))
+    scale = max([1.0, *(abs(float(q[i])) for i, name in enumerate(chart.names)
+                        if name not in chart.angular)])
     best, rate = None, 0.0
     for name in chart.angular:
         i = chart.index(name)

@@ -124,11 +124,11 @@ def _step(n: int, sense: int):
 @dataclass
 class EventSpec:
     """Scalar crossing detector g(y) = 0 along a trajectory; the first
-    crossing in the given direction ends the integration. fn runs on any
-    ring (use the ring functions of `jets`): jets give its slope."""
+    upward crossing (g from below 0 to at least 0) ends the integration,
+    so a downward one is the upward crossing of -g. fn runs on any ring
+    (use the ring functions of `jets`): jets give its slope."""
 
     fn: Callable
-    direction: int              # +1 upward crossings, -1 downward
 
 
 def wrap_diff(chart, a, b) -> np.ndarray:
@@ -211,7 +211,7 @@ def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
         tnew = t + h
         if event is not None:
             g1 = event.fn(np.array(znew))
-            if (g0 < 0.0 <= g1) if event.direction > 0 else (g0 > 0.0 >= g1):
+            if g0 < 0.0 <= g1:
                 t_ev, z_ev = _locate_event(
                     lambda tau: step(kernels, fn, z, f, tau, atol, rtol),
                     h, g0, g1, event, post, sense)
@@ -334,8 +334,8 @@ class Element:
     dimension of the stable set, an orbit's own direction included.
     Only a zero has a divergence; only an orbit has a period, the
     conformal factor C of its return map, the residuals of
-    `classify_orbit`, its section S and return map dP = SᵀMS shot in
-    `shot_sense`, and a loop, points along it sampled by the caller.
+    `classify_orbit`, its section S and return map dP = SᵀMS, in the
+    sense it was shot in, and a loop, points along it sampled by the caller.
     region is a `certify.capture_region`; every field pickles."""
 
     kind: str
@@ -352,7 +352,6 @@ class Element:
     div_residual: float | None = None       # divergence integral vs log det dP
     section: np.ndarray | None = None
     return_map: np.ndarray | None = None
-    shot_sense: int | None = None
     loop: np.ndarray | None = None
     region: dict | None = None
 
@@ -581,4 +580,4 @@ def classify_orbit(field: FoliationField, orbit: RefinedOrbit) -> Element:
                    hyperbolic=bool(np.all(np.abs(moduli - 1.0) > band)),
                    period=orbit.period, C=C, det_residual=det_res,
                    pairing_residual=pair_res, div_residual=div_res,
-                   section=S, return_map=dP, shot_sense=orbit.sense)
+                   section=S, return_map=dP)

@@ -505,9 +505,8 @@ def verify_orbit_closure(scene: MoriScene, orbits,
         flow = Flow(field, tols, sense=sense)
         p = np.asarray(o.point, dtype=float)
         T = o.period
-        omega = float(field.vector(p)[1] / p[0])
-        direction = 1 if sense * omega > 0.0 else -1
-        ev = EventSpec(fn=lambda y: y[1], direction=direction)
+        up = 1 if sense * float(field.vector(p)[1] / p[0]) > 0.0 else -1
+        ev = EventSpec(fn=lambda y: up * y[1])
         res = flow.integrate(p, 1.4 * T, event=ev)
         if res.status != "event":
             raise ConstructiveFailure("orbit loop produced no section return")

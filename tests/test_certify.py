@@ -11,10 +11,10 @@ import pytest
 
 from charfol import certify, mori, parallel, policy, report
 from charfol.certify import (ConvexityProfile, MorseSmaleCertificate,
-                             _capture_sets, _loop_distance, build_profile,
-                             capture_region, check_morse_smale,
-                             standard_gamma, verification_grid,
-                             verify_convex_form)
+                             _capture_sets, _chase, _loop_distance,
+                             build_profile, capture_region,
+                             check_morse_smale, standard_gamma,
+                             verification_grid, verify_convex_form)
 from charfol.cli import main
 from charfol.contact import ContactScene, FoliationField, Hypersurface
 from charfol.dynamics import Element, Flow, classify_zero, find_zeros
@@ -257,6 +257,42 @@ def test_a_sinks_region_excludes_the_saddle_beside_it():
     assert xi @ region["P"] @ xi > region["level"]
 
 
+@pytest.mark.parametrize("kind", ["orbit", "zero"])
+def test_the_ladder_halves_past_rungs_that_leave_the_domain(
+        monkeypatch, column_orbits, kind):
+    # the first rungs, raised far past 0.8, take the sample out of the
+    # domain (a zero's shells; an orbit's points, or their returns): the
+    # level halves to a confirmed power-of-two fraction of the first
+    # rung, measured 1/8 at outer radius 40 for the column's psi = 0
+    # orbit and 1/256 at 8 for the sink, whose domain is |x|, |y| < 2.
+    # The ladder's mechanics only: that radius-14 orbit region wraps psi
+    # and holds points of the other orbit's loop (min V/level 0.049 over
+    # the psi = pi loop), which is why the start stays at 0.8
+    if kind == "orbit":
+        fld, orbits = column_orbits
+        el, radius, fraction = orbits[0], 40.0, 1 / 8
+    else:
+        fld, zeros = sink_saddle_setup()
+        el = max(zeros, key=lambda z: z.stable_dim)
+        radius, fraction = 8.0, 1 / 256
+    monkeypatch.setattr(certify, "LADDER_RADIUS", radius)
+    region = capture_region(fld, el)
+    first = radius ** 2 * np.linalg.eigvalsh(region["P"])[0]
+    assert region["level"] == first * fraction
+    assert region["radii"][0] == pytest.approx(radius * fraction ** 0.5)
+    assert 0.0 < region["reach"] <= region["radii"][0] * (1.0 + 1e-12)
+    # with one rung nothing is confirmed, and the region captures no chase
+    monkeypatch.setattr(certify, "LADDER_RUNGS", 1)
+    region = capture_region(fld, el)
+    assert region["level"] == region["reach"] == 0.0
+    monkeypatch.setattr(policy, "FLOW_BUDGET", 60.0)
+    fw, bw = _capture_sets(fld, [el], [region], region["sense"])
+    assert ([cap.element for cap in fw], bw) == ([el], [])
+    captor, _, note = _chase(fld, el.point, fw, region["sense"],
+                             policy.coarse(policy.DEFAULT))
+    assert captor is None and note is None
+
+
 def test_no_region_is_computed_where_nothing_is_chased(monkeypatch,
                                                        tmp_path, capsys):
     # classify, the shell's certificate (skipped on its verified torus)
@@ -293,14 +329,18 @@ def test_no_region_is_computed_where_nothing_is_chased(monkeypatch,
     assert calls.count("region") == 2 and "flow" in calls
 
 
-def test_recurrent_sampled_trajectory_fails(monkeypatch):
+def flat_torus():
     # alpha = dz + x dy on R x T^2: on the torus x = 1 every leaf is a
     # closed loop of period 2 pi, with no element to be captured by
     ch = Chart(["x", "y", "z"], angular=("y", "z"))
     x_, _, _ = ch.vars()
     scene = ContactScene(KForm(ch, 1, {(1,): x_, (2,): ch.constant(1.0)}),
                          name="torus")
-    fld = FoliationField(scene, Hypersurface(x_ - 1.0))
+    return FoliationField(scene, Hypersurface(x_ - 1.0))
+
+
+def test_recurrent_sampled_trajectory_fails(monkeypatch):
+    fld = flat_torus()
     monkeypatch.setattr(policy, "FLOW_BUDGET", 100.0)
     cert = check_morse_smale(fld, [[1.0, 0.3, 0.5]])
     assert cert.verdict == "fail"
@@ -309,6 +349,45 @@ def test_recurrent_sampled_trajectory_fails(monkeypatch):
     for rec in cert.recurrence:
         assert rec["returns"] == 50
         assert abs(rec["mean_return_time"] - 2.0 * math.pi) < 1e-9
+
+
+@pytest.mark.parametrize("case", ["torus", "column"])
+def test_unwound_angles_leave_the_certificate_as_it_is(monkeypatch, case):
+    # moving every seed's angular coordinates by k whole periods keeps
+    # the verdict, the number of recurrence records and each record's
+    # returns. The tube was scaled by the unwound angles too: on the
+    # column at delta = 0.005 a chase that had carried s to -1,767 got
+    # a tube of 17.7 instead of 0.01 and a false witness of 50 returns
+    monkeypatch.setattr(parallel, "_cpus", lambda: 1)
+    if case == "torus":
+        fld, elements, tols = flat_torus(), [], policy.DEFAULT
+        seeds = [np.array([1.0, 0.3, 0.5])]
+        monkeypatch.setattr(policy, "FLOW_BUDGET", 100.0)
+        want = check_morse_smale(fld, seeds, elements, tols)
+    else:
+        # the column certificate's own seeds and orbits
+        spec = mori.PerturbationSpec(delta=0.005)
+        scene, surface, info = mori.column_scene(spec)
+        fld, calls = FoliationField(scene, surface), []
+        check = certify.check_morse_smale
+        monkeypatch.setattr(certify, "check_morse_smale", lambda *a, **k: (
+            calls.append((a, k)) or check(*a, **k)))
+        want = mori.column_certificate(fld, info)["certificate"]
+        (_, seeds, elements), kwargs = calls[0]
+        tols = kwargs["tols"]
+    ch = fld.scene.chart
+    turn = np.array([ch.periods.get(name, 0.0) for name in ch.names])
+    for k in (-3, 1, 100):
+        cert = check_morse_smale(fld, [q + k * turn for q in seeds],
+                                 elements, tols)
+        assert cert.verdict == want.verdict
+        assert [r["returns"] for r in cert.recurrence] == [
+            r["returns"] for r in want.recurrence]
+    if case == "torus":
+        assert want.verdict == "fail" and len(want.recurrence) == 2
+    else:
+        assert want.verdict == "inconclusive" and not want.recurrence
+        assert want.limit_check == 0.9
 
 
 def test_loop_distance_matches_segment_formula():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charfol import cli, dynamics, jets, kernel, policy
+from charfol.certify import capture_region
 from charfol.contact import ContactScene, FoliationField, Hypersurface
 from charfol.dynamics import (_A, _E, EventSpec, Flow, RefinedOrbit,
                               _integrate_core, _locate_event, _step,
@@ -52,7 +53,7 @@ def test_flow_matches_linear_solution():
 def test_event_location_is_precise():
     fld = linear_setup()
     flow = Flow(fld)
-    ev = EventSpec(fn=lambda y: y[0] - 2.0, direction=+1)
+    ev = EventSpec(fn=lambda y: y[0] - 2.0)
     res = flow.integrate([0.5, 0.1, 0.0], 5.0, event=ev)
     assert res.status == "event"
     t_true = 0.5 * math.log(4.0)
@@ -66,7 +67,7 @@ def test_event_slope_comes_from_jets():
     # the bisection of the step's interpolant, about 3e-10 off in time.
     fld = linear_setup()
     w = math.pi / 4
-    ev = EventSpec(fn=lambda y: jets.sin(w * (y[0] - 2.0)), direction=+1)
+    ev = EventSpec(fn=lambda y: jets.sin(w * (y[0] - 2.0)))
     res = Flow(fld, policy.STRICT).integrate([0.5, 0.1, 0.0], 5.0, event=ev)
     assert res.status == "event"
     assert abs(res.t - 0.5 * math.log(4.0)) < 1e-11
@@ -93,7 +94,7 @@ def test_event_is_located_on_the_accepted_step(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_integrate_core", spy)
     monkeypatch.setattr(dynamics, "_locate_event", locate)
-    ev = EventSpec(fn=lambda y: y[1] - 0.5, direction=+1)
+    ev = EventSpec(fn=lambda y: y[1] - 0.5)
     res = dynamics._integrate_core(([rhs], None), [1.0, 0.0], 6.0,
                                    policy.DEFAULT, event=ev)
     assert res.status == "event"
@@ -233,6 +234,25 @@ def test_orbit_is_classified_in_the_sense_it_was_shot():
     assert info.C == pytest.approx(fwd.C, rel=1e-6)
     assert np.sort(np.abs(info.spectrum)) == pytest.approx(
         np.sort(np.abs(fwd.spectrum)), rel=1e-6)
+
+
+def test_an_orbit_shot_either_way_gets_one_region():
+    # the positive psi = pi circle attracts in reversed time. Shot
+    # forward, where it expands, its return map has every multiplier
+    # outside the unit circle, and its capture region inverts it
+    fld, delta = graph_setup(delta=0.3)
+    guess = 2 * math.pi * (1 + delta ** 2)
+    seed = [-0.05, 0.3, math.pi - 0.2]
+    fwd, back = (classify_orbit(fld, find_orbit(fld, seed, guess, sense=s))
+                 for s in (1, -1))
+    assert np.all(np.abs(np.linalg.eigvals(fwd.return_map)) > 1.0)
+    assert np.all(np.abs(np.linalg.eigvals(back.return_map)) < 1.0)
+    a, b = capture_region(fld, fwd), capture_region(fld, back)
+    assert a["sense"] == b["sense"] == -1
+    assert list(a["radii"]) == pytest.approx([0.8]) == list(b["radii"])
+    # measured 0.6551028127850894 and 0.6551028128345955
+    assert a["level"] == pytest.approx(b["level"], rel=1e-9)
+    assert a["P"] == pytest.approx(b["P"], rel=1e-9)
 
 
 def test_stalled_zero_seed_gives_up_early():
@@ -655,11 +675,10 @@ def test_reversed_flow_is_the_forward_flow_of_the_negated_field():
     assert res.t == want.t and len(res.path) == len(want.path) > 5
     assert all(t == u and y.tobytes() == w.tobytes()
                for (t, y), (u, w) in zip(res.path, want.path))
-    # a level of s between two accepted states
+    # a level of s between two accepted states, crossed upward
     (_, a), (_, b) = res.path[3], res.path[4]
-    mid = 0.5 * (a[1] + b[1])
-    ev = EventSpec(fn=lambda y: y[1] - mid,
-                   direction=1 if b[1] > a[1] else -1)
+    mid, up = 0.5 * (a[1] + b[1]), 1 if b[1] > a[1] else -1
+    ev = EventSpec(fn=lambda y: up * (y[1] - mid))
     res = back.integrate(p, 2.0, event=ev)
     want = forward(fld.vector_rhs, p, surf.project_floats, event=ev)
     assert res.status == want.status == "event"

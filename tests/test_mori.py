@@ -637,10 +637,10 @@ def test_column_orbits_across_delta(delta):
 
 @pytest.mark.parametrize("delta", [
     pytest.param(0.005, marks=pytest.mark.xfail(strict=True, reason=(
-        "1 of 10 seeds reads 'recurrent' (none in `mori perturb` at "
-        "seed 0): its backward chase spends the budget leaving the "
-        "psi = 0 orbit and ends 1.6 from the psi = pi loop, outside "
-        "its capture region"))),
+        "inconclusive: 1 of 10 seeds is not captured (all are in `mori "
+        "perturb` at seed 0); its backward chase spends the budget "
+        "leaving the psi = 0 orbit and ends 1.6 from the psi = pi loop, "
+        "outside its capture region"))),
     0.01, 0.02, 0.05, 0.08, 0.1])
 def test_column_certificate_across_delta(delta):
     cert = column_at(delta)["certificate"]
