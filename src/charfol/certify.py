@@ -27,7 +27,7 @@ import numpy as np
 
 from . import jets, parallel, policy
 from .contact import ContactScene
-from .dynamics import EventSpec, Flow, linearize_zero, wrap_diff
+from .dynamics import Flow, linearize_zero, wrap_diff
 from .errors import (ConstructiveFailure, EscapeError, IntegrationError,
                      ProjectionError)
 from .exterior import Chart, KForm, ScalarField, _fn, _rebase
@@ -81,7 +81,8 @@ def _lyapunov(A, discrete: bool) -> np.ndarray:
     return 0.5 * (P + P.T)
 
 
-def capture_region(field, el, tols: policy.Tolerances = policy.DEFAULT):
+def capture_region(field, el, tols: policy.Tolerances = policy.DEFAULT,
+                   others=()):
     """{V < level} for a hyperbolic element, in the sense it attracts in:
     V(x) = ξᵀPξ, ξ = basisᵀ(x - point) wrapped, as a dict of plain arrays
     and numbers (sense, basis, P, level, radii largest first, reach,
@@ -95,7 +96,10 @@ def capture_region(field, el, tols: policy.Tolerances = policy.DEFAULT):
     farthest point. An orbit's is the 4 points of {V = level} on the ±
     extreme eigenvectors of P, projected, which must return to the
     section (`_next_crossing`, at `policy.coarse(tols)`) with V at most
-    (1 + max |μ|²) / 2 times the level; reach is the outer radius."""
+    (1 + max |μ|²) / 2 times the level; reach is the outer radius. No
+    point of others, the rest of the census (a zero, or each sample of
+    an orbit's loop), may have V < level within reach: V reads only a
+    zero's tangent coordinates, so a sphere's other pole has V = 0."""
     chart, p, dim = field.scene.chart, el.point, field.scene.chart.dim - 1
     # forward where the stable set is all of the surface, backward where
     # the unstable one is; both hold the dim - len(spectrum) own directions
@@ -149,10 +153,15 @@ def capture_region(field, el, tols: policy.Tolerances = policy.DEFAULT):
                 return math.sqrt(level / lam[0])
             return None
 
+    pts = np.array([q for o in others for q in (
+        [o.point] if o.loop is None else o.loop)]).reshape(-1, len(p))
+    xi = wrap_diff(chart, pts, p) @ basis
+    vs = np.einsum("ij,jk,ik->i", xi, P, xi)
+    near = _loop_distance(chart, [p] if el.loop is None else el.loop)
     level = LADDER_RADIUS ** 2 * float(np.linalg.eigvalsh(P)[0])
     for _ in range(LADDER_RUNGS):
         far = reach(level)
-        if far is not None:
+        if far is not None and all(near(x) >= far for x in pts[vs < level]):
             break
         level *= 0.5
     else:
@@ -172,7 +181,7 @@ def _quadratic(chart, point, basis, P):
     return V
 
 
-def _section_event(chart, point, normal) -> EventSpec:
+def _section_event(chart, point, normal):
     """Event: a crossing along `normal` of the hyperplane through point
     normal to it, an angular offset u of period L read as L sin(2πu/L)/2π."""
     terms = [(i, n, p, 2.0 * math.pi / chart.periods.get(name, math.inf))
@@ -186,7 +195,7 @@ def _section_event(chart, point, normal) -> EventSpec:
             g = g + n * (jets.sin(w * u) / w if w else u)
         return g
 
-    return EventSpec(fn=fn)
+    return fn
 
 
 def _next_crossing(flow, x, period: float, event, clear: float = 0.0):
@@ -376,11 +385,11 @@ def check_morse_smale(field, seeds, elements=(),
     with at least a description (for instance
     `mori.torus_recurrence(scene, probe)`); once every element is
     hyperbolic each is recorded, and disqualifies. Past both, each
-    element gets its `capture_region` (its own `region` if set), in
-    `regions`. A chase is captured where V < level in a region of its
-    sense: a zero's at a leg end, an orbit's at the next crossing of its
-    section, once a leg ends within the outer radius of its loop. A
-    separatrix of a negative zero may enter no positive element's region.
+    element gets its `capture_region`, in `regions`, in element order.
+    A chase is captured where V < level in a region of its sense: a
+    zero's at a leg end, an orbit's at the next crossing of its section,
+    once a leg ends within the outer radius of its loop. A separatrix
+    of a negative zero may enter no positive element's region.
     The verdict is fail on any concrete witness against the structure,
     pass when every element is hyperbolic, no recurrence is supplied,
     no launched connection lands wrong, and every seed is captured both
@@ -388,12 +397,12 @@ def check_morse_smale(field, seeds, elements=(),
     seed recorded. No seeds is inconclusive. tols is the profile; every
     flow runs at `policy.coarse(tols)`.
 
-    The seeds are chased side by side on one worker per CPU
-    (`parallel.pmap`, one `_seed_chases` call per seed), and what each
-    seed found is merged in seed order, so the certificate has the
-    same bytes whatever the worker count. A recurrent sampled
-    trajectory is recorded per seed and direction, and its reason is
-    stated once.
+    The orbits' regions and the seeds' chases run side by side on one
+    worker per CPU (`parallel.pmap`; a zero's region, one sample, runs
+    here), and what each seed found is merged in seed order, so the
+    certificate has the same bytes whatever the worker count. A
+    recurrent sampled trajectory is recorded per seed and direction,
+    and its reason is stated once.
     """
     seeds = [np.asarray(q, dtype=float) for q in seeds]
     profile, tols = tols, policy.coarse(tols)
@@ -418,8 +427,13 @@ def check_morse_smale(field, seeds, elements=(),
     if reasons:
         return skipped("a verified recurrence was supplied")
 
-    regions = [el.region if el.region is not None
-               else capture_region(field, el, profile) for el in elements]
+    def region(el):
+        return capture_region(field, el, profile,
+                              [o for o in elements if o is not el])
+
+    done = parallel.pmap(region, [o for o in elements if o.kind == "orbit"])
+    regions = [done.pop(0) if el.kind == "orbit" else region(el)
+               for el in elements]
     fw, bw = _capture_sets(field, elements, regions, sense)
 
     # signs are read in the effective time direction. Only zeros are

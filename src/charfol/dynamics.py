@@ -121,16 +121,6 @@ def _step(n: int, sense: int):
     return ns["step"]
 
 
-@dataclass
-class EventSpec:
-    """Scalar crossing detector g(y) = 0 along a trajectory; the first
-    upward crossing (g from below 0 to at least 0) ends the integration,
-    so a downward one is the upward crossing of -g. fn runs on any ring
-    (use the ring functions of `jets`): jets give its slope."""
-
-    fn: Callable
-
-
 def wrap_diff(chart, a, b) -> np.ndarray:
     """a - b, angular entries (last axis) wrapped to (-period/2, period/2]."""
     out = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
@@ -147,7 +137,7 @@ def sign_of(x: float, neutral: float = 0.0) -> int:
 
 
 def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
-                    event: EventSpec | None = None, domain_ok=None,
+                    event: Callable | None = None, domain_ok=None,
                     record=False, sense: int = 1):
     """Shared adaptive loop, backward in time for sense -1. post()
     cleans an accepted state (projection); domain_ok() raising or
@@ -163,10 +153,10 @@ def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
     first step size comes from in-order sums over the state's floats
     and its slope. States are lists: post returns a list, its argument
     itself where it leaves the state as it is, and then the last stage's
-    slope is the next step's first (first same as last). Event
-    functions get ndarrays here; the returned state, the recorded path
-    and the states in errors are ndarrays. A crossing of the event
-    stops the run with status "event".
+    slope is the next step's first (first same as last). The returned
+    state, the recorded path and the states in errors are ndarrays. The
+    first upward crossing of the event g (from < 0 to >= 0) stops the
+    run with status "event"; g runs on any ring, and jets give its slope.
     """
     kernels, fn = rhs
 
@@ -191,7 +181,7 @@ def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
     d0, d1 = math.sqrt(d0 / len(z)), math.sqrt(d1 / len(z))
     h = min(tols.ode_max_step, 0.01 * d0 / d1 if d1 > 1e-12 else tols.ode_max_step)
     h = max(h, 1e-10)
-    g0 = None if event is None else event.fn(np.array(z))
+    g0 = None if event is None else event(np.array(z))
     path = [(0.0, np.array(z))] if record else None
     steps = 0
     while t < tmax * (1.0 - 1e-15) :
@@ -210,7 +200,7 @@ def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
         znew = post(z5) if post is not None else z5
         tnew = t + h
         if event is not None:
-            g1 = event.fn(np.array(znew))
+            g1 = event(np.array(znew))
             if g0 < 0.0 <= g1:
                 t_ev, z_ev = _locate_event(
                     lambda tau: step(kernels, fn, z, f, tau, atol, rtol),
@@ -230,7 +220,7 @@ def _integrate_core(rhs, z0, tmax, tols: policy.Tolerances, post=None,
                            path=path)
 
 
-def _locate_event(step_to, h, g0, g1, ev: EventSpec, post, sense):
+def _locate_event(step_to, h, g0, g1, event, post, sense):
     """(tau, state) of the crossing inside an accepted step of size h,
     whose event values are g0 and g1: safeguarded Newton on
     tau -> g(post(z5)), with (z5, k6, _) = step_to(tau) the step's own
@@ -242,7 +232,7 @@ def _locate_event(step_to, h, g0, g1, ev: EventSpec, post, sense):
     for _ in range(60):
         z5, k6, _ = step_to(tau)
         y = post(z5) if post is not None else z5
-        g = ev.fn(jets.seed(y))
+        g = event(jets.seed(y))
         gd = sense * float(np.dot(g.g, k6)) if isinstance(g, jets.Jet) else 0.0
         g = jets.fval(g)
         if abs(g) < 1e-13 * (1.0 + abs(gd)):
@@ -268,7 +258,7 @@ class Flow:
         self.tols = tols
         self.sense = sense
 
-    def integrate(self, y0, tmax, event: EventSpec | None = None,
+    def integrate(self, y0, tmax, event: Callable | None = None,
                   record: bool = False):
         return _integrate_core(self.field.vector_rhs, y0, tmax, self.tols,
                                post=self.field.surface.project_floats,
@@ -336,7 +326,7 @@ class Element:
     conformal factor C of its return map, the residuals of
     `classify_orbit`, its section S and return map dP = SᵀMS, in the
     sense it was shot in, and a loop, points along it sampled by the caller.
-    region is a `certify.capture_region`; every field pickles."""
+    Every field pickles; capture regions are `check_morse_smale`'s."""
 
     kind: str
     point: np.ndarray
@@ -353,7 +343,6 @@ class Element:
     section: np.ndarray | None = None
     return_map: np.ndarray | None = None
     loop: np.ndarray | None = None
-    region: dict | None = None
 
 
 def refine_zero(field: FoliationField, seed,

@@ -34,9 +34,9 @@ from . import certify, jets, kernel, parallel, policy
 from .contact import (ContactScene, FoliationField, Hypersurface,
                       _hamiltonian_solve, alpha_data_at, direction_fit,
                       graph_foliation_check, hamiltonian_residuals)
-from .dynamics import (Element, EventSpec, Flow, RefinedOrbit,
-                       _integrate_core, classify_orbit, classify_zero,
-                       find_orbit, find_zeros, flow_split_basis)
+from .dynamics import (Element, Flow, RefinedOrbit, _integrate_core,
+                       classify_orbit, classify_zero, find_orbit, find_zeros,
+                       flow_split_basis)
 from .errors import ConstructiveFailure, NoOrbitError, PolarDomainError
 from .exterior import Chart, KForm, ScalarField, _fn
 from .jets import Jet, seed
@@ -506,8 +506,7 @@ def verify_orbit_closure(scene: MoriScene, orbits,
         p = np.asarray(o.point, dtype=float)
         T = o.period
         up = 1 if sense * float(field.vector(p)[1] / p[0]) > 0.0 else -1
-        ev = EventSpec(fn=lambda y: up * y[1])
-        res = flow.integrate(p, 1.4 * T, event=ev)
+        res = flow.integrate(p, 1.4 * T, event=lambda y: up * y[1])
         if res.status != "event":
             raise ConstructiveFailure("orbit loop produced no section return")
         gap = float(np.max(np.abs(res.y - p)))
@@ -740,8 +739,7 @@ def _column_orbit(field: FoliationField, H: ScalarField, psi0: float,
                   tols: policy.Tolerances) -> Element:
     """The orbit Element near psi0 on the column, with a loop of 128
     points, shot in the time direction where it contracts: reversed
-    where the divergence at the seed is positive, and its capture region
-    (`certify.capture_region`), calibrated in the shot's worker."""
+    where the divergence at the seed is positive."""
     ch = field.scene.chart
     seed = _graph_point(ch, H, 5.0, 0.02, -0.01, psi0 + 0.1)
     X, _, div = field.flow_data(seed)
@@ -750,8 +748,7 @@ def _column_orbit(field: FoliationField, H: ScalarField, psi0: float,
     loop = np.tile(orb.point, (128, 1))
     loop[:, ch.index("s")] = np.linspace(0.0, spec.circumference, 129)[:-1]
     loop[:, ch.index("t")] = [float(H(list(q))) for q in loop]
-    orbit = replace(classify_orbit(field, orb), loop=loop)
-    return replace(orbit, region=certify.capture_region(field, orbit, tols))
+    return replace(classify_orbit(field, orb), loop=loop)
 
 
 def column_certificate(field: FoliationField, info: dict,

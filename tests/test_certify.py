@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import re
 from dataclasses import replace
 from importlib import resources
@@ -17,7 +18,8 @@ from charfol.certify import (ConvexityProfile, MorseSmaleCertificate,
                              verification_grid, verify_convex_form)
 from charfol.cli import main
 from charfol.contact import ContactScene, FoliationField, Hypersurface
-from charfol.dynamics import Element, Flow, classify_zero, find_zeros
+from charfol.dynamics import (Element, Flow, classify_zero, find_zeros,
+                              wrap_diff)
 from charfol.errors import ConstructiveFailure
 from charfol.exterior import Chart, KForm
 from charfol.jets import fval
@@ -213,12 +215,13 @@ def test_capture_sets_from_one_element_list(s2, column_orbits, census,
         fld, elements = s2
         names = {id(z): "north" if z.point[2] > 0 else "south"
                  for z in elements}
-        regions = [capture_region(fld, z) for z in elements]
     else:
         fld, elements = column_orbits
         names = dict(zip(map(id, elements), ["psi = 0", "psi = pi"]))
         assert [o.stable_dim for o in elements] == [4, 1]
-        regions = [o.region for o in elements]
+    regions = [capture_region(fld, el, policy.DEFAULT,
+                              [o for o in elements if o is not el])
+               for el in elements]
     fw, bw = _capture_sets(fld, elements, regions, sense)
     assert [names[id(cap.element)] for cap in fw] == forward
     assert [names[id(cap.element)] for cap in bw] == backward
@@ -226,6 +229,73 @@ def test_capture_sets_from_one_element_list(s2, column_orbits, census,
         # each region is tested near its element, which it holds
         assert cap.near(cap.element.point) < 1e-12 < cap.reach
         assert cap.V(cap.element.point) == 0.0 < cap.level
+
+
+def test_regions_stay_with_their_elements_given_orbits_first(
+        monkeypatch, s2, column_orbits):
+    # regions[i] is computed for elements[i] from the rest of the census,
+    # whatever the order: zeros in the calling process, orbits side by
+    # side. Only the bookkeeping is checked, so the spies stand in for
+    # the regions and the capture sets (the census mixes two fields)
+    monkeypatch.setattr(parallel, "_cpus", lambda: 2)
+    fld, orbits = column_orbits
+    elements = [*orbits, *s2[1]]
+    parent, sets = os.getpid(), []
+
+    def index(el):
+        return [e is el for e in elements].index(True)
+
+    def spy_region(field, el, tols, others):
+        return index(el), os.getpid() == parent, sorted(map(index, others))
+
+    def spy_sets(field, els, regions, sense):
+        sets.append((list(map(index, els)), regions))
+        return [], []
+
+    monkeypatch.setattr(certify, "capture_region", spy_region)
+    monkeypatch.setattr(certify, "_capture_sets", spy_sets)
+    cert = check_morse_smale(fld, [], elements)
+    assert [el.kind for el in elements] == ["orbit"] * 2 + ["zero"] * 2
+    assert sets == [([0, 1, 2, 3], cert.regions)]
+    assert cert.regions == [(0, True, [1, 2, 3]), (1, False, [0, 2, 3]),
+                            (2, True, [0, 1, 3]), (3, True, [0, 1, 2])]
+
+
+def _min_ratio(fld, region, el, points):
+    """min V/level of an element's region over points."""
+    xi = wrap_diff(fld.scene.chart, points, el.point) @ region["basis"]
+    v = np.einsum("ij,jk,ik->i", xi, region["P"], xi)
+    return float(np.min(v)) / region["level"]
+
+
+def test_a_region_holds_no_other_element_of_the_census(monkeypatch):
+    # with the ladder started at outer radius 3.2, each of the column's
+    # orbits at delta = 0.1 confirms the first rung on its own, a region
+    # that holds points of the other orbit's loop (min V/level 0.955).
+    # Given the census, the level halves. At 0.8 the minimum is 15.3 and
+    # no region moves
+    spec = mori.PerturbationSpec(delta=0.1)
+    scene, surface, info = mori.column_scene(spec)
+    fld = FoliationField(scene, surface)
+    orbits = [mori._column_orbit(fld, info["H"], psi0, spec, policy.DEFAULT)
+              for psi0 in (0.0, math.pi)]
+    for el, other in (orbits, orbits[::-1]):
+        alone, census = (capture_region(fld, el, policy.DEFAULT, others)
+                         for others in ((), [other]))
+        assert census["level"] == alone["level"]
+        assert _min_ratio(fld, census, el, other.loop) == pytest.approx(
+            15.27, abs=0.01)
+    monkeypatch.setattr(certify, "LADDER_RADIUS", 3.2)
+    for el, other in (orbits, orbits[::-1]):
+        alone, census = (capture_region(fld, el, policy.DEFAULT, others)
+                         for others in ((), [other]))
+        assert alone["radii"][0] == pytest.approx(3.2)
+        assert _min_ratio(fld, alone, el, other.loop) == pytest.approx(
+            0.955, abs=1e-3)
+        assert census["level"] == 0.5 * alone["level"]
+        assert census["radii"][0] == pytest.approx(3.2 / math.sqrt(2.0))
+        assert _min_ratio(fld, census, el, other.loop) == pytest.approx(
+            1.909, abs=1e-3)
 
 
 def sink_saddle_setup():

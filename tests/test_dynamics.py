@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from charfol import cli, dynamics, jets, kernel, policy
 from charfol.certify import capture_region
 from charfol.contact import ContactScene, FoliationField, Hypersurface
-from charfol.dynamics import (_A, _E, EventSpec, Flow, RefinedOrbit,
-                              _integrate_core, _locate_event, _step,
-                              classify_orbit, classify_zero, find_orbit,
-                              find_zeros, flow_split_basis, linearize_zero,
-                              refine_zero, wrap_diff)
+from charfol.dynamics import (_A, _E, Flow, RefinedOrbit, _integrate_core,
+                              _locate_event, _step, classify_orbit,
+                              classify_zero, find_orbit, find_zeros,
+                              flow_split_basis, linearize_zero, refine_zero,
+                              wrap_diff)
 from charfol.errors import (ConstructiveFailure, EscapeError, NoOrbitError,
                             ProjectionError)
 from charfol.exterior import Chart, KForm
@@ -53,8 +53,7 @@ def test_flow_matches_linear_solution():
 def test_event_location_is_precise():
     fld = linear_setup()
     flow = Flow(fld)
-    ev = EventSpec(fn=lambda y: y[0] - 2.0)
-    res = flow.integrate([0.5, 0.1, 0.0], 5.0, event=ev)
+    res = flow.integrate([0.5, 0.1, 0.0], 5.0, event=lambda y: y[0] - 2.0)
     assert res.status == "event"
     t_true = 0.5 * math.log(4.0)
     assert abs(res.t - t_true) < 1e-9
@@ -67,8 +66,8 @@ def test_event_slope_comes_from_jets():
     # the bisection of the step's interpolant, about 3e-10 off in time.
     fld = linear_setup()
     w = math.pi / 4
-    ev = EventSpec(fn=lambda y: jets.sin(w * (y[0] - 2.0)))
-    res = Flow(fld, policy.STRICT).integrate([0.5, 0.1, 0.0], 5.0, event=ev)
+    res = Flow(fld, policy.STRICT).integrate(
+        [0.5, 0.1, 0.0], 5.0, event=lambda y: jets.sin(w * (y[0] - 2.0)))
     assert res.status == "event"
     assert abs(res.t - 0.5 * math.log(4.0)) < 1e-11
     assert abs(res.y[0] - 2.0) < 1e-11
@@ -94,9 +93,8 @@ def test_event_is_located_on_the_accepted_step(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_integrate_core", spy)
     monkeypatch.setattr(dynamics, "_locate_event", locate)
-    ev = EventSpec(fn=lambda y: y[1] - 0.5)
     res = dynamics._integrate_core(([rhs], None), [1.0, 0.0], 6.0,
-                                   policy.DEFAULT, event=ev)
+                                   policy.DEFAULT, event=lambda y: y[1] - 0.5)
     assert res.status == "event"
     assert abs(res.t - math.pi / 6) < 1e-9
     assert abs(res.y[1] - 0.5) < 1e-13
@@ -239,7 +237,9 @@ def test_orbit_is_classified_in_the_sense_it_was_shot():
 def test_an_orbit_shot_either_way_gets_one_region():
     # the positive psi = pi circle attracts in reversed time. Shot
     # forward, where it expands, its return map has every multiplier
-    # outside the unit circle, and its capture region inverts it
+    # outside the unit circle, and its capture region inverts it. Each
+    # orbit is taken alone, without a loop: with no other element of a
+    # census there is no point to exclude, and no loop is needed
     fld, delta = graph_setup(delta=0.3)
     guess = 2 * math.pi * (1 + delta ** 2)
     seed = [-0.05, 0.3, math.pi - 0.2]
@@ -678,7 +678,9 @@ def test_reversed_flow_is_the_forward_flow_of_the_negated_field():
     # a level of s between two accepted states, crossed upward
     (_, a), (_, b) = res.path[3], res.path[4]
     mid, up = 0.5 * (a[1] + b[1]), 1 if b[1] > a[1] else -1
-    ev = EventSpec(fn=lambda y: up * (y[1] - mid))
+    def ev(y):
+        return up * (y[1] - mid)
+
     res = back.integrate(p, 2.0, event=ev)
     want = forward(fld.vector_rhs, p, surf.project_floats, event=ev)
     assert res.status == want.status == "event"

@@ -527,9 +527,6 @@ def test_column_shooting_reuses_variational_trials(monkeypatch):
 
     monkeypatch.setattr(Flow, "integrate_variational", count_variational)
     monkeypatch.setattr(Flow, "integrate", count_plain)
-    # the capture region's calibration runs are plain flows after the
-    # shots; this test counts the shots alone
-    monkeypatch.setattr(certify, "capture_region", lambda *args: None)
     orbit = mori._column_orbit(field, info["H"], math.pi, spec,
                                policy.DEFAULT)
     assert orbit.sign > 0
@@ -695,11 +692,20 @@ def test_column_certificate_passes(perturb):
 def test_a_lost_column_orbit_leaves_a_degenerate_column(monkeypatch):
     # the orbit at psi = pi is not found: the column is degenerate, the
     # persistence block reports the collapse, and on an incomplete census
-    # nothing is chased. Chased, a seed that tends to the lost orbit read
+    # nothing is chased and no region is calibrated: the certificate runs
+    # no flow. Chased, a seed that tends to the lost orbit read
     # "recurrent" and failed the certificate on a false witness
     monkeypatch.setattr(parallel, "_cpus", lambda: 1)
     monkeypatch.setattr(certify, "_seed_chases", None)
-    column_orbit = mori._column_orbit
+    column_orbit, flows = mori._column_orbit, []
+
+    class Spy(Flow):
+        def integrate(self, *args, **kwargs):
+            res = super().integrate(*args, **kwargs)
+            flows.append(res.t)
+            return res
+
+    monkeypatch.setattr(certify, "Flow", Spy)
 
     def lose(field, H, psi0, spec, tols):
         if psi0 == math.pi:
@@ -719,6 +725,7 @@ def test_a_lost_column_orbit_leaves_a_degenerate_column(monkeypatch):
     assert cert.reasons == ["shooting lost the closed orbit at psi = pi"]
     assert cert.seeds_used == 0 and cert.limit_check == 0.0
     assert cert.recurrence == [] and cert.connection_violations == []
+    assert flows == []
 
 
 def test_column_tiny_delta_collapses():

@@ -209,17 +209,33 @@ def test_a_share_that_does_not_pickle_is_computed_again(monkeypatch):
 def test_the_certificate_shares_come_back_from_the_child(monkeypatch,
                                                          tmp_path, capsys):
     # a share that does not pickle is computed twice, the second time
-    # in the parent: the column's shots with their capture regions and
+    # in the parent: the column's shots, its orbits' capture regions and
     # the chases of both certificates must come back from the child
     _workers(monkeypatch, 2)
     again = _spy_on_the_fallback(monkeypatch)
     scene, surface, info = mori.column_scene(mori.PerturbationSpec())
     col = mori.column_certificate(FoliationField(scene, surface), info)
     assert col["certificate"].verdict == "pass"
-    assert all(o.region["level"] > 0.0 for o in col["orbits"])
+    assert [r["level"] > 0.0 for r in col["certificate"].regions] == [
+        True, True]
     assert _run(["certify", "s2-height"], tmp_path, capsys)[0] == 0
     _no_children_left()
     assert again == []
+
+
+def test_the_column_regions_do_not_depend_on_the_worker_count(monkeypatch):
+    # every region of the column at delta = 0.05, P and basis included,
+    # has the same bytes computed side by side and one after the other
+    scene, surface, info = mori.column_scene(mori.PerturbationSpec())
+    regions = []
+    for n in (1, 2):
+        _workers(monkeypatch, n)
+        col = mori.column_certificate(FoliationField(scene, surface), info)
+        regions.append([{k: (np.shape(v), np.asarray(v).tobytes())
+                         for k, v in r.items()}
+                        for r in col["certificate"].regions])
+    _no_children_left()
+    assert len(regions[0]) == 2 and regions[0] == regions[1]
 
 
 def test_a_chase_that_raises_in_a_child_only_changes_nothing(
