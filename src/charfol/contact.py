@@ -241,25 +241,27 @@ class Hypersurface:
         out the points where it fails with a CharfolError; any other
         error propagates. All points take the Newton steps of
         `project_floats` together, on F and grad F from the array twins
-        of F's kernels, so each row has `project`'s bits."""
+        of F's kernels, so each row has `project`'s bits. The points
+        still moving are an array of their own, and a point that
+        converges is written back once."""
         x = np.array(points, dtype=float).reshape(len(points), self.chart.dim)
         done = np.zeros(len(x), dtype=bool)
-        rows = np.arange(len(x))        # the points still moving
+        # the points still moving, and their rows in x
+        xm, rows = x, np.arange(len(x))
         # numpy's float steps overflow to inf silently, as Python's do
         with np.errstate(all="ignore"):
             for _ in range(policy.PROJECT_MAX_ITER):
                 if not len(rows):
                     break
-                xa = x[rows]
-                vg = self.F.value_and_grad_rows(xa)
+                vg = self.F.value_and_grad_rows(xm)
                 v, g = vg[:, 0], vg[:, 1:]
                 hit = np.abs(v) < policy.PROJECT_TOL
+                x[rows[hit]] = xm[hit]
                 done[rows[hit]] = True
                 gg = sum(gi * gi for gi in g.T)
                 move = ~hit & (gg != 0.0)
                 step = v[move] / gg[move]
-                x[rows[move]] = xa[move] - step[:, None] * g[move]
-                rows = rows[move]
+                xm, rows = xm[move] - step[:, None] * g[move], rows[move]
         return x[done]
 
 

@@ -21,6 +21,9 @@ a failing guard marks its rows instead of returning. numpy rounds + -
 so a twin calls math functions and `math.pow` element by element
 (`_each`): a row it serves gets the kernel's bits. `run` takes the rows
 no twin serves, and those of a block where a twin raises a math error.
+A kernel that rows make compiles to kernel and twin from its one
+trace; only a kernel that a scalar call made is traced again, at its
+trace point, for its twin. No kernel keeps its tape.
 
 Operations with a Python number are folded away when they are exact
 identities or structural zeros, as the table `_FOLDS` lists them. The
@@ -387,7 +390,7 @@ def _trace(fn, args):
     return tape, list(outputs)
 
 
-def run(kernels: list, fn, args):
+def run(kernels: list, fn, args, twin: bool = False):
     """fn(args) for a list of floats, through the first of `kernels`
     whose guards hold at args.
 
@@ -397,7 +400,8 @@ def run(kernels: list, fn, args):
     up with one kernel per outcome of fn's comparisons (for `char_data`,
     one per pivot). Its owner keeps it, and nothing in it refers back to
     the owner, so the kernels go when the owner does. Each kernel keeps
-    its trace point, where `run_rows` traces it again for its twin.
+    its trace point but not its tape. With `twin`, as `run_rows` asks,
+    the same tape also compiles to the kernel's array twin.
     """
     for i, k in enumerate(kernels):
         out = k(*args)
@@ -408,18 +412,23 @@ def run(kernels: list, fn, args):
     tape, outputs = _trace(fn, args)
     k = tape.compile(len(args), outputs)
     k.at = tuple(args)
+    if twin:
+        k.twin = tape.compile(len(args), outputs, rows=True)
     kernels.insert(0, k)
     return k(*args)
 
 
 # Rows go through the array twins this many at a time, which bounds the
-# memory that the twins' intermediate columns take.
-BLOCK = 1024
+# memory that the twins' intermediate columns take: 128 KiB a column, so
+# about 4 MiB for the 32 stored columns of the largest grid twin (the
+# n = 2 shell's value kernel). A 24^3 grid projects in one block a step.
+BLOCK = 16384
 
 
 def _twin(k, fn):
-    """The array twin of kernel k, compiled once from a new trace at k's
-    trace point, which repeats k's tape."""
+    """The array twin of kernel k. A kernel that `run` made without its
+    twin (a scalar call made it) gets one compiled from a new trace at
+    its trace point, which repeats its tape."""
     if not hasattr(k, "twin"):
         tape, outputs = _trace(fn, k.at)
         k.twin = tape.compile(len(k.at), outputs, rows=True)
@@ -436,8 +445,8 @@ def run_rows(kernels: list, fn, x, width: int) -> np.ndarray:
     keep different ones), unless it raises a math error in the block;
     the guards of at most one kernel hold at a point. A row that no twin
     serves goes through `run` on its own, which traces the kernel it
-    lacks or raises what the generic code raises there; the twin of a
-    kernel traced so then serves the rows still waiting.
+    lacks, with its twin from the same tape, or raises what the generic
+    code raises there; that twin then serves the rows still waiting.
     """
     out = np.empty((len(x), width))
     for start in range(0, len(x), BLOCK):
@@ -448,7 +457,7 @@ def run_rows(kernels: list, fn, x, width: int) -> np.ndarray:
 
 def _run_block(kernels, fn, x, out) -> None:
     if not kernels:
-        run(kernels, fn, x[0].tolist())     # a kernel for the first twin
+        run(kernels, fn, x[0].tolist(), twin=True)  # the first twin's kernel
     cols = np.ascontiguousarray(x.T)
     wait = slice(None)      # the rows not yet served; at first all, unindexed
     fresh = list(kernels)               # the kernels whose twins have not run
@@ -459,7 +468,7 @@ def _run_block(kernels, fn, x, out) -> None:
                 return
         count = len(kernels)
         i, wait = wait[0], wait[1:]
-        out[i] = run(kernels, fn, x[i].tolist())
+        out[i] = run(kernels, fn, x[i].tolist(), twin=True)
         if not len(wait):
             return
         fresh = kernels[:len(kernels) - count]      # what that run traced

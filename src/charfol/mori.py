@@ -739,10 +739,16 @@ def _column_orbit(field: FoliationField, H: ScalarField, psi0: float,
                   tols: policy.Tolerances) -> Element:
     """The orbit Element near psi0 on the column, with a loop of 128
     points, shot in the time direction where it contracts: reversed
-    where the divergence at the seed is positive."""
+    where the divergence at the seed is positive. X and the divergence
+    at the seed come from the section-width variational kernel that the
+    shots run (on V = 0), with the first-order kernel's bits, so the
+    shot compiles no first-order kernel of its own."""
     ch = field.scene.chart
     seed = _graph_point(ch, H, 5.0, 0.02, -0.01, psi0 + 0.1)
-    X, _, div = field.flow_data(seed)
+    d, k = ch.dim, 2 * field.scene.n - 1
+    out = kernel.run(*field.variational_rhs(k),
+                     [*map(float, seed), *[0.0] * (d * k), 0.0])
+    X, div = out[:d], out[-1]
     guess = spec.circumference / abs(float(X[ch.index("s")]))
     orb = find_orbit(field, seed, guess, tols, sense=-1 if div > 0.0 else +1)
     loop = np.tile(orb.point, (128, 1))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from charfol import cli, mori
+from charfol import cli, kernel, mori
 from charfol.contact import (ContactScene, FoliationField, Hypersurface,
                              _hamiltonian_solve, alpha_data_at,
                              graph_foliation_check, hamiltonian_residuals)
@@ -151,6 +151,31 @@ def test_project_samples_drops_what_project_rejects():
         got = _batched(surf, pts)
         assert len(got) == len(want)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_project_samples_in_small_blocks(block, monkeypatch):
+    # the moving rows of each step span many blocks, and rows converge,
+    # stall and run out of steps in blocks of their own: a row whose
+    # gradient vanishes and a row that exhausts PROJECT_MAX_ITER are
+    # dropped as `project` rejects them, and every other row has
+    # `project`'s bits
+    ch = Chart(["x", "y", "z"])
+    text = "(x^2 + y^2 + z^2 - 1)^2"
+    pts = np.vstack([np.random.default_rng(19).uniform(-1.5, 1.5, (40, 3)),
+                     np.zeros((1, 3))])
+    monkeypatch.setattr(kernel, "BLOCK", block)
+    got = _batched(Hypersurface(ch.parse(text)), pts)
+    surf = Hypersurface(ch.parse(text))
+    want, dropped = _project_each(surf, pts)
+    why = set()
+    for i in dropped:
+        with pytest.raises(ProjectionError) as e:
+            surf.project(pts[i])
+        why.add(str(e.value).split()[0])
+    assert why == {"gradient", "projection"} and len(want) > 1
+    assert len(got) == len(want)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 def test_project_samples_raises_where_project_raises():

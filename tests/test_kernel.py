@@ -16,10 +16,12 @@ the same error. No command runs the generic functions on plain floats.
 `vector`'s bits at every point and raise what `vector` raises.
 """
 
+import gc
 import importlib.util
 import math
 import operator
 import struct
+import weakref
 from collections import Counter
 from importlib import resources
 from pathlib import Path
@@ -242,6 +244,90 @@ def test_vectors_mix_pivots_in_every_block():
                for i in range(0, len(pts), 64))
     want = np.array([field.vector(p) for p in pts])
     assert got.tobytes() == want.tobytes()
+
+
+def _spy_traces(monkeypatch) -> list:
+    """(traced function, weak reference to its tape) for every trace of
+    `kernel` from now on."""
+    trace, seen = kernel._trace, []
+
+    def spy(fn, args):
+        tape, outputs = trace(fn, args)
+        seen.append((fn, weakref.ref(tape)))
+        return tape, outputs
+
+    monkeypatch.setattr(kernel, "_trace", spy)
+    return seen
+
+
+def test_rows_trace_each_kernel_once(monkeypatch):
+    # a kernel that rows make compiles its twin from its own trace: the
+    # three pivot kernels of the grid above take three traces, where a
+    # second trace per twin made six
+    field = _bundled("s2-height")
+    axis = np.linspace(-1.0, 1.0, 8)
+    grid = np.stack(np.meshgrid(axis, axis, axis), -1).reshape(-1, 3)
+    pts = field.surface.project_samples(grid)
+    traced = _spy_traces(monkeypatch)
+    monkeypatch.setattr(kernel, "BLOCK", 64)
+    field.vectors(pts)
+    assert len(field._kernels[0]) == 3
+    assert [fn for fn, _ in traced] == [field._value_outputs] * 3
+
+
+def test_no_kernel_keeps_its_tape(monkeypatch):
+    # the kernels of `run` and `run_rows`, and the twin of a kernel that
+    # a scalar call made (from a second trace), let their tapes go: a
+    # kept tape holds its lines and recording scalars as long as the
+    # field lives
+    field = _bundled("s2-height")
+    traced = _spy_traces(monkeypatch)
+    axis = np.linspace(-1.0, 1.0, 8)
+    grid = np.stack(np.meshgrid(axis, axis, axis), -1).reshape(-1, 3)
+    pts = field.surface.project_samples(grid)       # run_rows on F
+    field.vector(pts[0])                            # run
+    field.flow_data(pts[0])
+    field.vectors(pts)              # a re-trace for the first kernel's twin
+    gc.collect()
+    fns = [fn for fn, _ in traced]
+    assert fns.count(field._value_outputs) == len(field._kernels[0]) + 1
+    assert field._kernels[1] and field.surface.F._kernels
+    assert all(tape() is None for _, tape in traced)
+
+
+def _spy_compiles(monkeypatch) -> list:
+    """The source of every kernel and twin that `kernel` compiles from
+    now on."""
+    seen = []
+
+    def spy(src, *args):
+        seen.append(src)
+        return compile(src, *args)
+
+    monkeypatch.setattr(kernel, "compile", spy, raising=False)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_twins_from_the_first_trace_equal_retraced_twins(name, monkeypatch):
+    # F's kernels and the value kernels that rows make compile their
+    # twins from the trace that made them; a second trace at the kernel's
+    # trace point, as a kernel of a scalar call gets, gives each the same
+    # source
+    field = FIELDS[name]()
+    sources = _spy_compiles(monkeypatch)
+    pts = field.surface_samples(np.random.default_rng(5), 200)
+    field.vectors(pts)
+    twins = [s for s in sources if "_miss" in s]
+    sources.clear()
+    pairs = [(field.surface.F._kernels, field.surface.F._value_and_grad),
+             (field._kernels[0], field._value_outputs)]
+    for kernels, fn in pairs:
+        for k in kernels:
+            tape, outputs = _trace(fn, k.at)
+            tape.compile(len(k.at), outputs, rows=True)
+    assert len(twins) == sum(len(ks) for ks, _ in pairs) > 1
+    assert Counter(twins) == Counter(sources)
 
 
 @pytest.mark.parametrize("name", ["s2-height", "graph-model"])

@@ -609,6 +609,48 @@ def test_column_shot_calls_run_only_where_the_front_kernel_misses(
     assert len(surface.F._kernels) == len(field.variational_rhs(3)[0]) == 1
 
 
+def test_column_shots_compile_no_first_order_kernel(monkeypatch):
+    # a shot reads X and div at its seed from the section-width
+    # variational kernel that its runs use, with the first-order
+    # kernel's bits; on one worker a spy sees every trace
+    monkeypatch.setattr(parallel, "_cpus", lambda: 1)
+    traced, trace = [], kernel._trace
+
+    def spy(fn, args):
+        traced.append(fn.__name__)
+        return trace(fn, args)
+
+    monkeypatch.setattr(kernel, "_trace", spy)
+    scene, surface, info = mori.column_scene(mori.PerturbationSpec())
+    field = FoliationField(scene, surface)
+    col = mori.column_certificate(field, info)
+    assert col["certificate"].verdict == "pass"
+    assert "_variational_outputs" in traced and "_jet_outputs" not in traced
+    assert not field._kernels[1]
+    d = scene.chart.dim
+    for psi in (0.1, math.pi + 0.1):
+        seed = mori._graph_point(scene.chart, info["H"], 5.0, 0.02, -0.01,
+                                 psi)
+        out = kernel.run(*field.variational_rhs(3),
+                         [*map(float, seed), *[0.0] * (3 * d), 0.0])
+        X, _, div = field.flow_data(seed)
+        assert (np.array(out[:d]).tobytes(), out[-1]) == (X.tobytes(), div)
+
+
+def test_column_certificate_passes_on_every_stream(monkeypatch):
+    # delta = 0.01 on each of the streams default_rng(0), ..., (5): every
+    # seed is captured both ways and none is recurrent. With a capture
+    # ball of 2e-2 the streams 0 and 5 failed on one "recurrent" seed
+    monkeypatch.setattr(parallel, "_cpus", lambda: 1)
+    scene, surface, info = mori.column_scene(mori.PerturbationSpec(delta=0.01))
+    field = FoliationField(scene, surface)
+    for k in range(6):
+        cert = mori.column_certificate(
+            field, info, rng=np.random.default_rng(k))["certificate"]
+        assert cert.verdict == "pass", (k, cert.reasons)
+        assert cert.limit_check == 1.0 and not cert.recurrence, k
+
+
 @functools.cache
 def column_at(delta):
     spec = mori.PerturbationSpec(delta=delta)
