@@ -35,13 +35,14 @@ from .exterior import Chart, KForm, ScalarField, _fn, _rebase
 
 @dataclass
 class MorseSmaleCertificate:
+    """Its defaults describe a certificate that sampled nothing."""
     verdict: str                      # "pass" | "fail" | "inconclusive"
     reasons: list
     elements: list                    # the census, zeros first
-    limit_check: float                # fraction of seeds captured both ways
-    connection_violations: list
-    recurrence: list
-    seeds_used: int
+    limit_check: float = 0.0          # fraction of seeds captured both ways
+    connection_violations: list = dc_field(default_factory=list)
+    recurrence: list = dc_field(default_factory=list)
+    seeds_used: int = 0
     transversality: str = "not verified"
     notes: list = dc_field(default_factory=list)
     regions: list = dc_field(default_factory=list)  # per element, or None
@@ -413,8 +414,7 @@ def check_morse_smale(field, seeds, elements=(),
     def skipped(note):
         return MorseSmaleCertificate(
             verdict="fail", reasons=reasons, elements=elements,
-            limit_check=0.0, connection_violations=[], recurrence=recurrence,
-            seeds_used=0, notes=[f"{note}; sampling skipped"])
+            recurrence=recurrence, notes=[f"{note}; sampling skipped"])
 
     for el in elements:
         reasons += _gate_reasons(el)
@@ -667,7 +667,7 @@ def verify_convex_form(profile: ConvexityProfile, gamma_scene: ContactScene,
     alpha_1 ^ (d alpha_1)^n evaluated by the exterior machinery; wedge
     expansion collapses that coefficient to
     n h1^(n-1) (u h1' - u' h1) dt ds lambda (d lambda)^(n-1), which is
-    evaluated independently from the profile functions. The report
+    evaluated independently from `profile_arrays` and d lambda. The report
     carries the worst relative deviation between the two paths (matched
     below policy.CONVEX_FORM_MATCH), the positivity verdict, and for
     every non-positive sample the graded surrogate
@@ -704,17 +704,16 @@ def verify_convex_form(profile: ConvexityProfile, gamma_scene: ContactScene,
     # one call per quantity on coordinate arrays; a tree that does not
     # read the sampled coordinates comes back as a scalar and is broadcast
     cols = list(pts.T)
-    uv, ug = u_b.value_and_grad(cols)
-    hv, hg = h_b.value_and_grad(cols)
-    direct, vol, uv, up, hv, hp = (np.broadcast_to(x, (len(pts),)) for x in (
-        band.contact_volume_at(cols), W.at(cols).get(top),
-        uv, ug[1], hv, hg[1]))
+    direct, vol, uv, up, hv, hp, res = (
+        np.broadcast_to(x, (len(pts),)) for x in (
+            band.contact_volume_at(cols), W.at(cols).get(top),
+            *profile_arrays(profile.u, profile.h1, n, cols[1])))
     closed = n * hv ** (n - 1) * (uv * hp - up * hv) * vol
     dev = np.abs(direct - closed) / np.maximum(
         np.maximum(np.abs(direct), np.abs(closed)), 1e-30)
     worst = float(dev.max())
     bad = ~(direct > 0.0)
-    surrogate = n * (uv ** n * hp - up * hv ** n) * vol
+    surrogate = n * res * vol
     flagged = [{"point": p.copy(), "volume": float(v), "surrogate": float(w)}
                for p, v, w in zip(pts[bad], direct[bad], surrogate[bad])]
     return {"samples": int(len(pts)), "positive": not flagged,

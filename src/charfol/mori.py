@@ -800,9 +800,7 @@ def column_certificate(field: FoliationField, info: dict,
     if lost:
         cert = certify.MorseSmaleCertificate(
             verdict="inconclusive", reasons=lost, elements=orbits,
-            limit_check=0.0, connection_violations=[], recurrence=[],
-            seeds_used=0, notes=["the census is incomplete; sampling "
-                                 "skipped"])
+            notes=["the census is incomplete; sampling skipped"])
     else:
         cert = certify.check_morse_smale(field, seeds, orbits, tols=tols)
 

@@ -1,15 +1,12 @@
 """`tools/bench_pairs.py` on canned benchmark output; no benchmark runs."""
 
-import importlib.util
 import json
 import shutil
 from pathlib import Path
 
+import bench_pairs as tool
+
 ROOT = Path(__file__).resolve().parents[1]
-spec = importlib.util.spec_from_file_location(
-    "bench_pairs", ROOT / "tools" / "bench_pairs.py")
-tool = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(tool)
 
 
 def canned(wall: float, raw: float, correct=True, failed=0) -> str:

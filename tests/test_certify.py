@@ -95,6 +95,20 @@ def test_time_reversal_passes_with_same_census(s2, sphere_seeds):
     assert cert.limit_check == 1.0
 
 
+def test_a_chase_that_gives_up_is_inconclusive(s2, sphere_seeds,
+                                               monkeypatch):
+    # a chase whose integrator gives up captures nothing and proves
+    # nothing either: a note per chase, and no reason to fail
+    fld, zeros = s2
+    monkeypatch.setattr(policy, "ODE_MAX_STEPS", 5)
+    cert = check_morse_smale(fld, sphere_seeds[:2], zeros)
+    assert cert.verdict == "inconclusive"
+    assert cert.reasons == [] and cert.limit_check == 0.0
+    assert len(cert.notes) == 4
+    assert all(note.endswith(": integration gave up: step budget exhausted")
+               for note in cert.notes)
+
+
 def test_no_seeds_is_inconclusive(s2):
     fld, zeros = s2
     cert = check_morse_smale(fld, [], zeros)

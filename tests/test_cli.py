@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import charfol
-from charfol import cli, report
+from charfol import cli, policy, report
 from charfol.cli import main
 from charfol.errors import SceneParseError
 from charfol.scenefile import load_scene, parse_scene
@@ -463,6 +463,17 @@ def test_crash_exits_4_with_its_traceback(monkeypatch, capsys):
     assert main(["classify", "s2-height"]) == 4
     err = capsys.readouterr().err
     assert "Traceback" in err and "RuntimeError: something broke" in err
+
+
+def test_integration_failure_exits_3_with_its_last_good_state(
+        monkeypatch, capsys):
+    # a numeric failure is exit 3, neither a verdict (1) nor a crash (4)
+    monkeypatch.setattr(policy, "ODE_MAX_STEPS", 50)
+    assert main(["classify", "mori-sigma0-n2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: step budget exhausted (last good "
+                          "state at t = ")
+    assert "array([" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("value", ["0", "-2", "1.5", "x"])

@@ -1,15 +1,12 @@
 """`tools/column_counts.py` on this tree against itself, at one delta."""
 
-import importlib.util
 from pathlib import Path
 
 import pytest
 
+import column_counts as tool
+
 ROOT = Path(__file__).resolve().parents[1]
-spec = importlib.util.spec_from_file_location(
-    "column_counts", ROOT / "tools" / "column_counts.py")
-tool = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(tool)
 
 
 def test_multiplier_errors_match_nearest_first():
@@ -28,7 +25,7 @@ def test_regions_cell():
 
 @pytest.fixture(scope="module")
 def recs():
-    return tool.probe(ROOT, ["default", "strict"], [0.05])
+    return tool.sweep(ROOT, ["default", "strict"], [0.05])
 
 
 def test_shot_table_of_one_delta(recs):
@@ -67,12 +64,3 @@ def test_chase_table_of_one_delta(recs):
     assert 0.0 < float(flow) <= 1144.0 and int(steps) > 0
     assert len(regions.split("; ")) == 2
 
-
-def test_a_parent_without_the_package_is_refused(tmp_path):
-    with pytest.raises(SystemExit):
-        tool.main([str(tmp_path), str(ROOT)])
-
-
-def test_a_change_without_the_package_is_refused(tmp_path):
-    with pytest.raises(SystemExit):
-        tool.main([str(ROOT), str(tmp_path)])

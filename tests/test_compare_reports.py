@@ -5,12 +5,11 @@ path, which differ between the trees and between runs, and writes a
 JSON report and a CSV file, whose bytes the test chooses.
 """
 
-import importlib.util
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_reports.py"
+import compare_reports
 
 STUB = '''\
 import os
@@ -27,13 +26,11 @@ Path("csv", "grid.csv").write_text({csv!r})
 
 @pytest.fixture
 def tool(monkeypatch):
-    spec = importlib.util.spec_from_file_location("compare_reports", TOOL)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
     # two command lines at one seed: 2 runs per tree
-    monkeypatch.setattr(mod, "COMMANDS", mod.COMMANDS[:2])
-    monkeypatch.setattr(mod, "SEEDS", (0,))
-    return mod
+    monkeypatch.setattr(compare_reports, "COMMANDS",
+                        compare_reports.COMMANDS[:2])
+    monkeypatch.setattr(compare_reports, "SEEDS", (0,))
+    return compare_reports
 
 
 def _stub(root: Path, csv: str) -> Path:

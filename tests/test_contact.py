@@ -239,6 +239,16 @@ def test_unit_hamiltonian_recovers_reeb():
         assert np.allclose(Y, [0.0, 0.0, 1.0], atol=1e-11)
 
 
+def test_reeb_solve_refuses_a_non_contact_form():
+    # alpha = x dy has d alpha = dx ^ dy, so i_R d alpha = 0 forces
+    # R_x = R_y = 0 and alpha(R) = 1 cannot hold
+    ch = Chart(["x", "y", "z"])
+    scene = ContactScene(KForm.one_form(
+        ch, [ch.constant(0.0), ch.var("x"), ch.constant(0.0)]))
+    with pytest.raises(ContactConditionError, match="Reeb solve residual"):
+        hamiltonian_field(scene, ch.constant(1.0), [0.5, 0.2, 0.1])
+
+
 def test_contact_condition_verification():
     scene = darboux3()
     rng = np.random.default_rng(13)

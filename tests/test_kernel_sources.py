@@ -1,36 +1,24 @@
 """`tools/kernel_sources.py` on this tree against itself, on one command."""
 
-import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
 
+import kernel_sources as tool
+import trees
+
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(
-        name, ROOT / "tools" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-_load("compare_reports")            # the command lines the tool runs
-tool = _load("kernel_sources")
 
 LINE = "foliation s2-height --grid 24"
 
 
 @pytest.fixture(scope="module")
 def sources():
-    return tool.probe(ROOT, [LINE.split()])
+    return trees.probe(ROOT, tool.PROBE, [LINE.split()])
 
 
 def test_a_tree_against_itself_has_no_differences(sources):
-    again = tool.probe(ROOT, [LINE.split()])
+    again = trees.probe(ROOT, tool.PROBE, [LINE.split()])
     assert list(sources) == list(again) == [LINE]
     made = sources[LINE]
     # F's kernels and the value kernels, each with its twin
@@ -64,12 +52,3 @@ def test_a_doctored_source_is_reported(sources):
         f"{len(made)} sources in the parent and {len(made) - 1} in the "
         "change")
 
-
-def test_a_parent_without_the_package_is_refused(tmp_path):
-    with pytest.raises(SystemExit):
-        tool.main([str(tmp_path), str(ROOT)])
-
-
-def test_a_change_without_the_package_is_refused(tmp_path):
-    with pytest.raises(SystemExit):
-        tool.main([str(ROOT), str(tmp_path)])

@@ -23,12 +23,13 @@ and 0 otherwise.
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+import trees
 
 EXTRA = ("raw_wall_s", "host_speed")
 
@@ -76,8 +77,7 @@ def _quartiles(values) -> tuple:
 def table(names: list, pairs: list) -> list:
     """The Markdown lines for the metrics `names` over `pairs`, each the
     (parent metrics, change metrics) of one pair."""
-    lines = ["| metric | parent median [quartiles] | change median | "
-             "change | change lower |", "| --- | --- | --- | --- | --- |"]
+    rows = []
     for name in names:
         a = [p[name] for p, c in pairs if name in p and name in c]
         b = [c[name] for p, c in pairs if name in p and name in c]
@@ -87,24 +87,17 @@ def table(names: list, pairs: list) -> list:
         q1, q3 = _quartiles(a)
         rel = f"{100.0 * (mb - ma) / ma:+.1f}%" if ma else "-"
         lower = sum(y < x for x, y in zip(a, b))
-        lines.append(f"| {name} | {ma:.4g} [{q1:.4g}-{q3:.4g}] | {mb:.4g} | "
-                     f"{rel} | {lower} of {len(a)} |")
-    return lines
+        rows.append((name, f"{ma:.4g} [{q1:.4g}-{q3:.4g}]", f"{mb:.4g}", rel,
+                     f"{lower} of {len(a)}"))
+    return trees.table(["metric", "parent median [quartiles]",
+                        "change median", "change", "change lower"], rows)
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent", type=Path)
-    ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args(argv)
-    trees = [args.parent.resolve(), args.change.resolve()]
-    for tree in trees:
-        if not (tree / "src" / "charfol").is_dir():
-            ap.error(f"{tree} has no src/charfol")
-    spec = json.loads((trees[0] / "BENCHMARK.json").read_text())
+    args = trees.parse(__doc__, argv, workload={"required": True},
+                       pairs={"type": int, "default": 10},
+                       seed={"type": int, "default": 0})
+    spec = json.loads((args.trees[0] / "BENCHMARK.json").read_text())
     names = [m["name"] for m in spec["end_to_end"]] + list(EXTRA)
 
     pairs, problems = [], []
@@ -113,7 +106,7 @@ def main(argv=None) -> int:
         order = (0, 1) if i % 2 == 0 else (1, 0)
         got = [None, None]
         for side in order:
-            out = run_once(trees[side], spec["command"], args.workload,
+            out = run_once(args.trees[side], spec["command"], args.workload,
                            seed, spec["run_seconds"])
             try:
                 metrics, result = parse(out)

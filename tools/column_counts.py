@@ -4,16 +4,15 @@ checkouts.
     python tools/column_counts.py PARENT CHANGE
 
 PARENT and CHANGE are source trees of charfol (each with `src/charfol`).
-Each tree runs in its own interpreter, with PYTHONPATH set to the
-tree's `src` and one worker (`parallel._cpus` pinned to 1): there
-`mori.column_certificate` certifies the perturbed column at seed 0 for
-each delta at each tolerance profile. A spy on
-`Flow.integrate_variational` notes the tolerances of each run, which a
-wrapper of `mori._column_orbit` files under the psi it shoots with the
-period and multipliers (a lost orbit with its error, raised on as
-before); a spy on `certify.Flow.integrate` sums the time and steps of
-the certificate's flows: the chases, and the calibration of the capture
-regions in a tree that has them.
+Each tree runs a probe in its own interpreter on one worker
+(`trees.probe`): there `mori.column_certificate` certifies the
+perturbed column at seed 0 for each delta at each tolerance profile. A
+spy on `Flow.integrate_variational` notes the tolerances of each run,
+which a wrapper of `mori._column_orbit` files under the psi it shoots
+with the period and multipliers (a lost orbit with its error, raised on
+as before); a spy on `certify.Flow.integrate` sums the time and steps
+of the certificate's flows: the chases, and the calibration of the
+capture regions in a tree that has them.
 
 The shooting table has a row per (profile, delta, psi) and, per tree,
 the variational runs in order (c for a run at `policy.coarse` of the
@@ -31,13 +30,11 @@ code is 0 when both trees ran, whatever the tables show.
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
-import os
-import subprocess
 import sys
 from pathlib import Path
+
+import trees
 
 PROFILES = ("default", "strict", "fast")
 DELTAS = (0.005, 0.01, 0.02, 0.05, 0.08, 0.1)
@@ -47,12 +44,11 @@ DELTAS = (0.005, 0.01, 0.02, 0.05, 0.08, 0.1)
 # the record of each shot under "shots"
 PROBE = r'''
 import json, sys
-from charfol import certify, dynamics, mori, parallel, policy
+from charfol import certify, dynamics, mori, policy
 from charfol.contact import FoliationField
 from charfol.errors import CharfolError
 
 profiles, deltas = json.loads(sys.argv[1])
-parallel._cpus = lambda: 1
 tols_of_runs, shots, flow = [], [], [0.0, 0]
 variational = dynamics.Flow.integrate_variational
 column_orbit = mori._column_orbit
@@ -119,17 +115,11 @@ print(json.dumps(out))
 '''
 
 
-def probe(tree: Path, profiles, deltas) -> tuple:
+def sweep(tree: Path, profiles, deltas) -> tuple:
     """The records of PROBE in `tree`: the shots by (profile, delta,
     psi), and the certificates by (profile, delta)."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps([list(profiles),
-                                                  list(deltas)])],
-        env=env, capture_output=True, text=True)
-    if proc.returncode:
-        raise RuntimeError(f"the probe failed in {tree}:\n{proc.stderr}")
-    certs = {(r["profile"], r["delta"]): r for r in json.loads(proc.stdout)}
+    certs = {(r["profile"], r["delta"]): r for r in
+             trees.probe(tree, PROBE, [list(profiles), list(deltas)])}
     shots = {(*key, s["psi"]): s for key, r in certs.items()
              for s in r["shots"]}
     return shots, certs
@@ -180,10 +170,6 @@ def _chase_cells(rec: dict) -> list:
             _regions(rec)]
 
 
-def _row(*cells) -> str:
-    return "| " + " | ".join(c.replace("|", "\\|") for c in cells) + " |"
-
-
 # the cells of a shot that was never made: an earlier one raised
 UNSHOT = {"runs": "", "error": "not shot"}
 SHOT_HEADS = ("runs", "period", "multiplier vs strict")
@@ -196,15 +182,13 @@ def _lines(keys: list, heads: tuple, pairs) -> list:
     and the change's cells, from (key cells, parent, change) triples."""
     heads = [*keys, *(f"{h} ({tree})" for h in heads
                       for tree in ("parent", "change"))]
-    lines = [_row(*heads), _row(*["---"] * len(heads))]
-    for key, a, b in pairs:
-        lines.append(_row(*key, *(c for pair in zip(a, b) for c in pair)))
-    return lines
+    return trees.table(heads, [(*key, *(c for pair in zip(a, b) for c in pair))
+                               for key, a, b in pairs])
 
 
 def tables(parent: tuple, change: tuple, profiles, deltas) -> tuple:
     """The lines of the shooting and the chase tables of two trees'
-    records, each the (shots, certificates) of `probe`."""
+    records, each the (shots, certificates) of `sweep`."""
     shots, chases, both = [], [], (parent, change)
     for name in profiles:
         for delta in deltas:
@@ -220,15 +204,8 @@ def tables(parent: tuple, change: tuple, profiles, deltas) -> tuple:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent", type=Path)
-    ap.add_argument("change", type=Path)
-    args = ap.parse_args(argv)
-    trees = [args.parent.resolve(), args.change.resolve()]
-    for tree in trees:
-        if not (tree / "src" / "charfol").is_dir():
-            ap.error(f"{tree} has no src/charfol")
-    parent, change = (probe(tree, PROFILES, DELTAS) for tree in trees)
+    args = trees.parse(__doc__, argv)
+    parent, change = (sweep(tree, PROFILES, DELTAS) for tree in args.trees)
     shots, chases = tables(parent, change, PROFILES, DELTAS)
     print("\n".join([*shots, "", *chases]))
     return 0

@@ -3,8 +3,8 @@
     python tools/compare_reports.py PARENT CHANGE
 
 PARENT and CHANGE are source trees of charfol (each with `src/charfol`).
-Every command line of `COMMANDS` runs at each of `SEEDS` in both trees,
-one run at a time, each in a new working directory with
+Every command line of `trees.COMMANDS` runs at each of `SEEDS` in both
+trees, one run at a time, each in a new working directory with
 `--json r.json --csv-dir csv` and PYTHONPATH set to the tree's `src`.
 The JSON report, every CSV file, stdout, stderr and the exit code are
 then compared byte for byte. In stdout and stderr the tree's path and
@@ -25,49 +25,27 @@ infinity against another value one of infinite size.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
 import math
 import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-SEEDS = (0, 7)
+import trees
+from trees import COMMANDS
 
-COMMANDS = [
-    ["foliation", "s2-height", "--grid", "24"],
-    ["foliation", "graph-model", "--grid", "24"],
-    ["foliation", "mori-sigma0-n2", "--grid", "40"],
-    *([verb, scene] for scene in ("s2-height", "graph-model",
-                                  "mori-sigma0-n2", "mori-column")
-      for verb in ("classify", "certify")),
-    ["certify", "s2-height", "--tolerance-profile", "strict"],
-    ["certify", "s2-height", "--tolerance-profile", "fast"],
-    ["certify", "graph-model", "--tolerance-profile", "fast"],
-    ["certify", "mori-column", "--tolerance-profile", "strict"],
-    ["certify", "mori-column", "--tolerance-profile", "fast"],
-    ["convexify", "collar-profile"],
-    ["mori", "reproduce", "--n", "2"],
-    ["mori", "reproduce", "--n", "3"],
-    ["mori", "reproduce", "--n", "4"],
-    ["mori", "perturb"],
-    ["mori", "perturb", "--delta", "0.1"],
-    ["mori", "perturb", "--delta", "0.005"],
-]
+SEEDS = (0, 7)
 
 
 def run(tree: Path, argv: list, seed: int) -> dict:
     """The outputs of one command line in `tree`, by name, as bytes."""
     with tempfile.TemporaryDirectory(prefix="charfol-compare-") as work:
-        env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-m", "charfol.cli", *argv, "--seed", str(seed),
-             "--json", "r.json", "--csv-dir", "csv"],
-            cwd=work, env=env, capture_output=True)
+        proc = trees.python(tree, ["-m", "charfol.cli", *argv, "--seed",
+                                   str(seed), "--json", "r.json",
+                                   "--csv-dir", "csv"], cwd=work)
         out = {"exit code": str(proc.returncode).encode()}
         for name, text in (("stdout", proc.stdout), ("stderr", proc.stderr)):
             for path, mark in ((work, b"<work>"), (str(tree), b"<tree>")):
@@ -203,29 +181,15 @@ def compare(parent: Path, change: Path, argv: list, seed: int) -> list:
     return out
 
 
-def _row(*cells) -> str:
-    return "| " + " | ".join(c.replace("|", "\\|") for c in cells) + " |"
-
-
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent", type=Path)
-    ap.add_argument("change", type=Path)
-    args = ap.parse_args(argv)
-    trees = [args.parent.resolve(), args.change.resolve()]
-    for tree in trees:
-        if not (tree / "src" / "charfol").is_dir():
-            ap.error(f"{tree} has no src/charfol")
+    args = trees.parse(__doc__, argv)
     cases = [(argv, seed) for seed in SEEDS for argv in COMMANDS]
-    diffs = [(f"{' '.join(argv)} --seed {seed}", *d)
-             for argv, seed in cases for d in compare(*trees, argv, seed)]
+    diffs = [(f"{' '.join(argv)} --seed {seed}", *d) for argv, seed in cases
+             for d in compare(*args.trees, argv, seed)]
     if diffs:
-        print(_row("run", "output", "where", "difference"))
-        print(_row(*["---"] * 4))
-        for line, name, found in diffs:
-            for where, what in found:
-                print(_row(line, name, where, what))
-        print()
+        print(*trees.table(["run", "output", "where", "difference"],
+                           [(line, name, *row) for line, name, found in diffs
+                            for row in found]), "", sep="\n")
     print(f"{len(cases)} runs per tree, {len(diffs)} differences")
     return 1 if diffs else 0
 

@@ -3,13 +3,13 @@
     python tools/kernel_sources.py PARENT CHANGE
 
 PARENT and CHANGE are source trees of charfol (each with `src/charfol`).
-Each tree runs in its own interpreter, with PYTHONPATH set to the
-tree's `src` and one worker (`parallel._cpus` pinned to 1): there every
-command line of `compare_reports.COMMANDS` runs at `--seed 0` through
-`cli.main`, one after the other, each in a new working directory. A
-wrapper of `compile` inside `charfol.kernel` records the source of
-every kernel and array twin, in the order compiled, with the function
-of the trace before it (a spy on `kernel._trace`).
+Each tree runs a probe in its own interpreter on one worker
+(`trees.probe`): there every command line of `trees.COMMANDS` runs at
+`--seed 0` through `cli.main`, one after the other, each in a new
+working directory. A wrapper of `compile` inside `charfol.kernel`
+records the source of every kernel and array twin, in the order
+compiled, with the function of the trace before it (a spy on
+`kernel._trace`).
 
 A source of a command line matches the same text compiled by the same
 command line in the other tree, in any place, each once. The sources
@@ -26,24 +26,19 @@ per tree, M differences"; the exit code is 1 when a source differs and
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import subprocess
 import sys
 from collections import Counter
 from itertools import zip_longest
-from pathlib import Path
 
-from compare_reports import COMMANDS, _row
+import trees
 
 # run in each tree's interpreter: argv[1] is the JSON list of command
 # lines; prints {command line: [[traced function, source], ...]}
 PROBE = r'''
 import contextlib, io, json, os, sys, tempfile
-from charfol import cli, kernel, parallel
+from charfol import cli, kernel
 
-parallel._cpus = lambda: 1
 made, traced = [], ["-"]
 trace, build = kernel._trace, compile
 
@@ -74,19 +69,6 @@ for argv in json.loads(sys.argv[1]):
     out[" ".join(argv)] = list(made)
 print(json.dumps(out))
 '''
-
-
-def probe(tree: Path, commands) -> dict:
-    """The (traced function, source) pairs that each command line of
-    `commands` compiles in `tree`, by the line joined with spaces."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps([list(c) for c in commands])],
-        env=env, capture_output=True, text=True)
-    if proc.returncode:
-        raise RuntimeError(f"the probe failed in {tree}:\n{proc.stderr}")
-    return {line: [tuple(s) for s in made]
-            for line, made in json.loads(proc.stdout).items()}
 
 
 def _show(line: str, col: int) -> str:
@@ -132,7 +114,7 @@ def _unmatched(sources: list, other: list) -> list:
 
 def differences(parent: dict, change: dict) -> list:
     """(command line, source, parent cell, change cell) for each pair of
-    unmatched sources of the two trees' `probe`, or one left without a
+    unmatched sources of the two trees' PROBE, or one left without a
     partner."""
     rows = []
     for line in [*parent, *(c for c in change if c not in parent)]:
@@ -149,22 +131,13 @@ def _count(parent: dict, change: dict) -> str:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent", type=Path)
-    ap.add_argument("change", type=Path)
-    args = ap.parse_args(argv)
-    trees = [args.parent.resolve(), args.change.resolve()]
-    for tree in trees:
-        if not (tree / "src" / "charfol").is_dir():
-            ap.error(f"{tree} has no src/charfol")
-    parent, change = (probe(tree, COMMANDS) for tree in trees)
+    args = trees.parse(__doc__, argv)
+    parent, change = (trees.probe(tree, PROBE, trees.COMMANDS)
+                      for tree in args.trees)
     rows = differences(parent, change)
     if rows:
-        print(_row("command", "source", "parent", "change"))
-        print(_row(*["---"] * 4))
-        for row in rows:
-            print(_row(*row))
-        print()
+        print(*trees.table(["command", "source", "parent", "change"], rows),
+              "", sep="\n")
     print(f"{_count(parent, change)}, {len(rows)} "
           f"difference{'s' * (len(rows) != 1)}")
     return 1 if rows else 0
